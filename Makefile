@@ -3,45 +3,35 @@
 #   make check       - tier-1 gate: lint, build everything, full test suite,
 #                      plus -race on the concurrency-heavy packages
 #   make lint        - gofmt -l (fails on unformatted files) + go vet ./...
-#   make bench       - tier-1 benchmarks; archives machine-readable results in BENCH_001.json
-#   make bench-trace - tracing-overhead benchmark; archives results in BENCH_002.json
 #   make test        - plain test run (no race detector)
-#   make bench-service - serving-layer benchmarks; archives BENCH_003.json
-#                      (batch amortization) and BENCH_004.json (shard scaling)
-#   make bench-transport - warm-mesh + frame-path benchmarks; archives
-#                      BENCH_005.json (warm vs cold mesh, zero-alloc frame
-#                      path, warm-TCP shard scaling)
+#   make bench       - the benchmark ledger (bench/run.sh: four pinned
+#                      workloads, end-to-end and per-layer metrics, one JSON
+#                      line each; see BENCHMARK.json)
 #   make baexp       - regenerate every evaluation table
 #   make trace-smoke - end-to-end trace pipeline check (basim -trace → batrace)
 #   make faults      - fault-injection scenario matrix under -race (part of check)
 #   make slo         - open-loop SLO gate: Poisson load against a self-hosted
 #                      server must meet a generous p99 (part of check)
-#   make bench-ops   - ops-plane benchmarks (open-loop latency, zero-alloc
-#                      metrics scrape); archives BENCH_006.json
-#   make bench-journal - durability benchmarks (fsync policies, recovery scan,
-#                      segment rotation, compacted-recovery flatness, plus the
-#                      live churn drill); archives BENCH_008.json
 #   make crash       - crash-recovery drill: SIGKILL a journaled server
 #                      mid-load, restart it, verify replay (part of check)
 #   make upgrade     - rolling-upgrade drill: roll a two-server fleet across
 #                      wire frame versions under load (part of check)
 #   make search      - adversary-search gate vs the Theorem 1/2 bounds
 #                      (best-found below bound or a broken correct protocol
-#                      fails; strawmen must be found broken); SEARCH_BUDGET=n
-#                      sets the budget (make check uses a short one)
-#   make bench-search - run the gate at the full budget and archive the
-#                      per-protocol gap-to-bound atlas as BENCH_009.json
+#                      fails; strawmen must be found broken); prints the
+#                      gap-to-bound atlas; SEARCH_BUDGET=n sets the budget
+#                      (make check uses a short one)
 #   make fuzz        - run every fuzz target on a short fixed budget
 
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check lint test bench bench-trace bench-service bench-transport bench-ops bench-journal bench-search search baexp trace-smoke faults slo crash upgrade fuzz
+.PHONY: check lint test bench search baexp trace-smoke faults slo crash upgrade fuzz
 
 check: lint faults
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race -count=1 ./internal/service/ ./internal/runner/ ./internal/transport/ ./internal/obs/ ./internal/journal/ ./internal/search/
+	$(GO) test -race -count=1 ./internal/service/ ./internal/runner/ ./internal/transport/ ./internal/obs/ ./internal/journal/ ./internal/search/ ./internal/sim/ ./internal/faultnet/
 	$(MAKE) crash
 	$(MAKE) upgrade
 	$(MAKE) slo
@@ -90,99 +80,28 @@ faults:
 test:
 	$(GO) test ./...
 
-# The tier-1 benchmarks: the per-experiment harness at the repo root plus the
-# engine and signature micro-benchmarks. Fixed -benchtime keeps run-to-run
-# iteration counts comparable; benchjson mirrors the text output to stderr
-# and writes the parsed JSON, embedding the recorded seed numbers
-# (BENCH_BASELINE.json) for a before/after diff in one file.
+# The benchmark ledger: bench/run.sh builds the bench/ program from this
+# checkout and runs its four pinned workloads, printing one JSON line of
+# end-to-end and per-layer metrics per workload (BENCHMARK.json is the
+# contract). BENCH_001..009.json and BENCH_BASELINE.json are the one-shot
+# per-PR suites this replaced, kept as read-only history.
 bench:
-	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	{ $(GO) test -bench 'BenchmarkE2Alg2|BenchmarkE5Alg5' -benchtime=5x -benchmem -run '^$$' . ; \
-	  $(GO) test -bench 'BenchmarkEngineBroadcast|BenchmarkEngineHotPath' -benchtime=20x -benchmem -run '^$$' ./internal/sim/ ; \
-	  $(GO) test -bench 'BenchmarkChainVerify' -benchmem -run '^$$' ./internal/sig/ ; } \
-	| /tmp/benchjson -label current -baseline BENCH_BASELINE.json > BENCH_001.json
-
-# Tracing overhead, archived separately from the engine baseline: the
-# disabled case must track BenchmarkEngineBroadcast/n=64, and allocs/op must
-# be identical across disabled/nop/ring (the no-op sink path adds zero
-# allocations).
-bench-trace:
-	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -bench 'BenchmarkTraceOverhead' -benchtime=20x -benchmem -run '^$$' ./internal/sim/ \
-	| /tmp/benchjson -label current > BENCH_002.json
+	bash bench/run.sh
 
 baexp:
 	$(GO) run ./cmd/baexp
 
-# Amortized serving cost: messages/signatures per decided value at batch
-# sizes 1/4/16 under a saturated service (BENCH_003), then the sharding sweep
-# on the latency-modeled substrate — shard count × fixed/adaptive batching,
-# values/s and msgs/value (BENCH_004).
-bench-service:
-	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -bench 'BenchmarkServiceThroughput' -benchtime=200x -benchmem -run '^$$' ./internal/service/ \
-	| /tmp/benchjson -label current > BENCH_003.json
-	$(GO) test -bench 'BenchmarkServiceSharded' -benchtime=300x -benchmem -run '^$$' -timeout 20m ./internal/service/ \
-	| /tmp/benchjson -label current > BENCH_004.json
-
-# The warm-mesh tentpole numbers (BENCH_005): one instance per iteration over
-# a cold (dial + teardown) versus warm (reused) mesh, the steady-state frame
-# path on a real loopback socket (allocs/op must report 0), and the real-TCP
-# shard sweep over warm meshes with a modeled 2ms link delay — values/s must
-# rise monotonically from 1 to 8 shards.
-bench-transport:
-	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	{ $(GO) test -bench 'BenchmarkMeshWarmVsCold|BenchmarkFramePath' -benchtime=200x -benchmem -run '^$$' ./internal/transport/ ; \
-	  $(GO) test -bench 'BenchmarkServiceWarmTCP' -benchtime=300x -benchmem -run '^$$' -timeout 20m ./internal/service/ ; } \
-	| /tmp/benchjson -label current > BENCH_005.json
-
-# The ops-plane numbers (BENCH_006): sustained open-loop serving over the
-# real wire (offered/s vs values/s, coordinated-omission-free p50/p99, shed
-# fraction) and the metrics scrape path (allocs/op must report 0 — a tight
-# scrape loop adds no GC pressure to a loaded server).
-bench-ops:
-	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	{ $(GO) test -bench 'BenchmarkServiceOpenLoop' -benchtime=4000x -benchmem -run '^$$' ./internal/service/ ; \
-	  $(GO) test -bench 'BenchmarkMetricsScrape' -benchtime=20000x -benchmem -run '^$$' ./internal/obs/ ; } \
-	| /tmp/benchjson -label current > BENCH_006.json
-
-# The durability numbers (BENCH_008): the fsync trade-off (per-record sync
-# versus group commit, with syncs/op reported so the realized commit batch is
-# visible), the recovery scan over a 10k-record journal, segment-size
-# sensitivity of the append path, compacted recovery staying flat as the
-# total journaled volume grows 10k→100k (records-scanned bounded by the
-# checkpoint cadence), replay throughput, and the live kill/restart churn
-# drill (recovery time and replayed count per restart). The churn drill runs
-# as its own command first — it is a gate (replay count must stay within the
-# checkpoint budget), and a pipe would mask its exit code.
-bench-journal:
-	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) build -o /tmp/baload ./cmd/baload
-	rm -rf /tmp/byzex-churn-journal
-	/tmp/baload -churn 3 -churn-acks 48 -c 8 -protocol alg1 -t 1 -shards 2 \
-		-journal-dir /tmp/byzex-churn-journal -fsync always -checkpoint-every 16 \
-		> /tmp/byzex-churn-bench.txt
-	{ $(GO) test -bench 'BenchmarkJournal' -benchtime=200x -benchmem -run '^$$' ./internal/journal/ ; \
-	  cat /tmp/byzex-churn-bench.txt ; } \
-	| /tmp/benchjson -label current > BENCH_008.json
-
 # The adversary-search gate: the search minimizes correct-sender signatures
-# and messages per registry protocol and exits 1 when a correct protocol is
-# broken or undercuts its Theorem 1/2 bound, or a strawman survives
-# unbroken. The command runs standalone — a pipe would mask its exit code.
-# A fixed -seed makes the output reproduce byte-identically. `make check`
-# runs it at a short budget; `make bench-search` at the full default.
+# and messages per registry protocol, prints the gap-to-bound atlas (best
+# found vs core.SigLowerBound / core.MsgLowerBound) and exits 1 when a
+# correct protocol is broken or undercuts its Theorem 1/2 bound, or a
+# strawman survives unbroken. A fixed -seed makes the output reproduce
+# byte-identically. `make check` runs it at a short budget.
 SEARCH_BUDGET ?= 240
 search:
 	$(GO) build -o /tmp/baattack ./cmd/baattack
 	/tmp/baattack -search -protocol all -objective both \
-		-budget $(SEARCH_BUDGET) -seed 1 -bench > /tmp/byzex-search-bench.txt
-
-# The gap-to-bound atlas (BENCH_009): archive best-found vs
-# core.SigLowerBound / core.MsgLowerBound from a full-budget search run.
-bench-search: search
-	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	/tmp/benchjson -label current < /tmp/byzex-search-bench.txt > BENCH_009.json
+		-budget $(SEARCH_BUDGET) -seed 1
 
 # Short fixed-budget fuzzing of every decoder that touches attacker-supplied
 # bytes: the wire codec (seeded from captured real-run envelopes) and the

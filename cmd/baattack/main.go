@@ -11,8 +11,7 @@
 // (core.SigLowerBound / core.MsgLowerBound). `-protocol all` sweeps the
 // whole registry into a gap-to-bound atlas; the gap gate fails loudly (exit
 // 1) when a correct protocol is broken or undercut, or when a strawman
-// survives unbroken. -bench emits the table in `go test -bench` format for
-// cmd/benchjson (make bench-search archives it as BENCH_009.json).
+// survives unbroken.
 //
 // Usage:
 //
@@ -202,13 +201,9 @@ func runSearch(ctx context.Context, sf *cli.SearchFlags, protoName string, n, t,
 	if len(rows) == 0 {
 		fail(fmt.Errorf("no rows: the sigs objective needs an authenticated scheme (%s is unauthenticated)", protoName))
 	}
-	if *sf.Bench {
-		fmt.Print(search.BenchLines(rows))
-	} else {
-		fmt.Printf("Adversary search vs the Theorem 1/2 bounds (budget=%d per row, seed=%d)\n", *sf.Budget, seed)
-		fmt.Print(search.RenderRows(rows))
-		fmt.Printf("provenance: seed-arms=strategies+canonical-plans, halving<=2/5 budget, anneal width=4 temp=0.35 x0.92 floor=0.02\n")
-	}
+	fmt.Printf("Adversary search vs the Theorem 1/2 bounds (budget=%d per row, seed=%d)\n", *sf.Budget, seed)
+	fmt.Print(search.RenderRows(rows))
+	fmt.Printf("provenance: seed-arms=strategies+canonical-plans, halving<=2/5 budget, anneal width=4 temp=0.35 x0.92 floor=0.02\n")
 	if err := search.CheckRows(rows); err != nil {
 		fail(err)
 	}

@@ -162,9 +162,6 @@ func churnConfigFrom(sf *cli.ServeFlags, cycles, acks, conns, mod int) churnConf
 	}
 	if *sf.Transport != "memory" {
 		serveArgs = append(serveArgs, "-transport", *sf.Transport)
-		if *sf.WarmMesh {
-			serveArgs = append(serveArgs, "-warm-mesh")
-		}
 		if *sf.LinkDelay > 0 {
 			serveArgs = append(serveArgs, "-link-delay", sf.LinkDelay.String())
 		}
@@ -184,8 +181,8 @@ func churnConfigFrom(sf *cli.ServeFlags, cycles, acks, conns, mod int) churnConf
 // acknowledged submissions, SIGKILLs it mid-load, restarts it over the same
 // journal directory, and asserts the restart replayed no more than the
 // checkpoint budget allows. Recovery time and replay throughput are emitted
-// as benchmark-format lines (`BenchmarkChurn...`) so `make bench-journal`
-// archives them alongside the scan benchmarks. The final generation is
+// as benchmark-format lines (`BenchmarkChurn...`, the shape BENCH_008.json
+// archived and TestChurnDrill parses). The final generation is
 // drained cleanly (SIGTERM) so the drill leaves a checkpointed journal.
 func runChurn(cfg churnConfig, stdout, stderr *os.File) int {
 	dir, err := os.MkdirTemp("", "baload-churn-*")
@@ -239,8 +236,8 @@ func runChurn(cfg churnConfig, stdout, stderr *os.File) int {
 			if sec := recovery.Seconds(); sec > 0 {
 				rate = float64(replayed) / sec
 			}
-			// Benchmark-format: benchjson turns the custom units into
-			// archived metrics next to the journal scan rows.
+			// Benchmark-format (`name iters value unit...`), like the
+			// journal scan rows of `go test -bench`.
 			fmt.Fprintf(stdout, "BenchmarkChurnRecovery/cycle=%d \t1\t%d ns/op\t%d replayed\t%.0f replayed/s\n",
 				cycle, recovery.Nanoseconds(), replayed, rate)
 			if cfg.bound > 0 && replayed > cfg.bound {

@@ -25,8 +25,8 @@ func TestHelperChurnServe(t *testing.T) {
 // TestChurnDrill runs the full -churn mode in miniature: two SIGKILL/restart
 // cycles over one journal directory plus the final clean drain, with the
 // test binary acting as its own server child. It pins the drill's contract:
-// exit 0, one benchmark-format recovery line per restart (parseable by
-// benchjson's `name iters value unit...` shape), every restart's replay
+// exit 0, one benchmark-format recovery line per restart (the `go test
+// -bench` shape, `name iters value unit...`), every restart's replay
 // count within the checkpoint-budget bound, and a journal left fully
 // checkpointed — a third boot would replay nothing.
 func TestChurnDrill(t *testing.T) {

@@ -20,7 +20,7 @@
 //
 // With -selfhost, baload starts the service in-process on a loopback port —
 // configured by the same serving flags baserve takes (cli.RegisterServeFlags:
-// -shards, -adaptive, -warm-mesh, -faults, -trace, -metrics-addr, ...) —
+// -shards, -adaptive, -faults, -trace, -metrics-addr, ...) —
 // drives the load against it, then drains it: a one-command end-to-end
 // exercise of the sharded serving path, ops plane included.
 //
@@ -37,7 +37,7 @@
 // final generation drains cleanly via SIGTERM). Each restart's replay count
 // is gated against the checkpoint budget (-checkpoint-every plus legal
 // in-flight work), and recovery time per restart is printed in benchmark
-// format for `make bench-journal` to archive:
+// format:
 //
 //	baload -churn 3 -churn-acks 48 -c 8 -protocol alg1 -t 1 \
 //	    -journal-dir /tmp/churn -fsync always -checkpoint-every 16

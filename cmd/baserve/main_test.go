@@ -158,8 +158,8 @@ func TestServeBadFlags(t *testing.T) {
 	outF, _ := os.Create(filepath.Join(dir, "o"))
 	errF, _ := os.Create(filepath.Join(dir, "e"))
 	defer func() { _ = outF.Close(); _ = errF.Close() }()
-	if code := run([]string{"-warm-mesh"}, outF, errF); code == 0 {
-		t.Fatal("-warm-mesh without -transport tcp accepted")
+	if code := run([]string{"-wire-version", "1"}, outF, errF); code == 0 {
+		t.Fatal("-wire-version without -transport tcp accepted")
 	}
 	if code := run([]string{"-protocol", "no-such"}, outF, errF); code == 0 {
 		t.Fatal("unknown protocol accepted")

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -24,80 +25,70 @@ import (
 	"byzex/internal/core"
 	"byzex/internal/ident"
 	"byzex/internal/metrics"
+	"byzex/internal/sim"
 	"byzex/internal/trace"
 	"byzex/internal/transport"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("basim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		protoName = flag.String("protocol", "alg5", "protocol: "+strings.Join(cli.ProtocolNames(), "|"))
-		n         = flag.Int("n", 0, "number of processors (default 2t+1)")
-		t         = flag.Int("t", 2, "fault bound")
-		s         = flag.Int("s", 0, "set/tree size parameter for alg3/alg5 (default t)")
-		value     = flag.Int64("value", 1, "transmitter's value")
-		advName   = flag.String("adversary", "none", "adversary: "+strings.Join(cli.AdversaryNames(), "|"))
-		faultSpec = flag.String("faults", "", `fault-injection spec, e.g. "crash=1@2;drop=0->2@1-3" (see internal/faultnet)`)
-		schemeStr = flag.String("scheme", "hmac", "signature scheme: hmac|ed25519|plain")
-		trans     = flag.String("transport", "memory", "transport: memory|tcp")
-		seed      = flag.Int64("seed", 1, "deterministic seed")
-		verbose   = flag.Bool("v", false, "print per-phase message counts")
-		dump      = flag.String("dump", "", "write the full message transcript (JSON) to this file (memory transport only)")
-		tracePath = flag.String("trace", "", "write the structured execution trace (JSONL) to this file")
-		metricsTo = flag.String("metrics", "", "write the metrics report (JSON) to this file, for batrace -report")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file")
+		protoName = fs.String("protocol", "alg5", "protocol: "+strings.Join(cli.ProtocolNames(), "|"))
+		n         = fs.Int("n", 0, "number of processors (default 2t+1)")
+		t         = fs.Int("t", 2, "fault bound")
+		s         = fs.Int("s", 0, "set/tree size parameter for alg3/alg5 (default t)")
+		value     = fs.Int64("value", 1, "transmitter's value")
+		advName   = fs.String("adversary", "none", "adversary: "+strings.Join(cli.AdversaryNames(), "|"))
+		faultSpec = fs.String("faults", "", `fault-injection spec, e.g. "crash=1@2;drop=0->2@1-3" (see internal/faultnet)`)
+		schemeStr = fs.String("scheme", "hmac", "signature scheme: hmac|ed25519|plain")
+		trans     = fs.String("transport", "memory", "transport: memory|tcp")
+		seed      = fs.Int64("seed", 1, "deterministic seed")
+		verbose   = fs.Bool("v", false, "print per-phase message counts")
+		dump      = fs.String("dump", "", "write the full message transcript (JSON) to this file (memory transport only)")
+		tracePath = fs.String("trace", "", "write the structured execution trace (JSONL) to this file")
+		metricsTo = fs.String("metrics", "", "write the metrics report (JSON) to this file, for batrace -report")
+		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memProf   = fs.String("memprofile", "", "write a pprof heap profile to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
-	if *n == 0 {
-		*n = 2**t + 1
-	}
-	params := cli.Params{N: *n, T: *t, S: *s, Seed: *seed}
-
-	proto, err := cli.Protocol(*protoName, params)
+	// The same resolution baserve and baload use: the processors a fault
+	// plan touches are judged faulty so the agreement printout discounts
+	// them, and an over-budget plan is allowed — watching a protocol stall
+	// is the point of some experiments — but flagged up front.
+	cfg, warn, err := cli.Template{
+		Protocol: *protoName, Adversary: *advName, Scheme: *schemeStr,
+		Faults: *faultSpec, N: *n, T: *t, S: *s, Seed: *seed,
+	}.Resolve()
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
-	adv, err := cli.Adversary(*advName, params)
-	if err != nil {
-		fail(err)
+	if warn != "" {
+		fmt.Fprintf(stderr, "warning: %s\n", warn)
 	}
-	scheme, err := cli.Scheme(*schemeStr, params)
-	if err != nil {
-		fail(err)
-	}
-	plan, err := cli.FaultPlan(*faultSpec, *seed)
-	if err != nil {
-		fail(err)
-	}
-	// The processors a fault plan touches are judged faulty so the agreement
-	// printout discounts them (they run correct code, they're merely unheard).
-	// An over-budget plan is allowed — watching a protocol stall is the point
-	// of some experiments — but flagged up front.
-	var faultyOverride ident.Set
-	if plan != nil {
-		if adv == nil {
-			faultyOverride = plan.Affected(*n)
-		}
-		if err := plan.CheckBudget(*n, *t); err != nil {
-			fmt.Fprintf(os.Stderr, "warning: %v — expect a stall or crash error, not agreement\n", err)
-		}
-	}
+	cfg.Value = ident.Value(*value)
 
 	prof, err := cli.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
-	// sink stays a nil interface when tracing is off — assigning a nil
-	// *trace.Buffer directly into core.Config.Trace would defeat the
-	// producers' nil checks.
-	var (
-		traceBuf *trace.Buffer
-		sink     trace.Sink
-	)
+	// cfg.Trace stays a nil interface when tracing is off — assigning a nil
+	// *trace.Buffer directly would defeat the producers' nil checks.
+	var traceBuf *trace.Buffer
 	if *tracePath != "" {
 		traceBuf = trace.NewBuffer()
-		sink = traceBuf
+		cfg.Trace = traceBuf
 	}
 
 	ctx := context.Background()
@@ -106,76 +97,66 @@ func main() {
 
 	switch *trans {
 	case "memory":
-		res, err := core.Run(ctx, core.Config{
-			Protocol: proto, N: *n, T: *t, Value: ident.Value(*value),
-			Scheme: scheme, Adversary: adv, Seed: *seed, Record: *dump != "",
-			Trace: sink, Faults: plan, FaultyOverride: faultyOverride,
-		})
+		cfg.Record = *dump != ""
+		res, err := core.Run(ctx, cfg)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		report = res.Sim.Report
-		printOutcome(res.Faulty, decisions(res), res.Sim.Report.String(), ident.Value(*value))
+		printOutcome(stdout, res.Faulty, decisions(res.Sim.Decisions), report.String(), cfg.Value)
 		if *verbose {
-			fmt.Print(res.Sim.Report.Table())
+			fmt.Fprint(stdout, report.Table())
 		}
 		if *dump != "" {
 			f, err := os.Create(*dump)
 			if err != nil {
-				fail(err)
+				return fail(err)
 			}
 			if err := res.History.Export(f); err != nil {
-				fail(err)
+				return fail(err)
 			}
 			if err := f.Close(); err != nil {
-				fail(err)
+				return fail(err)
 			}
-			fmt.Printf("transcript: %s (%d phases)\n", *dump, res.History.NumPhases())
+			fmt.Fprintf(stdout, "transcript: %s (%d phases)\n", *dump, res.History.NumPhases())
 		}
 	case "tcp":
-		res, err := transport.RunCluster(ctx, core.Config{
-			Protocol: proto, N: *n, T: *t, Value: ident.Value(*value),
-			Scheme: scheme, Adversary: adv, Seed: *seed,
-			Trace: sink, Faults: plan, FaultyOverride: faultyOverride,
-		}, transport.Net{})
+		res, err := transport.RunCluster(ctx, cfg, transport.Net{})
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		report = res.Report
-		dec := make(map[ident.ProcID]string, len(res.Decisions))
-		for id, d := range res.Decisions {
-			dec[id] = fmt.Sprint(d.Value)
-		}
-		printOutcome(res.Faulty, dec, res.Report.String(), ident.Value(*value))
+		printOutcome(stdout, res.Faulty, decisions(res.Decisions), report.String(), cfg.Value)
 	default:
-		fail(fmt.Errorf("unknown transport %q", *trans))
+		return fail(fmt.Errorf("unknown transport %q", *trans))
 	}
 
 	if traceBuf != nil {
-		if err := writeTrace(*tracePath, traceBuf, report, *verbose); err != nil {
-			fail(err)
+		if err := writeTrace(stdout, *tracePath, traceBuf, report, *verbose); err != nil {
+			return fail(err)
 		}
 	}
 	if *metricsTo != "" {
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if err := os.WriteFile(*metricsTo, append(data, '\n'), 0o644); err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Printf("metrics report: %s\n", *metricsTo)
+		fmt.Fprintf(stdout, "metrics report: %s\n", *metricsTo)
 	}
 	if err := prof.Stop(); err != nil {
-		fail(err)
+		return fail(err)
 	}
-	fmt.Printf("elapsed: %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "elapsed: %v\n", time.Since(start).Round(time.Millisecond))
+	return 0
 }
 
 // writeTrace persists the trace as JSONL and cross-checks its per-phase
 // attribution against the run's metrics — a trace that disagrees with the
 // collector means the instrumentation drifted and is an error, not output.
-func writeTrace(path string, buf *trace.Buffer, report metrics.Report, verbose bool) error {
+func writeTrace(stdout io.Writer, path string, buf *trace.Buffer, report metrics.Report, verbose bool) error {
 	sum := trace.Summarize(buf.Events())
 	if err := sum.CheckReport(report); err != nil {
 		return fmt.Errorf("trace disagrees with metrics: %w", err)
@@ -191,16 +172,19 @@ func writeTrace(path string, buf *trace.Buffer, report metrics.Report, verbose b
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("trace: %s (%d events, consistent with metrics)\n", path, buf.Len())
+	fmt.Fprintf(stdout, "trace: %s (%d events, consistent with metrics)\n", path, buf.Len())
 	if verbose {
-		fmt.Print(sum.Table())
+		fmt.Fprint(stdout, sum.Table())
 	}
 	return nil
 }
 
-func decisions(res *core.Result) map[ident.ProcID]string {
-	out := make(map[ident.ProcID]string, len(res.Sim.Decisions))
-	for id, d := range res.Sim.Decisions {
+// decisions renders a run's decision table for printOutcome — the one
+// rendering both transports go through, so an undecided processor shows as
+// such (and breaks "agreement: OK") whichever substrate ran.
+func decisions(dec map[ident.ProcID]sim.Decision) map[ident.ProcID]string {
+	out := make(map[ident.ProcID]string, len(dec))
+	for id, d := range dec {
 		if d.Decided {
 			out[id] = fmt.Sprint(d.Value)
 		} else {
@@ -210,7 +194,7 @@ func decisions(res *core.Result) map[ident.ProcID]string {
 	return out
 }
 
-func printOutcome(faulty ident.Set, dec map[ident.ProcID]string, report string, txValue ident.Value) {
+func printOutcome(stdout io.Writer, faulty ident.Set, dec map[ident.ProcID]string, report string, txValue ident.Value) {
 	counts := make(map[string]int)
 	for id, v := range dec {
 		if faulty.Has(id) {
@@ -218,18 +202,13 @@ func printOutcome(faulty ident.Set, dec map[ident.ProcID]string, report string, 
 		}
 		counts[v]++
 	}
-	fmt.Printf("faulty: %v\n", faulty.Sorted())
-	fmt.Printf("transmitter value: %v\n", txValue)
-	fmt.Printf("correct decisions: %v\n", counts)
-	fmt.Printf("metrics: %s\n", report)
+	fmt.Fprintf(stdout, "faulty: %v\n", faulty.Sorted())
+	fmt.Fprintf(stdout, "transmitter value: %v\n", txValue)
+	fmt.Fprintf(stdout, "correct decisions: %v\n", counts)
+	fmt.Fprintf(stdout, "metrics: %s\n", report)
 	if len(counts) == 1 {
-		fmt.Println("agreement: OK")
+		fmt.Fprintln(stdout, "agreement: OK")
 	} else {
-		fmt.Println("agreement: VIOLATED")
+		fmt.Fprintln(stdout, "agreement: VIOLATED")
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"byzex/internal/adversary"
+	"byzex/internal/core"
 	"byzex/internal/ident"
 	"byzex/internal/protocols/dolevstrong"
 	"byzex/internal/transport"
@@ -31,16 +32,15 @@ func main() {
 
 	fmt.Printf("starting %d TCP processors (transmitter is Byzantine and equivocates)...\n", n)
 	start := time.Now()
-	res, err := transport.Run(context.Background(), transport.Config{
-		N:            n,
-		T:            t,
-		Value:        ident.V1,
-		Protocol:     dolevstrong.Protocol{},
-		Adversary:    adv,
-		Faulty:       ident.NewSet(0),
-		PhaseTimeout: 10 * time.Second,
-		Seed:         17,
-	})
+	res, err := transport.RunCluster(context.Background(), core.Config{
+		N:              n,
+		T:              t,
+		Value:          ident.V1,
+		Protocol:       dolevstrong.Protocol{},
+		Adversary:      adv,
+		FaultyOverride: ident.NewSet(0),
+		Seed:           17,
+	}, transport.Net{PhaseTimeout: 10 * time.Second})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,8 +15,6 @@ type SearchFlags struct {
 	// Parallel sizes the evaluation worker pool (0 = GOMAXPROCS). The
 	// result is independent of this value — it only changes wall-clock.
 	Parallel *int
-	// Bench switches output to `go test -bench` lines for cmd/benchjson.
-	Bench *bool
 }
 
 // RegisterSearchFlags declares the adversary-search surface on fs and
@@ -27,6 +25,5 @@ func RegisterSearchFlags(fs *flag.FlagSet) *SearchFlags {
 	sf.Objective = fs.String("objective", "both", "search objective: sigs|msgs|both")
 	sf.Budget = fs.Int("budget", 240, "search: candidate evaluations per protocol x objective (each is two runs)")
 	sf.Parallel = fs.Int("parallel", 0, "search: evaluation workers (0 = GOMAXPROCS); does not change results, only wall-clock")
-	sf.Bench = fs.Bool("bench", false, "search: print go-bench formatted gap lines (for cmd/benchjson) instead of the table")
 	return sf
 }

@@ -18,7 +18,7 @@ import (
 
 // ServeFlags is the serving flag surface shared by baserve and baload's
 // selfhost mode: the instance template (protocol, n, t, adversary, faults,
-// scheme, seed), the substrate (-transport, -warm-mesh, -link-delay), the
+// scheme, seed), the substrate (-transport, -link-delay), the
 // pipeline knobs (-shards, -queue, -batch and the adaptive window,
 // -linger), and the ops plane (-metrics-addr, -trace, -trace-ring). The two
 // binaries previously declared overlapping subsets of these by hand and had
@@ -36,12 +36,10 @@ type ServeFlags struct {
 
 	// Substrate flags.
 	Transport *string
-	WarmMesh  *bool
 	LinkDelay *time.Duration
 
 	// Pipeline flags.
 	Shards   *int
-	Inflight *int
 	Queue    *int
 	Batch    *int
 	Adaptive *bool
@@ -78,12 +76,10 @@ func RegisterServeFlags(fs *flag.FlagSet) *ServeFlags {
 	sf.Scheme = fs.String("scheme", "hmac", "signature scheme: hmac|ed25519|plain")
 	sf.Seed = fs.Int64("seed", 1, "base seed; instance i runs with seed+i")
 
-	sf.Transport = fs.String("transport", "memory", "substrate per instance: memory|tcp")
-	sf.WarmMesh = fs.Bool("warm-mesh", false, "with -transport tcp: one long-lived mesh per shard, reused across instances")
+	sf.Transport = fs.String("transport", "memory", "substrate per instance: memory|tcp (one warm localhost mesh per shard, reused across instances)")
 	sf.LinkDelay = fs.Duration("link-delay", 0, "with -transport tcp: modeled one-way link latency per phase")
 
 	sf.Shards = fs.Int("shards", 0, "shard workers executing instances concurrently (default GOMAXPROCS)")
-	sf.Inflight = fs.Int("inflight", 0, "deprecated alias for -shards")
 	sf.Queue = fs.Int("queue", 64, "admission queue depth")
 	sf.Batch = fs.Int("batch", 1, "max values coalesced into one instance (fixed batching)")
 	sf.Adaptive = fs.Bool("adaptive", false, "adaptive batching inside [-batch-min, -batch-max] instead of fixed -batch")
@@ -117,18 +113,14 @@ func (sf *ServeFlags) Template() Template {
 // callers attach OpenSpool's spool (or any sink) to the returned config.
 func (sf *ServeFlags) ServiceConfig(tmpl core.Config) (service.Config, error) {
 	cfg := service.Config{
-		Template:    tmpl,
-		Shards:      *sf.Shards,
-		MaxInFlight: *sf.Inflight,
-		QueueDepth:  *sf.Queue,
-		BatchSize:   *sf.Batch,
-		Linger:      *sf.Linger,
+		Template:   tmpl,
+		Shards:     *sf.Shards,
+		QueueDepth: *sf.Queue,
+		BatchSize:  *sf.Batch,
+		Linger:     *sf.Linger,
 	}
 	switch *sf.Transport {
 	case "memory":
-		if *sf.WarmMesh {
-			return cfg, errors.New("-warm-mesh requires -transport tcp")
-		}
 	case "tcp":
 		netCfg := transport.Net{LinkDelay: *sf.LinkDelay, WireVersion: byte(*sf.WireVersion)}
 		if netCfg.WireVersion != 0 {
@@ -136,11 +128,7 @@ func (sf *ServeFlags) ServiceConfig(tmpl core.Config) (service.Config, error) {
 				return cfg, err
 			}
 		}
-		if *sf.WarmMesh {
-			cfg.Substrate = service.NewWarmTCP(tmpl.N, netCfg)
-		} else {
-			cfg.Run = service.RunTCP(netCfg)
-		}
+		cfg.Substrate = service.NewWarmTCP(tmpl.N, netCfg)
 	default:
 		return cfg, fmt.Errorf("unknown transport %q", *sf.Transport)
 	}

@@ -10,7 +10,8 @@
 // so every participant (each TCP peer, the in-memory engine, a test
 // computing expectations) evaluates the identical schedule in any order,
 // and two runs of the same seed replay byte-identically like everything
-// else in this module.
+// else in this module. The schedule is applied to traffic in exactly one
+// place, Deliver, which both substrates call per (sending phase, receiver).
 //
 // Fault semantics are chosen so that an in-budget plan stays inside the
 // Byzantine fault model the protocols already tolerate: every action only
@@ -295,8 +296,9 @@ func (p *Plan) Digest() uint64 {
 // FrameAction resolves the plan's verdict for the frame sent by from to to
 // during phase. Rules are consulted in spec order; the first rule that
 // matches the link, covers the phase and passes its probability coin wins.
-// Frames from a crashed sender never exist, so callers should consult
-// Crashed first; FrameAction does not re-check it.
+// Frames from a crashed sender never exist, so callers consult Crashed
+// first; FrameAction does not re-check it. Substrates never call this
+// directly: Deliver resolves and applies the verdict for them.
 func (p *Plan) FrameAction(phase int, from, to ident.ProcID) Action {
 	if p == nil {
 		return Action{}
@@ -358,28 +360,6 @@ func (p *Plan) CrashSilent(phase int, to ident.ProcID, n int) int {
 	return count
 }
 
-// Veiled counts the live senders (≠ to, among n processors) whose phase
-// frame arrives but whose content this plan withholds from to (dropped or
-// delayed). Together with the physically absent senders this is the
-// receiver's per-phase information gap, which the transport checks against
-// the fault bound t.
-func (p *Plan) Veiled(phase int, to ident.ProcID, n int) int {
-	if p.Empty() {
-		return 0
-	}
-	count := 0
-	for s := 0; s < n; s++ {
-		from := ident.ProcID(s)
-		if from == to || p.Crashed(from, phase) {
-			continue
-		}
-		if k := p.FrameAction(phase, from, to).Kind; k == ActDrop || k == ActDelay {
-			count++
-		}
-	}
-	return count
-}
-
 // Affected returns the processors whose *sent* traffic the plan can touch:
 // crashed processors, the From side of every directed rule (all processors
 // for a wildcard From), and the smaller side of every partition. A run
@@ -434,11 +414,11 @@ func (p *Plan) CheckBudget(n, t int) error {
 
 // ExpectedCounters tallies the fault events a run of n processors over
 // `phases` sending phases emits under this plan — the ground truth the
-// scenario tests compare trace summaries against. The accounting mirrors
-// both substrates exactly: one event per matched frame per link per
-// sending phase, evaluated only while sender (at the sending phase) and
-// receiver (at the delivery phase) are still alive, plus one crash event
-// per processor halting within the run's phases+1 steps.
+// scenario tests compare trace summaries against. It is deliberately an
+// independent count, not a call into Deliver: one event per matched frame
+// per link per sending phase, evaluated only while sender (at the sending
+// phase) and receiver (at the delivery phase) are still alive, plus one
+// crash event per processor halting within the run's phases+1 steps.
 func (p *Plan) ExpectedCounters(n, phases int) Counters {
 	var c Counters
 	if p.Empty() {

@@ -97,7 +97,7 @@ func TestNilPlanIsInert(t *testing.T) {
 	if p.CrashPhase(3) != 0 || p.Crashed(3, 9) {
 		t.Error("nil plan crashes")
 	}
-	if p.CrashSilent(1, 0, 5) != 0 || p.Veiled(1, 0, 5) != 0 {
+	if p.CrashSilent(1, 0, 5) != 0 {
 		t.Error("nil plan withholds")
 	}
 	if p.Affected(5).Len() != 0 {
@@ -190,19 +190,6 @@ func TestCrashAccounting(t *testing.T) {
 	}
 	if got := p.CrashSilent(2, 1, 4); got != 0 {
 		t.Errorf("CrashSilent for the crashed receiver itself = %d, want 0", got)
-	}
-}
-
-func TestVeiled(t *testing.T) {
-	p := MustParse("crash=3@2;drop=0->2@1-2;delay=1->2@2+1", 1)
-	if got := p.Veiled(1, 2, 4); got != 1 { // only the drop covers phase 1
-		t.Errorf("Veiled(1, p2) = %d, want 1", got)
-	}
-	if got := p.Veiled(2, 2, 4); got != 2 { // drop + delay; 3 is crashed, not veiled
-		t.Errorf("Veiled(2, p2) = %d, want 2", got)
-	}
-	if got := p.Veiled(1, 0, 4); got != 0 {
-		t.Errorf("Veiled(1, p0) = %d, want 0", got)
 	}
 }
 

@@ -289,12 +289,12 @@ func TestServiceLiveCompactionDeterminism(t *testing.T) {
 	gate := make(chan struct{})
 	svc1, err := service.New(ctx, service.Config{
 		Template: tmpl, Journal: w1, Shards: 4, QueueDepth: 64,
-		Run: func(ctx context.Context, cfg core.Config) (service.Outcome, error) {
+		Substrate: service.SharedRun(func(ctx context.Context, cfg core.Config) (service.Outcome, error) {
 			if cfg.Seed-tmpl.Seed >= total {
 				<-gate
 			}
 			return service.RunSim(ctx, cfg)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

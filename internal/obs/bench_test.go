@@ -14,7 +14,7 @@ import (
 // service and spool — the cost a scraper imposes per poll. allocs/op must
 // report 0: the scrape path reuses the exporter's buffer and the
 // collectors' snapshot holders, so monitoring cannot add GC pressure to a
-// loaded server. Archived as BENCH_006.json by `make bench-ops`.
+// loaded server. BENCH_006.json is its archived run.
 func BenchmarkMetricsScrape(b *testing.B) {
 	sp := trace.NewSpool(io.Discard, 1024)
 	svc, err := service.New(context.Background(), service.Config{

@@ -113,9 +113,9 @@ func newObservedService(t *testing.T, cfg service.Config, ringCap int) (*service
 func TestScrapeMatchesStatsAndSummary(t *testing.T) {
 	const values = 60
 	svc, sp, exp := newObservedService(t, service.Config{
-		Template:    template(11),
-		MaxInFlight: 4,
-		QueueDepth:  values,
+		Template:   template(11),
+		Shards:     4,
+		QueueDepth: values,
 	}, 8)
 	var wg sync.WaitGroup
 	for i := 0; i < values; i++ {
@@ -182,9 +182,9 @@ func TestScrapeMatchesStatsAndSummary(t *testing.T) {
 func TestScrapeUnderLoad(t *testing.T) {
 	const inflight = 100
 	svc, _, exp := newObservedService(t, service.Config{
-		Template:    template(13),
-		MaxInFlight: 4,
-		QueueDepth:  inflight,
+		Template:   template(13),
+		Shards:     4,
+		QueueDepth: inflight,
 	}, 32)
 
 	done := make(chan struct{})
@@ -338,7 +338,7 @@ func TestJournalScrape(t *testing.T) {
 		Template:      template(17),
 		Journal:       jw,
 		FirstInstance: rec.FirstInstance(),
-		MaxInFlight:   4,
+		Shards:        4,
 		QueueDepth:    16,
 	}, 8)
 	exp.Register(obs.NewJournalCollector(jw))

@@ -1,7 +1,7 @@
-// Shards is the identified-worker counterpart of Stream: a fixed pool of
-// workers with stable shard ids, so callers can pin per-worker state (a
-// substrate handle, a reusable trace buffer) to the worker rather than the
-// job, while keeping Stream's in-order delivery contract.
+// Shards is the streaming executor: a fixed pool of workers with stable shard
+// ids, so callers can pin per-worker state (a substrate handle, a reusable
+// trace buffer) to the worker rather than the job, with results delivered in
+// submission order.
 
 package runner
 
@@ -17,13 +17,12 @@ var ErrShardsClosed = errors.New("runner: shards closed")
 // a dedicated goroutine with a stable shard id in [0, Workers()); exec runs
 // on exactly one worker at a time per shard, so per-shard state passed to
 // exec needs no locking. Results are delivered strictly in submission order
-// through the same reorder buffer Stream uses: the caller observes exactly
-// the outcomes of the serial loop no matter which shard ran which job or in
-// what order they finished.
+// through a reorder buffer: the caller observes exactly the outcomes of the
+// serial loop no matter which shard ran which job or in what order they
+// finished.
 //
 // Submit blocks once every worker is busy and the one-slot handoff channel
-// is full — the pool's capacity propagates upstream as backpressure, exactly
-// like Stream.Submit. Submit is
+// is full — the pool's capacity propagates upstream as backpressure. It is
 // intended for a single producer goroutine (the serving layer's admission
 // sequencer); concurrent producers would race for submission order, which is
 // the thing Shards exists to pin down. Close must not race a blocked Submit.

@@ -278,16 +278,3 @@ func RenderRows(rows []Row) string {
 	}
 	return b.String()
 }
-
-// BenchLines renders the atlas in `go test -bench` output format so
-// cmd/benchjson can archive it (BENCH_009): one line per row, evaluation
-// count in the iterations column, best/bound/baseline/gap-ratio/violations
-// as custom metrics.
-func BenchLines(rows []Row) string {
-	var b strings.Builder
-	for _, r := range rows {
-		fmt.Fprintf(&b, "BenchmarkSearchGap/%s/%s %d %d best %d bound %d baseline %.3f gap-ratio %d violations\n",
-			r.Target.Name, r.Objective, r.Evals, r.Best, r.Bound, r.Baseline, r.GapRatio(), r.Violations)
-	}
-	return b.String()
-}

@@ -98,14 +98,14 @@ func latencyModeledRun(d time.Duration) service.RunFunc {
 // latency-modeled substrate: values/s should rise roughly linearly with
 // shards (the tentpole's ≥2x-at-4-shards criterion), and the adaptive
 // policy should cut msgs/value versus fixed k=1 under the same backlog by
-// packing batches once the queue builds. Emitted as BENCH_004.json by
-// `make bench-service`.
+// packing batches once the queue builds. BENCH_004.json is its archived
+// run.
 // BenchmarkServiceWarmTCP sweeps shard count over the real warm-TCP
 // substrate: every shard owns one long-lived mesh, so the per-instance cost
 // is frame traffic only. Net.LinkDelay models WAN one-way latency (loopback
 // is unrealistically fast), putting instances in the regime a deployment is
 // in — wall clock dominated by network waits, which sharding overlaps.
-// values/s is the headline metric for BENCH_005 (`make bench-transport`),
+// values/s is the headline metric of BENCH_005.json,
 // expected to rise monotonically from 1 to 8 shards.
 func BenchmarkServiceWarmTCP(b *testing.B) {
 	netCfg := transport.Net{PhaseTimeout: 10 * time.Second, LinkDelay: 2 * time.Millisecond}
@@ -175,7 +175,7 @@ func BenchmarkServiceSharded(b *testing.B) {
 				ctx := context.Background()
 				cfg := service.Config{
 					Template:   core.Config{Protocol: alg1.MultiProtocol{}, N: 7, T: 3, Seed: 99},
-					Run:        latencyModeledRun(instLatency),
+					Substrate:  service.SharedRun(latencyModeledRun(instLatency)),
 					Shards:     shards,
 					QueueDepth: 1024,
 				}
@@ -229,7 +229,7 @@ func BenchmarkServiceSharded(b *testing.B) {
 // over a connection pool, rejections shed. The headline metrics are the
 // coordinated-omission-free latency percentiles — measured from each
 // arrival's scheduled time — and the shed fraction, the numbers `make slo`
-// gates on. Archived as BENCH_006.json by `make bench-ops`.
+// gates on. BENCH_006.json is its archived run.
 func BenchmarkServiceOpenLoop(b *testing.B) {
 	const rate = 2000.0
 	ctx := context.Background()

@@ -73,10 +73,10 @@ func TestPoissonScheduleDeterministic(t *testing.T) {
 func TestOpenLoadAgainstService(t *testing.T) {
 	ctx := context.Background()
 	svc, err := service.New(ctx, service.Config{
-		Template:    multiTemplate(23),
-		MaxInFlight: 8,
-		QueueDepth:  64,
-		BatchSize:   4,
+		Template:   multiTemplate(23),
+		Shards:     8,
+		QueueDepth: 64,
+		BatchSize:  4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,10 +147,10 @@ func TestOpenLoadAgainstService(t *testing.T) {
 func TestOpenLoadShedsUnderOverload(t *testing.T) {
 	ctx := context.Background()
 	svc, err := service.New(ctx, service.Config{
-		Template:    multiTemplate(29),
-		MaxInFlight: 1,
-		QueueDepth:  1,
-		BatchSize:   1,
+		Template:   multiTemplate(29),
+		Shards:     1,
+		QueueDepth: 1,
+		BatchSize:  1,
 	})
 	if err != nil {
 		t.Fatal(err)

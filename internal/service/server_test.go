@@ -49,9 +49,9 @@ func TestServeLoad100ConcurrentInstances(t *testing.T) {
 	}
 	tmpl := template(17)
 	svc, addr, stop := startServer(t, service.Config{
-		Template:    tmpl,
-		MaxInFlight: 100,
-		QueueDepth:  256,
+		Template:   tmpl,
+		Shards:     100,
+		QueueDepth: 256,
 	})
 
 	ctx := context.Background()
@@ -123,11 +123,11 @@ func TestServeLoad100ConcurrentInstances(t *testing.T) {
 // happen with a correct transmitter.
 func TestServeBatchingOverWire(t *testing.T) {
 	_, addr, stop := startServer(t, service.Config{
-		Template:    multiTemplate(23),
-		MaxInFlight: 2,
-		QueueDepth:  64,
-		BatchSize:   8,
-		Linger:      2 * time.Millisecond,
+		Template:   multiTemplate(23),
+		Shards:     2,
+		QueueDepth: 64,
+		BatchSize:  8,
+		Linger:     2 * time.Millisecond,
 	})
 	defer stop()
 
@@ -172,10 +172,10 @@ func TestServeRejectsAndStats(t *testing.T) {
 		return service.RunSim(ctx, cfg)
 	}
 	svc, addr, stop := startServer(t, service.Config{
-		Template:    template(29),
-		Run:         slow,
-		MaxInFlight: 1,
-		QueueDepth:  1,
+		Template:   template(29),
+		Substrate:  service.SharedRun(slow),
+		Shards:     1,
+		QueueDepth: 1,
 	})
 	defer stop()
 

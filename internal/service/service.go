@@ -81,17 +81,13 @@ type Config struct {
 	// (instance i runs with Template.Seed + i), and Trace is ignored in
 	// favor of the service-level sink below.
 	Template core.Config
-	// Run executes one instance (default RunSim). Implementations must be
-	// safe for concurrent use from distinct shards. Ignored when Substrate
-	// is set (a Substrate decides per shard what runs).
-	Run RunFunc
-	// Substrate, when set, supplies each shard worker its own substrate
-	// handle: Open(shard) is called once per shard at startup, and
-	// Close(shard) once per shard during Service.Close after every instance
-	// has been delivered. Use this for substrates that keep per-handle
-	// state (warm connection meshes, caches) — NewWarmTCP implements it —
-	// and SharedRun to adapt a plain RunFunc. When nil, every shard shares
-	// Run.
+	// Substrate supplies each shard worker its substrate handle:
+	// Open(shard) is called once per shard at startup, and Close(shard) once
+	// per shard during Service.Close after every instance has been
+	// delivered. NewWarmTCP implements it for substrates that keep
+	// per-handle state (warm connection meshes); SharedRun adapts a plain
+	// concurrency-safe RunFunc. When nil — or where Open returns nil —
+	// shards run on the in-memory engine (RunSim).
 	Substrate Substrate
 	// Journal, when set, receives every admission before its instance is
 	// handed to a shard (Admit, called from the single sequencer goroutine,
@@ -116,11 +112,6 @@ type Config struct {
 	// Shards is the number of identified shard workers executing instances
 	// concurrently; values below one select runtime.GOMAXPROCS(0).
 	Shards int
-	// MaxInFlight is the deprecated name for Shards, honored when Shards
-	// is zero so existing callers keep their concurrency bound.
-	//
-	// Deprecated: set Shards.
-	MaxInFlight int
 	// QueueDepth bounds the admission queue (default 64, minimum 1).
 	QueueDepth int
 	// BatchSize fixes the batch size when no adaptive window is configured
@@ -377,20 +368,14 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 	if err := cfg.Template.Protocol.Check(cfg.Template.N, cfg.Template.T); err != nil {
 		return nil, err
 	}
-	if cfg.Run == nil {
-		cfg.Run = RunSim
-	}
 	substrate := cfg.Substrate
 	if substrate == nil {
-		substrate = SharedRun(cfg.Run)
+		substrate = SharedRun(RunSim)
 	}
 	if cfg.QueueDepth < 1 {
 		cfg.QueueDepth = 64
 	}
 	shards := cfg.Shards
-	if shards < 1 {
-		shards = cfg.MaxInFlight
-	}
 	if shards < 1 {
 		shards = runtime.GOMAXPROCS(0)
 	}
@@ -459,7 +444,7 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 	for i := range s.shards {
 		s.shards[i].run = substrate.Open(i)
 		if s.shards[i].run == nil {
-			s.shards[i].run = cfg.Run
+			s.shards[i].run = RunSim
 		}
 		if s.sink != nil && cfg.TraceInstances {
 			s.shards[i].buf = trace.NewBuffer()

@@ -34,9 +34,9 @@ func TestServiceMatchesSerialRuns(t *testing.T) {
 	const values = 120
 	ctx := context.Background()
 	svc, err := service.New(ctx, service.Config{
-		Template:    template(7),
-		MaxInFlight: 8,
-		QueueDepth:  values,
+		Template:   template(7),
+		Shards:     8,
+		QueueDepth: values,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,11 +115,11 @@ func TestServiceBatchingAmortizesCost(t *testing.T) {
 	const batch, waves = 4, 6
 	ctx := context.Background()
 	svc, err := service.New(ctx, service.Config{
-		Template:    multiTemplate(11),
-		MaxInFlight: 2,
-		QueueDepth:  batch * waves,
-		BatchSize:   batch,
-		Linger:      50 * time.Millisecond,
+		Template:   multiTemplate(11),
+		Shards:     2,
+		QueueDepth: batch * waves,
+		BatchSize:  batch,
+		Linger:     50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,10 +189,10 @@ func TestServiceBackpressure(t *testing.T) {
 	}
 	ctx := context.Background()
 	svc, err := service.New(ctx, service.Config{
-		Template:    template(3),
-		Run:         slow,
-		MaxInFlight: 1,
-		QueueDepth:  2,
+		Template:   template(3),
+		Substrate:  service.SharedRun(slow),
+		Shards:     1,
+		QueueDepth: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +308,7 @@ func TestServiceTraceEvents(t *testing.T) {
 	ctx := context.Background()
 	svc, err := service.New(ctx, service.Config{
 		Template:       multiTemplate(13),
-		MaxInFlight:    4,
+		Shards:         4,
 		QueueDepth:     32,
 		Trace:          buf,
 		TraceInstances: true,

@@ -162,11 +162,11 @@ func TestServiceDrainUnderLoad(t *testing.T) {
 		Template:   multiTemplate(5),
 		Shards:     2,
 		QueueDepth: 16,
-		Run: func(ctx context.Context, cfg core.Config) (service.Outcome, error) {
+		Substrate: service.SharedRun(func(ctx context.Context, cfg core.Config) (service.Outcome, error) {
 			once.Do(started.Done)
 			<-release
 			return service.RunSim(ctx, cfg)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,10 +267,10 @@ func TestAdaptiveBatchingUnderBacklog(t *testing.T) {
 		QueueDepth: 64,
 		BatchMin:   1,
 		BatchMax:   8,
-		Run: func(ctx context.Context, cfg core.Config) (service.Outcome, error) {
+		Substrate: service.SharedRun(func(ctx context.Context, cfg core.Config) (service.Outcome, error) {
 			<-release
 			return service.RunSim(ctx, cfg)
-		},
+		}),
 		Trace: buf,
 	})
 	if err != nil {

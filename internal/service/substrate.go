@@ -23,13 +23,13 @@ type Outcome struct {
 
 // RunFunc executes one fully-resolved instance configuration. The service
 // calls it from executor workers, so implementations must be safe for
-// concurrent use with distinct configs. RunSim and RunTCP adapt the two
-// existing substrates; tests inject failures through custom RunFuncs.
+// concurrent use with distinct configs. RunSim is the in-memory substrate,
+// WarmTCP hands out the TCP one per shard; tests inject failures through
+// custom RunFuncs.
 type RunFunc func(ctx context.Context, cfg core.Config) (Outcome, error)
 
 // Substrate supplies each shard worker its execution handle — the single
-// interface behind Config.Substrate, replacing the paired
-// NewShardRun/CloseShardRun function hooks.
+// way to tell a Service what runs its instances (Config.Substrate).
 //
 // Open is called once per shard at service construction and returns the
 // RunFunc that shard uses for every instance it executes; the service
@@ -46,9 +46,8 @@ type Substrate interface {
 }
 
 // SharedRun adapts a single concurrency-safe RunFunc — the in-memory path
-// (RunSim), the cold per-instance mesh (RunTCP), or a test stub — into a
-// Substrate: every shard shares run, and Close is a no-op because a shared
-// stateless handle owns nothing per shard.
+// (RunSim) or a test stub — into a Substrate: every shard shares run, and
+// Close is a no-op because a shared stateless handle owns nothing per shard.
 func SharedRun(run RunFunc) Substrate { return sharedRun{run: run} }
 
 type sharedRun struct{ run RunFunc }
@@ -66,19 +65,6 @@ func RunSim(ctx context.Context, cfg core.Config) (Outcome, error) {
 	return Outcome{Decisions: res.Sim.Decisions, Report: res.Sim.Report, Faulty: res.Faulty}, nil
 }
 
-// RunTCP returns a RunFunc executing each instance over a localhost TCP
-// mesh (transport.RunCluster) with the given network knobs. Every instance
-// gets a fresh mesh; WarmTCP amortizes the mesh across a shard's instances.
-func RunTCP(netCfg transport.Net) RunFunc {
-	return func(ctx context.Context, cfg core.Config) (Outcome, error) {
-		res, err := transport.RunCluster(ctx, cfg, netCfg)
-		if err != nil {
-			return Outcome{}, err
-		}
-		return Outcome{Decisions: res.Decisions, Report: res.Report, Faulty: res.Faulty}, nil
-	}
-}
-
 // WarmTCP is a per-shard pool of warm transport meshes: each shard dials its
 // n×(n-1) localhost mesh once (lazily, on its first instance) and reuses it
 // for every subsequent instance, paying only the per-epoch frame traffic.
@@ -86,8 +72,9 @@ func RunTCP(netCfg transport.Net) RunFunc {
 //
 //	cfg.Substrate = service.NewWarmTCP(n, netCfg)
 //
-// A mesh is built for one cluster size; instances with a different N fall
-// back to a cold per-instance mesh rather than failing.
+// A mesh is built for one cluster size; an instance with a different N is
+// refused by Mesh.Run (a Service's template fixes N, so this never happens
+// behind one).
 type WarmTCP struct {
 	n      int
 	netCfg transport.Net
@@ -107,9 +94,6 @@ func NewWarmTCP(n int, netCfg transport.Net) *WarmTCP {
 // at a time).
 func (p *WarmTCP) Open(shard int) RunFunc {
 	return func(ctx context.Context, cfg core.Config) (Outcome, error) {
-		if cfg.N != p.n {
-			return RunTCP(p.netCfg)(ctx, cfg)
-		}
 		m, err := p.mesh(ctx, shard)
 		if err != nil {
 			return Outcome{}, err
@@ -145,18 +129,6 @@ func (p *WarmTCP) Close(shard int) {
 	delete(p.meshes, shard)
 	p.mu.Unlock()
 	if m != nil {
-		m.Close()
-	}
-}
-
-// CloseAll tears down every remaining mesh, for callers that drive the pool
-// outside a Service (which closes shard by shard).
-func (p *WarmTCP) CloseAll() {
-	p.mu.Lock()
-	meshes := p.meshes
-	p.meshes = make(map[int]*transport.Mesh)
-	p.mu.Unlock()
-	for _, m := range meshes {
 		m.Close()
 	}
 }

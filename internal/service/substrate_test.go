@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"byzex/internal/core"
 	"byzex/internal/ident"
 	"byzex/internal/service"
 )
@@ -66,35 +65,23 @@ func TestSubstrateLifecycle(t *testing.T) {
 	}
 }
 
-// TestSubstrateNilOpenFallsBack pins the construction contract folded into
-// the Substrate path: a substrate whose Open returns nil leaves the shard on
-// the config's shared Run instead of a nil handle.
+// TestSubstrateNilOpenFallsBack pins the construction contract of the
+// Substrate path: a substrate whose Open returns nil leaves the shard on the
+// in-memory engine instead of a nil handle.
 func TestSubstrateNilOpenFallsBack(t *testing.T) {
-	var mu sync.Mutex
-	ran := 0
 	svc, err := service.New(context.Background(), service.Config{
-		Template: multiTemplate(7),
-		Shards:   2,
-		Run: func(ctx context.Context, cfg core.Config) (service.Outcome, error) {
-			mu.Lock()
-			ran++
-			mu.Unlock()
-			return service.RunSim(ctx, cfg)
-		},
+		Template:  multiTemplate(7),
+		Shards:    2,
 		Substrate: nilOpenSubstrate{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.SubmitWait(context.Background(), ident.Value(1)); err != nil {
-		t.Fatal(err)
+	res, err := svc.SubmitWait(context.Background(), ident.Value(1))
+	if err != nil || res.Decided != 1 {
+		t.Fatalf("submit behind a nil Open: %v (decided %v)", err, res.Decided)
 	}
 	svc.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	if ran == 0 {
-		t.Fatal("shared Run never executed behind a nil Open")
-	}
 }
 
 // nilOpenSubstrate declines to supply per-shard handles.

@@ -220,9 +220,9 @@ type Config struct {
 	// disables tracing at the cost of one nil check per potential event;
 	// the disabled path allocates nothing.
 	Trace trace.Sink
-	// Faults is a compiled fault-injection plan (optional). The engine
-	// mirrors the TCP transport's frame-layer semantics on its delivery
-	// path: per (sending phase, sender, receiver) "frame" — the group of
+	// Faults is a compiled fault-injection plan (optional), applied on the
+	// delivery path by faultnet.Deliver exactly as the TCP transport applies
+	// it: per (sending phase, sender, receiver) "frame" — the group of
 	// envelopes one sender submitted to one recipient in one phase — the
 	// plan may drop, delay, duplicate or reorder the group, and
 	// crash-at-phase-k halts a processor (its Step is never called from
@@ -303,10 +303,13 @@ type Engine struct {
 	// current phase before each Step instead of allocated per step.
 	ctxs []Context
 
-	// delayed stashes fault-plan-delayed envelopes: delayed[phase][to] is
-	// appended to to's inbox at the start of that phase. Nil unless a
-	// fault plan is active.
-	delayed map[int]map[int][]Envelope
+	// Fault-plan scratch, nil unless a plan is active: stash[to] holds to's
+	// plan-delayed content, frames is the per-sender view of the inbox being
+	// delivered, and spare is the one extra inbox buffer the delivery pass
+	// rotates through the receivers.
+	stash  []faultnet.Stash[Envelope]
+	frames [][]Envelope
+	spare  []Envelope
 }
 
 // New builds an engine over the given nodes; nodes[i] is the state machine
@@ -330,6 +333,10 @@ func New(cfg Config, nodes []Node) (*Engine, error) {
 		pending:   make([][]Envelope, cfg.N),
 		inboxes:   make([][]Envelope, cfg.N),
 		ctxs:      make([]Context, cfg.N),
+	}
+	if cfg.Faults != nil {
+		e.stash = make([]faultnet.Stash[Envelope], cfg.N)
+		e.frames = make([][]Envelope, cfg.N)
 	}
 	submit := e.submit // one bound method value shared by every context
 	for i := range e.ctxs {
@@ -475,17 +482,12 @@ func (e *Engine) step(id, phase int, extra []Envelope) error {
 	return nil
 }
 
-// applyFaults mirrors the TCP transport's frame-layer fault injection on
-// the engine's delivery path, once per phase before any node is stepped.
-// For every live receiver it walks the senders in identity order, treats
-// the sender's contiguous envelope group in the (sorted) inbox as one
-// "frame" of sending phase phase-1, and applies the plan's verdict: drop
-// discards the group, delay stashes a copy for redelivery Delay phases
-// later, dup appends a second copy, reorder reverses the group. Exactly
-// one fault-* event is emitted per acted-on frame — also for empty frames,
-// matching the transport, which always has a frame on the wire — so trace
-// counters equal Plan.ExpectedCounters. Crash halts are announced here
-// too; the crashed processor's Step is skipped by the Run loop.
+// applyFaults announces the processors halting at this phase (their Step is
+// skipped by the Run loop) and passes every live receiver's inbox through
+// faultnet.Deliver, once per phase before any node is stepped. The sorted
+// inbox is split into one "frame" per sender — the contiguous group of
+// envelopes that sender submitted to this receiver last phase — which is
+// what the TCP transport has on the wire.
 func (e *Engine) applyFaults(phase int) {
 	plan := e.cfg.Faults
 	for id := 0; id < e.cfg.N; id++ {
@@ -493,99 +495,26 @@ func (e *Engine) applyFaults(phase int) {
 			e.cfg.Trace.Emit(trace.Event{Kind: trace.KindFaultCrash, Phase: phase, From: ident.ProcID(id), To: ident.None})
 		}
 	}
-	sendPhase := phase - 1
-	if sendPhase < 1 {
+	if phase == 1 {
 		return
 	}
-	for r := 0; r < e.cfg.N; r++ {
+	for r, in := range e.inboxes {
 		to := ident.ProcID(r)
 		if plan.Crashed(to, phase) {
 			continue
 		}
-		in := e.inboxes[r]
-		out := make([]Envelope, 0, len(in))
 		idx := 0
-		changed := false
-		for s := 0; s < e.cfg.N; s++ {
-			from := ident.ProcID(s)
+		for s := range e.frames {
 			start := idx
-			for idx < len(in) && in[idx].From == from {
+			for idx < len(in) && in[idx].From == ident.ProcID(s) {
 				idx++
 			}
-			group := in[start:idx]
-			if from == to || plan.Crashed(from, sendPhase) {
-				out = append(out, group...)
-				continue
-			}
-			act := plan.FrameAction(sendPhase, from, to)
-			if act.Kind != faultnet.ActNone && e.cfg.Trace != nil {
-				e.cfg.Trace.Emit(trace.Event{
-					Kind: faultKind(act.Kind), Phase: sendPhase, From: from, To: to, Sigs: act.Delay,
-				})
-			}
-			switch act.Kind {
-			case faultnet.ActDrop:
-				changed = true
-			case faultnet.ActDelay:
-				if len(group) > 0 {
-					target := phase + act.Delay
-					if e.delayed == nil {
-						e.delayed = make(map[int]map[int][]Envelope)
-					}
-					if e.delayed[target] == nil {
-						e.delayed[target] = make(map[int][]Envelope)
-					}
-					// Copy: the inbox backing array is recycled as next
-					// phase's pending buffer (payloads are never recycled,
-					// so value copies suffice).
-					e.delayed[target][r] = append(e.delayed[target][r], group...)
-				}
-				changed = true
-			case faultnet.ActDup:
-				out = append(out, group...)
-				out = append(out, group...)
-				changed = true
-			case faultnet.ActReorder:
-				for i := len(group) - 1; i >= 0; i-- {
-					out = append(out, group[i])
-				}
-				changed = true
-			default:
-				out = append(out, group...)
-			}
+			e.frames[s] = in[start:idx]
 		}
-		// Envelopes past idx (none in practice: From is always in [0,n))
-		// are preserved untouched.
-		out = append(out, in[idx:]...)
-		if late := e.delayed[phase][r]; len(late) > 0 {
-			// Redeliver plan-delayed frames after the current content, then
-			// restore sender order — the stable sort keeps a sender's
-			// current-phase messages ahead of its late ones, matching the
-			// transport's merge.
-			out = append(out, late...)
-			delete(e.delayed[phase], r)
-			sortInbox(out)
-			changed = true
-		}
-		if changed {
-			e.inboxes[r] = out
-		}
+		// The old inbox array becomes the next receiver's output buffer.
+		e.inboxes[r], _ = faultnet.Deliver(plan, e.cfg.Trace, phase-1, to, e.frames, &e.stash[r], e.spare[:0])
+		e.spare = in
 	}
-}
-
-// faultKind maps a plan action to its trace event kind.
-func faultKind(k faultnet.ActionKind) trace.Kind {
-	switch k {
-	case faultnet.ActDrop:
-		return trace.KindFaultDrop
-	case faultnet.ActDelay:
-		return trace.KindFaultDelay
-	case faultnet.ActDup:
-		return trace.KindFaultDup
-	case faultnet.ActReorder:
-		return trace.KindFaultReorder
-	}
-	return 0
 }
 
 // sortInbox orders an inbox by sender id, preserving the submission order of

@@ -162,7 +162,6 @@ func TestNoteFrameFaultTransforms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortInbox(inbox)
 	var got []string
 	for _, e := range inbox {
 		got = append(got, string(e.Payload))

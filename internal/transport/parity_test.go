@@ -46,10 +46,9 @@ func TestEngineTCPParity(t *testing.T) {
 				t.Fatalf("%s engine: %v", tc.p.Name(), err)
 			}
 
-			tcpRes, err := transport.Run(context.Background(), transport.Config{
+			tcpRes, err := transport.RunCluster(context.Background(), core.Config{
 				Protocol: tc.p, N: tc.n, T: tc.t, Value: v, Scheme: scheme,
-				PhaseTimeout: 10 * time.Second,
-			})
+			}, transport.Net{PhaseTimeout: 10 * time.Second})
 			if err != nil {
 				t.Fatalf("%s tcp: %v", tc.p.Name(), err)
 			}

@@ -15,15 +15,17 @@
 // in Net.
 //
 // Fault injection: a compiled faultnet.Plan in core.Config.Faults is applied
-// at the frame layer — drop/delay/dup/reorder/partition verdicts transform
-// an inbound frame's content in noteFrame (the frame still counts as an
-// arrival, so lock-step progress never waits out a timeout for an injected
-// fault), and crash-at-phase-k halts the peer's run loop with ErrPeerCrashed
-// before it consumes phase k. The plan is a pure function of its seed, so
-// every peer evaluates the same schedule independently and fault runs replay
-// byte-identically. A receiver whose per-phase information gap (frames
-// physically missing plus frames the plan withheld) exceeds t returns
-// ErrStalled instead of risking a divergent decision.
+// at the frame layer by faultnet.Deliver, the same function the in-memory
+// engine calls: once a phase's barrier closes, the raw frames a peer holds
+// are turned into its inbox under the plan's drop/delay/dup/reorder/partition
+// verdicts (every frame still counted as an arrival, so lock-step progress
+// never waits out a timeout for an injected fault), and crash-at-phase-k
+// halts the peer's run loop with ErrPeerCrashed before it consumes phase k.
+// The plan is a pure function of its seed, so every peer evaluates the same
+// schedule independently and fault runs replay byte-identically. A receiver
+// whose per-phase information gap (frames physically missing plus frames the
+// plan withheld) exceeds t returns ErrStalled instead of risking a divergent
+// decision.
 package transport
 
 import (
@@ -36,13 +38,10 @@ import (
 	"sync"
 	"time"
 
-	"byzex/internal/adversary"
 	"byzex/internal/core"
 	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/metrics"
-	"byzex/internal/protocol"
-	"byzex/internal/sig"
 	"byzex/internal/sim"
 	"byzex/internal/trace"
 	"byzex/internal/wire"
@@ -103,36 +102,6 @@ type Net struct {
 	WireVersion byte
 }
 
-// Config describes a TCP cluster run with a transport-private options
-// struct.
-//
-// Deprecated: Config duplicated core.Config field by field and let the two
-// substrates drift in how they defaulted schemes and resolved faulty sets.
-// New code should call RunCluster with a core.Config plus Net; Config and
-// Run remain as thin shims with the historical defaults.
-type Config struct {
-	// N, T, Transmitter, Value, Protocol, Scheme: as in core.Config.
-	N           int
-	T           int
-	Transmitter ident.ProcID
-	Value       ident.Value
-	Protocol    protocol.Protocol
-	Scheme      sig.Scheme
-
-	// Adversary and Faulty select Byzantine processors (optional). Unlike
-	// core.Config, Faulty is always explicit: the adversary's Corrupt
-	// method is never consulted.
-	Adversary adversary.Adversary
-	Faulty    ident.Set
-
-	// PhaseTimeout and Mute: as in Net.
-	PhaseTimeout time.Duration
-	Mute         ident.Set
-
-	// Seed drives deterministic randomness (scheme and adversary).
-	Seed int64
-}
-
 // Result mirrors sim.Result for a cluster run.
 type Result struct {
 	Decisions map[ident.ProcID]sim.Decision
@@ -145,35 +114,6 @@ type Result struct {
 // (core.CheckDecisions).
 func (r *Result) Decision(transmitter ident.ProcID, transmitterValue ident.Value) (ident.Value, error) {
 	return core.CheckDecisions(r.Decisions, r.Faulty, transmitter, transmitterValue)
-}
-
-// Run executes the configured protocol over localhost TCP.
-//
-// Deprecated: use RunCluster. Run adapts the legacy Config onto it,
-// preserving the historical default-scheme seed and the never-call-Corrupt
-// faulty semantics.
-func Run(ctx context.Context, cfg Config) (*Result, error) {
-	scheme := cfg.Scheme
-	if scheme == nil && cfg.N > 0 {
-		scheme = sig.NewHMAC(cfg.N, cfg.Seed^0x7cb)
-	}
-	fo := cfg.Faulty
-	if cfg.Adversary != nil && fo == nil {
-		// The legacy API never consulted Adversary.Corrupt; pin the
-		// (empty) explicit set so NewSetup doesn't either.
-		fo = make(ident.Set)
-	}
-	return RunCluster(ctx, core.Config{
-		Protocol:       cfg.Protocol,
-		N:              cfg.N,
-		T:              cfg.T,
-		Transmitter:    cfg.Transmitter,
-		Value:          cfg.Value,
-		Scheme:         scheme,
-		Adversary:      cfg.Adversary,
-		FaultyOverride: fo,
-		Seed:           cfg.Seed,
-	}, Net{PhaseTimeout: cfg.PhaseTimeout, Mute: cfg.Mute})
 }
 
 // RunCluster executes cfg over localhost TCP: every processor is a
@@ -244,58 +184,46 @@ type peer struct {
 	onSend  func(phase int, from ident.ProcID, sigTotal, signers, bytes int)
 	mu      sync.Mutex
 	cond    *sync.Cond
-	inbound map[int]map[ident.ProcID][]sim.Envelope // phase -> sender -> msgs
-	arrived map[int]ident.Set                       // phase -> senders heard from
-	delayed map[int][]sim.Envelope                  // phase -> plan-delayed msgs due then
-	done    int                                     // highest phase waitPhase has closed out
+	inbound map[int][][]sim.Envelope // phase -> raw frames, indexed by sender
+	arrived map[int]ident.Set        // phase -> senders heard from
+	done    int                      // highest phase waitPhase has closed out
+
+	// stash and inbox belong to the peer's own goroutine (via waitPhase):
+	// the plan-delayed content addressed to this peer, and the inbox array
+	// reused from phase to phase (the sim.Node contract forbids retaining it).
+	stash faultnet.Stash[sim.Envelope]
+	inbox []sim.Envelope
 }
 
 func newPeer(cfg peerConfig, node sim.Node, rec *phaseRecorder,
 	onSend func(int, ident.ProcID, int, int, int)) *peer {
 	p := &peer{
 		cfg: cfg, node: node, rec: rec, onSend: onSend,
-		inbound: make(map[int]map[ident.ProcID][]sim.Envelope),
+		inbound: make(map[int][][]sim.Envelope),
 		arrived: make(map[int]ident.Set),
-		delayed: make(map[int][]sim.Envelope),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
-// noteFrame records a frame that arrived from a peer, applying the fault
-// plan's verdict for the link first: drop empties the frame, delay stashes
-// its content for redelivery, dup doubles it, reorder reverses it. Every
-// verdict still marks the sender as arrived — the synchronizer observed the
-// frame; only its content was mangled — so injected faults never push a
-// receiver onto the timeout path. Frames for a phase waitPhase has already
-// closed out are discarded: appending to the deleted per-phase maps would
-// resurrect them and leak an entry per late frame for the rest of the run.
+// noteFrame stores the raw content of a frame that arrived from a peer and
+// marks the sender as arrived; the fault plan is applied later, in one place
+// (waitPhase). Frames for a phase waitPhase has already closed out are
+// discarded: appending to the deleted per-phase entries would resurrect them
+// and leak an entry per late frame for the rest of the run. So are frames
+// naming a sender outside the cluster.
 func (p *peer) noteFrame(phase int, from ident.ProcID, msgs []sim.Envelope) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if phase <= p.done {
+	if phase <= p.done || int(from) < 0 || int(from) >= p.cfg.n {
 		return
 	}
-	switch act := p.cfg.faults.FrameAction(phase, from, p.cfg.id); act.Kind {
-	case faultnet.ActDrop:
-		msgs = nil
-	case faultnet.ActDelay:
-		if len(msgs) > 0 {
-			due := phase + act.Delay
-			p.delayed[due] = append(p.delayed[due], msgs...)
-		}
-		msgs = nil
-	case faultnet.ActDup:
-		msgs = append(msgs, msgs...)
-	case faultnet.ActReorder:
-		for i, j := 0, len(msgs)-1; i < j; i, j = i+1, j-1 {
-			msgs[i], msgs[j] = msgs[j], msgs[i]
-		}
+	frames := p.inbound[phase]
+	if frames == nil {
+		frames = make([][]sim.Envelope, p.cfg.n)
+		p.inbound[phase] = frames
 	}
-	if p.inbound[phase] == nil {
-		p.inbound[phase] = make(map[ident.ProcID][]sim.Envelope)
-	}
-	p.inbound[phase][from] = append(p.inbound[phase][from], msgs...)
+	frames[from] = append(frames[from], msgs...)
 	if p.arrived[phase] == nil {
 		p.arrived[phase] = make(ident.Set)
 	}
@@ -305,10 +233,12 @@ func (p *peer) noteFrame(phase int, from ident.ProcID, msgs []sim.Envelope) {
 
 // waitPhase blocks until frames for the phase arrived from all peers that
 // can still send (plan-crashed processors are not waited for) or the timeout
-// fires; it returns the inbox, including any plan-delayed content due this
-// phase. It fails with ErrStalled when the receiver's information gap —
-// frames physically missing plus live frames the plan withheld — exceeds
-// the fault bound t: deciding on that little information could diverge.
+// fires, then hands the raw frames to faultnet.Deliver, which builds the
+// sender-ordered inbox under the fault plan — including any plan-delayed
+// content due this phase — and records the fault-* events. It fails with
+// ErrStalled when the receiver's information gap — frames physically
+// missing plus live frames the plan withheld — exceeds the fault bound t:
+// deciding on that little information could diverge.
 func (p *peer) waitPhase(phase int) ([]sim.Envelope, error) {
 	deadline := time.Now().Add(p.cfg.timeout)
 	timer := time.AfterFunc(p.cfg.timeout, func() {
@@ -325,20 +255,20 @@ func (p *peer) waitPhase(phase int) ([]sim.Envelope, error) {
 		p.cond.Wait()
 	}
 	missing := p.cfg.n - 1 - p.arrived[phase].Len() // crashed peers count as missing
-	var inbox []sim.Envelope
-	for _, msgs := range p.inbound[phase] {
-		inbox = append(inbox, msgs...)
+	frames := p.inbound[phase]
+	if frames == nil {
+		frames = make([][]sim.Envelope, p.cfg.n) // nobody sent: the plan still rules on every link
 	}
-	// Merge plan-delayed frames due now. They sort after the current-phase
-	// messages of the same sender: the map segment above holds one slice per
-	// sender, the late segment is appended behind it, and sortInbox is
-	// stable — the same order the engine's merge produces.
-	inbox = append(inbox, p.delayed[phase]...)
-	delete(p.delayed, phase)
+	var sink trace.Sink
+	if p.rec != nil {
+		sink = p.rec
+	}
+	inbox, withheld := faultnet.Deliver(p.cfg.faults, sink, phase, p.cfg.id, frames, &p.stash, p.inbox[:0])
+	p.inbox = inbox
 	delete(p.inbound, phase)
 	delete(p.arrived, phase)
 	p.done = phase
-	if gap := missing + p.cfg.faults.Veiled(phase, p.cfg.id, p.cfg.n); gap > p.cfg.t {
+	if gap := missing + withheld; gap > p.cfg.t {
 		return nil, fmt.Errorf("phase %d: %w: %d frames missing or withheld > t=%d",
 			phase, ErrStalled, gap, p.cfg.t)
 	}
@@ -375,9 +305,7 @@ func (p *peer) run(ctx context.Context, ep *endpoint, epoch uint64) error {
 			if inbox, err = p.waitPhase(phase - 1); err != nil {
 				return err
 			}
-			p.emitFaultEvents(phase - 1)
 		}
-		sortInbox(inbox)
 		if p.rec != nil {
 			// Mirror the engine: one Deliver event per envelope handed to
 			// Step, stamped with the wall phase of the delivery.
@@ -444,47 +372,6 @@ func (p *peer) run(ctx context.Context, ep *endpoint, epoch uint64) error {
 	return nil
 }
 
-// emitFaultEvents records the plan's verdicts for the frames of sendPhase
-// addressed to this peer — one fault-* event per acted-on frame, empty
-// frames included (the transport always has a frame on the wire). Events are
-// derived from the plan, not from observed arrivals, and emitted from the
-// peer's own goroutine into its single-owner recorder in ascending sender
-// order, so fault traces are deterministic. Phase carries the sending phase;
-// fault-delay carries the hold duration in Sigs.
-func (p *peer) emitFaultEvents(sendPhase int) {
-	if p.rec == nil || p.cfg.faults.Empty() {
-		return
-	}
-	for s := 0; s < p.cfg.n; s++ {
-		from := ident.ProcID(s)
-		if from == p.cfg.id || p.cfg.faults.Crashed(from, sendPhase) {
-			continue
-		}
-		act := p.cfg.faults.FrameAction(sendPhase, from, p.cfg.id)
-		if act.Kind == faultnet.ActNone {
-			continue
-		}
-		p.rec.Emit(trace.Event{
-			Kind: faultKind(act.Kind), Phase: sendPhase, From: from, To: p.cfg.id, Sigs: act.Delay,
-		})
-	}
-}
-
-// faultKind maps a plan action to its trace event kind.
-func faultKind(k faultnet.ActionKind) trace.Kind {
-	switch k {
-	case faultnet.ActDrop:
-		return trace.KindFaultDrop
-	case faultnet.ActDelay:
-		return trace.KindFaultDelay
-	case faultnet.ActDup:
-		return trace.KindFaultDup
-	case faultnet.ActReorder:
-		return trace.KindFaultReorder
-	}
-	return 0
-}
-
 // dialPeer dials addr with capped exponential backoff and jitter, giving up
 // promptly when ctx is cancelled. Mesh construction races every peer's
 // listener against every other peer's dialer, so early refusals are
@@ -516,14 +403,6 @@ func dialPeer(ctx context.Context, addr string, rng *rand.Rand) (net.Conn, error
 		}
 		if backoff < 100*time.Millisecond {
 			backoff *= 2
-		}
-	}
-}
-
-func sortInbox(in []sim.Envelope) {
-	for i := 1; i < len(in); i++ {
-		for j := i; j > 0 && in[j].From < in[j-1].From; j-- {
-			in[j], in[j-1] = in[j-1], in[j]
 		}
 	}
 }

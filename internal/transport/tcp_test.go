@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"byzex/internal/adversary"
+	"byzex/internal/core"
 	"byzex/internal/ident"
 	"byzex/internal/protocols/alg1"
 	"byzex/internal/protocols/alg2"
@@ -39,10 +40,9 @@ func checkAgreement(t *testing.T, res *transport.Result, transmitterValue ident.
 
 func TestAlg1OverTCP(t *testing.T) {
 	for _, v := range []ident.Value{ident.V0, ident.V1} {
-		res, err := transport.Run(context.Background(), transport.Config{
+		res, err := transport.RunCluster(context.Background(), core.Config{
 			N: 7, T: 3, Value: v, Protocol: alg1.Protocol{},
-			PhaseTimeout: 10 * time.Second,
-		})
+		}, transport.Net{PhaseTimeout: 10 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,11 +55,10 @@ func TestAlg1OverTCP(t *testing.T) {
 
 func TestDolevStrongOverTCPWithSplitBrain(t *testing.T) {
 	adv := adversary.SplitBrain{LowValue: ident.V0, HighValue: ident.V1, SplitAt: 4}
-	res, err := transport.Run(context.Background(), transport.Config{
+	res, err := transport.RunCluster(context.Background(), core.Config{
 		N: 7, T: 2, Value: ident.V1, Protocol: dolevstrong.Protocol{},
-		Adversary: adv, Faulty: ident.NewSet(0),
-		PhaseTimeout: 10 * time.Second,
-	})
+		Adversary: adv, FaultyOverride: ident.NewSet(0),
+	}, transport.Net{PhaseTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +67,10 @@ func TestDolevStrongOverTCPWithSplitBrain(t *testing.T) {
 
 func TestAlg3OverTCPWithCrash(t *testing.T) {
 	adv := adversary.Crash{CrashAfter: 3}
-	res, err := transport.Run(context.Background(), transport.Config{
+	res, err := transport.RunCluster(context.Background(), core.Config{
 		N: 16, T: 2, Value: ident.V1, Protocol: alg3.Protocol{S: 3},
-		Adversary: adv, Faulty: ident.NewSet(14, 15),
-		PhaseTimeout: 10 * time.Second,
-	})
+		Adversary: adv, FaultyOverride: ident.NewSet(14, 15),
+	}, transport.Net{PhaseTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +82,9 @@ func TestAlg5OverTCP(t *testing.T) {
 	// 2 and per-block Algorithm 4 instances) must run unmodified over real
 	// sockets.
 	for _, v := range []ident.Value{ident.V0, ident.V1} {
-		res, err := transport.Run(context.Background(), transport.Config{
+		res, err := transport.RunCluster(context.Background(), core.Config{
 			N: 30, T: 2, Value: v, Protocol: alg5.Protocol{S: 2},
-			PhaseTimeout: 10 * time.Second,
-		})
+		}, transport.Net{PhaseTimeout: 10 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,10 +95,9 @@ func TestAlg5OverTCP(t *testing.T) {
 func TestContextCancellationAborts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := transport.Run(ctx, transport.Config{
+	_, err := transport.RunCluster(ctx, core.Config{
 		N: 4, T: 1, Value: ident.V1, Protocol: dolevstrong.Protocol{},
-		PhaseTimeout: time.Second,
-	})
+	}, transport.Net{PhaseTimeout: time.Second})
 	if err == nil {
 		t.Fatal("cancelled run completed")
 	}
@@ -112,11 +108,10 @@ func TestMutedPeerTimeoutPath(t *testing.T) {
 	// open) forces everybody through the per-phase timeout; agreement must
 	// survive because the silence is indistinguishable from a crash fault.
 	mute := ident.NewSet(3)
-	res, err := transport.Run(context.Background(), transport.Config{
+	res, err := transport.RunCluster(context.Background(), core.Config{
 		N: 4, T: 1, Value: ident.V1, Protocol: dolevstrong.Protocol{},
-		Adversary: adversary.Silent{}, Faulty: mute, Mute: mute,
-		PhaseTimeout: 300 * time.Millisecond,
-	})
+		Adversary: adversary.Silent{}, FaultyOverride: mute,
+	}, transport.Net{PhaseTimeout: 300 * time.Millisecond, Mute: mute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +121,9 @@ func TestMutedPeerTimeoutPath(t *testing.T) {
 func TestAlg2OverTCPMatchesEngineCounts(t *testing.T) {
 	// The TCP substrate must deliver exactly the same protocol behaviour as
 	// the in-memory engine: same decisions, same message totals.
-	res, err := transport.Run(context.Background(), transport.Config{
+	res, err := transport.RunCluster(context.Background(), core.Config{
 		N: 7, T: 3, Value: ident.V1, Protocol: alg2.Protocol{},
-		PhaseTimeout: 10 * time.Second,
-	})
+	}, transport.Net{PhaseTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
