@@ -22,16 +22,19 @@
 #                      gap-to-bound atlas; SEARCH_BUDGET=n sets the budget
 #                      (make check uses a short one)
 #   make fuzz        - run every fuzz target on a short fixed budget
+#   make loc         - non-test Go lines outside bench/, per package and in
+#                      total (the number CHANGES.md and the ROADMAP's
+#                      subtraction target are stated in)
 
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check lint test bench search baexp trace-smoke faults slo crash upgrade fuzz
+.PHONY: check lint test bench search baexp trace-smoke faults slo crash upgrade fuzz loc
 
 check: lint faults
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race -count=1 ./internal/service/ ./internal/runner/ ./internal/transport/ ./internal/obs/ ./internal/journal/ ./internal/search/ ./internal/sim/ ./internal/faultnet/
+	$(GO) test -race -count=1 ./internal/service/ ./internal/runner/ ./internal/transport/ ./internal/obs/ ./internal/journal/ ./internal/search/ ./internal/sim/ ./internal/faultnet/ ./internal/cli/ ./internal/core/
 	$(MAKE) crash
 	$(MAKE) upgrade
 	$(MAKE) slo
@@ -123,3 +126,11 @@ trace-smoke:
 	/tmp/batrace -counts -report /tmp/byzex-smoke-mem-metrics.json /tmp/byzex-smoke-mem.jsonl
 	/tmp/basim -protocol dolev-strong -n 8 -t 2 -transport tcp -adversary silent -trace /tmp/byzex-smoke-tcp.jsonl
 	/tmp/batrace /tmp/byzex-smoke-tcp.jsonl
+
+# Non-test Go lines outside bench/: one row per package directory, then the
+# total — the same count CHANGES.md has reported since PR 14.
+loc:
+	@for d in $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -exec dirname {} \; | sort -u); do \
+		printf '%6d %s\n' "$$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" "$$d"; \
+	done
+	@printf '%6d total\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"

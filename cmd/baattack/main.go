@@ -28,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -40,192 +41,190 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("baattack", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		attack    = flag.String("attack", "replay", "attack: replay|omission|starve|audit")
-		protoName = flag.String("protocol", "strawman-broadcast", `target protocol ("all" sweeps the registry, -search only)`)
-		n         = flag.Int("n", 0, "number of processors (default 2t+1)")
-		t         = flag.Int("t", 3, "fault bound")
-		s         = flag.Int("s", 0, "parameter for alg3/alg5 (default t)")
-		seed      = flag.Int64("seed", 1, "search seed; a fixed seed reproduces the gap table byte-identically")
-		tracePath = flag.String("trace", "", "write the execution trace of the attack's runs (JSONL) to this file")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file")
+		attack = fs.String("attack", "replay", "attack: replay|omission|starve|audit")
+		// baattack's own, narrower -protocol — the one flag of the template
+		// surface not declared through cli.RegisterTemplateFlags: it also
+		// accepts "all", defaults to a strawman, and comes without
+		// -adversary/-faults/-scheme, which the attacks and the search choose
+		// themselves.
+		protoName = fs.String("protocol", "strawman-broadcast", `target protocol ("all" sweeps the registry, -search only)`)
+		n         = fs.Int("n", 0, "number of processors (default 2t+1)")
+		t         = fs.Int("t", 3, "fault bound")
+		s         = fs.Int("s", 0, "parameter for alg3/alg5 (default t)")
+		seed      = fs.Int64("seed", 1, "search seed; a fixed seed reproduces the gap table byte-identically")
 	)
-	sf := cli.RegisterSearchFlags(flag.CommandLine)
-	flag.Parse()
-	if *n == 0 {
-		*n = 2**t + 1
+	rf := cli.RegisterRunFlags(fs)
+	sf := cli.RegisterSearchFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if *s == 0 {
-		*s = *t
-	}
+	params := cli.Template{N: *n, T: *t, S: *s}.Params()
 
-	prof, err := cli.StartProfiles(*cpuProf, *memProf)
+	sink, stop, err := rf.Start()
 	if err != nil {
-		fail(err)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	defer func() {
-		if err := prof.Stop(); err != nil {
-			fail(err)
-		}
-	}()
-
-	ctx := context.Background()
 	// The attacks drive core.Run internally; a sink on the context reaches
 	// every one of those runs without lowerbound needing trace plumbing.
-	var traceSink *trace.JSONL
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fail(err)
-		}
-		defer func() { _ = f.Close() }()
-		traceSink = trace.NewJSONL(f)
-		defer func() {
-			if err := traceSink.Flush(); err != nil {
-				fail(err)
-			}
-		}()
-		ctx = trace.NewContext(ctx, traceSink)
+	ctx := context.Background()
+	if sink != nil {
+		ctx = trace.NewContext(ctx, sink)
 	}
-
 	if *sf.Search {
-		runSearch(ctx, sf, *protoName, *n, *t, *s, *seed, traceSink)
-		return
+		err = runSearch(ctx, stdout, sf, *protoName, params, *seed, sink)
+	} else {
+		err = runAttack(ctx, stdout, *attack, *protoName, params)
 	}
+	if stopErr := stop(); err == nil {
+		err = stopErr
+	}
+	switch {
+	case errors.Is(err, errUnknownAttack):
+		fmt.Fprintln(stderr, err)
+		return 2
+	case err != nil:
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	return 0
+}
 
-	proto, err := cli.Protocol(*protoName, cli.Params{N: *n, T: *t, S: *s})
+var errUnknownAttack = errors.New("unknown attack")
+
+// runAttack is the scripted mode: one of the paper's lower-bound
+// constructions against one protocol.
+func runAttack(ctx context.Context, stdout io.Writer, attack, protoName string, params cli.Params) error {
+	n, t := params.N, params.T
+	proto, err := cli.Protocol(protoName, params)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	switch *attack {
+	switch attack {
 	case "audit":
-		audit, err := lowerbound.AuditSignatures(ctx, proto, *n, *t, nil)
+		audit, err := lowerbound.AuditSignatures(ctx, proto, n, t, nil)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("Theorem 1 audit of %s (n=%d, t=%d)\n", proto.Name(), *n, *t)
-		fmt.Printf("  signatures in H (v=0): %d\n", audit.HSignatures)
-		fmt.Printf("  signatures in G (v=1): %d\n", audit.GSignatures)
-		fmt.Printf("  lower bound n(t+1)/4:  %d\n", audit.Bound)
-		fmt.Printf("  min |A(p)| = |A(%v)| = %d (need ≥ %d)\n", audit.MinAP, audit.MinAPSize, *t+1)
+		fmt.Fprintf(stdout, "Theorem 1 audit of %s (n=%d, t=%d)\n", proto.Name(), n, t)
+		fmt.Fprintf(stdout, "  signatures in H (v=0): %d\n", audit.HSignatures)
+		fmt.Fprintf(stdout, "  signatures in G (v=1): %d\n", audit.GSignatures)
+		fmt.Fprintf(stdout, "  lower bound n(t+1)/4:  %d\n", audit.Bound)
+		fmt.Fprintf(stdout, "  min |A(p)| = |A(%v)| = %d (need ≥ %d)\n", audit.MinAP, audit.MinAPSize, t+1)
 		if audit.Satisfied() {
-			fmt.Println("  verdict: bound respected")
+			fmt.Fprintln(stdout, "  verdict: bound respected")
 		} else {
-			fmt.Println("  verdict: VULNERABLE — run -attack replay")
+			fmt.Fprintln(stdout, "  verdict: VULNERABLE — run -attack replay")
 		}
 	case "replay":
-		out, err := lowerbound.ReplayAttack(ctx, proto, *n, *t, nil)
+		out, err := lowerbound.ReplayAttack(ctx, proto, n, t, nil)
 		if errors.Is(err, lowerbound.ErrBoundRespected) {
-			fmt.Printf("%s respects Theorem 1's bound: %v\n", proto.Name(), err)
-			return
+			fmt.Fprintf(stdout, "%s respects Theorem 1's bound: %v\n", proto.Name(), err)
+			return nil
 		}
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("Theorem 1 replay attack on %s (n=%d, t=%d)\n", proto.Name(), *n, *t)
-		fmt.Printf("  victim: %v, coalition A(p): %v\n", out.Victim, out.Faulty.Sorted())
-		printDecisions(out)
+		fmt.Fprintf(stdout, "Theorem 1 replay attack on %s (n=%d, t=%d)\n", proto.Name(), n, t)
+		fmt.Fprintf(stdout, "  victim: %v, coalition A(p): %v\n", out.Victim, out.Faulty.Sorted())
+		printDecisions(stdout, out)
 	case "omission":
-		out, err := lowerbound.OmissionAttack(ctx, proto, *n, *t, nil)
+		out, err := lowerbound.OmissionAttack(ctx, proto, n, t, nil)
 		if errors.Is(err, lowerbound.ErrBoundRespected) {
-			fmt.Printf("%s respects the omission bound: %v\n", proto.Name(), err)
-			return
+			fmt.Fprintf(stdout, "%s respects the omission bound: %v\n", proto.Name(), err)
+			return nil
 		}
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("Theorem 2 omission attack on %s (n=%d, t=%d)\n", proto.Name(), *n, *t)
-		fmt.Printf("  victim: %v, coalition: %v\n", out.Victim, out.Faulty.Sorted())
-		printDecisions(out)
+		fmt.Fprintf(stdout, "Theorem 2 omission attack on %s (n=%d, t=%d)\n", proto.Name(), n, t)
+		fmt.Fprintf(stdout, "  victim: %v, coalition: %v\n", out.Victim, out.Faulty.Sorted())
+		printDecisions(stdout, out)
 	case "starve":
-		audit, err := lowerbound.StarvationAudit(ctx, proto, *n, *t, nil)
+		audit, err := lowerbound.StarvationAudit(ctx, proto, n, t, nil)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("Theorem 2 starvation audit of %s (n=%d, t=%d)\n", proto.Name(), *n, *t)
-		fmt.Printf("  starved coalition B: %v (each ignoring first %d messages)\n", audit.B.Sorted(), audit.IgnoreFirst)
-		ids := audit.B.Sorted()
-		for _, q := range ids {
-			fmt.Printf("  messages into %v from correct processors: %d (need ≥ %d)\n", q, audit.PerMember[q], audit.RequiredPerMember)
+		fmt.Fprintf(stdout, "Theorem 2 starvation audit of %s (n=%d, t=%d)\n", proto.Name(), n, t)
+		fmt.Fprintf(stdout, "  starved coalition B: %v (each ignoring first %d messages)\n", audit.B.Sorted(), audit.IgnoreFirst)
+		for _, q := range audit.B.Sorted() {
+			fmt.Fprintf(stdout, "  messages into %v from correct processors: %d (need ≥ %d)\n", q, audit.PerMember[q], audit.RequiredPerMember)
 		}
-		fmt.Printf("  total messages by correct processors: %d (Theorem 2 bound %d)\n", audit.TotalMessages, audit.Bound)
+		fmt.Fprintf(stdout, "  total messages by correct processors: %d (Theorem 2 bound %d)\n", audit.TotalMessages, audit.Bound)
 		if audit.Satisfied() {
-			fmt.Println("  verdict: bound respected")
+			fmt.Fprintln(stdout, "  verdict: bound respected")
 		} else {
-			fmt.Println("  verdict: VULNERABLE")
+			fmt.Fprintln(stdout, "  verdict: VULNERABLE")
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "unknown attack %q\n", *attack)
-		os.Exit(2)
+		return fmt.Errorf("%w %q", errUnknownAttack, attack)
 	}
+	return nil
 }
 
 // runSearch is the -search mode: one search per (protocol, objective),
 // rendered as the gap-to-bound atlas and gated by search.CheckRows.
-func runSearch(ctx context.Context, sf *cli.SearchFlags, protoName string, n, t, s int, seed int64, traceSink *trace.JSONL) {
-	var objectives []search.Objective
+func runSearch(ctx context.Context, stdout io.Writer, sf *cli.SearchFlags, protoName string, params cli.Params, seed int64, sink trace.Sink) error {
+	cfg := search.AtlasConfig{
+		Budget: *sf.Budget,
+		Seed:   seed,
+		Pool:   runner.New(*sf.Parallel),
+		Trace:  sink,
+	}
 	if *sf.Objective != "both" {
 		obj, err := search.ParseObjective(*sf.Objective)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		objectives = []search.Objective{obj}
+		cfg.Objectives = []search.Objective{obj}
 	}
-	var targets []search.Target
+	var (
+		rows []search.Row
+		err  error
+	)
 	if protoName == "all" {
-		targets = search.Targets()
+		rows, err = search.RunAtlas(ctx, cfg)
 	} else {
-		targets = []search.Target{{
-			Name:   protoName,
-			N:      n,
-			T:      t,
-			S:      s,
-			Scheme: search.SchemeFor(protoName),
-			Class:  search.ClassOf(protoName),
-		}}
+		// One registry row, at the command line's size instead of its
+		// canonical one.
+		var e cli.Entry
+		if e, err = cli.Lookup(protoName); err != nil {
+			return err
+		}
+		e.N, e.T = params.N, params.T
+		rows, err = search.RunTargets(ctx, []search.Target{{Entry: e, S: params.S}}, cfg)
 	}
-	cfg := search.AtlasConfig{
-		Objectives: objectives,
-		Budget:     *sf.Budget,
-		Seed:       seed,
-		Pool:       runner.New(*sf.Parallel),
-	}
-	if traceSink != nil {
-		cfg.Trace = traceSink
-	}
-	rows, err := search.RunTargets(ctx, targets, cfg)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if len(rows) == 0 {
-		fail(fmt.Errorf("no rows: the sigs objective needs an authenticated scheme (%s is unauthenticated)", protoName))
+		return fmt.Errorf("no rows: the sigs objective needs an authenticated scheme (%s is unauthenticated)", protoName)
 	}
-	fmt.Printf("Adversary search vs the Theorem 1/2 bounds (budget=%d per row, seed=%d)\n", *sf.Budget, seed)
-	fmt.Print(search.RenderRows(rows))
-	fmt.Printf("provenance: seed-arms=strategies+canonical-plans, halving<=2/5 budget, anneal width=4 temp=0.35 x0.92 floor=0.02\n")
-	if err := search.CheckRows(rows); err != nil {
-		fail(err)
-	}
+	fmt.Fprintf(stdout, "Adversary search vs the Theorem 1/2 bounds (budget=%d per row, seed=%d)\n", *sf.Budget, seed)
+	fmt.Fprint(stdout, search.RenderRows(rows))
+	fmt.Fprintf(stdout, "provenance: seed-arms=strategies+canonical-plans, halving<=2/5 budget, anneal width=4 temp=0.35 x0.92 floor=0.02\n")
+	return search.CheckRows(rows)
 }
 
-func printDecisions(out *lowerbound.AttackOutcome) {
+func printDecisions(stdout io.Writer, out *lowerbound.AttackOutcome) {
 	ids := make([]int, 0, len(out.Decisions))
 	for id := range out.Decisions {
 		ids = append(ids, int(id))
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		fmt.Printf("  p%d decided %v\n", id, out.Decisions[ident.ProcID(id)])
+		fmt.Fprintf(stdout, "  p%d decided %v\n", id, out.Decisions[ident.ProcID(id)])
 	}
 	if out.Broke() {
-		fmt.Printf("  RESULT: Byzantine Agreement violated — %v\n", out.Violation)
+		fmt.Fprintf(stdout, "  RESULT: Byzantine Agreement violated — %v\n", out.Violation)
 	} else {
-		fmt.Println("  RESULT: protocol survived")
+		fmt.Fprintln(stdout, "  RESULT: protocol survived")
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

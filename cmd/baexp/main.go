@@ -14,111 +14,78 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
-	"strings"
 
 	"byzex/internal/cli"
 	"byzex/internal/experiments"
-	"byzex/internal/trace"
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment (E1..E14)")
-	format := flag.String("format", "text", "output format: text|csv")
-	parallel := flag.Int("parallel", runtime.NumCPU(),
-		"max concurrent runs per experiment sweep (tables are byte-identical at any value)")
-	tracePath := flag.String("trace", "",
-		"write the merged execution trace of all sweep runs (JSONL) to this file; merged in cell order, so byte-identical at any -parallel value")
-	cpuProf := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProf := flag.String("memprofile", "", "write a pprof heap profile to this file")
-	flag.Parse()
-
-	experiments.SetParallelism(*parallel)
-
-	prof, err := cli.StartProfiles(*cpuProf, *memProf)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	var traceSink *trace.JSONL
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer func() { _ = f.Close() }()
-		traceSink = trace.NewJSONL(f)
-		experiments.SetTrace(traceSink)
-	}
-	finish := func(code int) {
-		if traceSink != nil {
-			if err := traceSink.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				code = 1
-			}
-		}
-		if err := prof.Stop(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			code = 1
-		}
-		if code != 0 {
-			os.Exit(code)
-		}
-	}
-
-	ctx := context.Background()
-	funcs := map[string]func(context.Context) (*experiments.Table, error){
-		"E1":  experiments.E1Alg1,
-		"E2":  experiments.E2Alg2,
-		"E3":  experiments.E3Alg3,
-		"E4":  experiments.E4Alg4,
-		"E5":  experiments.E5Alg5,
-		"E6":  experiments.E6Theorem1,
-		"E7":  experiments.E7Unauth,
-		"E8":  experiments.E8Theorem2,
-		"E9":  experiments.E9Tradeoff,
-		"E10": experiments.E10Baselines,
-		"E11": experiments.E11Ablations,
-		"E12": experiments.E12MessageSize,
-		"E13": experiments.E13Alg5Breakdown,
-		"E14": experiments.E14Scaling,
-	}
-
-	if *only != "" {
-		f, ok := funcs[strings.ToUpper(*only)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *only)
-			finish(2)
-		}
-		tbl, err := f(ctx)
-		if tbl != nil {
-			fmt.Println(render(tbl, *format))
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			finish(1)
-		}
-		finish(0)
-		return
-	}
-
-	tables, err := experiments.All(ctx)
-	for _, tbl := range tables {
-		fmt.Println(render(tbl, *format))
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		finish(1)
-	}
-	finish(0)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// render formats a table per the -format flag.
-func render(tbl *experiments.Table, format string) string {
-	if format == "csv" {
-		return tbl.CSV()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("baexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	only := fs.String("only", "", "run a single experiment (E1..E14)")
+	format := fs.String("format", "text", "output format: text|csv")
+	parallel := fs.Int("parallel", runtime.NumCPU(),
+		"max concurrent runs per experiment sweep (tables are byte-identical at any value)")
+	// -trace is the merged trace of all sweep runs, merged in cell order, so
+	// the file too is byte-identical at any -parallel value.
+	rf := cli.RegisterRunFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	return tbl.Render()
+	experiments.SetParallelism(*parallel)
+
+	sink, stop, err := rf.Start()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	experiments.SetTrace(sink)
+	code := tables(stdout, stderr, *only, *format)
+	if err := stop(); err != nil {
+		fmt.Fprintln(stderr, err)
+		code = 1
+	}
+	return code
+}
+
+// tables runs the selected experiments and prints their tables; a bound
+// violation is exit code 1, an unknown -only 2.
+func tables(stdout, stderr io.Writer, only, format string) int {
+	ctx := context.Background()
+	var (
+		out []*experiments.Table
+		err error
+	)
+	if only == "" {
+		out, err = experiments.All(ctx)
+	} else {
+		f, ok := experiments.ByID(only)
+		if !ok {
+			fmt.Fprintf(stderr, "unknown experiment %q\n", only)
+			return 2
+		}
+		var tbl *experiments.Table
+		if tbl, err = f(ctx); tbl != nil {
+			out = append(out, tbl)
+		}
+	}
+	for _, tbl := range out {
+		if format == "csv" {
+			fmt.Fprintln(stdout, tbl.CSV())
+		} else {
+			fmt.Fprintln(stdout, tbl.Render())
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	return 0
 }

@@ -47,7 +47,7 @@ func runChurnServe(args []string, stdout, stderr *os.File) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	tmpl, _, err := sf.Template().Resolve()
+	tmpl, _, err := sf.Resolve()
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -144,17 +144,17 @@ func churnConfigFrom(sf *cli.ServeFlags, cycles, acks, conns, mod int) churnConf
 		shards = runtime.GOMAXPROCS(0)
 	}
 	serveArgs := []string{
-		"-protocol", *sf.Protocol, "-adversary", *sf.Adversary, "-scheme", *sf.Scheme,
-		"-n", strconv.Itoa(*sf.N), "-t", strconv.Itoa(*sf.T), "-s", strconv.Itoa(*sf.S),
-		"-seed", strconv.FormatInt(*sf.Seed, 10),
+		"-protocol", sf.Protocol, "-adversary", sf.Adversary, "-scheme", sf.Scheme,
+		"-n", strconv.Itoa(sf.N), "-t", strconv.Itoa(sf.T), "-s", strconv.Itoa(sf.S),
+		"-seed", strconv.FormatInt(sf.Seed, 10),
 		"-shards", strconv.Itoa(*sf.Shards), "-queue", strconv.Itoa(*sf.Queue),
 		"-batch", strconv.Itoa(*sf.Batch), "-linger", sf.Linger.String(),
 		"-journal-dir", *sf.JournalDir, "-fsync", *sf.Fsync,
 		"-checkpoint-every", strconv.Itoa(*sf.CheckpointEvery),
 		"-checkpoint-interval", sf.CheckpointInterval.String(),
 	}
-	if *sf.Faults != "" {
-		serveArgs = append(serveArgs, "-faults", *sf.Faults)
+	if sf.Faults != "" {
+		serveArgs = append(serveArgs, "-faults", sf.Faults)
 	}
 	if *sf.Adaptive {
 		serveArgs = append(serveArgs, "-adaptive",

@@ -112,7 +112,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		return runChurn(churnConfigFrom(sf, *churn, *churnAcks, *conns, *mod), stdout, stderr)
 	}
 
-	tmpl, warn, err := sf.Template().Resolve()
+	tmpl, warn, err := sf.Resolve()
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -205,7 +205,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 		*addr = ln.Addr().String()
 		fmt.Fprintf(stdout, "selfhost: %s n=%d t=%d shards=%d listening on %s\n",
-			*sf.Protocol, tmpl.N, tmpl.T, hosted.Stats().Shards, *addr)
+			sf.Protocol, tmpl.N, tmpl.T, hosted.Stats().Shards, *addr)
 	}
 
 	var load *service.LoadStats
@@ -215,7 +215,7 @@ func run(args []string, stdout, stderr *os.File) int {
 			Conns:    *conns,
 			Rate:     *rate,
 			Duration: *duration,
-			Seed:     *sf.Seed,
+			Seed:     sf.Seed,
 			ValueFor: func(i int) ident.Value { return ident.Value(i % *mod) },
 		})
 	} else {
@@ -233,7 +233,7 @@ func run(args []string, stdout, stderr *os.File) int {
 
 	if *rate > 0 {
 		fmt.Fprintf(stdout, "offered: %d arrivals at %.0f/s over %v (seed %d)\n",
-			load.Offered, *rate, *duration, *sf.Seed)
+			load.Offered, *rate, *duration, sf.Seed)
 		fmt.Fprintf(stdout, "submitted: %d ok, %d shed, %d distinct instances\n",
 			load.Submitted, load.Rejected, len(load.Instances))
 	} else {

@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	tmpl, warn, err := sf.Template().Resolve()
+	tmpl, warn, err := sf.Resolve()
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -151,7 +151,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		batchDesc = fmt.Sprintf("batch=adaptive[%d..%d]", svcCfg.BatchMin, svcCfg.BatchMax)
 	}
 	fmt.Fprintf(stdout, "baserve: %s n=%d t=%d %s shards=%d listening on %s\n",
-		*sf.Protocol, tmpl.N, tmpl.T, batchDesc, svc.Stats().Shards, ln.Addr())
+		sf.Protocol, tmpl.N, tmpl.T, batchDesc, svc.Stats().Shards, ln.Addr())
 
 	start := time.Now()
 	if err := service.Serve(ctx, ln, svc); err != nil {

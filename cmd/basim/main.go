@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"byzex/internal/cli"
@@ -37,25 +36,20 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("basim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	tp := cli.RegisterTemplateFlags(fs, "alg5")
+	rf := cli.RegisterRunFlags(fs)
 	var (
-		protoName = fs.String("protocol", "alg5", "protocol: "+strings.Join(cli.ProtocolNames(), "|"))
-		n         = fs.Int("n", 0, "number of processors (default 2t+1)")
-		t         = fs.Int("t", 2, "fault bound")
-		s         = fs.Int("s", 0, "set/tree size parameter for alg3/alg5 (default t)")
 		value     = fs.Int64("value", 1, "transmitter's value")
-		advName   = fs.String("adversary", "none", "adversary: "+strings.Join(cli.AdversaryNames(), "|"))
-		faultSpec = fs.String("faults", "", `fault-injection spec, e.g. "crash=1@2;drop=0->2@1-3" (see internal/faultnet)`)
-		schemeStr = fs.String("scheme", "hmac", "signature scheme: hmac|ed25519|plain")
 		trans     = fs.String("transport", "memory", "transport: memory|tcp")
-		seed      = fs.Int64("seed", 1, "deterministic seed")
 		verbose   = fs.Bool("v", false, "print per-phase message counts")
 		dump      = fs.String("dump", "", "write the full message transcript (JSON) to this file (memory transport only)")
-		tracePath = fs.String("trace", "", "write the structured execution trace (JSONL) to this file")
 		metricsTo = fs.String("metrics", "", "write the metrics report (JSON) to this file, for batrace -report")
-		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf   = fs.String("memprofile", "", "write a pprof heap profile to this file")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *dump != "" && *trans == "tcp" {
+		fmt.Fprintln(stderr, "-dump needs the recorded history only -transport memory keeps; drop -dump or -transport tcp")
 		return 2
 	}
 	fail := func(err error) int {
@@ -67,10 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// plan touches are judged faulty so the agreement printout discounts
 	// them, and an over-budget plan is allowed — watching a protocol stall
 	// is the point of some experiments — but flagged up front.
-	cfg, warn, err := cli.Template{
-		Protocol: *protoName, Adversary: *advName, Scheme: *schemeStr,
-		Faults: *faultSpec, N: *n, T: *t, S: *s, Seed: *seed,
-	}.Resolve()
+	cfg, warn, err := tp.Resolve()
 	if err != nil {
 		return fail(err)
 	}
@@ -79,100 +70,100 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.Value = ident.Value(*value)
 
-	prof, err := cli.StartProfiles(*cpuProf, *memProf)
+	traceOut, stop, err := rf.Start()
 	if err != nil {
 		return fail(err)
 	}
-	// cfg.Trace stays a nil interface when tracing is off — assigning a nil
-	// *trace.Buffer directly would defeat the producers' nil checks.
+	// The run traces into a buffer so the trace can be cross-checked against
+	// the metrics before it is written. cfg.Trace stays a nil interface when
+	// tracing is off — assigning a nil *trace.Buffer directly would defeat
+	// the producers' nil checks.
 	var traceBuf *trace.Buffer
-	if *tracePath != "" {
+	if traceOut != nil {
 		traceBuf = trace.NewBuffer()
 		cfg.Trace = traceBuf
 	}
 
-	ctx := context.Background()
 	start := time.Now()
-	var report metrics.Report
-
-	switch *trans {
-	case "memory":
-		cfg.Record = *dump != ""
-		res, err := core.Run(ctx, cfg)
-		if err != nil {
-			return fail(err)
-		}
-		report = res.Sim.Report
-		printOutcome(stdout, res.Faulty, decisions(res.Sim.Decisions), report.String(), cfg.Value)
-		if *verbose {
-			fmt.Fprint(stdout, report.Table())
-		}
-		if *dump != "" {
-			f, err := os.Create(*dump)
+	err = func() error {
+		ctx := context.Background()
+		var report metrics.Report
+		switch *trans {
+		case "memory":
+			cfg.Record = *dump != ""
+			res, err := core.Run(ctx, cfg)
 			if err != nil {
-				return fail(err)
+				return err
 			}
-			if err := res.History.Export(f); err != nil {
-				return fail(err)
+			report = res.Sim.Report
+			printOutcome(stdout, res.Faulty, decisions(res.Sim.Decisions), report.String(), cfg.Value)
+			if *verbose {
+				fmt.Fprint(stdout, report.Table())
 			}
-			if err := f.Close(); err != nil {
-				return fail(err)
+			if *dump != "" {
+				f, err := os.Create(*dump)
+				if err != nil {
+					return err
+				}
+				if err := res.History.Export(f); err != nil {
+					return err
+				}
+				if err := f.Close(); err != nil {
+					return err
+				}
+				fmt.Fprintf(stdout, "transcript: %s (%d phases)\n", *dump, res.History.NumPhases())
 			}
-			fmt.Fprintf(stdout, "transcript: %s (%d phases)\n", *dump, res.History.NumPhases())
+		case "tcp":
+			res, err := transport.RunCluster(ctx, cfg, transport.Net{})
+			if err != nil {
+				return err
+			}
+			report = res.Report
+			printOutcome(stdout, res.Faulty, decisions(res.Decisions), report.String(), cfg.Value)
+		default:
+			return fmt.Errorf("unknown transport %q", *trans)
 		}
-	case "tcp":
-		res, err := transport.RunCluster(ctx, cfg, transport.Net{})
-		if err != nil {
-			return fail(err)
-		}
-		report = res.Report
-		printOutcome(stdout, res.Faulty, decisions(res.Decisions), report.String(), cfg.Value)
-	default:
-		return fail(fmt.Errorf("unknown transport %q", *trans))
-	}
 
-	if traceBuf != nil {
-		if err := writeTrace(stdout, *tracePath, traceBuf, report, *verbose); err != nil {
-			return fail(err)
+		if traceBuf != nil {
+			if err := writeTrace(stdout, rf.TracePath, traceBuf, traceOut, report, *verbose); err != nil {
+				return err
+			}
 		}
+		if *metricsTo != "" {
+			data, err := json.MarshalIndent(report, "", "  ")
+			if err != nil {
+				return err
+			}
+			if err := os.WriteFile(*metricsTo, append(data, '\n'), 0o644); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "metrics report: %s\n", *metricsTo)
+		}
+		return nil
+	}()
+	// stop runs whatever the run did, so a started CPU profile is finalized
+	// and the trace file closed on the error paths too.
+	if stopErr := stop(); err == nil {
+		err = stopErr
 	}
-	if *metricsTo != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return fail(err)
-		}
-		if err := os.WriteFile(*metricsTo, append(data, '\n'), 0o644); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "metrics report: %s\n", *metricsTo)
-	}
-	if err := prof.Stop(); err != nil {
+	if err != nil {
 		return fail(err)
 	}
 	fmt.Fprintf(stdout, "elapsed: %v\n", time.Since(start).Round(time.Millisecond))
 	return 0
 }
 
-// writeTrace persists the trace as JSONL and cross-checks its per-phase
-// attribution against the run's metrics — a trace that disagrees with the
-// collector means the instrumentation drifted and is an error, not output.
-func writeTrace(stdout io.Writer, path string, buf *trace.Buffer, report metrics.Report, verbose bool) error {
+// writeTrace cross-checks the trace's per-phase attribution against the
+// run's metrics — a trace that disagrees with the collector means the
+// instrumentation drifted and is an error, not output — then hands the
+// events to the -trace file's sink (flushed by the caller's stop).
+func writeTrace(stdout io.Writer, path string, buf *trace.Buffer, out trace.Sink, report metrics.Report, verbose bool) error {
 	sum := trace.Summarize(buf.Events())
 	if err := sum.CheckReport(report); err != nil {
 		return fmt.Errorf("trace disagrees with metrics: %w", err)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteJSONL(f, buf.Events()); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
 	fmt.Fprintf(stdout, "trace: %s (%d events, consistent with metrics)\n", path, buf.Len())
+	buf.DrainTo(out)
 	if verbose {
 		fmt.Fprint(stdout, sum.Table())
 	}

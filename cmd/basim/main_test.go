@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -55,5 +57,29 @@ func TestTransportsPrintTheSameOutcome(t *testing.T) {
 	}
 	if !strings.Contains(mem, "agreement: OK") || !strings.Contains(mem, "faulty: [p0 p1]") {
 		t.Fatalf("unexpected outcome:\n%s", mem)
+	}
+}
+
+// TestDumpNeedsMemoryTransport: only the memory substrate records the
+// history -dump writes, so asking for a transcript of a TCP run is refused
+// up front as a usage error that names the flag — it used to parse, run and
+// silently write nothing.
+func TestDumpNeedsMemoryTransport(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.json")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-protocol", "alg1", "-t", "2", "-transport", "tcp", "-dump", path}, &stdout, &stderr)
+	if code != 2 || !strings.Contains(stderr.String(), "-dump") || stdout.Len() != 0 {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2 naming -dump before any run", code, stdout.String(), stderr.String())
+	}
+	if _, err := os.Stat(path); err == nil {
+		t.Fatal("a transcript file was written")
+	}
+	// The memory transport still honours it.
+	stdout.Reset()
+	if code := run([]string{"-protocol", "alg1", "-t", "2", "-dump", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("memory -dump: exit %d: %s", code, stderr.String())
+	}
+	if _, err := os.Stat(path); err != nil || !strings.Contains(stdout.String(), "transcript: ") {
+		t.Fatalf("memory -dump wrote no transcript (%v):\n%s", err, stdout.String())
 	}
 }

@@ -1,6 +1,8 @@
-// Package cli maps command-line names to protocols, adversaries and
-// signature schemes — shared by cmd/basim, cmd/baattack and tests so the
-// tools stay consistent and the mapping is testable.
+// Package cli is the one place protocols are declared (the registry: name,
+// constructor, canonical conformance size, scheme, class) and the one place
+// the tools' shared flags are: the instance template, the serving surface,
+// the search surface, and the profile/trace trio of the one-shot tools. It
+// also maps adversary and signature-scheme names.
 package cli
 
 import (
@@ -41,81 +43,113 @@ type Params struct {
 	Seed int64
 }
 
+// Class tells a judge what a protocol promises, which decides both what a
+// run must satisfy and what counts as a violation.
+type Class uint8
+
+// Protocol classes.
+const (
+	// ClassAgreement: full Byzantine Agreement — conditions (i) and (ii)
+	// must hold whenever the faults stay within budget.
+	ClassAgreement Class = iota
+	// ClassExchange: the Algorithm 4 information-exchange building blocks.
+	// They decide a constant, so only unanimity of correct processors is
+	// judged; the Theorem 1/2 bounds do not apply.
+	ClassExchange
+	// ClassStrawman: deliberately weakened protocols kept as negative
+	// controls. Violations are the expected find, not a bug.
+	ClassStrawman
+)
+
+// String implements fmt.Stringer.
+func (c Class) String() string {
+	switch c {
+	case ClassAgreement:
+		return "agreement"
+	case ClassExchange:
+		return "exchange"
+	default:
+		return "strawman"
+	}
+}
+
+// Entry is one registry row — everything the tools, the conformance suites
+// and the search atlas know about a protocol.
+type Entry struct {
+	// Name is the -protocol value.
+	Name string
+	// New builds the protocol; p.S arrives resolved (see Protocol).
+	New func(p Params) protocol.Protocol
+	// N and T are the canonical conformance size: the small system every
+	// registry-wide suite (fault-free run, trace attribution, crash drill,
+	// search atlas) runs the protocol at.
+	N, T int
+	// Scheme is the canonical scheme name: "plain" for the unauthenticated
+	// protocols, "hmac" for everything else.
+	Scheme string
+	Class  Class
+}
+
+// fixed is the constructor of a protocol that takes no parameters.
+func fixed(p protocol.Protocol) func(Params) protocol.Protocol {
+	return func(Params) protocol.Protocol { return p }
+}
+
+// registry is the one place a protocol is declared, in name order. Adding a
+// protocol is adding a row.
+var registry = []Entry{
+	{"alg1", fixed(alg1.Protocol{}), 5, 2, "hmac", ClassAgreement},
+	{"alg1-multi", fixed(alg1.MultiProtocol{}), 5, 2, "hmac", ClassAgreement},
+	{"alg2", fixed(alg2.Protocol{}), 5, 2, "hmac", ClassAgreement},
+	{"alg3", func(p Params) protocol.Protocol { return alg3.Protocol{S: p.S} }, 12, 2, "hmac", ClassAgreement},
+	{"alg4", fixed(alg4.Protocol{}), 16, 2, "hmac", ClassExchange},
+	{"alg4-relay", fixed(alg4.RelayProtocol{}), 9, 2, "hmac", ClassExchange},
+	{"alg5", func(p Params) protocol.Protocol { return alg5.Protocol{S: p.S} }, 20, 2, "hmac", ClassAgreement},
+	{"alg5-nopow", func(p Params) protocol.Protocol { return alg5.Protocol{S: p.S, DisablePoW: true} }, 20, 2, "hmac", ClassAgreement},
+	{"dolev-strong", fixed(dolevstrong.Protocol{}), 6, 2, "hmac", ClassAgreement},
+	{"ic", fixed(ic.Protocol{Base: dolevstrong.Protocol{}}), 5, 1, "hmac", ClassAgreement},
+	{"lsp", fixed(lsp.Protocol{}), 7, 2, "plain", ClassAgreement},
+	{"phase-king", fixed(phaseking.Protocol{}), 9, 2, "plain", ClassAgreement},
+	{"strawman-broadcast", fixed(strawman.Broadcast{}), 5, 1, "hmac", ClassStrawman},
+	{"strawman-thinrelay", func(p Params) protocol.Protocol { return strawman.ThinRelay{RelayWidth: max(1, p.T-1)} }, 8, 2, "hmac", ClassStrawman},
+}
+
+// Registry returns the protocol table in name order. The rows are shared:
+// callers must not modify them.
+func Registry() []Entry { return registry }
+
+// Lookup finds a registry row by name.
+func Lookup(name string) (Entry, error) {
+	for _, e := range registry {
+		if e.Name == name {
+			return e, nil
+		}
+	}
+	return Entry{}, fmt.Errorf("cli: unknown protocol %q (known: %v)", name, ProtocolNames())
+}
+
 // Protocol resolves a protocol name. S defaults to T when zero (floor 1);
 // negative S is rejected with ErrBadParams.
 func Protocol(name string, p Params) (protocol.Protocol, error) {
 	if p.S < 0 {
 		return nil, fmt.Errorf("%w: S=%d (must be >= 0; 0 means default to T)", ErrBadParams, p.S)
 	}
-	s := p.S
-	if s == 0 {
-		s = p.T
+	if p.S == 0 {
+		p.S = max(1, p.T)
 	}
-	if s < 1 {
-		s = 1
+	e, err := Lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	switch name {
-	case "alg1":
-		return alg1.Protocol{}, nil
-	case "alg1-multi":
-		return alg1.MultiProtocol{}, nil
-	case "alg2":
-		return alg2.Protocol{}, nil
-	case "alg3":
-		return alg3.Protocol{S: s}, nil
-	case "alg4":
-		return alg4.Protocol{}, nil
-	case "alg4-relay":
-		return alg4.RelayProtocol{}, nil
-	case "alg5":
-		return alg5.Protocol{S: s}, nil
-	case "alg5-nopow":
-		return alg5.Protocol{S: s, DisablePoW: true}, nil
-	case "ic":
-		return ic.Protocol{Base: dolevstrong.Protocol{}}, nil
-	case "dolev-strong":
-		return dolevstrong.Protocol{}, nil
-	case "lsp":
-		return lsp.Protocol{}, nil
-	case "phase-king":
-		return phaseking.Protocol{}, nil
-	case "strawman-broadcast":
-		return strawman.Broadcast{}, nil
-	case "strawman-thinrelay":
-		width := p.T - 1
-		if width < 1 {
-			width = 1
-		}
-		return strawman.ThinRelay{RelayWidth: width}, nil
-	default:
-		return nil, fmt.Errorf("cli: unknown protocol %q (known: %v)", name, ProtocolNames())
-	}
-}
-
-// Protocols resolves every recognized protocol name against p, keyed by
-// name. Conformance tests use this to sweep the full protocol registry
-// without hard-coding the name list; iterate ProtocolNames() for a
-// deterministic order.
-func Protocols(p Params) (map[string]protocol.Protocol, error) {
-	out := make(map[string]protocol.Protocol)
-	for _, name := range ProtocolNames() {
-		proto, err := Protocol(name, p)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = proto
-	}
-	return out, nil
+	return e.New(p), nil
 }
 
 // ProtocolNames lists the recognized protocol names, sorted.
 func ProtocolNames() []string {
-	names := []string{
-		"alg1", "alg1-multi", "alg2", "alg3", "alg4", "alg4-relay",
-		"alg5", "alg5-nopow", "ic", "dolev-strong", "lsp", "phase-king",
-		"strawman-broadcast", "strawman-thinrelay",
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.Name
 	}
-	sort.Strings(names)
 	return names
 }
 

@@ -3,6 +3,10 @@ package cli_test
 import (
 	"context"
 	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"byzex/internal/cli"
@@ -12,59 +16,52 @@ import (
 	"byzex/internal/protocols/alg5"
 )
 
+// TestEveryProtocolNameResolvesAndRuns is the registry's own test: the
+// table is in strict name order (so names are unique and ProtocolNames is
+// sorted), and every row's constructor accepts the row's canonical size and
+// runs fault-free, under the row's scheme, to the outcome its class promises.
 func TestEveryProtocolNameResolvesAndRuns(t *testing.T) {
-	// Each named protocol must resolve and complete a small run without a
-	// protocol error (agreement semantics differ per protocol; exchange
-	// primitives and strawmen are exempt from the BA check).
-	configs := map[string]struct {
-		n, t  int
-		plain bool
-		ba    bool // assert full Byzantine Agreement conditions
-	}{
-		"alg1":               {5, 2, false, true},
-		"alg1-multi":         {5, 2, false, true},
-		"alg2":               {5, 2, false, true},
-		"alg3":               {12, 2, false, true},
-		"alg4":               {16, 2, false, false},
-		"alg4-relay":         {9, 2, false, false},
-		"alg5":               {20, 2, false, true},
-		"alg5-nopow":         {20, 2, false, true},
-		"ic":                 {5, 1, false, true},
-		"dolev-strong":       {6, 2, false, true},
-		"lsp":                {7, 2, true, true},
-		"phase-king":         {9, 2, true, true},
-		"strawman-broadcast": {5, 1, false, true},
-		"strawman-thinrelay": {8, 2, false, true},
+	names := cli.ProtocolNames()
+	if len(names) != len(cli.Registry()) {
+		t.Fatalf("ProtocolNames has %d names, the registry %d rows", len(names), len(cli.Registry()))
 	}
-	for _, name := range cli.ProtocolNames() {
-		cfg, ok := configs[name]
-		if !ok {
-			t.Fatalf("no test config for protocol %q", name)
+	for i, e := range cli.Registry() {
+		if names[i] != e.Name {
+			t.Fatalf("ProtocolNames()[%d] = %q, registry row is %q", i, names[i], e.Name)
 		}
-		params := cli.Params{N: cfg.n, T: cfg.t, Seed: 1}
-		proto, err := cli.Protocol(name, params)
+		if i > 0 && names[i-1] >= e.Name {
+			t.Fatalf("registry rows %q, %q are not in strict name order", names[i-1], e.Name)
+		}
+		params := cli.Params{N: e.N, T: e.T, Seed: 1}
+		proto, err := cli.Protocol(e.Name, params)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", e.Name, err)
 		}
-		schemeName := "hmac"
-		if cfg.plain {
-			schemeName = "plain"
+		if err := proto.Check(e.N, e.T); err != nil {
+			t.Fatalf("%s rejects its canonical size n=%d t=%d: %v", e.Name, e.N, e.T, err)
 		}
-		scheme, err := cli.Scheme(schemeName, params)
+		scheme, err := cli.Scheme(e.Scheme, params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runCfg := core.Config{
-			Protocol: proto, N: cfg.n, T: cfg.t, Value: ident.V1, Scheme: scheme,
+		res, err := core.Run(context.Background(), core.Config{
+			Protocol: proto, N: e.N, T: e.T, Value: ident.V1, Scheme: scheme,
+		})
+		if err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+			continue
 		}
-		if cfg.ba {
-			if _, _, err := core.RunAndCheck(context.Background(), runCfg); err != nil {
-				t.Errorf("%s: %v", name, err)
-			}
-		} else {
-			if _, err := core.Run(context.Background(), runCfg); err != nil {
-				t.Errorf("%s: %v", name, err)
-			}
+		// Fault-free, agreement protocols and strawmen alike decide the
+		// transmitter's value; the exchange primitives decide a constant, so
+		// they owe unanimity only.
+		decided, err := res.Decision(0, ident.V1)
+		if e.Class == cli.ClassExchange && errors.Is(err, core.ErrValidity) {
+			err = nil
+		} else if err == nil && decided != ident.V1 {
+			err = fmt.Errorf("decided %v, want %v", decided, ident.V1)
+		}
+		if err != nil {
+			t.Errorf("%s (%s): %v", e.Name, e.Class, err)
 		}
 	}
 }
@@ -106,24 +103,6 @@ func TestSParameterDefaulting(t *testing.T) {
 				t.Fatalf("alg5 resolved S = %d, want %d", got, tc.wantS)
 			}
 		})
-	}
-}
-
-func TestProtocolsResolvesFullRegistry(t *testing.T) {
-	protos, err := cli.Protocols(cli.Params{N: 9, T: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(protos) != len(cli.ProtocolNames()) {
-		t.Fatalf("Protocols() has %d entries, names list %d", len(protos), len(cli.ProtocolNames()))
-	}
-	for _, name := range cli.ProtocolNames() {
-		if protos[name] == nil {
-			t.Fatalf("Protocols() missing %q", name)
-		}
-	}
-	if _, err := cli.Protocols(cli.Params{N: 9, T: 2, S: -3}); !errors.Is(err, cli.ErrBadParams) {
-		t.Fatalf("Protocols with bad S: err = %v, want ErrBadParams", err)
 	}
 }
 
@@ -198,5 +177,39 @@ func TestSchemeDefaults(t *testing.T) {
 	pl, err := cli.Scheme("plain", cli.Params{N: 2})
 	if err != nil || pl.Name() != "plain" {
 		t.Fatalf("plain: %v", err)
+	}
+}
+
+// TestReadmeListsEverySharedFlag is the doc-drift gate: every flag the
+// shared surfaces register must appear, spelled `-name`, in the first cell
+// of a README.md flag-table row.
+func TestReadmeListsEverySharedFlag(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := make(map[string]bool)
+	for _, line := range strings.Split(string(readme), "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.HasPrefix(line, "| `-") {
+			continue
+		}
+		for _, name := range strings.Fields(strings.Trim(strings.TrimSpace(cells[1]), "`")) {
+			documented[name] = true
+		}
+	}
+	// The run flags share -trace with the serve surface, so they register on
+	// a flag set of their own.
+	for _, register := range []func(*flag.FlagSet){
+		func(fs *flag.FlagSet) { cli.RegisterServeFlags(fs); cli.RegisterSearchFlags(fs) }, // serve includes the template flags
+		func(fs *flag.FlagSet) { cli.RegisterRunFlags(fs) },
+	} {
+		fs := flag.NewFlagSet("shared", flag.ContinueOnError)
+		register(fs)
+		fs.VisitAll(func(f *flag.Flag) {
+			if !documented["-"+f.Name] {
+				t.Errorf("flag -%s is registered but not in a README.md flag table", f.Name)
+			}
+		})
 	}
 }

@@ -1,74 +1,91 @@
-// Shared pprof plumbing for the CLI tools: every command that can run hot
-// (basim, baserve, baexp) exposes the same -cpuprofile/-memprofile pair and
-// delegates the lifecycle — start CPU profiling before the run, write the
-// heap snapshot after — to one Profiler instead of reimplementing it.
+// The run-scoped outputs of the one-shot tools (basim, baattack, baexp):
+// the -cpuprofile/-memprofile pair and the -trace JSONL file are declared
+// once and their lifecycle — start CPU profiling and open the trace before
+// the work, flush/close the trace and snapshot the heap after — is
+// implemented once, in RunFlags.
 
 package cli
 
 import (
+	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+
+	"byzex/internal/trace"
 )
 
-// Profiler drives the pprof flags (-cpuprofile / -memprofile) shared by the
-// CLI tools: StartProfiles begins CPU profiling immediately, Stop finalizes
-// the CPU profile and snapshots the heap. Both paths are optional (empty
-// string disables).
-type Profiler struct {
-	cpu     *os.File
-	memPath string
+// RunFlags holds the parsed -cpuprofile, -memprofile and -trace paths; each
+// is optional (empty string disables).
+type RunFlags struct {
+	cpuPath, memPath string
+	// TracePath is the -trace value ("" = tracing off).
+	TracePath string
 }
 
-// StartProfiles starts CPU profiling to cpuPath and remembers memPath for
-// the heap snapshot Stop will take. A nil Profiler is returned (with no
-// error) when both paths are empty, and Stop on it is a no-op.
-func StartProfiles(cpuPath, memPath string) (*Profiler, error) {
-	if cpuPath == "" && memPath == "" {
-		return nil, nil
-	}
-	p := &Profiler{memPath: memPath}
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, fmt.Errorf("cli: cpu profile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("cli: cpu profile: %w", err)
-		}
-		p.cpu = f
-	}
-	return p, nil
+// RegisterRunFlags declares the profile/trace trio on fs.
+func RegisterRunFlags(fs *flag.FlagSet) *RunFlags {
+	rf := &RunFlags{}
+	fs.StringVar(&rf.cpuPath, "cpuprofile", "", "write a pprof CPU profile to this file")
+	fs.StringVar(&rf.memPath, "memprofile", "", "write a pprof heap profile to this file")
+	fs.StringVar(&rf.TracePath, "trace", "", "write the structured execution trace of every run (JSONL) to this file")
+	return rf
 }
 
-// Stop finalizes the CPU profile (if one was started) and writes a heap
-// profile (if a path was given). Safe on a nil receiver.
-func (p *Profiler) Stop() error {
-	if p == nil {
-		return nil
-	}
-	if p.cpu != nil {
-		pprof.StopCPUProfile()
-		if err := p.cpu.Close(); err != nil {
-			return fmt.Errorf("cli: cpu profile: %w", err)
+// Start begins CPU profiling and opens the trace file. sink is the JSONL
+// trace sink, a nil interface when -trace is unset. stop must be called
+// once after the work: it flushes and closes the trace, finalizes the CPU
+// profile and writes the heap profile, returning every error.
+func (rf *RunFlags) Start() (sink trace.Sink, stop func() error, err error) {
+	var cpu, traceFile *os.File
+	if rf.cpuPath != "" {
+		if cpu, err = os.Create(rf.cpuPath); err != nil {
+			return nil, nil, fmt.Errorf("cli: cpu profile: %w", err)
 		}
-		p.cpu = nil
-	}
-	if p.memPath != "" {
-		f, err := os.Create(p.memPath)
-		if err != nil {
-			return fmt.Errorf("cli: mem profile: %w", err)
-		}
-		runtime.GC() // settle the heap so the snapshot reflects live objects
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("cli: mem profile: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("cli: mem profile: %w", err)
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			_ = cpu.Close()
+			return nil, nil, fmt.Errorf("cli: cpu profile: %w", err)
 		}
 	}
-	return nil
+	var jsonl *trace.JSONL
+	if rf.TracePath != "" {
+		if traceFile, err = os.Create(rf.TracePath); err != nil {
+			if cpu != nil {
+				pprof.StopCPUProfile()
+				_ = cpu.Close()
+			}
+			return nil, nil, err
+		}
+		jsonl = trace.NewJSONL(traceFile)
+		sink = jsonl
+	}
+	return sink, func() error {
+		var errs []error
+		if jsonl != nil {
+			errs = append(errs, jsonl.Flush(), traceFile.Close())
+		}
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if rf.memPath != "" {
+			errs = append(errs, writeHeapProfile(rf.memPath))
+		}
+		return errors.Join(errs...)
+	}, nil
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // settle the heap so the snapshot reflects live objects
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		_ = f.Close()
+		return err
+	}
+	return f.Close()
 }

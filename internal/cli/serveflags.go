@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"byzex/internal/core"
@@ -17,22 +16,15 @@ import (
 )
 
 // ServeFlags is the serving flag surface shared by baserve and baload's
-// selfhost mode: the instance template (protocol, n, t, adversary, faults,
-// scheme, seed), the substrate (-transport, -link-delay), the
-// pipeline knobs (-shards, -queue, -batch and the adaptive window,
-// -linger), and the ops plane (-metrics-addr, -trace, -trace-ring). The two
-// binaries previously declared overlapping subsets of these by hand and had
-// started to drift (baload's selfhost silently lacked -linger, -link-delay
-// and -faults defaults matched only by accident); RegisterServeFlags
-// declares each flag exactly once, so the surfaces cannot diverge again.
+// selfhost mode: the instance template (RegisterTemplateFlags), the
+// substrate (-transport, -link-delay), the pipeline knobs (-shards, -queue,
+// -batch and the adaptive window, -linger), the ops plane (-metrics-addr,
+// -trace, -trace-ring), durability and the wire version. RegisterServeFlags
+// declares each flag exactly once, so the two surfaces cannot diverge.
 type ServeFlags struct {
-	// Template flags (see Template).
-	Protocol  *string
-	Adversary *string
-	Scheme    *string
-	Faults    *string
-	N, T, S   *int
-	Seed      *int64
+	// The template flags, parsed in place: sf.Protocol, sf.Seed, ... and
+	// sf.Resolve() read them.
+	*Template
 
 	// Substrate flags.
 	Transport *string
@@ -66,15 +58,7 @@ type ServeFlags struct {
 // the bound values. Command-specific flags (-addr, -c, -rate, ...) stay with
 // their command.
 func RegisterServeFlags(fs *flag.FlagSet) *ServeFlags {
-	sf := &ServeFlags{}
-	sf.Protocol = fs.String("protocol", "alg1", "protocol: "+strings.Join(ProtocolNames(), "|"))
-	sf.N = fs.Int("n", 0, "number of processors (default 2t+1)")
-	sf.T = fs.Int("t", 2, "fault bound")
-	sf.S = fs.Int("s", 0, "set/tree size parameter for alg3/alg5 (default t)")
-	sf.Adversary = fs.String("adversary", "none", "adversary: "+strings.Join(AdversaryNames(), "|"))
-	sf.Faults = fs.String("faults", "", `fault-injection spec applied to every instance, e.g. "crash=1@2" (see internal/faultnet)`)
-	sf.Scheme = fs.String("scheme", "hmac", "signature scheme: hmac|ed25519|plain")
-	sf.Seed = fs.Int64("seed", 1, "base seed; instance i runs with seed+i")
+	sf := &ServeFlags{Template: RegisterTemplateFlags(fs, "alg1")}
 
 	sf.Transport = fs.String("transport", "memory", "substrate per instance: memory|tcp (one warm localhost mesh per shard, reused across instances)")
 	sf.LinkDelay = fs.Duration("link-delay", 0, "with -transport tcp: modeled one-way link latency per phase")
@@ -98,14 +82,6 @@ func RegisterServeFlags(fs *flag.FlagSet) *ServeFlags {
 
 	sf.WireVersion = fs.Int("wire-version", 0, "with -transport tcp: frame version to emit (0 = current; receivers accept the whole compatibility window)")
 	return sf
-}
-
-// Template packs the template flags for Resolve.
-func (sf *ServeFlags) Template() Template {
-	return Template{
-		Protocol: *sf.Protocol, Adversary: *sf.Adversary, Scheme: *sf.Scheme,
-		Faults: *sf.Faults, N: *sf.N, T: *sf.T, S: *sf.S, Seed: *sf.Seed,
-	}
 }
 
 // ServiceConfig turns the pipeline and substrate flags into a service

@@ -1,19 +1,22 @@
-// Template resolution shared by the serving commands: baserve and baload
-// both describe an instance template with the same set of string flags
-// (protocol, adversary, scheme, fault spec) and numeric parameters; Resolve
-// turns one such description into a ready core.Config exactly once, so the
-// server and the load generator's -verify mode cannot drift apart in how
-// they interpret the flags.
+// The instance template: basim, baserve and baload describe a run with the
+// same eight flags (protocol, n, t, s, adversary, fault spec, scheme,
+// seed). RegisterTemplateFlags declares them once and Resolve turns the
+// description into a ready core.Config once, so the simulator, the server
+// and the load generator's -verify mode cannot drift apart in how they
+// spell or interpret the flags.
 
 package cli
 
 import (
+	"flag"
+	"strings"
+
 	"byzex/internal/core"
 	"byzex/internal/ident"
 )
 
 // Template is the flag-level description of a per-instance run
-// configuration, as accepted by baserve and baload.
+// configuration, as accepted by basim, baserve and baload.
 type Template struct {
 	// Protocol, Adversary, Scheme name the registry entries (see Protocol,
 	// Adversary, Scheme); Faults is a faultnet spec string (empty = none).
@@ -28,6 +31,32 @@ type Template struct {
 	Seed int64
 }
 
+// RegisterTemplateFlags declares the eight template flags on fs and returns
+// the Template they are parsed into. Only the default protocol differs
+// between commands.
+func RegisterTemplateFlags(fs *flag.FlagSet, defaultProtocol string) *Template {
+	tp := &Template{}
+	fs.StringVar(&tp.Protocol, "protocol", defaultProtocol, "protocol: "+strings.Join(ProtocolNames(), "|"))
+	fs.IntVar(&tp.N, "n", 0, "number of processors (default 2t+1)")
+	fs.IntVar(&tp.T, "t", 2, "fault bound")
+	fs.IntVar(&tp.S, "s", 0, "set/tree size parameter for alg3/alg5 (default t)")
+	fs.StringVar(&tp.Adversary, "adversary", "none", "adversary: "+strings.Join(AdversaryNames(), "|"))
+	fs.StringVar(&tp.Faults, "faults", "", `fault-injection spec applied to every run, e.g. "crash=1@2;drop=0->2@1-3" (see internal/faultnet)`)
+	fs.StringVar(&tp.Scheme, "scheme", "hmac", "signature scheme: hmac|ed25519|plain")
+	fs.Int64Var(&tp.Seed, "seed", 1, "base seed; served instance i runs with seed+i")
+	return tp
+}
+
+// Params resolves the numeric defaults (N = 2T+1 when zero; S is defaulted
+// by Protocol) into the Params the registry lookups take.
+func (tp Template) Params() Params {
+	n := tp.N
+	if n == 0 {
+		n = 2*tp.T + 1
+	}
+	return Params{N: n, T: tp.T, S: tp.S, Seed: tp.Seed}
+}
+
 // Resolve builds the core.Config template. When a fault plan is present and
 // no adversary is configured, the plan's affected processors become the
 // faulty set (FaultyOverride), matching how the scenario tests budget
@@ -35,11 +64,8 @@ type Template struct {
 // a non-empty explanation the caller should surface (instances may stall
 // rather than decide).
 func (tp Template) Resolve() (cfg core.Config, warn string, err error) {
-	n := tp.N
-	if n == 0 {
-		n = 2*tp.T + 1
-	}
-	params := Params{N: n, T: tp.T, S: tp.S, Seed: tp.Seed}
+	params := tp.Params()
+	n := params.N
 	proto, err := Protocol(tp.Protocol, params)
 	if err != nil {
 		return core.Config{}, "", err

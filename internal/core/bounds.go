@@ -21,13 +21,8 @@ func MsgLowerBoundUnauth(n, t int) int { return SigLowerBound(n, t) }
 // faults has a history in which the correct processors send at least
 // max{(n-1)/2, (1+t/2)^2} messages.
 func MsgLowerBound(n, t int) int {
-	a := (n - 1) / 2
 	half := 1 + float64(t)/2
-	b := int(half * half)
-	if a > b {
-		return a
-	}
-	return b
+	return max((n-1)/2, int(half*half))
 }
 
 // Alg1MsgUpperBound is Theorem 3: Algorithm 1 (n = 2t+1) sends at most

@@ -21,6 +21,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	mrand "math/rand"
+	"slices"
 
 	"byzex/internal/adversary"
 	"byzex/internal/faultnet"
@@ -104,26 +106,37 @@ func (r *Result) Decision(transmitter ident.ProcID, transmitterValue ident.Value
 
 // CheckDecisions verifies both Byzantine Agreement conditions over a raw
 // decision map and returns the common decision. It is the single agreement
-// judge shared by the in-memory engine, the TCP transport and the
-// experiment sweeps: condition (i) is always checked; condition (ii) only
-// when the transmitter is outside the faulty set.
+// judge shared by both substrates, the experiment sweeps and the adversary
+// search: condition (i) is always checked; condition (ii) only when the
+// transmitter is outside the faulty set, and its ErrValidity still carries
+// the value the correct processors agreed on, for callers that judge
+// unanimity only. Processors are judged in ascending id order, so the one an
+// error names does not depend on map iteration.
 func CheckDecisions(decisions map[ident.ProcID]sim.Decision, faulty ident.Set, transmitter ident.ProcID, transmitterValue ident.Value) (ident.Value, error) {
 	var (
+		ids     []ident.ProcID // nil, nothing allocated, while the keys are 0..len-1 as both substrates fill them
 		got     ident.Value
 		haveAny bool
 	)
-	for id, d := range decisions {
-		if faulty.Has(id) {
-			continue
+	for i := 0; i < len(decisions); i++ {
+		id := ident.ProcID(i)
+		if ids != nil {
+			id = ids[i]
 		}
-		if !d.Decided {
+		d, ok := decisions[id]
+		switch {
+		case !ok: // keyed some other way: start over on the sorted keys
+			for k := range decisions {
+				ids = append(ids, k)
+			}
+			slices.Sort(ids)
+			i, haveAny = -1, false
+		case faulty.Has(id):
+		case !d.Decided:
 			return 0, fmt.Errorf("%w: %v", ErrNoDecision, id)
-		}
-		if !haveAny {
+		case !haveAny:
 			got, haveAny = d.Value, true
-			continue
-		}
-		if d.Value != got {
+		case d.Value != got:
 			return 0, fmt.Errorf("%w: %v vs %v", ErrDisagreement, d.Value, got)
 		}
 	}
@@ -131,7 +144,7 @@ func CheckDecisions(decisions map[ident.ProcID]sim.Decision, faulty ident.Set, t
 		return 0, fmt.Errorf("%w: no correct processors", ErrNoDecision)
 	}
 	if !faulty.Has(transmitter) && got != transmitterValue {
-		return 0, fmt.Errorf("%w: decided %v, transmitter sent %v", ErrValidity, got, transmitterValue)
+		return got, fmt.Errorf("%w: decided %v, transmitter sent %v", ErrValidity, got, transmitterValue)
 	}
 	return got, nil
 }
@@ -141,9 +154,6 @@ func CheckDecisions(decisions map[ident.ProcID]sim.Decision, faulty ident.Set, t
 // both execution substrates — Run hands the nodes to the in-memory engine,
 // transport.RunCluster hands them to TCP peers.
 type Setup struct {
-	// Scheme is the resolved signature scheme (defaulted when Config left
-	// it nil).
-	Scheme sig.Scheme
 	// Verifier is the per-run verified-prefix cache every node verifies
 	// through. It is safe for concurrent use, so the TCP transport shares
 	// it across peer goroutines just as the engine shares it across nodes.
@@ -184,11 +194,8 @@ func NewSetup(cfg Config) (*Setup, error) {
 	if cfg.FaultyOverride != nil {
 		faulty = cfg.FaultyOverride.Clone()
 	} else if cfg.Adversary != nil {
-		st, err := adversary.NewState(make(ident.Set), scheme, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		faulty = cfg.Adversary.Corrupt(cfg.N, cfg.T, cfg.Transmitter, st.Rng)
+		// The same stream adversary.NewState seeds the strategy's Rng with.
+		faulty = cfg.Adversary.Corrupt(cfg.N, cfg.T, cfg.Transmitter, mrand.New(mrand.NewSource(cfg.Seed)))
 	}
 	if cfg.Adversary != nil {
 		st, err := adversary.NewState(faulty, scheme, cfg.Seed)
@@ -234,7 +241,7 @@ func NewSetup(cfg Config) (*Setup, error) {
 			return nil, fmt.Errorf("core: building node %v: %w", id, err)
 		}
 	}
-	return &Setup{Scheme: scheme, Verifier: verifier, Faulty: faulty, Phases: phases, Nodes: nodes}, nil
+	return &Setup{Verifier: verifier, Faulty: faulty, Phases: phases, Nodes: nodes}, nil
 }
 
 // ResolveTrace returns the sink a run should emit to: the explicitly
@@ -309,8 +316,5 @@ func RunAndCheck(ctx context.Context, cfg Config) (*Result, ident.Value, error) 
 		return nil, 0, err
 	}
 	v, err := res.Decision(cfg.Transmitter, cfg.Value)
-	if err != nil {
-		return res, 0, err
-	}
-	return res, v, nil
+	return res, v, err
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"byzex/internal/adversary"
@@ -11,6 +12,7 @@ import (
 	"byzex/internal/protocols/alg1"
 	"byzex/internal/protocols/dolevstrong"
 	"byzex/internal/sig"
+	"byzex/internal/sim"
 )
 
 var bg = context.Background()
@@ -53,29 +55,51 @@ func TestNoRecordByDefault(t *testing.T) {
 	}
 }
 
+// TestDecisionErrors pins the shared judge: the error kinds, that the
+// processor an error names is the lowest-id offender however the map
+// iterates or is keyed, that ErrValidity still carries the common value,
+// and that the dense keying both substrates produce is judged without
+// allocating.
 func TestDecisionErrors(t *testing.T) {
-	// Manufacture results and check the classification.
-	res := &core.Result{
-		Sim:    nil,
-		Faulty: ident.NewSet(),
+	dec := func(vals ...int) map[ident.ProcID]sim.Decision {
+		out := make(map[ident.ProcID]sim.Decision)
+		for id, v := range vals {
+			out[ident.ProcID(id)] = sim.Decision{Value: ident.Value(v), Decided: v >= 0}
+		}
+		return out
 	}
-	_ = res
-	// Validity violation: run a protocol that ignores the transmitter by
-	// corrupting everyone's view — simplest is checking the error kinds
-	// returned by a real disagreement, which the lowerbound tests already
-	// exercise. Here check ErrNoDecision via an undecided faulty-free run
-	// is impossible for our protocols, so check sentinel wrapping only.
-	if !errors.Is(errWrap(core.ErrDisagreement), core.ErrDisagreement) {
-		t.Fatal("sentinel wrapping broken")
+	sparse := map[ident.ProcID]sim.Decision{
+		40: {Value: 1, Decided: true}, 7: {Value: 1, Decided: true}, 23: {}, 9: {},
+	}
+	for _, tc := range []struct {
+		name      string
+		decisions map[ident.ProcID]sim.Decision
+		faulty    ident.Set
+		want      error
+		wantMsg   string
+		wantValue ident.Value
+	}{
+		{"agree", dec(1, 1, 1, 1), nil, nil, "", 1},
+		{"faulty outputs ignored", dec(1, 0, -1, 1), ident.NewSet(1, 2), nil, "", 1},
+		{"lowest undecided is named", dec(1, 1, -1, 1, -1, -1), nil, core.ErrNoDecision, "p2", 0},
+		{"disagreement", dec(1, 1, 0), nil, core.ErrDisagreement, "v=0 vs v=1", 0},
+		{"validity keeps the common value", dec(5, 5, 5), nil, core.ErrValidity, "decided v=5", 5},
+		{"faulty transmitter waives validity", dec(1, 0, 0), ident.NewSet(0), nil, "", 0},
+		{"nobody correct", dec(1), ident.NewSet(0), core.ErrNoDecision, "no correct", 0},
+		{"sparse keys are sorted", sparse, nil, core.ErrNoDecision, "p9", 0},
+	} {
+		for range 20 { // map iteration order varies call to call
+			got, err := core.CheckDecisions(tc.decisions, tc.faulty, 0, ident.V1)
+			if !errors.Is(err, tc.want) || (err != nil && !strings.Contains(err.Error(), tc.wantMsg)) || got != tc.wantValue {
+				t.Fatalf("%s: got (%v, %v), want value %v, error %v mentioning %q", tc.name, got, err, tc.wantValue, tc.want, tc.wantMsg)
+			}
+		}
+	}
+	dense := dec(1, 1, 1, 1, 1, 1, 1)
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = core.CheckDecisions(dense, nil, 0, ident.V1) }); allocs != 0 {
+		t.Fatalf("judging a densely keyed map allocates %.0f times", allocs)
 	}
 }
-
-func errWrap(err error) error { return &wrapped{err} }
-
-type wrapped struct{ inner error }
-
-func (w *wrapped) Error() string { return "wrap: " + w.inner.Error() }
-func (w *wrapped) Unwrap() error { return w.inner }
 
 func TestFaultyOverrideWins(t *testing.T) {
 	want := ident.NewSet(3)

@@ -82,26 +82,12 @@ func sweep[T any](ctx context.Context, n int, fn func(ctx context.Context, i int
 	return out, err
 }
 
-// jobs runs heterogeneous independent steps on the experiment pool, with
-// the same per-step trace buffering as sweep.
+// jobs runs heterogeneous independent steps as a sweep with one cell per
+// step (same pool, same per-step trace buffering, lowest-index error).
 func jobs(ctx context.Context, fns ...func(ctx context.Context) error) error {
-	sink := traceSink()
-	if sink == nil {
-		return runner.Run(ctx, pool.Load(), fns...)
-	}
-	bufs := make([]*trace.Buffer, len(fns))
-	wrapped := make([]func(ctx context.Context) error, len(fns))
-	for i, fn := range fns {
-		i, fn := i, fn
-		bufs[i] = trace.NewBuffer()
-		wrapped[i] = func(ctx context.Context) error {
-			return fn(trace.NewContext(ctx, bufs[i]))
-		}
-	}
-	err := runner.Run(ctx, pool.Load(), wrapped...)
-	for _, b := range bufs {
-		b.DrainTo(sink)
-	}
+	_, err := sweep(ctx, len(fns), func(ctx context.Context, i int) (struct{}, error) {
+		return struct{}{}, fns[i](ctx)
+	})
 	return err
 }
 
@@ -222,7 +208,7 @@ func worstCase(ctx context.Context, p protocol.Protocol, n, t int, seed int64) (
 		if runErr != nil {
 			return 0, 0, 0, fmt.Errorf("%s under %s: %w", p.Name(), sc.name, runErr)
 		}
-		if agErr := checkAgreementOnly(res, sc.value); agErr != nil {
+		if _, agErr := res.Decision(0, sc.value); agErr != nil {
 			return 0, 0, 0, fmt.Errorf("%s under %s: %w", p.Name(), sc.name, agErr)
 		}
 		if m := res.Sim.Report.MessagesCorrect; m > msgs {
@@ -236,9 +222,34 @@ func worstCase(ctx context.Context, p protocol.Protocol, n, t int, seed int64) (
 	return msgs, sigs, phases, nil
 }
 
-// checkAgreementOnly verifies condition (i), and condition (ii) when the
-// transmitter is correct, through the shared judge in core.
-func checkAgreementOnly(res *core.Result, txValue ident.Value) error {
-	_, err := core.CheckDecisions(res.Sim.Decisions, res.Faulty, 0, txValue)
-	return err
+// all lists every experiment in order; entry i is experiment "E<i+1>".
+var all = []func(context.Context) (*Table, error){
+	E1Alg1, E2Alg2, E3Alg3, E4Alg4, E5Alg5,
+	E6Theorem1, E7Unauth, E8Theorem2, E9Tradeoff, E10Baselines, E11Ablations, E12MessageSize, E13Alg5Breakdown, E14Scaling,
+}
+
+// ByID resolves an experiment id ("E1".."E14", any case) against the list
+// All walks.
+func ByID(id string) (func(context.Context) (*Table, error), bool) {
+	for i, f := range all {
+		if strings.EqualFold(id, fmt.Sprintf("E%d", i+1)) {
+			return f, true
+		}
+	}
+	return nil, false
+}
+
+// All runs every experiment in order.
+func All(ctx context.Context) ([]*Table, error) {
+	out := make([]*Table, 0, len(all))
+	for _, f := range all {
+		tbl, err := f(ctx)
+		if tbl != nil {
+			out = append(out, tbl)
+		}
+		if err != nil {
+			return out, err
+		}
+	}
+	return out, nil
 }

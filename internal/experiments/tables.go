@@ -711,7 +711,7 @@ func E13Alg5Breakdown(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if agErr := checkAgreementOnly(res, ident.V1); agErr != nil {
+		if _, agErr := res.Decision(0, ident.V1); agErr != nil {
 			return nil, agErr
 		}
 		out := make(map[string]int)
@@ -828,23 +828,4 @@ func E14Scaling(ctx context.Context) (*Table, error) {
 		tbl.Violate("alg3 per-processor cost grew with n (%f -> %f)", firstRatioA3, lastRatioA3)
 	}
 	return tbl, tbl.Err()
-}
-
-// All runs every experiment in order.
-func All(ctx context.Context) ([]*Table, error) {
-	funcs := []func(context.Context) (*Table, error){
-		E1Alg1, E2Alg2, E3Alg3, E4Alg4, E5Alg5,
-		E6Theorem1, E7Unauth, E8Theorem2, E9Tradeoff, E10Baselines, E11Ablations, E12MessageSize, E13Alg5Breakdown, E14Scaling,
-	}
-	out := make([]*Table, 0, len(funcs))
-	for _, f := range funcs {
-		tbl, err := f(ctx)
-		if tbl != nil {
-			out = append(out, tbl)
-		}
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
 }

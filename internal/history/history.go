@@ -219,12 +219,6 @@ func MinAP(hists ...*History) (ident.ProcID, ident.Set, error) {
 	return best, bestSet, nil
 }
 
-// SignatureExchanges counts, over the history, the total number of
-// (message, signer) incidences from correct senders — the quantity summed in
-// the proof of Theorem 1. It equals Signatures() when chains have distinct
-// signers.
-func (h *History) SignatureExchanges() int { return h.Signatures() }
-
 // Recorder captures an engine run as a History. It implements sim.Observer.
 type Recorder struct {
 	hist *History

@@ -40,7 +40,6 @@ type Core struct {
 	verifier sig.Verifier
 
 	got1    bool
-	got1At  int // relative phase at which the first correct 1-message arrived
 	best    sig.SignedValue
 	relayed bool
 }
@@ -181,7 +180,6 @@ func (c *Core) Step(ctx *sim.Context, inbox []sim.Envelope, phase int) error {
 		for _, env := range inbox {
 			if sv, ok := c.isCorrect1Message(env.Payload, env.From, phase-1); ok {
 				c.got1 = true
-				c.got1At = phase - 1
 				c.best = sv
 				break
 			}
@@ -219,19 +217,6 @@ func (c *Core) Decide() (ident.Value, bool) {
 func (c *Core) Committed() ident.Value {
 	v, _ := c.Decide()
 	return v
-}
-
-// Evidence returns the correct 1-message that triggered the decision, when
-// the decision is 1 and this member is not the transmitter.
-func (c *Core) Evidence() (sig.SignedValue, bool) { return c.best, c.got1 }
-
-// ReceivedAt returns the relative phase at which the first correct
-// 1-message arrived (0 when none did).
-func (c *Core) ReceivedAt() int {
-	if !c.got1 {
-		return 0
-	}
-	return c.got1At
 }
 
 // ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ import (
 
 // Test helpers shared by the white-box tests.
 
-func plainSchemeForTest(n int) sig.Scheme { return sig.NewPlain(n) }
-
 func configFor(id ident.ProcID, n, t int, signer sig.Signer, scheme sig.Scheme) protocol.NodeConfig {
 	return protocol.NodeConfig{
 		ID: id, N: n, T: t, Transmitter: 0,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"byzex/internal/ident"
+	"byzex/internal/sig"
 )
 
 func TestPathKeyRoundTrip(t *testing.T) {
@@ -60,7 +61,7 @@ func TestValidPath(t *testing.T) {
 
 func TestResolveMajority(t *testing.T) {
 	// Build a node with a hand-crafted EIG tree: n=4, t=1, me=1.
-	scheme := plainSchemeForTest(4)
+	scheme := sig.NewPlain(4)
 	signer, _ := scheme.Signer(1)
 	nd := &node{
 		cfg: configFor(1, 4, 1, signer, scheme),
@@ -82,7 +83,7 @@ func TestResolveMajority(t *testing.T) {
 }
 
 func TestResolveEmptyTreeDefaults(t *testing.T) {
-	scheme := plainSchemeForTest(4)
+	scheme := sig.NewPlain(4)
 	signer, _ := scheme.Signer(2)
 	nd := &node{cfg: configFor(2, 4, 1, signer, scheme), tree: map[string]ident.Value{}}
 	if v, ok := nd.Decide(); !ok || v != ident.V0 {

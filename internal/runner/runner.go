@@ -107,13 +107,3 @@ func Map[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context
 	}
 	return out, nil
 }
-
-// Run executes heterogeneous independent jobs on the pool and returns the
-// lowest-index error, mirroring Map's semantics for sweeps whose steps do
-// not share a result type.
-func Run(ctx context.Context, p *Pool, jobs ...func(ctx context.Context) error) error {
-	_, err := Map(ctx, p, len(jobs), func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, jobs[i](ctx)
-	})
-	return err
-}

@@ -32,6 +32,10 @@ func TestMapOrdering(t *testing.T) {
 			}
 		}
 	}
+	// The empty sweep (experiments.jobs with no steps) is no work, no error.
+	if got, err := runner.Map(ctx, runner.New(2), 0, func(context.Context, int) (int, error) { panic("called") }); err != nil || len(got) != 0 {
+		t.Fatalf("empty Map: %v, %v", got, err)
+	}
 }
 
 // TestMapLowestIndexError: when several jobs fail, the reported error is the
@@ -143,28 +147,5 @@ func TestNewDefaults(t *testing.T) {
 	}
 	if w := runner.New(7).Workers(); w != 7 {
 		t.Fatalf("New(7).Workers() = %d, want 7", w)
-	}
-}
-
-// TestRun: the heterogeneous-job wrapper shares Map's semantics.
-func TestRun(t *testing.T) {
-	var a, b int
-	err := runner.Run(context.Background(), runner.New(2),
-		func(ctx context.Context) error { a = 1; return nil },
-		func(ctx context.Context) error { b = 2; return nil },
-	)
-	if err != nil || a != 1 || b != 2 {
-		t.Fatalf("err=%v a=%d b=%d", err, a, b)
-	}
-	boom := errors.New("boom")
-	err = runner.Run(context.Background(), runner.New(2),
-		func(ctx context.Context) error { return nil },
-		func(ctx context.Context) error { return boom },
-	)
-	if !errors.Is(err, boom) {
-		t.Fatalf("got %v, want boom", err)
-	}
-	if err := runner.Run(context.Background(), runner.New(2)); err != nil {
-		t.Fatalf("empty Run: %v", err)
 	}
 }

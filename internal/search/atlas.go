@@ -17,75 +17,21 @@ import (
 // the search unbroken.
 var ErrGate = errors.New("search: gap gate violated")
 
-// Target is one atlas row's subject: a registry protocol at the small
-// (n, t) the conformance suites pin down, with its signature scheme and
-// agreement class.
+// Target is one atlas row's subject: a registry entry — by default at its
+// canonical conformance size, scheme and class; baattack overrides N and T
+// for a single-protocol search — plus the alg3/alg5 threshold knob.
 type Target struct {
-	Name string
-	// N, T size the system; S is the alg3/alg5 threshold knob (0 = default
-	// to T, as everywhere in the cli).
-	N, T, S int
-	// Scheme is the cli scheme name ("hmac" or "plain"). Plain targets are
-	// unauthenticated: the signatures objective is skipped for them (their
-	// Theorem 1 analogue is Corollary 1, which is about messages).
-	Scheme string
-	Class  Class
+	cli.Entry
+	// S is the alg3/alg5 threshold (0 = default to T, as everywhere in the
+	// cli).
+	S int
 }
 
 // Authenticated reports whether the target's runs carry real signatures.
+// Plain targets are unauthenticated: the signatures objective is skipped
+// for them (their Theorem 1 analogue is Corollary 1, which is about
+// messages).
 func (t Target) Authenticated() bool { return t.Scheme != "plain" }
-
-// ClassOf classifies a registry protocol by name: the Algorithm 4
-// information-exchange building blocks promise unanimity only, the strawmen
-// are negative controls, everything else is full Byzantine Agreement.
-func ClassOf(name string) Class {
-	switch {
-	case strings.HasPrefix(name, "strawman-"):
-		return ClassStrawman
-	case name == "alg4" || name == "alg4-relay":
-		return ClassExchange
-	default:
-		return ClassAgreement
-	}
-}
-
-// Targets returns the atlas registry: all 14 protocols at the same small
-// configurations the fault-scenario conformance tests use, in name order.
-func Targets() []Target {
-	names := []struct {
-		name string
-		n, t int
-	}{
-		{"alg1", 5, 2},
-		{"alg1-multi", 5, 2},
-		{"alg2", 5, 2},
-		{"alg3", 12, 2},
-		{"alg4", 16, 2},
-		{"alg4-relay", 9, 2},
-		{"alg5", 20, 2},
-		{"alg5-nopow", 20, 2},
-		{"dolev-strong", 6, 2},
-		{"ic", 5, 1},
-		{"lsp", 7, 2},
-		{"phase-king", 9, 2},
-		{"strawman-broadcast", 5, 1},
-		{"strawman-thinrelay", 8, 2},
-	}
-	out := make([]Target, 0, len(names))
-	for _, e := range names {
-		out = append(out, Target{Name: e.name, N: e.n, T: e.t, Scheme: SchemeFor(e.name), Class: ClassOf(e.name)})
-	}
-	return out
-}
-
-// SchemeFor returns a registry protocol's canonical scheme name: plain for
-// the unauthenticated protocols, hmac for everything else.
-func SchemeFor(name string) string {
-	if name == "lsp" || name == "phase-king" {
-		return "plain"
-	}
-	return "hmac"
-}
 
 // AtlasConfig parameterizes a registry-wide search sweep.
 type AtlasConfig struct {
@@ -133,9 +79,14 @@ func (r Row) GapRatio() float64 {
 	return float64(r.Best) / float64(r.Bound)
 }
 
-// RunAtlas sweeps the full target registry — see RunTargets.
+// RunAtlas sweeps every cli.Registry row at its canonical size — see
+// RunTargets.
 func RunAtlas(ctx context.Context, cfg AtlasConfig) ([]Row, error) {
-	return RunTargets(ctx, Targets(), cfg)
+	targets := make([]Target, len(cli.Registry()))
+	for i, e := range cli.Registry() {
+		targets[i] = Target{Entry: e}
+	}
+	return RunTargets(ctx, targets, cfg)
 }
 
 // RunTargets searches every (target, objective) pair and returns one row
@@ -198,7 +149,7 @@ func buildRow(tgt Target, obj Objective, res *Result) Row {
 		Evals:     res.Evals,
 		Skipped:   res.Skipped,
 	}
-	if tgt.Class != ClassExchange {
+	if tgt.Class != cli.ClassExchange {
 		if obj == ObjSignatures {
 			row.Bound = core.SigLowerBound(tgt.N, tgt.T)
 		} else {
@@ -226,7 +177,7 @@ func CheckRows(rows []Row) error {
 	for _, r := range rows {
 		id := fmt.Sprintf("%s/%s", r.Target.Name, r.Objective)
 		switch r.Target.Class {
-		case ClassAgreement:
+		case cli.ClassAgreement:
 			if r.Violations > 0 {
 				return fmt.Errorf("%w: %s: %d agreement violations from in-budget candidates (first: %s)",
 					ErrGate, id, r.Violations, r.ViolationSample)
@@ -238,12 +189,12 @@ func CheckRows(rows []Row) error {
 				return fmt.Errorf("%w: %s: best-found %d below bound %d (candidate: %s)",
 					ErrGate, id, r.Best, r.Bound, r.BestCand.Provenance())
 			}
-		case ClassExchange:
+		case cli.ClassExchange:
 			if r.Violations > 0 {
 				return fmt.Errorf("%w: %s: %d unanimity violations (first: %s)",
 					ErrGate, id, r.Violations, r.ViolationSample)
 			}
-		case ClassStrawman:
+		case cli.ClassStrawman:
 			if r.Violations == 0 {
 				return fmt.Errorf("%w: %s: search found no violation in %d evals — the strawman's defect went undetected",
 					ErrGate, id, r.Evals)
@@ -269,7 +220,7 @@ func RenderRows(rows []Row) string {
 			best = fmt.Sprintf("%d", r.Best)
 		}
 		detail := r.BestCand.Provenance()
-		if r.Target.Class == ClassStrawman && r.ViolationSample != "" {
+		if r.Target.Class == cli.ClassStrawman && r.ViolationSample != "" {
 			detail = "BROKEN " + r.ViolationSample
 		}
 		fmt.Fprintf(&b, "%-18s %-9s %5s %3d %3d %8d %8s %8s %6s %6d  %s\n",

@@ -2,14 +2,14 @@ package search
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	mrand "math/rand"
-	"sort"
 
+	"byzex/internal/cli"
 	"byzex/internal/core"
 	"byzex/internal/faultnet"
 	"byzex/internal/ident"
-	"byzex/internal/sim"
 	"byzex/internal/trace"
 )
 
@@ -44,37 +44,6 @@ func ParseObjective(s string) (Objective, error) {
 		return ObjMessages, nil
 	default:
 		return 0, fmt.Errorf("search: unknown objective %q (known: sigs, msgs)", s)
-	}
-}
-
-// Class tells the evaluator what a protocol promises, which decides both
-// feasibility and what counts as a violation.
-type Class uint8
-
-// Protocol classes.
-const (
-	// ClassAgreement: full Byzantine Agreement — conditions (i) and (ii)
-	// must hold for every in-budget candidate; any judge failure is a
-	// violation and (for the gate) a bug.
-	ClassAgreement Class = iota
-	// ClassExchange: the Algorithm 4 information-exchange building blocks.
-	// They decide a constant, so only unanimity of correct processors is
-	// judged; the theorem bounds do not apply.
-	ClassExchange
-	// ClassStrawman: deliberately weakened protocols kept as negative
-	// controls. Violations are the expected find, not a bug.
-	ClassStrawman
-)
-
-// String implements fmt.Stringer.
-func (c Class) String() string {
-	switch c {
-	case ClassAgreement:
-		return "agreement"
-	case ClassExchange:
-		return "exchange"
-	default:
-		return "strawman"
 	}
 }
 
@@ -172,7 +141,12 @@ func (ev *evaluator) evaluate(ctx context.Context, cand Candidate) (Eval, error)
 		if err != nil {
 			return out, fmt.Errorf("search: candidate %s value %v: %w", cand.Key(), v, err)
 		}
-		decided, verr := judgeDecisions(res.Sim.Decisions, res.Faulty, ev.transmitter, v, cfg.Class)
+		// The exchange class promises unanimity only, so the shared judge's
+		// condition (ii) verdict does not count against it.
+		decided, verr := res.Decision(ev.transmitter, v)
+		if cfg.Class == cli.ClassExchange && errors.Is(verr, core.ErrValidity) {
+			verr = nil
+		}
 		if verr != nil {
 			if out.Violation == nil {
 				out.Violation = verr
@@ -193,7 +167,7 @@ func (ev *evaluator) evaluate(ctx context.Context, cand Candidate) (Eval, error)
 		// protocols condition (ii) delivers that exactly when the
 		// transmitter is correct; exchange protocols decide a constant, so
 		// the value requirement is waived.
-		if cfg.Class != ClassExchange && (res.Faulty.Has(ev.transmitter) || (verr == nil && decided != v)) {
+		if cfg.Class != cli.ClassExchange && (res.Faulty.Has(ev.transmitter) || (verr == nil && decided != v)) {
 			feasible = false
 		}
 	}
@@ -203,44 +177,4 @@ func (ev *evaluator) evaluate(ctx context.Context, cand Candidate) (Eval, error)
 		out.Cost = out.CostG
 	}
 	return out, nil
-}
-
-// judgeDecisions is the search's agreement judge. It mirrors
-// core.CheckDecisions — condition (i) always, condition (ii) only when the
-// transmitter is correct, unanimity only for the exchange class — but
-// iterates processors in id order so its error strings are deterministic:
-// atlas output must be byte-identical run to run, and a map-order judge
-// would leak iteration order into the violation sample it archives.
-func judgeDecisions(decisions map[ident.ProcID]sim.Decision, faulty ident.Set, transmitter ident.ProcID, transmitterValue ident.Value, class Class) (ident.Value, error) {
-	ids := make([]ident.ProcID, 0, len(decisions))
-	for id := range decisions {
-		if !faulty.Has(id) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var (
-		got     ident.Value
-		haveAny bool
-	)
-	for _, id := range ids {
-		d := decisions[id]
-		if !d.Decided {
-			return 0, fmt.Errorf("%w: %v", core.ErrNoDecision, id)
-		}
-		if !haveAny {
-			got, haveAny = d.Value, true
-			continue
-		}
-		if d.Value != got {
-			return 0, fmt.Errorf("%w: %v vs %v", core.ErrDisagreement, d.Value, got)
-		}
-	}
-	if !haveAny {
-		return 0, fmt.Errorf("%w: no correct processors", core.ErrNoDecision)
-	}
-	if class != ClassExchange && !faulty.Has(transmitter) && got != transmitterValue {
-		return 0, fmt.Errorf("%w: decided %v, transmitter sent %v", core.ErrValidity, got, transmitterValue)
-	}
-	return got, nil
 }

@@ -31,6 +31,7 @@ import (
 	"math"
 	mrand "math/rand"
 
+	"byzex/internal/cli"
 	"byzex/internal/faultnet"
 	"byzex/internal/protocol"
 	"byzex/internal/runner"
@@ -51,7 +52,7 @@ type Config struct {
 	// whole search keeps costs comparable between candidates.
 	Scheme sig.Scheme
 	// Class selects the agreement promise candidates are judged against.
-	Class Class
+	Class cli.Class
 	// Objective is the minimized cost.
 	Objective Objective
 	// Budget caps candidate evaluations (each is two protocol runs).

@@ -11,19 +11,19 @@ import (
 	"byzex/internal/trace"
 )
 
-func mustProtocol(t *testing.T, name string, n, tt int) Config {
+// mustProtocol is a search config for the named registry row at its
+// canonical size.
+func mustProtocol(t *testing.T, name string) Config {
 	t.Helper()
-	params := cli.Params{N: n, T: tt, Seed: 7}
-	proto, err := cli.Protocol(name, params)
+	e, err := cli.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := cli.Protocol(name, cli.Params{N: e.N, T: e.T, Seed: 7})
 	if err != nil {
 		t.Fatalf("protocol %q: %v", name, err)
 	}
-	return Config{
-		Protocol: proto,
-		N:        n,
-		T:        tt,
-		Class:    ClassOf(name),
-	}
+	return Config{Protocol: proto, N: e.N, T: e.T, Class: e.Class}
 }
 
 // TestSearchDeterministic pins the determinism contract: the same seed must
@@ -31,7 +31,7 @@ func mustProtocol(t *testing.T, name string, n, tt int) Config {
 // parallelism level.
 func TestSearchDeterministic(t *testing.T) {
 	run := func(workers int) (*Result, []trace.Event) {
-		cfg := mustProtocol(t, "alg1", 5, 2)
+		cfg := mustProtocol(t, "alg1")
 		cfg.Objective = ObjMessages
 		cfg.Budget = 40
 		cfg.Seed = 42
@@ -70,7 +70,7 @@ func TestSearchDeterministic(t *testing.T) {
 // TestSearchBaselineFeasible checks the anchor of the whole construction:
 // the fault-free candidate is feasible and costs what an honest run costs.
 func TestSearchBaselineFeasible(t *testing.T) {
-	cfg := mustProtocol(t, "alg2", 5, 2)
+	cfg := mustProtocol(t, "alg2")
 	cfg.Objective = ObjSignatures
 	cfg.Budget = 5
 	cfg.Seed = 3
@@ -98,15 +98,22 @@ func TestAtlasGate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("atlas: %v", err)
 	}
-	wantRows := 0
-	for _, tgt := range Targets() {
-		wantRows += 2
-		if !tgt.Authenticated() {
-			wantRows--
+	// The rows cover exactly the registry: in its order, a messages row per
+	// protocol and a signatures row before it for the authenticated ones.
+	i := 0
+	for _, e := range cli.Registry() {
+		for _, obj := range []Objective{ObjSignatures, ObjMessages} {
+			if obj == ObjSignatures && e.Scheme == "plain" {
+				continue
+			}
+			if i >= len(rows) || rows[i].Target.Name != e.Name || rows[i].Objective != obj {
+				t.Fatalf("row %d is not %s/%s:\n%s", i, e.Name, obj, RenderRows(rows))
+			}
+			i++
 		}
 	}
-	if len(rows) != wantRows {
-		t.Fatalf("got %d rows, want %d", len(rows), wantRows)
+	if i != len(rows) {
+		t.Fatalf("%d rows beyond the registry's %d", len(rows)-i, i)
 	}
 	if err := CheckRows(rows); err != nil {
 		t.Fatalf("gate: %v\n%s", err, RenderRows(rows))
@@ -118,17 +125,14 @@ func TestAtlasGate(t *testing.T) {
 // budget must suffice for the search to break both strawmen, and CheckRows
 // must refuse a strawman row without a violation.
 func TestSearchFindsStrawmanViolations(t *testing.T) {
-	for _, name := range []string{"strawman-broadcast", "strawman-thinrelay"} {
-		tgt := Target{}
-		for _, cand := range Targets() {
-			if cand.Name == name {
-				tgt = cand
-			}
+	strawmen := 0
+	for _, e := range cli.Registry() {
+		if e.Class != cli.ClassStrawman {
+			continue
 		}
-		if tgt.Name == "" {
-			t.Fatalf("target %q not in registry", name)
-		}
-		cfg := mustProtocol(t, name, tgt.N, tgt.T)
+		strawmen++
+		name := e.Name
+		cfg := mustProtocol(t, name)
 		cfg.Objective = ObjMessages
 		cfg.Budget = 20
 		cfg.Seed = 9
@@ -144,7 +148,11 @@ func TestSearchFindsStrawmanViolations(t *testing.T) {
 		t.Logf("%s broken by %s: %v", name, v.Cand.Provenance(), v.Violation)
 	}
 
-	row := Row{Target: Target{Name: "strawman-broadcast", Class: ClassStrawman}, Objective: ObjMessages}
+	if strawmen == 0 {
+		t.Fatal("the registry has no strawman row: the search lost its negative controls")
+	}
+
+	row := Row{Target: Target{Entry: cli.Entry{Name: "strawman-broadcast", Class: cli.ClassStrawman}}, Objective: ObjMessages}
 	if err := CheckRows([]Row{row}); !errors.Is(err, ErrGate) {
 		t.Errorf("CheckRows accepted a strawman row without violations: %v", err)
 	}

@@ -11,53 +11,20 @@ import (
 )
 
 // TestTraceMatchesReportEveryProtocol is the acceptance gate for the tracing
-// layer: for every protocol in the registry (cli.Protocols), the per-phase
+// layer: for every protocol in the registry (cli.Registry), the per-phase
 // message/signature attribution recovered from the trace must equal the
 // counters metrics.Collector accumulated during the same run — under a
 // fault-free run, a silent coalition, and a rushing split-brain where the
 // fault bound allows one.
 func TestTraceMatchesReportEveryProtocol(t *testing.T) {
-	configs := map[string]struct {
-		n, t  int
-		plain bool
-	}{
-		"alg1":               {5, 2, false},
-		"alg1-multi":         {5, 2, false},
-		"alg2":               {5, 2, false},
-		"alg3":               {12, 2, false},
-		"alg4":               {16, 2, false},
-		"alg4-relay":         {9, 2, false},
-		"alg5":               {20, 2, false},
-		"alg5-nopow":         {20, 2, false},
-		"ic":                 {5, 1, false},
-		"dolev-strong":       {6, 2, false},
-		"lsp":                {7, 2, true},
-		"phase-king":         {9, 2, true},
-		"strawman-broadcast": {5, 1, false},
-		"strawman-thinrelay": {8, 2, false},
-	}
-	protos, err := cli.Protocols(cli.Params{N: 8, T: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range cli.ProtocolNames() {
-		if _, ok := protos[name]; !ok {
-			t.Fatalf("Protocols() missing %q", name)
-		}
-		cfg, ok := configs[name]
-		if !ok {
-			t.Fatalf("no test config for protocol %q", name)
-		}
-		params := cli.Params{N: cfg.n, T: cfg.t, Seed: 1}
+	for _, e := range cli.Registry() {
+		name := e.Name
+		params := cli.Params{N: e.N, T: e.T, Seed: 1}
 		proto, err := cli.Protocol(name, params)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		schemeName := "hmac"
-		if cfg.plain {
-			schemeName = "plain"
-		}
-		scheme, err := cli.Scheme(schemeName, params)
+		scheme, err := cli.Scheme(e.Scheme, params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +45,7 @@ func TestTraceMatchesReportEveryProtocol(t *testing.T) {
 			}
 			buf := trace.NewBuffer()
 			res, err := core.Run(context.Background(), core.Config{
-				Protocol: proto, N: cfg.n, T: cfg.t, Value: ident.V1,
+				Protocol: proto, N: e.N, T: e.T, Value: ident.V1,
 				Scheme: scheme, Adversary: adv, Seed: 7,
 				Rushing: sc.rushing, Trace: buf,
 			})
@@ -93,8 +60,8 @@ func TestTraceMatchesReportEveryProtocol(t *testing.T) {
 			if sum.Corrupted != res.Faulty.Len() {
 				t.Errorf("%s/%s: %d corrupt events, faulty set has %d", name, sc.scenario, sum.Corrupted, res.Faulty.Len())
 			}
-			if sum.Decided+sum.Undecided != cfg.n {
-				t.Errorf("%s/%s: %d decision events, want %d", name, sc.scenario, sum.Decided+sum.Undecided, cfg.n)
+			if sum.Decided+sum.Undecided != e.N {
+				t.Errorf("%s/%s: %d decision events, want %d", name, sc.scenario, sum.Decided+sum.Undecided, e.N)
 			}
 			if sum.VerifyHits != res.Sim.Report.SigCacheHits || sum.VerifyMisses != res.Sim.Report.SigCacheMisses {
 				t.Errorf("%s/%s: verify events %d/%d, report sigcache %d/%d", name, sc.scenario,

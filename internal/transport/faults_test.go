@@ -3,7 +3,6 @@ package transport_test
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -51,29 +50,17 @@ func checkFaultCounters(t *testing.T, label string, events []trace.Event, want f
 	}
 }
 
-// TestScenarioMatrix is the tentpole acceptance test: every numbered
-// algorithm of the paper, under every fault family, with the plan kept
-// inside the fault budget (Affected ⊆ faulty, |faulty| ≤ t), must still
-// reach agreement and validity; two runs of the same seed must produce
+// TestScenarioMatrix is the fault-injection acceptance test: every registry
+// protocol that promises something (strawmen do not) and whose canonical
+// size has the t ≥ 2 the scenarios spend, under every fault family, with the
+// plan kept inside the fault budget (Affected ⊆ faulty, |faulty| ≤ t), must
+// still reach agreement and validity (unanimity only for the exchange
+// class); two runs of the same seed must produce
 // identical decisions and byte-identical traces; and the fault-* counters
 // recovered from the trace must equal the plan's own accounting — on both
 // substrates, whose decisions must also agree with each other.
 func TestScenarioMatrix(t *testing.T) {
 	const seed = 42
-	algs := []struct {
-		name string
-		n, t int
-		// exchange marks algorithms that are mutual-exchange primitives
-		// rather than full agreement protocols (alg4 decides a constant);
-		// unanimity and determinism are still asserted, validity is not.
-		exchange bool
-	}{
-		{name: "alg1", n: 5, t: 2},
-		{name: "alg2", n: 5, t: 2},
-		{name: "alg3", n: 12, t: 2},
-		{name: "alg4", n: 16, t: 2, exchange: true},
-		{name: "alg5", n: 20, t: 2},
-	}
 	scenarios := []struct {
 		name, spec string
 	}{
@@ -82,26 +69,34 @@ func TestScenarioMatrix(t *testing.T) {
 		{"partition", "partition=1,2|3,4@2"},
 		{"delay-reorder", "delay=1->*@1-2+1;reorder=2->*@*"},
 	}
-	for _, alg := range algs {
-		proto, err := cli.Protocol(alg.name, cli.Params{N: alg.n, T: alg.t, Seed: seed})
+	for _, e := range cli.Registry() {
+		if e.T < 2 || e.Class == cli.ClassStrawman {
+			continue // scenarios fault two processors; strawmen promise nothing
+		}
+		params := cli.Params{N: e.N, T: e.T, Seed: seed}
+		proto, err := cli.Protocol(e.Name, params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		phases := proto.Phases(alg.n, alg.t)
+		scheme, err := cli.Scheme(e.Scheme, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phases := proto.Phases(e.N, e.T)
 		for _, sc := range scenarios {
-			t.Run(alg.name+"/"+sc.name, func(t *testing.T) {
+			t.Run(e.Name+"/"+sc.name, func(t *testing.T) {
 				plan := faultnet.MustParse(sc.spec, seed)
-				if err := plan.CheckBudget(alg.n, alg.t); err != nil {
+				if err := plan.CheckBudget(e.N, e.T); err != nil {
 					t.Fatalf("scenario not in budget: %v", err)
 				}
 				cfg := core.Config{
-					Protocol: proto, N: alg.n, T: alg.t, Value: ident.V1,
-					FaultyOverride: plan.Affected(alg.n), Seed: seed, Faults: plan,
+					Protocol: proto, N: e.N, T: e.T, Value: ident.V1, Scheme: scheme,
+					FaultyOverride: plan.Affected(e.N), Seed: seed, Faults: plan,
 				}
-				want := plan.ExpectedCounters(alg.n, phases)
+				want := plan.ExpectedCounters(e.N, phases)
 
 				res1, buf1 := runTCP(t, cfg)
-				checkAgreement(t, res1, ident.V1, alg.exchange)
+				checkAgreement(t, res1, ident.V1, e.Class == cli.ClassExchange)
 				checkFaultCounters(t, "tcp", buf1.Events(), want)
 
 				// Same seed, second run: byte-identical trace and decisions.
@@ -141,49 +136,23 @@ func TestScenarioMatrix(t *testing.T) {
 // still reach agreement and validity; determinism across same-seed reruns is
 // required of all of them, strawmen included.
 func TestCrashAtPhaseK(t *testing.T) {
-	configs := map[string]struct {
-		n, t   int
-		scheme string
-		// exchange: mutual-exchange primitive (constant Decide) — assert
-		// unanimity and determinism but not validity.
-		exchange bool
-	}{
-		"alg1":               {n: 5, t: 2, scheme: "hmac"},
-		"alg1-multi":         {n: 5, t: 2, scheme: "hmac"},
-		"alg2":               {n: 5, t: 2, scheme: "hmac"},
-		"alg3":               {n: 12, t: 2, scheme: "hmac"},
-		"alg4":               {n: 16, t: 2, scheme: "hmac", exchange: true},
-		"alg4-relay":         {n: 9, t: 2, scheme: "hmac", exchange: true},
-		"alg5":               {n: 20, t: 2, scheme: "hmac"},
-		"alg5-nopow":         {n: 20, t: 2, scheme: "hmac"},
-		"ic":                 {n: 5, t: 1, scheme: "hmac"},
-		"dolev-strong":       {n: 6, t: 2, scheme: "hmac"},
-		"lsp":                {n: 7, t: 2, scheme: "plain"},
-		"phase-king":         {n: 9, t: 2, scheme: "plain"},
-		"strawman-broadcast": {n: 5, t: 1, scheme: "hmac"},
-		"strawman-thinrelay": {n: 8, t: 2, scheme: "hmac"},
-	}
-	for _, name := range cli.ProtocolNames() {
-		cfg, ok := configs[name]
-		if !ok {
-			t.Fatalf("no crash-test config for protocol %q", name)
-		}
-		t.Run(name, func(t *testing.T) {
-			params := cli.Params{N: cfg.n, T: cfg.t, Seed: 9}
-			proto, err := cli.Protocol(name, params)
+	for _, e := range cli.Registry() {
+		t.Run(e.Name, func(t *testing.T) {
+			params := cli.Params{N: e.N, T: e.T, Seed: 9}
+			proto, err := cli.Protocol(e.Name, params)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scheme, err := cli.Scheme(cfg.scheme, params)
+			scheme, err := cli.Scheme(e.Scheme, params)
 			if err != nil {
 				t.Fatal(err)
 			}
-			victim := ident.ProcID(cfg.n - 1)
+			victim := ident.ProcID(e.N - 1)
 			plan := faultnet.MustCompile(faultnet.Spec{Rules: []faultnet.Rule{
 				{Kind: faultnet.KCrash, Proc: victim, AtPhase: 2},
 			}}, 9)
 			runCfg := core.Config{
-				Protocol: proto, N: cfg.n, T: cfg.t, Value: ident.V1, Scheme: scheme,
+				Protocol: proto, N: e.N, T: e.T, Value: ident.V1, Scheme: scheme,
 				FaultyOverride: ident.NewSet(victim), Seed: 9, Faults: plan,
 			}
 			res1, _ := runTCP(t, runCfg)
@@ -193,8 +162,8 @@ func TestCrashAtPhaseK(t *testing.T) {
 					t.Errorf("same-seed reruns diverge at %v", id)
 				}
 			}
-			if !strings.HasPrefix(name, "strawman") {
-				checkAgreement(t, res1, ident.V1, cfg.exchange)
+			if e.Class != cli.ClassStrawman {
+				checkAgreement(t, res1, ident.V1, e.Class == cli.ClassExchange)
 			}
 		})
 	}
