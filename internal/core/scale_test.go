@@ -46,6 +46,19 @@ func TestScaleLarge(t *testing.T) {
 			},
 			bound: func(n, tt int) int { return core.Alg5MsgUpperBound(n, tt, tt) },
 		},
+		{
+			// Theorem 7's regime, n ≫ t²: four times the largest benchmark
+			// grid cell, an ordinary run now that set-up is linear in n.
+			name: "alg5-n4096-t3",
+			n:    4096, t: 3,
+			run: func(n, tt int) (*core.Result, error) {
+				res, _, err := core.RunAndCheck(context.Background(), core.Config{
+					Protocol: alg5.Protocol{S: tt}, N: n, T: tt, Value: ident.V1, Seed: 1,
+				})
+				return res, err
+			},
+			bound: func(n, tt int) int { return core.Alg5MsgUpperBound(n, tt, tt) },
+		},
 	}
 	// The fleet-size runs are independent and slow; execute them on the
 	// pool, then assert serially.
@@ -58,8 +71,15 @@ func TestScaleLarge(t *testing.T) {
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			res := results[i]
-			if got, bound := res.Sim.Report.MessagesCorrect, tc.bound(tc.n, tc.t); got > bound {
+			rep := res.Sim.Report
+			if got, bound := rep.MessagesCorrect, tc.bound(tc.n, tc.t); got > bound {
 				t.Fatalf("%d messages > bound %d", got, bound)
+			}
+			if got, bound := rep.MessagesCorrect, core.MsgLowerBound(tc.n, tc.t); got < bound {
+				t.Fatalf("%d messages < Theorem 2 bound %d", got, bound)
+			}
+			if got, bound := rep.SignaturesCorrect, core.SigLowerBound(tc.n, tc.t); got < bound {
+				t.Fatalf("%d signatures < Theorem 1 bound %d", got, bound)
 			}
 			t.Logf("%s: %s", tc.name, res.Sim.Report.String())
 		})

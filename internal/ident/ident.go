@@ -10,7 +10,7 @@ package ident
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ProcID identifies a processor in the system. IDs are dense and start at 0.
@@ -85,7 +85,7 @@ func (s Set) Sorted() []ProcID {
 	for id := range s {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -10,6 +10,7 @@ package protocol
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"byzex/internal/ident"
 	"byzex/internal/sig"
@@ -125,14 +126,19 @@ func SendToAll(ctx *sim.Context, to []ident.ProcID, payload []byte, chains ...si
 	return nil
 }
 
+// summarize returns the distinct signers of the chains in ascending order
+// and the total number of links.
 func summarize(chains []sig.Chain) ([]ident.ProcID, int) {
 	total := 0
-	set := make(ident.Set)
 	for _, c := range chains {
 		total += len(c)
+	}
+	signers := make([]ident.ProcID, 0, total)
+	for _, c := range chains {
 		for _, l := range c {
-			set.Add(l.Signer)
+			signers = append(signers, l.Signer)
 		}
 	}
-	return set.Sorted(), total
+	slices.Sort(signers)
+	return slices.Compact(signers), total
 }

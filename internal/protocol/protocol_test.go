@@ -106,3 +106,41 @@ func TestSendHelpersAccounting(t *testing.T) {
 		t.Fatal("chainless accounting wrong")
 	}
 }
+
+// TestSendHelpersSignersSortedAndCheap pins the shape of Envelope.Signers —
+// ascending, duplicate-free, whatever order and multiplicity the chains have —
+// and that deriving it costs one allocation (the list itself), not a map and
+// a reflection-driven sort.
+func TestSendHelpersSignersSortedAndCheap(t *testing.T) {
+	scheme := sig.NewHMAC(8, 1)
+	body := sig.ValueBody(ident.V1)
+	var chain sig.Chain
+	for _, id := range []ident.ProcID{5, 2, 7, 2, 0} {
+		s, _ := scheme.Signer(id)
+		chain = sig.Append(s, body, chain)
+	}
+
+	var last sim.Envelope
+	ctx := sim.NewContext(1, 8, 2, 0, 1, 3, func(e sim.Envelope) { last = e })
+	if err := protocol.SendToAll(ctx, []ident.ProcID{3, 4}, []byte("x"), chain, chain[:2]); err != nil {
+		t.Fatal(err)
+	}
+	want := []ident.ProcID{0, 2, 5, 7}
+	if last.SigTotal != 7 || len(last.Signers) != len(want) {
+		t.Fatalf("accounting %d/%v, want 7/%v", last.SigTotal, last.Signers, want)
+	}
+	for i := range want {
+		if last.Signers[i] != want[i] {
+			t.Fatalf("signers %v, want %v", last.Signers, want)
+		}
+	}
+
+	payload := []byte("x")
+	if n := testing.AllocsPerRun(100, func() {
+		if err := protocol.Send(ctx, 3, payload, chain); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("Send allocates %v times, want at most 1 (the signer list)", n)
+	}
+}

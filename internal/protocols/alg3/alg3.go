@@ -65,28 +65,26 @@ func (p Protocol) Check(n, t int) error {
 // Phases implements protocol.Protocol: t + 2s + 3.
 func (p Protocol) Phases(_, t int) int { return t + 2*p.S + 3 }
 
-// layout computes the deterministic partition of the system.
+// layout is the deterministic partition of the system: the actives are ids
+// 0..2t and passive set k is the id range [2t+1+k·s, 2t+1+(k+1)·s) cut off
+// at n, its first id the root. Nothing in it is proportional to n, so every
+// node builds its own.
 type layout struct {
 	n, t, s int
 	actives []ident.ProcID // ids 0..2t
-	sets    [][]ident.ProcID
 }
 
 func newLayout(n, t, s int) layout {
-	l := layout{n: n, t: t, s: s, actives: ident.Range(2*t + 1)}
-	passive := make([]ident.ProcID, 0, n-(2*t+1))
-	for id := 2*t + 1; id < n; id++ {
-		passive = append(passive, ident.ProcID(id))
-	}
-	for len(passive) > 0 {
-		k := s
-		if k > len(passive) {
-			k = len(passive)
-		}
-		l.sets = append(l.sets, passive[:k])
-		passive = passive[k:]
-	}
-	return l
+	return layout{n: n, t: t, s: s, actives: ident.Range(2*t + 1)}
+}
+
+// sets returns the number of passive sets, ⌈(n-(2t+1))/s⌉.
+func (l layout) sets() int { return (l.n - (2*l.t + 1) + l.s - 1) / l.s }
+
+// set returns passive set k as an id range: its root and its size.
+func (l layout) set(k int) (root ident.ProcID, size int) {
+	first := 2*l.t + 1 + k*l.s
+	return ident.ProcID(first), min(l.s, l.n-first)
 }
 
 // locate returns (setIdx, memberIdx) for a passive id; memberIdx 0 is the
@@ -175,8 +173,9 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		a.committed, a.hasCommitted = a.inner.Committed(), true
 		sv := sig.NewSignedValue(a.cfg.Signer, a.committed)
 		payload := encodeTagged(tagActiveValue, sv)
-		for _, set := range a.l.sets {
-			if err := protocol.Send(ctx, set[0], payload, sv.Chain); err != nil {
+		for k := 0; k < a.l.sets(); k++ {
+			root, _ := a.l.set(k)
+			if err := protocol.Send(ctx, root, payload, sv.Chain); err != nil {
 				return err
 			}
 		}
@@ -199,18 +198,18 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		}
 		sv := sig.NewSignedValue(a.cfg.Signer, a.committed)
 		payload := encodeTagged(tagActiveValue, sv)
-		for setIdx, set := range a.l.sets {
+		for setIdx := 0; setIdx < a.l.sets(); setIdx++ {
+			root, size := a.l.set(setIdx)
 			covered := make(ident.Set)
-			members := ident.NewSet(set[1:]...)
 			if rep, ok := reports[setIdx]; ok && rep.Value == a.committed &&
 				rep.Chain.Verify(a.cfg.Verifier, sig.ValueBody(rep.Value)) == nil {
-				for _, signer := range rep.Chain.Signers() {
-					if members.Has(signer) {
-						covered.Add(signer)
+				for _, l := range rep.Chain {
+					if l.Signer > root && l.Signer < root+ident.ProcID(size) {
+						covered.Add(l.Signer)
 					}
 				}
 			}
-			for _, member := range set[1:] {
+			for member := root + 1; member < root+ident.ProcID(size); member++ {
 				if covered.Has(member) {
 					continue
 				}
@@ -240,7 +239,12 @@ type rootNode struct {
 
 var _ sim.Node = (*rootNode)(nil)
 
-func (r *rootNode) set() []ident.ProcID { return r.l.sets[r.setIdx] }
+// member returns the id at index i of this root's set and whether the
+// (possibly short) set has one.
+func (r *rootNode) member(i int) (ident.ProcID, bool) {
+	root, size := r.l.set(r.setIdx)
+	return root + ident.ProcID(i), i < size
+}
 
 func (r *rootNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	t, s := r.cfg.T, r.l.s
@@ -276,7 +280,7 @@ func (r *rootNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	case phase > t+4 && phase <= t+2*s+2 && (phase-t)%2 == 0:
 		// Phase t+2j+2: process c(j)'s reply (sent during t+2j+1).
 		if r.haveM && r.pending > 0 {
-			expect := r.set()[r.pending]
+			expect, _ := r.member(r.pending)
 			for _, env := range inbox {
 				if env.From != expect {
 					continue
@@ -305,10 +309,9 @@ func (r *rootNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		switch {
 		case phase >= t+4 && phase <= t+2*s && phase%2 == t%2:
 			// phase = t+2j  =>  j = (phase-t)/2, target member c(j) for
-			// j = 2..s maps to set()[j-1].
+			// j = 2..s maps to member(j-1).
 			j := (phase - t) / 2
-			if j >= 2 && j-1 < len(r.set()) {
-				target := r.set()[j-1]
+			if target, ok := r.member(j - 1); j >= 2 && ok {
 				payload := encodeTagged(tagChainDown, r.m)
 				if err := protocol.Send(ctx, target, payload, r.m.Chain); err != nil {
 					return err
@@ -350,7 +353,7 @@ type memberNode struct {
 
 var _ sim.Node = (*memberNode)(nil)
 
-func (mn *memberNode) root() ident.ProcID { return mn.l.sets[mn.setIdx][0] }
+func (mn *memberNode) root() ident.ProcID { root, _ := mn.l.set(mn.setIdx); return root }
 
 func (mn *memberNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	t, s := mn.cfg.T, mn.l.s
@@ -417,13 +420,8 @@ func (mn *memberNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 // members with positions strictly between the root and us, cryptographically
 // valid over the value.
 func (mn *memberNode) validDown(sv sig.SignedValue) bool {
-	set := mn.l.sets[mn.setIdx]
-	allowed := make(ident.Set)
-	for i := 1; i < mn.memberIdx; i++ {
-		allowed.Add(set[i])
-	}
 	for _, l := range sv.Chain {
-		if !allowed.Has(l.Signer) {
+		if l.Signer <= mn.root() || l.Signer >= mn.cfg.ID {
 			return false
 		}
 	}

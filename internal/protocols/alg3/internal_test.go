@@ -11,15 +11,17 @@ func TestLayoutPartition(t *testing.T) {
 	if len(l.actives) != 7 {
 		t.Fatalf("actives %d", len(l.actives))
 	}
-	if len(l.sets) != 7 { // 26 passives / 4 = 6 full + 1 of 2
-		t.Fatalf("sets %d", len(l.sets))
+	if l.sets() != 7 { // 26 passives / 4 = 6 full + 1 of 2
+		t.Fatalf("sets %d", l.sets())
 	}
-	if len(l.sets[6]) != 2 {
-		t.Fatalf("last set %d", len(l.sets[6]))
+	if _, size := l.set(6); size != 2 {
+		t.Fatalf("last set %d", size)
 	}
 	// Roots are the first member of each set.
-	if l.sets[0][0] != 7 || l.sets[1][0] != 11 {
-		t.Fatalf("roots %v %v", l.sets[0][0], l.sets[1][0])
+	r0, _ := l.set(0)
+	r1, _ := l.set(1)
+	if r0 != 7 || r1 != 11 {
+		t.Fatalf("roots %v %v", r0, r1)
 	}
 }
 
@@ -49,8 +51,10 @@ func TestLocateCoversEveryPassive(t *testing.T) {
 	} {
 		l := newLayout(tc.n, tc.t, tc.s)
 		seen := make(ident.Set)
-		for si, set := range l.sets {
-			for mi, id := range set {
+		for si := 0; si < l.sets(); si++ {
+			root, size := l.set(si)
+			for mi := 0; mi < size; mi++ {
+				id := root + ident.ProcID(mi)
 				gs, gm, ok := l.locate(id)
 				if !ok || gs != si || gm != mi {
 					t.Fatalf("n=%d: locate(%v) = (%d,%d,%v), want (%d,%d)", tc.n, id, gs, gm, ok, si, mi)

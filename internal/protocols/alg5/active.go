@@ -101,7 +101,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			if a.ly.mode == modeFull {
 				targets = a.ly.actives[2*t+1:]
 			} else {
-				targets = a.ly.passives
+				targets = a.ly.passives()
 			}
 			payload := encodeSV(tagFanout, a.valid)
 			if err := protocol.SendToAll(ctx, targets, payload, a.valid.Chain); err != nil {
@@ -129,7 +129,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		// x ≥ 1) or the final direct copies (block 0).
 		var tbl *piTable
 		if x == a.ly.lambda {
-			a.b = ident.NewSet(a.ly.passives...)
+			a.b = ident.NewSet(a.ly.passives()...)
 			tbl = &piTable{index: x, byProc: make(map[ident.ProcID]ident.Set)}
 		} else {
 			if a.g4 == nil {
@@ -165,14 +165,14 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		}
 		// C(p,x): subtrees with a proof of work; activate their roots. The
 		// DisablePoW ablation activates everything unconditionally.
+		var chains []sig.Chain // reused: Send does not keep it
 		for _, ref := range a.ly.forest.RootsOfDepth(x) {
 			if !a.ly.disablePoW && !a.ly.hasProofOfWork(tbl, ref, x) {
 				continue
 			}
 			strs := a.ly.powStringsFor(tbl, ref)
 			payload := encodeActivate(a.valid, strs)
-			chains := make([]sig.Chain, 0, len(strs)+1)
-			chains = append(chains, a.valid.Chain)
+			chains = append(chains[:0], a.valid.Chain)
 			for _, s := range strs {
 				chains = append(chains, s.Chain)
 			}
@@ -190,16 +190,15 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			if !ok || !a.ly.isValid(sv, a.cfg.Verifier) {
 				continue
 			}
-			for _, signer := range sv.Chain.Signers() {
-				if !a.ly.isActive(signer) {
-					covered.Add(signer)
+			for _, l := range sv.Chain {
+				if !a.ly.isActive(l.Signer) {
+					covered.Add(l.Signer)
 				}
 			}
 		}
-		roots := a.ly.blockRootIDs(x)
 		f := make(ident.Set)
 		for q := range a.b {
-			if !covered.Has(q) && !roots.Has(q) {
+			if !covered.Has(q) && !a.ly.isBlockRoot(q, x) {
 				f.Add(q)
 			}
 		}

@@ -23,6 +23,13 @@
 //   - Block 0 is a final catch-all: actives send the valid message
 //     directly to any processor still in B(p, 0).
 //
+// Set-up is O(t) per processor, so a run costs O(n·t) before its first
+// message and not O(n²): the passive processors are the contiguous id range
+// [α, n), which makes the forest pure index arithmetic (tree.Forest is three
+// integers), and a node's layout holds only the two active lists. Whoever
+// needs the passives spelled out — an active's B(p, λ), the fan-out targets
+// below α — generates the range on the spot.
+//
 // Everybody decides on the value of the first valid message received —
 // faulty processors cannot fabricate one for a wrong value, because any
 // t+1 active signatures include a correct processor's, and correct
@@ -31,6 +38,7 @@ package alg5
 
 import (
 	"fmt"
+	"slices"
 
 	"byzex/internal/ident"
 	"byzex/internal/protocol"
@@ -73,12 +81,10 @@ type layout struct {
 	disablePoW bool
 
 	lambda int // tree depth
-	sCap   int // 2^λ − 1
 
 	coreActives []ident.ProcID // ids 0..2t (run Algorithm 2)
 	actives     []ident.ProcID // ids 0..α-1 (modeFull) or 0..2t otherwise
-	passives    []ident.ProcID
-	forest      *tree.Forest // modeFull only
+	forest      tree.Forest    // the passives len(actives)..n-1, modeFull only
 
 	// blockStart[x] is the first phase of block x (modeFull); blocks run
 	// λ, λ-1, ..., 0. Block x>0 spans 2·Cap(x)+3 phases; block 0 spans 1.
@@ -103,21 +109,14 @@ func newLayout(n, t, s int, disablePoW bool) (layout, error) {
 	case n < ly.alpha:
 		ly.mode = modeFanout
 		ly.actives = ly.coreActives
-		for id := 2*t + 1; id < n; id++ {
-			ly.passives = append(ly.passives, ident.ProcID(id))
-		}
 		ly.lastPhase = 3*t + 4
 		return ly, nil
 	}
 
 	ly.mode = modeFull
 	ly.actives = ident.Range(ly.alpha)
-	for id := ly.alpha; id < n; id++ {
-		ly.passives = append(ly.passives, ident.ProcID(id))
-	}
 	ly.lambda = tree.LambdaFor(s)
-	ly.sCap = tree.Cap(ly.lambda)
-	f, err := tree.NewForest(ly.passives, ly.lambda)
+	f, err := tree.NewForest(ident.ProcID(ly.alpha), n-ly.alpha, ly.lambda)
 	if err != nil {
 		return layout{}, err
 	}
@@ -152,6 +151,10 @@ func (ly *layout) phaseToBlock(phase int) (x, rel int, ok bool) {
 	return 0, 0, false
 }
 
+// passives lists the passive processors, ids len(actives)..n-1, for the one
+// caller per mode that needs them spelled out.
+func (ly *layout) passives() []ident.ProcID { return ident.Range(ly.n)[len(ly.actives):] }
+
 // isCoreActive reports whether id runs Algorithm 2.
 func (ly *layout) isCoreActive(id ident.ProcID) bool { return int(id) < 2*ly.t+1 }
 
@@ -166,19 +169,18 @@ func (ly *layout) threshold() int { return ly.alpha - 2*ly.t }
 // least t+1 distinct signatures of core active processors (plus possibly
 // passive ones), all cryptographically valid.
 func (ly *layout) isValid(sv sig.SignedValue, verifier sig.Verifier) bool {
-	if len(sv.Chain) == 0 {
-		return false
-	}
-	coreSigners := make(ident.Set)
+	// At most t+1 distinct core signers are kept, so a chain of any length is
+	// scanned in O(len·t) and, for t < 16, without allocating.
+	var stack [16]ident.ProcID
+	seen := stack[:0]
 	for _, l := range sv.Chain {
-		if ly.isCoreActive(l.Signer) {
-			coreSigners.Add(l.Signer)
+		if ly.isCoreActive(l.Signer) && !slices.Contains(seen, l.Signer) {
+			if seen = append(seen, l.Signer); len(seen) > ly.t {
+				return sv.Verify(verifier) == nil
+			}
 		}
 	}
-	if coreSigners.Len() < ly.t+1 {
-		return false
-	}
-	return sv.Verify(verifier) == nil
+	return false
 }
 
 // ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ func TestPiTableAndPoW(t *testing.T) {
 func TestPiTableRejectsBadStrings(t *testing.T) {
 	ly := mustLayout(t, 60, 3, 3)
 	scheme := sig.NewHMAC(60, 2)
-	q := ly.passives[0]
+	q := ly.passives()[0]
 
 	s0, _ := scheme.Signer(0)
 	good := sig.NewSignedBytes(s0, stringBody(1, []ident.ProcID{q}))

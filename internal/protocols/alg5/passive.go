@@ -26,14 +26,14 @@ type passiveNode struct {
 	m         sig.SignedValue
 	queue     []ident.ProcID // our subtree's members in BFS order, minus us
 
-	// Member role: one signed reply per block.
-	signedIn map[int]bool
+	// Member role: one signed reply per block, bit x set once block x's is out.
+	signedIn uint64
 }
 
 var _ sim.Node = (*passiveNode)(nil)
 
 func newPassiveNode(cfg protocol.NodeConfig, ly layout) (sim.Node, error) {
-	p := &passiveNode{cfg: cfg, ly: ly, signedIn: make(map[int]bool)}
+	p := &passiveNode{cfg: cfg, ly: ly}
 	if ly.mode == modeFull {
 		ref, ok := ly.forest.Locate(cfg.ID)
 		if !ok {
@@ -165,15 +165,8 @@ func (p *passiveNode) stepMember(ctx *sim.Context, inbox []sim.Envelope, x, rel 
 	// subtree's BFS order (root excluded). We are contacted at rel 2j-1 and
 	// reply at rel 2j.
 	rootRef, _ := p.ly.forest.Locate(rootID)
-	members := p.ly.forest.SubtreeMembers(rootRef)
-	j := 0
-	for i, id := range members[1:] {
-		if id == p.cfg.ID {
-			j = i + 1
-			break
-		}
-	}
-	if j == 0 || rel != 2*j || p.signedIn[x] {
+	j := tree.WalkIndex(rootRef.Pos, p.ref.Pos)
+	if rel != 2*j || p.signedIn&(1<<uint(x)) != 0 {
 		return nil
 	}
 
@@ -190,7 +183,7 @@ func (p *passiveNode) stepMember(ctx *sim.Context, inbox []sim.Envelope, x, rel 
 	if len(got) != 1 || !p.ly.isValid(got[0], p.cfg.Verifier) {
 		return nil
 	}
-	p.signedIn[x] = true
+	p.signedIn |= 1 << uint(x)
 	signed := got[0].CoSign(p.cfg.Signer)
 	if !p.hasValid {
 		p.valid, p.hasValid = got[0], true

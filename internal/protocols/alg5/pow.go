@@ -52,15 +52,20 @@ func (ly *layout) buildPiTable(strings []sig.SignedBytes, index int, verifier si
 // pi returns π(M, q, index): the number of distinct active endorsers of q.
 func (tbl *piTable) pi(q ident.ProcID) int { return tbl.byProc[q].Len() }
 
-// anyAtLeast reports whether any of the given processors reaches the
-// threshold.
-func (tbl *piTable) anyAtLeast(procs []ident.ProcID, thr int) bool {
-	for _, q := range procs {
-		if tbl.pi(q) >= thr {
-			return true
+// anyInSubtree reports whether any member of the subtree rooted at ref
+// reaches the threshold.
+func (ly *layout) anyInSubtree(tbl *piTable, ref tree.Ref, thr int) bool {
+	for d := 0; ; d++ {
+		first, n := ly.forest.SubtreeLevel(ref, d)
+		if n == 0 {
+			return false
+		}
+		for q := first; q < first+ident.ProcID(n); q++ {
+			if tbl.pi(q) >= thr {
+				return true
+			}
 		}
 	}
-	return false
 }
 
 // hasProofOfWork evaluates the paper's proof-of-work predicate for the
@@ -78,25 +83,15 @@ func (ly *layout) hasProofOfWork(tbl *piTable, ref tree.Ref, x int) bool {
 	if tbl.pi(root) >= thr {
 		return true
 	}
-	tr := ly.forest.Trees[ref.Tree]
-	kids := tr.Children(ref.Pos)
-	if len(kids) < 2 {
-		return false
-	}
-	for _, kid := range kids {
-		members := ly.forest.SubtreeMembers(tree.Ref{Tree: ref.Tree, Pos: kid})
-		if !tbl.anyAtLeast(members, thr) {
-			return false
-		}
-	}
-	return true
+	// Both child subtrees (a missing child is an empty one).
+	return ly.anyInSubtree(tbl, tree.Ref{Tree: ref.Tree, Pos: 2*ref.Pos + 1}, thr) &&
+		ly.anyInSubtree(tbl, tree.Ref{Tree: ref.Tree, Pos: 2*ref.Pos + 2}, thr)
 }
 
 // powStringsFor selects, from the verified strings, those relevant to the
 // given subtree (mentioning the root or any member), which is what an
 // active processor attaches to an activation message.
 func (ly *layout) powStringsFor(tbl *piTable, ref tree.Ref) []sig.SignedBytes {
-	members := ident.NewSet(ly.forest.SubtreeMembers(ref)...)
 	var out []sig.SignedBytes
 	for _, sb := range tbl.sources {
 		_, procs, err := parseStringBody(sb.Body)
@@ -104,7 +99,7 @@ func (ly *layout) powStringsFor(tbl *piTable, ref tree.Ref) []sig.SignedBytes {
 			continue
 		}
 		for _, q := range procs {
-			if members.Has(q) {
+			if ly.forest.InSubtree(ref, q) {
 				out = append(out, sb)
 				break
 			}
@@ -113,11 +108,8 @@ func (ly *layout) powStringsFor(tbl *piTable, ref tree.Ref) []sig.SignedBytes {
 	return out
 }
 
-// blockRootIDs returns the processors acting as roots in block x.
-func (ly *layout) blockRootIDs(x int) ident.Set {
-	out := make(ident.Set)
-	for _, ref := range ly.forest.RootsOfDepth(x) {
-		out.Add(ly.forest.At(ref))
-	}
-	return out
+// isBlockRoot reports whether q acts as a subtree root in block x.
+func (ly *layout) isBlockRoot(q ident.ProcID, x int) bool {
+	ref, ok := ly.forest.Locate(q)
+	return ok && tree.Level(ref.Pos) == ly.lambda-x
 }

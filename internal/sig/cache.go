@@ -18,20 +18,38 @@ import (
 // only pays crypto for the links appended since the last time it was seen —
 // O(L) over the chain's lifetime.
 //
-// Soundness. A cache entry is the rolling digest
+// Soundness. The cache entry for the first i links of a chain over body is
 //
-//	k₀ = SHA-256(0x00 ‖ body)
-//	kᵢ = SHA-256(0x01 ‖ kᵢ₋₁ ‖ signerᵢ ‖ len(sigᵢ) ‖ sigᵢ)
+//	kᵢ = SHA-256(0xC5 ‖ uvarint(len body) ‖ body ‖ link₁ ‖ … ‖ linkᵢ)
+//	linkⱼ = varint(signerⱼ) ‖ uvarint(len sigⱼ) ‖ sigⱼ
 //
-// so an entry commits to the body, every signer identity, and every
-// signature's exact bytes — the full signing input of every link in the
-// prefix plus the link's own signature. Tampering with any byte of a cached
-// prefix (a forged or truncated link, a swapped signer, a different body)
-// changes the digest and misses the cache, forcing real cryptographic
-// verification. Equal digests imply (by SHA-256 collision resistance)
-// byte-identical (body, prefix) pairs, for which the verification outcome is
-// identical by determinism of Verify. Only successful verifications are
-// inserted, so the cache can never convert a rejection into an acceptance.
+// one hash of one byte stream, cut after link i. The stream is an injective
+// encoding of (body, prefix): it opens with a domain byte (the rolling digest
+// this replaced hashed streams opening with 0x00 or 0x01), both
+// variable-length fields carry their length in front of them, and the
+// varints are the canonical ones of encoding/binary, so a stream parses
+// back to exactly one body and one sequence of (signer, signature) pairs —
+// no byte can move between the body, a signer and a signature without
+// changing a length in front of it. An entry therefore commits to the body,
+// every signer identity, and every signature's exact bytes — the full signing
+// input of every link in the prefix plus the link's own signature. Tampering
+// with any byte of a cached prefix (a forged or truncated link, a swapped
+// signer, a different body) changes the digest and misses the cache, forcing
+// real cryptographic verification. Equal digests imply (by SHA-256 collision
+// resistance) byte-identical (body, prefix) pairs, for which the verification
+// outcome is identical by determinism of Verify. Only successful
+// verifications are inserted, and a prefix only together with every shorter
+// one, so the cache can never convert a rejection into an acceptance, and a
+// hit on a chain's own key means every link of it verified.
+//
+// Cost. Recognising an L-link chain that already verified hashes its stream
+// once: ⌈(2 + |body| + (2+|sig|)·L + 9)/64⌉ SHA-256 compressions for signer
+// ids below 64 (one byte more per link up to 8191) — about 0.55·L for HMAC's
+// 32-byte tags — and one finalisation, with no allocation. A miss hashes the
+// stream a second time to cut the L−1 shorter keys out of it (a finalisation
+// each; a single-link chain has none and skips the pass), finds the longest
+// verified prefix among them, and pays the wrapped Verifier for the rest; its
+// keys stay on the stack up to stackKeys links.
 //
 // The cache is safe for concurrent use; single-signature Verify calls pass
 // through to the wrapped Verifier uncached (hashing the message would cost
@@ -40,7 +58,7 @@ type CachedVerifier struct {
 	Verifier
 
 	mu       sync.RWMutex
-	verified map[[sha256.Size]byte]struct{}
+	verified map[prefixKey]struct{}
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -57,7 +75,7 @@ var _ Verifier = (*CachedVerifier)(nil)
 func NewCachedVerifier(v Verifier) *CachedVerifier {
 	return &CachedVerifier{
 		Verifier: v,
-		verified: make(map[[sha256.Size]byte]struct{}),
+		verified: make(map[prefixKey]struct{}),
 	}
 }
 
@@ -74,30 +92,48 @@ func (cv *CachedVerifier) Stats() (hits, misses int64) {
 // concurrency the verifier sees (the single-threaded engine needs none).
 func (cv *CachedVerifier) SetTrace(s trace.Sink) { cv.sink = s }
 
-// prefixKeys returns the rolling digest for every prefix length 1..len(c):
-// keys[i] commits to body and links 0..i.
-func prefixKeys(body []byte, c Chain) [][sha256.Size]byte {
-	h := sha256.New()
-	h.Write([]byte{0x00})
-	h.Write(body)
-	var prev [sha256.Size]byte
-	h.Sum(prev[:0])
+// prefixKey is a verified-prefix cache key.
+type prefixKey [sha256.Size]byte
 
-	keys := make([][sha256.Size]byte, len(c))
-	var u32 [4]byte
+// keyDomain is the first byte of every hashed key stream.
+const keyDomain = 0xC5
+
+// stackKeys is the chain length up to which a miss keeps its keys on the
+// stack.
+const stackKeys = 8
+
+// hashPrefixes streams the key encoding of (body, c) through one SHA-256 and
+// returns the key of the whole chain. With a non-nil keys (at least len(c) of
+// them) it also cuts out every prefix's key: keys[i] commits to body and
+// links 0..i.
+// The hash never leaves this function, which is what lets the compiler keep
+// its state on the stack.
+func hashPrefixes(body []byte, c Chain, keys []prefixKey) (full prefixKey) {
+	h := sha256.New()
+	var hdr [1 + 2*binary.MaxVarintLen64]byte
+	hdr[0] = keyDomain
+	h.Write(binary.AppendUvarint(hdr[:1], uint64(len(body))))
+	h.Write(body)
 	for i, l := range c {
-		h.Reset()
-		h.Write([]byte{0x01})
-		h.Write(prev[:])
-		binary.BigEndian.PutUint32(u32[:], uint32(l.Signer))
-		h.Write(u32[:])
-		binary.BigEndian.PutUint32(u32[:], uint32(len(l.Sig)))
-		h.Write(u32[:])
+		h.Write(binary.AppendUvarint(binary.AppendVarint(hdr[:0], int64(l.Signer)), uint64(len(l.Sig))))
 		h.Write(l.Sig)
-		h.Sum(prev[:0])
-		keys[i] = prev
+		if keys != nil {
+			h.Sum(keys[i][:0])
+		}
 	}
-	return keys
+	if keys != nil {
+		return keys[len(c)-1]
+	}
+	h.Sum(full[:0])
+	return full
+}
+
+// has reports whether the prefix with this key verified before.
+func (cv *CachedVerifier) has(k prefixKey) bool {
+	cv.mu.RLock()
+	_, ok := cv.verified[k]
+	cv.mu.RUnlock()
+	return ok
 }
 
 // verifyChain checks c over body, skipping the longest prefix already known
@@ -106,20 +142,33 @@ func (cv *CachedVerifier) verifyChain(c Chain, body []byte) error {
 	if len(c) == 0 {
 		return nil
 	}
-	keys := prefixKeys(body, c)
-
 	// Longest verified prefix. Insertions are monotone (a prefix is only
-	// inserted after all shorter ones), so scanning from the full length
-	// down and stopping at the first hit is exact.
-	start := 0
-	cv.mu.RLock()
-	for i := len(keys); i >= 1; i-- {
-		if _, ok := cv.verified[keys[i-1]]; ok {
-			start = i
-			break
+	// inserted after all shorter ones), so the chain's own key answers for
+	// all of it, and past that scanning from the longest proper prefix down
+	// and stopping at the first hit is exact.
+	var (
+		stack [stackKeys]prefixKey
+		keys  []prefixKey
+		start int
+	)
+	if full := hashPrefixes(body, c, nil); cv.has(full) {
+		start = len(c)
+	} else {
+		if len(c) <= len(stack) {
+			keys = stack[:len(c)]
+		} else {
+			keys = make([]prefixKey, len(c))
+		}
+		keys[len(c)-1] = full
+		if len(c) > 1 {
+			hashPrefixes(body, c[:len(c)-1], keys)
+		}
+		for i := len(c) - 1; i >= 1 && start == 0; i-- {
+			if cv.has(keys[i-1]) {
+				start = i
+			}
 		}
 	}
-	cv.mu.RUnlock()
 	cv.hits.Add(int64(start))
 	if cv.sink != nil && start > 0 {
 		cv.sink.Emit(trace.Event{Kind: trace.KindVerifyHit, From: ident.None, To: ident.None, Sigs: start})

@@ -121,7 +121,8 @@ func (s *HMACScheme) Verify(id ident.ProcID, msg, sigBytes []byte) bool {
 	if int(id) < 0 || int(id) >= len(s.keys) {
 		return false
 	}
-	return hmac.Equal(hmacTag(s.keys[id], id, msg), sigBytes)
+	tag := hmacTag(s.keys[id], id, msg)
+	return hmac.Equal(tag[:], sigBytes)
 }
 
 type hmacSigner struct {
@@ -131,17 +132,32 @@ type hmacSigner struct {
 
 func (h *hmacSigner) ID() ident.ProcID { return h.id }
 
-func (h *hmacSigner) Sign(msg []byte) []byte { return hmacTag(h.key, h.id, msg) }
+func (h *hmacSigner) Sign(msg []byte) []byte { tag := hmacTag(h.key, h.id, msg); return tag[:] }
 
-// hmacTag binds the tag to the signer identity so that two processors that
-// somehow shared a key still could not pass each other's signatures off.
-func hmacTag(key []byte, id ident.ProcID, msg []byte) []byte {
-	mac := hmac.New(sha256.New, key)
-	var idb [4]byte
-	binary.BigEndian.PutUint32(idb[:], uint32(id))
-	mac.Write(idb[:])
-	mac.Write(msg)
-	return mac.Sum(nil)
+// hmacTag is HMAC-SHA256(key, id ‖ msg) for a key of at most one hash block
+// (NewHMAC's are 32 bytes); binding the signer identity into the tag keeps two
+// processors that somehow shared a key from passing each other's signatures
+// off. It is RFC 2104 written out over one stack-held hash, byte for byte
+// crypto/hmac's result without the two hash states and two pads hmac.New
+// allocates per call, and with no state for peer goroutines to share.
+func hmacTag(key []byte, id ident.ProcID, msg []byte) (tag [sha256.Size]byte) {
+	var ipad, opad [sha256.BlockSize]byte
+	copy(ipad[:], key)
+	copy(opad[:], key)
+	for i := range ipad {
+		ipad[i] ^= 0x36
+		opad[i] ^= 0x5c
+	}
+	h := sha256.New()
+	h.Write(ipad[:])
+	h.Write(binary.BigEndian.AppendUint32(tag[:0], uint32(id)))
+	h.Write(msg)
+	h.Sum(tag[:0])
+	h.Reset()
+	h.Write(opad[:])
+	h.Write(tag[:])
+	h.Sum(tag[:0])
+	return tag
 }
 
 // ---------------------------------------------------------------------------

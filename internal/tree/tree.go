@@ -9,6 +9,11 @@
 // containing all of its descendants. A subtree rooted at level k has depth
 // λ-k and at most l(λ-k) = 2^(λ-k) - 1 members. Block x of Algorithm 5
 // processes the depth-x subtrees, i.e. those rooted at level λ-x.
+//
+// Algorithm 5's passive processors are a contiguous id range, so a Forest is
+// three integers, free to build whatever n is, and every query is index
+// arithmetic: position p of tree k holds processor First + k·Cap(λ) + p, and
+// a subtree's BFS walk is one run of consecutive positions per level.
 package tree
 
 import (
@@ -43,129 +48,118 @@ func LambdaFor(s int) int {
 	return lam
 }
 
-// Tree is one binary tree of processors in heap order.
-type Tree struct {
-	Members []ident.ProcID
+// WalkIndex returns the index of pos in the BFS walk of the subtree rooted at
+// its ancestor root (0 for root itself): the Cap(d) positions of the d
+// complete levels between them, then those left of pos on its own level.
+func WalkIndex(root, pos int) int {
+	d := Level(pos) - Level(root)
+	return Cap(d) + pos - ((root+1)<<uint(d) - 1)
 }
 
-// Children returns the existing child positions of pos.
-func (t Tree) Children(pos int) []int {
-	out := make([]int, 0, 2)
-	for _, c := range []int{2*pos + 1, 2*pos + 2} {
-		if c < len(t.Members) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Subtree returns the existing positions of the subtree rooted at pos, in
-// BFS order starting with pos itself.
-func (t Tree) Subtree(pos int) []int {
-	if pos >= len(t.Members) {
-		return nil
-	}
-	out := []int{pos}
-	for i := 0; i < len(out); i++ {
-		out = append(out, t.Children(out[i])...)
-	}
-	return out
-}
-
-// Forest is the partition of a processor list into binary trees.
+// Forest is the partition of the processors First, ..., First+Count-1 (in
+// that order) into binary trees of depth Lambda: every tree holds Cap(Lambda)
+// members except possibly the last.
 type Forest struct {
-	// Lambda is the tree depth; every tree holds at most Cap(Lambda)
-	// members.
+	First  ident.ProcID
+	Count  int
 	Lambda int
-	// Trees holds the trees in partition order.
-	Trees []Tree
-
-	locate map[ident.ProcID]Ref
 }
 
-// NewForest partitions the given processors (in order) into trees of depth
+// NewForest partitions count processors starting at first into trees of depth
 // lambda.
-func NewForest(procs []ident.ProcID, lambda int) (*Forest, error) {
-	if lambda < 1 {
-		return nil, fmt.Errorf("tree: lambda %d < 1", lambda)
+func NewForest(first ident.ProcID, count, lambda int) (Forest, error) {
+	if lambda < 1 || first < 0 || count < 0 {
+		return Forest{}, fmt.Errorf("tree: bad forest first=%v count=%d lambda=%d", first, count, lambda)
 	}
-	f := &Forest{Lambda: lambda, locate: make(map[ident.ProcID]Ref, len(procs))}
-	s := Cap(lambda)
-	for len(procs) > 0 {
-		k := s
-		if k > len(procs) {
-			k = len(procs)
-		}
-		tr := Tree{Members: append([]ident.ProcID(nil), procs[:k]...)}
-		for pos, id := range tr.Members {
-			if _, dup := f.locate[id]; dup {
-				return nil, fmt.Errorf("tree: duplicate processor %v", id)
-			}
-			f.locate[id] = Ref{Tree: len(f.Trees), Pos: pos}
-		}
-		f.Trees = append(f.Trees, tr)
-		procs = procs[k:]
-	}
-	return f, nil
+	return Forest{First: first, Count: count, Lambda: lambda}, nil
 }
 
-// Size returns the total number of processors in the forest.
-func (f *Forest) Size() int { return len(f.locate) }
+// Trees returns the number of trees.
+func (f Forest) Trees() int { return (f.Count + Cap(f.Lambda) - 1) / Cap(f.Lambda) }
+
+// TreeSize returns the number of members of tree ti (0 past the last tree).
+func (f Forest) TreeSize(ti int) int {
+	return max(0, min(Cap(f.Lambda), f.Count-ti*Cap(f.Lambda)))
+}
 
 // Locate returns the position of a processor, if it is in the forest.
-func (f *Forest) Locate(id ident.ProcID) (Ref, bool) {
-	r, ok := f.locate[id]
-	return r, ok
+func (f Forest) Locate(id ident.ProcID) (Ref, bool) {
+	off := int(id) - int(f.First)
+	if off < 0 || off >= f.Count {
+		return Ref{}, false
+	}
+	return Ref{Tree: off / Cap(f.Lambda), Pos: off % Cap(f.Lambda)}, true
 }
 
 // At returns the processor at a position.
-func (f *Forest) At(r Ref) ident.ProcID { return f.Trees[r.Tree].Members[r.Pos] }
+func (f Forest) At(r Ref) ident.ProcID {
+	return f.First + ident.ProcID(r.Tree*Cap(f.Lambda)+r.Pos)
+}
 
 // RootsOfDepth returns the refs of all existing roots of depth-x subtrees,
 // i.e. the positions at level Lambda-x, across all trees.
-func (f *Forest) RootsOfDepth(x int) []Ref {
+func (f Forest) RootsOfDepth(x int) []Ref {
 	if x < 1 || x > f.Lambda {
 		return nil
 	}
-	level := f.Lambda - x
-	lo, hi := Cap(level), Cap(level+1) // positions at `level` are [2^level-1, 2^(level+1)-1)
-	var out []Ref
-	for ti, tr := range f.Trees {
-		for pos := lo; pos < hi && pos < len(tr.Members); pos++ {
+	lo, hi := Cap(f.Lambda-x), Cap(f.Lambda-x+1) // the positions at level Lambda-x
+	out := make([]Ref, 0, f.Trees()*(hi-lo))
+	for ti := 0; ti < f.Trees(); ti++ {
+		for pos := lo; pos < min(hi, f.TreeSize(ti)); pos++ {
 			out = append(out, Ref{Tree: ti, Pos: pos})
 		}
 	}
 	return out
 }
 
+// SubtreeLevel returns the members of the subtree rooted at r that sit d
+// levels below r: n consecutive ids from first, n = 0 once the subtree is
+// exhausted. d = 0, 1, ... is its BFS order, walked without allocating.
+func (f Forest) SubtreeLevel(r Ref, d int) (first ident.ProcID, n int) {
+	lo := (r.Pos+1)<<uint(d) - 1
+	hi := min(lo+1<<uint(d), f.TreeSize(r.Tree))
+	if r.Pos < 0 || lo >= hi {
+		return 0, 0
+	}
+	return f.At(Ref{Tree: r.Tree, Pos: lo}), hi - lo
+}
+
 // SubtreeMembers returns the processors of the subtree rooted at r, in BFS
 // order starting with the root.
-func (f *Forest) SubtreeMembers(r Ref) []ident.ProcID {
-	tr := f.Trees[r.Tree]
-	ps := tr.Subtree(r.Pos)
-	out := make([]ident.ProcID, len(ps))
-	for i, p := range ps {
-		out[i] = tr.Members[p]
+func (f Forest) SubtreeMembers(r Ref) []ident.ProcID {
+	var out []ident.ProcID
+	for d := 0; ; d++ {
+		first, n := f.SubtreeLevel(r, d)
+		if n == 0 {
+			return out
+		}
+		if out == nil { // every member sits at or after r.Pos, within r's depth
+			out = make([]ident.ProcID, 0, min(Cap(f.Lambda-Level(r.Pos)), f.TreeSize(r.Tree)-r.Pos))
+		}
+		for i := 0; i < n; i++ {
+			out = append(out, first+ident.ProcID(i))
+		}
 	}
-	return out
+}
+
+// InSubtree reports whether q is a member of the subtree rooted at r.
+func (f Forest) InSubtree(r Ref, q ident.ProcID) bool {
+	qr, ok := f.Locate(q)
+	for ok && qr.Pos > r.Pos {
+		qr.Pos = (qr.Pos - 1) / 2
+	}
+	return ok && qr == r
 }
 
 // BlockRoot returns the processor acting as q's root during block x: q's
-// ancestor at level Lambda-x (which may be q itself when q sits exactly at
-// that level). ok is false if q is above the block level (its subtree was
-// processed in an earlier block).
-func (f *Forest) BlockRoot(q ident.ProcID, x int) (ident.ProcID, bool) {
-	r, ok := f.locate[q]
-	if !ok {
+// ancestor at level Lambda-x (q itself when it sits exactly there). ok is
+// false if q is above that level (its subtree went in an earlier block).
+func (f Forest) BlockRoot(q ident.ProcID, x int) (ident.ProcID, bool) {
+	r, ok := f.Locate(q)
+	up := Level(r.Pos) - (f.Lambda - x)
+	if !ok || up < 0 || x > f.Lambda {
 		return ident.None, false
 	}
-	level := f.Lambda - x
-	pos := r.Pos
-	for Level(pos) > level {
-		pos = (pos - 1) / 2
-	}
-	if Level(pos) != level {
-		return ident.None, false
-	}
-	return f.Trees[r.Tree].Members[pos], true
+	r.Pos = (r.Pos+1)>>uint(up) - 1 // the ancestor `up` levels above
+	return f.At(r), true
 }
