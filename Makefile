@@ -22,6 +22,10 @@
 #                      gap-to-bound atlas; SEARCH_BUDGET=n sets the budget
 #                      (make check uses a short one)
 #   make fuzz        - run every fuzz target on a short fixed budget
+#   make ab REV=<rev> WORKLOAD=<name> [PAIRS=10]
+#                    - alternating parent/candidate ledger runs of this
+#                      checkout against REV (scripts/ab.sh): quartiles, pair
+#                      wins and PASS/FAIL per end-to-end metric
 #   make loc         - non-test Go lines outside bench/, per package and in
 #                      total (the number CHANGES.md and the ROADMAP's
 #                      subtraction target are stated in)
@@ -29,7 +33,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check lint test bench search baexp trace-smoke faults slo crash upgrade fuzz loc
+.PHONY: check lint test bench ab search baexp trace-smoke faults slo crash upgrade fuzz loc
 
 check: lint faults
 	$(GO) build ./...
@@ -91,6 +95,11 @@ test:
 bench:
 	bash bench/run.sh
 
+# The A/B protocol every performance claim in CHANGES.md is stated in.
+PAIRS ?= 10
+ab:
+	bash scripts/ab.sh $(REV) $(WORKLOAD) $(PAIRS)
+
 baexp:
 	$(GO) run ./cmd/baexp
 
@@ -128,9 +137,10 @@ trace-smoke:
 	/tmp/batrace /tmp/byzex-smoke-tcp.jsonl
 
 # Non-test Go lines outside bench/: one row per package directory, then the
-# total — the same count CHANGES.md has reported since PR 14.
+# total — the same count CHANGES.md has reported since PR 14. Dot directories
+# (.bench_build holds whole parent trees after `make ab`) are not the repo's.
 loc:
-	@for d in $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -exec dirname {} \; | sort -u); do \
+	@for d in $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.*' -exec dirname {} \; | sort -u); do \
 		printf '%6d %s\n' "$$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" "$$d"; \
 	done
-	@printf '%6d total\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@printf '%6d total\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.*' | xargs cat | wc -l)"

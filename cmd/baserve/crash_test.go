@@ -167,11 +167,11 @@ func TestServeCrashRecovery(t *testing.T) {
 	if replayedStr != strconv.Itoa(len(rec.Pending)) {
 		t.Fatalf("recovery banner replayed=%s, journal had %d pending", replayedStr, len(rec.Pending))
 	}
+	addr2 := waitForBanner(t, stdoutPath, `listening on (\S+)`) // both banners are out before the order is judged
 	out, _ := os.ReadFile(stdoutPath)
 	if strings.Index(string(out), "journal:") > strings.Index(string(out), "listening on") {
 		t.Fatalf("listener opened before recovery finished:\n%s", out)
 	}
-	addr2 := waitForBanner(t, stdoutPath, `listening on (\S+)`)
 
 	// Live traffic resumes past the watermark: no id — and therefore no
 	// per-instance seed — is ever reused across the crash.

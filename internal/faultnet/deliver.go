@@ -40,16 +40,21 @@ type held[E any] struct {
 //
 // The returned count is the number of frames whose content was withheld
 // (dropped or delayed): the receiver's information gap, which the TCP
-// substrate checks against the fault bound. A nil or rule-free plan with an
-// empty stash is a plain concatenation and allocates nothing beyond growing
-// out.
+// substrate checks against the fault bound. Where Untouched holds the result
+// is the plain concatenation of the frames, with no link looked at.
 func Deliver[E any](p *Plan, sink trace.Sink, phase int, to ident.ProcID, frames [][]E, stash *Stash[E], out []E) ([]E, int) {
+	named := p.names(phase)
+	if !named && len(stash.held) == 0 {
+		for _, frame := range frames {
+			out = append(out, frame...)
+		}
+		return out, 0
+	}
 	withheld := 0
-	rules := p != nil && len(p.rules) > 0
 	for s, frame := range frames {
 		from := ident.ProcID(s)
 		var act Action
-		if rules && from != to && !p.Crashed(from, phase) {
+		if named && from != to && !p.Crashed(from, phase) {
 			act = p.FrameAction(phase, from, to)
 		}
 		if act.Kind != ActNone && sink != nil {
@@ -91,6 +96,16 @@ func Deliver[E any](p *Plan, sink trace.Sink, phase int, to ident.ProcID, frames
 		stash.held = kept
 	}
 	return out, withheld
+}
+
+// Untouched reports whether Deliver leaves sending phase phase as it was sent
+// to the owner of stash: no directed or partition rule's window covers the
+// phase and nothing delayed is waiting, so the result is the frames end to
+// end and no event. A caller that already holds that concatenation (the
+// engine's sender-sorted inbox) can keep it and skip the call. Crash rules do
+// not count: a crashed sender's frames are empty and pass through anyway.
+func Untouched[E any](p *Plan, phase int, stash *Stash[E]) bool {
+	return len(stash.held) == 0 && !p.names(phase)
 }
 
 // event maps a resolved action to the trace kind that records it.

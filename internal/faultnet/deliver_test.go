@@ -213,3 +213,64 @@ func TestDeliverInertPlanAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestUntouchedIsPlainConcatenation is what lets the engine keep its inbox
+// and skip Deliver: over plans grown by MutateSpec, wherever Untouched holds
+// for a (sending phase, receiver), no link of that phase draws a verdict and
+// Deliver returns the frames end to end, emits nothing and stashes nothing. A
+// phase behind a delay rule's window is not untouched while the delayed
+// content is still waiting.
+func TestUntouchedIsPlainConcatenation(t *testing.T) {
+	const n, phases = 6, 5
+	rng := mrand.New(mrand.NewSource(29))
+	frames := make([][]int, n)
+	var whole []int
+	for s := range frames {
+		frames[s] = []int{10 * s, 10*s + 1}
+		whole = append(whole, frames[s]...)
+	}
+	untouched, touched := 0, 0
+	for chain := 0; chain < 40; chain++ {
+		spec := Spec{}
+		for grow := 0; grow < 8; grow++ {
+			spec = MutateSpec(spec, rng, n, phases)
+			plan := MustCompile(spec, rng.Int63())
+			stash := make([]Stash[int], n)
+			for ph := 1; ph <= phases+2; ph++ {
+				for r := 0; r < n; r++ {
+					to := ident.ProcID(r)
+					var sink counting
+					if !Untouched(plan, ph, &stash[r]) {
+						touched++
+						Deliver(plan, &sink, ph, to, frames, &stash[r], nil)
+						continue
+					}
+					untouched++
+					for s := 0; s < n; s++ {
+						if act := plan.FrameAction(ph, ident.ProcID(s), to); act.Kind != ActNone {
+							t.Fatalf("spec %q: phase %d is untouched, yet %d->%d draws %+v", FormatSpec(spec), ph, s, r, act)
+						}
+					}
+					out, withheld := Deliver(plan, &sink, ph, to, frames, &stash[r], nil)
+					if !reflect.DeepEqual(out, whole) || withheld != 0 || sink.c != (Counters{}) || len(stash[r].held) != 0 {
+						t.Fatalf("spec %q phase %d to %d: delivered %v (withheld %d, events %+v)", FormatSpec(spec), ph, r, out, withheld, sink.c)
+					}
+				}
+			}
+		}
+	}
+	if untouched == 0 || touched == 0 {
+		t.Fatalf("degenerate: %d untouched and %d touched deliveries", untouched, touched)
+	}
+
+	plan := MustParse("delay=1->0@1+2", 1)
+	var stash Stash[int]
+	Deliver(plan, nil, 1, 0, frames, &stash, nil)
+	if Untouched(plan, 2, &stash) {
+		t.Fatal("phase 2 untouched with phase 1's delayed frame still waiting")
+	}
+	Deliver(plan, nil, 2, 0, frames, &stash, nil)
+	if out, _ := Deliver(plan, nil, 3, 0, frames, &stash, nil); len(out) != len(whole)+2 || !Untouched(plan, 4, &stash) {
+		t.Fatalf("phase 3 delivered %v; phase 4 untouched: %v", out, Untouched(plan, 4, &stash))
+	}
+}

@@ -325,6 +325,21 @@ func (p *Plan) FrameAction(phase int, from, to ident.ProcID) Action {
 	return Action{}
 }
 
+// names reports whether the window of any directed or partition rule covers
+// sending phase phase. Where none does, FrameAction is ActNone on every link
+// of the phase, which is what lets Deliver pass such a phase through whole.
+func (p *Plan) names(phase int) bool {
+	if p == nil {
+		return false
+	}
+	for i := range p.rules {
+		if phase >= p.rules[i].First && phase <= p.rules[i].Last {
+			return true
+		}
+	}
+	return false
+}
+
 // CrashPhase returns the phase at whose start id halts, or 0 if it never
 // crashes.
 func (p *Plan) CrashPhase(id ident.ProcID) int {

@@ -88,8 +88,9 @@ func BenchmarkChainVerify(b *testing.B) {
 }
 
 // BenchmarkChainVerifyCached is the same workload through a CachedVerifier:
-// after the first verification every re-check of the chain is pure hashing
-// against the verified-prefix cache (the path core.Run uses for every node).
+// after the first verification every re-check of the chain is a fingerprint
+// and a comparison against the verified-prefix cache (the path core.Run uses
+// for every node).
 func BenchmarkChainVerifyCached(b *testing.B) {
 	for _, k := range []int{1, 4, 16, 64} {
 		b.Run(name("links", k), func(b *testing.B) {

@@ -1,13 +1,14 @@
 package sig
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
+	"bytes"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
 	"byzex/internal/ident"
 	"byzex/internal/trace"
+	"byzex/internal/wire"
 )
 
 // CachedVerifier wraps a Verifier with a verified-prefix cache for signature
@@ -18,38 +19,39 @@ import (
 // only pays crypto for the links appended since the last time it was seen —
 // O(L) over the chain's lifetime.
 //
-// Soundness. The cache entry for the first i links of a chain over body is
+// Structure. Every verified (body, prefix) pair is one node of a trie: the
+// node owns a copy of the prefix's last link (signer and signature bytes),
+// points at the node of the prefix one link shorter and, on the first link,
+// owns a copy of the body. Nodes are found through an index from a 64-bit
+// fingerprint of (body, prefix) to the nodes that have it.
 //
-//	kᵢ = SHA-256(0xC5 ‖ uvarint(len body) ‖ body ‖ link₁ ‖ … ‖ linkᵢ)
-//	linkⱼ = varint(signerⱼ) ‖ uvarint(len sigⱼ) ‖ sigⱼ
+// Soundness. A prefix is accepted from the cache only after walking a
+// candidate node's parent pointers and finding every signer == the chain's,
+// every signature bytes.Equal to the chain's, the walk ending exactly at the
+// first link, and the body bytes.Equal to the caller's — the whole input of
+// Verify for every link of the prefix, compared exactly. A node is created
+// only for a prefix whose every link verified, so acceptance from the cache
+// means the wrapped Verifier accepted byte-identical input before, and by
+// determinism of Verify would again. Tampering with any byte of a cached
+// prefix (a forged or truncated link, a swapped signer, a different body)
+// fails the comparison at that link and pays real cryptography from there.
+// The fingerprint carries no part of the argument: it only chooses which
+// nodes to compare against, and a collision costs one failed comparison. It
+// is hash/maphash under a seed drawn per verifier — run-to-run differences
+// in it change which bucket a node sits in, never a verdict or a counter —
+// folded link by link over the body and every (signer, signature), so that
+// low-entropy tags (the plain scheme's 4-byte ids) on a shared last link
+// still spread by what precedes them.
 //
-// one hash of one byte stream, cut after link i. The stream is an injective
-// encoding of (body, prefix): it opens with a domain byte (the rolling digest
-// this replaced hashed streams opening with 0x00 or 0x01), both
-// variable-length fields carry their length in front of them, and the
-// varints are the canonical ones of encoding/binary, so a stream parses
-// back to exactly one body and one sequence of (signer, signature) pairs —
-// no byte can move between the body, a signer and a signature without
-// changing a length in front of it. An entry therefore commits to the body,
-// every signer identity, and every signature's exact bytes — the full signing
-// input of every link in the prefix plus the link's own signature. Tampering
-// with any byte of a cached prefix (a forged or truncated link, a swapped
-// signer, a different body) changes the digest and misses the cache, forcing
-// real cryptographic verification. Equal digests imply (by SHA-256 collision
-// resistance) byte-identical (body, prefix) pairs, for which the verification
-// outcome is identical by determinism of Verify. Only successful
-// verifications are inserted, and a prefix only together with every shorter
-// one, so the cache can never convert a rejection into an acceptance, and a
-// hit on a chain's own key means every link of it verified.
-//
-// Cost. Recognising an L-link chain that already verified hashes its stream
-// once: ⌈(2 + |body| + (2+|sig|)·L + 9)/64⌉ SHA-256 compressions for signer
-// ids below 64 (one byte more per link up to 8191) — about 0.55·L for HMAC's
-// 32-byte tags — and one finalisation, with no allocation. A miss hashes the
-// stream a second time to cut the L−1 shorter keys out of it (a finalisation
-// each; a single-link chain has none and skips the pass), finds the longest
-// verified prefix among them, and pays the wrapped Verifier for the rest; its
-// keys stay on the stack up to stackKeys links.
+// Cost. Recognising an L-link chain that already verified is one maphash of
+// the body and of each signature, one index lookup and L comparisons, with
+// no allocation. A miss takes the fingerprint back one link at a time —
+// the fold is invertible, so the shorter prefixes' fingerprints come out of
+// the full one without storing them — looks each up until one is confirmed,
+// pays the wrapped Verifier for the links past it, and adds one node and one
+// signature copy per link it verified. Nodes and copies are carved from
+// chunks (the first of each inside the verifier itself), so a miss allocates
+// only when a chunk runs out.
 //
 // The cache is safe for concurrent use; single-signature Verify calls pass
 // through to the wrapped Verifier uncached (hashing the message would cost
@@ -57,26 +59,71 @@ import (
 type CachedVerifier struct {
 	Verifier
 
-	mu       sync.RWMutex
-	verified map[prefixKey]struct{}
+	seed maphash.Seed
+
+	mu sync.RWMutex
+	// index maps a fingerprint to the verified prefixes that have it,
+	// chained through node.next.
+	index map[uint64]*node
+	// free and spare are the unused tails of the current node and byte
+	// chunks.
+	free  []node
+	spare []byte
 
 	hits   atomic.Int64
 	misses atomic.Int64
 
 	// sink receives KindVerifyHit/KindVerifyMiss events (nil disables).
 	sink trace.Sink
+
+	// The first chunks: a serving instance builds one verifier per value and
+	// verifies a handful of links through it.
+	free0  [8]node
+	spare0 [8 * 40]byte
 }
 
 var _ Verifier = (*CachedVerifier)(nil)
+
+// node is one verified prefix of one chain over one body.
+type node struct {
+	parent *node // the prefix one link shorter; nil on the first link
+	next   *node // the next node with the same fingerprint
+	// owned is the last link's signature, behind the body on a first link.
+	owned   []byte
+	bodyLen int32
+	signer  ident.ProcID
+}
+
+// holds reports whether n's own link is l — over body, where n is a first
+// link; longer prefixes answer for the body through their parents.
+func (n *node) holds(l Link, body []byte) bool {
+	return n.signer == l.Signer && bytes.Equal(n.owned[n.bodyLen:], l.Sig) &&
+		(n.parent != nil || bytes.Equal(n.owned[:n.bodyLen], body))
+}
+
+// is reports whether n is exactly the prefix c over body: the comparison
+// every acceptance from the cache rests on.
+func (n *node) is(c Chain, body []byte) bool {
+	for i := len(c) - 1; i >= 0; i-- {
+		if n == nil || !n.holds(c[i], body) {
+			return false
+		}
+		n = n.parent
+	}
+	return n == nil
+}
 
 // NewCachedVerifier wraps v with an empty verified-prefix cache. The cache
 // is scoped to v: never reuse a CachedVerifier across signature schemes (two
 // schemes can disagree about the same bytes).
 func NewCachedVerifier(v Verifier) *CachedVerifier {
-	return &CachedVerifier{
+	cv := &CachedVerifier{
 		Verifier: v,
-		verified: make(map[prefixKey]struct{}),
+		seed:     maphash.MakeSeed(),
+		index:    make(map[uint64]*node),
 	}
+	cv.free, cv.spare = cv.free0[:], cv.spare0[:]
+	return cv
 }
 
 // Stats returns how many chain links were accepted from the cache (hits) and
@@ -92,48 +139,79 @@ func (cv *CachedVerifier) Stats() (hits, misses int64) {
 // concurrency the verifier sees (the single-threaded engine needs none).
 func (cv *CachedVerifier) SetTrace(s trace.Sink) { cv.sink = s }
 
-// prefixKey is a verified-prefix cache key.
-type prefixKey [sha256.Size]byte
+// The fingerprint of a prefix is the fingerprint of the prefix one link
+// shorter (of the body, for the first link) folded with the link: xor in the
+// link's hash, multiply by an odd constant. Both steps are bijections of
+// uint64, which is what unfold undoes.
+const (
+	foldMul = 0x9e3779b97f4a7c15
+	foldInv = 0xf1de83e19937733d // foldMul · foldInv ≡ 1 (mod 2⁶⁴)
+)
 
-// keyDomain is the first byte of every hashed key stream.
-const keyDomain = 0xC5
-
-// stackKeys is the chain length up to which a miss keeps its keys on the
-// stack.
-const stackKeys = 8
-
-// hashPrefixes streams the key encoding of (body, c) through one SHA-256 and
-// returns the key of the whole chain. With a non-nil keys (at least len(c) of
-// them) it also cuts out every prefix's key: keys[i] commits to body and
-// links 0..i.
-// The hash never leaves this function, which is what lets the compiler keep
-// its state on the stack.
-func hashPrefixes(body []byte, c Chain, keys []prefixKey) (full prefixKey) {
-	h := sha256.New()
-	var hdr [1 + 2*binary.MaxVarintLen64]byte
-	hdr[0] = keyDomain
-	h.Write(binary.AppendUvarint(hdr[:1], uint64(len(body))))
-	h.Write(body)
-	for i, l := range c {
-		h.Write(binary.AppendUvarint(binary.AppendVarint(hdr[:0], int64(l.Signer)), uint64(len(l.Sig))))
-		h.Write(l.Sig)
-		if keys != nil {
-			h.Sum(keys[i][:0])
-		}
-	}
-	if keys != nil {
-		return keys[len(c)-1]
-	}
-	h.Sum(full[:0])
-	return full
+// linkHash is what a link contributes to a fingerprint.
+func (cv *CachedVerifier) linkHash(l Link) uint64 {
+	return maphash.Bytes(cv.seed, l.Sig) ^ uint64(uint32(l.Signer))*foldMul
 }
 
-// has reports whether the prefix with this key verified before.
-func (cv *CachedVerifier) has(k prefixKey) bool {
-	cv.mu.RLock()
-	_, ok := cv.verified[k]
-	cv.mu.RUnlock()
-	return ok
+// fold extends the fingerprint f of a prefix by the link l that follows it.
+func (cv *CachedVerifier) fold(f uint64, l Link) uint64 { return (f ^ cv.linkHash(l)) * foldMul }
+
+// unfold takes the fingerprint f of a prefix ending in l back to the
+// fingerprint of the prefix without it.
+func (cv *CachedVerifier) unfold(f uint64, l Link) uint64 { return f*foldInv ^ cv.linkHash(l) }
+
+// fingerprint folds the whole of c over body.
+func (cv *CachedVerifier) fingerprint(c Chain, body []byte) uint64 {
+	f := maphash.Bytes(cv.seed, body)
+	for _, l := range c {
+		f = cv.fold(f, l)
+	}
+	return f
+}
+
+// find returns the node of the verified prefix c over body, whose
+// fingerprint is f, or nil if that prefix never verified.
+func (cv *CachedVerifier) find(f uint64, c Chain, body []byte) *node {
+	for n := cv.index[f]; n != nil; n = n.next {
+		if n.is(c, body) {
+			return n
+		}
+	}
+	return nil
+}
+
+// insert records that the prefix made of parent's links and then l verified
+// over body, under fingerprint f, and returns its node. Every prefix has at
+// most one node — a peer that verified the same links concurrently may have
+// got here first — so comparing parent pointers compares whole prefixes.
+func (cv *CachedVerifier) insert(f uint64, parent *node, l Link, body []byte) *node {
+	head := cv.index[f]
+	for n := head; n != nil; n = n.next {
+		if n.parent == parent && n.holds(l, body) {
+			return n
+		}
+	}
+	if parent != nil {
+		body = nil
+	}
+	// A chunk that runs out is followed by one for as many prefixes again as
+	// the cache holds, within bounds, at 64 bytes each.
+	chunk := min(max(len(cv.index), 32), 1<<10)
+	size := len(body) + len(l.Sig)
+	if size > len(cv.spare) {
+		cv.spare = make([]byte, max(size, 64*chunk))
+	}
+	owned := cv.spare[:size:size]
+	cv.spare = cv.spare[size:]
+	copy(owned[copy(owned, body):], l.Sig)
+	if len(cv.free) == 0 {
+		cv.free = make([]node, chunk)
+	}
+	n := &cv.free[0]
+	cv.free = cv.free[1:]
+	*n = node{parent: parent, next: head, owned: owned, bodyLen: int32(len(body)), signer: l.Signer}
+	cv.index[f] = n
+	return n
 }
 
 // verifyChain checks c over body, skipping the longest prefix already known
@@ -142,58 +220,50 @@ func (cv *CachedVerifier) verifyChain(c Chain, body []byte) error {
 	if len(c) == 0 {
 		return nil
 	}
-	// Longest verified prefix. Insertions are monotone (a prefix is only
-	// inserted after all shorter ones), so the chain's own key answers for
-	// all of it, and past that scanning from the longest proper prefix down
-	// and stopping at the first hit is exact.
-	var (
-		stack [stackKeys]prefixKey
-		keys  []prefixKey
-		start int
-	)
-	if full := hashPrefixes(body, c, nil); cv.has(full) {
-		start = len(c)
-	} else {
-		if len(c) <= len(stack) {
-			keys = stack[:len(c)]
-		} else {
-			keys = make([]prefixKey, len(c))
+	f := cv.fingerprint(c, body)
+	// Longest verified prefix: the chain itself first, then one link shorter
+	// at a time. A node exists only together with its parents, so the first
+	// confirmed prefix is the longest. Afterwards at is its node (nil for no
+	// prefix) and f its fingerprint.
+	var at *node
+	start := len(c)
+	cv.mu.RLock()
+	for ; start > 0; start-- {
+		if at = cv.find(f, c[:start], body); at != nil {
+			break
 		}
-		keys[len(c)-1] = full
-		if len(c) > 1 {
-			hashPrefixes(body, c[:len(c)-1], keys)
-		}
-		for i := len(c) - 1; i >= 1 && start == 0; i-- {
-			if cv.has(keys[i-1]) {
-				start = i
-			}
-		}
+		f = cv.unfold(f, c[start-1])
 	}
+	cv.mu.RUnlock()
 	cv.hits.Add(int64(start))
 	if cv.sink != nil && start > 0 {
 		cv.sink.Emit(trace.Event{Kind: trace.KindVerifyHit, From: ident.None, To: ident.None, Sigs: start})
 	}
+	if start == len(c) {
+		return nil
+	}
 
+	w := inputs.Get().(*wire.Writer)
+	defer inputs.Put(w)
 	checked := 0
 	for i := start; i < len(c); i++ {
 		cv.misses.Add(1)
 		checked++
-		if !cv.Verifier.Verify(c[i].Signer, signingInput(body, c[:i]), c[i].Sig) {
+		if !cv.Verifier.Verify(c[i].Signer, signingInput(w, body, c[:i]), c[i].Sig) {
 			if cv.sink != nil {
 				cv.sink.Emit(trace.Event{Kind: trace.KindVerifyMiss, From: c[i].Signer, To: ident.None, Sigs: checked})
 			}
 			return linkError(i, c[i].Signer)
 		}
 	}
-	if cv.sink != nil && checked > 0 {
+	if cv.sink != nil {
 		cv.sink.Emit(trace.Event{Kind: trace.KindVerifyMiss, From: ident.None, To: ident.None, Sigs: checked})
 	}
-	if start < len(c) {
-		cv.mu.Lock()
-		for i := start; i < len(c); i++ {
-			cv.verified[keys[i]] = struct{}{}
-		}
-		cv.mu.Unlock()
+	cv.mu.Lock()
+	for _, l := range c[start:] {
+		f = cv.fold(f, l)
+		at = cv.insert(f, at, l, body)
 	}
+	cv.mu.Unlock()
 	return nil
 }

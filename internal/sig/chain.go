@@ -3,6 +3,7 @@ package sig
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"byzex/internal/ident"
 	"byzex/internal/wire"
@@ -33,16 +34,17 @@ type Link struct {
 // protocol-specific structural predicates on top of cryptographic validity.
 type Chain []Link
 
-// signingInput builds the byte string that link number `upto` signs: the
-// body followed by the canonical encoding of the preceding links.
-func signingInput(body []byte, prefix Chain) []byte {
-	w := wire.NewWriter(len(body) + 8 + len(prefix)*40)
+// inputs recycles the writers signing inputs are built in. A Signer or a
+// Verifier is handed bytes that are only valid for the length of the call.
+var inputs = sync.Pool{New: func() any { return new(wire.Writer) }}
+
+// signingInput builds in w, over whatever w held, the byte string that link
+// number len(prefix) signs: the body followed by the canonical encoding of
+// the preceding links.
+func signingInput(w *wire.Writer, body []byte, prefix Chain) []byte {
+	w.Reset()
 	w.BytesField(body)
-	w.Uint(uint64(len(prefix)))
-	for _, l := range prefix {
-		w.Proc(l.Signer)
-		w.BytesField(l.Sig)
-	}
+	prefix.Encode(w)
 	return w.Bytes()
 }
 
@@ -52,7 +54,9 @@ func signingInput(body []byte, prefix Chain) []byte {
 func Append(s Signer, body []byte, c Chain) Chain {
 	out := make(Chain, len(c), len(c)+1)
 	copy(out, c)
-	return append(out, Link{Signer: s.ID(), Sig: s.Sign(signingInput(body, out))})
+	w := inputs.Get().(*wire.Writer)
+	defer inputs.Put(w)
+	return append(out, Link{Signer: s.ID(), Sig: s.Sign(signingInput(w, body, out))})
 }
 
 // Verify checks every link of the chain cryptographically. It does not
@@ -64,8 +68,10 @@ func (c Chain) Verify(v Verifier, body []byte) error {
 	if cv, ok := v.(*CachedVerifier); ok {
 		return cv.verifyChain(c, body)
 	}
+	w := inputs.Get().(*wire.Writer)
+	defer inputs.Put(w)
 	for i, l := range c {
-		if !v.Verify(l.Signer, signingInput(body, c[:i]), l.Sig) {
+		if !v.Verify(l.Signer, signingInput(w, body, c[:i]), l.Sig) {
 			return linkError(i, l.Signer)
 		}
 	}
@@ -164,12 +170,28 @@ type SignedValue struct {
 }
 
 // ValueBody returns the canonical body bytes for a bare agreement value;
-// chains over values sign these bytes.
+// chains over values sign these bytes. Callers must not write to the result:
+// the values wire encodes in one byte share theirs.
 func ValueBody(v ident.Value) []byte {
+	if i := int64(v) + oneByteValues/2; 0 <= i && i < oneByteValues {
+		return oneByteBodies[i : i+1 : i+1]
+	}
 	w := wire.NewWriter(8)
 	w.Value(v)
 	return w.Bytes()
 }
+
+// oneByteValues is the number of values, centred on zero, whose encoding is
+// a single byte; oneByteBodies is those encodings end to end.
+const oneByteValues = 128
+
+var oneByteBodies = func() []byte {
+	w := wire.NewWriter(oneByteValues)
+	for i := 0; i < oneByteValues; i++ {
+		w.Value(ident.Value(i - oneByteValues/2))
+	}
+	return w.Bytes()
+}()
 
 // NewSignedValue signs value v as the first link of a fresh chain.
 func NewSignedValue(s Signer, v ident.Value) SignedValue {

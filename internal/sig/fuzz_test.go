@@ -18,6 +18,11 @@ func FuzzUnmarshalSignedValue(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+	// Found by this target: 51 and 97 spelled in two bytes, then an empty chain.
+	f.Add([]byte{0xd1, 0x00, 0x00})
+	f.Add([]byte{0xe1, 0x00, 0x00})
+	// And a signer that only fits a ProcID once its top bits are cut off.
+	f.Add([]byte{0x00, 0x01, 0xb1, 0xb1, 0xb1, 0xb1, 0x30, 0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decoded, err := sig.UnmarshalSignedValue(data)
@@ -40,6 +45,8 @@ func FuzzUnmarshalSignedBytes(f *testing.F) {
 	s0, _ := scheme.Signer(0)
 	f.Add(sig.NewSignedBytes(s0, []byte("body")).Marshal())
 	f.Add([]byte{})
+	// Found by this target: a body length of zero spelled in two bytes.
+	f.Add([]byte{0x80, 0x00, 0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decoded, err := sig.UnmarshalSignedBytes(data)

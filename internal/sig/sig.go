@@ -47,13 +47,15 @@ var (
 type Signer interface {
 	// ID returns the identity this signer signs for.
 	ID() ident.ProcID
-	// Sign returns a signature over msg.
+	// Sign returns a signature over msg. msg is the caller's to reuse once
+	// Sign returns: implementations must not keep it.
 	Sign(msg []byte) []byte
 }
 
 // Verifier checks signatures against claimed signer identities.
 type Verifier interface {
 	// Verify reports whether sigBytes is a valid signature by id over msg.
+	// Neither slice may be kept past the call.
 	Verify(id ident.ProcID, msg, sigBytes []byte) bool
 }
 

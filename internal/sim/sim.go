@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 
 	"byzex/internal/faultnet"
@@ -299,6 +300,9 @@ type Engine struct {
 	pending [][]Envelope
 	inboxes [][]Envelope
 
+	// steps counts node steps since the run last yielded the processor.
+	steps int
+
 	// ctxs[id] is processor id's reusable context, re-pointed at the
 	// current phase before each Step instead of allocated per step.
 	ctxs []Context
@@ -368,6 +372,16 @@ func (e *Engine) submit(env Envelope) {
 	e.pending[env.To] = append(e.pending[env.To], env)
 }
 
+// yieldSteps is how many node steps a run takes between two yields of the
+// processor: every phase at n = 1024, never in a serving-sized instance. A
+// run is one goroutine that never blocks, and on a single P nothing but the
+// 10 ms forced preemption takes it off the processor; a collector mark that
+// starts during a large run then stays open that long, counts everything
+// allocated meanwhile as live and doubles the next heap goal, so the
+// process's peak memory depends on when a mark happened to start. With the
+// yield the mark worker finishes within a phase.
+const yieldSteps = 1024
+
 // Run executes phases 1..cfg.Phases plus the final delivery-only step and
 // returns the collected decisions and metrics. ctx cancellation aborts
 // between phases.
@@ -379,12 +393,19 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 		if e.cfg.Trace != nil {
 			e.cfg.Trace.Emit(trace.Event{Kind: trace.KindPhaseStart, Phase: phase, From: ident.None, To: ident.None})
 		}
+		if e.steps += e.cfg.N; e.steps >= yieldSteps {
+			e.steps = 0
+			runtime.Gosched()
+		}
 		// Swap pending into inboxes; messages sent this phase accumulate
 		// into the recycled slices of the previous phase's inboxes (their
 		// contents were delivered last phase and the Node contract forbids
-		// retaining the inbox array beyond Step).
+		// retaining the inbox array beyond Step). The delivered envelopes are
+		// zeroed first so their payloads can be collected now, not when the
+		// slot is next overwritten.
 		e.inboxes, e.pending = e.pending, e.inboxes
 		for to := range e.pending {
+			clear(e.pending[to])
 			e.pending[to] = e.pending[to][:0]
 			sortInbox(e.inboxes[to])
 		}
@@ -484,7 +505,8 @@ func (e *Engine) step(id, phase int, extra []Envelope) error {
 
 // applyFaults announces the processors halting at this phase (their Step is
 // skipped by the Run loop) and passes every live receiver's inbox through
-// faultnet.Deliver, once per phase before any node is stepped. The sorted
+// faultnet.Deliver, once per phase before any node is stepped — unless the
+// plan leaves that receiver's phase untouched. The sorted
 // inbox is split into one "frame" per sender — the contiguous group of
 // envelopes that sender submitted to this receiver last phase — which is
 // what the TCP transport has on the wire.
@@ -500,8 +522,8 @@ func (e *Engine) applyFaults(phase int) {
 	}
 	for r, in := range e.inboxes {
 		to := ident.ProcID(r)
-		if plan.Crashed(to, phase) {
-			continue
+		if plan.Crashed(to, phase) || faultnet.Untouched(plan, phase-1, &e.stash[r]) {
+			continue // the sorted inbox is what Deliver would return
 		}
 		idx := 0
 		for s := range e.frames {

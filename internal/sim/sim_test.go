@@ -262,3 +262,49 @@ func TestEnvelopeClone(t *testing.T) {
 		t.Fatal("clone shares storage")
 	}
 }
+
+// keeperNode sends one message at phase 1 and — against the Node contract,
+// to look at what the engine does with the array — keeps the inbox it is
+// handed at phase 2.
+type keeperNode struct {
+	id   ident.ProcID
+	kept []sim.Envelope
+	late []sim.Envelope // kept, copied at phase 4
+}
+
+func (k *keeperNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
+	switch ctx.Phase() {
+	case 1:
+		return ctx.Send((k.id+1)%ident.ProcID(ctx.N()), []byte("payload"), []ident.ProcID{k.id}, 1)
+	case 2:
+		k.kept = inbox
+	case 4:
+		k.late = append([]sim.Envelope(nil), k.kept...)
+	}
+	return nil
+}
+
+func (k *keeperNode) Decide() (ident.Value, bool) { return 0, true }
+
+// TestDeliveredEnvelopesAreReleased pins that the engine zeroes an inbox once
+// its phase is over: the recycled array must not keep delivered payloads
+// reachable until some later message happens to overwrite the slot.
+func TestDeliveredEnvelopesAreReleased(t *testing.T) {
+	nodes := []sim.Node{&keeperNode{id: 0}, &keeperNode{id: 1}, &keeperNode{id: 2}}
+	eng, err := sim.New(sim.Config{N: 3, T: 0, Phases: 4}, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, nd := range nodes {
+		k := nd.(*keeperNode)
+		if len(k.kept) != 1 {
+			t.Fatalf("processor %d got %d messages at phase 2, want 1", k.id, len(k.kept))
+		}
+		if e := k.late[0]; e.Payload != nil || e.Signers != nil {
+			t.Errorf("processor %d: phase-2 inbox still holds %+v at phase 4", k.id, e)
+		}
+	}
+}

@@ -6,7 +6,8 @@
 // encoding would let a faulty processor present the "same" message in two
 // forms. The encoding is deliberately simple and deterministic:
 //
-//   - unsigned integers as uvarint
+//   - unsigned integers as uvarint, in the fewest bytes (Reader rejects
+//     any longer spelling)
 //   - signed integers as zigzag uvarint
 //   - byte strings as uvarint length prefix + raw bytes
 //   - lists as uvarint count + elements
@@ -26,6 +27,13 @@ import (
 
 // ErrTruncated indicates the buffer ended before a complete value was read.
 var ErrTruncated = errors.New("wire: truncated input")
+
+// ErrNonCanonical indicates bytes Writer never produces for the value they
+// decode to: an integer spelled with more bytes than needed (a varint whose
+// last byte is zero, as in d1 00 for 51), or a processor identity past the
+// range of ident.ProcID. Accepting either would give one message two wire
+// forms — and a signature is over one.
+var ErrNonCanonical = errors.New("wire: non-canonical varint")
 
 // ErrWireVersion indicates a frame carried a version byte outside the
 // compatibility window [FrameVersionMin, FrameVersion]. Receivers reject the
@@ -182,6 +190,10 @@ func (r *Reader) Uint() uint64 {
 		r.fail(ErrTruncated)
 		return 0
 	}
+	if n > 1 && r.buf[r.off+n-1] == 0 {
+		r.fail(ErrNonCanonical)
+		return 0
+	}
 	r.off += n
 	return v
 }
@@ -234,7 +246,14 @@ func (r *Reader) BytesField() []byte {
 func (r *Reader) String() string { return string(r.BytesField()) }
 
 // Proc reads a processor identity.
-func (r *Reader) Proc() ident.ProcID { return ident.ProcID(r.Int()) }
+func (r *Reader) Proc() ident.ProcID {
+	v := r.Int()
+	if v != int64(ident.ProcID(v)) {
+		r.fail(ErrNonCanonical)
+		return 0
+	}
+	return ident.ProcID(v)
+}
 
 // Procs reads a count-prefixed list of processor identities.
 func (r *Reader) Procs() []ident.ProcID {

@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -207,6 +208,38 @@ func TestLengthBeyondBufferRejected(t *testing.T) {
 	r.BytesField()
 	if r.Err() == nil {
 		t.Fatal("length beyond buffer accepted")
+	}
+}
+
+// TestNonCanonicalRejected: every read that decodes an integer refuses a
+// spelling Writer would not have produced for it.
+func TestNonCanonicalRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		read func(*wire.Reader)
+	}{
+		{"51 in two bytes", []byte{0xd1, 0x00}, func(r *wire.Reader) { r.Uint() }},
+		{"0 in two bytes", []byte{0x80, 0x00}, func(r *wire.Reader) { r.Int() }},
+		{"0 in three bytes", []byte{0x80, 0x80, 0x00}, func(r *wire.Reader) { r.Value() }},
+		{"padded length", []byte{0x81, 0x00, 'a'}, func(r *wire.Reader) { r.BytesField() }},
+		{"padded count", []byte{0x81, 0x00, 0x02}, func(r *wire.Reader) { r.Procs() }},
+		{"processor past int32", []byte{0xb1, 0xb1, 0xb1, 0xb1, 0x30}, func(r *wire.Reader) { r.Proc() }},
+		{"processor past int32 in a list", []byte{0x01, 0x80, 0x80, 0x80, 0x80, 0x10}, func(r *wire.Reader) { r.ProcsInto(nil) }},
+	} {
+		r := wire.NewReader(tc.in)
+		tc.read(r)
+		if !errors.Is(r.Err(), wire.ErrNonCanonical) {
+			t.Errorf("%s: err = %v, want ErrNonCanonical", tc.name, r.Err())
+		}
+	}
+	// The largest and smallest identities Writer can be handed still pass.
+	w := wire.NewWriter(16)
+	w.Proc(math.MaxInt32)
+	w.Proc(math.MinInt32)
+	r := wire.NewReader(w.Bytes())
+	if a, b := r.Proc(), r.Proc(); a != math.MaxInt32 || b != math.MinInt32 || r.Finish() != nil {
+		t.Fatalf("int32 bounds: %v %v %v", a, b, r.Err())
 	}
 }
 
