@@ -38,7 +38,7 @@ GOFMT ?= gofmt
 check: lint faults
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race -count=1 ./internal/service/ ./internal/runner/ ./internal/transport/ ./internal/obs/ ./internal/journal/ ./internal/search/ ./internal/sim/ ./internal/faultnet/ ./internal/cli/ ./internal/core/ ./internal/sig/ ./internal/tree/ ./internal/protocols/alg3/ ./internal/protocols/alg5/
+	$(GO) test -race -count=1 ./internal/service/ ./internal/runner/ ./internal/transport/ ./internal/obs/ ./internal/journal/ ./internal/search/ ./internal/sim/ ./internal/faultnet/ ./internal/cli/ ./internal/core/ ./internal/sig/ ./internal/tree/ ./internal/protocols/alg3/ ./internal/protocols/alg4/ ./internal/protocols/alg5/ ./internal/protocol/ ./internal/wire/
 	$(MAKE) crash
 	$(MAKE) upgrade
 	$(MAKE) slo

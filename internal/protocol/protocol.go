@@ -10,7 +10,6 @@ package protocol
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"byzex/internal/ident"
 	"byzex/internal/sig"
@@ -87,18 +86,79 @@ type Protocol interface {
 	NewNode(cfg NodeConfig) (sim.Node, error)
 }
 
+// Group is an ordered list of distinct processors and its inverse: the whole
+// system when a protocol runs standalone, a subgroup when one algorithm runs
+// inside another. A contiguous ascending run of identities — ident.Range, or
+// Algorithm 5's actives — is indexed by arithmetic; only an irregular group
+// pays for a map.
+type Group struct {
+	members []ident.ProcID
+	index   map[ident.ProcID]int // nil when members[i] == members[0]+i
+}
+
+// NewGroup indexes members, which it keeps: the caller must not write to the
+// slice afterwards. It fails when a processor is listed twice.
+func NewGroup(members []ident.ProcID) (Group, error) {
+	g := Group{members: members}
+	for i, id := range members {
+		if g.index == nil && id == members[0]+ident.ProcID(i) {
+			continue
+		}
+		if g.index == nil {
+			g.index = make(map[ident.ProcID]int, len(members))
+			for j, prev := range members[:i] {
+				g.index[prev] = j
+			}
+		}
+		if _, dup := g.index[id]; dup {
+			return Group{}, fmt.Errorf("%w: duplicate group member %v", ErrBadParams, id)
+		}
+		g.index[id] = i
+	}
+	return g, nil
+}
+
+// Members returns the group in order. Callers must not write to it.
+func (g Group) Members() []ident.ProcID { return g.members }
+
+// Len returns the number of members.
+func (g Group) Len() int { return len(g.members) }
+
+// Index returns id's position in the group; ok is false for an outsider.
+func (g Group) Index(id ident.ProcID) (i int, ok bool) {
+	if g.index != nil {
+		i, ok = g.index[id]
+		return i, ok
+	}
+	if len(g.members) == 0 {
+		return 0, false
+	}
+	i = int(id) - int(g.members[0])
+	return i, 0 <= i && i < len(g.members)
+}
+
+// IndexOf is Index for a processor that has to be a member — the one whose
+// state machine is being built: an outsider is an ErrBadParams.
+func (g Group) IndexOf(me ident.ProcID) (int, error) {
+	i, ok := g.Index(me)
+	if !ok {
+		return 0, fmt.Errorf("%w: %v not in group", ErrBadParams, me)
+	}
+	return i, nil
+}
+
 // Send transmits payload to a single recipient, deriving the envelope's
 // signature accounting from the chains embedded in the payload. Protocols
 // must pass every chain the payload carries so Theorem 1 accounting and the
 // A(p) sets remain exact.
 func Send(ctx *sim.Context, to ident.ProcID, payload []byte, chains ...sig.Chain) error {
-	signers, total := summarize(chains)
+	signers, total := summarize(ctx, chains)
 	return ctx.Send(to, payload, signers, total)
 }
 
 // Broadcast sends payload to every processor except the sender.
 func Broadcast(ctx *sim.Context, payload []byte, chains ...sig.Chain) error {
-	signers, total := summarize(chains)
+	signers, total := summarize(ctx, chains)
 	for id := 0; id < ctx.N(); id++ {
 		pid := ident.ProcID(id)
 		if pid == ctx.ID() {
@@ -114,7 +174,7 @@ func Broadcast(ctx *sim.Context, payload []byte, chains ...sig.Chain) error {
 // SendToAll sends payload to each listed recipient (skipping the sender if
 // present).
 func SendToAll(ctx *sim.Context, to []ident.ProcID, payload []byte, chains ...sig.Chain) error {
-	signers, total := summarize(chains)
+	signers, total := summarize(ctx, chains)
 	for _, pid := range to {
 		if pid == ctx.ID() {
 			continue
@@ -127,18 +187,19 @@ func SendToAll(ctx *sim.Context, to []ident.ProcID, payload []byte, chains ...si
 }
 
 // summarize returns the distinct signers of the chains in ascending order
-// and the total number of links.
-func summarize(chains []sig.Chain) ([]ident.ProcID, int) {
+// and the total number of links. The list is built in ctx's scratch and kept
+// in its signer storage, so under the in-memory engine it is no allocation of
+// its own.
+func summarize(ctx *sim.Context, chains []sig.Chain) ([]ident.ProcID, int) {
 	total := 0
 	for _, c := range chains {
 		total += len(c)
 	}
-	signers := make([]ident.ProcID, 0, total)
+	signers := ctx.SignerScratch(total)
 	for _, c := range chains {
 		for _, l := range c {
 			signers = append(signers, l.Signer)
 		}
 	}
-	slices.Sort(signers)
-	return slices.Compact(signers), total
+	return ctx.InternSigners(signers), total
 }

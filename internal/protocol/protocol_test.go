@@ -1,6 +1,9 @@
 package protocol_test
 
 import (
+	"context"
+	"errors"
+	"slices"
 	"testing"
 
 	"byzex/internal/ident"
@@ -142,5 +145,115 @@ func TestSendHelpersSignersSortedAndCheap(t *testing.T) {
 		}
 	}); n > 1 {
 		t.Fatalf("Send allocates %v times, want at most 1 (the signer list)", n)
+	}
+}
+
+// chainSender is every node of its run: processor 0 sends, at phase 1, one
+// message per chain to processor 1, whose phase-2 inbox is kept.
+type chainSender struct {
+	chains  []sig.Chain
+	payload []byte
+	got     []sim.Envelope
+}
+
+func (c *chainSender) Step(ctx *sim.Context, inbox []sim.Envelope) error {
+	if ctx.ID() == 1 {
+		c.got = append(c.got, inbox...)
+	}
+	if ctx.ID() != 0 || ctx.Phase() != 1 {
+		return nil
+	}
+	for _, ch := range c.chains {
+		if err := protocol.Send(ctx, 1, c.payload, ch); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (c *chainSender) Decide() (ident.Value, bool) { return 0, true }
+
+// TestEngineKeepsSignerListsApart: under the in-memory engine the signer
+// lists are carved from the engine's blocks and built in its one scratch, so
+// the thousand lists of a phase are a few allocations — and each must still
+// be its own: sorted, distinct, and untouched by the lists built after it.
+func TestEngineKeepsSignerListsApart(t *testing.T) {
+	scheme := sig.NewHMAC(64, 1)
+	body := sig.ValueBody(ident.V1)
+	const n = 64
+	node := &chainSender{payload: []byte("x")}
+	nodes := make([]sim.Node, n)
+	for i := range nodes {
+		nodes[i] = node
+	}
+	for k := 0; k < 1000; k++ {
+		var chain sig.Chain
+		for j := 0; j <= k%7; j++ {
+			s, _ := scheme.Signer(ident.ProcID((k*31 + j*17) % 64))
+			chain = sig.Append(s, body, chain)
+		}
+		node.chains = append(node.chains, chain)
+	}
+	var eng *sim.Engine
+	allocs := testing.AllocsPerRun(1, func() {
+		node.got = node.got[:0]
+		var err error
+		if eng, err = sim.New(sim.Config{N: n, Phases: 1}, nodes); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(node.got) != len(node.chains) {
+		t.Fatalf("delivered %d of %d", len(node.got), len(node.chains))
+	}
+	for k, env := range node.got {
+		want := ident.NewSet(node.chains[k].Signers()...).Sorted()
+		if !slices.Equal(env.Signers, want) || env.SigTotal != len(node.chains[k]) {
+			t.Fatalf("message %d: signers %v total %d, want %v total %d", k, env.Signers, env.SigTotal, want, len(node.chains[k]))
+		}
+	}
+	if allocs > 100 {
+		t.Errorf("a run of %d signed sends made %v allocations, want one per block of envelopes or lists", len(node.chains), allocs)
+	}
+}
+
+func TestGroupIndexesByArithmeticOrMap(t *testing.T) {
+	for _, members := range [][]ident.ProcID{
+		ident.Range(9),
+		{4, 5, 6, 7},
+		{7, 3, 9, 0},
+		{0, 1, 3, 2},
+		{},
+	} {
+		g, err := protocol.NewGroup(members)
+		if err != nil {
+			t.Fatalf("%v: %v", members, err)
+		}
+		if g.Len() != len(members) {
+			t.Fatalf("%v: Len %d", members, g.Len())
+		}
+		for i, id := range members {
+			if got, ok := g.Index(id); !ok || got != i {
+				t.Errorf("%v: Index(%v) = %d, %v, want %d", members, id, got, ok, i)
+			}
+		}
+		for _, out := range []ident.ProcID{-1, 8, 10, 100} {
+			if _, ok := g.Index(out); ok != slices.Contains(members, out) {
+				t.Errorf("%v: Index(%v) ok = %v", members, out, ok)
+			}
+		}
+		if _, err := g.IndexOf(50); !errors.Is(err, protocol.ErrBadParams) {
+			t.Errorf("%v: IndexOf(outsider) = %v, want ErrBadParams", members, err)
+		}
+	}
+	for _, members := range [][]ident.ProcID{{0, 1, 1}, {2, 0, 2}, {0, 1, 2, 0}} {
+		if _, err := protocol.NewGroup(members); !errors.Is(err, protocol.ErrBadParams) {
+			t.Errorf("%v: err = %v, want a duplicate-member ErrBadParams", members, err)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { _, _ = protocol.NewGroup(ident.Range(9)[2:]) }); n > 1 {
+		t.Errorf("indexing a contiguous group allocates %v times beyond the list itself", n-1)
 	}
 }

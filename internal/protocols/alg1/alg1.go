@@ -31,8 +31,7 @@ import (
 // group (group[0] is the transmitter; the remaining 2t members split into
 // A = group[1..t] and B = group[t+1..2t]).
 type Core struct {
-	group    []ident.ProcID
-	indexOf  map[ident.ProcID]int
+	group    protocol.Group
 	t        int
 	me       int // my index within group
 	value    ident.Value
@@ -45,26 +44,23 @@ type Core struct {
 }
 
 // NewCore builds the Algorithm 1 state machine for group member me. The
-// group must have exactly 2t+1 members; value is used only by the
+// group must have exactly 2t+1 members, and the core keeps the slice: the
+// caller must not write to it afterwards. value is used only by the
 // transmitter (group[0]).
 func NewCore(group []ident.ProcID, t int, me ident.ProcID, value ident.Value, signer sig.Signer, verifier sig.Verifier) (*Core, error) {
 	if len(group) != 2*t+1 {
 		return nil, fmt.Errorf("%w: alg1 needs |group| = 2t+1, got %d for t=%d", protocol.ErrBadParams, len(group), t)
 	}
-	idx := make(map[ident.ProcID]int, len(group))
-	for i, id := range group {
-		if _, dup := idx[id]; dup {
-			return nil, fmt.Errorf("%w: duplicate group member %v", protocol.ErrBadParams, id)
-		}
-		idx[id] = i
+	g, err := protocol.NewGroup(group)
+	if err != nil {
+		return nil, err
 	}
-	mi, ok := idx[me]
-	if !ok {
-		return nil, fmt.Errorf("%w: %v not in group", protocol.ErrBadParams, me)
+	mi, err := g.IndexOf(me)
+	if err != nil {
+		return nil, err
 	}
 	return &Core{
-		group:    append([]ident.ProcID(nil), group...),
-		indexOf:  idx,
+		group:    g,
 		t:        t,
 		me:       mi,
 		value:    value,
@@ -72,6 +68,10 @@ func NewCore(group []ident.ProcID, t int, me ident.ProcID, value ident.Value, si
 		verifier: verifier,
 	}, nil
 }
+
+// Group returns the group the core runs in and this member's index in it, for
+// an algorithm built on top (Algorithm 2) that addresses the same group.
+func (c *Core) Group() (protocol.Group, int) { return c.group, c.me }
 
 // LastPhase returns the last phase during which Algorithm 1 sends (t+2).
 // One further delivery-only step completes the decision.
@@ -99,7 +99,7 @@ func (c *Core) otherSide() []ident.ProcID {
 	}
 	out := make([]ident.ProcID, 0, c.t)
 	for i := lo; i <= hi; i++ {
-		out = append(out, c.group[i])
+		out = append(out, c.group.Members()[i])
 	}
 	return out
 }
@@ -120,7 +120,7 @@ func (c *Core) isCorrect1Message(payload []byte, from ident.ProcID, k int) (sig.
 	prev := -1
 	seen := make(ident.Set, k+1)
 	for i, link := range sv.Chain {
-		idx, ok := c.indexOf[link.Signer]
+		idx, ok := c.group.Index(link.Signer)
 		if !ok || !seen.Add(link.Signer) {
 			return sig.SignedValue{}, false
 		}
@@ -139,7 +139,7 @@ func (c *Core) isCorrect1Message(payload []byte, from ident.ProcID, k int) (sig.
 	}
 	// The edge (last signer -> receiver) must exist in G and keep the path
 	// simple: the receiver must not already be on it.
-	if seen.Has(c.group[c.me]) {
+	if seen.Has(c.group.Members()[c.me]) {
 		return sig.SignedValue{}, false
 	}
 	if k > 1 && c.side(c.me) == prev {
@@ -168,7 +168,7 @@ func (c *Core) Step(ctx *sim.Context, inbox []sim.Envelope, phase int) error {
 		if phase == 1 {
 			sv := sig.NewSignedValue(c.signer, c.value)
 			payload := sv.Marshal()
-			if err := protocol.SendToAll(ctx, c.group[1:], payload, sv.Chain); err != nil {
+			if err := protocol.SendToAll(ctx, c.group.Members()[1:], payload, sv.Chain); err != nil {
 				return err
 			}
 		}

@@ -48,23 +48,14 @@ func (MultiProtocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
 	if cfg.Transmitter != 0 {
 		return nil, fmt.Errorf("%w: alg1-multi assumes transmitter 0", protocol.ErrBadParams)
 	}
-	group := ident.Range(cfg.N)
-	idx := make(map[ident.ProcID]int, len(group))
-	for i, id := range group {
-		idx[id] = i
-	}
 	return &multiNode{
-		cfg:     cfg,
-		group:   group,
-		indexOf: idx,
-		seen:    make(map[ident.Value]sig.SignedValue),
+		cfg:  cfg,
+		seen: make(map[ident.Value]sig.SignedValue),
 	}, nil
 }
 
 type multiNode struct {
-	cfg     protocol.NodeConfig
-	group   []ident.ProcID
-	indexOf map[ident.ProcID]int
+	cfg protocol.NodeConfig
 	// seen maps circulating values to the first correct message received
 	// for them (capped at two entries).
 	seen map[ident.Value]sig.SignedValue
@@ -89,14 +80,14 @@ func (m *multiNode) side(idx int) int {
 func (m *multiNode) otherSide() []ident.ProcID {
 	t := m.cfg.T
 	var lo, hi int
-	if m.side(m.indexOf[m.cfg.ID]) == 1 {
+	if m.side(int(m.cfg.ID)) == 1 {
 		lo, hi = t+1, 2*t
 	} else {
 		lo, hi = 1, t
 	}
 	out := make([]ident.ProcID, 0, t)
 	for i := lo; i <= hi; i++ {
-		out = append(out, m.group[i])
+		out = append(out, ident.ProcID(i))
 	}
 	return out
 }
@@ -111,8 +102,8 @@ func (m *multiNode) isCorrectMessage(payload []byte, from ident.ProcID, k int) (
 	prev := -1
 	seen := make(ident.Set, k+1)
 	for i, link := range sv.Chain {
-		idx, ok := m.indexOf[link.Signer]
-		if !ok || !seen.Add(link.Signer) {
+		idx := int(link.Signer) // the group is the whole system in id order
+		if idx < 0 || idx >= m.cfg.N || !seen.Add(link.Signer) {
 			return sig.SignedValue{}, false
 		}
 		s := m.side(idx)
@@ -131,7 +122,7 @@ func (m *multiNode) isCorrectMessage(payload []byte, from ident.ProcID, k int) (
 	if seen.Has(m.cfg.ID) {
 		return sig.SignedValue{}, false
 	}
-	if k > 1 && m.side(m.indexOf[m.cfg.ID]) == prev {
+	if k > 1 && m.side(int(m.cfg.ID)) == prev {
 		return sig.SignedValue{}, false
 	}
 	if from != sv.Chain[len(sv.Chain)-1].Signer {
@@ -150,7 +141,7 @@ func (m *multiNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	if m.cfg.IsTransmitter() {
 		if phase == 1 {
 			sv := sig.NewSignedValue(m.cfg.Signer, m.cfg.Value)
-			return protocol.SendToAll(ctx, m.group[1:], sv.Marshal(), sv.Chain)
+			return protocol.SendToAll(ctx, ident.Range(m.cfg.N)[1:], sv.Marshal(), sv.Chain)
 		}
 		return nil
 	}

@@ -29,8 +29,7 @@ import (
 // t+3..3t+3 the increasing-message rounds.
 type Core struct {
 	inner    *alg1.Core
-	group    []ident.ProcID
-	indexOf  map[ident.ProcID]int
+	group    protocol.Group
 	t        int
 	me       int
 	signer   sig.Signer
@@ -51,16 +50,12 @@ func NewCore(group []ident.ProcID, t int, me ident.ProcID, value ident.Value, si
 	if err != nil {
 		return nil, err
 	}
-	idx := make(map[ident.ProcID]int, len(group))
-	for i, id := range group {
-		idx[id] = i
-	}
+	g, mi := inner.Group()
 	return &Core{
 		inner:    inner,
-		group:    append([]ident.ProcID(nil), group...),
-		indexOf:  idx,
+		group:    g,
 		t:        t,
-		me:       idx[me],
+		me:       mi,
 		signer:   signer,
 		verifier: verifier,
 	}, nil
@@ -93,7 +88,7 @@ func (c *Core) classify(payload []byte) {
 	prev := -1
 	others := 0
 	for _, l := range sv.Chain {
-		idx, ok := c.indexOf[l.Signer]
+		idx, ok := c.group.Index(l.Signer)
 		if !ok {
 			return
 		}
@@ -145,11 +140,11 @@ func (c *Core) Step(ctx *sim.Context, inbox []sim.Envelope, phase int) error {
 
 		var targets []ident.ProcID
 		if wide {
-			targets = append(targets, c.group[:c.me]...)
-			targets = append(targets, c.group[c.me+1:]...)
+			targets = append(targets, c.group.Members()[:c.me]...)
+			targets = append(targets, c.group.Members()[c.me+1:]...)
 		} else {
-			for i := c.me + 1; i <= c.me+c.t+1 && i < len(c.group); i++ {
-				targets = append(targets, c.group[i])
+			for i := c.me + 1; i <= c.me+c.t+1 && i < c.group.Len(); i++ {
+				targets = append(targets, c.group.Members()[i])
 			}
 		}
 		if err := protocol.SendToAll(ctx, targets, signed.Marshal(), signed.Chain); err != nil {
@@ -164,7 +159,7 @@ func (c *Core) Step(ctx *sim.Context, inbox []sim.Envelope, phase int) error {
 func (c *Core) classifyOwn(sv sig.SignedValue) {
 	others := 0
 	for _, l := range sv.Chain {
-		if idx, ok := c.indexOf[l.Signer]; ok && idx != c.me {
+		if idx, ok := c.group.Index(l.Signer); ok && idx != c.me {
 			others++
 		}
 	}

@@ -125,7 +125,7 @@ func (p Protocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
 
 // encodeTagged marshals a tagged SignedValue payload.
 func encodeTagged(tag byte, sv sig.SignedValue) []byte {
-	w := wire.NewWriter(24 + len(sv.Chain)*48)
+	w := wire.NewWriter(1 + sv.EncodedLen())
 	w.Byte(tag)
 	sv.Encode(w)
 	return w.Bytes()
@@ -138,7 +138,7 @@ func decodeTagged(payload []byte, wantTag byte) (sig.SignedValue, bool) {
 		return sig.SignedValue{}, false
 	}
 	r := wire.NewReader(payload[1:])
-	sv := sig.DecodeSignedValue(r)
+	sv := sig.DecodeSignedValue(r, nil)
 	if r.Finish() != nil {
 		return sig.SignedValue{}, false
 	}

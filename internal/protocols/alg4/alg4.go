@@ -31,8 +31,7 @@ const (
 
 // Group is one participant's state for a single Algorithm 4 exchange.
 type Group struct {
-	members []ident.ProcID
-	indexOf map[ident.ProcID]int
+	members protocol.Group
 	g       grid.Grid
 	me      int
 
@@ -41,13 +40,19 @@ type Group struct {
 
 	value []byte
 
-	// collected maps member index -> that member's signed value, as
-	// verified from any of the three phases.
-	collected map[int]sig.SignedBytes
+	// collected[i] is member i's signed value, as verified from any of the
+	// three phases; its chain is empty until one arrives.
+	collected []sig.SignedBytes
 	// m1 keeps phase 1 receipts (own row) for the phase 2 forward; m2
 	// keeps phase 2 receipts (own column) for the phase 3 forward.
 	m1 []sig.SignedBytes
 	m2 []sig.SignedBytes
+
+	// links backs the chains of every entry decoded, and entries is the
+	// scratch one payload's entries are parsed into: a payload costs a block
+	// of links now and then, not an allocation per entry.
+	links   sig.Slab
+	entries []sig.SignedBytes
 }
 
 // NewGroup builds the exchange state for member me of the given group
@@ -58,26 +63,27 @@ func NewGroup(members []ident.ProcID, me ident.ProcID, value []byte, signer sig.
 	if err != nil {
 		return nil, err
 	}
-	idx := make(map[ident.ProcID]int, len(members))
-	for i, id := range members {
-		if _, dup := idx[id]; dup {
-			return nil, fmt.Errorf("%w: duplicate member %v", protocol.ErrBadParams, id)
-		}
-		idx[id] = i
+	group, err := protocol.NewGroup(members)
+	if err != nil {
+		return nil, err
 	}
-	mi, ok := idx[me]
-	if !ok {
-		return nil, fmt.Errorf("%w: %v not in group", protocol.ErrBadParams, me)
+	mi, err := group.IndexOf(me)
+	if err != nil {
+		return nil, err
 	}
 	return &Group{
-		members:   append([]ident.ProcID(nil), members...),
-		indexOf:   idx,
+		members:   group,
 		g:         g,
 		me:        mi,
 		signer:    signer,
 		verifier:  verifier,
 		value:     append([]byte(nil), value...),
-		collected: make(map[int]sig.SignedBytes),
+		collected: make([]sig.SignedBytes, len(members)),
+		// What the three phases hold when everybody is correct: a row, a
+		// column of row reports, and one such report of reports.
+		m1:      make([]sig.SignedBytes, 0, g.Side()),
+		m2:      make([]sig.SignedBytes, 0, (g.Side()-1)*g.Side()),
+		entries: make([]sig.SignedBytes, 0, (g.Side()-1)*g.Side()),
 	}, nil
 }
 
@@ -85,12 +91,15 @@ func NewGroup(members []ident.ProcID, me ident.ProcID, value []byte, signer sig.
 // complete one delivery step later (relative step 3).
 const Phases = 3
 
-// record stores a verified signed value under its signer's index.
-func (gr *Group) record(sb sig.SignedBytes) {
-	idx := gr.indexOf[sb.Chain[0].Signer]
-	if _, ok := gr.collected[idx]; !ok {
-		gr.collected[idx] = sb
+// record stores a verified signed value under its signer's index, unless one
+// is there already, and reports whether it did.
+func (gr *Group) record(sb sig.SignedBytes) bool {
+	idx, _ := gr.members.Index(sb.Chain[0].Signer)
+	if len(gr.collected[idx].Chain) > 0 {
+		return false
 	}
+	gr.collected[idx] = sb
+	return true
 }
 
 // acceptEntry validates one signed-value entry: exactly one chain link, the
@@ -99,52 +108,48 @@ func (gr *Group) acceptEntry(sb sig.SignedBytes) bool {
 	if len(sb.Chain) != 1 {
 		return false
 	}
-	if _, ok := gr.indexOf[sb.Chain[0].Signer]; !ok {
+	if _, ok := gr.members.Index(sb.Chain[0].Signer); !ok {
 		return false
 	}
 	return sb.Verify(gr.verifier) == nil
 }
 
-// parse decodes a payload into its verified entries (nil for foreign or
-// malformed payloads).
+// parse decodes a payload into its verified entries (none for foreign or
+// malformed payloads). The result is gr.entries, valid until the next call,
+// and every chain decoded on the way is carved from gr.links: a caller that
+// keeps nothing of a payload rewinds gr.links to where it was.
 func (gr *Group) parse(payload []byte) []sig.SignedBytes {
 	if len(payload) == 0 {
 		return nil
 	}
 	r := wire.NewReader(payload[1:])
+	out := gr.entries[:0]
 	switch payload[0] {
 	case tagValue:
-		sb := sig.DecodeSignedBytes(r)
-		if r.Finish() != nil || !gr.acceptEntry(sb) {
-			return nil
+		if sb := sig.DecodeSignedBytes(r, &gr.links); r.Finish() == nil && gr.acceptEntry(sb) {
+			out = append(out, sb)
 		}
-		return []sig.SignedBytes{sb}
 	case tagList:
 		n := r.Len()
-		if r.Err() != nil {
-			return nil
-		}
-		out := make([]sig.SignedBytes, 0, n)
-		for i := 0; i < n; i++ {
-			sb := sig.DecodeSignedBytes(r)
-			if r.Err() != nil {
-				return nil
-			}
-			if gr.acceptEntry(sb) {
+		for i := 0; i < n && r.Err() == nil; i++ {
+			if sb := sig.DecodeSignedBytes(r, &gr.links); r.Err() == nil && gr.acceptEntry(sb) {
 				out = append(out, sb)
 			}
 		}
 		if r.Finish() != nil {
-			return nil
+			out = out[:0]
 		}
-		return out
-	default:
-		return nil
 	}
+	gr.entries = out[:0]
+	return out
 }
 
 func encodeList(entries []sig.SignedBytes) []byte {
-	w := wire.NewWriter(64 * (len(entries) + 1))
+	size := 1 + wire.UintLen(uint64(len(entries)))
+	for _, e := range entries {
+		size += e.EncodedLen()
+	}
+	w := wire.NewWriter(size)
 	w.Byte(tagList)
 	w.Uint(uint64(len(entries)))
 	for _, e := range entries {
@@ -165,7 +170,7 @@ func chainsOf(entries []sig.SignedBytes) []sig.Chain {
 func (gr *Group) sendTo(ctx *sim.Context, indices []int, payload []byte, chains ...sig.Chain) error {
 	ids := make([]ident.ProcID, len(indices))
 	for i, idx := range indices {
-		ids[i] = gr.members[idx]
+		ids[i] = gr.members.Members()[idx]
 	}
 	return protocol.SendToAll(ctx, ids, payload, chains...)
 }
@@ -175,21 +180,23 @@ func (gr *Group) sendTo(ctx *sim.Context, indices []int, payload []byte, chains 
 // the messages delivered at this step; foreign messages are ignored, so
 // embedders may pass a mixed inbox.
 func (gr *Group) Step(ctx *sim.Context, inbox []sim.Envelope, rel int) error {
-	// Collect whatever this step delivered.
+	// Collect whatever this step delivered. A payload that adds nothing —
+	// at step 3 every row mate but the first repeats the same column reports
+	// — gives its chains' links back.
 	for _, env := range inbox {
-		idx, ok := gr.indexOf[env.From]
+		idx, ok := gr.members.Index(env.From)
 		if !ok {
 			continue
 		}
+		mark := gr.links.Mark()
 		entries := gr.parse(env.Payload)
-		if entries == nil {
-			continue
-		}
+		kept := false
 		switch rel {
 		case 1: // phase 1 receipts: a single value from a row mate
 			if gr.g.SameRow(idx, gr.me) && len(entries) == 1 && entries[0].Chain[0].Signer == env.From {
 				gr.m1 = append(gr.m1, entries[0])
 				gr.record(entries[0])
+				kept = true
 			}
 		case 2: // phase 2 receipts: a row report from a column mate
 			if gr.g.SameCol(idx, gr.me) {
@@ -197,13 +204,19 @@ func (gr *Group) Step(ctx *sim.Context, inbox []sim.Envelope, rel int) error {
 				for _, e := range entries {
 					gr.record(e)
 				}
+				kept = len(entries) > 0
 			}
 		case 3: // phase 3 receipts: column reports from row mates
 			if gr.g.SameRow(idx, gr.me) {
 				for _, e := range entries {
-					gr.record(e)
+					if gr.record(e) {
+						kept = true
+					}
 				}
 			}
+		}
+		if !kept {
+			gr.links.Rewind(mark)
 		}
 	}
 
@@ -212,7 +225,7 @@ func (gr *Group) Step(ctx *sim.Context, inbox []sim.Envelope, rel int) error {
 		own := sig.NewSignedBytes(gr.signer, gr.value)
 		gr.record(own)
 		gr.m1 = append(gr.m1, own)
-		w := wire.NewWriter(64 + len(gr.value))
+		w := wire.NewWriter(1 + own.EncodedLen())
 		w.Byte(tagValue)
 		own.Encode(w)
 		return gr.sendTo(ctx, gr.g.RowMates(gr.me), w.Bytes(), own.Chain)
@@ -226,12 +239,26 @@ func (gr *Group) Step(ctx *sim.Context, inbox []sim.Envelope, rel int) error {
 	return nil
 }
 
+// Collected returns the collected values in member order, for an embedder
+// that needs them in a deterministic order and not by identity.
+func (gr *Group) Collected() []sig.SignedBytes {
+	out := make([]sig.SignedBytes, 0, len(gr.collected))
+	for _, sb := range gr.collected {
+		if len(sb.Chain) > 0 {
+			out = append(out, sb)
+		}
+	}
+	return out
+}
+
 // Output returns the collected values: member identity -> signed value.
 // Complete after relative step 3.
 func (gr *Group) Output() map[ident.ProcID]sig.SignedBytes {
 	out := make(map[ident.ProcID]sig.SignedBytes, len(gr.collected))
 	for idx, sb := range gr.collected {
-		out[gr.members[idx]] = sb
+		if len(sb.Chain) > 0 {
+			out[gr.members.Members()[idx]] = sb
+		}
 	}
 	return out
 }

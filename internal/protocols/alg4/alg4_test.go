@@ -3,13 +3,17 @@ package alg4_test
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 
 	"byzex/internal/adversary"
 	"byzex/internal/core"
 	"byzex/internal/ident"
+	"byzex/internal/protocol"
 	"byzex/internal/protocols/alg4"
 	"byzex/internal/sig"
+	"byzex/internal/sim"
+	"byzex/internal/transport"
 )
 
 func runGrid(t *testing.T, n, tt int, adv adversary.Adversary, faulty ident.Set) *core.Result {
@@ -141,5 +145,55 @@ func TestGroupValidation(t *testing.T) {
 	}
 	if _, err := alg4.NewGroup([]ident.ProcID{0, 0, 1, 2}, 0, nil, s0, scheme); err == nil {
 		t.Fatal("duplicate accepted")
+	}
+}
+
+// capture hands out alg4 nodes and keeps them, so a test can look at the
+// state of nodes a substrate built for itself.
+type capture struct {
+	alg4.Protocol
+	mu    sync.Mutex
+	nodes []sim.Node
+}
+
+func (c *capture) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
+	nd, err := c.Protocol.NewNode(cfg)
+	c.mu.Lock()
+	c.nodes = append(c.nodes, nd)
+	c.mu.Unlock()
+	return nd, err
+}
+
+// TestTCPPeersDecodeIntoTheirOwnSlabs runs the exchange over the TCP mesh,
+// where every peer is a goroutine decoding the chains it receives into its
+// node's slab while the others do the same. Under -race (make check runs this
+// package with it) any link storage two peers shared would be a reported
+// race; the pointer check says the same without the detector: no link of one
+// node's collected chains is a link of another's.
+func TestTCPPeersDecodeIntoTheirOwnSlabs(t *testing.T) {
+	const n = 16
+	proto, scheme := &capture{}, sig.NewHMAC(n, 7)
+	res, err := transport.RunCluster(context.Background(), core.Config{Protocol: proto, N: n, T: 0, Scheme: scheme, Seed: 7}, transport.Net{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Decisions) != n || len(proto.nodes) != n {
+		t.Fatalf("%d decisions from %d nodes, want %d", len(res.Decisions), len(proto.nodes), n)
+	}
+	owner := make(map[*sig.Link]int)
+	for i, nd := range proto.nodes {
+		out := nd.(alg4.Exchanger).Output()
+		if len(out) != n {
+			t.Fatalf("node %d collected %d/%d values", i, len(out), n)
+		}
+		for q, sb := range out {
+			if err := sb.Verify(scheme); err != nil {
+				t.Fatalf("node %d: value of %v: %v", i, q, err)
+			}
+			if prev, shared := owner[&sb.Chain[0]]; shared {
+				t.Fatalf("nodes %d and %d hold the same link for %v", prev, i, q)
+			}
+			owner[&sb.Chain[0]] = i
+		}
 	}
 }

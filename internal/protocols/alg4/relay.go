@@ -94,7 +94,7 @@ func (r *relayNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		if r.isRelay(r.cfg.ID) {
 			r.m1 = append(r.m1, own)
 		}
-		w := wire.NewWriter(64)
+		w := wire.NewWriter(1 + own.EncodedLen())
 		w.Byte(tagValue)
 		own.Encode(w)
 		payload := w.Bytes()
@@ -116,7 +116,7 @@ func (r *relayNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 				continue
 			}
 			rd := wire.NewReader(env.Payload[1:])
-			sb := sig.DecodeSignedBytes(rd)
+			sb := sig.DecodeSignedBytes(rd, nil)
 			if rd.Finish() != nil || !r.accept(sb) || sb.Chain[0].Signer != env.From {
 				continue
 			}
@@ -142,7 +142,7 @@ func (r *relayNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 				continue
 			}
 			for i := 0; i < cnt; i++ {
-				sb := sig.DecodeSignedBytes(rd)
+				sb := sig.DecodeSignedBytes(rd, nil)
 				if rd.Err() != nil {
 					break
 				}

@@ -22,6 +22,11 @@ type activeNode struct {
 	valid    sig.SignedValue
 	hasValid bool
 
+	// links backs the chains this node decodes; whatever is decoded and not
+	// kept is handed back (sig.Slab.Rewind), so scanning a phase's reports
+	// reuses the same few links.
+	links sig.Slab
+
 	b        ident.Set   // B(p, x) for the current block
 	pendingF ident.Set   // F(p, x-1) contributed to the in-flight Algorithm 4
 	g4       *alg4.Group // in-flight Algorithm 4 instance
@@ -48,10 +53,12 @@ func (a *activeNode) adoptScan(inbox []sim.Envelope) {
 		return
 	}
 	for _, env := range inbox {
-		if sv, ok := extractValid(env.Payload); ok && a.ly.isValid(sv, a.cfg.Verifier) {
+		mark := a.links.Mark()
+		if sv, ok := extractValid(&a.links, env.Payload); ok && a.ly.isValid(sv, a.cfg.Verifier) {
 			a.valid, a.hasValid = sv, true
 			return
 		}
+		a.links.Rewind(mark)
 	}
 }
 
@@ -138,8 +145,11 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			if err := a.g4.Step(ctx, inbox, 3); err != nil {
 				return err
 			}
-			strings := collectStrings(a.g4.Output())
-			tbl = a.ly.buildPiTable(strings, x, a.cfg.Verifier)
+			// The actives are listed in id order, so this is signer order: map
+			// iteration order must never reach the wire (payload bytes, and
+			// with them signatures and histories, have to be deterministic
+			// per seed).
+			tbl = a.ly.buildPiTable(a.g4.Collected(), x, a.cfg.Verifier)
 			// B(p,x) = members of our own F(p,x) with enough endorsements.
 			b := make(ident.Set)
 			for q := range a.pendingF {
@@ -186,15 +196,15 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		// kick off the next Algorithm 4 exchange.
 		covered := make(ident.Set)
 		for _, env := range inbox {
-			sv, ok := decodeSV(env.Payload, tagReport)
-			if !ok || !a.ly.isValid(sv, a.cfg.Verifier) {
-				continue
-			}
-			for _, l := range sv.Chain {
-				if !a.ly.isActive(l.Signer) {
-					covered.Add(l.Signer)
+			mark := a.links.Mark()
+			if sv, ok := decodeSV(&a.links, env.Payload, tagReport); ok && a.ly.isValid(sv, a.cfg.Verifier) {
+				for _, l := range sv.Chain {
+					if !a.ly.isActive(l.Signer) {
+						covered.Add(l.Signer)
+					}
 				}
 			}
+			a.links.Rewind(mark)
 		}
 		f := make(ident.Set)
 		for q := range a.b {
@@ -217,22 +227,6 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		return a.g4.Step(ctx, inbox, rel-2*l)
 	}
 	return nil
-}
-
-// collectStrings flattens an Algorithm 4 output into its entries, in
-// signer order — map iteration order must never reach the wire (payload
-// bytes, and with them signatures and histories, have to be deterministic
-// per seed).
-func collectStrings(out map[ident.ProcID]sig.SignedBytes) []sig.SignedBytes {
-	ids := make(ident.Set, len(out))
-	for id := range out {
-		ids.Add(id)
-	}
-	strs := make([]sig.SignedBytes, 0, len(out))
-	for _, id := range ids.Sorted() {
-		strs = append(strs, out[id])
-	}
-	return strs
 }
 
 func (a *activeNode) Decide() (ident.Value, bool) {

@@ -197,19 +197,20 @@ const (
 
 // encodeSV marshals a tagged SignedValue payload.
 func encodeSV(tag byte, sv sig.SignedValue) []byte {
-	w := wire.NewWriter(32 + len(sv.Chain)*48)
+	w := wire.NewWriter(1 + sv.EncodedLen())
 	w.Byte(tag)
 	sv.Encode(w)
 	return w.Bytes()
 }
 
-// decodeSV parses a tagged SignedValue payload.
-func decodeSV(payload []byte, wantTag byte) (sig.SignedValue, bool) {
+// decodeSV parses a tagged SignedValue payload, its chain carved from links.
+// A caller that does not keep the result rewinds links to where it was.
+func decodeSV(links *sig.Slab, payload []byte, wantTag byte) (sig.SignedValue, bool) {
 	if len(payload) == 0 || payload[0] != wantTag {
 		return sig.SignedValue{}, false
 	}
 	r := wire.NewReader(payload[1:])
-	sv := sig.DecodeSignedValue(r)
+	sv := sig.DecodeSignedValue(r, links)
 	if r.Finish() != nil {
 		return sig.SignedValue{}, false
 	}
@@ -219,7 +220,11 @@ func decodeSV(payload []byte, wantTag byte) (sig.SignedValue, bool) {
 // encodeActivate marshals an activation payload: valid message plus
 // proof-of-work strings.
 func encodeActivate(sv sig.SignedValue, strings []sig.SignedBytes) []byte {
-	w := wire.NewWriter(64 + len(sv.Chain)*48 + len(strings)*64)
+	size := 1 + sv.EncodedLen() + wire.UintLen(uint64(len(strings)))
+	for _, s := range strings {
+		size += s.EncodedLen()
+	}
+	w := wire.NewWriter(size)
 	w.Byte(tagActivate)
 	sv.Encode(w)
 	w.Uint(uint64(len(strings)))
@@ -229,20 +234,20 @@ func encodeActivate(sv sig.SignedValue, strings []sig.SignedBytes) []byte {
 	return w.Bytes()
 }
 
-// decodeActivate parses an activation payload.
-func decodeActivate(payload []byte) (sig.SignedValue, []sig.SignedBytes, bool) {
+// decodeActivate parses an activation payload, every chain carved from links.
+func decodeActivate(links *sig.Slab, payload []byte) (sig.SignedValue, []sig.SignedBytes, bool) {
 	if len(payload) == 0 || payload[0] != tagActivate {
 		return sig.SignedValue{}, nil, false
 	}
 	r := wire.NewReader(payload[1:])
-	sv := sig.DecodeSignedValue(r)
-	cnt := r.Len()
+	sv := sig.DecodeSignedValue(r, links)
+	cnt := r.Count(sig.MinSignedBytesLen)
 	if r.Err() != nil {
 		return sig.SignedValue{}, nil, false
 	}
 	strs := make([]sig.SignedBytes, 0, cnt)
 	for i := 0; i < cnt; i++ {
-		strs = append(strs, sig.DecodeSignedBytes(r))
+		strs = append(strs, sig.DecodeSignedBytes(r, links))
 	}
 	if r.Finish() != nil {
 		return sig.SignedValue{}, nil, false
@@ -272,15 +277,15 @@ func parseStringBody(body []byte) (int, []ident.ProcID, error) {
 // extractValid pulls a SignedValue out of any payload kind that carries one
 // (used by the opportunistic adopt-scan: a valid message is self-certifying
 // no matter how it arrived).
-func extractValid(payload []byte) (sig.SignedValue, bool) {
+func extractValid(links *sig.Slab, payload []byte) (sig.SignedValue, bool) {
 	if len(payload) == 0 {
 		return sig.SignedValue{}, false
 	}
 	switch payload[0] {
 	case tagFanout, tagDown, tagUp, tagReport:
-		return decodeSV(payload, payload[0])
+		return decodeSV(links, payload, payload[0])
 	case tagActivate:
-		sv, _, ok := decodeActivate(payload)
+		sv, _, ok := decodeActivate(links, payload)
 		return sv, ok
 	default:
 		return sig.SignedValue{}, false

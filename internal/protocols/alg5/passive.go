@@ -21,6 +21,10 @@ type passiveNode struct {
 	valid    sig.SignedValue
 	hasValid bool
 
+	// links backs the chains this node decodes; what it decodes and does not
+	// keep is handed back (sig.Slab.Rewind).
+	links sig.Slab
+
 	// Root role (block λ-level).
 	activated bool
 	m         sig.SignedValue
@@ -53,10 +57,12 @@ func (p *passiveNode) adoptScan(inbox []sim.Envelope) {
 		return
 	}
 	for _, env := range inbox {
-		if sv, ok := extractValid(env.Payload); ok && p.ly.isValid(sv, p.cfg.Verifier) {
+		mark := p.links.Mark()
+		if sv, ok := extractValid(&p.links, env.Payload); ok && p.ly.isValid(sv, p.cfg.Verifier) {
 			p.valid, p.hasValid = sv, true
 			return
 		}
+		p.links.Rewind(mark)
 	}
 }
 
@@ -94,13 +100,16 @@ func (p *passiveNode) stepRoot(ctx *sim.Context, inbox []sim.Envelope, x, rel in
 			if !p.ly.isActive(env.From) {
 				continue
 			}
-			sv, strs, ok := decodeActivate(env.Payload)
+			mark := p.links.Mark()
+			sv, strs, ok := decodeActivate(&p.links, env.Payload)
 			if !ok || !p.ly.isValid(sv, p.cfg.Verifier) {
+				p.links.Rewind(mark)
 				continue
 			}
 			if !p.ly.disablePoW {
 				tbl := p.ly.buildPiTable(strs, x, p.cfg.Verifier)
 				if !p.ly.hasProofOfWork(tbl, p.ref, x) {
+					p.links.Rewind(mark)
 					continue
 				}
 			}
@@ -125,18 +134,15 @@ func (p *passiveNode) stepRoot(ctx *sim.Context, inbox []sim.Envelope, x, rel in
 			if env.From != expect {
 				continue
 			}
-			sv, ok := decodeSV(env.Payload, tagUp)
-			if !ok || sv.Value != p.m.Value || len(sv.Chain) != len(p.m.Chain)+1 {
-				continue
+			mark := p.links.Mark()
+			sv, ok := decodeSV(&p.links, env.Payload, tagUp)
+			if ok && sv.Value == p.m.Value && len(sv.Chain) == len(p.m.Chain)+1 &&
+				sv.Chain[len(sv.Chain)-1].Signer == expect &&
+				sv.Chain.Verify(p.cfg.Verifier, sig.ValueBody(sv.Value)) == nil {
+				p.m = sv
+				break
 			}
-			if sv.Chain[len(sv.Chain)-1].Signer != expect {
-				continue
-			}
-			if sv.Chain.Verify(p.cfg.Verifier, sig.ValueBody(sv.Value)) != nil {
-				continue
-			}
-			p.m = sv
-			break
+			p.links.Rewind(mark)
 		}
 	}
 
@@ -171,16 +177,18 @@ func (p *passiveNode) stepMember(ctx *sim.Context, inbox []sim.Envelope, x, rel 
 	}
 
 	// "Exactly one valid message from the root of the depth-x subtree."
+	mark := p.links.Mark()
 	var got []sig.SignedValue
 	for _, env := range inbox {
 		if env.From != rootID {
 			continue
 		}
-		if sv, ok := decodeSV(env.Payload, tagDown); ok {
+		if sv, ok := decodeSV(&p.links, env.Payload, tagDown); ok {
 			got = append(got, sv)
 		}
 	}
 	if len(got) != 1 || !p.ly.isValid(got[0], p.cfg.Verifier) {
+		p.links.Rewind(mark)
 		return nil
 	}
 	p.signedIn |= 1 << uint(x)

@@ -35,19 +35,29 @@ func (sb SignedBytes) Encode(w *wire.Writer) {
 	sb.Chain.Encode(w)
 }
 
-// DecodeSignedBytes reads a SignedBytes previously written with Encode. The
-// body aliases the reader's buffer under the same lifetime contract as
-// DecodeChain: transports keep payload bytes alive for as long as the
-// decoding node can reference them.
-func DecodeSignedBytes(r *wire.Reader) SignedBytes {
+// EncodedLen is the number of bytes Encode appends.
+func (sb SignedBytes) EncodedLen() int {
+	return wire.BytesFieldLen(len(sb.Body)) + sb.Chain.EncodedLen()
+}
+
+// MinSignedBytesLen is the shortest encoding of a SignedBytes (an empty body
+// and an empty chain): what a decoder of a list of them passes to
+// wire.Reader.Count.
+const MinSignedBytesLen = 2
+
+// DecodeSignedBytes reads a SignedBytes previously written with Encode, its
+// chain carved from s. The body aliases the reader's buffer under the same
+// lifetime contract as DecodeChain: transports keep payload bytes alive for
+// as long as the decoding node can reference them.
+func DecodeSignedBytes(r *wire.Reader, s *Slab) SignedBytes {
 	body := r.BytesField()
-	c := DecodeChain(r)
+	c := DecodeChain(r, s)
 	return SignedBytes{Body: body, Chain: c}
 }
 
 // Marshal returns the standalone canonical encoding.
 func (sb SignedBytes) Marshal() []byte {
-	w := wire.NewWriter(16 + len(sb.Body) + len(sb.Chain)*48)
+	w := wire.NewWriter(sb.EncodedLen())
 	sb.Encode(w)
 	return w.Bytes()
 }
@@ -55,7 +65,7 @@ func (sb SignedBytes) Marshal() []byte {
 // UnmarshalSignedBytes decodes a standalone encoding produced by Marshal.
 func UnmarshalSignedBytes(b []byte) (SignedBytes, error) {
 	r := wire.NewReader(b)
-	sb := DecodeSignedBytes(r)
+	sb := DecodeSignedBytes(r, nil)
 	if err := r.Finish(); err != nil {
 		return SignedBytes{}, err
 	}

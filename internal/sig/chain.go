@@ -139,21 +139,86 @@ func (c Chain) Encode(w *wire.Writer) {
 	}
 }
 
-// DecodeChain reads a chain previously written with Encode. Sig slices alias
-// the reader's buffer rather than copying: every transport honours the
-// sim.Node lifetime contract — the in-memory engine never recycles payload
-// bytes, and the TCP mesh retires delivered frame buffers until the epoch's
-// nodes are unreachable — so the alias outlives every use of the chain.
-func DecodeChain(r *wire.Reader) Chain {
-	n := r.Len()
+// EncodedLen is the number of bytes Encode appends.
+func (c Chain) EncodedLen() int {
+	n := wire.UintLen(uint64(len(c)))
+	for _, l := range c {
+		n += wire.IntLen(int64(l.Signer)) + wire.BytesFieldLen(len(l.Sig))
+	}
+	return n
+}
+
+// Slab is the storage the links of decoded chains are carved from, so that
+// decoding k chains is not k allocations. It belongs to whatever decodes with
+// it — a node for its lifetime, or one call — and so to one goroutine: the
+// peers of the TCP transport decode concurrently, each node into its own. A
+// block that runs out is dropped, never rewritten, so a chain stays valid for
+// as long as anything references it, unless its owner gave it back with
+// Rewind. The zero value is ready to use, and a nil *Slab makes every chain an
+// allocation of its own.
+type Slab struct {
+	block []Link
+	used  int // block[:used] is carved
+}
+
+// slabMax bounds a block, and with it what one kept chain can pin: blocks
+// start at the first chain's length and double up to this many links.
+const slabMax = 128
+
+// minLinkLen is the shortest encoding of a link: a one-byte signer and the
+// length prefix of an empty signature.
+const minLinkLen = 2
+
+// take returns n uncarved links as an empty chain with capacity n.
+func (s *Slab) take(n int) Chain {
+	if s == nil {
+		return make(Chain, 0, n)
+	}
+	if n > len(s.block)-s.used {
+		s.block = make([]Link, max(n, min(2*len(s.block), slabMax)))
+		s.used = 0
+	}
+	out := s.block[s.used : s.used : s.used+n]
+	s.used += n
+	return out
+}
+
+// Mark returns the slab's position, for Rewind.
+func (s *Slab) Mark() int {
+	if s == nil {
+		return 0
+	}
+	return s.used
+}
+
+// Rewind hands back the links of every chain decoded since mark was taken, to
+// be carved again: the caller has dropped those chains. (When a new block was
+// started in between, the position counts into that block; whatever of it lies
+// past mark was still carved after mark, so this only hands back less.)
+func (s *Slab) Rewind(mark int) {
+	if s != nil && mark < s.used {
+		s.used = mark
+	}
+}
+
+// DecodeChain reads a chain previously written with Encode, its links carved
+// from s. Sig slices alias the reader's buffer rather than copying: every
+// transport honours the sim.Node lifetime contract — the in-memory engine
+// never recycles payload bytes, and the TCP mesh retires delivered frame
+// buffers until the epoch's nodes are unreachable — so the alias outlives
+// every use of the chain.
+func DecodeChain(r *wire.Reader, s *Slab) Chain {
+	n := r.Count(minLinkLen)
 	if r.Err() != nil {
 		return nil
 	}
-	out := make(Chain, 0, n)
+	mark := s.Mark()
+	out := s.take(n)
 	for i := 0; i < n; i++ {
 		signer := r.Proc()
 		sigBytes := r.BytesField()
 		if r.Err() != nil {
+			s.Rewind(mark)
 			return nil
 		}
 		out = append(out, Link{Signer: signer, Sig: sigBytes})
@@ -217,16 +282,22 @@ func (sv SignedValue) Encode(w *wire.Writer) {
 	sv.Chain.Encode(w)
 }
 
-// DecodeSignedValue reads a SignedValue previously written with Encode.
-func DecodeSignedValue(r *wire.Reader) SignedValue {
+// EncodedLen is the number of bytes Encode appends.
+func (sv SignedValue) EncodedLen() int {
+	return wire.IntLen(int64(sv.Value)) + sv.Chain.EncodedLen()
+}
+
+// DecodeSignedValue reads a SignedValue previously written with Encode, its
+// chain carved from s (see DecodeChain).
+func DecodeSignedValue(r *wire.Reader, s *Slab) SignedValue {
 	v := r.Value()
-	c := DecodeChain(r)
+	c := DecodeChain(r, s)
 	return SignedValue{Value: v, Chain: c}
 }
 
 // Marshal returns the standalone canonical encoding of sv.
 func (sv SignedValue) Marshal() []byte {
-	w := wire.NewWriter(16 + len(sv.Chain)*48)
+	w := wire.NewWriter(sv.EncodedLen())
 	sv.Encode(w)
 	return w.Bytes()
 }
@@ -234,7 +305,7 @@ func (sv SignedValue) Marshal() []byte {
 // UnmarshalSignedValue decodes a standalone encoding produced by Marshal.
 func UnmarshalSignedValue(b []byte) (SignedValue, error) {
 	r := wire.NewReader(b)
-	sv := DecodeSignedValue(r)
+	sv := DecodeSignedValue(r, nil)
 	if err := r.Finish(); err != nil {
 		return SignedValue{}, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"byzex/internal/ident"
 	"byzex/internal/sig"
+	"byzex/internal/wire"
 )
 
 func schemes(t *testing.T, n int) map[string]sig.Scheme {
@@ -174,7 +175,11 @@ func TestChainEncodeDecode(t *testing.T) {
 		signer, _ := s.Signer(ident.ProcID(i))
 		sv = sv.CoSign(signer)
 	}
-	decoded, err := sig.UnmarshalSignedValue(sv.Marshal())
+	enc := sv.Marshal()
+	if len(enc) != sv.EncodedLen() || cap(enc) != len(enc) {
+		t.Fatalf("Marshal: %d bytes in a buffer of %d, EncodedLen says %d", len(enc), cap(enc), sv.EncodedLen())
+	}
+	decoded, err := sig.UnmarshalSignedValue(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,6 +188,93 @@ func TestChainEncodeDecode(t *testing.T) {
 	}
 	if err := decoded.Verify(s); err != nil {
 		t.Fatalf("decoded chain invalid: %v", err)
+	}
+}
+
+// TestEncodedLenIsExact covers what the round-trip tests' small chains do
+// not: signers and values whose varints take two and more bytes, long
+// signatures, empty chains.
+func TestEncodedLenIsExact(t *testing.T) {
+	for _, sv := range []sig.SignedValue{
+		{},
+		{Value: -1 << 40},
+		{Value: 64, Chain: sig.Chain{{Signer: 63}, {Signer: 64, Sig: make([]byte, 127)}, {Signer: 1 << 20, Sig: make([]byte, 128)}}},
+	} {
+		if got := len(sv.Marshal()); got != sv.EncodedLen() {
+			t.Errorf("%+v: %d bytes, EncodedLen %d", sv, got, sv.EncodedLen())
+		}
+		sb := sig.SignedBytes{Body: make([]byte, 200), Chain: sv.Chain}
+		if got := len(sb.Marshal()); got != sb.EncodedLen() {
+			t.Errorf("%+v: %d bytes, EncodedLen %d", sb, got, sb.EncodedLen())
+		}
+	}
+}
+
+// TestSlabCarvesChainsFromBlocks pins the slab's contract: chains decoded
+// through one slab come out equal to separately decoded ones and do not
+// overlap, a handful of blocks serves many chains, what is rewound is carved
+// again, a decode that fails gives its links back, and a nil slab works.
+func TestSlabCarvesChainsFromBlocks(t *testing.T) {
+	s := sig.NewHMAC(8, 3)
+	s0, _ := s.Signer(0)
+	sv := sig.NewSignedValue(s0, ident.V1)
+	var encs [][]byte
+	for i := 1; i < 8; i++ {
+		signer, _ := s.Signer(ident.ProcID(i))
+		sv = sv.CoSign(signer)
+		encs = append(encs, sv.Marshal())
+	}
+	decode := func(slab *sig.Slab, enc []byte) sig.SignedValue {
+		r := wire.NewReader(enc)
+		out := sig.DecodeSignedValue(r, slab)
+		if err := r.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	var slab sig.Slab
+	var kept []sig.SignedValue
+	allocs := testing.AllocsPerRun(1, func() {
+		kept = kept[:0]
+		for round := 0; round < 20; round++ {
+			for _, enc := range encs {
+				kept = append(kept, decode(&slab, enc))
+			}
+		}
+	})
+	if allocs > 24 { // 20×7 chains, 700 links: blocks of up to 128, and kept's growth
+		t.Errorf("decoding %d chains through a slab made %v allocations", len(kept), allocs)
+	}
+	seen := make(map[*sig.Link]bool)
+	for i, got := range kept {
+		if err := got.Verify(s); err != nil {
+			t.Fatalf("chain %d: %v", i, err)
+		}
+		if want := decode(nil, encs[i%len(encs)]); len(got.Chain) != len(want.Chain) {
+			t.Fatalf("chain %d: %d links through the slab, %d without", i, len(got.Chain), len(want.Chain))
+		}
+		for j := range got.Chain {
+			if seen[&got.Chain[j]] {
+				t.Fatalf("chain %d shares link %d with an earlier chain", i, j)
+			}
+			seen[&got.Chain[j]] = true
+		}
+	}
+
+	mark := slab.Mark()
+	first := decode(&slab, encs[2])
+	slab.Rewind(mark)
+	if again := decode(&slab, encs[2]); &again.Chain[0] != &first.Chain[0] {
+		t.Error("links handed back with Rewind were not carved again")
+	}
+	slab.Rewind(mark)
+	r := wire.NewReader(encs[2][:len(encs[2])-1])
+	if c := sig.DecodeSignedValue(r, &slab); c.Chain != nil || r.Err() == nil {
+		t.Fatalf("truncated chain decoded: %v, %v", c, r.Err())
+	}
+	if slab.Mark() != mark {
+		t.Errorf("a failed decode left the slab at %d, not back at %d", slab.Mark(), mark)
 	}
 }
 
@@ -202,7 +294,11 @@ func TestSignedBytesRoundTrip(t *testing.T) {
 	s0, _ := s.Signer(0)
 	s1, _ := s.Signer(1)
 	sb := sig.NewSignedBytes(s0, []byte("payload")).CoSign(s1)
-	decoded, err := sig.UnmarshalSignedBytes(sb.Marshal())
+	enc := sb.Marshal()
+	if len(enc) != sb.EncodedLen() || cap(enc) != len(enc) {
+		t.Fatalf("Marshal: %d bytes in a buffer of %d, EncodedLen says %d", len(enc), cap(enc), sb.EncodedLen())
+	}
+	decoded, err := sig.UnmarshalSignedBytes(enc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 
 	"byzex/internal/faultnet"
@@ -77,8 +78,9 @@ type Node interface {
 	//
 	// The inbox slice (like ctx) is only valid for the duration of the
 	// call: the engine recycles the backing array for a later phase's
-	// deliveries. Envelope payloads are never recycled, so copying the
-	// Envelope values (or retaining their Payload slices) is safe.
+	// deliveries. Envelope payloads and signer lists are never recycled, so
+	// copying the Envelope values (or retaining their Payload and Signers
+	// slices) is safe.
 	Step(ctx *Context, inbox []Envelope) error
 
 	// Decide returns the node's decision after the run. ok is false if the
@@ -97,6 +99,7 @@ type Context struct {
 	phase       int
 	lastPhase   int
 	submit      func(Envelope)
+	signers     *signerArena // nil outside the in-memory engine
 	filter      func(ident.ProcID) bool
 	sink        trace.Sink // nil when tracing is disabled
 }
@@ -188,6 +191,58 @@ func (c *Context) Send(to ident.ProcID, payload []byte, signers []ident.ProcID, 
 		SigTotal: sigTotal,
 	})
 	return nil
+}
+
+// signerArena is where one engine keeps the signer lists of the envelopes it
+// carries: lists are carved from blocks instead of allocated one per send. A
+// block is never written again once carved from, so a list stays valid for as
+// long as anything references it (a node may copy an Envelope and send it on
+// phases later); scratch is the one buffer lists are collected and sorted in.
+type signerArena struct {
+	free    []ident.ProcID // the current block's uncarved tail
+	block   int            // the current block's length
+	scratch []ident.ProcID
+}
+
+// Signer blocks double from signerBlockMin to signerBlockMax entries, so a
+// five-processor run carves from a few hundred bytes and a large one
+// allocates once per few thousand signers.
+const (
+	signerBlockMin = 64
+	signerBlockMax = 4096
+)
+
+// SignerScratch returns an empty slice with room for n identities, in which
+// the caller collects the signers of a payload before handing the slice to
+// InternSigners. Under the in-memory engine it is the engine's one scratch
+// buffer; on other substrates it is a fresh allocation.
+func (c *Context) SignerScratch(n int) []ident.ProcID {
+	if c.signers == nil || cap(c.signers.scratch) < n {
+		return make([]ident.ProcID, 0, n)
+	}
+	return c.signers.scratch[:0]
+}
+
+// InternSigners sorts ids, drops duplicates and returns the list in the form
+// Send takes it: storage nobody writes to again. ids itself is consumed — it
+// came from SignerScratch, and under the in-memory engine it goes back to
+// being the scratch.
+func (c *Context) InternSigners(ids []ident.ProcID) []ident.ProcID {
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	a := c.signers
+	if a == nil {
+		return ids
+	}
+	a.scratch = ids[:0]
+	if len(ids) > len(a.free) {
+		a.block = max(len(ids), min(2*a.block, signerBlockMax), signerBlockMin)
+		a.free = make([]ident.ProcID, a.block)
+	}
+	out := a.free[:len(ids):len(ids)]
+	a.free = a.free[len(ids):]
+	copy(out, ids)
+	return out
 }
 
 // Observer is notified of every message accepted by the engine, in
@@ -293,12 +348,20 @@ type Engine struct {
 	nodes     []Node
 	collector *metrics.Collector
 
-	// pending[to] accumulates messages sent during the current phase for
-	// delivery at the next one. inboxes holds the deliveries of the current
-	// phase; the two swap roles each phase (double-buffer) so slice capacity
-	// is recycled instead of regrown.
-	pending [][]Envelope
-	inboxes [][]Envelope
+	// sent is the current phase's traffic in submission order, and count[to]
+	// how much of it is addressed to processor to. The phase swap moves it
+	// into delivered with one stable counting pass, grouped by receiver, and
+	// inboxes[to] becomes a view of to's group — or, for a receiver a fault
+	// plan touches, of faultnet.Deliver's output in faulted. All three grow
+	// to the largest phase, are zeroed once their phase is over so delivered
+	// payloads can be collected, and die with the engine.
+	sent      envBlocks
+	count     []int
+	delivered envBlocks
+	faulted   []Envelope
+	inboxes   [][]Envelope
+
+	signers signerArena
 
 	// steps counts node steps since the run last yielded the processor.
 	steps int
@@ -308,12 +371,10 @@ type Engine struct {
 	ctxs []Context
 
 	// Fault-plan scratch, nil unless a plan is active: stash[to] holds to's
-	// plan-delayed content, frames is the per-sender view of the inbox being
-	// delivered, and spare is the one extra inbox buffer the delivery pass
-	// rotates through the receivers.
+	// plan-delayed content and frames is the per-sender view of the inbox
+	// being delivered.
 	stash  []faultnet.Stash[Envelope]
 	frames [][]Envelope
-	spare  []Envelope
 }
 
 // New builds an engine over the given nodes; nodes[i] is the state machine
@@ -334,7 +395,9 @@ func New(cfg Config, nodes []Node) (*Engine, error) {
 		cfg:       cfg,
 		nodes:     nodes,
 		collector: metrics.NewCollector(cfg.Faulty),
-		pending:   make([][]Envelope, cfg.N),
+		sent:      envBlocks{size: envBlockSize(cfg.N)},
+		count:     make([]int, cfg.N),
+		delivered: envBlocks{size: envBlockSize(cfg.N)},
 		inboxes:   make([][]Envelope, cfg.N),
 		ctxs:      make([]Context, cfg.N),
 	}
@@ -351,6 +414,7 @@ func New(cfg Config, nodes []Node) (*Engine, error) {
 			transmitter: cfg.Transmitter,
 			lastPhase:   cfg.Phases,
 			submit:      submit,
+			signers:     &e.signers,
 			sink:        cfg.Trace,
 		}
 	}
@@ -369,7 +433,70 @@ func (e *Engine) submit(env Envelope) {
 			Flag: e.cfg.Faulty.Has(env.From),
 		})
 	}
-	e.pending[env.To] = append(e.pending[env.To], env)
+	_ = append(e.sent.carve(1), env) // into the carved slot
+	e.count[env.To]++
+}
+
+// deliver is the phase swap: what was sent last phase becomes this phase's
+// inboxes. Each receiver's envelopes keep their submission order, and nodes
+// are stepped in identity order, so a group is normally sender-sorted as it
+// lands; sortInbox checks that and repairs the exceptions (rushing).
+func (e *Engine) deliver() {
+	e.delivered.reset()
+	clear(e.faulted)
+	e.faulted = e.faulted[:0]
+	for to, c := range e.count {
+		e.inboxes[to] = e.delivered.carve(c)
+		e.count[to] = 0
+	}
+	for _, blk := range e.sent.blocks {
+		for i := range blk {
+			to := blk[i].To
+			e.inboxes[to] = append(e.inboxes[to], blk[i])
+		}
+	}
+	e.sent.reset()
+	for _, in := range e.inboxes {
+		sortInbox(in)
+	}
+}
+
+// envBlocks is envelope storage that is filled, read and zeroed once per
+// phase: a list of equal blocks that are kept and refilled, never regrown, so
+// reaching the largest phase allocates each slot once and copies nothing.
+type envBlocks struct {
+	blocks [][]Envelope // len(block) slots of each are in use
+	cur    int          // the block being filled; those before it are closed
+	size   int          // slots per block
+}
+
+// envBlockSize is the block size of an n-processor engine: about one
+// processor's broadcast, so what a phase leaves unused is small against what
+// it uses at every n, within bounds that keep a five-processor run at a
+// kilobyte and a block a modest allocation.
+func envBlockSize(n int) int { return max(16, min(n, 1024)) }
+
+// carve returns n unused slots, contiguous in one block, as an empty slice
+// with capacity n.
+func (b *envBlocks) carve(n int) []Envelope {
+	for ; b.cur < len(b.blocks); b.cur++ {
+		if blk := b.blocks[b.cur]; n <= cap(blk)-len(blk) {
+			b.blocks[b.cur] = blk[:len(blk)+n]
+			return blk[len(blk) : len(blk) : len(blk)+n]
+		}
+	}
+	blk := make([]Envelope, n, max(n, b.size))
+	b.blocks = append(b.blocks, blk)
+	return blk[:0:n]
+}
+
+// reset zeroes the slots in use and makes every block empty again.
+func (b *envBlocks) reset() {
+	for i, blk := range b.blocks {
+		clear(blk)
+		b.blocks[i] = blk[:0]
+	}
+	b.cur = 0
 }
 
 // yieldSteps is how many node steps a run takes between two yields of the
@@ -397,18 +524,7 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 			e.steps = 0
 			runtime.Gosched()
 		}
-		// Swap pending into inboxes; messages sent this phase accumulate
-		// into the recycled slices of the previous phase's inboxes (their
-		// contents were delivered last phase and the Node contract forbids
-		// retaining the inbox array beyond Step). The delivered envelopes are
-		// zeroed first so their payloads can be collected now, not when the
-		// slot is next overwritten.
-		e.inboxes, e.pending = e.pending, e.inboxes
-		for to := range e.pending {
-			clear(e.pending[to])
-			e.pending[to] = e.pending[to][:0]
-			sortInbox(e.inboxes[to])
-		}
+		e.deliver()
 		if e.cfg.Faults != nil {
 			e.applyFaults(phase)
 		}
@@ -437,13 +553,17 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 					continue
 				}
 				if e.cfg.Faulty.Has(ident.ProcID(id)) {
-					// Deep-clone the peeked envelopes: pending still feeds
+					// Deep-clone the peeked envelopes: sent still feeds
 					// correct inboxes next phase, and a mutating adversary
 					// must not be able to corrupt them through shared
 					// Payload/Signers backing arrays.
-					peek := make([]Envelope, len(e.pending[id]))
-					for i, env := range e.pending[id] {
-						peek[i] = env.Clone()
+					peek := make([]Envelope, 0, e.count[id])
+					for _, blk := range e.sent.blocks {
+						for i := range blk {
+							if blk[i].To == ident.ProcID(id) {
+								peek = append(peek, blk[i].Clone())
+							}
+						}
 					}
 					if e.cfg.Trace != nil && len(peek) > 0 {
 						e.cfg.Trace.Emit(trace.Event{
@@ -509,7 +629,9 @@ func (e *Engine) step(id, phase int, extra []Envelope) error {
 // plan leaves that receiver's phase untouched. The sorted
 // inbox is split into one "frame" per sender — the contiguous group of
 // envelopes that sender submitted to this receiver last phase — which is
-// what the TCP transport has on the wire.
+// what the TCP transport has on the wire. Deliver's outputs go end to end
+// into faulted; when that grows mid-phase the earlier receivers' views keep
+// the array they were cut from.
 func (e *Engine) applyFaults(phase int) {
 	plan := e.cfg.Faults
 	for id := 0; id < e.cfg.N; id++ {
@@ -523,7 +645,7 @@ func (e *Engine) applyFaults(phase int) {
 	for r, in := range e.inboxes {
 		to := ident.ProcID(r)
 		if plan.Crashed(to, phase) || faultnet.Untouched(plan, phase-1, &e.stash[r]) {
-			continue // the sorted inbox is what Deliver would return
+			continue // the sorted group is what Deliver would return
 		}
 		idx := 0
 		for s := range e.frames {
@@ -533,9 +655,9 @@ func (e *Engine) applyFaults(phase int) {
 			}
 			e.frames[s] = in[start:idx]
 		}
-		// The old inbox array becomes the next receiver's output buffer.
-		e.inboxes[r], _ = faultnet.Deliver(plan, e.cfg.Trace, phase-1, to, e.frames, &e.stash[r], e.spare[:0])
-		e.spare = in
+		start := len(e.faulted)
+		e.faulted, _ = faultnet.Deliver(plan, e.cfg.Trace, phase-1, to, e.frames, &e.stash[r], e.faulted)
+		e.inboxes[r] = e.faulted[start:len(e.faulted):len(e.faulted)]
 	}
 }
 

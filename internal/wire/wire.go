@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"byzex/internal/ident"
 )
@@ -86,7 +87,9 @@ type Writer struct {
 	buf []byte
 }
 
-// NewWriter returns a writer with capacity preallocated for n bytes.
+// NewWriter returns a writer with capacity preallocated for n bytes. An
+// encoder that knows its output's length (UintLen and the EncodedLen methods
+// built on it) passes exactly that, and the payload is one allocation.
 func NewWriter(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
 
 // Bytes returns the encoded bytes. The slice aliases the writer's internal
@@ -136,6 +139,15 @@ func (w *Writer) Procs(ps []ident.ProcID) {
 
 // Value appends an agreement value.
 func (w *Writer) Value(v ident.Value) { w.Int(int64(v)) }
+
+// UintLen is the number of bytes Uint writes for v.
+func UintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// IntLen is the number of bytes Int, Proc and Value write for v.
+func IntLen(v int64) int { return UintLen(zigzag(v)) }
+
+// BytesFieldLen is the number of bytes BytesField writes for an n-byte string.
+func BytesFieldLen(n int) int { return UintLen(uint64(n)) + n }
 
 // Reader decodes a canonical encoding produced by Writer. Construct with
 // NewReader. After any failure, Err returns the first error and every
@@ -215,15 +227,21 @@ func (r *Reader) Byte() byte {
 	return b
 }
 
-// Len reads a length prefix and validates it against MaxElem and the
-// remaining buffer size (for byte-granular lengths the latter is exact; for
-// element counts it is a conservative lower bound of one byte per element).
-func (r *Reader) Len() int {
+// Len reads the length prefix of a byte string and validates it against
+// MaxElem and the remaining buffer size.
+func (r *Reader) Len() int { return r.Count(1) }
+
+// Count reads the element count of a list whose elements each take at least
+// min bytes, and validates it against MaxElem and what the rest of the buffer
+// can hold. A decoder sizes its result by the count before it has seen the
+// elements, so the bound is what keeps a short hostile payload from reserving
+// many times its own length.
+func (r *Reader) Count(min int) int {
 	n := r.Uint()
 	if r.err != nil {
 		return 0
 	}
-	if n > MaxElem || int(n) > len(r.buf)-r.off {
+	if n > MaxElem || int(n)*min > len(r.buf)-r.off {
 		r.fail(ErrOversize)
 		return 0
 	}

@@ -273,7 +273,7 @@ func TestQuickIntRoundTrip(t *testing.T) {
 		w := wire.NewWriter(16)
 		w.Int(v)
 		r := wire.NewReader(w.Bytes())
-		return r.Int() == v && r.Finish() == nil
+		return r.Int() == v && r.Finish() == nil && wire.IntLen(v) == w.Len()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -285,10 +285,35 @@ func TestQuickUintRoundTrip(t *testing.T) {
 		w := wire.NewWriter(16)
 		w.Uint(v)
 		r := wire.NewReader(w.Bytes())
-		return r.Uint() == v && r.Finish() == nil
+		return r.Uint() == v && r.Finish() == nil && wire.UintLen(v) == w.Len()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	// quick draws large values; the one- and two-byte boundaries by hand.
+	for _, v := range []uint64{0, 1, 127, 128, 16383, 16384, 1<<63 - 1, 1 << 63, 1<<64 - 1} {
+		if !f(v) {
+			t.Errorf("UintLen(%d) = %d does not match Writer.Uint", v, wire.UintLen(v))
+		}
+	}
+}
+
+// TestCountBoundsByElementSize: a count is held against what the rest of the
+// buffer can hold at the stated minimum element size, so a decoder sizing its
+// result by it reserves in proportion to the bytes it was given.
+func TestCountBoundsByElementSize(t *testing.T) {
+	w := wire.NewWriter(16)
+	w.Uint(4)
+	buf := append(w.Bytes(), make([]byte, 8)...)
+	for min, ok := range map[int]bool{1: true, 2: true, 3: false} {
+		r := wire.NewReader(buf)
+		n := r.Count(min)
+		if ok && (n != 4 || r.Err() != nil) {
+			t.Errorf("Count(%d) = %d, %v over 8 bytes, want 4", min, n, r.Err())
+		}
+		if !ok && !errors.Is(r.Err(), wire.ErrOversize) {
+			t.Errorf("Count(%d) over 8 bytes: err = %v, want ErrOversize", min, r.Err())
+		}
 	}
 }
 
