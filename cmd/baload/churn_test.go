@@ -9,17 +9,18 @@ import (
 	"testing"
 
 	"byzex/internal/journal"
+	"byzex/internal/trace"
 )
 
-// TestHelperChurnServe is not a test: it is the churn drill's child server
-// body, selected by the parent's re-exec of the test binary. The env marker
-// keeps a plain `go test` run from ever entering it.
-func TestHelperChurnServe(t *testing.T) {
-	if os.Getenv("BALOAD_CHURN_SERVE") != "1" {
-		t.Skip("churn-drill helper process only")
+// TestMain lets the test binary act as the churn drill's server child: the
+// parent re-execs os.Args[0] with the env marker, exactly as the real binary
+// does, and a marked process serves — its argv is the serving flags, which
+// nothing has parsed yet — instead of running the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv(churnChild) == "1" {
+		os.Exit(churnServe())
 	}
-	args := strings.Split(os.Getenv("BALOAD_CHURN_ARGS"), "\x1f")
-	os.Exit(runChurnServe(args, os.Stdout, os.Stderr))
+	os.Exit(m.Run())
 }
 
 // TestChurnDrill runs the full -churn mode in miniature: two SIGKILL/restart
@@ -28,20 +29,22 @@ func TestHelperChurnServe(t *testing.T) {
 // exit 0, one benchmark-format recovery line per restart (the `go test
 // -bench` shape, `name iters value unit...`), every restart's replay
 // count within the checkpoint-budget bound, and a journal left fully
-// checkpointed — a third boot would replay nothing.
+// checkpointed — a third boot would replay nothing. The child takes the
+// whole serving surface: -trace leaves the final generation's JSONL, whose
+// replay events are the ones its banner counted, and -metrics-addr brings
+// its endpoint up (a child that could not bind it would never print the
+// banner the parent waits for).
 func TestChurnDrill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn drill forks the test binary")
 	}
-	// Route the re-exec into the helper above instead of baload's main.
-	churnChildPrefix = []string{"-test.run", "^TestHelperChurnServe$"}
-	defer func() { churnChildPrefix = nil }()
-
 	journalDir := filepath.Join(t.TempDir(), "journal")
+	tracePath := filepath.Join(t.TempDir(), "final.jsonl")
 	code, stdout, stderr := capture(t, []string{
 		"-churn", "2", "-churn-acks", "16", "-c", "4",
 		"-protocol", "alg1", "-t", "1", "-seed", "7", "-shards", "2",
 		"-journal-dir", journalDir, "-fsync", "always", "-checkpoint-every", "8",
+		"-trace", tracePath, "-metrics-addr", "127.0.0.1:0",
 	})
 	if code != 0 {
 		t.Fatalf("churn drill exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
@@ -65,6 +68,27 @@ func TestChurnDrill(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "churn: 2 kill/restart cycles") {
 		t.Fatalf("summary line missing:\n%s", stdout)
+	}
+
+	// The final generation's trace: one replay event per admission its
+	// banner said it replayed.
+	f, err := os.Open(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := trace.ReadJSONL(f)
+	_ = f.Close()
+	if err != nil {
+		t.Fatalf("final generation's trace unreadable: %v", err)
+	}
+	replays := 0
+	for _, e := range events {
+		if e.Kind == trace.KindReplay {
+			replays++
+		}
+	}
+	if want, _ := strconv.Atoi(lines[1][3]); replays != want {
+		t.Fatalf("final trace has %d replay events, its banner said replayed=%d", replays, want)
 	}
 
 	// The final generation drained: the journal hands a third boot nothing.

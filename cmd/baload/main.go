@@ -18,11 +18,10 @@
 //	baload -selfhost -protocol alg1-multi -t 3 -shards 4 -adaptive -c 32
 //	baload -selfhost -protocol alg1-multi -t 3 -rate 500 -duration 5s -slo-p99 50ms
 //
-// With -selfhost, baload starts the service in-process on a loopback port —
-// configured by the same serving flags baserve takes (cli.RegisterServeFlags:
-// -shards, -adaptive, -faults, -trace, -metrics-addr, ...) —
-// drives the load against it, then drains it: a one-command end-to-end
-// exercise of the sharded serving path, ops plane included.
+// With -selfhost, baload runs the server lifecycle of internal/cli in-process
+// on a loopback port — baserve's bring-up, banner and drain, configured by the
+// same serving flags (DESIGN.md §5.6 "The server lifecycle") — loads it, then
+// drains it; a failed drain fails the run.
 //
 // With -verify, every distinct instance observed in the replies is
 // re-executed serially with core.Run on the (seed, packed value) the server
@@ -31,13 +30,13 @@
 // verification failure and the exit code is non-zero.
 //
 // With -churn N (requires -journal-dir), baload becomes the journal churn
-// drill: it forks a journaled server as a child process, drives closed-loop
-// load until -churn-acks acknowledgements, SIGKILLs the child mid-load,
-// restarts it over the same journal directory, and repeats N times (the
-// final generation drains cleanly via SIGTERM). Each restart's replay count
-// is gated against the checkpoint budget (-checkpoint-every plus legal
-// in-flight work), and recovery time per restart is printed in benchmark
-// format:
+// drill: it forks this binary as a journaled server — the serving process
+// baserve is, given every serving flag baload was given — loads it until
+// -churn-acks acknowledgements, SIGKILLs it mid-load, restarts it over the
+// same journal directory, and repeats N times (the final generation drains via
+// SIGTERM). Each restart's replay count is gated against the checkpoint
+// budget, and its recovery time (the banner's recovery= field) is printed in
+// benchmark format:
 //
 //	baload -churn 3 -churn-acks 48 -c 8 -protocol alg1 -t 1 \
 //	    -journal-dir /tmp/churn -fsync always -checkpoint-every 16
@@ -47,29 +46,25 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"byzex/internal/cli"
 	"byzex/internal/core"
 	"byzex/internal/ident"
-	"byzex/internal/obs"
 	"byzex/internal/service"
 )
 
 func main() {
-	// The churn drill re-execs this binary as its server child; the env
-	// marker routes the child straight into the serve body.
-	if os.Getenv("BALOAD_CHURN_SERVE") == "1" {
-		os.Exit(runChurnServe(strings.Split(os.Getenv("BALOAD_CHURN_ARGS"), "\x1f"), os.Stdout, os.Stderr))
+	// The churn drill re-execs this binary as its server child.
+	if os.Getenv(churnChild) == "1" {
+		os.Exit(churnServe())
 	}
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr *os.File) (code int) {
 	fs := flag.NewFlagSet("baload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	sf := cli.RegisterServeFlags(fs)
@@ -109,103 +104,36 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintln(stderr, "-churn is its own drill; drop -selfhost/-rate/-verify")
 			return 2
 		}
-		return runChurn(churnConfigFrom(sf, *churn, *churnAcks, *conns, *mod), stdout, stderr)
+		return runChurn(churnConfig{
+			cycles: *churn, acksPer: *churnAcks, conns: *conns, mod: *mod,
+			bound:     churnBound(sf, *conns),
+			serveArgs: append(cli.ServeArgs(fs), "-addr=127.0.0.1:0"),
+		}, stdout, stderr)
 	}
 
-	tmpl, warn, err := sf.Resolve()
+	tmpl, err := sf.ResolveWarn(stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	if warn != "" {
-		fmt.Fprintf(stderr, "warning: %s\n", warn)
-	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var hosted *service.Service
+	ctx := context.Background()
+	var hosted *cli.Server
 	if *selfhost {
-		svcCfg, err := sf.ServiceConfig(tmpl)
-		if err != nil {
+		if hosted, err = sf.Start(ctx, tmpl, "127.0.0.1:0"); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		spool, closeSpool, err := sf.OpenSpool()
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if spool != nil {
-			svcCfg.Trace = spool
-			defer func() {
-				if err := closeSpool(); err != nil {
-					fmt.Fprintln(stderr, err)
-				}
-			}()
-		}
-		jw, rec, err := sf.OpenJournal(tmpl)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if jw != nil {
-			svcCfg.Journal = jw
-			svcCfg.FirstInstance = rec.FirstInstance()
-			svcCfg.BaseStats = rec.BaseStats()
-		}
-		hosted, err = service.New(ctx, svcCfg)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if jw != nil {
-			replayed, err := rec.Replay(hosted, tmpl)
+		defer func() {
+			failures, err := hosted.Drain()
+			cli.CheckpointWarning(stdout, failures)
 			if err != nil {
 				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			jw.SetReplayed(uint64(replayed))
-			fmt.Fprintf(stdout, "journal: %s fsync=%s watermark=%d replayed=%d\n",
-				*sf.JournalDir, *sf.Fsync, rec.Watermark, replayed)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		served := make(chan error, 1)
-		go func() { served <- service.Serve(ctx, ln, hosted) }()
-		defer func() {
-			cancel()
-			<-served
-			hosted.Close()
-			if jw != nil {
-				if err := jw.Close(); err != nil {
-					fmt.Fprintln(stderr, err)
-				}
+				code = 1
 			}
 		}()
-		if *sf.MetricsAddr != "" {
-			exp := obs.NewExporter()
-			exp.Register(obs.NewServiceCollector(hosted))
-			if spool != nil {
-				exp.Register(obs.NewSpoolCollector(spool))
-			}
-			if jw != nil {
-				exp.Register(obs.NewJournalCollector(jw))
-			}
-			mln, err := net.Listen("tcp", *sf.MetricsAddr)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			go func() { _ = obs.Serve(ctx, mln, exp) }()
-			fmt.Fprintf(stdout, "metrics: http://%s/metrics\n", mln.Addr())
-		}
-		*addr = ln.Addr().String()
-		fmt.Fprintf(stdout, "selfhost: %s n=%d t=%d shards=%d listening on %s\n",
-			sf.Protocol, tmpl.N, tmpl.T, hosted.Stats().Shards, *addr)
+		hosted.Banner(stdout, "selfhost")
+		*addr = hosted.Addr
 	}
 
 	var load *service.LoadStats
@@ -246,8 +174,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	fmt.Fprintf(stdout, "amortized: %.2f msgs/value %.2f sigs/value (%d values, %d msgs, %d sigs)\n",
 		load.AmortizedMsgsPerValue(), amortizedSigs(load), load.ValuesServed, load.MsgsTotal, load.SigsTotal)
 	if hosted != nil {
-		st := hosted.Stats()
-		fmt.Fprintf(stdout, "server: %s\n", st.String())
+		fmt.Fprintf(stdout, "server: %s\n", hosted.Service.Stats().String())
 	}
 
 	if *sloP99 > 0 {

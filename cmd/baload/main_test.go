@@ -73,6 +73,23 @@ func TestSelfhostFaultPlan(t *testing.T) {
 	}
 }
 
+// TestSelfhostDrainFailureSetsExitCode: a drain that fails is baload's
+// failure too, as it is baserve's — here a trace that cannot be written.
+func TestSelfhostDrainFailureSetsExitCode(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail the spool's writes")
+	}
+	code, stdout, stderr := capture(t, []string{
+		"-selfhost", "-protocol", "alg1", "-t", "1", "-c", "2", "-requests", "2", "-trace", "/dev/full",
+	})
+	if code != 1 || !strings.Contains(stderr, "/dev/full") {
+		t.Fatalf("exit %d, want 1 naming the trace file\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	if !strings.Contains(stdout, "submitted: 4 ok") {
+		t.Fatalf("the load itself should have run:\n%s", stdout)
+	}
+}
+
 // TestBadFlags pins the typed failure paths.
 func TestBadFlags(t *testing.T) {
 	if code, _, _ := capture(t, []string{"-protocol", "no-such", "-selfhost"}); code == 0 {

@@ -5,7 +5,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -77,8 +76,11 @@ func TestServeCrashRecovery(t *testing.T) {
 			_ = child.Wait()
 		}
 	}()
-	waitForBanner(t, outF.Name(), `journal: \S+ fsync=always watermark=(0) replayed=0`)
-	addr := waitForBanner(t, outF.Name(), `listening on (\S+)`)
+	gen1 := waitForBanner(t, outF.Name())
+	if gen1.Fsync != "always" || gen1.Watermark != 0 || gen1.Replayed != 0 {
+		t.Fatalf("fresh journal banner: %+v", gen1)
+	}
+	addr := gen1.Addr
 
 	// Load it from several connections and SIGKILL mid-flight: every OK
 	// reply is a journaled admission (fsync=always), and whatever was
@@ -163,11 +165,11 @@ func TestServeCrashRecovery(t *testing.T) {
 	tracePath := filepath.Join(dir, "recovery.jsonl")
 	done, stdoutPath, stderrPath := startServe(t, append(serveArgs[:len(serveArgs):len(serveArgs)],
 		"-trace", tracePath))
-	replayedStr := waitForBanner(t, stdoutPath, `journal: \S+ fsync=always watermark=\d+ replayed=(\d+)`)
-	if replayedStr != strconv.Itoa(len(rec.Pending)) {
-		t.Fatalf("recovery banner replayed=%s, journal had %d pending", replayedStr, len(rec.Pending))
+	gen2 := waitForBanner(t, stdoutPath) // the whole banner is out before the order is judged
+	if gen2.Fsync != "always" || gen2.Replayed != len(rec.Pending) {
+		t.Fatalf("recovery banner %+v, journal had %d pending", gen2, len(rec.Pending))
 	}
-	addr2 := waitForBanner(t, stdoutPath, `listening on (\S+)`) // both banners are out before the order is judged
+	addr2 := gen2.Addr
 	out, _ := os.ReadFile(stdoutPath)
 	if strings.Index(string(out), "journal:") > strings.Index(string(out), "listening on") {
 		t.Fatalf("listener opened before recovery finished:\n%s", out)

@@ -5,12 +5,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"byzex/internal/cli"
 	"byzex/internal/ident"
 	"byzex/internal/service"
 	"byzex/internal/trace"
@@ -42,21 +42,16 @@ func startServe(t *testing.T, args []string) (done <-chan int, stdoutPath, stder
 	return ch, outF.Name(), errF.Name()
 }
 
-// waitForBanner polls path until pattern's first capture group appears.
-func waitForBanner(t *testing.T, path, pattern string) string {
+// waitForBanner waits until the server writing to path has printed its whole
+// banner and returns it as cli parsed it — the banner's format has one owner.
+func waitForBanner(t *testing.T, path string) cli.Started {
 	t.Helper()
-	re := regexp.MustCompile(pattern)
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		b, _ := os.ReadFile(path)
-		if m := re.FindStringSubmatch(string(b)); m != nil {
-			return m[1]
-		}
-		time.Sleep(5 * time.Millisecond)
+	b, err := cli.AwaitBanner(path, 10*time.Second)
+	if err != nil {
+		out, _ := os.ReadFile(path)
+		t.Fatalf("%v:\n%s", err, out)
 	}
-	b, _ := os.ReadFile(path)
-	t.Fatalf("banner %q never appeared in:\n%s", pattern, b)
-	return ""
+	return b
 }
 
 // TestServeOpsPlaneEndToEnd is the ops-plane acceptance in one process:
@@ -71,8 +66,8 @@ func TestServeOpsPlaneEndToEnd(t *testing.T) {
 		"-batch", "4", "-shards", "2",
 		"-trace", tracePath, "-trace-ring", "8",
 	})
-	metricsAddr := waitForBanner(t, stdoutPath, `metrics: http://([^/\s]+)/metrics`)
-	addr := waitForBanner(t, stdoutPath, `listening on (\S+)`)
+	banner := waitForBanner(t, stdoutPath)
+	metricsAddr, addr := banner.MetricsAddr, banner.Addr
 
 	cl, err := service.DialClient(addr)
 	if err != nil {

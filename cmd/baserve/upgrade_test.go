@@ -84,9 +84,11 @@ func TestServeRollingUpgrade(t *testing.T) {
 	}
 	childA, outA := startChildServe(t, dir, "a-gen1", argsA)
 	_, outB := startChildServe(t, dir, "b", argsB)
-	waitForBanner(t, outA, `journal: \S+ fsync=always watermark=(0) replayed=0`)
-	addrA := waitForBanner(t, outA, `listening on (\S+)`)
-	addrB := waitForBanner(t, outB, `listening on (\S+)`)
+	genA := waitForBanner(t, outA)
+	if genA.Fsync != "always" || genA.Watermark != 0 || genA.Replayed != 0 {
+		t.Fatalf("fresh journal banner: %+v", genA)
+	}
+	addrA, addrB := genA.Addr, waitForBanner(t, outB).Addr
 
 	// Continuous load to B for the whole drill: the roll must not dent it.
 	var (
@@ -157,11 +159,11 @@ func TestServeRollingUpgrade(t *testing.T) {
 	// Generation 2: same journal directory, current frame version.
 	argsA2 := append(argsA[:len(argsA):len(argsA)], "-wire-version", strconv.Itoa(int(wire.FrameVersion)))
 	_, outA2 := startChildServe(t, dir, "a-gen2", argsA2)
-	wm := waitForBanner(t, outA2, `journal: \S+ fsync=always watermark=(\d+) replayed=0`)
-	if wm != strconv.Itoa(ackedA) {
-		t.Fatalf("upgraded server watermark %s, want %d", wm, ackedA)
+	genA2 := waitForBanner(t, outA2)
+	if genA2.Fsync != "always" || genA2.Watermark != ackedA || genA2.Replayed != 0 {
+		t.Fatalf("upgraded server banner %+v, want watermark %d replayed 0", genA2, ackedA)
 	}
-	addrA2 := waitForBanner(t, outA2, `listening on (\S+)`)
+	addrA2 := genA2.Addr
 
 	// Instance ids continue exactly past the old generation's watermark.
 	clA2, err := service.DialClient(addrA2)

@@ -61,12 +61,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// plan touches are judged faulty so the agreement printout discounts
 	// them, and an over-budget plan is allowed — watching a protocol stall
 	// is the point of some experiments — but flagged up front.
-	cfg, warn, err := tp.Resolve()
+	cfg, err := tp.ResolveWarn(stderr)
 	if err != nil {
 		return fail(err)
-	}
-	if warn != "" {
-		fmt.Fprintf(stderr, "warning: %s\n", warn)
 	}
 	cfg.Value = ident.Value(*value)
 

@@ -4,23 +4,19 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	"byzex/internal/core"
-	"byzex/internal/journal"
 	"byzex/internal/service"
-	"byzex/internal/trace"
 	"byzex/internal/transport"
 	"byzex/internal/wire"
 )
 
-// ServeFlags is the serving flag surface shared by baserve and baload's
-// selfhost mode: the instance template (RegisterTemplateFlags), the
-// substrate (-transport, -link-delay), the pipeline knobs (-shards, -queue,
-// -batch and the adaptive window, -linger), the ops plane (-metrics-addr,
-// -trace, -trace-ring), durability and the wire version. RegisterServeFlags
-// declares each flag exactly once, so the two surfaces cannot diverge.
+// ServeFlags is the serving flag surface of baserve and baload (selfhost mode
+// and churn child): the instance template, the substrate, the pipeline knobs,
+// the ops plane, durability and the wire version. RegisterServeFlags declares
+// each flag exactly once and Start (lifecycle.go) is the one place they are
+// acted on, so the surfaces cannot diverge.
 type ServeFlags struct {
 	// The template flags, parsed in place: sf.Protocol, sf.Seed, ... and
 	// sf.Resolve() read them.
@@ -84,10 +80,23 @@ func RegisterServeFlags(fs *flag.FlagSet) *ServeFlags {
 	return sf
 }
 
-// ServiceConfig turns the pipeline and substrate flags into a service
-// config over the resolved template. The trace sink is not wired here —
-// callers attach OpenSpool's spool (or any sink) to the returned config.
-func (sf *ServeFlags) ServiceConfig(tmpl core.Config) (service.Config, error) {
+// ServeArgs returns the serving flags the user set on fs, as argv for a
+// process that parses the same surface (the churn drill's child).
+func ServeArgs(fs *flag.FlagSet) []string {
+	surface := flag.NewFlagSet("", flag.ContinueOnError)
+	RegisterServeFlags(surface)
+	var args []string
+	fs.Visit(func(f *flag.Flag) {
+		if surface.Lookup(f.Name) != nil {
+			args = append(args, "-"+f.Name+"="+f.Value.String())
+		}
+	})
+	return args
+}
+
+// serviceConfig turns the pipeline and substrate flags into a service config
+// over the resolved template; Start attaches the trace sink and the journal.
+func (sf *ServeFlags) serviceConfig(tmpl core.Config) (service.Config, error) {
 	cfg := service.Config{
 		Template:   tmpl,
 		Shards:     *sf.Shards,
@@ -122,47 +131,4 @@ func (sf *ServeFlags) ServiceConfig(tmpl core.Config) (service.Config, error) {
 		cfg.BatchMin, cfg.BatchMax = *sf.BatchMin, bmax
 	}
 	return cfg, nil
-}
-
-// OpenJournal opens the -journal-dir write-ahead journal over the resolved
-// template. It returns (nil, nil, nil) when -journal-dir is unset; otherwise
-// the caller wires the writer into service.Config.Journal, seeds
-// FirstInstance/BaseStats from the recovery, replays rec.Pending before
-// taking live traffic, and closes the writer after the service drains.
-func (sf *ServeFlags) OpenJournal(tmpl core.Config) (*journal.Writer, *journal.Recovery, error) {
-	if *sf.JournalDir == "" {
-		return nil, nil, nil
-	}
-	fsync, err := journal.ParseFsync(*sf.Fsync)
-	if err != nil {
-		return nil, nil, err
-	}
-	return journal.Open(*sf.JournalDir, journal.Options{
-		Template:           tmpl,
-		Fsync:              fsync,
-		CheckpointEvery:    *sf.CheckpointEvery,
-		CheckpointInterval: *sf.CheckpointInterval,
-	})
-}
-
-// OpenSpool creates the -trace spool over its output file. It returns
-// (nil, nil, nil) when -trace is unset; otherwise the caller attaches the
-// spool as the service's trace sink and invokes close() after the service
-// drains (it appends the admission ring, flushes and closes the file).
-func (sf *ServeFlags) OpenSpool() (sp *trace.Spool, close func() error, err error) {
-	if *sf.TracePath == "" {
-		return nil, nil, nil
-	}
-	f, err := os.Create(*sf.TracePath)
-	if err != nil {
-		return nil, nil, err
-	}
-	sp = trace.NewSpool(f, *sf.TraceRing)
-	return sp, func() error {
-		err := sp.Close()
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}, nil
 }

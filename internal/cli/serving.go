@@ -9,6 +9,8 @@ package cli
 
 import (
 	"flag"
+	"fmt"
+	"io"
 	"strings"
 
 	"byzex/internal/core"
@@ -61,8 +63,7 @@ func (tp Template) Params() Params {
 // no adversary is configured, the plan's affected processors become the
 // faulty set (FaultyOverride), matching how the scenario tests budget
 // faults; a plan that exceeds the t budget still resolves, but warn carries
-// a non-empty explanation the caller should surface (instances may stall
-// rather than decide).
+// a non-empty explanation (instances may stall rather than decide).
 func (tp Template) Resolve() (cfg core.Config, warn string, err error) {
 	params := tp.Params()
 	n := params.N
@@ -96,4 +97,14 @@ func (tp Template) Resolve() (cfg core.Config, warn string, err error) {
 		Scheme: scheme, Adversary: adv, Seed: tp.Seed,
 		Faults: plan, FaultyOverride: faultyOverride,
 	}, warn, nil
+}
+
+// ResolveWarn is Resolve for a command's entry point: the over-budget
+// warning goes to stderr.
+func (tp Template) ResolveWarn(stderr io.Writer) (core.Config, error) {
+	cfg, warn, err := tp.Resolve()
+	if warn != "" {
+		fmt.Fprintf(stderr, "warning: %s\n", warn)
+	}
+	return cfg, err
 }

@@ -104,9 +104,6 @@ func Alg5Phases(t, s int) int {
 	return 3*t + 4*(sCap+1) + lam + 1
 }
 
-// DolevStrongPhases is the baseline's t+1 phase count.
-func DolevStrongPhases(t int) int { return t + 1 }
-
 // TradeoffPhases is the introduction's phase side of the trade-off: for
 // n ≫ t, t + 3 + t/α phases using Algorithm 3 with s = ⌈t/(2α)⌉.
 func TradeoffPhases(t, alpha int) int { return t + 3 + (t+alpha-1)/alpha }

@@ -26,7 +26,6 @@ func TestClosedForms(t *testing.T) {
 		{"Alg5Alpha(1)", core.Alg5Alpha(1), 9},
 		{"Alg5Alpha(4)", core.Alg5Alpha(4), 25},
 		{"Alg5Alpha(10)", core.Alg5Alpha(10), 64},
-		{"DolevStrongPhases(4)", core.DolevStrongPhases(4), 5},
 		{"TradeoffPhases(8,2)", core.TradeoffPhases(8, 2), 15},
 		{"TradeoffPhases(8,3)", core.TradeoffPhases(8, 3), 14},
 	}

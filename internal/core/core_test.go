@@ -137,7 +137,7 @@ func TestDeterministicRunsSameSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Sim.Report.MessagesTotal()
+		return res.Sim.Report.MessagesCorrect + res.Sim.Report.MessagesFaulty
 	}
 	if run() != run() {
 		t.Fatal("same seed, different traffic")

@@ -36,9 +36,6 @@ func init() { pool.Store(runner.New(0)) }
 // flag here.
 func SetParallelism(n int) { pool.Store(runner.New(n)) }
 
-// Parallelism reports the current sweep concurrency bound.
-func Parallelism() int { return pool.Load().Workers() }
-
 // sinkBox wraps the experiment-wide trace sink for atomic swapping (an
 // interface value cannot be stored in an atomic.Pointer directly).
 type sinkBox struct{ s trace.Sink }

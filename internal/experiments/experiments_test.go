@@ -91,9 +91,6 @@ func TestParallelDeterminism(t *testing.T) {
 	// plumbing is race-free.
 	render := func(par int) (string, string) {
 		experiments.SetParallelism(par)
-		if got := experiments.Parallelism(); got != par {
-			t.Fatalf("Parallelism() = %d after SetParallelism(%d)", got, par)
-		}
 		var traceOut bytes.Buffer
 		sink := trace.NewJSONL(&traceOut)
 		experiments.SetTrace(sink)

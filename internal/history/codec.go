@@ -9,7 +9,7 @@ import (
 )
 
 // JSON transcript format for tooling: `basim -dump` writes it, external
-// analysis (or a later Import) reads it. Labels serialize as base64 via
+// analysis reads it (the round-trip reader lives with the tests). Labels serialize as base64 via
 // encoding/json's []byte handling.
 
 type jsonEdge struct {
@@ -53,31 +53,4 @@ func (h *History) Export(w io.Writer) error {
 		return fmt.Errorf("history: export: %w", err)
 	}
 	return nil
-}
-
-// Import reads a transcript produced by Export.
-func Import(r io.Reader) (*History, error) {
-	var in jsonHistory
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("history: import: %w", err)
-	}
-	if in.N < 1 {
-		return nil, fmt.Errorf("history: import: n=%d", in.N)
-	}
-	h := New(in.N, in.Transmitter, in.Value)
-	for _, f := range in.Faulty {
-		h.Faulty.Add(f)
-	}
-	for i, edges := range in.Phases {
-		for _, e := range edges {
-			if int(e.From) < 0 || int(e.From) >= in.N || int(e.To) < 0 || int(e.To) >= in.N {
-				return nil, fmt.Errorf("history: import: edge %v->%v out of range", e.From, e.To)
-			}
-			h.Append(i+1, Edge{
-				From: e.From, To: e.To, Label: e.Label,
-				Signers: e.Signers, SigTotal: e.SigTotal,
-			})
-		}
-	}
-	return h, nil
 }

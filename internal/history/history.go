@@ -14,7 +14,6 @@ package history
 
 import (
 	"fmt"
-	"sort"
 
 	"byzex/internal/ident"
 	"byzex/internal/sim"
@@ -139,19 +138,6 @@ func (h *History) Signatures() int {
 	return n
 }
 
-// ReceivedCount returns the number of edges with target p.
-func (h *History) ReceivedCount(p ident.ProcID) int {
-	n := 0
-	for _, ph := range h.Phases {
-		for _, e := range ph {
-			if e.To == p {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // APSet computes the Theorem 1 set A(p) over one or more histories: the set
 // of processors that either receive the signature of p or whose signature p
 // receives, in at least one of the histories. Following the paper's
@@ -255,30 +241,4 @@ func (h *History) Summary() string {
 		out += fmt.Sprintf("phase %d: %d edges\n", ph, len(h.Phases[ph]))
 	}
 	return out
-}
-
-// EdgesBetween returns the labels sent from -> to in the given phase, in
-// recorded order.
-func (h *History) EdgesBetween(phase int, from, to ident.ProcID) []Edge {
-	var out []Edge
-	for _, e := range h.PhaseEdges(phase) {
-		if e.From == from && e.To == to {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Senders returns the sorted set of processors that sent at least one
-// message in the history.
-func (h *History) Senders() []ident.ProcID {
-	set := make(ident.Set)
-	for _, ph := range h.Phases {
-		for _, e := range ph {
-			set.Add(e.From)
-		}
-	}
-	ids := set.Sorted()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

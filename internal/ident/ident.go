@@ -118,17 +118,6 @@ func (s Set) Intersect(other Set) Set {
 	return out
 }
 
-// Diff returns a new set with the members of s not in other.
-func (s Set) Diff(other Set) Set {
-	out := make(Set)
-	for id := range s {
-		if !other.Has(id) {
-			out[id] = struct{}{}
-		}
-	}
-	return out
-}
-
 // Range enumerates ids [0, n) as a slice. It is a convenience for building
 // "all processors" sets and deterministic iteration orders.
 func Range(n int) []ProcID {

@@ -47,9 +47,6 @@ func TestSetAlgebra(t *testing.T) {
 	if i := a.Intersect(b); i.Len() != 1 || !i.Has(3) {
 		t.Fatalf("intersect %v", i.Sorted())
 	}
-	if d := a.Diff(b); d.Len() != 2 || d.Has(3) {
-		t.Fatalf("diff %v", d.Sorted())
-	}
 	// Originals untouched.
 	if a.Len() != 3 || b.Len() != 2 {
 		t.Fatal("algebra mutated operands")
@@ -132,7 +129,13 @@ func TestQuickDiffIntersectPartition(t *testing.T) {
 		for _, y := range ys {
 			b.Add(ident.ProcID(y))
 		}
-		return a.Len() == a.Intersect(b).Len()+a.Diff(b).Len()
+		outside := 0
+		for id := range a {
+			if !b.Has(id) {
+				outside++
+			}
+		}
+		return a.Len() == a.Intersect(b).Len()+outside
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -118,14 +118,6 @@ func ParseFsync(s string) (time.Duration, error) {
 	return d, nil
 }
 
-// FsyncString renders a policy the way ParseFsync accepts it.
-func FsyncString(d time.Duration) string {
-	if d == 0 {
-		return "always"
-	}
-	return d.String()
-}
-
 // Stats is a snapshot of the writer's counters, exported on /metrics by
 // obs.JournalCollector.
 type Stats struct {

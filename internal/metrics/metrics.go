@@ -111,12 +111,6 @@ func (r *Report) ensurePhase(phase int) {
 	}
 }
 
-// MessagesTotal returns messages from all senders.
-func (r Report) MessagesTotal() int { return r.MessagesCorrect + r.MessagesFaulty }
-
-// SignaturesTotal returns signatures from all senders.
-func (r Report) SignaturesTotal() int { return r.SignaturesCorrect + r.SignaturesFaulty }
-
 // String renders a compact single-line summary.
 func (r Report) String() string {
 	return fmt.Sprintf("phases=%d msgs(correct)=%d msgs(faulty)=%d sigs(correct)=%d signers=%d bytes=%d maxmsg=%dB sigcache=%d/%d",

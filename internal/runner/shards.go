@@ -105,13 +105,6 @@ func (s *Shards[J, R]) Close() {
 	s.wg.Wait()
 }
 
-// InFlight reports how many submitted jobs have not yet been delivered.
-func (s *Shards[J, R]) InFlight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int(s.nextSub - s.nextDel)
-}
-
 // worker is the loop of one shard: take a job, run it with this shard's id,
 // flush the reorder buffer.
 func (s *Shards[J, R]) worker(shard int) {

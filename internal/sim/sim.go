@@ -326,22 +326,6 @@ type Result struct {
 	Faulty ident.Set
 }
 
-// CorrectDecisions returns the decisions of correct processors, sorted by id.
-func (r *Result) CorrectDecisions() []Decision {
-	ids := make([]ident.ProcID, 0, len(r.Decisions))
-	for id := range r.Decisions {
-		if !r.Faulty.Has(id) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]Decision, len(ids))
-	for i, id := range ids {
-		out[i] = r.Decisions[id]
-	}
-	return out
-}
-
 // Engine executes one protocol instance to completion.
 type Engine struct {
 	cfg       Config

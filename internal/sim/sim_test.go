@@ -248,8 +248,8 @@ func TestFaultyMetricsSplit(t *testing.T) {
 	if res.Report.MessagesCorrect != 4 || res.Report.MessagesFaulty != 2 {
 		t.Fatalf("split %d/%d, want 4/2", res.Report.MessagesCorrect, res.Report.MessagesFaulty)
 	}
-	if len(res.CorrectDecisions()) != 2 {
-		t.Fatalf("correct decisions %d, want 2", len(res.CorrectDecisions()))
+	if len(res.Decisions) != 3 || !res.Faulty.Has(2) {
+		t.Fatalf("decisions %v faulty %v, want all 3 recorded and p2 marked", res.Decisions, res.Faulty.Sorted())
 	}
 }
 
