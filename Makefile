@@ -3,7 +3,8 @@
 #   make check       - tier-1 gate: lint, build everything, full test suite,
 #                      the same suite again under -race (a test the race
 #                      detector cannot run skips itself and says why)
-#   make lint        - gofmt -l (fails on unformatted files) + go vet ./...
+#   make lint        - gofmt -l (fails on unformatted files) + go vet ./... +
+#                      a GOOS=darwin build of every package
 #   make test        - plain test run (no race detector)
 #   make bench       - the benchmark ledger (bench/run.sh: four pinned
 #                      workloads, end-to-end and per-layer metrics, one JSON
@@ -73,10 +74,13 @@ slo:
 		-rate 400 -duration 3s -seed 1 -slo-p99 2s
 
 # Formatting and static-analysis gate. gofmt -l prints offending files; the
-# shell turns any output into a failure so CI catches drift.
+# shell turns any output into a failure so CI catches drift. The darwin build
+# (pure Go, needs no network) keeps the `!linux` half of a build-tagged pair
+# compiling: internal/transport/waker_other.go is never built here otherwise.
 lint:
 	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	GOOS=darwin $(GO) build ./...
 
 # The fault-injection gate: every numbered algorithm against every fault
 # family (crash/drop/dup/reorder/delay/partition) over real TCP, in-budget

@@ -31,9 +31,6 @@ func New(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
-
 // Map executes fn(ctx, i) for every i in [0, n) on the pool and returns the
 // results ordered by index — the caller observes exactly the output of the
 // serial loop regardless of scheduling. If any invocation fails, the error

@@ -61,13 +61,3 @@ func (sb SignedBytes) Marshal() []byte {
 	sb.Encode(w)
 	return w.Bytes()
 }
-
-// UnmarshalSignedBytes decodes a standalone encoding produced by Marshal.
-func UnmarshalSignedBytes(b []byte) (SignedBytes, error) {
-	r := wire.NewReader(b)
-	sb := DecodeSignedBytes(r, nil)
-	if err := r.Finish(); err != nil {
-		return SignedBytes{}, err
-	}
-	return sb, nil
-}

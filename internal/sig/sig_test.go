@@ -298,7 +298,7 @@ func TestSignedBytesRoundTrip(t *testing.T) {
 	if len(enc) != sb.EncodedLen() || cap(enc) != len(enc) {
 		t.Fatalf("Marshal: %d bytes in a buffer of %d, EncodedLen says %d", len(enc), cap(enc), sb.EncodedLen())
 	}
-	decoded, err := sig.UnmarshalSignedBytes(enc)
+	decoded, err := unmarshalSignedBytes(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestQuickChainRoundTripAndForgery(t *testing.T) {
 		}
 		// Round trip through the wire encoding.
 		sb := sig.SignedBytes{Body: body, Chain: c}
-		decoded, err := sig.UnmarshalSignedBytes(sb.Marshal())
+		decoded, err := unmarshalSignedBytes(sb.Marshal())
 		if err != nil || decoded.Verify(scheme) != nil {
 			return false
 		}

@@ -2,11 +2,15 @@ package transport
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
+	"byzex/internal/core"
 	"byzex/internal/ident"
+	"byzex/internal/protocols/alg1"
 	"byzex/internal/sim"
 	"byzex/internal/wire"
 )
@@ -45,6 +49,94 @@ func BenchmarkMeshWarmVsCold(b *testing.B) {
 			}
 		}
 	})
+}
+
+// delayConfig is the ledger's mesh-delay instance without its fault plan.
+func delayConfig(seed int64) core.Config {
+	return core.Config{Protocol: alg1.Protocol{}, N: 7, T: 3, Value: ident.V1, Seed: seed}
+}
+
+// BenchmarkMeshLinkDelay is the number next to the waker: warm alg1 n=7 t=3
+// instances under a 2 ms link delay, on one mesh and on two running side by
+// side (the ledger's two shards; run with -cpu 2). remainder_ms/op is what an
+// instance costs beyond phases x delay — the hold's wake-up lateness plus the
+// frame path — and wakes/op how many timer expiries paid for its 35 holds.
+func BenchmarkMeshLinkDelay(b *testing.B) {
+	const delay = 2 * time.Millisecond
+	ctx := context.Background()
+	phases := alg1.Protocol{}.Phases(7, 3)
+	for _, meshes := range []int{1, 2} {
+		b.Run(fmt.Sprintf("meshes=%d", meshes), func(b *testing.B) {
+			ms := make([]*Mesh, meshes)
+			for i := range ms {
+				m, err := NewMesh(ctx, 7, Net{PhaseTimeout: 10 * time.Second, LinkDelay: delay})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer m.Close()
+				if _, err := m.Run(ctx, delayConfig(0)); err != nil {
+					b.Fatal(err)
+				}
+				ms[i] = m
+			}
+			wakes := func() (n uint64) {
+				for _, m := range ms {
+					n += m.waker.wakes.Load()
+				}
+				return n
+			}
+			wakes0 := wakes()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for _, m := range ms {
+				wg.Add(1)
+				go func(m *Mesh) {
+					defer wg.Done()
+					for i := 0; i < b.N; i++ {
+						if _, err := m.Run(ctx, delayConfig(int64(i))); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(m)
+			}
+			wg.Wait()
+			perOp := b.Elapsed().Seconds() / float64(b.N)
+			b.ReportMetric(1e3*(perOp-float64(phases)*delay.Seconds()), "remainder_ms/op")
+			b.ReportMetric(float64(wakes()-wakes0)/float64(meshes*b.N), "wakes/op")
+		})
+	}
+}
+
+// TestMeshRunAllocationBudget pins what one warm instance allocates: a peer's
+// barrier buffers, outgoing rows and timeout timer are made once per epoch,
+// so the count follows peers, not peers x phases, but for the node's context
+// and the hold's channel. alg1 n=7 t=3 under a link delay makes 347 (634
+// before); a change that allocates per phase again adds 7 per phase and object.
+func TestMeshRunAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	ctx := context.Background()
+	m, err := NewMesh(ctx, 7, Net{PhaseTimeout: 10 * time.Second, LinkDelay: 50 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	seed := int64(0)
+	run := func() {
+		seed++
+		if _, err := m.Run(ctx, delayConfig(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ { // fill the pools, grow the writers
+		run()
+	}
+	const budget = 375
+	if avg := testing.AllocsPerRun(50, run); avg > budget {
+		t.Fatalf("a warm instance allocates %.1f, budget %d", avg, budget)
+	}
 }
 
 // loopbackPair returns two ends of a real TCP connection. The benchmarks use

@@ -110,23 +110,47 @@ func testPeer(cfg peerConfig) *peer {
 	return newPeer(cfg, nil, nil, nil)
 }
 
-// TestNoteFrameLateDrop is the regression test for the map-resurrection leak:
-// frames for a phase waitPhase has already closed out must be discarded, not
-// re-inserted into the per-phase maps (where nothing would ever delete them).
+// TestNoteFrameLateDrop pins the guard that lets two phase slots serve a
+// whole run: a frame for a phase waitPhase has already closed out must be
+// discarded, not written into the slot (which by then belongs to phase k+2),
+// while a frame one phase ahead of the barrier — a fast neighbour — is kept.
 func TestNoteFrameLateDrop(t *testing.T) {
+	ctx := context.Background()
 	p := testPeer(peerConfig{id: 0, n: 3, t: 2, timeout: 10 * time.Millisecond})
+	env := func(phase int, tag string) []sim.Envelope {
+		return []sim.Envelope{{From: 2, To: 0, Phase: phase, Payload: []byte(tag)}}
+	}
 	p.noteFrame(1, 1, nil)
+	p.noteFrame(2, 2, env(2, "early")) // before phase 1 closes
 	p.noteFrame(1, 2, nil)
-	if _, err := p.waitPhase(1); err != nil {
-		t.Fatal(err)
+	p.noteFrame(4, 2, env(4, "too far")) // would land in phase 2's slot
+	if inbox, err := p.waitPhase(ctx, 1); err != nil || len(inbox) != 0 {
+		t.Fatalf("phase 1: inbox %v, err %v", inbox, err)
 	}
 
 	// A straggler delivers phase 1 again after the phase was closed out.
-	p.noteFrame(1, 2, []sim.Envelope{{From: 2, To: 0, Phase: 1, Payload: []byte("late")}})
+	p.noteFrame(1, 2, env(1, "late"))
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.inbound) != 0 || len(p.arrived) != 0 {
-		t.Fatalf("late frame resurrected phase maps: inbound=%v arrived=%v", p.inbound, p.arrived)
+	for i, buf := range p.bufs {
+		heard := 0
+		for _, h := range buf.heard {
+			if h {
+				heard++
+			}
+		}
+		if want := 1 - i; buf.arrived != want || heard != want { // only phase 2's slot, bufs[0], holds a frame
+			t.Errorf("slot %d after the late frame: arrived=%d heard=%d", i, buf.arrived, heard)
+		}
+	}
+	p.mu.Unlock()
+
+	p.noteFrame(2, 1, nil)
+	inbox, err := p.waitPhase(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inbox) != 1 || string(inbox[0].Payload) != "early" {
+		t.Fatalf("phase 2 inbox %+v, want the one early frame", inbox)
 	}
 }
 
@@ -145,7 +169,7 @@ func TestNoteFrameFaultTransforms(t *testing.T) {
 	p.noteFrame(1, 1, []sim.Envelope{env(1, 1, "dropped")})
 	p.noteFrame(1, 2, []sim.Envelope{env(2, 1, "held")})
 	p.noteFrame(1, 3, []sim.Envelope{env(3, 1, "clean")})
-	inbox, err := p.waitPhase(1)
+	inbox, err := p.waitPhase(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +182,7 @@ func TestNoteFrameFaultTransforms(t *testing.T) {
 	p.noteFrame(2, 1, []sim.Envelope{env(1, 2, "twice")})
 	p.noteFrame(2, 2, []sim.Envelope{env(2, 2, "b"), env(2, 2, "a")})
 	p.noteFrame(2, 3, nil)
-	inbox, err = p.waitPhase(2)
+	inbox, err = p.waitPhase(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

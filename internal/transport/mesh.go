@@ -26,6 +26,9 @@ import (
 // time; a second concurrent caller indicates a wiring bug, not load).
 var ErrMeshBusy = errors.New("transport: mesh is already running an instance")
 
+// ErrMeshClosed ends a link-delay hold that Close found pending.
+var ErrMeshClosed = errors.New("transport: mesh closed")
+
 // Mesh is a warm, long-lived localhost TCP mesh for n processors: the n
 // listeners and the n×(n-1) outbound connections are dialed once and reused
 // by every subsequent instance. Each Run is one epoch — frames carry an
@@ -44,6 +47,7 @@ type Mesh struct {
 	listeners []net.Listener
 	addrs     []string
 	eps       []*endpoint
+	waker     *waker // the link-delay holds' one clock; nil when Net.LinkDelay is zero
 
 	// state points at the current epoch's peer set. It is installed by Run
 	// before any of the epoch's senders start, so by the time a frame
@@ -117,6 +121,12 @@ func NewMesh(ctx context.Context, n int, netCfg Net) (*Mesh, error) {
 		listeners: make([]net.Listener, n),
 		addrs:     make([]string, n),
 		eps:       make([]*endpoint, n),
+	}
+	if netCfg.LinkDelay > 0 {
+		var err error
+		if m.waker, err = newWaker(); err != nil {
+			return nil, fmt.Errorf("transport: mesh: %w", err)
+		}
 	}
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -369,9 +379,9 @@ func (m *Mesh) recycle() {
 	}
 }
 
-// Close tears the mesh down: listeners, outbound and inbound connections.
-// It must not race a Run; stragglers in per-connection readers exit on
-// their connection's close. Idempotent.
+// Close tears the mesh down: listeners, outbound and inbound connections and
+// the link-delay waker. It must not race a Run; stragglers in per-connection
+// readers exit on their connection's close. Idempotent.
 func (m *Mesh) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -398,6 +408,9 @@ func (m *Mesh) Close() {
 	}
 	for _, c := range inbound {
 		_ = c.Close()
+	}
+	if m.waker != nil {
+		m.waker.close()
 	}
 	m.wg.Wait()
 }

@@ -57,6 +57,37 @@ func TestMeshMultiEpoch(t *testing.T) {
 	}
 }
 
+// TestMeshCancelWithSilentPeer: a cancelled context must end a phase barrier
+// that is waiting out a silent peer — the drain an operator cancels — instead
+// of being noticed only when the phase timeout fires. The bound is the
+// timeout itself, far looser than the microseconds the wake-up takes.
+func TestMeshCancelWithSilentPeer(t *testing.T) {
+	const phaseTimeout = 30 * time.Second
+	mute := ident.NewSet(2)
+	m, err := NewMesh(context.Background(), 3, Net{PhaseTimeout: phaseTimeout, Mute: mute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(60*time.Millisecond, cancel) // by then the live peers sit in phase 1's barrier
+	cfg := meshConfig(ident.V1, 1)
+	cfg.FaultyOverride = mute
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.Run(ctx, cfg)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("got %v, want context.Canceled", err)
+		}
+	case <-time.After(phaseTimeout / 2):
+		t.Fatal("the barrier wait ignored its cancelled context")
+	}
+}
+
 // TestMeshReconnectKeepsLiveLinks kills one outbound connection between
 // epochs. The next instance must succeed by redialing exactly that link; the
 // rest of the warm mesh must be the same sockets as before — reconnection is

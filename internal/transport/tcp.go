@@ -85,11 +85,14 @@ type Net struct {
 	Mute ident.Set
 
 	// LinkDelay models one-way network latency: each processor holds its
-	// phase flush for this long before writing, so an instance's wall
-	// clock is ≈ phases × LinkDelay while its CPU sits idle — the regime a
-	// real deployment is in, where loopback is unrealistically fast. The
-	// delay is applied once per phase (links are traversed in parallel),
-	// never affects determinism, and zero disables it.
+	// phase flush for at least this long before writing, so an instance's
+	// wall clock is ≈ phases × LinkDelay plus a remainder (≈0.5 ms per phase:
+	// waking up and the frame syscalls) while its CPU sits idle — the regime
+	// a real deployment is in, where loopback is unrealistically fast. The
+	// delay is applied once per phase (links are traversed in parallel) by
+	// the mesh's one deadline waker (waker_linux.go; a runtime timer would be
+	// millisecond-grained), is a lower bound that is never cut short, never
+	// affects determinism, and zero disables it: no waker is created.
 	LinkDelay time.Duration
 
 	// WireVersion selects the frame version this cluster's peers emit
@@ -175,98 +178,126 @@ type peerConfig struct {
 }
 
 // peer is one processor's per-epoch runtime: the node state machine and the
-// inbound frame buffers keyed by phase. Sockets belong to the Mesh (they
-// outlive the epoch); frames reach the peer through the mesh's readers.
+// inbound frame buffers. Sockets belong to the Mesh (they outlive the epoch);
+// frames reach the peer through the mesh's readers. What a phase needs —
+// barrier slots, outgoing rows, the timeout timer — is made once and reused.
 type peer struct {
-	cfg     peerConfig
-	node    sim.Node
-	rec     *phaseRecorder // nil when tracing is disabled
-	onSend  func(phase int, from ident.ProcID, sigTotal, signers, bytes int)
-	mu      sync.Mutex
-	cond    *sync.Cond
-	inbound map[int][][]sim.Envelope // phase -> raw frames, indexed by sender
-	arrived map[int]ident.Set        // phase -> senders heard from
-	done    int                      // highest phase waitPhase has closed out
+	cfg    peerConfig
+	node   sim.Node
+	rec    *phaseRecorder // nil when tracing is disabled
+	onSend func(phase int, from ident.ProcID, sigTotal, signers, bytes int)
 
-	// stash and inbox belong to the peer's own goroutine (via waitPhase):
-	// the plan-delayed content addressed to this peer, and the inbox array
-	// reused from phase to phase (the sim.Node contract forbids retaining it).
-	stash faultnet.Stash[sim.Envelope]
-	inbox []sim.Envelope
+	mu   sync.Mutex
+	cond *sync.Cond
+	// bufs holds the two phases a frame can belong to, phase k in bufs[k&1]:
+	// the one the barrier is waiting on (done+1) and the next, which a fast
+	// neighbour may already have flushed. No correct sender is further ahead —
+	// closing done+2 takes this peer's done+2 frame, sent only after done+1
+	// closed here — so anything else is a straggler or a sender that already
+	// timed this peer out, and noteFrame drops it.
+	bufs    [2]phaseBuf
+	done    int         // highest phase waitPhase has closed out
+	want    int         // arrivals that complete the phase being waited on; 0 outside waitPhase
+	timeout *time.Timer // wakes cond when the phase being waited on runs out of time
+
+	// stash, inbox and outgoing belong to the peer's own goroutine: the
+	// plan-delayed content addressed to this peer, the inbox array reused from
+	// phase to phase (the sim.Node contract forbids retaining it), and the
+	// envelopes of the current phase by recipient.
+	stash    faultnet.Stash[sim.Envelope]
+	inbox    []sim.Envelope
+	outgoing [][]sim.Envelope
+}
+
+// phaseBuf is one phase's side of the barrier: the raw frames by sender (the
+// arrays keep their capacity across the phases sharing the slot) and who sent.
+type phaseBuf struct {
+	frames  [][]sim.Envelope
+	heard   []bool
+	arrived int // senders heard from
 }
 
 func newPeer(cfg peerConfig, node sim.Node, rec *phaseRecorder,
 	onSend func(int, ident.ProcID, int, int, int)) *peer {
-	p := &peer{
-		cfg: cfg, node: node, rec: rec, onSend: onSend,
-		inbound: make(map[int][][]sim.Envelope),
-		arrived: make(map[int]ident.Set),
+	p := &peer{cfg: cfg, node: node, rec: rec, onSend: onSend, outgoing: make([][]sim.Envelope, cfg.n)}
+	for i := range p.bufs {
+		p.bufs[i] = phaseBuf{frames: make([][]sim.Envelope, cfg.n), heard: make([]bool, cfg.n)}
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
-// noteFrame stores the raw content of a frame that arrived from a peer and
-// marks the sender as arrived; the fault plan is applied later, in one place
-// (waitPhase). Frames for a phase waitPhase has already closed out are
-// discarded: appending to the deleted per-phase entries would resurrect them
-// and leak an entry per late frame for the rest of the run. So are frames
-// naming a sender outside the cluster.
-func (p *peer) noteFrame(phase int, from ident.ProcID, msgs []sim.Envelope) {
+// wake rouses waitPhase to look at its deadline and context again.
+func (p *peer) wake() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if phase <= p.done || int(from) < 0 || int(from) >= p.cfg.n {
-		return
-	}
-	frames := p.inbound[phase]
-	if frames == nil {
-		frames = make([][]sim.Envelope, p.cfg.n)
-		p.inbound[phase] = frames
-	}
-	frames[from] = append(frames[from], msgs...)
-	if p.arrived[phase] == nil {
-		p.arrived[phase] = make(ident.Set)
-	}
-	p.arrived[phase].Add(from)
 	p.cond.Broadcast()
 }
 
+// noteFrame stores the raw content of a frame that arrived from a peer and
+// marks the sender as arrived; the fault plan is applied later, in one place
+// (waitPhase), which is woken only by the arrival that completes its phase.
+// Frames for a phase waitPhase has already closed out are discarded — their
+// slot now belongs to a later phase — and so are frames more than two phases
+// past it (see bufs) and frames naming a sender outside the cluster.
+func (p *peer) noteFrame(phase int, from ident.ProcID, msgs []sim.Envelope) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if phase <= p.done || phase > p.done+2 || int(from) < 0 || int(from) >= p.cfg.n {
+		return
+	}
+	buf := &p.bufs[phase&1]
+	buf.frames[from] = append(buf.frames[from], msgs...)
+	if !buf.heard[from] {
+		buf.heard[from] = true
+		buf.arrived++
+		if phase == p.done+1 && buf.arrived == p.want {
+			p.cond.Broadcast()
+		}
+	}
+}
+
 // waitPhase blocks until frames for the phase arrived from all peers that
-// can still send (plan-crashed processors are not waited for) or the timeout
-// fires, then hands the raw frames to faultnet.Deliver, which builds the
-// sender-ordered inbox under the fault plan — including any plan-delayed
-// content due this phase — and records the fault-* events. It fails with
-// ErrStalled when the receiver's information gap — frames physically
-// missing plus live frames the plan withheld — exceeds the fault bound t:
-// deciding on that little information could diverge.
-func (p *peer) waitPhase(phase int) ([]sim.Envelope, error) {
+// can still send (plan-crashed processors are not waited for), the timeout
+// fires or ctx ends, then hands the raw frames to faultnet.Deliver, which
+// builds the sender-ordered inbox under the fault plan — including any
+// plan-delayed content due this phase — and records the fault-* events. It
+// fails with ctx's error when that is what ended the wait, and with
+// ErrStalled when the receiver's information gap — frames physically missing
+// plus live frames the plan withheld — exceeds the fault bound t: deciding on
+// that little information could diverge.
+func (p *peer) waitPhase(ctx context.Context, phase int) ([]sim.Envelope, error) {
 	deadline := time.Now().Add(p.cfg.timeout)
-	timer := time.AfterFunc(p.cfg.timeout, func() {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		p.cond.Broadcast()
-	})
-	defer timer.Stop()
+	if p.timeout == nil {
+		p.timeout = time.AfterFunc(p.cfg.timeout, p.wake)
+	} else {
+		p.timeout.Reset(p.cfg.timeout)
+	}
+	defer p.timeout.Stop() // a firing that slips past Stop is one spurious wake-up of a later phase
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	want := p.cfg.n - 1 - p.cfg.faults.CrashSilent(phase, p.cfg.id, p.cfg.n)
-	for p.arrived[phase].Len() < want && time.Now().Before(deadline) {
+	buf := &p.bufs[phase&1]
+	p.want = p.cfg.n - 1 - p.cfg.faults.CrashSilent(phase, p.cfg.id, p.cfg.n)
+	for buf.arrived < p.want && time.Now().Before(deadline) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		p.cond.Wait()
 	}
-	missing := p.cfg.n - 1 - p.arrived[phase].Len() // crashed peers count as missing
-	frames := p.inbound[phase]
-	if frames == nil {
-		frames = make([][]sim.Envelope, p.cfg.n) // nobody sent: the plan still rules on every link
-	}
+	p.want = 0
+	missing := p.cfg.n - 1 - buf.arrived // crashed peers count as missing
 	var sink trace.Sink
 	if p.rec != nil {
 		sink = p.rec
 	}
-	inbox, withheld := faultnet.Deliver(p.cfg.faults, sink, phase, p.cfg.id, frames, &p.stash, p.inbox[:0])
+	inbox, withheld := faultnet.Deliver(p.cfg.faults, sink, phase, p.cfg.id, buf.frames, &p.stash, p.inbox[:0])
 	p.inbox = inbox
-	delete(p.inbound, phase)
-	delete(p.arrived, phase)
+	for i := range buf.frames {
+		buf.frames[i] = buf.frames[i][:0] // Deliver copied what it kept
+	}
+	clear(buf.heard)
+	buf.arrived = 0
 	p.done = phase
 	if gap := missing + withheld; gap > p.cfg.t {
 		return nil, fmt.Errorf("phase %d: %w: %d frames missing or withheld > t=%d",
@@ -283,6 +314,18 @@ func (p *peer) waitPhase(phase int) ([]sim.Envelope, error) {
 // discarded by noteFrame's late-phase guard (or by the mesh's epoch tag,
 // once the next instance starts).
 func (p *peer) run(ctx context.Context, ep *endpoint, epoch uint64) error {
+	defer context.AfterFunc(ctx, p.wake)() // a cancelled context ends waitPhase's wait
+	submit := func(e sim.Envelope) {
+		p.onSend(e.Phase, e.From, e.SigTotal, len(e.Signers), len(e.Payload))
+		if p.rec != nil {
+			p.rec.Emit(trace.Event{
+				Kind: trace.KindSend, Phase: e.Phase, From: e.From, To: e.To,
+				Sigs: e.SigTotal, Signers: len(e.Signers), Bytes: len(e.Payload),
+				Flag: p.cfg.faulty.Has(e.From),
+			})
+		}
+		p.outgoing[e.To] = append(p.outgoing[e.To], e)
+	}
 	for phase := 1; phase <= p.cfg.phases+1; phase++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -302,7 +345,7 @@ func (p *peer) run(ctx context.Context, ep *endpoint, epoch uint64) error {
 		var inbox []sim.Envelope
 		if phase > 1 {
 			var err error
-			if inbox, err = p.waitPhase(phase - 1); err != nil {
+			if inbox, err = p.waitPhase(ctx, phase-1); err != nil {
 				return err
 			}
 		}
@@ -318,18 +361,10 @@ func (p *peer) run(ctx context.Context, ep *endpoint, epoch uint64) error {
 		}
 
 		// Buffer sends per recipient for this phase.
-		outgoing := make(map[ident.ProcID][]sim.Envelope)
-		nctx := sim.NewContext(p.cfg.id, p.cfg.n, p.cfg.t, p.cfg.transmitter, phase, p.cfg.phases, func(e sim.Envelope) {
-			p.onSend(e.Phase, e.From, e.SigTotal, len(e.Signers), len(e.Payload))
-			if p.rec != nil {
-				p.rec.Emit(trace.Event{
-					Kind: trace.KindSend, Phase: e.Phase, From: e.From, To: e.To,
-					Sigs: e.SigTotal, Signers: len(e.Signers), Bytes: len(e.Payload),
-					Flag: p.cfg.faulty.Has(e.From),
-				})
-			}
-			outgoing[e.To] = append(outgoing[e.To], e)
-		})
+		for i := range p.outgoing {
+			p.outgoing[i] = p.outgoing[i][:0]
+		}
+		nctx := sim.NewContext(p.cfg.id, p.cfg.n, p.cfg.t, p.cfg.transmitter, phase, p.cfg.phases, submit)
 		if p.rec != nil {
 			// Route adversary send-filter drops (KindOmit) to the recorder.
 			nctx = nctx.WithTrace(p.rec)
@@ -341,12 +376,8 @@ func (p *peer) run(ctx context.Context, ep *endpoint, epoch uint64) error {
 		// Flush one frame (possibly empty) to every peer.
 		if phase <= p.cfg.phases && !p.cfg.muted {
 			if p.cfg.linkDelay > 0 {
-				timer := time.NewTimer(p.cfg.linkDelay)
-				select {
-				case <-timer.C:
-				case <-ctx.Done():
-					timer.Stop()
-					return ctx.Err()
+				if err := ep.m.waker.sleep(ctx, p.cfg.linkDelay); err != nil {
+					return err
 				}
 			}
 			for i := 0; i < p.cfg.n; i++ {
@@ -358,7 +389,7 @@ func (p *peer) run(ctx context.Context, ep *endpoint, epoch uint64) error {
 					// The receiver halts before it would consume this frame.
 					continue
 				}
-				if err := ep.send(ctx, epoch, phase, to, p.cfg.timeout, outgoing[to]); err != nil {
+				if err := ep.send(ctx, epoch, phase, to, p.cfg.timeout, p.outgoing[to]); err != nil {
 					if p.cfg.faults.CrashPhase(to) != 0 {
 						// Best-effort towards a peer that crashes later in
 						// the run: a torn-down socket is part of the scenario.

@@ -1,0 +1,203 @@
+//go:build linux
+
+package transport
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"os"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+)
+
+func testWaker(t *testing.T) *waker {
+	t.Helper()
+	w, err := newWaker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.close)
+	return w
+}
+
+// TestWakerNeverEarly is the contract the fault matrix and the modeled
+// latency rest on: whatever mix of holds is queued, from however many
+// goroutines, none returns before its own deadline.
+func TestWakerNeverEarly(t *testing.T) {
+	w := testWaker(t)
+	ctx := context.Background()
+	const sleepers, draws = 8, 125 // 1000 holds of 0-3 ms
+	var wg sync.WaitGroup
+	for g := 0; g < sleepers; g++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for i := 0; i < draws; i++ {
+				d := time.Duration(rng.Intn(3000)) * time.Microsecond
+				start := time.Now()
+				if err := w.sleep(ctx, d); err != nil {
+					t.Errorf("sleep(%v): %v", d, err)
+					return
+				}
+				if got := time.Since(start); got < d {
+					t.Errorf("sleep(%v) returned after %v", d, got)
+				}
+			}
+		}(rand.New(rand.NewSource(int64(g) + 1)))
+	}
+	wg.Wait()
+	if w.wakes.Load() == 0 {
+		t.Error("1000 holds ended without one timerfd expiry")
+	}
+}
+
+// released reports whether ch's hold was let go.
+func released(ch chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// TestWakerDeadlineOrder registers holds out of order, hours away so the
+// descriptor never fires, and steps release through chosen instants: each
+// instant releases exactly the holds due by then, earliest first.
+func TestWakerDeadlineOrder(t *testing.T) {
+	w := testWaker(t)
+	base := time.Now().Add(time.Hour)
+	at := []time.Duration{3 * time.Hour, 1 * time.Hour, 2 * time.Hour, 1 * time.Hour}
+	chs := make([]chan struct{}, len(at))
+	for i, d := range at {
+		var err error
+		if chs[i], err = w.enqueue(base.Add(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if got := []chan struct{}{w.queue[0].ch, w.queue[1].ch, w.queue[2].ch, w.queue[3].ch}; got[0] != chs[1] || got[1] != chs[3] || got[2] != chs[2] || got[3] != chs[0] {
+		t.Fatal("queue is not in deadline order with ties in arrival order")
+	}
+	for step, tc := range []struct {
+		now  time.Duration
+		want []bool
+	}{
+		{59 * time.Minute, []bool{false, false, false, false}},
+		{1 * time.Hour, []bool{false, true, false, true}},
+		{2*time.Hour + time.Minute, []bool{false, true, true, true}},
+		{4 * time.Hour, []bool{true, true, true, true}},
+	} {
+		w.release(base.Add(tc.now))
+		for i, ch := range chs {
+			if released(ch) != tc.want[i] {
+				t.Fatalf("step %d: hold %d released=%v, want %v", step, i, !tc.want[i], tc.want[i])
+			}
+		}
+	}
+	if len(w.queue) != 0 {
+		t.Fatalf("%d holds left queued", len(w.queue))
+	}
+}
+
+// TestWakerCancelAndClose: a cancelled context releases its own sleeper and
+// nobody else's; close releases the rest with ErrMeshClosed, ends the loop
+// goroutine (close returns only then) and refuses later holds.
+func TestWakerCancelAndClose(t *testing.T) {
+	w := testWaker(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	errs := make([]chan error, 3)
+	for i := range errs {
+		ch, err := w.enqueue(time.Now().Add(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := context.Background()
+		if i == 1 {
+			c = ctx
+		}
+		errs[i] = make(chan error, 1)
+		go func(out chan error) { out <- w.wait(c, ch) }(errs[i])
+	}
+	cancel()
+	if err := <-errs[1]; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sleeper got %v", err)
+	}
+	w.mu.Lock()
+	queued := len(w.queue)
+	w.mu.Unlock()
+	if queued != 2 {
+		t.Fatalf("after one cancel: %d holds queued, want the other 2", queued)
+	}
+	w.close()
+	for _, i := range []int{0, 2} {
+		if err := <-errs[i]; !errors.Is(err, ErrMeshClosed) {
+			t.Fatalf("sleeper %d got %v, want ErrMeshClosed", i, err)
+		}
+	}
+	if err := w.sleep(context.Background(), time.Millisecond); !errors.Is(err, ErrMeshClosed) {
+		t.Fatalf("sleep on a closed waker: %v", err)
+	}
+}
+
+// timerfds counts this process's open timerfd descriptors.
+func timerfds(t *testing.T) (timerfd, all int) {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skip(err)
+	}
+	for _, e := range ents {
+		if link, err := os.Readlink("/proc/self/fd/" + e.Name()); err == nil && link == "anon_inode:[timerfd]" {
+			timerfd++
+		}
+	}
+	return timerfd, len(ents)
+}
+
+// TestMeshWakerLifetime: a mesh with a link delay owns exactly one timerfd
+// and one more goroutine, a mesh without one opens neither, and 200
+// build/close cycles leave descriptors and goroutines where they started.
+func TestMeshWakerLifetime(t *testing.T) {
+	ctx := context.Background()
+	tfd0, fds0 := timerfds(t)
+	goroutines0 := runtime.NumGoroutine()
+
+	plain, err := NewMesh(ctx, 3, Net{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tfd, _ := timerfds(t); plain.waker != nil || tfd != tfd0 {
+		t.Fatalf("mesh without a link delay: waker %v, %d timerfds open (started with %d)", plain.waker, tfd, tfd0)
+	}
+	plain.Close()
+
+	for i := 0; i < 200; i++ {
+		m, err := NewMesh(ctx, 3, Net{LinkDelay: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if tfd, _ := timerfds(t); m.waker == nil || tfd != tfd0+1 {
+				t.Fatalf("mesh with a link delay: waker %v, %d timerfds open (started with %d)", m.waker, tfd, tfd0)
+			}
+			if _, err := m.Run(ctx, meshConfig(1, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Close()
+	}
+	if tfd, fds := timerfds(t); tfd != tfd0 || fds != fds0 {
+		t.Fatalf("after 200 cycles: %d timerfds, %d descriptors (started with %d and %d)", tfd, fds, tfd0, fds0)
+	}
+	// Close waits for every goroutine's last statement, not for its exit.
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, started with %d", runtime.NumGoroutine(), goroutines0)
+		}
+	}
+}
