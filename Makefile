@@ -11,7 +11,8 @@
 #                      line each; see BENCHMARK.json)
 #   make baexp       - regenerate every evaluation table
 #   make trace-smoke - end-to-end trace pipeline check (basim -trace → batrace)
-#   make faults      - fault-injection scenario matrix under -race (part of check)
+#   make faults      - fault-injection scenario matrix and the link-delay
+#                      contract under -race (part of check)
 #   make slo         - open-loop SLO gate: Poisson load against a self-hosted
 #                      server must meet a generous p99 (part of check)
 #   make crash       - crash-recovery drill: SIGKILL a journaled server
@@ -85,9 +86,12 @@ lint:
 # The fault-injection gate: every numbered algorithm against every fault
 # family (crash/drop/dup/reorder/delay/partition) over real TCP, in-budget
 # plans must agree and replay byte-identically, over-budget plans must fail
-# typed. Also run standalone for a quick transport-layer signal.
+# typed. Also run standalone for a quick transport-layer signal. The second
+# line is the link-delay hold's contract (never early per link, cancellable,
+# muted senders not waited on twice) and its waker's, five times over.
 faults:
 	$(GO) test -race -count=1 ./internal/transport/ -run 'TestScenarioMatrix|TestCrashAtPhaseK|TestOverBudgetFaultsFailTyped'
+	$(GO) test -race -count=5 ./internal/transport/ -run 'LinkDelay|Waker'
 
 test:
 	$(GO) test ./...

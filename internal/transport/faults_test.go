@@ -14,12 +14,13 @@ import (
 	"byzex/internal/transport"
 )
 
-// runTCP executes cfg over localhost TCP with a fresh trace buffer.
-func runTCP(t *testing.T, cfg core.Config) (*transport.Result, *trace.Buffer) {
+// runTCP executes cfg over localhost TCP, under the given link delay, with a
+// fresh trace buffer.
+func runTCP(t *testing.T, cfg core.Config, linkDelay time.Duration) (*transport.Result, *trace.Buffer) {
 	t.Helper()
 	buf := trace.NewBuffer()
 	cfg.Trace = buf
-	res, err := transport.RunCluster(context.Background(), cfg, transport.Net{PhaseTimeout: 10 * time.Second})
+	res, err := transport.RunCluster(context.Background(), cfg, transport.Net{PhaseTimeout: 10 * time.Second, LinkDelay: linkDelay})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,8 @@ func checkFaultCounters(t *testing.T, label string, events []trace.Event, want f
 // size has the t ≥ 2 the scenarios spend, under every fault family, with the
 // plan kept inside the fault budget (Affected ⊆ faulty, |faulty| ≤ t), must
 // still reach agreement and validity (unanimity only for the exchange
-// class); two runs of the same seed must produce
+// class); two runs of the same seed — the second under a link delay, so
+// every fault rule also meets the receivers' hold — must produce
 // identical decisions and byte-identical traces; and the fault-* counters
 // recovered from the trace must equal the plan's own accounting — on both
 // substrates, whose decisions must also agree with each other.
@@ -95,12 +97,13 @@ func TestScenarioMatrix(t *testing.T) {
 				}
 				want := plan.ExpectedCounters(e.N, phases)
 
-				res1, buf1 := runTCP(t, cfg)
+				res1, buf1 := runTCP(t, cfg, 0)
 				checkAgreement(t, res1, ident.V1, e.Class == cli.ClassExchange)
 				checkFaultCounters(t, "tcp", buf1.Events(), want)
 
-				// Same seed, second run: byte-identical trace and decisions.
-				res2, buf2 := runTCP(t, cfg)
+				// Same seed, second run, links a millisecond long: byte-identical
+				// trace and decisions.
+				res2, buf2 := runTCP(t, cfg, time.Millisecond)
 				if !sameEvents(buf1.Events(), buf2.Events()) {
 					t.Error("same-seed reruns produced different traces")
 				}
@@ -155,8 +158,8 @@ func TestCrashAtPhaseK(t *testing.T) {
 				Protocol: proto, N: e.N, T: e.T, Value: ident.V1, Scheme: scheme,
 				FaultyOverride: ident.NewSet(victim), Seed: 9, Faults: plan,
 			}
-			res1, _ := runTCP(t, runCfg)
-			res2, _ := runTCP(t, runCfg)
+			res1, _ := runTCP(t, runCfg, 0)
+			res2, _ := runTCP(t, runCfg, 0)
 			for id, d := range res1.Decisions {
 				if res2.Decisions[id] != d {
 					t.Errorf("same-seed reruns diverge at %v", id)

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"byzex/internal/ident"
@@ -250,5 +252,50 @@ func TestFrameV2UnknownFlagsRejected(t *testing.T) {
 	}
 	if _, _, _, err := fr.decode(); !errors.Is(err, wire.ErrWireVersion) {
 		t.Fatalf("unknown v2 flags: got %v, want wire.ErrWireVersion", err)
+	}
+}
+
+// countingConn counts the Read calls that reach the socket.
+type countingConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countingConn) Read(b []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(b)
+}
+
+// TestServeConnOneReadPerFrame pins what the buffered inbound side buys: k
+// frames, each consumed before the next is written, cost serveConn k reads of
+// the socket and one more that finds it closed — header and body used to be a
+// read each.
+func TestServeConnOneReadPerFrame(t *testing.T) {
+	const k = 8
+	a, c := loopbackPair(t)
+	defer func() { _ = a.Close() }()
+	conn := &countingConn{Conn: c}
+	p := testPeer(peerConfig{id: 0, n: k + 1})
+	m := &Mesh{}
+	m.state.Store(&epochState{epoch: 1, peers: []*peer{p}})
+	m.wg.Add(1)
+	go m.serveConn(conn, &frameReader{to: 0})
+
+	w := wire.NewWriter(64)
+	msgs := benchEnvelopes()
+	for from := 1; from <= k; from++ {
+		if err := writeFrame(a, w, 0, 0, 1, 1, ident.ProcID(from), msgs); err != nil {
+			t.Fatal(err)
+		}
+		for arrived := 0; arrived < from; runtime.Gosched() {
+			p.mu.Lock()
+			arrived = p.bufs[1].arrived
+			p.mu.Unlock()
+		}
+	}
+	_ = a.Close()
+	m.wg.Wait()
+	if got := conn.reads.Load(); got > k+1 {
+		t.Fatalf("%d frames cost %d reads of the socket, want at most %d", k, got, k+1)
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -236,12 +237,14 @@ func (m *Mesh) acceptLoop(to ident.ProcID, ln net.Listener) {
 // epoch's peer. Frames tagged with a stale epoch are dropped before their
 // message section is decoded, so their buffer is reused immediately; frames
 // that delivered payload bytes have their buffer retired until the epoch's
-// nodes are gone (see frameReader).
+// nodes are gone (see frameReader). The socket is read through one 4 KiB
+// buffer: a frame costs one read, not one each for header and body.
 func (m *Mesh) serveConn(conn net.Conn, fr *frameReader) {
 	defer m.wg.Done()
 	defer func() { _ = conn.Close() }()
+	br := bufio.NewReaderSize(conn, 4096)
 	for {
-		epoch, err := fr.readFrame(conn)
+		epoch, err := fr.readFrame(br)
 		if err != nil {
 			return
 		}
@@ -296,6 +299,7 @@ func (m *Mesh) Run(ctx context.Context, cfg core.Config) (*Result, error) {
 
 	wallPhases := setup.Phases + 1
 	peers := make([]*peer, m.n)
+	clock := time.Now()
 	for i, node := range setup.Nodes {
 		id := ident.ProcID(i)
 		var rec *phaseRecorder
@@ -305,9 +309,9 @@ func (m *Mesh) Run(ctx context.Context, cfg core.Config) (*Result, error) {
 		peers[i] = newPeer(peerConfig{
 			id: id, n: cfg.N, t: cfg.T, transmitter: cfg.Transmitter,
 			phases: setup.Phases, timeout: m.netCfg.PhaseTimeout,
-			linkDelay: m.netCfg.LinkDelay,
-			muted:     m.netCfg.Mute.Has(id), faulty: setup.Faulty,
-			faults: cfg.Faults,
+			muted: m.netCfg.Mute.Has(id), faulty: setup.Faulty,
+			faults:    cfg.Faults,
+			linkDelay: m.netCfg.LinkDelay, waker: m.waker, peers: peers, clock: clock,
 		}, node, rec, onSend)
 	}
 
@@ -466,7 +470,7 @@ type frameReader struct {
 // A version outside the compatibility window fails with wire.ErrWireVersion
 // before any layout behind the byte is trusted; the caller closes the
 // connection rather than guessing where the next frame starts.
-func (fr *frameReader) readFrame(conn net.Conn) (uint64, error) {
+func (fr *frameReader) readFrame(conn io.Reader) (uint64, error) {
 	if _, err := io.ReadFull(conn, fr.hdr[:]); err != nil {
 		return 0, err
 	}

@@ -88,6 +88,55 @@ func TestMeshCancelWithSilentPeer(t *testing.T) {
 	}
 }
 
+// TestLinkDelayMutedPeer: a muted sender is never heard, so it is not among
+// the senders a link-delay hold waits on — it records no send instant at all.
+// The live peers still serve the delay to each other, and silence beyond the
+// fault bound still ends the run with ErrStalled.
+func TestLinkDelayMutedPeer(t *testing.T) {
+	const delay = 2 * time.Millisecond
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		mute  ident.Set
+		stall bool
+	}{
+		{"in budget", ident.NewSet(2), false},
+		{"beyond t", ident.NewSet(1, 2), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := NewMesh(ctx, 3, Net{PhaseTimeout: 40 * time.Millisecond, Mute: tc.mute, LinkDelay: delay})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			cfg := meshConfig(ident.V1, 1)
+			cfg.FaultyOverride = ident.NewSet(2)
+			began := time.Now()
+			res, err := m.Run(ctx, cfg)
+			wall := time.Since(began)
+			if tc.stall {
+				if !errors.Is(err, ErrStalled) {
+					t.Fatalf("got %v, want ErrStalled", err)
+				}
+			} else {
+				if err != nil {
+					t.Fatal(err)
+				}
+				meshAgreement(t, res, ident.V1)
+				if floor := time.Duration(cfg.Protocol.Phases(3, 1)) * delay; wall < floor {
+					t.Errorf("run took %v, under phases × delay = %v", wall, floor)
+				}
+			}
+			for id, p := range m.state.Load().peers {
+				stamped := p.sent[0].Load() != 0 || p.sent[1].Load() != 0
+				if muted := tc.mute.Has(ident.ProcID(id)); stamped == muted {
+					t.Errorf("peer %d: muted=%v, recorded a send instant=%v", id, muted, stamped)
+				}
+			}
+		})
+	}
+}
+
 // TestMeshReconnectKeepsLiveLinks kills one outbound connection between
 // epochs. The next instance must succeed by redialing exactly that link; the
 // rest of the warm mesh must be the same sockets as before — reconnection is

@@ -23,7 +23,8 @@ import (
 // in-memory engine and over TCP with an identical signature scheme: the
 // substrates must produce identical decisions and identical message,
 // signature and byte totals (lock-step synchrony means goroutine
-// scheduling cannot change what is sent).
+// scheduling cannot change what is sent) — with and without a link delay,
+// which moves when a phase is stepped and nothing else.
 func TestEngineTCPParity(t *testing.T) {
 	cases := []struct {
 		p    protocol.Protocol
@@ -36,7 +37,11 @@ func TestEngineTCPParity(t *testing.T) {
 		{dolevstrong.Protocol{}, 6, 2},
 	}
 	for _, tc := range cases {
-		for _, v := range []ident.Value{ident.V0, ident.V1} {
+		for _, run := range []struct {
+			v         ident.Value
+			linkDelay time.Duration
+		}{{ident.V0, 0}, {ident.V1, time.Millisecond}} {
+			v := run.v
 			scheme := sig.NewHMAC(tc.n, 321)
 
 			engRes, _, err := core.RunAndCheck(context.Background(), core.Config{
@@ -48,7 +53,7 @@ func TestEngineTCPParity(t *testing.T) {
 
 			tcpRes, err := transport.RunCluster(context.Background(), core.Config{
 				Protocol: tc.p, N: tc.n, T: tc.t, Value: v, Scheme: scheme,
-			}, transport.Net{PhaseTimeout: 10 * time.Second})
+			}, transport.Net{PhaseTimeout: 10 * time.Second, LinkDelay: run.linkDelay})
 			if err != nil {
 				t.Fatalf("%s tcp: %v", tc.p.Name(), err)
 			}

@@ -35,7 +35,9 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"byzex/internal/core"
@@ -84,15 +86,18 @@ type Net struct {
 	// assumption the protocols rely on.
 	Mute ident.Set
 
-	// LinkDelay models one-way network latency: each processor holds its
-	// phase flush for at least this long before writing, so an instance's
-	// wall clock is ≈ phases × LinkDelay plus a remainder (≈0.5 ms per phase:
-	// waking up and the frame syscalls) while its CPU sits idle — the regime
-	// a real deployment is in, where loopback is unrealistically fast. The
-	// delay is applied once per phase (links are traversed in parallel) by
-	// the mesh's one deadline waker (waker_linux.go; a runtime timer would be
-	// millisecond-grained), is a lower bound that is never cut short, never
-	// affects determinism, and zero disables it: no waker is created.
+	// LinkDelay models one-way network latency, per link: no envelope reaches
+	// its receiver's Step(k+1) earlier than LinkDelay after its sender's
+	// Step(k) returned. Senders flush at once; a receiver whose barrier has
+	// closed holds its step until the latest sender it heard from is
+	// LinkDelay old, so the frames travel while the delay is served and an
+	// instance takes ≈ phases × LinkDelay plus waking up and the steps, its
+	// CPU otherwise idle — the regime a real deployment is in, where loopback
+	// is unrealistically fast. One hold per peer per phase on the mesh's one
+	// deadline waker (waker_linux.go; a runtime timer would be
+	// millisecond-grained), never cut short, never affecting determinism;
+	// zero disables it: no waker, no send instant recorded. The instants live
+	// in memory, not in the frame: a mesh hosts all n peers on one clock.
 	LinkDelay time.Duration
 
 	// WireVersion selects the frame version this cluster's peers emit
@@ -171,10 +176,16 @@ type peerConfig struct {
 	transmitter ident.ProcID
 	phases      int
 	timeout     time.Duration
-	linkDelay   time.Duration
 	muted       bool
 	faulty      ident.Set
 	faults      *faultnet.Plan // nil injects nothing (all methods nil-safe)
+
+	// The link-delay hold, unused when linkDelay is zero: the mesh's waker and
+	// the epoch's peers by id, whose sent instants (past clock) a hold reads.
+	linkDelay time.Duration
+	waker     *waker
+	peers     []*peer
+	clock     time.Time
 }
 
 // peer is one processor's per-epoch runtime: the node state machine and the
@@ -199,6 +210,12 @@ type peer struct {
 	done    int         // highest phase waitPhase has closed out
 	want    int         // arrivals that complete the phase being waited on; 0 outside waitPhase
 	timeout *time.Timer // wakes cond when the phase being waited on runs out of time
+
+	// sent[k&1] is when Step(k) returned here, in nanoseconds past cfg.clock,
+	// stored before phase k's first frame is written. The slots are reused as
+	// bufs' are: a receiver too slow to read phase k's before k+2 overwrote it
+	// sees a later instant and holds longer, never shorter.
+	sent [2]atomic.Int64
 
 	// stash, inbox and outgoing belong to the peer's own goroutine: the
 	// plan-delayed content addressed to this peer, the inbox array reused from
@@ -257,7 +274,20 @@ func (p *peer) noteFrame(phase int, from ident.ProcID, msgs []sim.Envelope) {
 	}
 }
 
-// waitPhase blocks until frames for the phase arrived from all peers that
+// waitPhase closes the phase out (closePhase) and then, the lock released,
+// serves the link delay: it holds until the latest sender heard from is
+// linkDelay past the end of its Step(phase) — the frames were in flight
+// meanwhile. A sender never heard from already cost the timeout and is not
+// waited on again. Only ctx's error or ErrMeshClosed end a hold early.
+func (p *peer) waitPhase(ctx context.Context, phase int) ([]sim.Envelope, error) {
+	inbox, sent, err := p.closePhase(ctx, phase)
+	if err != nil || p.cfg.linkDelay == 0 {
+		return inbox, err
+	}
+	return inbox, p.cfg.waker.sleepUntil(ctx, p.cfg.clock.Add(sent+p.cfg.linkDelay))
+}
+
+// closePhase blocks until frames for the phase arrived from all peers that
 // can still send (plan-crashed processors are not waited for), the timeout
 // fires or ctx ends, then hands the raw frames to faultnet.Deliver, which
 // builds the sender-ordered inbox under the fault plan — including any
@@ -265,8 +295,9 @@ func (p *peer) noteFrame(phase int, from ident.ProcID, msgs []sim.Envelope) {
 // fails with ctx's error when that is what ended the wait, and with
 // ErrStalled when the receiver's information gap — frames physically missing
 // plus live frames the plan withheld — exceeds the fault bound t: deciding on
-// that little information could diverge.
-func (p *peer) waitPhase(ctx context.Context, phase int) ([]sim.Envelope, error) {
+// that little information could diverge. The second result is the latest
+// sent instant among the senders heard from (zero without a link delay).
+func (p *peer) closePhase(ctx context.Context, phase int) ([]sim.Envelope, time.Duration, error) {
 	deadline := time.Now().Add(p.cfg.timeout)
 	if p.timeout == nil {
 		p.timeout = time.AfterFunc(p.cfg.timeout, p.wake)
@@ -281,12 +312,20 @@ func (p *peer) waitPhase(ctx context.Context, phase int) ([]sim.Envelope, error)
 	p.want = p.cfg.n - 1 - p.cfg.faults.CrashSilent(phase, p.cfg.id, p.cfg.n)
 	for buf.arrived < p.want && time.Now().Before(deadline) {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		p.cond.Wait()
 	}
 	p.want = 0
 	missing := p.cfg.n - 1 - buf.arrived // crashed peers count as missing
+	var sent time.Duration
+	if p.cfg.linkDelay > 0 {
+		for from, heard := range buf.heard {
+			if heard {
+				sent = max(sent, time.Duration(p.cfg.peers[from].sent[phase&1].Load()))
+			}
+		}
+	}
 	var sink trace.Sink
 	if p.rec != nil {
 		sink = p.rec
@@ -300,10 +339,10 @@ func (p *peer) waitPhase(ctx context.Context, phase int) ([]sim.Envelope, error)
 	buf.arrived = 0
 	p.done = phase
 	if gap := missing + withheld; gap > p.cfg.t {
-		return nil, fmt.Errorf("phase %d: %w: %d frames missing or withheld > t=%d",
+		return nil, 0, fmt.Errorf("phase %d: %w: %d frames missing or withheld > t=%d",
 			phase, ErrStalled, gap, p.cfg.t)
 	}
-	return inbox, nil
+	return inbox, sent, nil
 }
 
 // run executes the peer's phase loop for one mesh epoch. The mesh's
@@ -373,12 +412,15 @@ func (p *peer) run(ctx context.Context, ep *endpoint, epoch uint64) error {
 			return fmt.Errorf("phase %d: %w", phase, err)
 		}
 
-		// Flush one frame (possibly empty) to every peer.
+		// Flush one frame (possibly empty) to every peer, at once: the link
+		// delay is served by the receivers, counted from this instant. A
+		// phase's peers are released together onto a few Ps, so each yields
+		// between its instant and its writes: all have stepped before any
+		// spends its n-1 syscalls, as on n machines.
 		if phase <= p.cfg.phases && !p.cfg.muted {
 			if p.cfg.linkDelay > 0 {
-				if err := ep.m.waker.sleep(ctx, p.cfg.linkDelay); err != nil {
-					return err
-				}
+				p.sent[phase&1].Store(int64(time.Since(p.cfg.clock)))
+				runtime.Gosched()
 			}
 			for i := 0; i < p.cfg.n; i++ {
 				to := ident.ProcID(i)

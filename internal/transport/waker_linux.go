@@ -20,8 +20,8 @@ import (
 // §5.2) — whereas a timerfd expiry makes a descriptor readable, which ends
 // that wait at once.
 //
-// Contract: sleep never returns nil before its deadline (the hold is a lower
-// bound on modeled latency) and returns early only with ctx's error or
+// Contract: sleepUntil never returns nil before its instant (the hold is a
+// lower bound on modeled latency) and returns early only with ctx's error or
 // ErrMeshClosed.
 type waker struct {
 	f      *os.File      // the timerfd; os.NewFile registered it with the poller
@@ -97,9 +97,13 @@ func (w *waker) arm(d time.Duration) {
 	}
 }
 
-// sleep blocks for at least d.
-func (w *waker) sleep(ctx context.Context, d time.Duration) error {
-	ch, err := w.enqueue(time.Now().Add(d))
+// sleepUntil blocks until at. An instant that has passed costs a clock
+// reading: no channel, no queue insert, no timerfd_settime.
+func (w *waker) sleepUntil(ctx context.Context, at time.Time) error {
+	if !at.After(time.Now()) {
+		return ctx.Err()
+	}
+	ch, err := w.enqueue(at)
 	if err != nil {
 		return err
 	}

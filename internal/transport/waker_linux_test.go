@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"byzex/internal/ident"
 )
 
 func testWaker(t *testing.T) *waker {
@@ -23,27 +25,36 @@ func testWaker(t *testing.T) *waker {
 	return w
 }
 
+// waitQueued returns once n holds sit in w's queue.
+func waitQueued(w *waker, n int) {
+	for queued := 0; queued < n; runtime.Gosched() {
+		w.mu.Lock()
+		queued = len(w.queue)
+		w.mu.Unlock()
+	}
+}
+
 // TestWakerNeverEarly is the contract the fault matrix and the modeled
-// latency rest on: whatever mix of holds is queued, from however many
-// goroutines, none returns before its own deadline.
+// latency rest on: whatever mix of instants is held for, from however many
+// goroutines — a fifth of them already past when asked — none returns before
+// its own.
 func TestWakerNeverEarly(t *testing.T) {
 	w := testWaker(t)
 	ctx := context.Background()
-	const sleepers, draws = 8, 125 // 1000 holds of 0-3 ms
+	const sleepers, draws = 8, 125 // 1000 holds until -0.75 to +3 ms from now
 	var wg sync.WaitGroup
 	for g := 0; g < sleepers; g++ {
 		wg.Add(1)
 		go func(rng *rand.Rand) {
 			defer wg.Done()
 			for i := 0; i < draws; i++ {
-				d := time.Duration(rng.Intn(3000)) * time.Microsecond
-				start := time.Now()
-				if err := w.sleep(ctx, d); err != nil {
-					t.Errorf("sleep(%v): %v", d, err)
+				at := time.Now().Add(time.Duration(rng.Intn(3750)-750) * time.Microsecond)
+				if err := w.sleepUntil(ctx, at); err != nil {
+					t.Errorf("sleepUntil(%v): %v", at, err)
 					return
 				}
-				if got := time.Since(start); got < d {
-					t.Errorf("sleep(%v) returned after %v", d, got)
+				if early := time.Until(at); early > 0 {
+					t.Errorf("sleepUntil returned %v before its instant", early)
 				}
 			}
 		}(rand.New(rand.NewSource(int64(g) + 1)))
@@ -51,6 +62,33 @@ func TestWakerNeverEarly(t *testing.T) {
 	wg.Wait()
 	if w.wakes.Load() == 0 {
 		t.Error("1000 holds ended without one timerfd expiry")
+	}
+}
+
+// TestWakerPastInstantFree: a hold whose instant has passed — a peer whose
+// last frame came in after its sender's instant + Δ — returns without a
+// channel, a queue insert or a timerfd_settime (which would show as an
+// expiry), and still reports a cancelled context.
+func TestWakerPastInstantFree(t *testing.T) {
+	w := testWaker(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	past := time.Now()
+	if n := testing.AllocsPerRun(100, func() {
+		if err := w.sleepUntil(ctx, past); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a past instant allocates %.0f objects", n)
+	}
+	w.mu.Lock()
+	queued := len(w.queue)
+	w.mu.Unlock()
+	if wakes := w.wakes.Load(); queued != 0 || wakes != 0 {
+		t.Errorf("past instants left %d holds queued and armed %d expiries", queued, wakes)
+	}
+	cancel()
+	if err := w.sleepUntil(ctx, past); !errors.Is(err, context.Canceled) {
+		t.Errorf("past instant under a cancelled context: %v", err)
 	}
 }
 
@@ -65,34 +103,48 @@ func released(ch chan struct{}) bool {
 }
 
 // TestWakerDeadlineOrder registers holds out of order, hours away so the
-// descriptor never fires, and steps release through chosen instants: each
-// instant releases exactly the holds due by then, earliest first.
+// descriptor never fires — the last through sleepUntil, the call the mesh
+// makes — and steps release through chosen instants: each instant releases
+// exactly the holds due by then, earliest first.
 func TestWakerDeadlineOrder(t *testing.T) {
 	w := testWaker(t)
 	base := time.Now().Add(time.Hour)
 	at := []time.Duration{3 * time.Hour, 1 * time.Hour, 2 * time.Hour, 1 * time.Hour}
-	chs := make([]chan struct{}, len(at))
+	chs := make([]chan struct{}, len(at)+1)
 	for i, d := range at {
 		var err error
 		if chs[i], err = w.enqueue(base.Add(d)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	slept := make(chan struct{})
+	chs[len(at)] = slept
+	go func() {
+		defer close(slept)
+		if err := w.sleepUntil(context.Background(), base.Add(90*time.Minute)); err != nil {
+			t.Errorf("sleepUntil: %v", err)
+		}
+	}()
+	waitQueued(w, len(chs))
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if got := []chan struct{}{w.queue[0].ch, w.queue[1].ch, w.queue[2].ch, w.queue[3].ch}; got[0] != chs[1] || got[1] != chs[3] || got[2] != chs[2] || got[3] != chs[0] {
+	if q := w.queue; q[0].ch != chs[1] || q[1].ch != chs[3] || !q[2].at.Equal(base.Add(90*time.Minute)) || q[3].ch != chs[2] || q[4].ch != chs[0] {
 		t.Fatal("queue is not in deadline order with ties in arrival order")
 	}
 	for step, tc := range []struct {
 		now  time.Duration
 		want []bool
 	}{
-		{59 * time.Minute, []bool{false, false, false, false}},
-		{1 * time.Hour, []bool{false, true, false, true}},
-		{2*time.Hour + time.Minute, []bool{false, true, true, true}},
-		{4 * time.Hour, []bool{true, true, true, true}},
+		{59 * time.Minute, []bool{false, false, false, false, false}},
+		{1 * time.Hour, []bool{false, true, false, true, false}},
+		{90 * time.Minute, []bool{false, true, false, true, true}},
+		{2*time.Hour + time.Minute, []bool{false, true, true, true, true}},
+		{4 * time.Hour, []bool{true, true, true, true, true}},
 	} {
 		w.release(base.Add(tc.now))
+		if tc.want[len(at)] {
+			<-slept // released holds return without taking mu
+		}
 		for i, ch := range chs {
 			if released(ch) != tc.want[i] {
 				t.Fatalf("step %d: hold %d released=%v, want %v", step, i, !tc.want[i], tc.want[i])
@@ -139,8 +191,41 @@ func TestWakerCancelAndClose(t *testing.T) {
 			t.Fatalf("sleeper %d got %v, want ErrMeshClosed", i, err)
 		}
 	}
-	if err := w.sleep(context.Background(), time.Millisecond); !errors.Is(err, ErrMeshClosed) {
-		t.Fatalf("sleep on a closed waker: %v", err)
+	if err := w.sleepUntil(context.Background(), time.Now().Add(time.Hour)); !errors.Is(err, ErrMeshClosed) {
+		t.Fatalf("sleepUntil on a closed waker: %v", err)
+	}
+}
+
+// TestLinkDelayHoldCancel: a context cancelled while every peer sits in a
+// link-delay hold ends the run at once with context.Canceled — not when the
+// delay or the phase timeout runs out. The holds are seen in the waker's
+// queue, so the cancel lands in the middle of them by construction.
+func TestLinkDelayHoldCancel(t *testing.T) {
+	m, err := NewMesh(context.Background(), 3, Net{PhaseTimeout: time.Minute, LinkDelay: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.Run(ctx, meshConfig(ident.V1, 1))
+		done <- err
+	}()
+	waitQueued(m.waker, 3) // phase 1's barrier closed at all three
+	cancel()
+	cancelled := time.Now()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if took := time.Since(cancelled); took > 50*time.Millisecond {
+		t.Fatalf("the holds outlived their cancelled context by %v", took)
+	}
+	m.waker.mu.Lock()
+	defer m.waker.mu.Unlock()
+	if len(m.waker.queue) != 0 {
+		t.Fatalf("%d abandoned holds still queued", len(m.waker.queue))
 	}
 }
 

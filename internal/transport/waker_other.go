@@ -14,14 +14,13 @@ type waker struct{ wakes atomic.Uint64 }
 
 func newWaker() (*waker, error) { return &waker{}, nil }
 func (w *waker) close()         {}
-func (w *waker) sleep(ctx context.Context, d time.Duration) error {
-	w.wakes.Add(1)
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+func (w *waker) sleepUntil(ctx context.Context, at time.Time) error {
+	if d := time.Until(at); d > 0 { // an instant that has passed costs nothing
+		w.wakes.Add(1)
+		select {
+		case <-time.After(d): // abandoned early, the timer still dies within d
+		case <-ctx.Done():
+		}
 	}
+	return ctx.Err()
 }
