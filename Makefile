@@ -31,7 +31,8 @@
 #                      wins and PASS/FAIL per end-to-end metric
 #   make loc         - non-test Go lines outside bench/, per package and in
 #                      total (the number CHANGES.md and the ROADMAP's
-#                      subtraction target are stated in)
+#                      subtraction target are stated in), and the number of
+#                      packages `go list ./...` finds
 
 GO ?= go
 GOFMT ?= gofmt
@@ -117,11 +118,12 @@ baexp:
 # found vs core.SigLowerBound / core.MsgLowerBound) and exits 1 when a
 # correct protocol is broken or undercuts its Theorem 1/2 bound, or a
 # strawman survives unbroken. A fixed -seed makes the output reproduce
-# byte-identically. `make check` runs it at a short budget.
+# byte-identically. `make check` runs it at a short budget. The binary is
+# built inside the checkout, so two checkouts never share it.
 SEARCH_BUDGET ?= 240
 search:
-	$(GO) build -o /tmp/baattack ./cmd/baattack
-	/tmp/baattack -search -protocol all -objective both \
+	$(GO) build -o .bench_build/baattack ./cmd/baattack
+	.bench_build/baattack -search -protocol all -objective both \
 		-budget $(SEARCH_BUDGET) -seed 1
 
 # Short fixed-budget fuzzing of every decoder that touches attacker-supplied
@@ -146,10 +148,12 @@ trace-smoke:
 	/tmp/batrace /tmp/byzex-smoke-tcp.jsonl
 
 # Non-test Go lines outside bench/: one row per package directory, then the
-# total — the same count CHANGES.md has reported since PR 14. Dot directories
+# total — the count CHANGES.md reports — and the package count of
+# `go list ./...` (bench/ included). Dot directories
 # (.bench_build holds whole parent trees after `make ab`) are not the repo's.
 loc:
 	@for d in $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.*' -exec dirname {} \; | sort -u); do \
 		printf '%6d %s\n' "$$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" "$$d"; \
 	done
 	@printf '%6d total\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.*' | xargs cat | wc -l)"
+	@printf '%6d packages\n' "$$($(GO) list ./... | wc -l)"

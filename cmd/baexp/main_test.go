@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -30,6 +32,54 @@ func TestOnlyIsCaseInsensitive(t *testing.T) {
 	if !strings.HasPrefix(csv, "# E1: ") {
 		t.Fatalf("-format csv printed:\n%s", csv)
 	}
+}
+
+// TestTablesGolden pins the whole evaluation, text and CSV, byte for byte
+// against testdata/tables.{txt,csv}: a refactor that moves one cell of one
+// table fails here. Regenerate the files only for a change that means to
+// move a number: `go run ./cmd/baexp > cmd/baexp/testdata/tables.txt` and
+// the same with `-format csv`.
+func TestTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the whole evaluation takes seconds; skipped in -short mode")
+	}
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"testdata/tables.txt", nil},
+		{"testdata/tables.csv", []string{"-format", "csv"}},
+	} {
+		want, err := os.ReadFile(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, got, stderr := exp(t, tc.args...)
+		if code != 0 {
+			t.Fatalf("baexp %v: exit %d: %s", tc.args, code, stderr)
+		}
+		if got != string(want) {
+			t.Errorf("baexp %v differs from %s:\n%s", tc.args, tc.golden, firstDiff(got, string(want)))
+		}
+	}
+}
+
+// firstDiff names the first line where got and want part.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < max(len(g), len(w)); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d:\n got: %q\nwant: %q", i+1, gl, wl)
+		}
+	}
+	return "(no line differs)"
 }
 
 func TestUnknownOnlyIsUsageError(t *testing.T) {

@@ -60,6 +60,33 @@ func TestTransportsPrintTheSameOutcome(t *testing.T) {
 	}
 }
 
+// TestReadmeExamplesRun keeps README's Examples section honest: every
+// `go run ./cmd/basim` line there runs through run() to exit 0 and
+// "agreement: OK".
+func TestReadmeExamplesRun(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(readme), "\n## Examples\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	const prefix = "go run ./cmd/basim "
+	lines := 0
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		lines++
+		var stdout, stderr bytes.Buffer
+		if code := run(strings.Fields(strings.TrimPrefix(line, prefix)), &stdout, &stderr); code != 0 || !strings.Contains(stdout.String(), "agreement: OK") {
+			t.Errorf("%s: exit %d\n%s%s", line, code, stdout.String(), stderr.String())
+		}
+	}
+	if lines == 0 {
+		t.Fatal("README's Examples section has no basim line")
+	}
+}
+
 // TestDumpNeedsMemoryTransport: only the memory substrate records the
 // history -dump writes, so asking for a transcript of a TCP run is refused
 // up front as a usage error that names the flag — it used to parse, run and

@@ -8,9 +8,11 @@ package cli
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"byzex/internal/adversary"
+	"byzex/internal/core"
 	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocol"
@@ -88,6 +90,10 @@ type Entry struct {
 	// protocols, "hmac" for everything else.
 	Scheme string
 	Class  Class
+	// MsgUpper and Phases are the row's promise, each an existing closed
+	// form: at most MsgUpper(p) messages from correct processors and exactly
+	// Phases(p) phases, p.S resolved as for New. nil promises nothing.
+	MsgUpper, Phases func(p Params) int
 }
 
 // fixed is the constructor of a protocol that takes no parameters.
@@ -95,23 +101,31 @@ func fixed(p protocol.Protocol) func(Params) protocol.Protocol {
 	return func(Params) protocol.Protocol { return p }
 }
 
+// byT, byNT, byTS and byNTS adapt a closed form to a promise column.
+func byT(f func(t int) int) func(Params) int     { return func(p Params) int { return f(p.T) } }
+func byNT(f func(n, t int) int) func(Params) int { return func(p Params) int { return f(p.N, p.T) } }
+func byTS(f func(t, s int) int) func(Params) int { return func(p Params) int { return f(p.T, p.S) } }
+func byNTS(f func(n, t, s int) int) func(Params) int {
+	return func(p Params) int { return f(p.N, p.T, p.S) }
+}
+
 // registry is the one place a protocol is declared, in name order. Adding a
 // protocol is adding a row.
 var registry = []Entry{
-	{"alg1", fixed(alg1.Protocol{}), 5, 2, "hmac", ClassAgreement},
-	{"alg1-multi", fixed(alg1.MultiProtocol{}), 5, 2, "hmac", ClassAgreement},
-	{"alg2", fixed(alg2.Protocol{}), 5, 2, "hmac", ClassAgreement},
-	{"alg3", func(p Params) protocol.Protocol { return alg3.Protocol{S: p.S} }, 12, 2, "hmac", ClassAgreement},
-	{"alg4", fixed(alg4.Protocol{}), 16, 2, "hmac", ClassExchange},
-	{"alg4-relay", fixed(alg4.RelayProtocol{}), 9, 2, "hmac", ClassExchange},
-	{"alg5", func(p Params) protocol.Protocol { return alg5.Protocol{S: p.S} }, 20, 2, "hmac", ClassAgreement},
-	{"alg5-nopow", func(p Params) protocol.Protocol { return alg5.Protocol{S: p.S, DisablePoW: true} }, 20, 2, "hmac", ClassAgreement},
-	{"dolev-strong", fixed(dolevstrong.Protocol{}), 6, 2, "hmac", ClassAgreement},
-	{"ic", fixed(ic.Protocol{Base: dolevstrong.Protocol{}}), 5, 1, "hmac", ClassAgreement},
-	{"lsp", fixed(lsp.Protocol{}), 7, 2, "plain", ClassAgreement},
-	{"phase-king", fixed(phaseking.Protocol{}), 9, 2, "plain", ClassAgreement},
-	{"strawman-broadcast", fixed(strawman.Broadcast{}), 5, 1, "hmac", ClassStrawman},
-	{"strawman-thinrelay", func(p Params) protocol.Protocol { return strawman.ThinRelay{RelayWidth: max(1, p.T-1)} }, 8, 2, "hmac", ClassStrawman},
+	{"alg1", fixed(alg1.Protocol{}), 5, 2, "hmac", ClassAgreement, byT(core.Alg1MsgUpperBound), byT(core.Alg1Phases)},
+	{"alg1-multi", fixed(alg1.MultiProtocol{}), 5, 2, "hmac", ClassAgreement, byT(alg1.MultiMsgUpperBound), nil},
+	{"alg2", fixed(alg2.Protocol{}), 5, 2, "hmac", ClassAgreement, byT(core.Alg2MsgUpperBound), byT(core.Alg2Phases)},
+	{"alg3", func(p Params) protocol.Protocol { return alg3.Protocol{S: p.S} }, 12, 2, "hmac", ClassAgreement, byNTS(core.Alg3MsgUpperBound), byTS(core.Alg3Phases)},
+	{"alg4", fixed(alg4.Protocol{}), 16, 2, "hmac", ClassExchange, func(p Params) int { return core.Alg4MsgUpperBound(int(math.Sqrt(float64(p.N)))) }, nil},
+	{"alg4-relay", fixed(alg4.RelayProtocol{}), 9, 2, "hmac", ClassExchange, byNT(alg4.RelayMsgUpperBound), nil},
+	{"alg5", func(p Params) protocol.Protocol { return alg5.Protocol{S: p.S} }, 20, 2, "hmac", ClassAgreement, byNTS(core.Alg5MsgUpperBound), byTS(core.Alg5Phases)},
+	{"alg5-nopow", func(p Params) protocol.Protocol { return alg5.Protocol{S: p.S, DisablePoW: true} }, 20, 2, "hmac", ClassAgreement, nil, nil},
+	{"dolev-strong", fixed(dolevstrong.Protocol{}), 6, 2, "hmac", ClassAgreement, nil, nil},
+	{"ic", fixed(ic.Protocol{Base: dolevstrong.Protocol{}}), 5, 1, "hmac", ClassAgreement, nil, nil},
+	{"lsp", fixed(lsp.Protocol{}), 7, 2, "plain", ClassAgreement, nil, nil},
+	{"phase-king", fixed(phaseking.Protocol{}), 9, 2, "plain", ClassAgreement, byNT(phaseking.MsgUpperBound), nil},
+	{"strawman-broadcast", fixed(strawman.Broadcast{}), 5, 1, "hmac", ClassStrawman, nil, nil},
+	{"strawman-thinrelay", func(p Params) protocol.Protocol { return strawman.ThinRelay{RelayWidth: max(1, p.T-1)} }, 8, 2, "hmac", ClassStrawman, nil, nil},
 }
 
 // Registry returns the protocol table in name order. The rows are shared:

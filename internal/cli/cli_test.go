@@ -5,7 +5,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -19,7 +21,8 @@ import (
 // TestEveryProtocolNameResolvesAndRuns is the registry's own test: the
 // table is in strict name order (so names are unique and ProtocolNames is
 // sorted), and every row's constructor accepts the row's canonical size and
-// runs fault-free, under the row's scheme, to the outcome its class promises.
+// runs fault-free, under the row's scheme, to the outcome its class promises
+// and within the row's MsgUpper and Phases promise.
 func TestEveryProtocolNameResolvesAndRuns(t *testing.T) {
 	names := cli.ProtocolNames()
 	if len(names) != len(cli.Registry()) {
@@ -32,7 +35,8 @@ func TestEveryProtocolNameResolvesAndRuns(t *testing.T) {
 		if i > 0 && names[i-1] >= e.Name {
 			t.Fatalf("registry rows %q, %q are not in strict name order", names[i-1], e.Name)
 		}
-		params := cli.Params{N: e.N, T: e.T, Seed: 1}
+		// S is spelled out at its default, so the promise sees what New saw.
+		params := cli.Params{N: e.N, T: e.T, S: max(1, e.T), Seed: 1}
 		proto, err := cli.Protocol(e.Name, params)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
@@ -62,6 +66,16 @@ func TestEveryProtocolNameResolvesAndRuns(t *testing.T) {
 		}
 		if err != nil {
 			t.Errorf("%s (%s): %v", e.Name, e.Class, err)
+		}
+		if e.MsgUpper != nil {
+			if got, bound := res.Sim.Report.MessagesCorrect, e.MsgUpper(params); got > bound {
+				t.Errorf("%s n=%d t=%d: %d messages from correct processors, row promises ≤ %d", e.Name, e.N, e.T, got, bound)
+			}
+		}
+		if e.Phases != nil {
+			if got, want := proto.Phases(e.N, e.T), e.Phases(params); got != want {
+				t.Errorf("%s n=%d t=%d: Phases = %d, row promises %d", e.Name, e.N, e.T, got, want)
+			}
 		}
 	}
 }
@@ -211,5 +225,44 @@ func TestReadmeListsEverySharedFlag(t *testing.T) {
 				t.Errorf("flag -%s is registered but not in a README.md flag table", f.Name)
 			}
 		})
+	}
+}
+
+// TestDesignMapListsEveryInternalPackage is the package map's drift gate:
+// the table of DESIGN.md §6 must have one row for every package under
+// internal/ and no row for anything else.
+func TestDesignMapListsEveryInternalPackage(t *testing.T) {
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(design), "\n## 6. ")
+	section, _, _ = strings.Cut(section, "\n## ")
+	listed := make(map[string]bool)
+	for _, line := range strings.Split(section, "\n") {
+		if name, ok := strings.CutPrefix(line, "| `internal/"); ok {
+			name, _, _ = strings.Cut(name, "`")
+			listed["internal/"+name] = true
+		}
+	}
+	packages := make(map[string]bool)
+	err = filepath.WalkDir("../../internal", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			packages[filepath.ToSlash(filepath.Dir(strings.TrimPrefix(path, "../../")))] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pkg := range packages {
+		if !listed[pkg] {
+			t.Errorf("%s is a package but has no row in DESIGN.md §6", pkg)
+		}
+	}
+	for pkg := range listed {
+		if !packages[pkg] {
+			t.Errorf("DESIGN.md §6 lists %s, which is not a package", pkg)
+		}
 	}
 }

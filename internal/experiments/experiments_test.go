@@ -11,8 +11,9 @@ import (
 )
 
 // The experiment functions assert their own bounds internally (returning an
-// error on any violation), so the tests here simply execute them. The
-// heavier sweeps run under -short via the lighter members only.
+// error on any violation), so the tests here simply execute the light ones.
+// Every table, heavy sweeps included, is pinned byte for byte by
+// cmd/baexp's TestTablesGolden.
 
 func TestTableRendering(t *testing.T) {
 	tbl := &experiments.Table{
@@ -121,19 +122,5 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	if _, err := trace.ReadJSONL(strings.NewReader(serialTrace)); err != nil {
 		t.Fatalf("merged trace does not parse: %v", err)
-	}
-}
-
-func TestHeavySweeps(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy sweeps skipped in -short mode")
-	}
-	for _, f := range []func(context.Context) (*experiments.Table, error){
-		experiments.E3Alg3, experiments.E5Alg5, experiments.E9Tradeoff, experiments.E10Baselines,
-		experiments.E11Ablations, experiments.E12MessageSize, experiments.E13Alg5Breakdown, experiments.E14Scaling,
-	} {
-		if _, err := f(context.Background()); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"byzex/internal/adversary"
+	"byzex/internal/cli"
 	"byzex/internal/core"
 	"byzex/internal/ident"
 	"byzex/internal/lowerbound"
@@ -25,33 +26,60 @@ import (
 // E1Alg1 reproduces Theorem 3: Algorithm 1 uses t+2 phases and ≤ 2t²+2t
 // messages for n = 2t+1, worst case over the adversary suite.
 func E1Alg1(ctx context.Context) (*Table, error) {
-	tbl := &Table{
+	var cells []cli.Params
+	for _, t := range []int{1, 2, 4, 8, 16, 32} {
+		cells = append(cells, cli.Params{N: 2*t + 1, T: t})
+	}
+	return promised(ctx, &Table{
 		ID:      "E1",
 		Title:   "Theorem 3 — Algorithm 1 (n=2t+1): messages ≤ 2t²+2t, phases = t+2",
 		Columns: []string{"t", "n", "msgs(worst)", "bound 2t²+2t", "phases", "phase bound t+2"},
-	}
-	ts := []int{1, 2, 4, 8, 16, 32}
+	}, "alg1", 1, cells, func(p cli.Params) []any { return []any{p.T, p.N} })
+}
+
+// promised is a table of one registry row against its own promise (E1, E3,
+// E5): each cell's worst case (see worstCase, at seed) must send at most the
+// row's MsgUpper and take exactly its Phases. A cell's row is key(cell),
+// then measured messages, MsgUpper, measured phases and Phases.
+func promised(ctx context.Context, tbl *Table, name string, seed int64, cells []cli.Params, key func(cli.Params) []any) (*Table, error) {
+	e := row(name)
 	type cell struct{ msgs, phases int }
-	cells, err := sweep(ctx, len(ts), func(ctx context.Context, i int) (cell, error) {
-		t := ts[i]
-		msgs, _, phases, err := worstCase(ctx, alg1.Protocol{}, 2*t+1, t, 1)
+	out, err := sweep(ctx, len(cells), func(ctx context.Context, i int) (cell, error) {
+		p, err := cli.Protocol(name, cells[i])
+		if err != nil {
+			return cell{}, err
+		}
+		msgs, _, phases, err := worstCase(ctx, p, cells[i].N, cells[i].T, seed)
 		return cell{msgs, phases}, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range cells {
-		t := ts[i]
-		bound := core.Alg1MsgUpperBound(t)
-		tbl.AddRow(t, 2*t+1, c.msgs, bound, c.phases, core.Alg1Phases(t))
+	for i, c := range out {
+		p := cells[i]
+		bound, pb := e.MsgUpper(p), e.Phases(p)
+		tbl.AddRow(append(key(p), c.msgs, bound, c.phases, pb)...)
 		if c.msgs > bound {
-			tbl.Violate("t=%d: %d msgs > %d", t, c.msgs, bound)
+			tbl.Violate("n=%d t=%d s=%d: %d msgs > %d", p.N, p.T, p.S, c.msgs, bound)
 		}
-		if c.phases != core.Alg1Phases(t) {
-			tbl.Violate("t=%d: phases %d != %d", t, c.phases, core.Alg1Phases(t))
+		if c.phases != pb {
+			tbl.Violate("n=%d t=%d s=%d: phases %d != %d", p.N, p.T, p.S, c.phases, pb)
 		}
 	}
 	return tbl, tbl.Err()
+}
+
+// nts is the leading columns of the tables swept in n, t and s.
+func nts(p cli.Params) []any { return []any{p.N, p.T, p.S} }
+
+// row is the registry row of a protocol a table names. The names are
+// constants, so a miss is a typo the light tests catch.
+func row(name string) cli.Entry {
+	e, err := cli.Lookup(name)
+	if err != nil {
+		panic(err)
+	}
+	return e
 }
 
 // E2Alg2 reproduces Theorem 4: Algorithm 2 uses 3t+3 phases, ≤ 5t²+5t
@@ -104,10 +132,12 @@ func E2Alg2(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	alg2Row := row("alg2")
 	for i, c := range cells {
 		t := ts[i]
 		n := 2*t + 1
-		bound := core.Alg2MsgUpperBound(t)
+		p := cli.Params{N: n, T: t}
+		bound := alg2Row.MsgUpper(p)
 		tbl.AddRow(t, n, c.msgs, bound, c.phases, fmt.Sprintf("%d/%d", c.held, n), c.minSigs)
 		if c.msgs > bound {
 			tbl.Violate("t=%d: %d msgs > %d", t, c.msgs, bound)
@@ -115,8 +145,8 @@ func E2Alg2(ctx context.Context) (*Table, error) {
 		if c.held != n {
 			tbl.Violate("t=%d: only %d/%d processors hold proofs", t, c.held, n)
 		}
-		if c.phases != core.Alg2Phases(t) {
-			tbl.Violate("t=%d: phases %d != %d", t, c.phases, core.Alg2Phases(t))
+		if want := alg2Row.Phases(p); c.phases != want {
+			tbl.Violate("t=%d: phases %d != %d", t, c.phases, want)
 		}
 	}
 	return tbl, tbl.Err()
@@ -125,39 +155,16 @@ func E2Alg2(ctx context.Context) (*Table, error) {
 // E3Alg3 reproduces Lemma 1 / Theorem 5: Algorithm 3's message count obeys
 // 2n + 4tn/s + 3t²s across an s sweep; s = 4t gives O(n + t³).
 func E3Alg3(ctx context.Context) (*Table, error) {
-	tbl := &Table{
+	var cells []cli.Params
+	for _, s := range []int{1, 2, 4, 8, 16, 32} {
+		cells = append(cells, cli.Params{N: 256, T: 4, S: s})
+	}
+	cells = append(cells, cli.Params{N: 1024, T: 8, S: 32}, cli.Params{N: 2048, T: 4, S: 16}, cli.Params{N: 512, T: 2, S: 8})
+	return promised(ctx, &Table{
 		ID:      "E3",
 		Title:   "Lemma 1 / Theorem 5 — Algorithm 3: messages ≤ 2n+4tn/s+3t²s, phases = t+2s+3",
 		Columns: []string{"n", "t", "s", "msgs(worst)", "bound", "phases", "phase bound"},
-	}
-	type cfg struct{ n, t, s int }
-	var cases []cfg
-	for _, s := range []int{1, 2, 4, 8, 16, 32} {
-		cases = append(cases, cfg{256, 4, s})
-	}
-	cases = append(cases, cfg{1024, 8, 32}, cfg{2048, 4, 16}, cfg{512, 2, 8})
-	type cell struct{ msgs, phases int }
-	cells, err := sweep(ctx, len(cases), func(ctx context.Context, i int) (cell, error) {
-		c := cases[i]
-		msgs, _, phases, err := worstCase(ctx, alg3.Protocol{S: c.s}, c.n, c.t, 3)
-		return cell{msgs, phases}, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range cells {
-		c := cases[i]
-		bound := core.Alg3MsgUpperBound(c.n, c.t, c.s)
-		pb := core.Alg3Phases(c.t, c.s)
-		tbl.AddRow(c.n, c.t, c.s, r.msgs, bound, r.phases, pb)
-		if r.msgs > bound {
-			tbl.Violate("n=%d t=%d s=%d: %d msgs > %d", c.n, c.t, c.s, r.msgs, bound)
-		}
-		if r.phases > pb {
-			tbl.Violate("n=%d t=%d s=%d: phases %d > %d", c.n, c.t, c.s, r.phases, pb)
-		}
-	}
-	return tbl, tbl.Err()
+	}, "alg3", 3, cells, nts)
 }
 
 // E4Alg4 reproduces Theorem 6: the grid exchange sends ≤ 3(m-1)m² messages
@@ -198,7 +205,7 @@ func E4Alg4(ctx context.Context) (*Table, error) {
 	for i, c := range cells {
 		m := ms[i]
 		n, t := m*m, m/2
-		bound := core.Alg4MsgUpperBound(m)
+		bound := row("alg4").MsgUpper(cli.Params{N: n, T: t})
 		tbl.AddRow(m, n, t, c.msgs, bound, c.p, n-2*t)
 		if c.msgs > bound {
 			tbl.Violate("m=%d: %d msgs > %d", m, c.msgs, bound)
@@ -256,40 +263,16 @@ func measureExchangeSet(res *core.Result, n, m int, faulty ident.Set) int {
 // E5Alg5 reproduces Lemma 5 / Theorem 7: Algorithm 5's message count is
 // O(t² + nt/s) and O(n + t²) at s = t.
 func E5Alg5(ctx context.Context) (*Table, error) {
-	tbl := &Table{
+	return promised(ctx, &Table{
 		ID:      "E5",
 		Title:   "Lemma 5 / Theorem 7 — Algorithm 5: messages = O(t²+nt/s), phases = O(t+s)",
 		Columns: []string{"n", "t", "s", "msgs(worst)", "bound", "phases", "phase bound"},
-	}
-	type cfg struct{ n, t, s int }
-	cases := []cfg{
-		{64, 2, 2}, {256, 2, 2}, {1024, 2, 2},
-		{64, 3, 3}, {256, 3, 3}, {1024, 3, 3},
-		{256, 4, 4}, {512, 4, 4},
-		{256, 4, 1}, {256, 4, 8},
-	}
-	type cell struct{ msgs, phases int }
-	cells, err := sweep(ctx, len(cases), func(ctx context.Context, i int) (cell, error) {
-		c := cases[i]
-		msgs, _, phases, err := worstCase(ctx, alg5.Protocol{S: c.s}, c.n, c.t, 5)
-		return cell{msgs, phases}, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range cells {
-		c := cases[i]
-		bound := core.Alg5MsgUpperBound(c.n, c.t, c.s)
-		pb := core.Alg5Phases(c.t, c.s)
-		tbl.AddRow(c.n, c.t, c.s, r.msgs, bound, r.phases, pb)
-		if r.msgs > bound {
-			tbl.Violate("n=%d t=%d s=%d: %d msgs > %d", c.n, c.t, c.s, r.msgs, bound)
-		}
-		if r.phases > pb {
-			tbl.Violate("n=%d t=%d s=%d: phases %d > %d", c.n, c.t, c.s, r.phases, pb)
-		}
-	}
-	return tbl, tbl.Err()
+	}, "alg5", 5, []cli.Params{
+		{N: 64, T: 2, S: 2}, {N: 256, T: 2, S: 2}, {N: 1024, T: 2, S: 2},
+		{N: 64, T: 3, S: 3}, {N: 256, T: 3, S: 3}, {N: 1024, T: 3, S: 3},
+		{N: 256, T: 4, S: 4}, {N: 512, T: 4, S: 4},
+		{N: 256, T: 4, S: 1}, {N: 256, T: 4, S: 8},
+	}, nts)
 }
 
 // E6Theorem1 reproduces Theorem 1: correct protocols exchange ≥ t+1
@@ -509,7 +492,7 @@ func E9Tradeoff(ctx context.Context) (*Table, error) {
 		s := (t + 2*alpha - 1) / (2 * alpha)
 		ratio := float64(r.msgs) / float64(n)
 		tbl.AddRow(alpha, n, t, s, r.msgs, fmt.Sprintf("%.1f", ratio), r.phases, core.TradeoffPhases(t, alpha))
-		if r.msgs > core.Alg3MsgUpperBound(n, t, s) {
+		if r.msgs > row("alg3").MsgUpper(cli.Params{N: n, T: t, S: s}) {
 			tbl.Violate("α=%d: %d msgs > Lemma 1 bound", alpha, r.msgs)
 		}
 	}
@@ -629,7 +612,7 @@ func E11Ablations(ctx context.Context) (*Table, error) {
 	if ungated <= gated {
 		tbl.Violate("disabling the PoW gate did not cost messages (%d vs %d)", ungated, gated)
 	}
-	if gated > core.Alg5MsgUpperBound(n, t, s) {
+	if gated > row("alg5").MsgUpper(cli.Params{N: n, T: t, S: s}) {
 		tbl.Violate("gated alg5 above its bound")
 	}
 
@@ -783,9 +766,6 @@ func E14Scaling(ctx context.Context) (*Table, error) {
 		Columns: []string{"n", "dolev-strong", "ds msgs/n", "alg3(s=16)", "alg3 msgs/n", "alg5(s=4)", "alg5 msgs/n"},
 	}
 	const t = 4
-	type point struct{ ds, a3, a5 int }
-	var firstRatioA3, lastRatioA3 float64
-	var firstRatioDS, lastRatioDS float64
 	ns := []int{64, 128, 256, 512, 1024}
 	// One sweep job per (n, protocol) point — 15 independent runs.
 	protosFor := func() []protocol.Protocol {
@@ -805,27 +785,22 @@ func E14Scaling(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	ratio := func(i, k int) float64 { return float64(msgs[i*perN+k]) / float64(ns[i]) }
 	for i, n := range ns {
-		pt := point{ds: msgs[i*perN], a3: msgs[i*perN+1], a5: msgs[i*perN+2]}
-		rds := float64(pt.ds) / float64(n)
-		ra3 := float64(pt.a3) / float64(n)
-		ra5 := float64(pt.a5) / float64(n)
-		tbl.AddRow(n, pt.ds, fmt.Sprintf("%.1f", rds), pt.a3, fmt.Sprintf("%.2f", ra3), pt.a5, fmt.Sprintf("%.2f", ra5))
-		if i == 0 {
-			firstRatioA3, firstRatioDS = ra3, rds
-		}
-		if i == len(ns)-1 {
-			lastRatioA3, lastRatioDS = ra3, rds
-		}
+		tbl.AddRow(n, msgs[i*perN], fmt.Sprintf("%.1f", ratio(i, 0)), msgs[i*perN+1], fmt.Sprintf("%.2f", ratio(i, 1)),
+			msgs[i*perN+2], fmt.Sprintf("%.2f", ratio(i, 2)))
 	}
 	// Shape checks: the baseline's per-processor cost must grow ~linearly
-	// (≥ 8× over a 16× n range), the optimal algorithms' must stay within a
+	// (≥ 8× over a 16× n range), each optimal algorithm's must stay within a
 	// small constant factor.
-	if lastRatioDS < 8*firstRatioDS {
-		tbl.Violate("dolev-strong per-processor cost did not scale with n (%f -> %f)", firstRatioDS, lastRatioDS)
+	last := len(ns) - 1
+	if ratio(last, 0) < 8*ratio(0, 0) {
+		tbl.Violate("dolev-strong per-processor cost did not scale with n (%f -> %f)", ratio(0, 0), ratio(last, 0))
 	}
-	if lastRatioA3 > 3*firstRatioA3 {
-		tbl.Violate("alg3 per-processor cost grew with n (%f -> %f)", firstRatioA3, lastRatioA3)
+	for k := 1; k < perN; k++ {
+		if ratio(last, k) > 3*ratio(0, k) {
+			tbl.Violate("%s per-processor cost grew with n (%f -> %f)", protosFor()[k].Name(), ratio(0, k), ratio(last, k))
+		}
 	}
 	return tbl, tbl.Err()
 }

@@ -15,7 +15,6 @@ package alg4
 import (
 	"fmt"
 
-	"byzex/internal/grid"
 	"byzex/internal/ident"
 	"byzex/internal/protocol"
 	"byzex/internal/sig"
@@ -32,7 +31,7 @@ const (
 // Group is one participant's state for a single Algorithm 4 exchange.
 type Group struct {
 	members protocol.Group
-	g       grid.Grid
+	g       grid
 	me      int
 
 	signer   sig.Signer
@@ -59,7 +58,7 @@ type Group struct {
 // (whose size must be a perfect square). value is the byte string this
 // member contributes.
 func NewGroup(members []ident.ProcID, me ident.ProcID, value []byte, signer sig.Signer, verifier sig.Verifier) (*Group, error) {
-	g, err := grid.New(len(members))
+	g, err := newGrid(len(members))
 	if err != nil {
 		return nil, err
 	}
@@ -81,9 +80,9 @@ func NewGroup(members []ident.ProcID, me ident.ProcID, value []byte, signer sig.
 		collected: make([]sig.SignedBytes, len(members)),
 		// What the three phases hold when everybody is correct: a row, a
 		// column of row reports, and one such report of reports.
-		m1:      make([]sig.SignedBytes, 0, g.Side()),
-		m2:      make([]sig.SignedBytes, 0, (g.Side()-1)*g.Side()),
-		entries: make([]sig.SignedBytes, 0, (g.Side()-1)*g.Side()),
+		m1:      make([]sig.SignedBytes, 0, int(g)),
+		m2:      make([]sig.SignedBytes, 0, int(g-1)*int(g)),
+		entries: make([]sig.SignedBytes, 0, int(g-1)*int(g)),
 	}, nil
 }
 
@@ -193,13 +192,13 @@ func (gr *Group) Step(ctx *sim.Context, inbox []sim.Envelope, rel int) error {
 		kept := false
 		switch rel {
 		case 1: // phase 1 receipts: a single value from a row mate
-			if gr.g.SameRow(idx, gr.me) && len(entries) == 1 && entries[0].Chain[0].Signer == env.From {
+			if gr.g.row(idx) == gr.g.row(gr.me) && len(entries) == 1 && entries[0].Chain[0].Signer == env.From {
 				gr.m1 = append(gr.m1, entries[0])
 				gr.record(entries[0])
 				kept = true
 			}
 		case 2: // phase 2 receipts: a row report from a column mate
-			if gr.g.SameCol(idx, gr.me) {
+			if gr.g.col(idx) == gr.g.col(gr.me) {
 				gr.m2 = append(gr.m2, entries...)
 				for _, e := range entries {
 					gr.record(e)
@@ -207,7 +206,7 @@ func (gr *Group) Step(ctx *sim.Context, inbox []sim.Envelope, rel int) error {
 				kept = len(entries) > 0
 			}
 		case 3: // phase 3 receipts: column reports from row mates
-			if gr.g.SameRow(idx, gr.me) {
+			if gr.g.row(idx) == gr.g.row(gr.me) {
 				for _, e := range entries {
 					if gr.record(e) {
 						kept = true
@@ -228,13 +227,13 @@ func (gr *Group) Step(ctx *sim.Context, inbox []sim.Envelope, rel int) error {
 		w := wire.NewWriter(1 + own.EncodedLen())
 		w.Byte(tagValue)
 		own.Encode(w)
-		return gr.sendTo(ctx, gr.g.RowMates(gr.me), w.Bytes(), own.Chain)
+		return gr.sendTo(ctx, gr.g.rowMates(gr.me), w.Bytes(), own.Chain)
 	case 1:
 		payload := encodeList(gr.m1)
-		return gr.sendTo(ctx, gr.g.ColMates(gr.me), payload, chainsOf(gr.m1)...)
+		return gr.sendTo(ctx, gr.g.colMates(gr.me), payload, chainsOf(gr.m1)...)
 	case 2:
 		payload := encodeList(gr.m2)
-		return gr.sendTo(ctx, gr.g.RowMates(gr.me), payload, chainsOf(gr.m2)...)
+		return gr.sendTo(ctx, gr.g.rowMates(gr.me), payload, chainsOf(gr.m2)...)
 	}
 	return nil
 }
@@ -279,7 +278,7 @@ func (Protocol) Name() string { return "alg4" }
 
 // Check implements protocol.Protocol: n must be a perfect square.
 func (Protocol) Check(n, t int) error {
-	if _, err := grid.New(n); err != nil {
+	if _, err := newGrid(n); err != nil {
 		return err
 	}
 	if t < 0 || t >= n {

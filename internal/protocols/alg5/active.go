@@ -7,7 +7,6 @@ import (
 	"byzex/internal/protocols/alg4"
 	"byzex/internal/sig"
 	"byzex/internal/sim"
-	"byzex/internal/tree"
 )
 
 // activeNode is the state machine of an active processor: the first 2t+1
@@ -127,7 +126,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	if !ok {
 		return nil
 	}
-	l := tree.Cap(x)
+	l := treeCap(x)
 
 	switch {
 	case rel == 0:
@@ -176,7 +175,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		// C(p,x): subtrees with a proof of work; activate their roots. The
 		// DisablePoW ablation activates everything unconditionally.
 		var chains []sig.Chain // reused: Send does not keep it
-		for _, ref := range a.ly.forest.RootsOfDepth(x) {
+		for _, ref := range a.ly.forest.rootsOfDepth(x) {
 			if !a.ly.disablePoW && !a.ly.hasProofOfWork(tbl, ref, x) {
 				continue
 			}
@@ -186,7 +185,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			for _, s := range strs {
 				chains = append(chains, s.Chain)
 			}
-			if err := protocol.Send(ctx, a.ly.forest.At(ref), payload, chains...); err != nil {
+			if err := protocol.Send(ctx, a.ly.forest.at(ref), payload, chains...); err != nil {
 				return err
 			}
 		}

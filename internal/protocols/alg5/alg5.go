@@ -5,7 +5,6 @@ import (
 
 	"byzex/internal/protocol"
 	"byzex/internal/sim"
-	"byzex/internal/tree"
 )
 
 // Protocol is Algorithm 5 with tree-size parameter S (Lemma 5's s; the tree
@@ -76,7 +75,7 @@ func (p Protocol) Segments(n, t int) []Segment {
 	}
 	for x := ly.lambda; x >= 1; x-- {
 		start := ly.blockStart[x]
-		end := start + 2*tree.Cap(x) + 2
+		end := start + 2*treeCap(x) + 2
 		segs = append(segs, Segment{Name: fmt.Sprintf("block %d", x), First: start, Last: end})
 	}
 	segs = append(segs, Segment{Name: "block 0 (direct)", First: ly.blockStart[0], Last: ly.blockStart[0]})

@@ -25,8 +25,8 @@
 //
 // Set-up is O(t) per processor, so a run costs O(n·t) before its first
 // message and not O(n²): the passive processors are the contiguous id range
-// [α, n), which makes the forest pure index arithmetic (tree.Forest is three
-// integers), and a node's layout holds only the two active lists. Whoever
+// [α, n), which makes the forest pure index arithmetic (a forest is three
+// integers, tree.go), and a node's layout holds only the two active lists. Whoever
 // needs the passives spelled out — an active's B(p, λ), the fan-out targets
 // below α — generates the range on the spot.
 //
@@ -43,7 +43,6 @@ import (
 	"byzex/internal/ident"
 	"byzex/internal/protocol"
 	"byzex/internal/sig"
-	"byzex/internal/tree"
 	"byzex/internal/wire"
 )
 
@@ -84,10 +83,10 @@ type layout struct {
 
 	coreActives []ident.ProcID // ids 0..2t (run Algorithm 2)
 	actives     []ident.ProcID // ids 0..α-1 (modeFull) or 0..2t otherwise
-	forest      tree.Forest    // the passives len(actives)..n-1, modeFull only
+	forest      forest         // the passives len(actives)..n-1, modeFull only
 
 	// blockStart[x] is the first phase of block x (modeFull); blocks run
-	// λ, λ-1, ..., 0. Block x>0 spans 2·Cap(x)+3 phases; block 0 spans 1.
+	// λ, λ-1, ..., 0. Block x>0 spans 2·treeCap(x)+3 phases; block 0 spans 1.
 	blockStart []int
 	lastPhase  int
 }
@@ -115,18 +114,14 @@ func newLayout(n, t, s int, disablePoW bool) (layout, error) {
 
 	ly.mode = modeFull
 	ly.actives = ident.Range(ly.alpha)
-	ly.lambda = tree.LambdaFor(s)
-	f, err := tree.NewForest(ident.ProcID(ly.alpha), n-ly.alpha, ly.lambda)
-	if err != nil {
-		return layout{}, err
-	}
-	ly.forest = f
+	ly.lambda = lambdaFor(s)
+	ly.forest = forest{first: ident.ProcID(ly.alpha), count: n - ly.alpha, lambda: ly.lambda}
 
 	ly.blockStart = make([]int, ly.lambda+1)
 	start := 3*t + 5
 	for x := ly.lambda; x >= 1; x-- {
 		ly.blockStart[x] = start
-		start += 2*tree.Cap(x) + 3
+		start += 2*treeCap(x) + 3
 	}
 	ly.blockStart[0] = start
 	ly.lastPhase = start
@@ -140,7 +135,7 @@ func (ly *layout) phaseToBlock(phase int) (x, rel int, ok bool) {
 		return 0, 0, false
 	}
 	for x = ly.lambda; x >= 1; x-- {
-		end := ly.blockStart[x] + 2*tree.Cap(x) + 2
+		end := ly.blockStart[x] + 2*treeCap(x) + 2
 		if phase >= ly.blockStart[x] && phase <= end {
 			return x, phase - ly.blockStart[x], true
 		}

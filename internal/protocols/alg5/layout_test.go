@@ -5,7 +5,6 @@ import (
 
 	"byzex/internal/ident"
 	"byzex/internal/sig"
-	"byzex/internal/tree"
 )
 
 func mustLayout(t *testing.T, n, tt, s int) layout {
@@ -41,7 +40,7 @@ func TestScheduleContiguous(t *testing.T) {
 	ly := mustLayout(t, 100, 4, 4)
 	phase := ly.blockStart[ly.lambda]
 	for x := ly.lambda; x >= 1; x-- {
-		for rel := 0; rel <= 2*tree.Cap(x)+2; rel++ {
+		for rel := 0; rel <= 2*treeCap(x)+2; rel++ {
 			gx, grel, ok := ly.phaseToBlock(phase)
 			if !ok || gx != x || grel != rel {
 				t.Fatalf("phase %d: got (%d,%d,%v), want (%d,%d)", phase, gx, grel, ok, x, rel)
@@ -109,9 +108,9 @@ func TestPiTableAndPoW(t *testing.T) {
 		return sig.NewSignedBytes(s, stringBody(index, procs))
 	}
 
-	root := ly.forest.At(tree.Ref{Tree: 0, Pos: 0})
-	leftChild := ly.forest.At(tree.Ref{Tree: 0, Pos: 1})
-	_ = ly.forest.At(tree.Ref{Tree: 0, Pos: 2}) // right child, unused in the λ=2 part
+	root := ly.forest.at(treeRef{tree: 0, pos: 0})
+	leftChild := ly.forest.at(treeRef{tree: 0, pos: 1})
+	_ = ly.forest.at(treeRef{tree: 0, pos: 2}) // right child, unused in the λ=2 part
 
 	thr := ly.threshold() // 25 - 6 = 19
 	if thr != 19 {
@@ -127,22 +126,22 @@ func TestPiTableAndPoW(t *testing.T) {
 	if tbl.pi(leftChild) != thr-1 {
 		t.Fatalf("pi = %d", tbl.pi(leftChild))
 	}
-	if ly.hasProofOfWork(tbl, tree.Ref{Tree: 0, Pos: 1}, 1) {
+	if ly.hasProofOfWork(tbl, treeRef{tree: 0, pos: 1}, 1) {
 		t.Fatal("PoW with insufficient endorsements")
 	}
 	// One more endorsement flips it.
 	strs = append(strs, mkString(thr-1, 1, leftChild))
 	tbl = ly.buildPiTable(strs, 1, scheme)
-	if !ly.hasProofOfWork(tbl, tree.Ref{Tree: 0, Pos: 1}, 1) {
+	if !ly.hasProofOfWork(tbl, treeRef{tree: 0, pos: 1}, 1) {
 		t.Fatal("PoW missing at threshold")
 	}
 
 	// Depth-2 subtrees in a λ=3 forest: the witness clause needs one
 	// endorsed processor in EACH child subtree.
 	ly3 := mustLayout(t, 60, 3, 7) // trees of 7; tree 0 = passives 25..31
-	subRoot := tree.Ref{Tree: 0, Pos: 1}
-	wLeft := ly3.forest.At(tree.Ref{Tree: 0, Pos: 3})  // left child of pos 1
-	wRight := ly3.forest.At(tree.Ref{Tree: 0, Pos: 4}) // right child of pos 1
+	subRoot := treeRef{tree: 0, pos: 1}
+	wLeft := ly3.forest.at(treeRef{tree: 0, pos: 3})  // left child of pos 1
+	wRight := ly3.forest.at(treeRef{tree: 0, pos: 4}) // right child of pos 1
 	var strs2 []sig.SignedBytes
 	for i := 0; i < thr; i++ {
 		strs2 = append(strs2, mkString(i, 2, wLeft, wRight))
@@ -164,7 +163,7 @@ func TestPiTableAndPoW(t *testing.T) {
 	// Root endorsement alone suffices.
 	var strs4 []sig.SignedBytes
 	for i := 0; i < thr; i++ {
-		strs4 = append(strs4, mkString(i, 2, ly3.forest.At(subRoot)))
+		strs4 = append(strs4, mkString(i, 2, ly3.forest.at(subRoot)))
 	}
 	tbl4 := ly3.buildPiTable(strs4, 2, scheme)
 	if !ly3.hasProofOfWork(tbl4, subRoot, 2) {
@@ -173,7 +172,7 @@ func TestPiTableAndPoW(t *testing.T) {
 	_ = root
 	// Block λ needs no strings at all.
 	empty := ly.buildPiTable(nil, ly.lambda, scheme)
-	if !ly.hasProofOfWork(empty, tree.Ref{Tree: 0, Pos: 0}, ly.lambda) {
+	if !ly.hasProofOfWork(empty, treeRef{tree: 0, pos: 0}, ly.lambda) {
 		t.Fatal("block-λ PoW not trivial")
 	}
 }

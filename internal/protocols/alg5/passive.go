@@ -5,7 +5,6 @@ import (
 	"byzex/internal/protocol"
 	"byzex/internal/sig"
 	"byzex/internal/sim"
-	"byzex/internal/tree"
 )
 
 // passiveNode is the state machine of a passive processor. During block
@@ -15,7 +14,7 @@ type passiveNode struct {
 	cfg protocol.NodeConfig
 	ly  layout
 
-	ref   tree.Ref
+	ref   treeRef
 	level int
 
 	valid    sig.SignedValue
@@ -39,13 +38,13 @@ var _ sim.Node = (*passiveNode)(nil)
 func newPassiveNode(cfg protocol.NodeConfig, ly layout) (sim.Node, error) {
 	p := &passiveNode{cfg: cfg, ly: ly}
 	if ly.mode == modeFull {
-		ref, ok := ly.forest.Locate(cfg.ID)
+		ref, ok := ly.forest.locate(cfg.ID)
 		if !ok {
 			return nil, protocol.ErrBadParams
 		}
 		p.ref = ref
-		p.level = tree.Level(ref.Pos)
-		members := ly.forest.SubtreeMembers(ref)
+		p.level = level(ref.pos)
+		members := ly.forest.subtreeMembers(ref)
 		p.queue = members[1:]
 	}
 	return p, nil
@@ -91,7 +90,7 @@ func (p *passiveNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 
 // stepRoot drives the subtree walk once an activation arrives.
 func (p *passiveNode) stepRoot(ctx *sim.Context, inbox []sim.Envelope, x, rel int) error {
-	l := tree.Cap(x)
+	l := treeCap(x)
 
 	if rel == 1 {
 		// Activation check: a valid message plus a proof of work for our
@@ -163,15 +162,15 @@ func (p *passiveNode) stepRoot(ctx *sim.Context, inbox []sim.Envelope, x, rel in
 
 // stepMember answers the designated chain-extension request of block x.
 func (p *passiveNode) stepMember(ctx *sim.Context, inbox []sim.Envelope, x, rel int) error {
-	rootID, ok := p.ly.forest.BlockRoot(p.cfg.ID, x)
+	rootID, ok := p.ly.forest.blockRoot(p.cfg.ID, x)
 	if !ok || rootID == p.cfg.ID {
 		return nil
 	}
 	// Our position j in the block root's member walk: the index in the
 	// subtree's BFS order (root excluded). We are contacted at rel 2j-1 and
 	// reply at rel 2j.
-	rootRef, _ := p.ly.forest.Locate(rootID)
-	j := tree.WalkIndex(rootRef.Pos, p.ref.Pos)
+	rootRef, _ := p.ly.forest.locate(rootID)
+	j := walkIndex(rootRef.pos, p.ref.pos)
 	if rel != 2*j || p.signedIn&(1<<uint(x)) != 0 {
 		return nil
 	}

@@ -3,7 +3,6 @@ package alg5
 import (
 	"byzex/internal/ident"
 	"byzex/internal/sig"
-	"byzex/internal/tree"
 )
 
 // piTable aggregates the π(M, q, x) counts of the paper: for each passive
@@ -54,9 +53,9 @@ func (tbl *piTable) pi(q ident.ProcID) int { return tbl.byProc[q].Len() }
 
 // anyInSubtree reports whether any member of the subtree rooted at ref
 // reaches the threshold.
-func (ly *layout) anyInSubtree(tbl *piTable, ref tree.Ref, thr int) bool {
+func (ly *layout) anyInSubtree(tbl *piTable, ref treeRef, thr int) bool {
 	for d := 0; ; d++ {
-		first, n := ly.forest.SubtreeLevel(ref, d)
+		first, n := ly.forest.subtreeLevel(ref, d)
 		if n == 0 {
 			return false
 		}
@@ -74,24 +73,24 @@ func (ly *layout) anyInSubtree(tbl *piTable, ref tree.Ref, thr int) bool {
 //	(i)  x = λ: trivially satisfied (every tree is processed in block λ);
 //	(ii) x < λ: π(root) ≥ α−2t, or both child subtrees contain a processor
 //	     reaching the threshold.
-func (ly *layout) hasProofOfWork(tbl *piTable, ref tree.Ref, x int) bool {
+func (ly *layout) hasProofOfWork(tbl *piTable, ref treeRef, x int) bool {
 	if x == ly.lambda {
 		return true
 	}
 	thr := ly.threshold()
-	root := ly.forest.At(ref)
+	root := ly.forest.at(ref)
 	if tbl.pi(root) >= thr {
 		return true
 	}
 	// Both child subtrees (a missing child is an empty one).
-	return ly.anyInSubtree(tbl, tree.Ref{Tree: ref.Tree, Pos: 2*ref.Pos + 1}, thr) &&
-		ly.anyInSubtree(tbl, tree.Ref{Tree: ref.Tree, Pos: 2*ref.Pos + 2}, thr)
+	return ly.anyInSubtree(tbl, treeRef{tree: ref.tree, pos: 2*ref.pos + 1}, thr) &&
+		ly.anyInSubtree(tbl, treeRef{tree: ref.tree, pos: 2*ref.pos + 2}, thr)
 }
 
 // powStringsFor selects, from the verified strings, those relevant to the
 // given subtree (mentioning the root or any member), which is what an
 // active processor attaches to an activation message.
-func (ly *layout) powStringsFor(tbl *piTable, ref tree.Ref) []sig.SignedBytes {
+func (ly *layout) powStringsFor(tbl *piTable, ref treeRef) []sig.SignedBytes {
 	var out []sig.SignedBytes
 	for _, sb := range tbl.sources {
 		_, procs, err := parseStringBody(sb.Body)
@@ -99,7 +98,7 @@ func (ly *layout) powStringsFor(tbl *piTable, ref tree.Ref) []sig.SignedBytes {
 			continue
 		}
 		for _, q := range procs {
-			if ly.forest.InSubtree(ref, q) {
+			if ly.forest.inSubtree(ref, q) {
 				out = append(out, sb)
 				break
 			}
@@ -110,6 +109,6 @@ func (ly *layout) powStringsFor(tbl *piTable, ref tree.Ref) []sig.SignedBytes {
 
 // isBlockRoot reports whether q acts as a subtree root in block x.
 func (ly *layout) isBlockRoot(q ident.ProcID, x int) bool {
-	ref, ok := ly.forest.Locate(q)
-	return ok && tree.Level(ref.Pos) == ly.lambda-x
+	ref, ok := ly.forest.locate(q)
+	return ok && level(ref.pos) == ly.lambda-x
 }

@@ -1,87 +1,68 @@
-package tree_test
+package alg5
 
 import (
 	"testing"
 	"testing/quick"
 
 	"byzex/internal/ident"
-	"byzex/internal/tree"
 )
 
 func TestLevelAndCap(t *testing.T) {
 	wantLevels := []int{0, 1, 1, 2, 2, 2, 2, 3}
 	for pos, want := range wantLevels {
-		if got := tree.Level(pos); got != want {
-			t.Errorf("Level(%d) = %d, want %d", pos, got, want)
+		if got := level(pos); got != want {
+			t.Errorf("level(%d) = %d, want %d", pos, got, want)
 		}
 	}
 	for x, want := range map[int]int{0: 0, 1: 1, 2: 3, 3: 7, 4: 15} {
-		if got := tree.Cap(x); got != want {
-			t.Errorf("Cap(%d) = %d, want %d", x, got, want)
+		if got := treeCap(x); got != want {
+			t.Errorf("treeCap(%d) = %d, want %d", x, got, want)
 		}
 	}
 }
 
 func TestLambdaFor(t *testing.T) {
 	for s, want := range map[int]int{0: 1, 1: 1, 2: 2, 3: 2, 4: 3, 7: 3, 8: 4, 15: 4, 16: 5} {
-		if got := tree.LambdaFor(s); got != want {
-			t.Errorf("LambdaFor(%d) = %d, want %d", s, got, want)
+		if got := lambdaFor(s); got != want {
+			t.Errorf("lambdaFor(%d) = %d, want %d", s, got, want)
 		}
 	}
 }
 
 func TestForestPartition(t *testing.T) {
 	procs := ident.Range(20) // capacity 7 per tree at λ=3 -> 2 full + 1 of 6
-	f, err := tree.NewForest(0, 20, 3)
-	if err != nil {
-		t.Fatal(err)
+	f := forest{first: 0, count: 20, lambda: 3}
+	if f.size(0) != 7 || f.size(2) != 6 || f.size(3) != 0 {
+		t.Fatalf("tree sizes %d/%d/%d", f.size(0), f.size(2), f.size(3))
 	}
-	if f.Trees() != 3 {
-		t.Fatalf("trees %d", f.Trees())
-	}
-	if f.TreeSize(0) != 7 || f.TreeSize(2) != 6 || f.TreeSize(3) != 0 {
-		t.Fatalf("tree sizes %d/%d/%d", f.TreeSize(0), f.TreeSize(2), f.TreeSize(3))
-	}
-	// Locate round-trips.
+	// locate round-trips.
 	for _, p := range procs {
-		ref, ok := f.Locate(p)
+		ref, ok := f.locate(p)
 		if !ok {
 			t.Fatalf("%v not located", p)
 		}
-		if f.At(ref) != p {
-			t.Fatalf("At(Locate(%v)) = %v", p, f.At(ref))
+		if f.at(ref) != p {
+			t.Fatalf("at(locate(%v)) = %v", p, f.at(ref))
 		}
 	}
-	if _, ok := f.Locate(99); ok {
+	if _, ok := f.locate(99); ok {
 		t.Fatal("located a stranger")
 	}
 }
 
-func TestForestRejectsBadInput(t *testing.T) {
-	if _, err := tree.NewForest(0, 3, 0); err == nil {
-		t.Fatal("lambda 0 accepted")
-	}
-	if _, err := tree.NewForest(0, -1, 2); err == nil {
-		t.Fatal("negative count accepted")
-	}
-	if _, err := tree.NewForest(ident.None, 3, 2); err == nil {
-		t.Fatal("negative first id accepted")
-	}
-}
-
 // subtree returns the positions of the subtree of tree 0 rooted at pos; with
-// First = 0 and a single tree, ids are positions.
-func subtree(f tree.Forest, pos int) []ident.ProcID {
-	return f.SubtreeMembers(tree.Ref{Tree: 0, Pos: pos})
+// first = 0 and a single tree, ids are positions.
+func subtree(f forest, pos int) []ident.ProcID {
+	return f.subtreeMembers(treeRef{tree: 0, pos: pos})
 }
 
 func TestChildrenAndSubtree(t *testing.T) {
-	f, _ := tree.NewForest(0, 7, 3)
+	f := forest{first: 0, count: 7, lambda: 3}
 	// The level below a position holds its children.
-	if first, n := f.SubtreeLevel(tree.Ref{Pos: 0}, 1); n != 2 || first != 1 {
+	if first, n := f.subtreeLevel(treeRef{pos: 0}, 1); n != 2 || first != 1 {
 		t.Fatalf("children(0) = %d from %v", n, first)
 	}
-	if _, n := f.SubtreeLevel(tree.Ref{Pos: 3}, 1); n != 0 {
+	if _, n := f.subtreeLevel(treeRef{pos: 3}, 1); n != 0 {
 		t.Fatalf("leaf children = %d", n)
 	}
 	sub := subtree(f, 1)
@@ -103,8 +84,8 @@ func TestChildrenAndSubtree(t *testing.T) {
 }
 
 func TestTruncatedSubtree(t *testing.T) {
-	f, _ := tree.NewForest(0, 5, 3)          // positions 0..4
-	if sub := subtree(f, 1); len(sub) != 3 { // 1,3,4
+	f := forest{first: 0, count: 5, lambda: 3} // positions 0..4
+	if sub := subtree(f, 1); len(sub) != 3 {   // 1,3,4
 		t.Fatalf("subtree(1) = %v", sub)
 	}
 	if sub := subtree(f, 2); len(sub) != 1 { // 2 alone: 5,6 missing
@@ -113,57 +94,57 @@ func TestTruncatedSubtree(t *testing.T) {
 }
 
 func TestRootsOfDepth(t *testing.T) {
-	f, _ := tree.NewForest(0, 14, 3) // two trees of 7
-	if roots := f.RootsOfDepth(3); len(roots) != 2 {
+	f := forest{first: 0, count: 14, lambda: 3} // two trees of 7
+	if roots := f.rootsOfDepth(3); len(roots) != 2 {
 		t.Fatalf("depth-3 roots %d", len(roots))
 	}
-	if roots := f.RootsOfDepth(2); len(roots) != 4 {
+	if roots := f.rootsOfDepth(2); len(roots) != 4 {
 		t.Fatalf("depth-2 roots %d", len(roots))
 	}
-	if roots := f.RootsOfDepth(1); len(roots) != 8 {
+	if roots := f.rootsOfDepth(1); len(roots) != 8 {
 		t.Fatalf("depth-1 roots (leaves) %d", len(roots))
 	}
-	if f.RootsOfDepth(0) != nil || f.RootsOfDepth(4) != nil {
+	if f.rootsOfDepth(0) != nil || f.rootsOfDepth(4) != nil {
 		t.Fatal("out-of-range depths")
 	}
 }
 
 func TestBlockRoot(t *testing.T) {
-	f, _ := tree.NewForest(0, 7, 3)
+	f := forest{first: 0, count: 7, lambda: 3}
 	// Tree: 0 at level 0; 1,2 level 1; 3..6 level 2.
 	// Block 3 (depth-3 subtrees): root is position 0 for everyone.
 	for _, q := range ident.Range(7) {
-		root, ok := f.BlockRoot(q, 3)
+		root, ok := f.blockRoot(q, 3)
 		if !ok || root != 0 {
-			t.Fatalf("BlockRoot(%v, 3) = %v, %v", q, root, ok)
+			t.Fatalf("blockRoot(%v, 3) = %v, %v", q, root, ok)
 		}
 	}
 	// Block 2: level-1 ancestors.
-	if r, ok := f.BlockRoot(3, 2); !ok || r != 1 {
-		t.Fatalf("BlockRoot(3,2) = %v", r)
+	if r, ok := f.blockRoot(3, 2); !ok || r != 1 {
+		t.Fatalf("blockRoot(3,2) = %v", r)
 	}
-	if r, ok := f.BlockRoot(6, 2); !ok || r != 2 {
-		t.Fatalf("BlockRoot(6,2) = %v", r)
+	if r, ok := f.blockRoot(6, 2); !ok || r != 2 {
+		t.Fatalf("blockRoot(6,2) = %v", r)
 	}
 	// A node above the block level has no block root.
-	if _, ok := f.BlockRoot(0, 2); ok {
+	if _, ok := f.blockRoot(0, 2); ok {
 		t.Fatal("root has a block-2 root")
 	}
-	if _, ok := f.BlockRoot(0, 1); ok {
+	if _, ok := f.blockRoot(0, 1); ok {
 		t.Fatal("root has a block-1 root")
 	}
 	// Leaves are their own block-1 roots.
-	if r, ok := f.BlockRoot(4, 1); !ok || r != 4 {
-		t.Fatalf("BlockRoot(4,1) = %v", r)
+	if r, ok := f.blockRoot(4, 1); !ok || r != 4 {
+		t.Fatalf("blockRoot(4,1) = %v", r)
 	}
-	if _, ok := f.BlockRoot(99, 1); ok {
+	if _, ok := f.blockRoot(99, 1); ok {
 		t.Fatal("stranger has a block root")
 	}
 }
 
 func TestSubtreeMembersOrder(t *testing.T) {
-	f, _ := tree.NewForest(0, 7, 3)
-	members := f.SubtreeMembers(tree.Ref{Tree: 0, Pos: 0})
+	f := forest{first: 0, count: 7, lambda: 3}
+	members := f.subtreeMembers(treeRef{tree: 0, pos: 0})
 	if len(members) != 7 || members[0] != 0 {
 		t.Fatalf("members %v", members)
 	}
@@ -178,25 +159,22 @@ func TestSubtreeMembersOrder(t *testing.T) {
 
 func TestQuickPartitionComplete(t *testing.T) {
 	// Property: every processor appears in exactly one tree at a valid
-	// position, trees respect the capacity, and Subtree(0) enumerates each
-	// tree completely.
-	f := func(nRaw, lamRaw uint8) bool {
+	// position, trees respect the capacity, and subtreeMembers of each root
+	// enumerates its tree completely.
+	prop := func(nRaw, lamRaw uint8) bool {
 		n := int(nRaw)%60 + 1
 		lam := int(lamRaw)%4 + 1
-		forest, err := tree.NewForest(0, n, lam)
-		if err != nil {
-			return false
-		}
+		f := forest{first: 0, count: n, lambda: lam}
 		seen := make(ident.Set)
-		capacity := tree.Cap(lam)
-		for ti := 0; ti < forest.Trees(); ti++ {
-			if forest.TreeSize(ti) > capacity {
+		capacity := treeCap(lam)
+		for ti := 0; f.size(ti) > 0; ti++ {
+			if f.size(ti) > capacity {
 				return false
 			}
-			if ti < forest.Trees()-1 && forest.TreeSize(ti) != capacity {
+			if f.size(ti+1) > 0 && f.size(ti) != capacity {
 				return false // only the last tree may be short
 			}
-			for _, id := range forest.SubtreeMembers(tree.Ref{Tree: ti, Pos: 0}) {
+			for _, id := range f.subtreeMembers(treeRef{tree: ti, pos: 0}) {
 				if !seen.Add(id) {
 					return false
 				}
@@ -204,7 +182,7 @@ func TestQuickPartitionComplete(t *testing.T) {
 		}
 		return seen.Len() == n
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -212,15 +190,12 @@ func TestQuickPartitionComplete(t *testing.T) {
 func TestQuickBlockRootIsAncestorAtRightLevel(t *testing.T) {
 	f := func(nRaw uint8) bool {
 		n := int(nRaw)%40 + 1
-		forest, err := tree.NewForest(0, n, 3)
-		if err != nil {
-			return false
-		}
+		fo := forest{first: 0, count: n, lambda: 3}
 		for _, q := range ident.Range(n) {
-			ref, _ := forest.Locate(q)
+			ref, _ := fo.locate(q)
 			for x := 1; x <= 3; x++ {
-				root, ok := forest.BlockRoot(q, x)
-				if tree.Level(ref.Pos) < 3-x {
+				root, ok := fo.blockRoot(q, x)
+				if level(ref.pos) < 3-x {
 					if ok {
 						return false
 					}
@@ -229,13 +204,13 @@ func TestQuickBlockRootIsAncestorAtRightLevel(t *testing.T) {
 				if !ok {
 					return false
 				}
-				rootRef, _ := forest.Locate(root)
-				if rootRef.Tree != ref.Tree || tree.Level(rootRef.Pos) != 3-x {
+				rootRef, _ := fo.locate(root)
+				if rootRef.tree != ref.tree || level(rootRef.pos) != 3-x {
 					return false
 				}
 				// root's subtree must contain q.
 				found := false
-				for _, m := range forest.SubtreeMembers(rootRef) {
+				for _, m := range fo.subtreeMembers(rootRef) {
 					if m == q {
 						found = true
 						break
@@ -259,15 +234,15 @@ func TestQuickBlockRootIsAncestorAtRightLevel(t *testing.T) {
 type refForest struct {
 	lambda int
 	trees  [][]ident.ProcID
-	locate map[ident.ProcID]tree.Ref
+	locate map[ident.ProcID]treeRef
 }
 
 func newRefForest(procs []ident.ProcID, lambda int) *refForest {
-	f := &refForest{lambda: lambda, locate: make(map[ident.ProcID]tree.Ref, len(procs))}
-	for s := tree.Cap(lambda); len(procs) > 0; {
+	f := &refForest{lambda: lambda, locate: make(map[ident.ProcID]treeRef, len(procs))}
+	for s := treeCap(lambda); len(procs) > 0; {
 		k := min(s, len(procs))
 		for pos, id := range procs[:k] {
-			f.locate[id] = tree.Ref{Tree: len(f.trees), Pos: pos}
+			f.locate[id] = treeRef{tree: len(f.trees), pos: pos}
 		}
 		f.trees = append(f.trees, append([]ident.ProcID(nil), procs[:k]...))
 		procs = procs[k:]
@@ -275,26 +250,26 @@ func newRefForest(procs []ident.ProcID, lambda int) *refForest {
 	return f
 }
 
-func (f *refForest) rootsOfDepth(x int) []tree.Ref {
+func (f *refForest) rootsOfDepth(x int) []treeRef {
 	if x < 1 || x > f.lambda {
 		return nil
 	}
-	lo, hi := tree.Cap(f.lambda-x), tree.Cap(f.lambda-x+1)
-	var out []tree.Ref
+	lo, hi := treeCap(f.lambda-x), treeCap(f.lambda-x+1)
+	var out []treeRef
 	for ti, tr := range f.trees {
 		for pos := lo; pos < hi && pos < len(tr); pos++ {
-			out = append(out, tree.Ref{Tree: ti, Pos: pos})
+			out = append(out, treeRef{tree: ti, pos: pos})
 		}
 	}
 	return out
 }
 
-func (f *refForest) subtreeMembers(r tree.Ref) []ident.ProcID {
-	tr := f.trees[r.Tree]
-	if r.Pos >= len(tr) {
+func (f *refForest) subtreeMembers(r treeRef) []ident.ProcID {
+	tr := f.trees[r.tree]
+	if r.pos >= len(tr) {
 		return nil
 	}
-	queue := []int{r.Pos}
+	queue := []int{r.pos}
 	var out []ident.ProcID
 	for i := 0; i < len(queue); i++ {
 		out = append(out, tr[queue[i]])
@@ -312,14 +287,14 @@ func (f *refForest) blockRoot(q ident.ProcID, x int) (ident.ProcID, bool) {
 	if !ok {
 		return ident.None, false
 	}
-	pos := r.Pos
-	for tree.Level(pos) > f.lambda-x {
+	pos := r.pos
+	for level(pos) > f.lambda-x {
 		pos = (pos - 1) / 2
 	}
-	if tree.Level(pos) != f.lambda-x {
+	if level(pos) != f.lambda-x {
 		return ident.None, false
 	}
-	return f.trees[r.Tree][pos], true
+	return f.trees[r.tree][pos], true
 }
 
 // TestArithmeticForestMatchesMapBuilt checks every query of the arithmetic
@@ -346,51 +321,53 @@ func TestArithmeticForestMatchesMapBuilt(t *testing.T) {
 				procs[i] = first + ident.ProcID(i)
 			}
 			ref := newRefForest(procs, lam)
-			f, err := tree.NewForest(first, count, lam)
-			if err != nil {
-				t.Fatal(err)
+			f := forest{first: first, count: count, lambda: lam}
+			for ti, tr := range ref.trees {
+				if f.size(ti) != len(tr) {
+					t.Fatalf("count=%d λ=%d: tree %d holds %d, want %d", count, lam, ti, f.size(ti), len(tr))
+				}
 			}
-			if f.Trees() != len(ref.trees) {
-				t.Fatalf("count=%d λ=%d: %d trees, want %d", count, lam, f.Trees(), len(ref.trees))
+			if n := f.size(len(ref.trees)); n != 0 {
+				t.Fatalf("count=%d λ=%d: %d members past the last tree", count, lam, n)
 			}
 			for id := first - 2; id < first+ident.ProcID(count)+2; id++ {
-				got, ok := f.Locate(id)
+				got, ok := f.locate(id)
 				want, wantOK := ref.locate[id]
 				if ok != wantOK || got != want {
-					t.Fatalf("count=%d λ=%d: Locate(%v) = %v,%v want %v,%v", count, lam, id, got, ok, want, wantOK)
+					t.Fatalf("count=%d λ=%d: locate(%v) = %v,%v want %v,%v", count, lam, id, got, ok, want, wantOK)
 				}
 				if !ok {
 					continue
 				}
-				if f.At(got) != id {
-					t.Fatalf("count=%d λ=%d: At(%v) = %v want %v", count, lam, got, f.At(got), id)
+				if f.at(got) != id {
+					t.Fatalf("count=%d λ=%d: At(%v) = %v want %v", count, lam, got, f.at(got), id)
 				}
-				members := f.SubtreeMembers(got)
+				members := f.subtreeMembers(got)
 				if want := ref.subtreeMembers(got); !eq(members, want) {
-					t.Fatalf("count=%d λ=%d: SubtreeMembers(%v) = %v want %v", count, lam, got, members, want)
+					t.Fatalf("count=%d λ=%d: subtreeMembers(%v) = %v want %v", count, lam, got, members, want)
 				}
 				for i, m := range members {
-					mr, _ := f.Locate(m)
-					if tree.WalkIndex(got.Pos, mr.Pos) != i {
-						t.Fatalf("count=%d λ=%d: WalkIndex(%d,%d) = %d want %d", count, lam, got.Pos, mr.Pos, tree.WalkIndex(got.Pos, mr.Pos), i)
+					mr, _ := f.locate(m)
+					if walkIndex(got.pos, mr.pos) != i {
+						t.Fatalf("count=%d λ=%d: walkIndex(%d,%d) = %d want %d", count, lam, got.pos, mr.pos, walkIndex(got.pos, mr.pos), i)
 					}
 				}
 				inSub := ident.NewSet(members...)
-				for _, q := range procs[got.Tree*tree.Cap(lam) : got.Tree*tree.Cap(lam)+f.TreeSize(got.Tree)] {
-					if f.InSubtree(got, q) != inSub.Has(q) {
-						t.Fatalf("count=%d λ=%d: InSubtree(%v,%v) = %v", count, lam, got, q, !inSub.Has(q))
+				for _, q := range procs[got.tree*treeCap(lam) : got.tree*treeCap(lam)+f.size(got.tree)] {
+					if f.inSubtree(got, q) != inSub.Has(q) {
+						t.Fatalf("count=%d λ=%d: inSubtree(%v,%v) = %v", count, lam, got, q, !inSub.Has(q))
 					}
 				}
 				for x := 1; x <= lam; x++ {
-					gr, gok := f.BlockRoot(id, x)
+					gr, gok := f.blockRoot(id, x)
 					wr, wok := ref.blockRoot(id, x)
 					if gok != wok || gr != wr {
-						t.Fatalf("count=%d λ=%d: BlockRoot(%v,%d) = %v,%v want %v,%v", count, lam, id, x, gr, gok, wr, wok)
+						t.Fatalf("count=%d λ=%d: blockRoot(%v,%d) = %v,%v want %v,%v", count, lam, id, x, gr, gok, wr, wok)
 					}
 				}
 			}
 			for x := 0; x <= lam+1; x++ {
-				got, want := f.RootsOfDepth(x), ref.rootsOfDepth(x)
+				got, want := f.rootsOfDepth(x), ref.rootsOfDepth(x)
 				if len(got) != len(want) {
 					t.Fatalf("count=%d λ=%d: %d depth-%d roots, want %d", count, lam, len(got), x, len(want))
 				}
@@ -405,20 +382,20 @@ func TestArithmeticForestMatchesMapBuilt(t *testing.T) {
 }
 
 func TestSubtreeWalkAllocations(t *testing.T) {
-	f, _ := tree.NewForest(25, 1000, 5)
-	root := tree.Ref{Tree: 3, Pos: 1}
+	f := forest{first: 25, count: 1000, lambda: 5}
+	root := treeRef{tree: 3, pos: 1}
 	if n := testing.AllocsPerRun(100, func() {
 		for d := 0; ; d++ {
-			if _, n := f.SubtreeLevel(root, d); n == 0 {
+			if _, n := f.subtreeLevel(root, d); n == 0 {
 				break
 			}
 		}
-		f.InSubtree(root, 130)
-		f.BlockRoot(130, 2)
+		f.inSubtree(root, 130)
+		f.blockRoot(130, 2)
 	}); n != 0 {
 		t.Fatalf("level walk allocates %v times", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { f.SubtreeMembers(root) }); n != 1 {
+	if n := testing.AllocsPerRun(100, func() { f.subtreeMembers(root) }); n != 1 {
 		t.Fatalf("SubtreeMembers allocates %v times, want 1 (its result)", n)
 	}
 }
