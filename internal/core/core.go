@@ -6,7 +6,7 @@
 //
 // Config is also the unified run description shared with the TCP transport:
 // package transport consumes the same struct (via transport.RunCluster) and
-// reuses NewSetup and CheckDecisions from here, so the two substrates cannot
+// reuses Runner.Setup and CheckDecisions from here, so the two substrates cannot
 // drift in how they default schemes, resolve faulty sets, build nodes or
 // judge agreement.
 //
@@ -150,8 +150,8 @@ func CheckDecisions(decisions map[ident.ProcID]sim.Decision, faulty ident.Set, t
 }
 
 // Setup is the prepared state of a run: defaults resolved, faulty set
-// chosen, state machines built. It is produced by NewSetup and consumed by
-// both execution substrates — Run hands the nodes to the in-memory engine,
+// chosen, state machines built. It is produced by Runner.Setup and consumed
+// by both execution substrates — Run hands the nodes to the in-memory engine,
 // transport.RunCluster hands them to TCP peers.
 type Setup struct {
 	// Verifier is the per-run verified-prefix cache every node verifies
@@ -167,12 +167,30 @@ type Setup struct {
 	Nodes []sim.Node
 }
 
-// NewSetup validates cfg, resolves defaults (scheme, faulty set) and builds
+// Runner runs instances one after another, keeping what a template fixes:
+// the scheme's n signers (rebuilt when the scheme or N changes), one
+// verified-prefix cache (Reset before every instance, so no prefix crosses
+// instances), the node slice, the Setup and the engine's arenas. The faulty
+// set, nodes, decisions and report are fresh per instance. A Runner is not
+// safe for concurrent use; its Setup and a Result's Nodes are valid only
+// until its next call.
+type Runner struct {
+	scheme   sig.Scheme // what signers were minted from
+	signers  []sig.Signer
+	verifier sig.CachedVerifier
+	setup    Setup
+	engine   sim.Engine
+}
+
+// NewSetup is new(Runner).Setup: a cold Setup whose storage nobody reuses.
+func NewSetup(cfg Config) (*Setup, error) { return new(Runner).Setup(cfg) }
+
+// Setup validates cfg, resolves defaults (scheme, faulty set) and builds
 // the node set — everything a substrate needs before it starts delivering
-// messages. Both Run and transport.RunCluster go through here, so scheme
+// messages. Both Run and transport's meshes go through here, so scheme
 // defaulting, corruption choice and node construction cannot diverge
 // between the in-memory engine and the TCP cluster.
-func NewSetup(cfg Config) (*Setup, error) {
+func (r *Runner) Setup(cfg Config) (*Setup, error) {
 	if cfg.Protocol == nil {
 		return nil, errors.New("core: nil protocol")
 	}
@@ -182,6 +200,16 @@ func NewSetup(cfg Config) (*Setup, error) {
 	scheme := cfg.Scheme
 	if scheme == nil {
 		scheme = sig.NewHMAC(cfg.N, cfg.Seed^0x5ee_d516)
+	}
+	var err error
+	if scheme != r.scheme || len(r.signers) != cfg.N {
+		r.scheme, r.signers = nil, make([]sig.Signer, cfg.N)
+		for i := range r.signers {
+			if r.signers[i], err = scheme.Signer(ident.ProcID(i)); err != nil {
+				return nil, fmt.Errorf("core: signer for %v: %w", ident.ProcID(i), err)
+			}
+		}
+		r.scheme = scheme
 	}
 
 	// Determine the corrupted set. FaultyOverride wins even without an
@@ -205,24 +233,18 @@ func NewSetup(cfg Config) (*Setup, error) {
 		env = &adversary.Env{Protocol: cfg.Protocol, State: st}
 	}
 
-	phases := cfg.Protocol.Phases(cfg.N, cfg.T)
-
 	// All nodes verify through one per-run verified-prefix cache: a relayed
 	// chain pays cryptography only for links not already checked this run
 	// (sound because cache keys commit to the full signing input; see
 	// sig.CachedVerifier). Sharing across nodes is free — verification is
 	// objective, and the cache is safe for the TCP transport's concurrency.
-	verifier := sig.NewCachedVerifier(scheme)
+	r.verifier.Reset(scheme)
 
 	// Build the node set: protocol nodes for correct processors, adversary
 	// nodes for corrupted ones.
-	nodes := make([]sim.Node, cfg.N)
-	for i := 0; i < cfg.N; i++ {
+	nodes := slices.Grow(r.setup.Nodes[:0], cfg.N)[:cfg.N]
+	for i, signer := range r.signers {
 		id := ident.ProcID(i)
-		signer, err := scheme.Signer(id)
-		if err != nil {
-			return nil, fmt.Errorf("core: signer for %v: %w", id, err)
-		}
 		ncfg := protocol.NodeConfig{
 			ID:          id,
 			N:           cfg.N,
@@ -230,7 +252,7 @@ func NewSetup(cfg Config) (*Setup, error) {
 			Transmitter: cfg.Transmitter,
 			Value:       cfg.Value,
 			Signer:      signer,
-			Verifier:    verifier,
+			Verifier:    &r.verifier,
 		}
 		if faulty.Has(id) && env != nil {
 			nodes[i], err = cfg.Adversary.NewNode(ncfg, env)
@@ -241,7 +263,8 @@ func NewSetup(cfg Config) (*Setup, error) {
 			return nil, fmt.Errorf("core: building node %v: %w", id, err)
 		}
 	}
-	return &Setup{Verifier: verifier, Faulty: faulty, Phases: phases, Nodes: nodes}, nil
+	r.setup = Setup{Verifier: &r.verifier, Faulty: faulty, Phases: cfg.Protocol.Phases(cfg.N, cfg.T), Nodes: nodes}
+	return &r.setup, nil
 }
 
 // ResolveTrace returns the sink a run should emit to: the explicitly
@@ -264,9 +287,12 @@ func EmitCorruptions(sink trace.Sink, faulty ident.Set) {
 	}
 }
 
+// Run is new(Runner).Run: one cold instance.
+func Run(ctx context.Context, cfg Config) (*Result, error) { return new(Runner).Run(ctx, cfg) }
+
 // Run executes the configured protocol instance to completion.
-func Run(ctx context.Context, cfg Config) (*Result, error) {
-	setup, err := NewSetup(cfg)
+func (r *Runner) Run(ctx context.Context, cfg Config) (*Result, error) {
+	setup, err := r.Setup(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -290,11 +316,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		simCfg.Observers = append(simCfg.Observers, rec)
 	}
 
-	eng, err := sim.New(simCfg, setup.Nodes)
-	if err != nil {
+	if err := r.engine.Reset(simCfg, setup.Nodes); err != nil {
 		return nil, err
 	}
-	res, err := eng.Run(ctx)
+	res, err := r.engine.Run(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -27,6 +27,11 @@ func NewCollector(faulty ident.Set) *Collector {
 	return &Collector{faulty: faulty}
 }
 
+// Reset zeroes the counters for a run against faulty, keeping PerPhase's storage.
+func (c *Collector) Reset(faulty ident.Set) {
+	*c = Collector{faulty: faulty, report: Report{PerPhase: c.report.PerPhase[:0]}}
+}
+
 // OnSend records one message from `from` carrying sigTotal signatures (chain
 // links, counted with multiplicity), sigDistinct distinct signer identities,
 // and the given payload size in bytes, sent during the given phase.

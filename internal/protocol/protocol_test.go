@@ -198,7 +198,8 @@ func TestEngineKeepsSignerListsApart(t *testing.T) {
 	allocs := testing.AllocsPerRun(1, func() {
 		node.got = node.got[:0]
 		var err error
-		if eng, err = sim.New(sim.Config{N: n, Phases: 1}, nodes); err != nil {
+		eng = new(sim.Engine)
+		if err = eng.Reset(sim.Config{N: n, Phases: 1}, nodes); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Run(context.Background()); err != nil {

@@ -38,6 +38,7 @@ type Reply struct {
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
+	buf  []byte // the request line being written
 }
 
 // DialClient connects to a serving address.
@@ -56,14 +57,15 @@ func (c *Client) Close() error { return c.conn.Close() }
 // come back as the service's own typed errors (ErrQueueFull, ErrDraining),
 // so callers retry or shed exactly as an in-process submitter would.
 func (c *Client) Submit(v ident.Value) (Reply, error) {
-	if _, err := fmt.Fprintf(c.conn, "%d\n", int64(v)); err != nil {
+	c.buf = append(strconv.AppendInt(c.buf[:0], int64(v), 10), '\n')
+	if _, err := c.conn.Write(c.buf); err != nil {
 		return Reply{}, err
 	}
 	line, err := c.br.ReadString('\n')
 	if err != nil {
 		return Reply{}, err
 	}
-	return parseReply(strings.TrimSpace(line))
+	return parseReply(line)
 }
 
 // Stats fetches the server's stats snapshot as a typed struct (the reply is
@@ -89,7 +91,10 @@ func (c *Client) Stats() (Stats, error) {
 	return st, nil
 }
 
+// parseReply parses one reply line; surrounding white space (the newline, a
+// carriage return) is ignored.
 func parseReply(line string) (Reply, error) {
+	line = strings.TrimSpace(line)
 	switch {
 	case line == "ERR full":
 		return Reply{}, ErrQueueFull
@@ -98,36 +103,25 @@ func parseReply(line string) (Reply, error) {
 	case strings.HasPrefix(line, "ERR "):
 		return Reply{}, fmt.Errorf("service: server error: %s", strings.TrimPrefix(line, "ERR "))
 	}
-	fields := strings.Fields(line)
-	if len(fields) != 9 || fields[0] != "OK" {
+	rest, ok := strings.CutPrefix(line, "OK ")
+	field := func() (f string) {
+		f, rest, _ = strings.Cut(rest, " ")
+		return f
+	}
+	num := func(bits int) int64 {
+		v, err := strconv.ParseInt(field(), 10, bits)
+		ok = ok && err == nil
+		return v
+	}
+	id, err := strconv.ParseUint(field(), 10, 64)
+	ok = ok && err == nil
+	r := Reply{
+		InstanceID: id, Seed: num(64), Batch: int(num(32)), Packed: ident.Value(num(64)),
+		Decided: ident.Value(num(64)), Committed: num(8) == 1, Msgs: int(num(64)), Sigs: int(num(64)),
+	}
+	if !ok || rest != "" {
 		return Reply{}, fmt.Errorf("service: malformed reply %q", line)
 	}
-	var (
-		r    Reply
-		errs [8]error
-	)
-	r.InstanceID, errs[0] = strconv.ParseUint(fields[1], 10, 64)
-	r.Seed, errs[1] = strconv.ParseInt(fields[2], 10, 64)
-	var batch, committed int64
-	batch, errs[2] = strconv.ParseInt(fields[3], 10, 32)
-	var packed, decided int64
-	packed, errs[3] = strconv.ParseInt(fields[4], 10, 64)
-	decided, errs[4] = strconv.ParseInt(fields[5], 10, 64)
-	committed, errs[5] = strconv.ParseInt(fields[6], 10, 8)
-	var msgs, sigs int64
-	msgs, errs[6] = strconv.ParseInt(fields[7], 10, 64)
-	sigs, errs[7] = strconv.ParseInt(fields[8], 10, 64)
-	for _, err := range errs {
-		if err != nil {
-			return Reply{}, fmt.Errorf("service: malformed reply %q: %w", line, err)
-		}
-	}
-	r.Batch = int(batch)
-	r.Packed = ident.Value(packed)
-	r.Decided = ident.Value(decided)
-	r.Committed = committed == 1
-	r.Msgs = int(msgs)
-	r.Sigs = int(sigs)
 	return r, nil
 }
 

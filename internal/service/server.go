@@ -2,13 +2,12 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 
 	"byzex/internal/ident"
@@ -68,13 +67,14 @@ func Serve(ctx context.Context, ln net.Listener, svc *Service) error {
 func serveConn(ctx context.Context, conn net.Conn, svc *Service) {
 	sc := bufio.NewScanner(conn)
 	w := bufio.NewWriter(conn)
+	var reply []byte // the connection's one reply buffer
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		reply := handleLine(ctx, svc, line)
-		if _, err := w.WriteString(reply + "\n"); err != nil {
+		reply = append(handleLine(ctx, svc, line, reply[:0]), '\n')
+		if _, err := w.Write(reply); err != nil {
 			return
 		}
 		if err := w.Flush(); err != nil {
@@ -83,36 +83,45 @@ func serveConn(ctx context.Context, conn net.Conn, svc *Service) {
 	}
 }
 
-func handleLine(ctx context.Context, svc *Service, line string) string {
-	if strings.EqualFold(line, "stats") {
+// handleLine serves one request line, appending its reply (no newline) to dst.
+func handleLine(ctx context.Context, svc *Service, line, dst []byte) []byte {
+	if bytes.EqualFold(line, []byte("stats")) {
 		b, err := json.Marshal(svc.Stats())
 		if err != nil {
-			return "ERR stats: " + err.Error()
+			return append(append(dst, "ERR stats: "...), err.Error()...)
 		}
-		return "STATS " + string(b)
+		return append(append(dst, "STATS "...), b...)
 	}
-	v, err := strconv.ParseInt(line, 10, 64)
+	v, err := strconv.ParseInt(string(line), 10, 64)
 	if err != nil {
-		return "ERR bad request: " + line
+		return append(append(dst, "ERR bad request: "...), line...)
 	}
 	res, err := svc.SubmitWait(ctx, ident.Value(v))
+	return appendReply(dst, res, err)
+}
+
+// appendReply appends the reply line for one submission's outcome to dst.
+func appendReply(dst []byte, res Result, err error) []byte {
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		return "ERR full"
+		return append(dst, "ERR full"...)
 	case errors.Is(err, ErrDraining):
-		return "ERR draining"
+		return append(dst, "ERR draining"...)
 	case err != nil && !errors.Is(err, ErrNotCommitted):
 		// Run or agreement failures are errors; a decided-but-uncommitted
 		// instance still gets an OK reply with committed=0 so the client
 		// sees what was agreed.
-		return "ERR " + err.Error()
+		return append(append(dst, "ERR "...), err.Error()...)
 	}
 	inst := res.Instance
-	committed := 0
+	committed := int64(0)
 	if res.Committed {
 		committed = 1
 	}
-	return fmt.Sprintf("OK %d %d %d %d %d %d %d %d",
-		inst.ID, inst.Config.Seed, len(inst.Values), int64(inst.Config.Value),
-		int64(res.Decided), committed, inst.Report.MessagesCorrect, inst.Report.SignaturesCorrect)
+	dst = strconv.AppendUint(append(dst, "OK "...), inst.ID, 10)
+	for _, f := range [...]int64{inst.Config.Seed, int64(len(inst.Values)), int64(inst.Config.Value),
+		int64(res.Decided), committed, int64(inst.Report.MessagesCorrect), int64(inst.Report.SignaturesCorrect)} {
+		dst = strconv.AppendInt(append(dst, ' '), f, 10)
+	}
+	return dst
 }

@@ -55,10 +55,16 @@ type sharedRun struct{ run RunFunc }
 func (s sharedRun) Open(int) RunFunc { return s.run }
 func (sharedRun) Close(int)          {}
 
+// runners are RunSim's warm core.Runners, one per concurrent call.
+var runners = sync.Pool{New: func() any { return new(core.Runner) }}
+
 // RunSim executes the instance on the in-memory synchronous engine — the
 // substrate behind `basim -transport memory` and the default for a Service.
+// Each call borrows a pooled core.Runner; the Outcome shares nothing with it.
 func RunSim(ctx context.Context, cfg core.Config) (Outcome, error) {
-	res, err := core.Run(ctx, cfg)
+	r := runners.Get().(*core.Runner)
+	defer runners.Put(r)
+	res, err := r.Run(ctx, cfg)
 	if err != nil {
 		return Outcome{}, err
 	}

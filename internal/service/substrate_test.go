@@ -2,11 +2,16 @@ package service_test
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
+	"byzex/internal/adversary"
+	"byzex/internal/core"
 	"byzex/internal/ident"
+	"byzex/internal/protocols/alg1"
 	"byzex/internal/service"
+	"byzex/internal/sig"
 )
 
 // countingSubstrate records which shards were opened and closed, delegating
@@ -89,3 +94,72 @@ type nilOpenSubstrate struct{}
 
 func (nilOpenSubstrate) Open(int) service.RunFunc { return nil }
 func (nilOpenSubstrate) Close(int)                {}
+
+// TestRunSimConcurrentMatchesFreshRun: RunSim called from several goroutines
+// at once, each borrowing a pooled core.Runner that other templates warmed,
+// returns for every instance exactly what a fresh core.Run returns — still
+// after the runners have gone on to later instances, so no Outcome shares
+// storage with the runner it came from.
+func TestRunSimConcurrentMatchesFreshRun(t *testing.T) {
+	ctx := context.Background()
+	silent := template(5) // one n, so runners stay warm; a silent transmitter, so phase counts differ
+	silent.Adversary, silent.FaultyOverride = adversary.Silent{}, ident.NewSet(0)
+	templates := []core.Config{template(3), multiTemplate(4), silent}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var got, want []service.Outcome
+			for i := 0; i < 30; i++ {
+				cfg := templates[(g+i)%len(templates)]
+				cfg.Seed += int64(i)
+				cfg.Value = ident.Value(i & 1)
+				out, err := service.RunSim(ctx, cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				fresh, err := core.Run(ctx, cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got = append(got, out)
+				want = append(want, service.Outcome{Decisions: fresh.Sim.Decisions, Report: fresh.Sim.Report, Faulty: fresh.Faulty})
+			}
+			for i := range got {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("goroutine %d instance %d: %+v, fresh run %+v", g, i, got[i], want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestRunSimAllocationBudget pins what one warm in-memory instance of a
+// served template allocates: the pooled core.Runner keeps the signers, the
+// verifier's storage and the engine's arenas, so alg1 n=5 hmac pays only for
+// what the instance decides: 37, against 61 for a cold core.Run.
+func TestRunSimAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	ctx := context.Background()
+	cfg := core.Config{Protocol: alg1.Protocol{}, N: 5, T: 2, Scheme: sig.NewHMAC(5, 11), Seed: 11}
+	run := func() {
+		cfg.Seed++
+		cfg.Value = ident.Value(cfg.Seed & 1)
+		if _, err := service.RunSim(ctx, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		run()
+	}
+	const budget = 41
+	if avg := testing.AllocsPerRun(200, run); avg > budget {
+		t.Fatalf("a warm instance allocates %.1f, budget %d", avg, budget)
+	}
+}

@@ -50,8 +50,8 @@ import (
 // the full one without storing them — looks each up until one is confirmed,
 // pays the wrapped Verifier for the links past it, and adds one node and one
 // signature copy per link it verified. Nodes and copies are carved from
-// chunks (the first of each inside the verifier itself), so a miss allocates
-// only when a chunk runs out.
+// chunks, so a miss allocates only when a chunk runs out, and Reset hands the
+// last chunks to the next run instead of letting them go.
 //
 // The cache is safe for concurrent use; single-signature Verify calls pass
 // through to the wrapped Verifier uncached (hashing the message would cost
@@ -65,21 +65,16 @@ type CachedVerifier struct {
 	// index maps a fingerprint to the verified prefixes that have it,
 	// chained through node.next.
 	index map[uint64]*node
-	// free and spare are the unused tails of the current node and byte
-	// chunks.
-	free  []node
-	spare []byte
+	// nodes and bytes are the current chunks: their length is what has
+	// been carved, their capacity the chunk.
+	nodes []node
+	bytes []byte
 
 	hits   atomic.Int64
 	misses atomic.Int64
 
 	// sink receives KindVerifyHit/KindVerifyMiss events (nil disables).
 	sink trace.Sink
-
-	// The first chunks: a serving instance builds one verifier per value and
-	// verifies a handful of links through it.
-	free0  [8]node
-	spare0 [8 * 40]byte
 }
 
 var _ Verifier = (*CachedVerifier)(nil)
@@ -115,15 +110,29 @@ func (n *node) is(c Chain, body []byte) bool {
 
 // NewCachedVerifier wraps v with an empty verified-prefix cache. The cache
 // is scoped to v: never reuse a CachedVerifier across signature schemes (two
-// schemes can disagree about the same bytes).
+// schemes can disagree about the same bytes) without a Reset.
 func NewCachedVerifier(v Verifier) *CachedVerifier {
-	cv := &CachedVerifier{
-		Verifier: v,
-		seed:     maphash.MakeSeed(),
-		index:    make(map[uint64]*node),
-	}
-	cv.free, cv.spare = cv.free0[:], cv.spare0[:]
+	cv := new(CachedVerifier)
+	cv.Reset(v)
 	return cv
+}
+
+// Reset empties the cache for a run verifying through v: no prefix, counter
+// or sink outlives it, so that run pays cryptography for every link it has
+// not verified itself. The chunks an earlier run carved are zeroed and
+// carved again. A zero CachedVerifier is ready for use after Reset.
+func (cv *CachedVerifier) Reset(v Verifier) {
+	cv.mu.Lock()
+	defer cv.mu.Unlock()
+	if cv.index == nil {
+		cv.seed, cv.index = maphash.MakeSeed(), make(map[uint64]*node)
+	}
+	clear(cv.index)
+	clear(cv.nodes)
+	clear(cv.bytes)
+	cv.Verifier, cv.nodes, cv.bytes, cv.sink = v, cv.nodes[:0], cv.bytes[:0], nil
+	cv.hits.Store(0)
+	cv.misses.Store(0)
 }
 
 // Stats returns how many chain links were accepted from the cache (hits) and
@@ -198,17 +207,17 @@ func (cv *CachedVerifier) insert(f uint64, parent *node, l Link, body []byte) *n
 	// the cache holds, within bounds, at 64 bytes each.
 	chunk := min(max(len(cv.index), 32), 1<<10)
 	size := len(body) + len(l.Sig)
-	if size > len(cv.spare) {
-		cv.spare = make([]byte, max(size, 64*chunk))
+	if size > cap(cv.bytes)-len(cv.bytes) {
+		cv.bytes = make([]byte, 0, max(size, 64*chunk))
 	}
-	owned := cv.spare[:size:size]
-	cv.spare = cv.spare[size:]
+	owned := cv.bytes[len(cv.bytes):][:size:size]
+	cv.bytes = cv.bytes[:len(cv.bytes)+size]
 	copy(owned[copy(owned, body):], l.Sig)
-	if len(cv.free) == 0 {
-		cv.free = make([]node, chunk)
+	if len(cv.nodes) == cap(cv.nodes) {
+		cv.nodes = make([]node, 0, chunk)
 	}
-	n := &cv.free[0]
-	cv.free = cv.free[1:]
+	cv.nodes = cv.nodes[:len(cv.nodes)+1]
+	n := &cv.nodes[len(cv.nodes)-1]
 	*n = node{parent: parent, next: head, owned: owned, bodyLen: int32(len(body)), signer: l.Signer}
 	cv.index[f] = n
 	return n

@@ -206,8 +206,8 @@ func TestCacheMatchesRollingDigest(t *testing.T) {
 }
 
 // TestCacheHitAllocatesNothing: recognising a verified chain costs no
-// allocation at any length, and a miss on a short chain only what the wrapped
-// verification itself allocates (the signing input of each link checked).
+// allocation at any length, and a miss on a short chain through a reset cache
+// only what the wrapped verification itself allocates.
 func TestCacheHitAllocatesNothing(t *testing.T) {
 	scheme := NewHMAC(64, 1)
 	body := ValueBody(ident.V1)
@@ -232,12 +232,14 @@ func TestCacheHitAllocatesNothing(t *testing.T) {
 
 	s0, _ := scheme.Signer(0)
 	one := Append(s0, body, nil)
+	cv := NewCachedVerifier(scheme)
 	if n := testing.AllocsPerRun(200, func() {
-		if err := one.Verify(NewCachedVerifier(scheme), body); err != nil {
+		cv.Reset(scheme)
+		if err := one.Verify(cv, body); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 4 { // the cache and its map, the signing input, the map's first bucket
-		t.Errorf("cold single-link verify through a fresh cache allocates %v times", n)
+	}); n > 0 {
+		t.Errorf("single-link verify through a reset cache allocates %v times", n)
 	}
 }
 
@@ -528,5 +530,58 @@ func TestVerifyPathAllocations(t *testing.T) {
 	}
 	if _, misses := cv.Stats(); misses != 2+runs+1 {
 		t.Fatalf("%d links checked, want the signed value's 2 and %d fresh ones", misses, runs+1)
+	}
+}
+
+// TestResetForgetsEveryPrefix is the security property of a warm verifier:
+// a chain verified in one run, after Reset, is a miss in the next — it pays
+// the cryptography again, is counted as a miss and traced as one — and the
+// storage the first run filled is zeroed before the second carves from it.
+func TestResetForgetsEveryPrefix(t *testing.T) {
+	scheme := NewHMAC(8, 1)
+	body := ValueBody(ident.V1)
+	c := testChain(scheme, body, 6)
+	cv := NewCachedVerifier(&countingVerifier{Verifier: scheme})
+	crypto := cv.Verifier.(*countingVerifier)
+	if err := c.Verify(cv, body); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Verify(cv, body); err != nil || crypto.calls != len(c) {
+		t.Fatalf("run A: %v, %d checks for %d links", err, crypto.calls, len(c))
+	}
+
+	chunk := &cv.nodes[0]
+	cv.Reset(crypto)
+	if len(cv.nodes) != 0 || len(cv.bytes) != 0 || cap(cv.nodes) == 0 || cap(cv.bytes) == 0 {
+		t.Fatalf("Reset left %d nodes and %d bytes carved, chunks of %d and %d", len(cv.nodes), len(cv.bytes), cap(cv.nodes), cap(cv.bytes))
+	}
+	for _, n := range cv.nodes[:cap(cv.nodes)] {
+		if n.parent != nil || n.next != nil || n.owned != nil || n.bodyLen != 0 || n.signer != 0 {
+			t.Fatalf("a node survived Reset: %+v", n)
+		}
+	}
+	for i, b := range cv.bytes[:cap(cv.bytes)] {
+		if b != 0 {
+			t.Fatalf("byte %d survived Reset", i)
+		}
+	}
+	if h, m := cv.Stats(); h != 0 || m != 0 {
+		t.Fatalf("counters after Reset: %d hits, %d misses", h, m)
+	}
+	var buf trace.Buffer
+	cv.SetTrace(&buf)
+	crypto.calls = 0
+	if err := c.Verify(cv, body); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := cv.Stats(); h != 0 || m != int64(len(c)) || crypto.calls != len(c) {
+		t.Fatalf("run B: %d hits, %d misses, %d checks for %d links", h, m, crypto.calls, len(c))
+	}
+	if &cv.nodes[0] != chunk {
+		t.Fatal("run B did not carve from the chunk run A left")
+	}
+	ev := buf.Events()
+	if len(ev) != 1 || ev[0].Kind != trace.KindVerifyMiss || ev[0].Sigs != len(c) {
+		t.Fatalf("run B traced %+v, want one KindVerifyMiss over %d links", ev, len(c))
 	}
 }

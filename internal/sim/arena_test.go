@@ -115,7 +115,8 @@ func TestInboxesMatchPerReceiverReference(t *testing.T) {
 		for i := range nodes {
 			nodes[i] = &scriptNode{id: ident.ProcID(i), log: log, script: randomScript(rng, ident.ProcID(i), n, phases)}
 		}
-		eng, err := sim.New(cfg, nodes)
+		eng := new(sim.Engine)
+		err := eng.Reset(cfg, nodes)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

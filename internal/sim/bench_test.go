@@ -50,7 +50,8 @@ func BenchmarkEngineBroadcast(b *testing.B) {
 				for j := range nodes {
 					nodes[j] = &flooder{id: ident.ProcID(j), payload: payload}
 				}
-				eng, err := sim.New(sim.Config{N: n, Phases: 1}, nodes)
+				eng := new(sim.Engine)
+				err := eng.Reset(sim.Config{N: n, Phases: 1}, nodes)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -101,7 +102,8 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			for j := range nodes {
 				nodes[j] = &flooder{id: ident.ProcID(j), payload: payload}
 			}
-			eng, err := sim.New(sim.Config{N: n, Phases: 1, Trace: sink}, nodes)
+			eng := new(sim.Engine)
+			err := eng.Reset(sim.Config{N: n, Phases: 1, Trace: sink}, nodes)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -326,11 +326,12 @@ type Result struct {
 	Faulty ident.Set
 }
 
-// Engine executes one protocol instance to completion.
+// Engine executes one protocol instance to completion. Reset prepares it for
+// the next, so one Engine can run instance after instance on warm storage.
 type Engine struct {
 	cfg       Config
 	nodes     []Node
-	collector *metrics.Collector
+	collector metrics.Collector
 
 	// sent is the current phase's traffic in submission order, and count[to]
 	// how much of it is addressed to processor to. The phase swap moves it
@@ -338,7 +339,8 @@ type Engine struct {
 	// inboxes[to] becomes a view of to's group — or, for a receiver a fault
 	// plan touches, of faultnet.Deliver's output in faulted. All three grow
 	// to the largest phase, are zeroed once their phase is over so delivered
-	// payloads can be collected, and die with the engine.
+	// payloads can be collected, and live as long as the engine, across
+	// Resets.
 	sent      envBlocks
 	count     []int
 	delivered envBlocks
@@ -361,48 +363,46 @@ type Engine struct {
 	frames [][]Envelope
 }
 
-// New builds an engine over the given nodes; nodes[i] is the state machine
-// for processor i and must be non-nil.
-func New(cfg Config, nodes []Node) (*Engine, error) {
+// Reset prepares the engine to run nodes under cfg; nodes[i] is the state
+// machine for processor i and must be non-nil. A new(Engine) is ready after
+// its first Reset. The per-processor storage, the envelope blocks and the
+// signer arena are kept while cfg.N is unchanged; nothing of an earlier run
+// is delivered, counted or traced in the next.
+func (e *Engine) Reset(cfg Config, nodes []Node) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if len(nodes) != cfg.N {
-		return nil, fmt.Errorf("sim: %d nodes for n=%d", len(nodes), cfg.N)
+		return fmt.Errorf("sim: %d nodes for n=%d", len(nodes), cfg.N)
 	}
 	for i, nd := range nodes {
 		if nd == nil {
-			return nil, fmt.Errorf("sim: nil node for processor %d", i)
+			return fmt.Errorf("sim: nil node for processor %d", i)
 		}
 	}
-	e := &Engine{
-		cfg:       cfg,
-		nodes:     nodes,
-		collector: metrics.NewCollector(cfg.Faulty),
-		sent:      envBlocks{size: envBlockSize(cfg.N)},
-		count:     make([]int, cfg.N),
-		delivered: envBlocks{size: envBlockSize(cfg.N)},
-		inboxes:   make([][]Envelope, cfg.N),
-		ctxs:      make([]Context, cfg.N),
+	if len(e.ctxs) != cfg.N {
+		size := envBlockSize(cfg.N)
+		*e = Engine{sent: envBlocks{size: size}, delivered: envBlocks{size: size},
+			count: make([]int, cfg.N), inboxes: make([][]Envelope, cfg.N), ctxs: make([]Context, cfg.N)}
+		submit := e.submit // one bound method value shared by every context
+		for i := range e.ctxs {
+			e.ctxs[i] = Context{id: ident.ProcID(i), submit: submit, signers: &e.signers}
+		}
 	}
+	for i := range e.ctxs {
+		c := &e.ctxs[i]
+		c.n, c.t, c.transmitter, c.lastPhase, c.sink = cfg.N, cfg.T, cfg.Transmitter, cfg.Phases, cfg.Trace
+	}
+	e.cfg, e.nodes = cfg, nodes
+	e.collector.Reset(cfg.Faulty)
+	e.sent.reset() // a run that ended early leaves its last sends here
+	clear(e.count)
+	e.stash = nil
 	if cfg.Faults != nil {
 		e.stash = make([]faultnet.Stash[Envelope], cfg.N)
 		e.frames = make([][]Envelope, cfg.N)
 	}
-	submit := e.submit // one bound method value shared by every context
-	for i := range e.ctxs {
-		e.ctxs[i] = Context{
-			id:          ident.ProcID(i),
-			n:           cfg.N,
-			t:           cfg.T,
-			transmitter: cfg.Transmitter,
-			lastPhase:   cfg.Phases,
-			submit:      submit,
-			signers:     &e.signers,
-			sink:        cfg.Trace,
-		}
-	}
-	return e, nil
+	return nil
 }
 
 func (e *Engine) submit(env Envelope) {

@@ -42,7 +42,8 @@ func newEngine(t *testing.T, n, phases int) (*sim.Engine, []*echoNode) {
 		echoes[i] = &echoNode{id: ident.ProcID(i)}
 		nodes[i] = echoes[i]
 	}
-	eng, err := sim.New(sim.Config{N: n, T: 0, Phases: phases}, nodes)
+	eng := new(sim.Engine)
+	err := eng.Reset(sim.Config{N: n, T: 0, Phases: phases}, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,8 @@ func (l *lateSender) Decide() (ident.Value, bool) { return 0, true }
 
 func TestSendAfterFinalPhaseRejected(t *testing.T) {
 	late := &lateSender{}
-	eng, err := sim.New(sim.Config{N: 2, T: 0, Phases: 1}, []sim.Node{&echoNode{id: 0}, late})
+	eng := new(sim.Engine)
+	err := eng.Reset(sim.Config{N: 2, T: 0, Phases: 1}, []sim.Node{&echoNode{id: 0}, late})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,8 @@ func (s *selfSender) Decide() (ident.Value, bool) { return 0, true }
 
 func TestSelfSendRejected(t *testing.T) {
 	self := &selfSender{}
-	eng, err := sim.New(sim.Config{N: 2, T: 0, Phases: 1}, []sim.Node{self, &echoNode{id: 1}})
+	eng := new(sim.Engine)
+	err := eng.Reset(sim.Config{N: 2, T: 0, Phases: 1}, []sim.Node{self, &echoNode{id: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +165,10 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestNodeCountMismatch(t *testing.T) {
-	if _, err := sim.New(sim.Config{N: 3, Phases: 1}, []sim.Node{&echoNode{}}); err == nil {
+	if err := new(sim.Engine).Reset(sim.Config{N: 3, Phases: 1}, []sim.Node{&echoNode{}}); err == nil {
 		t.Fatal("accepted wrong node count")
 	}
-	if _, err := sim.New(sim.Config{N: 1, Phases: 1}, []sim.Node{nil}); err == nil {
+	if err := new(sim.Engine).Reset(sim.Config{N: 1, Phases: 1}, []sim.Node{nil}); err == nil {
 		t.Fatal("accepted nil node")
 	}
 }
@@ -185,12 +188,42 @@ func (f *failNode) Step(ctx *sim.Context, _ []sim.Envelope) error {
 func (f *failNode) Decide() (ident.Value, bool) { return 0, false }
 
 func TestNodeErrorAborts(t *testing.T) {
-	eng, err := sim.New(sim.Config{N: 2, Phases: 3}, []sim.Node{&failNode{at: 2}, &echoNode{id: 1}})
+	eng := new(sim.Engine)
+	err := eng.Reset(sim.Config{N: 2, Phases: 3}, []sim.Node{&failNode{at: 2}, &echoNode{id: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Run(context.Background()); err == nil {
 		t.Fatal("node error not propagated")
+	}
+}
+
+// TestResetAfterAbortedRun: what a failed run sent in its last phase is not
+// delivered after a Reset — the next run sees only its own traffic.
+func TestResetAfterAbortedRun(t *testing.T) {
+	eng := new(sim.Engine)
+	err := eng.Reset(sim.Config{N: 2, Phases: 1}, []sim.Node{&echoNode{id: 0}, &failNode{at: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(context.Background()); err == nil {
+		t.Fatal("node error not propagated")
+	}
+	echoes := []*echoNode{{id: 0}, {id: 1}}
+	if err := eng.Reset(sim.Config{N: 2, Phases: 1}, []sim.Node{echoes[0], echoes[1]}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range echoes {
+		if len(e.received) != 1 {
+			t.Errorf("node %d received %d messages after Reset, want 1", i, len(e.received))
+		}
+	}
+	if res.Report.MessagesCorrect != 2 {
+		t.Errorf("report counts %d messages, want 2", res.Report.MessagesCorrect)
 	}
 }
 
@@ -206,7 +239,8 @@ func TestContextCancellation(t *testing.T) {
 func TestSendFilterDropsSilently(t *testing.T) {
 	filtered := &filterNode{}
 	sink := &echoNode{id: 1}
-	eng, err := sim.New(sim.Config{N: 3, Phases: 1}, []sim.Node{filtered, sink, &echoNode{id: 2}})
+	eng := new(sim.Engine)
+	err := eng.Reset(sim.Config{N: 3, Phases: 1}, []sim.Node{filtered, sink, &echoNode{id: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +271,8 @@ func (f *filterNode) Decide() (ident.Value, bool) { return 0, true }
 
 func TestFaultyMetricsSplit(t *testing.T) {
 	nodes := []sim.Node{&echoNode{id: 0}, &echoNode{id: 1}, &echoNode{id: 2}}
-	eng, err := sim.New(sim.Config{N: 3, T: 1, Phases: 1, Faulty: ident.NewSet(2)}, nodes)
+	eng := new(sim.Engine)
+	err := eng.Reset(sim.Config{N: 3, T: 1, Phases: 1, Faulty: ident.NewSet(2)}, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +326,8 @@ func (k *keeperNode) Decide() (ident.Value, bool) { return 0, true }
 // reachable until some later message happens to overwrite the slot.
 func TestDeliveredEnvelopesAreReleased(t *testing.T) {
 	nodes := []sim.Node{&keeperNode{id: 0}, &keeperNode{id: 1}, &keeperNode{id: 2}}
-	eng, err := sim.New(sim.Config{N: 3, T: 0, Phases: 4}, nodes)
+	eng := new(sim.Engine)
+	err := eng.Reset(sim.Config{N: 3, T: 0, Phases: 4}, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,6 +58,8 @@ type Mesh struct {
 	state   atomic.Pointer[epochState]
 	epoch   uint64 // last epoch started; only Run mutates, guarded by running
 	running atomic.Bool
+	// runner builds each epoch's Setup after the last epoch's peers returned.
+	runner core.Runner
 
 	mu      sync.Mutex
 	inbound []net.Conn     // accepted connections, closed by Close
@@ -279,10 +281,10 @@ func (m *Mesh) Run(ctx context.Context, cfg core.Config) (*Result, error) {
 	// Recycle the previous epoch's frame buffers. This is the earliest safe
 	// point: envelope payloads and signer lists alias those buffers, and the
 	// last epoch's nodes (which may retain payload slices per the sim.Node
-	// contract) became unreachable when its Run returned.
+	// contract) are never stepped again once its Run returned.
 	m.recycle()
 
-	setup, err := core.NewSetup(cfg)
+	setup, err := m.runner.Setup(cfg)
 	if err != nil {
 		return nil, err
 	}

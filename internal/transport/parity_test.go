@@ -2,10 +2,14 @@ package transport_test
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"byzex/internal/adversary"
+	"byzex/internal/cli"
 	"byzex/internal/core"
 	"byzex/internal/ident"
 	"byzex/internal/protocol"
@@ -179,6 +183,68 @@ func TestRunClusterTraceDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("event %d differs: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestMeshRunnerMatchesRunCluster is the mesh twin of core's
+// TestRunnerMatchesFreshRun: one warm mesh, whose core.Runner keeps signers
+// and verifier storage from epoch to epoch, runs a shuffled sequence of n=7
+// configurations — every registry row that admits n=7, each under its own
+// scheme, fault-free, split-brain and crash=1@2 — and each must equal a
+// fresh RunCluster of the same configuration: decisions, report, faulty set
+// and trace events.
+func TestMeshRunnerMatchesRunCluster(t *testing.T) {
+	const n = 7
+	var seq []core.Config
+	for i, e := range cli.Registry() {
+		for _, tt := range []int{e.T, (n - 1) / 2, 1} {
+			tp := cli.Template{Protocol: e.Name, Scheme: e.Scheme, N: n, T: tt, Seed: int64(5 + 10*i)}
+			cfg, _, err := tp.Resolve()
+			if err != nil || cfg.Protocol.Check(n, tt) != nil {
+				continue
+			}
+			for _, v := range []struct{ adv, faults string }{{}, {adv: "split-brain"}, {faults: "crash=1@2"}} {
+				tp.Adversary, tp.Faults = v.adv, v.faults
+				c, _, err := tp.Resolve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.Scheme = cfg.Scheme // one scheme per row
+				seq = append(seq, c)
+			}
+			break
+		}
+	}
+	rand.New(rand.NewSource(9)).Shuffle(len(seq), func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
+
+	ctx := context.Background()
+	netCfg := transport.Net{PhaseTimeout: 10 * time.Second}
+	m, err := transport.NewMesh(ctx, n, netCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for i, cfg := range seq {
+		warmTrace, coldTrace := trace.NewBuffer(), trace.NewBuffer()
+		warmCfg, coldCfg := cfg, cfg
+		warmCfg.Trace, coldCfg.Trace = warmTrace, coldTrace
+		warm, warmErr := m.Run(ctx, warmCfg)
+		cold, coldErr := transport.RunCluster(ctx, coldCfg, netCfg)
+		name := fmt.Sprintf("run %d (%s t=%d adv=%v faults=%v)", i, cfg.Protocol.Name(), cfg.T, cfg.Adversary, cfg.Faults != nil)
+		if fmt.Sprint(warmErr) != fmt.Sprint(coldErr) {
+			t.Fatalf("%s: warm error %v, cold error %v", name, warmErr, coldErr)
+		}
+		if coldErr != nil {
+			continue
+		}
+		if !reflect.DeepEqual(warm.Decisions, cold.Decisions) || !reflect.DeepEqual(warm.Report, cold.Report) ||
+			!reflect.DeepEqual(warm.Faulty, cold.Faulty) {
+			t.Errorf("%s: warm %v %v %v, fresh %v %v %v", name, warm.Decisions, warm.Report, warm.Faulty,
+				cold.Decisions, cold.Report, cold.Faulty)
+		}
+		if !sameEvents(warmTrace.Events(), coldTrace.Events()) {
+			t.Errorf("%s: trace differs from a fresh cluster's", name)
 		}
 	}
 }

@@ -9,7 +9,7 @@
 // The same sim.Node state machines that drive the in-memory engine run
 // unmodified over TCP; only the delivery substrate changes. Runs are
 // described by the same core.Config the engine consumes — RunCluster reuses
-// core.NewSetup for defaulting, corruption choice and node construction, and
+// core.Runner.Setup for defaulting, corruption choice and node construction, and
 // core.CheckDecisions for judging agreement, so the two substrates cannot
 // drift. The network-specific knobs (phase timeout, muted processors) live
 // in Net.
@@ -127,7 +127,7 @@ func (r *Result) Decision(transmitter ident.ProcID, transmitterValue ident.Value
 // RunCluster executes cfg over localhost TCP: every processor is a
 // goroutine with its own listener, wired into a full mesh. Setup (scheme
 // defaulting, corruption, node construction) is shared with core.Run via
-// core.NewSetup.
+// core.Runner.Setup.
 //
 // RunCluster is a single-epoch mesh: it dials a fresh Mesh, runs one
 // instance and tears the sockets down again. Callers running many

@@ -36,7 +36,8 @@ func captureFrameBodies(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 	cap := &envelopeCapture{}
-	eng, err := sim.New(sim.Config{
+	eng := new(sim.Engine)
+	err = eng.Reset(sim.Config{
 		N: cfg.N, T: cfg.T, Transmitter: cfg.Transmitter,
 		Phases: setup.Phases, Faulty: setup.Faulty,
 		Observers: []sim.Observer{cap},
