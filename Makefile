@@ -31,8 +31,8 @@
 #                      wins and PASS/FAIL per end-to-end metric
 #   make loc         - non-test Go lines outside bench/, per package and in
 #                      total (the number CHANGES.md and the ROADMAP's
-#                      subtraction target are stated in), and the number of
-#                      packages `go list ./...` finds
+#                      subtraction target are stated in), the _test.go
+#                      total, and the number of packages `go list ./...` finds
 
 GO ?= go
 GOFMT ?= gofmt
@@ -151,7 +151,8 @@ trace-smoke:
 	/tmp/batrace /tmp/byzex-smoke-tcp.jsonl
 
 # Non-test Go lines outside bench/: one row per package directory, then the
-# total — the count CHANGES.md reports — and the package count of
+# total — the count CHANGES.md reports — the same total over _test.go files,
+# and the package count of
 # `go list ./...` (bench/ included). Dot directories
 # (.bench_build holds whole parent trees after `make ab`) are not the repo's.
 loc:
@@ -159,4 +160,5 @@ loc:
 		printf '%6d %s\n' "$$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" "$$d"; \
 	done
 	@printf '%6d total\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.*' | xargs cat | wc -l)"
+	@printf '%6d _test.go total\n' "$$(find . -name '*_test.go' -not -path './bench/*' -not -path './.*' | xargs cat | wc -l)"
 	@printf '%6d packages\n' "$$($(GO) list ./... | wc -l)"

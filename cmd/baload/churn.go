@@ -1,13 +1,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -15,17 +13,6 @@ import (
 	"byzex/internal/ident"
 	"byzex/internal/service"
 )
-
-// churnChild marks a process as the drill's server child: the parent re-execs
-// os.Args[0] with the serving flags as argv and this variable set, and main —
-// or the package's TestMain — routes a marked process to churnServe.
-const churnChild = "BALOAD_CHURN_SERVE"
-
-// churnServe is the child: the serving process baserve is, in the drill's own
-// binary so the parent can SIGKILL it mid-load.
-func churnServe() int {
-	return cli.ServeMain("baload", os.Args[1:], os.Stdout, os.Stderr)
-}
 
 // churnConfig is everything the parent loop needs from the flag surface.
 type churnConfig struct {
@@ -49,7 +36,7 @@ func churnBound(sf *cli.ServeFlags, conns int) int {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	return *sf.CheckpointEvery + *sf.Queue + shards*max(*sf.Batch, *sf.BatchMax, 1) + conns
+	return *sf.CheckpointEvery + *sf.Queue + shards*sf.MaxBatch() + conns
 }
 
 // runChurn is the parent loop of the kill/restart drill: cycles+1 server
@@ -85,31 +72,25 @@ func runChurn(cfg churnConfig, stdout, stderr *os.File) int {
 	return 0
 }
 
-// churnGeneration runs one server generation: fork, wait for the banner,
-// print what it replayed as a benchmark-format line (`BenchmarkChurn...`, the
-// shape BENCH_008.json archived and TestChurnDrill parses) and gate it
-// against the checkpoint budget, load it to the quota, signal it — SIGKILL,
-// or SIGTERM for the final generation, which must then exit clean.
+// churnGeneration runs one server generation: fork, print what it replayed
+// as a benchmark-format line (`BenchmarkChurn...`, the shape BENCH_008.json
+// archived and TestChurnDrill parses) and gate it against the checkpoint
+// budget, load it to the quota, signal it — SIGKILL, or SIGTERM for the
+// final generation, which must then exit clean.
 func churnGeneration(cfg churnConfig, cycle int, outPath string, stdout *os.File) (banner cli.Started, acked int, err error) {
 	outF, err := os.Create(outPath)
 	if err != nil {
 		return banner, 0, err
 	}
 	defer func() { _ = outF.Close() }()
-	child := exec.Command(os.Args[0], cfg.serveArgs...)
-	child.Env = append(os.Environ(), churnChild+"=1")
-	child.Stdout = outF
-	child.Stderr = outF
-	if err := child.Start(); err != nil {
+	child, banner, err := cli.Fork(cfg.serveArgs, outF)
+	if err != nil {
 		return banner, 0, err
 	}
 	defer func() { // no generation outlives its cycle, whichever way it ends
 		_ = child.Process.Kill()
 		_ = child.Wait()
 	}()
-	if banner, err = cli.AwaitBanner(outPath, 30*time.Second); err != nil {
-		return banner, 0, err
-	}
 	if cycle > 0 {
 		rate := 0.0
 		if sec := banner.Recovery.Seconds(); sec > 0 {
@@ -129,71 +110,43 @@ func churnGeneration(cfg churnConfig, cycle int, outPath string, stdout *os.File
 	if final {
 		sig = syscall.SIGTERM
 	}
-	acked, err = churnLoad(banner.Addr, cfg.conns, cfg.mod, cfg.acksPer, func() error {
-		return child.Process.Signal(sig)
-	})
-	waitErr := child.Wait()
-	if err != nil {
+	if acked, err = churnLoad(banner.Addr, cfg, func() error { return child.Process.Signal(sig) }); err != nil {
 		return banner, acked, err
 	}
-	if final && waitErr != nil {
-		return banner, acked, fmt.Errorf("final drain failed: %w", waitErr)
+	if err := child.Wait(); final && err != nil {
+		return banner, acked, fmt.Errorf("final drain failed: %w", err)
 	}
 	return banner, acked, nil
 }
 
-// churnLoad drives closed-loop submissions and fires sig once target acks
-// have landed — while the loaders are still mid-flight, so a SIGKILL always
-// finds admitted-but-undelivered work and a SIGTERM drains under live
-// traffic. Loader errors after the signal are the expected severed
-// connections; an error is returned only when the target was never reached.
-func churnLoad(addr string, conns, mod, target int, sig func() error) (int, error) {
-	var (
-		acked   atomic.Int64
-		stopped atomic.Bool
-		wg      sync.WaitGroup
-	)
-	errs := make(chan error, conns) // a loader sends at most one
-	for c := 0; c < conns; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cl, err := service.DialClient(addr)
-			if err != nil {
-				errs <- err
-				return
+// churnLoad drives the drill's closed loop and fires sig once cfg.acksPer
+// acknowledgements have landed — while the loaders are still mid-flight, so
+// a SIGKILL always finds admitted-but-undelivered work and a SIGTERM drains
+// under live traffic. The load is stopped just before the signal, so the
+// connections the signal severs are not errors; an error is returned when
+// the server goes away first or the target is never reached.
+func churnLoad(addr string, cfg churnConfig, sig func() error) (int, error) {
+	ctx, stop := context.WithTimeout(context.Background(), 60*time.Second)
+	defer stop()
+	var sigErr error
+	load, err := service.RunLoad(ctx, service.LoadConfig{
+		Addr:     addr,
+		Conns:    cfg.conns,
+		ValueFor: func(c, i int) ident.Value { return ident.Value((c + i) % cfg.mod) },
+		OnAck: func(acked int) {
+			if acked == cfg.acksPer {
+				stop()
+				sigErr = sig()
 			}
-			defer func() { _ = cl.Close() }()
-			for i := 0; !stopped.Load(); i++ {
-				if _, err := cl.Submit(ident.Value((c + i) % mod)); err != nil {
-					errs <- err
-					return
-				}
-				acked.Add(1)
-			}
-		}(c)
+		},
+	})
+	switch {
+	case err != nil:
+		return load.Submitted, err
+	case sigErr != nil:
+		return load.Submitted, sigErr
+	case load.Submitted < cfg.acksPer:
+		return load.Submitted, fmt.Errorf("only %d/%d acknowledged", load.Submitted, cfg.acksPer)
 	}
-	var loadErr error
-	deadline := time.After(60 * time.Second)
-wait:
-	for int(acked.Load()) < target {
-		select {
-		case loadErr = <-errs: // the server is gone; no point waiting out the deadline
-			break wait
-		case <-deadline:
-			break wait
-		case <-time.After(time.Millisecond):
-		}
-	}
-	sigErr := sig()
-	stopped.Store(true)
-	wg.Wait()
-	got := int(acked.Load())
-	if sigErr != nil {
-		return got, sigErr
-	}
-	if got < target {
-		return got, fmt.Errorf("only %d/%d acknowledged (first loader error: %v)", got, target, loadErr)
-	}
-	return got, nil
+	return load.Submitted, nil
 }

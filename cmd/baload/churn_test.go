@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -8,18 +9,16 @@ import (
 	"strings"
 	"testing"
 
+	"byzex/internal/cli"
 	"byzex/internal/journal"
 	"byzex/internal/trace"
 )
 
-// TestMain lets the test binary act as the churn drill's server child: the
-// parent re-execs os.Args[0] with the env marker, exactly as the real binary
-// does, and a marked process serves — its argv is the serving flags, which
-// nothing has parsed yet — instead of running the tests.
+// TestMain lets the test binary act as the churn drill's server child, as
+// main does: a process cli.Fork started serves — its argv is the serving
+// flags, which nothing has parsed yet — instead of running the tests.
 func TestMain(m *testing.M) {
-	if os.Getenv(churnChild) == "1" {
-		os.Exit(churnServe())
-	}
+	cli.ServeForked("baload")
 	os.Exit(m.Run())
 }
 
@@ -98,6 +97,30 @@ func TestChurnDrill(t *testing.T) {
 	}
 	if rec.Checkpoint == nil || len(rec.Pending) != 0 {
 		t.Fatalf("post-drill journal: checkpoint=%v pending=%d", rec.Checkpoint, len(rec.Pending))
+	}
+}
+
+// TestChurnBoundTakesTheServedBatch: the replay bound counts the largest
+// batch the server actually forms — the adaptive window's top under
+// -adaptive (default 16), -batch otherwise, whatever -batch-max says.
+func TestChurnBoundTakesTheServedBatch(t *testing.T) {
+	for _, tc := range []struct {
+		flags []string
+		batch int
+	}{
+		{[]string{"-batch", "8"}, 8},
+		{[]string{"-adaptive"}, 16},
+		{[]string{"-adaptive", "-batch-max", "32"}, 32},
+		{[]string{"-batch-max", "32"}, 1},
+	} {
+		fs := flag.NewFlagSet("", flag.ContinueOnError)
+		sf := cli.RegisterServeFlags(fs)
+		if err := fs.Parse(append(tc.flags, "-shards", "2", "-queue", "64", "-checkpoint-every", "8")); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := churnBound(sf, 4), 8+64+2*tc.batch+4; got != want {
+			t.Errorf("%v: bound %d, want %d", tc.flags, got, want)
+		}
 	}
 }
 

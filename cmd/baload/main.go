@@ -1,4 +1,5 @@
-// Command baload drives load against a baserve, in either of two modes:
+// Command baload drives load against a baserve through service.RunLoad, the
+// one load loop, in either of its two arrival shapes:
 //
 // Closed loop (default): each of -c connections keeps exactly one request
 // outstanding, retrying backpressure rejections. Offered load adapts to the
@@ -30,13 +31,14 @@
 // verification failure and the exit code is non-zero.
 //
 // With -churn N (requires -journal-dir), baload becomes the journal churn
-// drill: it forks this binary as a journaled server — the serving process
-// baserve is, given every serving flag baload was given — loads it until
-// -churn-acks acknowledgements, SIGKILLs it mid-load, restarts it over the
-// same journal directory, and repeats N times (the final generation drains via
-// SIGTERM). Each restart's replay count is gated against the checkpoint
-// budget, and its recovery time (the banner's recovery= field) is printed in
-// benchmark format:
+// drill: it forks this binary as a journaled server with cli.Fork — the
+// serving process baserve is, given every serving flag baload was given; main
+// routes the forked process there through cli.ServeForked — loads it with an
+// uncapped closed loop, SIGKILLs it mid-load at the -churn-acks-th
+// acknowledgement, restarts it over the same journal directory, and repeats N
+// times (the final generation drains via SIGTERM). Each restart's replay count
+// is gated against the checkpoint budget, and its recovery time (the banner's
+// recovery= field) is printed in benchmark format:
 //
 //	baload -churn 3 -churn-acks 48 -c 8 -protocol alg1 -t 1 \
 //	    -journal-dir /tmp/churn -fsync always -checkpoint-every 16
@@ -57,10 +59,7 @@ import (
 )
 
 func main() {
-	// The churn drill re-execs this binary as its server child.
-	if os.Getenv(churnChild) == "1" {
-		os.Exit(churnServe())
-	}
+	cli.ServeForked("baload") // the churn drill's server child
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
@@ -136,24 +135,19 @@ func run(args []string, stdout, stderr *os.File) (code int) {
 		*addr = hosted.Addr
 	}
 
-	var load *service.LoadStats
-	if *rate > 0 {
-		load, err = service.RunOpenLoad(ctx, service.OpenLoadConfig{
-			Addr:     *addr,
-			Conns:    *conns,
-			Rate:     *rate,
-			Duration: *duration,
-			Seed:     sf.Seed,
-			ValueFor: func(i int) ident.Value { return ident.Value(i % *mod) },
-		})
-	} else {
-		load, err = service.RunLoad(ctx, service.LoadConfig{
-			Addr:     *addr,
-			Conns:    *conns,
-			Requests: *requests,
-			ValueFor: func(c, i int) ident.Value { return ident.Value((c + i) % *mod) },
-		})
+	valueFor := func(c, i int) ident.Value { return ident.Value((c + i) % *mod) }
+	if *rate > 0 { // an open-loop arrival's value depends on its index alone
+		valueFor = func(_, i int) ident.Value { return ident.Value(i % *mod) }
 	}
+	load, err := service.RunLoad(ctx, service.LoadConfig{
+		Addr:     *addr,
+		Conns:    *conns,
+		Requests: max(*requests, 1),
+		Rate:     *rate,
+		Duration: *duration,
+		Seed:     sf.Seed,
+		ValueFor: valueFor,
+	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1

@@ -3,11 +3,8 @@ package main
 import (
 	"context"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -19,18 +16,6 @@ import (
 	"byzex/internal/service"
 	"byzex/internal/trace"
 )
-
-// TestHelperServeProcess is not a test: it is the child body of the crash
-// drill. The drill re-executes the test binary with this run filter and the
-// env below, so the server can be SIGKILLed — a drain path (SIGINT inside
-// the test process) can never exercise torn-write recovery.
-func TestHelperServeProcess(t *testing.T) {
-	if os.Getenv("BASERVE_CRASH_HELPER") != "1" {
-		t.Skip("crash-drill helper process only")
-	}
-	args := strings.Split(os.Getenv("BASERVE_CRASH_ARGS"), "\x1f")
-	os.Exit(run(args, os.Stdout, os.Stderr))
-}
 
 // TestServeCrashRecovery is the durability acceptance drill: a journaled
 // baserve is SIGKILLed mid-load, and a restart over the same journal
@@ -48,80 +33,44 @@ func TestServeCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	journalDir := filepath.Join(dir, "journal")
 
-	// Generation 1: a real child process, so SIGKILL is available.
+	// Generation 1: a real child process, so SIGKILL is available — a drain
+	// path (SIGINT inside the test process) can never tear a write.
 	serveArgs := []string{
 		"-protocol", "alg1", "-t", "3", "-seed", "21",
 		"-addr", "127.0.0.1:0", "-shards", "2",
 		"-journal-dir", journalDir, "-fsync", "always",
 	}
-	outF, err := os.Create(filepath.Join(dir, "child-stdout"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = outF.Close() }()
-	child := exec.Command(os.Args[0], "-test.run", "^TestHelperServeProcess$")
-	child.Env = append(os.Environ(),
-		"BASERVE_CRASH_HELPER=1",
-		"BASERVE_CRASH_ARGS="+strings.Join(serveArgs, "\x1f"),
-	)
-	child.Stdout = outF
-	child.Stderr = outF
-	if err := child.Start(); err != nil {
-		t.Fatal(err)
-	}
-	killed := false
-	defer func() {
-		if !killed {
-			_ = child.Process.Kill()
-			_ = child.Wait()
-		}
-	}()
-	gen1 := waitForBanner(t, outF.Name())
+	child, gen1, _ := fork(t, serveArgs)
 	if gen1.Fsync != "always" || gen1.Watermark != 0 || gen1.Replayed != 0 {
 		t.Fatalf("fresh journal banner: %+v", gen1)
 	}
-	addr := gen1.Addr
 
 	// Load it from several connections and SIGKILL mid-flight: every OK
 	// reply is a journaled admission (fsync=always), and whatever was
-	// admitted-but-undelivered at the kill is the pending set.
+	// admitted-but-undelivered at the kill is the pending set. The load stops
+	// just before the kill, so the connections it severs are not errors.
 	const minAcked = 10
-	var (
-		acked   atomic.Int64
-		stopped atomic.Bool
-		wg      sync.WaitGroup
-	)
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cl, err := service.DialClient(addr)
-			if err != nil {
-				return
+	loadCtx, stop := context.WithTimeout(context.Background(), 15*time.Second)
+	defer stop()
+	var killErr error
+	load, err := service.RunLoad(loadCtx, service.LoadConfig{
+		Addr:     gen1.Addr,
+		Conns:    4,
+		ValueFor: func(c, i int) ident.Value { return ident.Value((c + i) % 2) },
+		OnAck: func(acked int) {
+			if acked == minAcked {
+				stop()
+				killErr = child.Process.Kill() // SIGKILL: no drain, no checkpoint
 			}
-			defer func() { _ = cl.Close() }()
-			for i := 0; !stopped.Load(); i++ {
-				if _, err := cl.Submit(ident.Value((c + i) % 2)); err != nil {
-					return // the kill severs the connection
-				}
-				acked.Add(1)
-			}
-		}(c)
+		},
+	})
+	if err != nil || killErr != nil {
+		t.Fatalf("load: %v, kill: %v", err, killErr)
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	for acked.Load() < minAcked {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d submissions acknowledged before the deadline", acked.Load())
-		}
-		time.Sleep(time.Millisecond)
+	if load.Submitted < minAcked {
+		t.Fatalf("only %d submissions acknowledged before the deadline", load.Submitted)
 	}
-	if err := child.Process.Kill(); err != nil { // SIGKILL: no drain, no checkpoint
-		t.Fatal(err)
-	}
-	killed = true
 	_ = child.Wait()
-	stopped.Store(true)
-	wg.Wait()
 
 	// The journal is the crash's ground truth: no checkpoint was ever
 	// written, so every journaled admission is pending, and the watermark
@@ -133,8 +82,8 @@ func TestServeCrashRecovery(t *testing.T) {
 	if len(rec.Pending) == 0 || rec.Checkpoint != nil {
 		t.Fatalf("crash journal: %d pending, checkpoint=%v", len(rec.Pending), rec.Checkpoint)
 	}
-	if got := int64(len(rec.Pending)); got < acked.Load() {
-		t.Fatalf("journal holds %d admissions, %d were acknowledged", got, acked.Load())
+	if len(rec.Pending) < load.Submitted {
+		t.Fatalf("journal holds %d admissions, %d were acknowledged", len(rec.Pending), load.Submitted)
 	}
 	for _, a := range rec.Pending {
 		if a.ID >= rec.Watermark {
@@ -159,25 +108,23 @@ func TestServeCrashRecovery(t *testing.T) {
 		}
 	}
 
-	// Generation 2: restart over the same journal directory, in-process so
-	// the SIGINT drain path stays testable. The recovery banner must appear
-	// before the listener opens, and must report the full pending set.
+	// Generation 2: restart over the same journal directory. The recovery
+	// banner must appear before the listener opens, and must report the full
+	// pending set.
 	tracePath := filepath.Join(dir, "recovery.jsonl")
-	done, stdoutPath, stderrPath := startServe(t, append(serveArgs[:len(serveArgs):len(serveArgs)],
+	child2, gen2, outPath2 := fork(t, append(serveArgs[:len(serveArgs):len(serveArgs)],
 		"-trace", tracePath))
-	gen2 := waitForBanner(t, stdoutPath) // the whole banner is out before the order is judged
 	if gen2.Fsync != "always" || gen2.Replayed != len(rec.Pending) {
 		t.Fatalf("recovery banner %+v, journal had %d pending", gen2, len(rec.Pending))
 	}
-	addr2 := gen2.Addr
-	out, _ := os.ReadFile(stdoutPath)
+	out, _ := os.ReadFile(outPath2) // the whole banner is out before the order is judged
 	if strings.Index(string(out), "journal:") > strings.Index(string(out), "listening on") {
 		t.Fatalf("listener opened before recovery finished:\n%s", out)
 	}
 
 	// Live traffic resumes past the watermark: no id — and therefore no
 	// per-instance seed — is ever reused across the crash.
-	cl, err := service.DialClient(addr2)
+	cl, err := service.DialClient(gen2.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,17 +143,12 @@ func TestServeCrashRecovery(t *testing.T) {
 	}
 	_ = cl.Close()
 
-	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+	if err := child2.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case code := <-done:
-		if code != 0 {
-			errOut, _ := os.ReadFile(stderrPath)
-			t.Fatalf("recovered server exit %d\nstderr:\n%s", code, errOut)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("recovered server did not drain after SIGINT")
+	if err := child2.Wait(); err != nil {
+		out, _ := os.ReadFile(outPath2)
+		t.Fatalf("recovered server drain: %v\n%s", err, out)
 	}
 
 	// The trace pins the replay: one replay event per pending admission,

@@ -18,6 +18,10 @@
 // drain in which admitted values still decide while new submissions are
 // refused "ERR draining" — DESIGN.md §5.6 "The server lifecycle" gives its
 // order and what each banner line promises; §5.7 durability, §5.8 the ops plane.
+//
+// The crash and upgrade drills (`make crash`, `make upgrade`) run this same
+// process as a child: cli.Fork re-executes the test binary, whose TestMain
+// hands the marked process to cli.ServeForked.
 package main
 
 import (

@@ -4,11 +4,10 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
-	"time"
 
 	"byzex/internal/cli"
 	"byzex/internal/ident"
@@ -16,60 +15,49 @@ import (
 	"byzex/internal/trace"
 )
 
-// startServe runs baserve's run() in a goroutine with stdout/stderr
-// captured in temp files and returns the exit-code channel plus the output
-// paths. Callers drain the server by sending SIGINT to the test process —
-// run() installs the same NotifyContext the real binary uses, so this
-// exercises the production drain path.
-func startServe(t *testing.T, args []string) (done <-chan int, stdoutPath, stderrPath string) {
-	t.Helper()
-	dir := t.TempDir()
-	outF, err := os.Create(filepath.Join(dir, "stdout"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	errF, err := os.Create(filepath.Join(dir, "stderr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := make(chan int, 1)
-	go func() {
-		code := run(args, outF, errF)
-		_ = outF.Close()
-		_ = errF.Close()
-		ch <- code
-	}()
-	return ch, outF.Name(), errF.Name()
+// TestMain lets the test binary be the drills' forked server: a process
+// cli.Fork started serves its argv instead of running the tests.
+func TestMain(m *testing.M) {
+	cli.ServeForked("baserve")
+	os.Exit(m.Run())
 }
 
-// waitForBanner waits until the server writing to path has printed its whole
-// banner and returns it as cli parsed it — the banner's format has one owner.
-func waitForBanner(t *testing.T, path string) cli.Started {
+// fork starts a baserve child (see TestMain), so the drills can signal it as
+// an operator would; it returns the child, its banner and the path of its
+// output, and kills the child at cleanup.
+func fork(t *testing.T, args []string) (*exec.Cmd, cli.Started, string) {
 	t.Helper()
-	b, err := cli.AwaitBanner(path, 10*time.Second)
+	outF, err := os.Create(filepath.Join(t.TempDir(), "out"))
 	if err != nil {
-		out, _ := os.ReadFile(path)
+		t.Fatal(err)
+	}
+	defer func() { _ = outF.Close() }()
+	child, banner, err := cli.Fork(args, outF)
+	if err != nil {
+		out, _ := os.ReadFile(outF.Name())
 		t.Fatalf("%v:\n%s", err, out)
 	}
-	return b
+	t.Cleanup(func() {
+		_ = child.Process.Kill()
+		_ = child.Wait()
+	})
+	return child, banner, outF.Name()
 }
 
-// TestServeOpsPlaneEndToEnd is the ops-plane acceptance in one process:
-// baserve with -metrics-addr and a spooled -trace, real submissions over
-// the wire, a typed stats reply, a live /metrics scrape whose counters
-// match, then a SIGINT drain that leaves a parseable JSONL trace on disk.
+// TestServeOpsPlaneEndToEnd is the ops-plane acceptance: baserve with
+// -metrics-addr and a spooled -trace, real submissions over the wire, a
+// typed stats reply, a live /metrics scrape whose counters match, then a
+// SIGINT drain that leaves a parseable JSONL trace on disk.
 func TestServeOpsPlaneEndToEnd(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "run.jsonl")
-	done, stdoutPath, stderrPath := startServe(t, []string{
+	child, banner, outPath := fork(t, []string{
 		"-protocol", "alg1-multi", "-t", "3",
 		"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0",
 		"-batch", "4", "-shards", "2",
 		"-trace", tracePath, "-trace-ring", "8",
 	})
-	banner := waitForBanner(t, stdoutPath)
-	metricsAddr, addr := banner.MetricsAddr, banner.Addr
 
-	cl, err := service.DialClient(addr)
+	cl, err := service.DialClient(banner.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +75,7 @@ func TestServeOpsPlaneEndToEnd(t *testing.T) {
 		t.Fatalf("typed wire stats: %+v", st)
 	}
 
-	resp, err := http.Get("http://" + metricsAddr + "/metrics")
+	resp, err := http.Get("http://" + banner.MetricsAddr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,20 +97,14 @@ func TestServeOpsPlaneEndToEnd(t *testing.T) {
 	}
 	_ = cl.Close()
 
-	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+	if err := child.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case code := <-done:
-		if code != 0 {
-			errOut, _ := os.ReadFile(stderrPath)
-			t.Fatalf("exit %d\nstderr:\n%s", code, errOut)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("server did not drain after SIGINT")
+	err = child.Wait()
+	out, _ := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatalf("drain: %v\n%s", err, out)
 	}
-
-	out, _ := os.ReadFile(stdoutPath)
 	if !strings.Contains(string(out), "drained after") || !strings.Contains(string(out), "trace: "+tracePath) {
 		t.Fatalf("drain summary missing:\n%s", out)
 	}

@@ -3,11 +3,9 @@ package main
 import (
 	"context"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -21,33 +19,6 @@ import (
 	"byzex/internal/transport"
 	"byzex/internal/wire"
 )
-
-// startChildServe forks the test binary as a real baserve process (the
-// TestHelperServeProcess body), so the drill can signal it like an operator
-// would. Returns the command and the path of its combined output.
-func startChildServe(t *testing.T, dir, name string, args []string) (*exec.Cmd, string) {
-	t.Helper()
-	outF, err := os.Create(filepath.Join(dir, name+"-out"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	child := exec.Command(os.Args[0], "-test.run", "^TestHelperServeProcess$")
-	child.Env = append(os.Environ(),
-		"BASERVE_CRASH_HELPER=1",
-		"BASERVE_CRASH_ARGS="+strings.Join(args, "\x1f"),
-	)
-	child.Stdout = outF
-	child.Stderr = outF
-	if err := child.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		_ = outF.Close()
-		_ = child.Process.Kill()
-		_, _ = child.Process.Wait()
-	})
-	return child, outF.Name()
-}
 
 // TestServeRollingUpgrade is the scripted fleet upgrade: two journaled
 // baserve processes run side by side on the TCP transport, the "old" one
@@ -82,42 +53,36 @@ func TestServeRollingUpgrade(t *testing.T) {
 		"-addr", "127.0.0.1:0", "-shards", "2",
 		"-transport", "tcp", "-wire-version", strconv.Itoa(int(wire.FrameVersion)),
 	}
-	childA, outA := startChildServe(t, dir, "a-gen1", argsA)
-	_, outB := startChildServe(t, dir, "b", argsB)
-	genA := waitForBanner(t, outA)
+	childA, genA, outA := fork(t, argsA)
 	if genA.Fsync != "always" || genA.Watermark != 0 || genA.Replayed != 0 {
 		t.Fatalf("fresh journal banner: %+v", genA)
 	}
-	addrA, addrB := genA.Addr, waitForBanner(t, outB).Addr
+	_, genB, _ := fork(t, argsB)
 
 	// Continuous load to B for the whole drill: the roll must not dent it.
-	var (
-		ackedB  atomic.Int64
-		stopB   atomic.Bool
-		wgB     sync.WaitGroup
-		loadErr atomic.Value
-	)
-	wgB.Add(1)
+	// Each acknowledgement bumps ackedB and ticks ackB.
+	var ackedB atomic.Int64
+	ackB := make(chan struct{}, 1)
+	loadB, stopB := context.WithCancel(context.Background())
+	doneB := make(chan error, 1)
 	go func() {
-		defer wgB.Done()
-		cl, err := service.DialClient(addrB)
-		if err != nil {
-			loadErr.Store(err)
-			return
-		}
-		defer func() { _ = cl.Close() }()
-		for i := 0; !stopB.Load(); i++ {
-			if _, err := cl.Submit(ident.Value(i % 2)); err != nil {
-				loadErr.Store(err)
-				return
-			}
-			ackedB.Add(1)
-		}
+		_, err := service.RunLoad(loadB, service.LoadConfig{
+			Addr:     genB.Addr,
+			ValueFor: func(_, i int) ident.Value { return ident.Value(i % 2) },
+			OnAck: func(acked int) {
+				ackedB.Store(int64(acked))
+				select {
+				case ackB <- struct{}{}:
+				default:
+				}
+			},
+		})
+		doneB <- err
 	}()
 
 	// Old-version A takes traffic past its checkpoint budget, so at least
 	// one live checkpoint lands before the drain writes the final one.
-	clA, err := service.DialClient(addrA)
+	clA, err := service.DialClient(genA.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,15 +123,13 @@ func TestServeRollingUpgrade(t *testing.T) {
 
 	// Generation 2: same journal directory, current frame version.
 	argsA2 := append(argsA[:len(argsA):len(argsA)], "-wire-version", strconv.Itoa(int(wire.FrameVersion)))
-	_, outA2 := startChildServe(t, dir, "a-gen2", argsA2)
-	genA2 := waitForBanner(t, outA2)
+	_, genA2, _ := fork(t, argsA2)
 	if genA2.Fsync != "always" || genA2.Watermark != ackedA || genA2.Replayed != 0 {
 		t.Fatalf("upgraded server banner %+v, want watermark %d replayed 0", genA2, ackedA)
 	}
-	addrA2 := genA2.Addr
 
 	// Instance ids continue exactly past the old generation's watermark.
-	clA2, err := service.DialClient(addrA2)
+	clA2, err := service.DialClient(genA2.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,19 +148,18 @@ func TestServeRollingUpgrade(t *testing.T) {
 	_ = clA2.Close()
 
 	// B never stopped: its acknowledged count moved while A was down.
-	deadline := time.Now().Add(15 * time.Second)
+	deadline := time.After(15 * time.Second)
 	for ackedB.Load() <= ackedBeforeRoll {
-		if err, _ := loadErr.Load().(error); err != nil {
+		select {
+		case <-ackB:
+		case err := <-doneB:
 			t.Fatalf("sibling load interrupted during the roll: %v", err)
-		}
-		if time.Now().After(deadline) {
+		case <-deadline:
 			t.Fatalf("sibling served nothing during the roll (stuck at %d)", ackedBeforeRoll)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	stopB.Store(true)
-	wgB.Wait()
-	if err, _ := loadErr.Load().(error); err != nil {
+	stopB()
+	if err := <-doneB; err != nil {
 		t.Fatalf("sibling load interrupted during the roll: %v", err)
 	}
 

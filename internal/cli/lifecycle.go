@@ -1,7 +1,6 @@
 // The server lifecycle, written once (DESIGN.md §5.6 gives the order of
 // bring-up and drain and the reason for each step): baserve, `baload
-// -selfhost` and the churn drill's child run a server through Start, Banner
-// and Drain; the drills read a banner back through AwaitBanner.
+// -selfhost` and the drills' child (Fork) run Start, Banner and Drain.
 
 package cli
 
@@ -13,6 +12,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"os/exec"
 	"os/signal"
 	"regexp"
 	"strconv"
@@ -225,9 +225,36 @@ func CheckpointWarning(w io.Writer, failures uint64) {
 	}
 }
 
-// ServeMain is a serving process — baserve, and the child the churn drill
-// forks from baload: parse, start, banner, wait for SIGINT/SIGTERM, drain,
-// summary.
+const forkedEnv = "BYZEX_FORKED_SERVER" // marks Fork's child: the one drill env var
+
+// Fork starts this binary again as a serving process, one the drills can
+// SIGKILL, with args as its serving flags and its output in out; it returns
+// once the banner is out. main (or TestMain) must call ServeForked first.
+func Fork(args []string, out *os.File) (*exec.Cmd, Started, error) {
+	child := exec.Command(os.Args[0], args...)
+	child.Env = append(os.Environ(), forkedEnv+"=1")
+	child.Stdout, child.Stderr = out, out
+	if err := child.Start(); err != nil {
+		return nil, Started{}, err
+	}
+	b, err := AwaitBanner(out.Name(), 30*time.Second)
+	if err != nil {
+		_ = child.Process.Kill()
+		_ = child.Wait()
+		return nil, b, err
+	}
+	return child, b, nil
+}
+
+// ServeForked serves, then exits, when this process is one Fork started.
+func ServeForked(name string) {
+	if os.Getenv(forkedEnv) == "1" {
+		os.Exit(ServeMain(name, os.Args[1:], os.Stdout, os.Stderr))
+	}
+}
+
+// ServeMain is a serving process — baserve, and the child the drills fork:
+// parse, start, banner, wait for SIGINT/SIGTERM, drain, summary.
 func ServeMain(name string, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.SetOutput(stderr)

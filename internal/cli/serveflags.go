@@ -121,14 +121,20 @@ func (sf *ServeFlags) serviceConfig(tmpl core.Config) (service.Config, error) {
 		return cfg, errors.New("-wire-version requires -transport tcp")
 	}
 	if *sf.Adaptive {
-		bmax := *sf.BatchMax
-		if bmax < 1 {
-			bmax = *sf.Batch
-		}
-		if bmax < 2 {
-			bmax = 16
-		}
-		cfg.BatchMin, cfg.BatchMax = *sf.BatchMin, bmax
+		cfg.BatchMin, cfg.BatchMax = *sf.BatchMin, sf.MaxBatch()
 	}
 	return cfg, nil
+}
+
+// MaxBatch is the most values one instance carries: the fixed -batch, or the
+// adaptive window's top (-batch-max, else -batch; 16 if that is below 2).
+func (sf *ServeFlags) MaxBatch() int {
+	bmax := *sf.BatchMax
+	if !*sf.Adaptive || bmax < 1 {
+		bmax = *sf.Batch
+	}
+	if *sf.Adaptive && bmax < 2 {
+		bmax = 16
+	}
+	return max(bmax, 1)
 }

@@ -7,6 +7,15 @@ import (
 	"byzex/internal/ident"
 )
 
+// MustParse compiles a literal spec+seed in one call.
+func MustParse(s string, seed int64) *Plan {
+	spec, err := ParseSpec(s)
+	if err != nil {
+		panic(err)
+	}
+	return MustCompile(spec, seed)
+}
+
 func TestParseSpecFullExample(t *testing.T) {
 	spec, err := ParseSpec("crash=1@3; drop=2->4@2-5/0.5; partition=0,1|5,6@2; delay=3->*@1-2+2; dup=*->0@*; reorder=6->*@4")
 	if err != nil {

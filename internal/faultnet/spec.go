@@ -60,15 +60,6 @@ func ParseSpec(s string) (Spec, error) {
 	return spec, nil
 }
 
-// MustParse compiles a literal spec+seed in one call, for tests and examples.
-func MustParse(s string, seed int64) *Plan {
-	spec, err := ParseSpec(s)
-	if err != nil {
-		panic(err)
-	}
-	return MustCompile(spec, seed)
-}
-
 func parseCrash(rest string) (Rule, error) {
 	procStr, phaseStr, ok := strings.Cut(rest, "@")
 	if !ok {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -232,29 +231,13 @@ func BenchmarkServiceSharded(b *testing.B) {
 // gates on. BENCH_006.json is its archived run.
 func BenchmarkServiceOpenLoop(b *testing.B) {
 	const rate = 2000.0
-	ctx := context.Background()
-	svc, err := service.New(ctx, service.Config{
+	_, addr := startServer(b, service.Config{
 		Template:   core.Config{Protocol: alg1.MultiProtocol{}, N: 7, T: 3, Seed: 99},
 		Shards:     4,
 		QueueDepth: 1024,
 		BatchMin:   1,
 		BatchMax:   16,
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	serveCtx, stopServe := context.WithCancel(ctx)
-	served := make(chan error, 1)
-	go func() { served <- service.Serve(serveCtx, ln, svc) }()
-	defer func() {
-		stopServe()
-		<-served
-		svc.Close()
-	}()
 
 	// Scale the arrival window so the schedule offers roughly b.N arrivals
 	// at the fixed rate (an open loop is defined by rate, not count).
@@ -263,13 +246,13 @@ func BenchmarkServiceOpenLoop(b *testing.B) {
 		duration = 50 * time.Millisecond
 	}
 	b.ResetTimer()
-	stats, err := service.RunOpenLoad(ctx, service.OpenLoadConfig{
-		Addr:     ln.Addr().String(),
+	stats, err := service.RunLoad(context.Background(), service.LoadConfig{
+		Addr:     addr,
 		Conns:    32,
 		Rate:     rate,
 		Duration: duration,
 		Seed:     99,
-		ValueFor: func(i int) ident.Value { return ident.Value(i % 251) },
+		ValueFor: func(_, i int) ident.Value { return ident.Value(i % 251) },
 	})
 	b.StopTimer()
 	if err != nil {

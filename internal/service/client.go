@@ -125,28 +125,40 @@ func parseReply(line string) (Reply, error) {
 	return r, nil
 }
 
-// LoadConfig parameterizes a closed-loop load run.
+// LoadConfig parameterizes RunLoad; Rate picks the shape (see RunLoad).
 type LoadConfig struct {
 	// Addr is the serving address.
 	Addr string
-	// Conns is the number of concurrent connections (closed loop: each
-	// connection has exactly one request outstanding).
+	// Conns is the number of connections, each with at most one request
+	// outstanding. An open loop hands each arrival to the first free
+	// connection, so Conns bounds in-flight requests without changing the
+	// schedule (arrivals beyond it queue, and their queue wait counts
+	// against latency).
 	Conns int
-	// Requests is the number of successful submissions per connection.
+	// Requests is the closed loop's number of successful submissions per
+	// connection; 0 means no cap: the loop runs until ctx is cancelled.
 	Requests int
-	// ValueFor picks the value connection c submits as its i-th request
-	// (default: a deterministic mix of c and i).
+	// ValueFor picks the value connection c submits as its request i — in an
+	// open loop, as arrival i (default: a deterministic mix of c and i).
 	ValueFor func(c, i int) ident.Value
-	// RetryWait is the backoff after an ErrQueueFull rejection before the
-	// same value is retried (default 200µs).
+	// RetryWait is the closed loop's mean backoff after an ErrQueueFull
+	// rejection before the same value is retried (default 200µs).
 	RetryWait time.Duration
+	// Rate > 0 makes the loop open: PoissonSchedule(Seed, Rate, Duration)
+	// arrivals, in submissions per second over the arrival window.
+	Rate     float64
+	Duration time.Duration
+	Seed     int64
+	// OnAck, when set, is told the running count of successful submissions
+	// as each lands. It runs under the run's lock, so the calls are
+	// serialized and the count strictly grows; it must not block.
+	OnAck func(acked int)
 }
 
-// LoadStats aggregates a load run (closed loop: RunLoad; open loop:
-// RunOpenLoad).
+// LoadStats aggregates a load run.
 type LoadStats struct {
-	// Offered counts scheduled arrivals (open-loop runs only; 0 for
-	// closed-loop runs, where offered load is defined by completions).
+	// Offered counts scheduled arrivals (open loop only; 0 for a closed
+	// loop, where offered load is defined by completions).
 	Offered int
 	// Submitted counts successful submissions; Rejected counts
 	// ErrQueueFull rejections — retried in a closed loop, shed in an
@@ -204,78 +216,153 @@ func (ls *LoadStats) AmortizedMsgsPerValue() float64 {
 	return float64(ls.MsgsTotal) / float64(ls.ValuesServed)
 }
 
-// RunLoad drives a closed-loop load against a serving address: Conns
-// connections each submit Requests values sequentially, retrying
-// backpressure rejections. The returned stats carry latency percentiles,
-// throughput and the amortized per-value costs of every distinct instance
-// observed.
+// RunLoad drives load against a serving address over Conns connections in
+// one of three shapes:
+//   - closed (Rate 0): each connection submits Requests values in turn,
+//     retrying an ErrQueueFull rejection after a jittered RetryWait;
+//   - open (Rate > 0): the arrivals of PoissonSchedule(Seed, Rate,
+//     Duration) fan out over the connections, rejections are shed (counted,
+//     never retried — an open loop does not slow down), and each latency is
+//     measured from the arrival's scheduled time;
+//   - drill (Rate 0, Requests 0): the closed loop with no cap, until ctx is
+//     cancelled. That cancel ends the run without an error, so connections
+//     severed after it — a drill killing its server — are not failures.
+//
+// The first connection error stops every connection and is the run's error.
+// The returned stats carry latency percentiles, throughput and the
+// amortized per-value costs of every distinct instance observed.
 func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadStats, error) {
-	if cfg.Conns < 1 {
-		cfg.Conns = 1
+	r := &loadRun{LoadConfig: cfg, stats: &LoadStats{Instances: make(map[uint64]Reply)}}
+	r.Conns = max(r.Conns, 1)
+	if r.ValueFor == nil {
+		r.ValueFor = func(c, i int) ident.Value { return ident.Value(c*1000 + i) }
 	}
-	if cfg.Requests < 1 {
-		cfg.Requests = 1
+	if r.RetryWait <= 0 {
+		r.RetryWait = 200 * time.Microsecond
 	}
-	if cfg.ValueFor == nil {
-		cfg.ValueFor = func(c, i int) ident.Value { return ident.Value(c*1000 + i) }
+	if r.Rate > 0 {
+		if r.Duration <= 0 {
+			return nil, errors.New("service: open-loop duration must be positive")
+		}
+		r.sched = PoissonSchedule(r.Seed, r.Rate, r.Duration)
+		r.stats.Offered = len(r.sched)
+		r.arrivals = make(chan int, len(r.sched))
 	}
-	if cfg.RetryWait <= 0 {
-		cfg.RetryWait = 200 * time.Microsecond
-	}
-
-	stats := &LoadStats{Instances: make(map[uint64]Reply)}
-	var mu sync.Mutex
+	runCtx, stop := context.WithCancelCause(ctx)
+	defer stop(nil)
 	var wg sync.WaitGroup
-	errs := make([]error, cfg.Conns)
-	start := time.Now()
-	for c := 0; c < cfg.Conns; c++ {
+	r.start = time.Now()
+	if r.arrivals != nil {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
-			errs[c] = loadConn(ctx, cfg, c, stats, &mu)
-		}(c)
+			r.dispatch(runCtx)
+		}()
+	}
+	for c := range r.Conns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := r.conn(runCtx, c); err != nil {
+				stop(err)
+			}
+		}()
 	}
 	wg.Wait()
-	stats.Elapsed = time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return stats, err
-		}
+	stats := r.stats
+	stats.Elapsed = time.Since(r.start)
+	err := context.Cause(runCtx)
+	if r.Rate <= 0 && r.Requests <= 0 && err == context.Cause(ctx) {
+		err = nil // stopped by ctx, not by a connection: the drill's end
+	}
+	if err != nil {
+		return stats, err
 	}
 	sort.Slice(stats.Latencies, func(i, j int) bool { return stats.Latencies[i] < stats.Latencies[j] })
-	for _, r := range stats.Instances {
-		if r.Committed {
-			stats.ValuesServed += r.Batch
-			stats.MsgsTotal += r.Msgs
-			stats.SigsTotal += r.Sigs
+	for _, rep := range stats.Instances {
+		if rep.Committed {
+			stats.ValuesServed += rep.Batch
+			stats.MsgsTotal += rep.Msgs
+			stats.SigsTotal += rep.Sigs
 		}
 	}
 	return stats, nil
 }
 
-func loadConn(ctx context.Context, cfg LoadConfig, c int, stats *LoadStats, mu *sync.Mutex) error {
-	cl, err := DialClient(cfg.Addr)
+// loadRun is one RunLoad in progress.
+type loadRun struct {
+	LoadConfig
+	start    time.Time
+	sched    []time.Duration // open loop: arrival offsets from start
+	arrivals chan int        // open loop: indexes into sched, released when due
+	mu       sync.Mutex      // guards stats
+	stats    *LoadStats
+}
+
+// dispatch releases each arrival at its scheduled time. It never blocks on
+// the connections: the channel holds the whole schedule, so a backed-up
+// connection pool delays service, not arrivals — the definition of an open
+// loop.
+func (r *loadRun) dispatch(ctx context.Context) {
+	defer close(r.arrivals)
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	<-timer.C
+	for i, off := range r.sched {
+		if wait := time.Until(r.start.Add(off)); wait > 0 {
+			timer.Reset(wait)
+			select {
+			case <-ctx.Done():
+				return
+			case <-timer.C:
+			}
+		}
+		r.arrivals <- i
+	}
+}
+
+// conn is one connection's loop: the closed loop's requests 0, 1, … in
+// turn, or the open loop's arrivals as they are released.
+func (r *loadRun) conn(ctx context.Context, c int) error {
+	cl, err := DialClient(r.Addr)
 	if err != nil {
 		return err
 	}
 	defer func() { _ = cl.Close() }()
+	open := r.arrivals != nil
 	// Per-connection rng decorrelates the retry waits: with a fixed sleep,
 	// every connection rejected by the same full queue retried in lock-step
 	// and slammed the queue again as one synchronized wave.
 	rng := rand.New(rand.NewSource(int64(c)*0x9e3779b9 + 1))
-	for i := 0; i < cfg.Requests; i++ {
-		v := cfg.ValueFor(c, i)
+	for n := 0; open || r.Requests <= 0 || n < r.Requests; n++ {
+		i, arrival := n, time.Time{}
+		if open {
+			var ok bool
+			if i, ok = <-r.arrivals; !ok {
+				return nil
+			}
+			arrival = r.start.Add(r.sched[i])
+		}
 		for {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			begin := time.Now()
-			reply, err := cl.Submit(v)
-			if errors.Is(err, ErrQueueFull) {
-				mu.Lock()
-				stats.Rejected++
-				mu.Unlock()
-				if err := sleepJittered(ctx, cfg.RetryWait, rng); err != nil {
+			if !open {
+				arrival = time.Now()
+			}
+			reply, err := cl.Submit(r.ValueFor(c, i))
+			// Open loop: latency from the scheduled arrival, not the Submit
+			// call — time spent queued behind the connection pool is real
+			// user wait.
+			lat := time.Since(arrival)
+			if errors.Is(err, ErrQueueFull) || open && errors.Is(err, ErrDraining) {
+				r.mu.Lock()
+				r.stats.Rejected++
+				r.mu.Unlock()
+				if open {
+					break
+				}
+				if err := sleepJittered(ctx, r.RetryWait, rng); err != nil {
 					return err
 				}
 				continue
@@ -283,12 +370,14 @@ func loadConn(ctx context.Context, cfg LoadConfig, c int, stats *LoadStats, mu *
 			if err != nil {
 				return fmt.Errorf("conn %d request %d: %w", c, i, err)
 			}
-			lat := time.Since(begin)
-			mu.Lock()
-			stats.Submitted++
-			stats.Latencies = append(stats.Latencies, lat)
-			stats.Instances[reply.InstanceID] = reply
-			mu.Unlock()
+			r.mu.Lock()
+			r.stats.Submitted++
+			r.stats.Latencies = append(r.stats.Latencies, lat)
+			r.stats.Instances[reply.InstanceID] = reply
+			if r.OnAck != nil {
+				r.OnAck(r.stats.Submitted)
+			}
+			r.mu.Unlock()
 			break
 		}
 	}

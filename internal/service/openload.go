@@ -1,19 +1,12 @@
 package service
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
 	"time"
-
-	"byzex/internal/ident"
 )
 
-// Open-loop load generation. RunLoad (client.go) is a closed loop: each
-// connection submits, waits, submits again, so offered load collapses to
+// The open loop's arrivals. A closed loop (RunLoad with Rate 0) submits,
+// waits, submits again on each connection, so offered load collapses to
 // whatever the server sustains and latency numbers hide overload entirely.
 // An open loop models a population of independent users: arrivals follow a
 // Poisson process at a fixed rate whether or not earlier requests have
@@ -43,140 +36,4 @@ func PoissonSchedule(seed int64, rate float64, duration time.Duration) []time.Du
 		}
 		out = append(out, at)
 	}
-}
-
-// OpenLoadConfig parameterizes an open-loop run.
-type OpenLoadConfig struct {
-	// Addr is the serving address.
-	Addr string
-	// Conns is the connection fan-out: arrivals are dispatched to the first
-	// free connection, so Conns bounds in-flight requests without changing
-	// the arrival schedule (arrivals beyond it queue, and their queue wait
-	// counts against latency).
-	Conns int
-	// Rate is the Poisson arrival rate in submissions per second.
-	Rate float64
-	// Duration is the arrival window; the run then drains in-flight work.
-	Duration time.Duration
-	// Seed fixes the arrival schedule (see PoissonSchedule).
-	Seed int64
-	// ValueFor picks the value of the i-th arrival (default: a
-	// deterministic function of i).
-	ValueFor func(i int) ident.Value
-}
-
-// RunOpenLoad drives an open-loop load: PoissonSchedule(Seed, Rate,
-// Duration) arrivals fan out over Conns connections, queue-full rejections
-// are shed (counted, never retried — an open loop does not slow down), and
-// every latency is measured from the request's scheduled arrival time.
-// The returned stats carry Offered alongside the closed-loop fields, so an
-// SLO gate can verify the intended load was actually offered.
-func RunOpenLoad(ctx context.Context, cfg OpenLoadConfig) (*LoadStats, error) {
-	if cfg.Conns < 1 {
-		cfg.Conns = 1
-	}
-	if cfg.Rate <= 0 {
-		return nil, errors.New("service: open-loop rate must be positive")
-	}
-	if cfg.Duration <= 0 {
-		return nil, errors.New("service: open-loop duration must be positive")
-	}
-	if cfg.ValueFor == nil {
-		cfg.ValueFor = func(i int) ident.Value { return ident.Value(i%2 + i%3) }
-	}
-	sched := PoissonSchedule(cfg.Seed, cfg.Rate, cfg.Duration)
-	stats := &LoadStats{
-		Instances: make(map[uint64]Reply),
-		Offered:   len(sched),
-	}
-
-	// The dispatcher never blocks on workers: the jobs channel holds the
-	// whole schedule, so a backed-up connection pool delays service, not
-	// arrivals — the definition of an open loop.
-	jobs := make(chan int, len(sched))
-	start := time.Now()
-	dispatchErr := make(chan error, 1)
-	go func() {
-		defer close(jobs)
-		timer := time.NewTimer(0)
-		defer timer.Stop()
-		<-timer.C
-		for i, off := range sched {
-			if wait := time.Until(start.Add(off)); wait > 0 {
-				timer.Reset(wait)
-				select {
-				case <-ctx.Done():
-					dispatchErr <- ctx.Err()
-					return
-				case <-timer.C:
-				}
-			}
-			jobs <- i
-		}
-		dispatchErr <- nil
-	}()
-
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	errs := make([]error, cfg.Conns)
-	for c := 0; c < cfg.Conns; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			errs[c] = openLoadConn(ctx, cfg, sched, start, jobs, stats, &mu)
-		}(c)
-	}
-	wg.Wait()
-	stats.Elapsed = time.Since(start)
-	if err := <-dispatchErr; err != nil {
-		return stats, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return stats, err
-		}
-	}
-	sort.Slice(stats.Latencies, func(i, j int) bool { return stats.Latencies[i] < stats.Latencies[j] })
-	for _, r := range stats.Instances {
-		if r.Committed {
-			stats.ValuesServed += r.Batch
-			stats.MsgsTotal += r.Msgs
-			stats.SigsTotal += r.Sigs
-		}
-	}
-	return stats, nil
-}
-
-func openLoadConn(ctx context.Context, cfg OpenLoadConfig, sched []time.Duration, start time.Time, jobs <-chan int, stats *LoadStats, mu *sync.Mutex) error {
-	cl, err := DialClient(cfg.Addr)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = cl.Close() }()
-	for i := range jobs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		reply, err := cl.Submit(cfg.ValueFor(i))
-		// Latency from the scheduled arrival, not the Submit call: time an
-		// arrival spent queued behind the connection pool is real user wait.
-		lat := time.Since(start.Add(sched[i]))
-		switch {
-		case errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDraining):
-			mu.Lock()
-			stats.Rejected++
-			mu.Unlock()
-		case err != nil:
-			return fmt.Errorf("open-loop arrival %d: %w", i, err)
-		default:
-			mu.Lock()
-			stats.Submitted++
-			stats.Latencies = append(stats.Latencies, lat)
-			stats.Instances[reply.InstanceID] = reply
-			mu.Unlock()
-		}
-	}
-	return nil
 }

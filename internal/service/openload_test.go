@@ -2,12 +2,15 @@ package service_test
 
 import (
 	"context"
-	"net"
 	"testing"
 	"time"
 
+	"byzex/internal/ident"
 	"byzex/internal/service"
 )
+
+// arrivalValue picks an open-loop arrival's value from its index alone.
+func arrivalValue(_, i int) ident.Value { return ident.Value(i%2 + i%3) }
 
 // TestPoissonScheduleDeterministic is the replayability acceptance: a fixed
 // seed reproduces the arrival schedule exactly, and the schedule has the
@@ -71,37 +74,20 @@ func TestPoissonScheduleDeterministic(t *testing.T) {
 // lost), latencies are measured per success, and the amortized-cost
 // aggregation carries over from the closed-loop path.
 func TestOpenLoadAgainstService(t *testing.T) {
-	ctx := context.Background()
-	svc, err := service.New(ctx, service.Config{
+	svc, addr := startServer(t, service.Config{
 		Template:   multiTemplate(23),
 		Shards:     8,
 		QueueDepth: 64,
 		BatchSize:  4,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveCtx, stopServe := context.WithCancel(ctx)
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- service.Serve(serveCtx, ln, svc) }()
-	defer func() {
-		stopServe()
-		if err := <-serveDone; err != nil {
-			t.Error(err)
-		}
-		svc.Close()
-	}()
 
-	stats, err := service.RunOpenLoad(ctx, service.OpenLoadConfig{
-		Addr:     ln.Addr().String(),
+	stats, err := service.RunLoad(context.Background(), service.LoadConfig{
+		Addr:     addr,
 		Conns:    8,
 		Rate:     400,
 		Duration: 500 * time.Millisecond,
 		Seed:     7,
+		ValueFor: arrivalValue,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,40 +131,25 @@ func TestOpenLoadAgainstService(t *testing.T) {
 // relies on: against a tiny queue, offered load does not slow down — excess
 // arrivals are rejected and counted, not retried into a closed loop.
 func TestOpenLoadShedsUnderOverload(t *testing.T) {
-	ctx := context.Background()
-	svc, err := service.New(ctx, service.Config{
+	_, addr := startServer(t, service.Config{
 		Template:   multiTemplate(29),
 		Shards:     1,
 		QueueDepth: 1,
 		BatchSize:  1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveCtx, stopServe := context.WithCancel(ctx)
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- service.Serve(serveCtx, ln, svc) }()
-	defer func() {
-		stopServe()
-		<-serveDone
-		svc.Close()
-	}()
 
 	// A fast machine can occasionally drain the single slot quicker than a
 	// fixed offered rate fills it, so escalate until something sheds: the
 	// property under test is that overload rejects rather than queues, not
 	// that any particular rate constitutes overload.
 	for attempt, rate := 0, float64(2000); ; attempt, rate = attempt+1, rate*4 {
-		stats, err := service.RunOpenLoad(ctx, service.OpenLoadConfig{
-			Addr:     ln.Addr().String(),
+		stats, err := service.RunLoad(context.Background(), service.LoadConfig{
+			Addr:     addr,
 			Conns:    4,
 			Rate:     rate,
 			Duration: 300 * time.Millisecond,
 			Seed:     11,
+			ValueFor: arrivalValue,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -13,8 +13,9 @@ import (
 	"byzex/internal/service"
 )
 
-// startServer runs a Service behind the line protocol on an ephemeral port.
-func startServer(t *testing.T, cfg service.Config) (*service.Service, string, func()) {
+// startServer runs a Service behind the line protocol on an ephemeral port
+// until the test's cleanup.
+func startServer(t testing.TB, cfg service.Config) (*service.Service, string) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	svc, err := service.New(ctx, cfg)
@@ -29,14 +30,14 @@ func startServer(t *testing.T, cfg service.Config) (*service.Service, string, fu
 	}
 	done := make(chan error, 1)
 	go func() { done <- service.Serve(ctx, ln, svc) }()
-	stop := func() {
+	t.Cleanup(func() {
 		svc.Close()
 		cancel()
 		if err := <-done; err != nil {
 			t.Errorf("serve: %v", err)
 		}
-	}
-	return svc, ln.Addr().String(), stop
+	})
+	return svc, ln.Addr().String()
 }
 
 // TestServeLoad100ConcurrentInstances is the acceptance scenario: the sim
@@ -48,7 +49,7 @@ func TestServeLoad100ConcurrentInstances(t *testing.T) {
 		t.Skip("100-connection load run")
 	}
 	tmpl := template(17)
-	svc, addr, stop := startServer(t, service.Config{
+	svc, addr := startServer(t, service.Config{
 		Template:   tmpl,
 		Shards:     100,
 		QueueDepth: 256,
@@ -64,7 +65,6 @@ func TestServeLoad100ConcurrentInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop()
 
 	if load.Submitted != 300 {
 		t.Fatalf("submitted %d, want 300", load.Submitted)
@@ -122,14 +122,13 @@ func TestServeLoad100ConcurrentInstances(t *testing.T) {
 // instances for batched submissions and that uncommitted batches never
 // happen with a correct transmitter.
 func TestServeBatchingOverWire(t *testing.T) {
-	_, addr, stop := startServer(t, service.Config{
+	_, addr := startServer(t, service.Config{
 		Template:   multiTemplate(23),
 		Shards:     2,
 		QueueDepth: 64,
 		BatchSize:  8,
 		Linger:     2 * time.Millisecond,
 	})
-	defer stop()
 
 	load, err := service.RunLoad(context.Background(), service.LoadConfig{
 		Addr:     addr,
@@ -171,13 +170,12 @@ func TestServeRejectsAndStats(t *testing.T) {
 		}
 		return service.RunSim(ctx, cfg)
 	}
-	svc, addr, stop := startServer(t, service.Config{
+	svc, addr := startServer(t, service.Config{
 		Template:   template(29),
 		Substrate:  service.SharedRun(slow),
 		Shards:     1,
 		QueueDepth: 1,
 	})
-	defer stop()
 
 	// Saturate in-process (Submit never blocks) until the queue is full:
 	// 1 executing + 1 staged by the batcher + 1 queued. Nothing drains

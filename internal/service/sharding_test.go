@@ -120,7 +120,11 @@ func TestShardingDeterministic(t *testing.T) {
 func TestShardingFaultPlanDeterministic(t *testing.T) {
 	const values = 12
 	tmpl := multiTemplate(11)
-	tmpl.Faults = faultnet.MustParse("crash=6@3;drop=2->4@1-2/0.5", tmpl.Seed)
+	spec, err := faultnet.ParseSpec("crash=6@3;drop=2->4@1-2/0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl.Faults = faultnet.MustCompile(spec, tmpl.Seed)
 	if err := tmpl.Faults.CheckBudget(tmpl.N, tmpl.T); err != nil {
 		t.Fatalf("fault plan out of budget: %v", err)
 	}

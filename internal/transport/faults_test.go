@@ -27,6 +27,16 @@ func runTCP(t *testing.T, cfg core.Config, linkDelay time.Duration) (*transport.
 	return res, buf
 }
 
+// mustPlan compiles a literal fault spec.
+func mustPlan(t *testing.T, spec string, seed int64) *faultnet.Plan {
+	t.Helper()
+	parsed, err := faultnet.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return faultnet.MustCompile(parsed, seed)
+}
+
 func sameEvents(a, b []trace.Event) bool {
 	if len(a) != len(b) {
 		return false
@@ -87,7 +97,7 @@ func TestScenarioMatrix(t *testing.T) {
 		phases := proto.Phases(e.N, e.T)
 		for _, sc := range scenarios {
 			t.Run(e.Name+"/"+sc.name, func(t *testing.T) {
-				plan := faultnet.MustParse(sc.spec, seed)
+				plan := mustPlan(t, sc.spec, seed)
 				if err := plan.CheckBudget(e.N, e.T); err != nil {
 					t.Fatalf("scenario not in budget: %v", err)
 				}
@@ -184,7 +194,7 @@ func TestOverBudgetFaultsFailTyped(t *testing.T) {
 
 	t.Run("blanket drop stalls", func(t *testing.T) {
 		cfg := base
-		cfg.Faults = faultnet.MustParse("drop=*->*@*", 1)
+		cfg.Faults = mustPlan(t, "drop=*->*@*", 1)
 		cfg.FaultyOverride = ident.NewSet(1, 2) // the most t allows; the plan veils 4
 		_, err := transport.RunCluster(context.Background(), cfg, transport.Net{PhaseTimeout: 2 * time.Second})
 		if !errors.Is(err, transport.ErrStalled) {
@@ -194,7 +204,7 @@ func TestOverBudgetFaultsFailTyped(t *testing.T) {
 
 	t.Run("unbudgeted crash surfaces", func(t *testing.T) {
 		cfg := base
-		cfg.Faults = faultnet.MustParse("crash=1@2", 1)
+		cfg.Faults = mustPlan(t, "crash=1@2", 1)
 		cfg.FaultyOverride = make(ident.Set) // crash victim not judged faulty
 		_, err := transport.RunCluster(context.Background(), cfg, transport.Net{PhaseTimeout: 2 * time.Second})
 		if !errors.Is(err, transport.ErrPeerCrashed) {
@@ -204,7 +214,7 @@ func TestOverBudgetFaultsFailTyped(t *testing.T) {
 
 	t.Run("crash trio beyond t", func(t *testing.T) {
 		cfg := base
-		cfg.Faults = faultnet.MustParse("crash=1@2;crash=2@2;crash=3@2", 1)
+		cfg.Faults = mustPlan(t, "crash=1@2;crash=2@2;crash=3@2", 1)
 		cfg.FaultyOverride = ident.NewSet(1, 2)
 		_, err := transport.RunCluster(context.Background(), cfg, transport.Net{PhaseTimeout: 2 * time.Second})
 		if !errors.Is(err, transport.ErrStalled) && !errors.Is(err, transport.ErrPeerCrashed) {

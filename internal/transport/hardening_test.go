@@ -158,7 +158,11 @@ func TestNoteFrameLateDrop(t *testing.T) {
 // noteFrame directly: drop empties but still arrives, delay stashes for the
 // due phase, dup doubles, reorder reverses.
 func TestNoteFrameFaultTransforms(t *testing.T) {
-	plan := faultnet.MustParse("drop=1->0@1;delay=2->0@1+1;dup=1->0@2;reorder=2->0@2", 7)
+	spec, err := faultnet.ParseSpec("drop=1->0@1;delay=2->0@1+1;dup=1->0@2;reorder=2->0@2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := faultnet.MustCompile(spec, 7)
 	p := testPeer(peerConfig{id: 0, n: 4, t: 3, timeout: 10 * time.Millisecond, faults: plan})
 
 	env := func(from ident.ProcID, phase int, tag string) sim.Envelope {

@@ -7,7 +7,6 @@ import (
 
 	"byzex/internal/cli"
 	"byzex/internal/core"
-	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocol"
 	"byzex/internal/sim"
@@ -88,7 +87,7 @@ func TestLinkDelayNeverEarlyPerLink(t *testing.T) {
 			defer m.Close()
 			cfg := core.Config{Protocol: proto, N: n, T: f, Value: ident.V1}
 			if spec != "" {
-				cfg.Faults = faultnet.MustParse(spec, 1)
+				cfg.Faults = mustPlan(t, spec, 1)
 				cfg.FaultyOverride = cfg.Faults.Affected(n)
 			}
 			for epoch := 1; epoch <= 2; epoch++ {
