@@ -72,7 +72,7 @@ upgrade:
 # closed-loop retry), not machine noise.
 slo:
 	$(GO) run ./cmd/baload -selfhost -protocol alg1-multi -t 3 \
-		-shards 4 -batch 8 -adaptive -c 16 -mod 64 \
+		-shards 4 -batch 8 -c 16 -mod 64 \
 		-rate 400 -duration 3s -seed 1 -slo-p99 2s
 
 # Formatting and static-analysis gate. gofmt -l prints offending files; the

@@ -36,7 +36,7 @@ func churnBound(sf *cli.ServeFlags, conns int) int {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	return *sf.CheckpointEvery + *sf.Queue + shards*sf.MaxBatch() + conns
+	return *sf.CheckpointEvery + *sf.Queue + shards*max(*sf.Batch, 1) + conns
 }
 
 // runChurn is the parent loop of the kill/restart drill: cycles+1 server

@@ -101,17 +101,14 @@ func TestChurnDrill(t *testing.T) {
 }
 
 // TestChurnBoundTakesTheServedBatch: the replay bound counts the largest
-// batch the server actually forms — the adaptive window's top under
-// -adaptive (default 16), -batch otherwise, whatever -batch-max says.
+// batch the server actually forms — -batch, and 1 when that is below 1.
 func TestChurnBoundTakesTheServedBatch(t *testing.T) {
 	for _, tc := range []struct {
 		flags []string
 		batch int
 	}{
 		{[]string{"-batch", "8"}, 8},
-		{[]string{"-adaptive"}, 16},
-		{[]string{"-adaptive", "-batch-max", "32"}, 32},
-		{[]string{"-batch-max", "32"}, 1},
+		{[]string{"-batch", "0"}, 1},
 	} {
 		fs := flag.NewFlagSet("", flag.ContinueOnError)
 		sf := cli.RegisterServeFlags(fs)

@@ -16,7 +16,7 @@
 //
 //	baload -addr 127.0.0.1:9440 -c 100 -requests 3
 //	baload -addr 127.0.0.1:9440 -c 16 -verify -protocol alg1 -n 7 -t 3
-//	baload -selfhost -protocol alg1-multi -t 3 -shards 4 -adaptive -c 32
+//	baload -selfhost -protocol alg1-multi -t 3 -shards 4 -batch 16 -c 32
 //	baload -selfhost -protocol alg1-multi -t 3 -rate 500 -duration 5s -slo-p99 50ms
 //
 // With -selfhost, baload runs the server lifecycle of internal/cli in-process

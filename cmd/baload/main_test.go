@@ -31,13 +31,13 @@ func capture(t *testing.T, args []string) (code int, stdout, stderr string) {
 
 // TestSelfhostShardedVerify is the end-to-end exercise of the sharded
 // serving path in one process: baload starts its own server with 4 shards
-// and adaptive batching, drives a closed loop against it over real loopback
+// and batches of up to 8, drives a closed loop against it over real loopback
 // TCP, then re-executes every observed instance serially and compares —
 // the seed = base + id replay contract surviving shards and batching.
 func TestSelfhostShardedVerify(t *testing.T) {
 	code, stdout, stderr := capture(t, []string{
 		"-selfhost", "-protocol", "alg1-multi", "-t", "3",
-		"-shards", "4", "-adaptive", "-batch", "8",
+		"-shards", "4", "-batch", "8",
 		"-c", "8", "-requests", "4", "-mod", "64",
 		"-verify", "-seed", "5",
 	})
@@ -90,6 +90,20 @@ func TestSelfhostDrainFailureSetsExitCode(t *testing.T) {
 	}
 }
 
+// TestUsageGolden pins the flag surface: `baload -h` prints
+// testdata/usage.txt byte for byte, so adding or removing a flag is a
+// visible diff. Regenerate it only for a change meant to move the surface:
+// `go build -o /tmp/baload ./cmd/baload && /tmp/baload -h 2> cmd/baload/testdata/usage.txt`.
+func TestUsageGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/usage.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _, got := capture(t, []string{"-h"}); code != 2 || got != string(want) {
+		t.Fatalf("baload -h: exit %d, usage differs from testdata/usage.txt:\n%s", code, got)
+	}
+}
+
 // TestBadFlags pins the typed failure paths.
 func TestBadFlags(t *testing.T) {
 	if code, _, _ := capture(t, []string{"-protocol", "no-such", "-selfhost"}); code == 0 {
@@ -108,7 +122,7 @@ func TestBadFlags(t *testing.T) {
 func TestOpenLoopSelfhost(t *testing.T) {
 	code, stdout, stderr := capture(t, []string{
 		"-selfhost", "-protocol", "alg1-multi", "-t", "3",
-		"-shards", "4", "-batch", "8", "-adaptive",
+		"-shards", "4", "-batch", "8",
 		"-c", "8", "-mod", "64",
 		"-rate", "300", "-duration", "500ms", "-seed", "9",
 		"-slo-p99", "5s",

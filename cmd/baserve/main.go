@@ -8,7 +8,7 @@
 //
 //	baserve -protocol alg1 -n 7 -t 3 -addr :9000
 //	baserve -protocol alg1-multi -t 3 -batch 16 -linger 2ms -shards 8
-//	baserve -protocol alg1-multi -t 3 -adaptive -batch-max 32
+//	baserve -protocol alg1-multi -t 3 -batch 32
 //	baserve -protocol dolev-strong -n 16 -t 4 -transport tcp
 //	baserve -protocol alg1-multi -t 3 -metrics-addr 127.0.0.1:9441 -trace run.jsonl
 //

@@ -129,6 +129,26 @@ func TestServeOpsPlaneEndToEnd(t *testing.T) {
 	}
 }
 
+// TestUsageGolden pins the flag surface: `baserve -h` prints
+// testdata/usage.txt byte for byte, so adding or removing a flag is a
+// visible diff. Regenerate it only for a change meant to move the surface:
+// `go build -o /tmp/baserve ./cmd/baserve && /tmp/baserve -h 2> cmd/baserve/testdata/usage.txt`.
+func TestUsageGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/usage.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	outF, _ := os.Create(filepath.Join(dir, "o"))
+	errF, _ := os.Create(filepath.Join(dir, "e"))
+	code := run([]string{"-h"}, outF, errF)
+	_ = outF.Close()
+	_ = errF.Close()
+	if got, _ := os.ReadFile(errF.Name()); code != 2 || string(got) != string(want) {
+		t.Fatalf("baserve -h: exit %d, usage differs from testdata/usage.txt:\n%s", code, got)
+	}
+}
+
 // TestServeBadFlags pins the typed failure paths of the shared surface.
 func TestServeBadFlags(t *testing.T) {
 	dir := t.TempDir()

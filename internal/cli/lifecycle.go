@@ -156,12 +156,8 @@ func (s *Server) Banner(w io.Writer, name string) {
 	if s.MetricsAddr != "" {
 		fmt.Fprintf(w, "metrics: http://%s/metrics\n", s.MetricsAddr)
 	}
-	batch := fmt.Sprintf("batch=%d", s.cfg.BatchSize)
-	if s.cfg.BatchMax > 1 {
-		batch = fmt.Sprintf("batch=adaptive[%d..%d]", s.cfg.BatchMin, s.cfg.BatchMax)
-	}
-	fmt.Fprintf(w, "%s: %s n=%d t=%d %s shards=%d listening on %s\n",
-		name, s.sf.Protocol, s.cfg.Template.N, s.cfg.Template.T, batch, s.Service.Stats().Shards, s.Addr)
+	fmt.Fprintf(w, "%s: %s n=%d t=%d batch=%d shards=%d listening on %s\n",
+		name, s.sf.Protocol, s.cfg.Template.N, s.cfg.Template.T, s.cfg.BatchSize, s.Service.Stats().Shards, s.Addr)
 }
 
 // AwaitBanner polls the file a forked server writes its output to until the

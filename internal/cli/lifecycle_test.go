@@ -242,13 +242,13 @@ func TestServeArgsForwardsWhatWasSet(t *testing.T) {
 	fs.String("addr", "", "")
 	if err := fs.Parse([]string{
 		"-c", "4", "-addr", "x:1", "-trace", "f.jsonl", "-metrics-addr", "127.0.0.1:0",
-		"-adaptive", "-faults", "crash=1@2;drop=0->2@1-3", "-t", "3", "-linger", "2ms",
+		"-batch", "4", "-faults", "crash=1@2;drop=0->2@1-3", "-t", "3", "-linger", "2ms",
 	}); err != nil {
 		t.Fatal(err)
 	}
 	got := cli.ServeArgs(fs)
 	want := []string{
-		"-adaptive=true", "-faults=crash=1@2;drop=0->2@1-3", "-linger=2ms",
+		"-batch=4", "-faults=crash=1@2;drop=0->2@1-3", "-linger=2ms",
 		"-metrics-addr=127.0.0.1:0", "-t=3", "-trace=f.jsonl",
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -259,7 +259,7 @@ func TestServeArgsForwardsWhatWasSet(t *testing.T) {
 	if err := child.Parse(got); err != nil {
 		t.Fatal(err)
 	}
-	if !*sf.Adaptive || sf.Faults != "crash=1@2;drop=0->2@1-3" || *sf.Linger != 2*time.Millisecond ||
+	if *sf.Batch != 4 || sf.Faults != "crash=1@2;drop=0->2@1-3" || *sf.Linger != 2*time.Millisecond ||
 		*sf.MetricsAddr != "127.0.0.1:0" || sf.T != 3 || *sf.TracePath != "f.jsonl" {
 		t.Fatalf("child parsed %q into %+v", got, sf)
 	}

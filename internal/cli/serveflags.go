@@ -27,13 +27,10 @@ type ServeFlags struct {
 	LinkDelay *time.Duration
 
 	// Pipeline flags.
-	Shards   *int
-	Queue    *int
-	Batch    *int
-	Adaptive *bool
-	BatchMin *int
-	BatchMax *int
-	Linger   *time.Duration
+	Shards *int
+	Queue  *int
+	Batch  *int
+	Linger *time.Duration
 
 	// Ops-plane flags.
 	MetricsAddr *string
@@ -62,9 +59,6 @@ func RegisterServeFlags(fs *flag.FlagSet) *ServeFlags {
 	sf.Shards = fs.Int("shards", 0, "shard workers executing instances concurrently (default GOMAXPROCS)")
 	sf.Queue = fs.Int("queue", 64, "admission queue depth")
 	sf.Batch = fs.Int("batch", 1, "max values coalesced into one instance (fixed batching)")
-	sf.Adaptive = fs.Bool("adaptive", false, "adaptive batching inside [-batch-min, -batch-max] instead of fixed -batch")
-	sf.BatchMin = fs.Int("batch-min", 1, "adaptive window lower bound")
-	sf.BatchMax = fs.Int("batch-max", 0, "adaptive window upper bound (default -batch, or 16)")
 	sf.Linger = fs.Duration("linger", 0, "how long to wait for a batch to fill")
 
 	sf.MetricsAddr = fs.String("metrics-addr", "", "serve Prometheus text metrics on this address (e.g. 127.0.0.1:9441); empty = off")
@@ -120,21 +114,5 @@ func (sf *ServeFlags) serviceConfig(tmpl core.Config) (service.Config, error) {
 	if *sf.WireVersion != 0 && *sf.Transport != "tcp" {
 		return cfg, errors.New("-wire-version requires -transport tcp")
 	}
-	if *sf.Adaptive {
-		cfg.BatchMin, cfg.BatchMax = *sf.BatchMin, sf.MaxBatch()
-	}
 	return cfg, nil
-}
-
-// MaxBatch is the most values one instance carries: the fixed -batch, or the
-// adaptive window's top (-batch-max, else -batch; 16 if that is below 2).
-func (sf *ServeFlags) MaxBatch() int {
-	bmax := *sf.BatchMax
-	if !*sf.Adaptive || bmax < 1 {
-		bmax = *sf.Batch
-	}
-	if *sf.Adaptive && bmax < 2 {
-		bmax = 16
-	}
-	return max(bmax, 1)
 }

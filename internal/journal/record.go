@@ -71,8 +71,8 @@ func encodeAdmission(w *wire.Writer, a Admission) {
 
 // encodeCheckpoint writes a checkpoint body with w (reset first). Only the
 // monotone counters and aggregates travel — the live gauges (queue depth,
-// shard loads, batch target) are meaningless across a restart and are
-// rebuilt fresh by the next service.
+// shard loads) are meaningless across a restart and are rebuilt fresh by the
+// next service.
 func encodeCheckpoint(w *wire.Writer, c Checkpoint) {
 	w.Reset()
 	w.Byte(recCheckpoint)
@@ -90,8 +90,10 @@ func encodeCheckpoint(w *wire.Writer, c Checkpoint) {
 	w.Uint(s.BytesCorrect)
 	w.Int(int64(s.MaxLatency))
 	w.Int(int64(s.TotalLatency))
-	w.Uint(s.BatchGrows)
-	w.Uint(s.BatchShrinks)
+	// Two reserved zeros where the retired batch grow/shrink counters were:
+	// decode ends in Finish, so dropping them would break reads both ways.
+	w.Uint(0)
+	w.Uint(0)
 }
 
 // decodeRecord dispatches one CRC-verified record body. Exactly one of the
@@ -129,8 +131,8 @@ func decodeRecord(body []byte) (kind byte, adm Admission, ckpt Checkpoint, err e
 		s.BytesCorrect = r.Uint()
 		s.MaxLatency = time.Duration(r.Int())
 		s.TotalLatency = time.Duration(r.Int())
-		s.BatchGrows = r.Uint()
-		s.BatchShrinks = r.Uint()
+		r.Uint() // the two reserved fields (see encodeCheckpoint)
+		r.Uint()
 	default:
 		return kind, adm, ckpt, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, kind)
 	}

@@ -9,10 +9,9 @@ import (
 )
 
 // The serving-layer families. Counter versus gauge follows the Stats field
-// semantics: monotone totals are counters; queue depth, shard count and the
-// batching controller's current target are gauges (QueueHighWater is a
-// high-water mark — monotone, but not a sum, so it is exported as a gauge
-// per Prometheus convention for watermarks).
+// semantics: monotone totals are counters; queue depth and shard count are
+// gauges (QueueHighWater is a high-water mark — monotone, but not a sum, so
+// it is exported as a gauge per Prometheus convention for watermarks).
 var (
 	dSubmitted = NewDesc("byzex_service_submitted_total", "counter",
 		"Values admitted into the service's bounded queue.")
@@ -42,12 +41,6 @@ var (
 		"Configured shard-worker count.")
 	dShardInstances = NewDesc("byzex_service_shard_instances_total", "counter",
 		"Instances delivered per shard worker (the load-balance gauge).")
-	dBatchTarget = NewDesc("byzex_service_batch_target", "gauge",
-		"The batching controller's current target batch size.")
-	dBatchGrows = NewDesc("byzex_service_batch_grows_total", "counter",
-		"Adaptive batching target increases.")
-	dBatchShrinks = NewDesc("byzex_service_batch_shrinks_total", "counter",
-		"Adaptive batching target decreases.")
 
 	labelRejectedFull     = dRejected.Label("reason", "full")
 	labelRejectedDraining = dRejected.Label("reason", "draining")
@@ -93,9 +86,6 @@ func (c *ServiceCollector) Collect(w *Writer) {
 	for i, n := range st.ShardInstances {
 		w.LabelUint(c.shards[i], n)
 	}
-	w.Int(dBatchTarget, int64(st.BatchTarget))
-	w.Uint(dBatchGrows, st.BatchGrows)
-	w.Uint(dBatchShrinks, st.BatchShrinks)
 }
 
 // The journal families. All monotone except the live segment count.
@@ -165,10 +155,6 @@ var (
 		"Signature links accepted from the verified-prefix cache.")
 	dVerifyMisses = NewDesc("byzex_trace_verify_misses_total", "counter",
 		"Signature links verified with real cryptography.")
-	dTraceBatchGrows = NewDesc("byzex_trace_batch_grows_total", "counter",
-		"Adaptive batching target increases observed in the trace stream.")
-	dTraceBatchShrinks = NewDesc("byzex_trace_batch_shrinks_total", "counter",
-		"Adaptive batching target decreases observed in the trace stream.")
 	dFaults = NewDesc("byzex_trace_faults_total", "counter",
 		"Fault-plan actions observed in the trace stream, by kind.")
 
@@ -188,9 +174,9 @@ var (
 
 // SpoolCollector exports a trace spool's live counters: per-kind event
 // totals, the bounded-ring gauges and drop counter, and the Summary-derived
-// counters (signature-cache hits and misses, batch-adapt moves, fault
-// actions). Totals count every emitted event — the spool aggregates before
-// it drops — so they match trace.Summarize over the full stream.
+// counters (signature-cache hits and misses, fault actions). Totals count
+// every emitted event — the spool aggregates before it drops — so they match
+// trace.Summarize over the full stream.
 type SpoolCollector struct {
 	spool *trace.Spool
 	stats trace.SpoolStats
@@ -215,8 +201,6 @@ func (c *SpoolCollector) Collect(w *Writer) {
 	w.Int(dSpoolRingCap, int64(st.RingCap))
 	w.Uint(dVerifyHits, uint64(st.Summary.VerifyHits))
 	w.Uint(dVerifyMisses, uint64(st.Summary.VerifyMisses))
-	w.Uint(dTraceBatchGrows, uint64(st.Summary.BatchGrows))
-	w.Uint(dTraceBatchShrinks, uint64(st.Summary.BatchShrinks))
 	w.Family(dFaults)
 	w.LabelUint(labelFaultDrop, uint64(st.Summary.FaultDrops))
 	w.LabelUint(labelFaultDelay, uint64(st.Summary.FaultDelays))

@@ -141,7 +141,6 @@ func TestScrapeMatchesStatsAndSummary(t *testing.T) {
 		{"byzex_service_instances_total", float64(st.Instances)},
 		{"byzex_service_queue_high_water", float64(st.QueueHighWater)},
 		{"byzex_service_shards", float64(st.Shards)},
-		{"byzex_service_batch_target", float64(st.BatchTarget)},
 		{`byzex_service_rejected_total{reason="full"}`, float64(st.RejectedFull)},
 		{`byzex_trace_events_total{kind="enqueue"}`, float64(sum.Enqueued)},
 		{`byzex_trace_events_total{kind="instance-done"}`, float64(sum.InstancesDone)},

@@ -93,12 +93,6 @@ func latencyModeledRun(d time.Duration) service.RunFunc {
 	}
 }
 
-// BenchmarkServiceSharded sweeps shard count × batching policy over the
-// latency-modeled substrate: values/s should rise roughly linearly with
-// shards (the tentpole's ≥2x-at-4-shards criterion), and the adaptive
-// policy should cut msgs/value versus fixed k=1 under the same backlog by
-// packing batches once the queue builds. BENCH_004.json is its archived
-// run.
 // BenchmarkServiceWarmTCP sweeps shard count over the real warm-TCP
 // substrate: every shard owns one long-lived mesh, so the per-instance cost
 // is frame traffic only. Net.LinkDelay models WAN one-way latency (loopback
@@ -158,33 +152,30 @@ func BenchmarkServiceWarmTCP(b *testing.B) {
 	}
 }
 
+// BenchmarkServiceSharded sweeps shard count × batch size over the
+// latency-modeled substrate: values/s should rise roughly linearly with
+// shards (the tentpole's ≥2x-at-4-shards criterion), and batches of up to
+// 16 should cut msgs/value versus k=1 under the same backlog by packing
+// what is queued. BENCH_004.json is its archived run.
 func BenchmarkServiceSharded(b *testing.B) {
 	const instLatency = 2 * time.Millisecond
-	type policy struct {
-		name string
-		cfg  func(*service.Config)
-	}
-	policies := []policy{
-		{"fixed1", func(c *service.Config) { c.BatchSize = 1 }},
-		{"adaptive", func(c *service.Config) { c.BatchMin, c.BatchMax = 1, 16 }},
-	}
 	for _, shards := range []int{1, 2, 4, 8} {
-		for _, pol := range policies {
-			b.Run(fmt.Sprintf("shards=%d/%s", shards, pol.name), func(b *testing.B) {
+		for _, batch := range []int{1, 16} {
+			b.Run(fmt.Sprintf("shards=%d/fixed%d", shards, batch), func(b *testing.B) {
 				ctx := context.Background()
 				cfg := service.Config{
 					Template:   core.Config{Protocol: alg1.MultiProtocol{}, N: 7, T: 3, Seed: 99},
 					Substrate:  service.SharedRun(latencyModeledRun(instLatency)),
 					Shards:     shards,
 					QueueDepth: 1024,
+					BatchSize:  batch,
 				}
-				pol.cfg(&cfg)
 				svc, err := service.New(ctx, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
 				// Enough closed-loop submitters to keep every shard busy and
-				// a backlog queued (so the adaptive controller sees pressure).
+				// a backlog queued (so batches fill).
 				b.SetParallelism(4 * 8)
 				b.ResetTimer()
 				b.RunParallel(func(pb *testing.PB) {
@@ -217,7 +208,6 @@ func BenchmarkServiceSharded(b *testing.B) {
 				}
 				b.ReportMetric(st.AmortizedMessagesPerValue(), "msgs/value")
 				b.ReportMetric(float64(st.ValuesDecided)/float64(st.Instances), "values/instance")
-				b.ReportMetric(float64(st.BatchGrows), "grows")
 			})
 		}
 	}
@@ -235,8 +225,7 @@ func BenchmarkServiceOpenLoop(b *testing.B) {
 		Template:   core.Config{Protocol: alg1.MultiProtocol{}, N: 7, T: 3, Seed: 99},
 		Shards:     4,
 		QueueDepth: 1024,
-		BatchMin:   1,
-		BatchMax:   16,
+		BatchSize:  16,
 	})
 
 	// Scale the arrival window so the schedule offers roughly b.N arrivals

@@ -12,11 +12,10 @@
 // Admission is a bounded queue with typed rejections (ErrQueueFull,
 // ErrDraining) — the backpressure surface. The sequencer (one goroutine, so
 // instance ids are assigned deterministically in admission order) coalesces
-// queued values into one Instance per batch; batch size is either fixed
-// (BatchSize) or governed by the adaptive controller (BatchMin/BatchMax),
-// which grows the target under backlog and shrinks it when the queue runs
-// idle. Formed instances are handed to a pool of Shards identified workers
-// (runner.Shards): each shard runs instances concurrently with its own
+// queued values into one Instance per batch: a batch takes what is queued,
+// up to BatchSize, so an idle service sends singletons at once and a backlog
+// packs full ones. Formed instances are handed to a pool of Shards identified
+// workers (runner.Shards): each shard runs instances concurrently with its own
 // substrate handle and its own reusable trace buffer, and results are
 // delivered in instance-id order regardless of which shard finished first —
 // the same submission-order determinism contract runner.Map gives the
@@ -32,7 +31,7 @@
 // sequencer and delivery is id-ordered, the instance-scoped trace events
 // (instance-start, per-instance internals, instance-done) are byte-identical
 // at any shard count too; only the admission-scoped events (enqueue, reject,
-// batch-adapt) reflect live load (see trace.Kind.AdmissionScoped).
+// checkpoint) reflect live load (see trace.Kind.AdmissionScoped).
 package service
 
 import (
@@ -66,7 +65,7 @@ var (
 	// template corrupts the transmitter): the submission's value was not
 	// served, even though the instance itself is a valid agreement.
 	ErrNotCommitted = errors.New("service: instance decided a different value")
-	// ErrBatchingUnsupported rejects a batch window above 1 whose
+	// ErrBatchingUnsupported rejects a BatchSize above 1 whose
 	// protocol only carries binary values: a packed batch digest is an
 	// arbitrary int64, so batching requires one of the multi-valued
 	// protocol variants (alg1-multi, alg4, dolev-strong, ...).
@@ -104,9 +103,9 @@ type Config struct {
 	FirstInstance uint64
 	// BaseStats, when set, seeds the monotone counters (submissions,
 	// instances, values, message/signature/byte sums, latency aggregates,
-	// batch moves, queue high-water) from a recovered checkpoint so the
-	// stats surface spans restarts. Live gauges (queue depth, shard
-	// instances, batch target) always start fresh; after a recovery,
+	// queue high-water) from a recovered checkpoint so the stats surface
+	// spans restarts. Live gauges (queue depth, shard instances) always
+	// start fresh; after a recovery,
 	// Instances therefore no longer equals the sum of ShardInstances.
 	BaseStats *Stats
 	// Shards is the number of identified shard workers executing instances
@@ -114,27 +113,13 @@ type Config struct {
 	Shards int
 	// QueueDepth bounds the admission queue (default 64, minimum 1).
 	QueueDepth int
-	// BatchSize fixes the batch size when no adaptive window is configured
-	// (default 1 = no batching): every instance packs up to BatchSize
-	// values.
+	// BatchSize caps the values one instance packs (default 1 = no
+	// batching): a batch takes what is already queued, up to BatchSize.
 	BatchSize int
-	// BatchMin / BatchMax open the adaptive batching window: when
-	// BatchMax > max(BatchMin, 1), a controller on the sequencer moves the
-	// target batch size inside [max(BatchMin,1), BatchMax] — doubling under
-	// backlog (queue depth at or above the target when a batch forms),
-	// halving when the queue runs idle, dispatching singletons immediately
-	// on the idle fast path. Decisions are emitted as batch-adapt trace
-	// events and counted in Stats.
-	BatchMin, BatchMax int
-	// BatchTarget seeds the controller's initial target (clamped into the
-	// window; default BatchMin).
-	BatchTarget int
 	// Linger bounds how long the sequencer waits for a partial batch to
-	// fill once it holds at least one value. Zero means "don't wait" for
-	// fixed-size batching; under an adaptive window it means "derive the
-	// bound from observed instance latency" (capped at 2ms).
+	// fill once it holds at least one value. Zero means "don't wait".
 	Linger time.Duration
-	// Trace receives the serving-layer events (enqueue, reject, batch-adapt,
+	// Trace receives the serving-layer events (enqueue, reject,
 	// instance-start, instance-done). Emissions are serialized internally,
 	// so any sink works. Instance-internal events are only recorded when
 	// TraceInstances is also set.
@@ -233,12 +218,6 @@ type Stats struct {
 	// gauge.
 	Shards         int
 	ShardInstances []uint64
-	// BatchTarget is the controller's current target batch size (the fixed
-	// size when no adaptive window is configured); BatchGrows / BatchShrinks
-	// count its adaptive moves.
-	BatchTarget  int
-	BatchGrows   uint64
-	BatchShrinks uint64
 }
 
 // AmortizedMessagesPerValue returns correct-sender messages per decided
@@ -261,9 +240,9 @@ func (s Stats) AmortizedSignaturesPerValue() float64 {
 
 // String renders a compact single-line summary.
 func (s Stats) String() string {
-	return fmt.Sprintf("submitted=%d rejected=%d/%d instances=%d(failed %d) values=%d qhw=%d shards=%d batch=%d(+%d/-%d) msgs/value=%.1f sigs/value=%.1f",
+	return fmt.Sprintf("submitted=%d rejected=%d/%d instances=%d(failed %d) values=%d qhw=%d shards=%d msgs/value=%.1f sigs/value=%.1f",
 		s.Submitted, s.RejectedFull, s.RejectedDraining, s.Instances, s.InstancesFailed,
-		s.ValuesDecided, s.QueueHighWater, s.Shards, s.BatchTarget, s.BatchGrows, s.BatchShrinks,
+		s.ValuesDecided, s.QueueHighWater, s.Shards,
 		s.AmortizedMessagesPerValue(), s.AmortizedSignaturesPerValue())
 }
 
@@ -314,7 +293,6 @@ type completed struct {
 	inst   *InstanceResult
 	reqs   []*request
 	events []trace.Event // per-instance trace (nil unless TraceInstances)
-	runDur time.Duration // substrate execution time, feeds the controller
 	replay bool
 }
 
@@ -335,7 +313,6 @@ type Service struct {
 	exec      *runner.Shards[*dispatched, *completed]
 	shards    []shardState
 	substrate Substrate
-	policy    *batchController
 	sink      trace.Sink // serialized; nil when tracing is disabled
 
 	draining       chan struct{} // closed by Close
@@ -379,11 +356,10 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 	if shards < 1 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	policy, err := newBatchController(cfg)
-	if err != nil {
-		return nil, err
+	if cfg.BatchSize < 1 {
+		cfg.BatchSize = 1
 	}
-	if policy.max > 1 {
+	if cfg.BatchSize > 1 {
 		// Batching packs a batch into an arbitrary int64 digest; probe the
 		// protocol with a non-binary value so a binary-only protocol is
 		// rejected here, with a typed error, instead of failing every
@@ -405,7 +381,6 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 		ctx:         ctx,
 		queue:       make(chan *request, cfg.QueueDepth),
 		substrate:   substrate,
-		policy:      policy,
 		draining:    make(chan struct{}),
 		batcherDone: make(chan struct{}),
 	}
@@ -416,8 +391,8 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 	}
 	if cfg.BaseStats != nil {
 		// Carry the monotone counters across the restart; the live gauges
-		// (queue depth, per-shard instance counts, batch target) describe
-		// this process and start fresh.
+		// (queue depth, per-shard instance counts) describe this process and
+		// start fresh.
 		b := cfg.BaseStats
 		s.stats.Submitted = b.Submitted
 		s.stats.RejectedFull = b.RejectedFull
@@ -431,12 +406,9 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 		s.stats.BytesCorrect = b.BytesCorrect
 		s.stats.MaxLatency = b.MaxLatency
 		s.stats.TotalLatency = b.TotalLatency
-		s.stats.BatchGrows = b.BatchGrows
-		s.stats.BatchShrinks = b.BatchShrinks
 	}
 	s.stats.Shards = shards
 	s.stats.ShardInstances = make([]uint64, shards)
-	s.stats.BatchTarget = policy.target
 	if cfg.Trace != nil {
 		s.sink = &lockedSink{dst: cfg.Trace}
 	}
@@ -607,8 +579,7 @@ func (s *Service) Close() {
 
 // batcher is the single sequencer goroutine that forms batches and
 // dispatches instances; being alone on this path makes instance ids (and
-// therefore seeds) deterministic in admission order, and makes the adaptive
-// controller's reads of the queue depth consistent.
+// therefore seeds) deterministic in admission order.
 func (s *Service) batcher() {
 	defer close(s.batcherDone)
 	for {
@@ -630,21 +601,20 @@ func (s *Service) batcher() {
 	}
 }
 
-// fill grows a batch starting at first up to the controller's current
-// target, lingering for stragglers when allowed and configured.
+// fill grows a batch starting at first up to BatchSize, lingering for
+// stragglers when allowed and configured.
 func (s *Service) fill(first *request, mayLinger bool) []*request {
-	size, linger := s.plan(len(s.queue))
 	batch := []*request{first}
-	if size <= 1 {
+	if s.cfg.BatchSize <= 1 {
 		return batch
 	}
 	var lingerC <-chan time.Time
-	if mayLinger && linger > 0 {
-		timer := time.NewTimer(linger)
+	if mayLinger && s.cfg.Linger > 0 {
+		timer := time.NewTimer(s.cfg.Linger)
 		defer timer.Stop()
 		lingerC = timer.C
 	}
-	for len(batch) < size {
+	for len(batch) < s.cfg.BatchSize {
 		if lingerC == nil {
 			// No linger: take only what is already queued.
 			select {
@@ -665,29 +635,6 @@ func (s *Service) fill(first *request, mayLinger bool) []*request {
 		}
 	}
 	return batch
-}
-
-// plan consults the batch controller with the observed queue depth, records
-// any target move in the stats, and emits it as a batch-adapt event.
-func (s *Service) plan(queued int) (size int, linger time.Duration) {
-	dec := s.policy.plan(queued)
-	if dec.moved {
-		s.mu.Lock()
-		s.stats.BatchTarget = dec.size
-		if dec.grew {
-			s.stats.BatchGrows++
-		} else {
-			s.stats.BatchShrinks++
-		}
-		s.mu.Unlock()
-		if s.sink != nil {
-			s.sink.Emit(trace.Event{
-				Kind: trace.KindBatchAdapt, From: ident.None, To: ident.None,
-				Signers: dec.prev, Sigs: dec.size, Bytes: queued, Flag: dec.grew,
-			})
-		}
-	}
-	return dec.size, dec.linger
 }
 
 // dispatch assigns the next instance id, resolves the template, journals the
@@ -782,9 +729,8 @@ func (s *Service) runOnShard(shard int, d *dispatched) *completed {
 		cfg.Trace = st.buf
 	}
 	res := &InstanceResult{Instance: d.inst, Shard: shard}
-	start := time.Now()
 	out, err := st.run(s.ctx, cfg)
-	c := &completed{inst: res, reqs: d.reqs, runDur: time.Since(start), replay: d.replay}
+	c := &completed{inst: res, reqs: d.reqs, replay: d.replay}
 	if st.buf != nil {
 		// Snapshot the shard buffer: delivery may happen after this shard
 		// has moved on to its next instance and reset the buffer.
@@ -809,14 +755,13 @@ func (s *Service) runOnShard(shard int, d *dispatched) *completed {
 }
 
 // deliver runs in strict instance-id order (runner.Shards' contract): it
-// folds the outcome into the stats, feeds the controller's latency signal,
-// emits the instance-scoped trace (start, internals, done) and resolves the
-// batch's futures. Everything emitted here is deterministic for a given
-// template and admission order, whatever the shard count.
+// folds the outcome into the stats, emits the instance-scoped trace (start,
+// internals, done) and resolves the batch's futures. Everything emitted here
+// is deterministic for a given template and admission order, whatever the
+// shard count.
 func (s *Service) deliver(_ uint64, c *completed) {
 	inst := c.inst
 	now := time.Now()
-	s.policy.observe(c.runDur)
 
 	depth := len(s.queue)
 	s.mu.Lock()

@@ -46,7 +46,7 @@ func runWorkload(t *testing.T, cfg service.Config, values int) ([]service.Result
 }
 
 // deterministicEvents drops the admission-scoped events (enqueue, reject,
-// batch-adapt — they carry live queue gauges) and keeps the instance-scoped
+// checkpoint — they carry live progress) and keeps the instance-scoped
 // stream that the sharding contract promises is byte-identical at any shard
 // count.
 func deterministicEvents(events []trace.Event) []trace.Event {
@@ -258,19 +258,18 @@ func TestPercentileSmallSamples(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBatchingUnderBacklog gates the shards so a backlog builds,
-// then releases it: the controller must grow the target (batch-adapt grow
-// events, amortization visible as fewer instances than values), and once the
-// queue runs dry it must shrink back toward the minimum.
-func TestAdaptiveBatchingUnderBacklog(t *testing.T) {
+// TestFixedBatchingUnderBacklog gates the shard so a backlog builds, then
+// releases it: with no linger a batch takes only what is queued, so the
+// backlog packs into batches of at most BatchSize (fewer instances than
+// values) and every value still commits.
+func TestFixedBatchingUnderBacklog(t *testing.T) {
 	release := make(chan struct{})
 	buf := trace.NewBuffer()
 	svc, err := service.New(context.Background(), service.Config{
 		Template:   multiTemplate(9),
 		Shards:     1,
 		QueueDepth: 64,
-		BatchMin:   1,
-		BatchMax:   8,
+		BatchSize:  8,
 		Substrate: service.SharedRun(func(ctx context.Context, cfg core.Config) (service.Outcome, error) {
 			<-release
 			return service.RunSim(ctx, cfg)
@@ -295,52 +294,28 @@ func TestAdaptiveBatchingUnderBacklog(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("value %d: %v", i, res.Err)
 		}
-		if res.Decided != res.Value && !res.Committed {
+		if !res.Committed {
 			t.Fatalf("value %d not committed", i)
 		}
 	}
 	svc.Close()
 
-	stats := svc.Stats()
-	if stats.BatchGrows == 0 {
-		t.Fatalf("controller never grew under backlog: %s", stats)
-	}
-	if stats.Instances >= values {
+	if stats := svc.Stats(); stats.Instances >= values {
 		t.Fatalf("no amortization: %d instances for %d values", stats.Instances, values)
 	}
-	sum := trace.Summarize(buf.Events())
-	if sum.BatchGrows != int(stats.BatchGrows) || sum.BatchShrinks != int(stats.BatchShrinks) {
-		t.Fatalf("trace (%d/%d) and stats (%d/%d) disagree on adapt moves",
-			sum.BatchGrows, sum.BatchShrinks, stats.BatchGrows, stats.BatchShrinks)
+	packed := 0
+	for _, e := range buf.Events() {
+		if e.Kind == trace.KindInstanceStart {
+			if e.Sigs > 8 {
+				t.Fatalf("instance %d packs %d values, BatchSize is 8", e.Signers, e.Sigs)
+			}
+			packed += e.Sigs
+		}
 	}
-	if sum.BatchTargetPeak < 2 {
-		t.Fatalf("peak target %d, want >= 2", sum.BatchTargetPeak)
-	}
-}
-
-// TestAdaptiveConfigValidation pins the window-resolution errors.
-func TestAdaptiveConfigValidation(t *testing.T) {
-	if _, err := service.New(context.Background(), service.Config{
-		Template: multiTemplate(1),
-		BatchMin: 8, BatchMax: 4,
-	}); err == nil {
-		t.Fatal("BatchMin > BatchMax accepted")
-	}
-	if _, err := service.New(context.Background(), service.Config{
-		Template: multiTemplate(1),
-		BatchMin: 4,
-	}); err == nil {
-		t.Fatal("BatchMin without BatchMax accepted")
-	}
-	if _, err := errSvc(service.New(context.Background(), service.Config{
-		Template: template(1), // binary protocol
-		BatchMin: 1, BatchMax: 4,
-	})); !errors.Is(err, service.ErrBatchingUnsupported) {
-		t.Fatalf("adaptive window on binary protocol: got %v, want ErrBatchingUnsupported", err)
+	if packed != values {
+		t.Fatalf("instances pack %d values, %d were submitted", packed, values)
 	}
 }
-
-func errSvc(s *service.Service, err error) (*service.Service, error) { return s, err }
 
 // TestShardingDeterministicWarmTCP extends the determinism contract to the
 // warm-mesh substrate: the same workload served over warm TCP meshes at 1

@@ -15,7 +15,7 @@
 //     (the service's delivery stage emits them), so the spooled file keeps
 //     the byte-identical-at-any-shard-count property.
 //
-//   - Admission-scoped events (enqueue, reject, batch-adapt) carry live
+//   - Admission-scoped events (enqueue, reject, checkpoint) carry live
 //     queue gauges and arrive at the offered-load rate — potentially
 //     millions over a long run. They go to a fixed-capacity ring; overwrites
 //     are counted, not buffered. Close appends the ring's surviving tail to

@@ -109,7 +109,7 @@ func TestSpoolSummaryMatchesSummarize(t *testing.T) {
 		stream = append(stream, enqueueEvent(i))
 		stream = append(stream, instanceEvents(i)...)
 	}
-	stream = append(stream, trace.Event{Kind: trace.KindBatchAdapt, Signers: 1, Sigs: 2, Flag: true})
+	stream = append(stream, trace.Event{Kind: trace.KindCheckpoint, Signers: 20, Sigs: 20, Flag: true})
 	stream = append(stream, trace.Event{Kind: trace.KindVerifyHit, Sigs: 3})
 	for _, e := range stream {
 		sp.Emit(e)
@@ -119,14 +119,14 @@ func TestSpoolSummaryMatchesSummarize(t *testing.T) {
 	if st.Summary.Events != want.Events ||
 		st.Summary.Enqueued != want.Enqueued ||
 		st.Summary.InstancesDone != want.InstancesDone ||
-		st.Summary.BatchGrows != want.BatchGrows ||
+		st.Summary.Checkpoints != want.Checkpoints ||
 		st.Summary.VerifyHits != want.VerifyHits {
 		t.Fatalf("live summary diverged from Summarize:\nlive %+v\nwant %+v", st.Summary, *want)
 	}
 	if got := st.Summary.Totals(); got != want.Totals() {
 		t.Fatalf("totals diverged: %+v vs %+v", got, want.Totals())
 	}
-	if st.Kinds[trace.KindEnqueue] != 20 || st.Kinds[trace.KindSend] != 20 || st.Kinds[trace.KindBatchAdapt] != 1 {
+	if st.Kinds[trace.KindEnqueue] != 20 || st.Kinds[trace.KindSend] != 20 || st.Kinds[trace.KindCheckpoint] != 1 {
 		t.Fatalf("per-kind counts wrong: %v", st.Kinds)
 	}
 }

@@ -54,13 +54,6 @@ type Summary struct {
 	InstancesStarted int
 	InstancesDone    int
 	ValuesDecided    int
-	// BatchGrows / BatchShrinks count the adaptive batching controller's
-	// target moves (KindBatchAdapt with Flag true / false); BatchTargetPeak
-	// is the largest target the controller reached (0 when batching never
-	// adapted).
-	BatchGrows      int
-	BatchShrinks    int
-	BatchTargetPeak int
 	// Replayed counts journaled admissions re-submitted during crash
 	// recovery (KindReplay); Checkpoints counts journal checkpoints written
 	// on drain (KindCheckpoint).
@@ -146,15 +139,6 @@ func (s *Summary) Add(e Event) {
 	case KindInstanceDone:
 		s.InstancesDone++
 		s.ValuesDecided += e.Sigs
-	case KindBatchAdapt:
-		if e.Flag {
-			s.BatchGrows++
-		} else {
-			s.BatchShrinks++
-		}
-		if e.Sigs > s.BatchTargetPeak {
-			s.BatchTargetPeak = e.Sigs
-		}
 	case KindFaultDrop:
 		s.FaultDrops++
 	case KindFaultDelay:
@@ -219,10 +203,6 @@ func (s *Summary) Table() string {
 	if s.Enqueued+s.Rejected+s.InstancesStarted+s.InstancesDone > 0 {
 		fmt.Fprintf(&b, "service: enqueued=%d rejected=%d instances=%d/%d values=%d\n",
 			s.Enqueued, s.Rejected, s.InstancesDone, s.InstancesStarted, s.ValuesDecided)
-	}
-	if s.BatchGrows+s.BatchShrinks > 0 {
-		fmt.Fprintf(&b, "batching: grows=%d shrinks=%d peak-target=%d\n",
-			s.BatchGrows, s.BatchShrinks, s.BatchTargetPeak)
 	}
 	if s.FaultDrops+s.FaultDelays+s.FaultDups+s.FaultReorders+s.FaultCrashes > 0 {
 		fmt.Fprintf(&b, "faults: drops=%d delays=%d dups=%d reorders=%d crashes=%d\n",

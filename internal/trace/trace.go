@@ -78,7 +78,7 @@ const (
 	// events when per-instance tracing is on, instance-done) are emitted by
 	// the service's delivery stage in strict instance-id order, so that part
 	// of a merged trace is byte-identical at any shard count. The
-	// admission-scoped events (enqueue, reject, batch-adapt) carry live queue
+	// admission-scoped events (enqueue, reject, checkpoint) carry live queue
 	// gauges and interleave by wall time — they describe the offered load,
 	// not the deterministic executions (Kind.AdmissionScoped).
 	KindEnqueue
@@ -99,14 +99,6 @@ const (
 	// KindFaultCrash reports processor From halting at the start of phase
 	// Phase under a crash-at-phase-k rule.
 	KindFaultCrash
-	// KindBatchAdapt reports the serving layer's adaptive batching
-	// controller moving its target batch size: Signers = previous target,
-	// Sigs = new target, Bytes = the admission-queue depth that triggered
-	// the decision, Flag = true when the target grew (backlog), false when
-	// it shrank (idle). Like enqueue/reject it is admission-scoped: the
-	// controller reacts to live load, so these events are not part of the
-	// deterministic replay contract.
-	KindBatchAdapt
 	// KindReplay reports one journaled admission re-submitted during crash
 	// recovery: Signers = the instance id being replayed, Sigs = the batch
 	// size, Flag = true when the replayed instance completed successfully.
@@ -159,7 +151,6 @@ var kindNames = map[Kind]string{
 	KindFaultDup:        "fault-dup",
 	KindFaultReorder:    "fault-reorder",
 	KindFaultCrash:      "fault-crash",
-	KindBatchAdapt:      "batch-adapt",
 	KindReplay:          "replay",
 	KindCheckpoint:      "checkpoint",
 	KindSearchEval:      "search-eval",
@@ -168,11 +159,11 @@ var kindNames = map[Kind]string{
 }
 
 // AdmissionScoped reports whether k is a serving-layer admission-side event
-// (enqueue, reject, batch-adapt). Those events carry live queue gauges and
+// (enqueue, reject, checkpoint). Those events carry live queue gauges and
 // interleave by wall time, so they are excluded from the byte-identical
 // merged-trace contract the instance-scoped events keep at any shard count.
 func (k Kind) AdmissionScoped() bool {
-	return k == KindEnqueue || k == KindReject || k == KindBatchAdapt || k == KindCheckpoint
+	return k == KindEnqueue || k == KindReject || k == KindCheckpoint
 }
 
 // String implements fmt.Stringer.
