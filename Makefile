@@ -29,6 +29,11 @@
 #                    - alternating parent/candidate ledger runs of this
 #                      checkout against REV (scripts/ab.sh): quartiles, pair
 #                      wins and PASS/FAIL per end-to-end metric
+#   make parity REV=<rev>
+#                    - behaviour parity of this checkout against REV
+#                      (scripts/parity.sh): basim over every registry row ×
+#                      five adversaries × both transports × two fault plans,
+#                      and baexp text and CSV, compared byte for byte
 #   make loc         - non-test Go lines outside bench/, per package and in
 #                      total (the number CHANGES.md and the ROADMAP's
 #                      subtraction target are stated in), the _test.go
@@ -37,7 +42,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check lint test bench ab search baexp trace-smoke faults slo crash upgrade fuzz loc
+.PHONY: check lint test bench ab parity search baexp trace-smoke faults slo crash upgrade fuzz loc
 
 check: lint faults
 	$(GO) build ./...
@@ -112,6 +117,13 @@ bench:
 PAIRS ?= 10
 ab:
 	bash scripts/ab.sh $(REV) $(WORKLOAD) $(PAIRS)
+
+# The parity check every behaviour-preserving change states in CHANGES.md:
+# traces, metrics and stdout of a fixed basim/baexp matrix, this checkout
+# against REV, byte for byte. Prints k/k identical or the first command that
+# differs (exit 1).
+parity:
+	bash scripts/parity.sh $(REV)
 
 baexp:
 	$(GO) run ./cmd/baexp

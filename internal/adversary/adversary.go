@@ -4,6 +4,7 @@ import (
 	"fmt"
 	mrand "math/rand"
 
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocol"
 	"byzex/internal/sig"
@@ -16,10 +17,8 @@ type State struct {
 	Faulty ident.Set
 	// Signers holds the signing handles of every corrupted processor.
 	Signers map[ident.ProcID]sig.Signer
-	// Rng is the adversary's private randomness (deterministic per seed).
-	Rng *mrand.Rand
-	// Scratch is free-form shared memory for coordinated strategies.
-	Scratch map[string]interface{}
+	// seed is the run's seed, from which each processor's stream derives.
+	seed int64
 }
 
 // NewState builds collusion state for the given faulty set, collecting the
@@ -28,8 +27,7 @@ func NewState(faulty ident.Set, scheme sig.Scheme, seed int64) (*State, error) {
 	st := &State{
 		Faulty:  faulty.Clone(),
 		Signers: make(map[ident.ProcID]sig.Signer, faulty.Len()),
-		Rng:     mrand.New(mrand.NewSource(seed)),
-		Scratch: make(map[string]interface{}),
+		seed:    seed,
 	}
 	for id := range faulty {
 		s, err := scheme.Signer(id)
@@ -39,6 +37,15 @@ func NewState(faulty ident.Set, scheme sig.Scheme, seed int64) (*State, error) {
 		st.Signers[id] = s
 	}
 	return st, nil
+}
+
+// rng returns processor id's private randomness, seeded from (seed, id)
+// through faultnet.SplitMix64 as the fault plans' coins are. What one faulty
+// processor draws therefore does not depend on when the others draw: the TCP
+// transport steps them concurrently.
+func (s *State) rng(id ident.ProcID) *mrand.Rand {
+	x := faultnet.SplitMix64(uint64(s.seed) ^ (uint64(int64(id))+2)*0x9e3779b97f4a7c15)
+	return mrand.New(mrand.NewSource(int64(x)))
 }
 
 // Env gives a strategy what it needs to build Byzantine nodes: the protocol
@@ -282,6 +289,13 @@ type StarveB struct {
 
 var _ Adversary = StarveB{}
 
+// StarveSet is the B of Theorem 2's construction: the ⌊1+t/2⌋ highest
+// identities other than the transmitter, capped at the fault budget t (at
+// t = 0 the one member would be over it).
+func StarveSet(n, t int, transmitter ident.ProcID) ident.Set {
+	return lastNonTransmitter(n, min(1+t/2, t), transmitter)
+}
+
 // Name implements Adversary.
 func (s StarveB) Name() string { return "starve-b" }
 
@@ -353,7 +367,7 @@ func (g Garbage) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error) {
 	if per <= 0 {
 		per = 3
 	}
-	return &garbageNode{id: cfg.ID, n: cfg.N, per: per, rng: env.State.Rng}, nil
+	return &garbageNode{id: cfg.ID, n: cfg.N, per: per, rng: env.State.rng(cfg.ID)}, nil
 }
 
 type garbageNode struct {

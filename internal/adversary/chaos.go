@@ -20,9 +20,10 @@ import (
 // phase, independently chooses to (a) behave correctly, (b) stay silent,
 // (c) behave correctly toward a random subset only, (d) replay previously
 // received genuine payloads to random recipients, or (e) spray garbage.
-// All choices draw from the shared deterministic Rng, so a seed fully
-// reproduces a run. Used by the randomized sweep tests: no seed may ever
-// produce disagreement among correct processors.
+// All choices draw from the processor's own deterministic stream (see
+// State), so a seed fully reproduces a run on either substrate. Used by the
+// randomized sweep tests: no seed may ever produce disagreement among correct
+// processors.
 type Chaos struct{}
 
 var _ Adversary = Chaos{}
@@ -53,7 +54,7 @@ func (c Chaos) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error) {
 	return &chaosNode{
 		cfg:   cfg,
 		inner: inner,
-		rng:   env.State.Rng,
+		rng:   env.State.rng(cfg.ID),
 		st:    env.State,
 	}, nil
 }
@@ -165,7 +166,7 @@ func (BitFlipper) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &bitFlipNode{inner: inner, rng: env.State.Rng}, nil
+	return &bitFlipNode{inner: inner, rng: env.State.rng(cfg.ID)}, nil
 }
 
 type bitFlipNode struct {

@@ -222,7 +222,8 @@ func (r *Runner) Setup(cfg Config) (*Setup, error) {
 	if cfg.FaultyOverride != nil {
 		faulty = cfg.FaultyOverride.Clone()
 	} else if cfg.Adversary != nil {
-		// The same stream adversary.NewState seeds the strategy's Rng with.
+		// Corruption draws from a stream seeded with Seed; each faulty
+		// processor's strategy then draws from its own (Seed, id) stream.
 		faulty = cfg.Adversary.Corrupt(cfg.N, cfg.T, cfg.Transmitter, mrand.New(mrand.NewSource(cfg.Seed)))
 	}
 	if cfg.Adversary != nil {

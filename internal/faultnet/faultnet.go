@@ -481,13 +481,14 @@ func (p *Plan) coin(rule, phase int, from, to ident.ProcID, prob float64) bool {
 	}
 	x := uint64(p.seed)
 	for _, v := range [...]uint64{uint64(rule) + 1, uint64(phase), uint64(int64(from)) + 2, uint64(int64(to)) + 2} {
-		x = splitmix64(x ^ (v * 0x9e3779b97f4a7c15))
+		x = SplitMix64(x ^ (v * 0x9e3779b97f4a7c15))
 	}
 	return float64(x>>11)/float64(1<<53) < prob
 }
 
-// splitmix64 is the SplitMix64 finalizer — a cheap, well-mixed 64-bit hash.
-func splitmix64(x uint64) uint64 {
+// SplitMix64 is the SplitMix64 finalizer — a cheap, well-mixed 64-bit hash.
+// The adversary package seeds each faulty processor's stream with it too.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb

@@ -40,20 +40,6 @@ type MsgAudit struct {
 // protocols).
 func (a *MsgAudit) Satisfied() bool { return a.MinReceived >= a.RequiredPerMember }
 
-// starveSet picks B: the ⌊1+t/2⌋ highest non-transmitter identities.
-func starveSet(n, t int, transmitter ident.ProcID) ident.Set {
-	size := 1 + t/2
-	out := make(ident.Set)
-	for id := n - 1; id >= 0 && out.Len() < size; id-- {
-		p := ident.ProcID(id)
-		if p == transmitter {
-			continue
-		}
-		out.Add(p)
-	}
-	return out
-}
-
 // StarvationAudit runs the Theorem 2 history H': the transmitter correctly
 // sends 1 (the value no processor adopts without receiving messages), the
 // coalition B ignores its first ⌈t/2⌉ incoming messages and never talks
@@ -66,7 +52,7 @@ func StarvationAudit(ctx context.Context, p protocol.Protocol, n, t int, scheme 
 		scheme = sig.NewHMAC(n, 0xD01Ef)
 	}
 	const transmitter = ident.ProcID(0)
-	b := starveSet(n, t, transmitter)
+	b := adversary.StarveSet(n, t, transmitter)
 	ignore := (t + 1) / 2
 	adv := adversary.StarveB{B: b, IgnoreFirst: ignore}
 	res, err := core.Run(ctx, core.Config{

@@ -62,9 +62,10 @@ func (c NodeConfig) IsTransmitter() bool { return c.ID == c.Transmitter }
 // RequireBinaryValue rejects transmitter inputs outside {0, 1}. The paper's
 // Algorithms 1-5 are stated for the binary domain ("the values the
 // transmitter may send are 0 or 1"); protocols built on correct 1-messages
-// must refuse other inputs instead of silently misdeciding. Multi-valued
-// variants (alg1.MultiProtocol, dolevstrong, lsp, phaseking, ic) accept any
-// value.
+// must refuse other inputs instead of silently misdeciding. alg1.MultiProtocol
+// does not call it: it runs Algorithm 1's state machine under the
+// multi-valued rule, where a correct message of any value counts. Nor do
+// dolevstrong, lsp, phaseking and ic, which accept any value.
 func (c NodeConfig) RequireBinaryValue() error {
 	if c.IsTransmitter() && c.Value != 0 && c.Value != 1 {
 		return fmt.Errorf("%w: binary protocol cannot carry value %v (use the multi-valued variants)", ErrBadParams, c.Value)

@@ -14,8 +14,9 @@
 //	                signs it and sends it to everybody on the other side.
 //	Decision:       1 if a correct 1-message arrived by phase t+2, else 0.
 //
-// The Core type is embeddable so Algorithms 2, 3 and 5 can run it among a
-// subgroup of a larger system.
+// One state machine, Core, runs both this binary rule and the multi-valued
+// rule of MultiProtocol. The Core type is embeddable so Algorithms 2, 3 and
+// 5 can run it among a subgroup of a larger system.
 package alg1
 
 import (
@@ -38,15 +39,20 @@ type Core struct {
 	signer   sig.Signer
 	verifier sig.Verifier
 
-	got1    bool
-	best    sig.SignedValue
-	relayed bool
+	// multi selects the multi-valued rule: a correct message of any value
+	// counts, and up to two values are kept. The binary rule counts only
+	// the value 1 and keeps the first such message.
+	multi bool
+	// kept[:nkept] holds the first correct message of each kept value, in
+	// arrival order; kept[:relayed] have been relayed.
+	kept           [2]sig.SignedValue
+	nkept, relayed int
 }
 
-// NewCore builds the Algorithm 1 state machine for group member me. The
-// group must have exactly 2t+1 members, and the core keeps the slice: the
-// caller must not write to it afterwards. value is used only by the
-// transmitter (group[0]).
+// NewCore builds the Algorithm 1 state machine for group member me under the
+// binary rule. The group must have exactly 2t+1 members, and the core keeps
+// the slice: the caller must not write to it afterwards. value is used only
+// by the transmitter (group[0]).
 func NewCore(group []ident.ProcID, t int, me ident.ProcID, value ident.Value, signer sig.Signer, verifier sig.Verifier) (*Core, error) {
 	if len(group) != 2*t+1 {
 		return nil, fmt.Errorf("%w: alg1 needs |group| = 2t+1, got %d for t=%d", protocol.ErrBadParams, len(group), t)
@@ -89,39 +95,28 @@ func (c *Core) side(idx int) int {
 	}
 }
 
-// otherSide returns the group indices of the opposite non-transmitter side.
+// otherSide returns the members of the opposite non-transmitter side.
 func (c *Core) otherSide() []ident.ProcID {
-	var lo, hi int
 	if c.side(c.me) == 1 {
-		lo, hi = c.t+1, 2*c.t
-	} else {
-		lo, hi = 1, c.t
+		return c.group.Members()[c.t+1:]
 	}
-	out := make([]ident.ProcID, 0, c.t)
-	for i := lo; i <= hi; i++ {
-		out = append(out, c.group.Members()[i])
-	}
-	return out
+	return c.group.Members()[1 : c.t+1]
 }
 
-// isCorrect1Message validates a payload received at relative phase k (i.e.
-// sent during phase k) against the "correct 1-message" predicate for this
-// receiver.
-func (c *Core) isCorrect1Message(payload []byte, from ident.ProcID, k int) (sig.SignedValue, bool) {
+// isCorrectMessage validates a payload received at relative phase k (i.e.
+// sent during phase k) against the "correct message" predicate for this
+// receiver. Under the binary rule only a correct 1-message passes.
+func (c *Core) isCorrectMessage(payload []byte, from ident.ProcID, k int) (sig.SignedValue, bool) {
 	sv, err := sig.UnmarshalSignedValue(payload)
-	if err != nil || sv.Value != ident.V1 {
-		return sig.SignedValue{}, false
-	}
-	if len(sv.Chain) != k {
+	if err != nil || (!c.multi && sv.Value != ident.V1) || len(sv.Chain) != k {
 		return sig.SignedValue{}, false
 	}
 	// The chain plus this receiver must form a simple path of length k from
 	// the transmitter through G.
 	prev := -1
-	seen := make(ident.Set, k+1)
 	for i, link := range sv.Chain {
 		idx, ok := c.group.Index(link.Signer)
-		if !ok || !seen.Add(link.Signer) {
+		if !ok || sv.Chain[:i].Has(link.Signer) {
 			return sig.SignedValue{}, false
 		}
 		s := c.side(idx)
@@ -139,7 +134,7 @@ func (c *Core) isCorrect1Message(payload []byte, from ident.ProcID, k int) (sig.
 	}
 	// The edge (last signer -> receiver) must exist in G and keep the path
 	// simple: the receiver must not already be on it.
-	if seen.Has(c.group.Members()[c.me]) {
+	if sv.Chain.Has(c.group.Members()[c.me]) {
 		return sig.SignedValue{}, false
 	}
 	if k > 1 && c.side(c.me) == prev {
@@ -147,7 +142,7 @@ func (c *Core) isCorrect1Message(payload []byte, from ident.ProcID, k int) (sig.
 	}
 	// The immediate sender must be the last signer (paths are relayed hop
 	// by hop; accepting detours would let faulty processors spend correct
-	// processors' single relay on malformed routes).
+	// processors' relays on malformed routes).
 	if from != sv.Chain[len(sv.Chain)-1].Signer {
 		return sig.SignedValue{}, false
 	}
@@ -155,6 +150,20 @@ func (c *Core) isCorrect1Message(payload []byte, from ident.ProcID, k int) (sig.
 		return sig.SignedValue{}, false
 	}
 	return sv, true
+}
+
+// keep records sv unless its value is kept already or both slots are full
+// (two circulating values already force the default).
+func (c *Core) keep(sv sig.SignedValue) {
+	for _, k := range c.kept[:c.nkept] {
+		if k.Value == sv.Value {
+			return
+		}
+	}
+	if c.nkept < len(c.kept) {
+		c.kept[c.nkept] = sv
+		c.nkept++
+	}
 }
 
 // Step advances the state machine. phase is the relative phase (1-based);
@@ -175,24 +184,25 @@ func (c *Core) Step(ctx *sim.Context, inbox []sim.Envelope, phase int) error {
 		return nil
 	}
 
-	// Scan the inbox (messages sent during phase-1) for correct 1-messages.
-	if !c.got1 && phase > 1 {
+	// Scan the inbox (messages sent during phase-1) for correct messages.
+	// The binary rule stops once it holds its one value; the multi-valued
+	// rule verifies every envelope, even with both slots full.
+	if phase > 1 {
 		for _, env := range inbox {
-			if sv, ok := c.isCorrect1Message(env.Payload, env.From, phase-1); ok {
-				c.got1 = true
-				c.best = sv
+			if !c.multi && c.nkept == 1 {
 				break
+			}
+			if sv, ok := c.isCorrectMessage(env.Payload, env.From, phase-1); ok {
+				c.keep(sv)
 			}
 		}
 	}
 
-	// Relay once: sign the first correct 1-message and send it to the
-	// other side, within the sending window (phases 2..t+2).
-	if c.got1 && !c.relayed && phase >= 2 && phase <= c.t+2 {
-		c.relayed = true
-		signed := c.best.CoSign(c.signer)
-		payload := signed.Marshal()
-		if err := protocol.SendToAll(ctx, c.otherSide(), payload, signed.Chain); err != nil {
+	// Relay each kept message once: sign it and send it to the other side,
+	// within the sending window (phases 2..t+2).
+	for ; c.relayed < c.nkept && phase >= 2 && phase <= c.t+2; c.relayed++ {
+		signed := c.kept[c.relayed].CoSign(c.signer)
+		if err := protocol.SendToAll(ctx, c.otherSide(), signed.Marshal(), signed.Chain); err != nil {
 			return err
 		}
 	}
@@ -200,14 +210,15 @@ func (c *Core) Step(ctx *sim.Context, inbox []sim.Envelope, phase int) error {
 }
 
 // Decide implements the decision function: the transmitter keeps its own
-// value; everybody else decides 1 iff a correct 1-message arrived by phase
-// t+2.
+// value; everybody else decides the one value a correct message arrived for
+// by phase t+2, and the default 0 when there is none (or, under the
+// multi-valued rule, two).
 func (c *Core) Decide() (ident.Value, bool) {
 	if c.me == 0 {
 		return c.value, true
 	}
-	if c.got1 {
-		return ident.V1, true
+	if c.nkept == 1 {
+		return c.kept[0].Value, true
 	}
 	return ident.V0, true
 }
@@ -243,20 +254,26 @@ func (Protocol) Check(n, t int) error {
 func (Protocol) Phases(_, t int) int { return LastPhase(t) }
 
 // NewNode implements protocol.Protocol.
-func (Protocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
+func (p Protocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if err := cfg.RequireBinaryValue(); err != nil {
 		return nil, err
 	}
+	return newNode(cfg, p.Name(), false)
+}
+
+// newNode builds a standalone node, under the multi-valued rule when multi.
+func newNode(cfg protocol.NodeConfig, name string, multi bool) (sim.Node, error) {
 	if cfg.Transmitter != 0 {
-		return nil, fmt.Errorf("%w: alg1 assumes transmitter 0", protocol.ErrBadParams)
+		return nil, fmt.Errorf("%w: %s assumes transmitter 0", protocol.ErrBadParams, name)
 	}
 	core, err := NewCore(ident.Range(cfg.N), cfg.T, cfg.ID, cfg.Value, cfg.Signer, cfg.Verifier)
 	if err != nil {
 		return nil, err
 	}
+	core.multi = multi
 	return &node{core: core}, nil
 }
 

@@ -131,14 +131,14 @@ func encodeTagged(tag byte, sv sig.SignedValue) []byte {
 	return w.Bytes()
 }
 
-// decodeTagged parses a tagged SignedValue payload; ok is false on any
-// mismatch.
-func decodeTagged(payload []byte, wantTag byte) (sig.SignedValue, bool) {
+// decodeTagged parses a tagged SignedValue payload, its chain carved from
+// links; ok is false on any mismatch.
+func decodeTagged(links *sig.Slab, payload []byte, wantTag byte) (sig.SignedValue, bool) {
 	if len(payload) == 0 || payload[0] != wantTag {
 		return sig.SignedValue{}, false
 	}
 	r := wire.NewReader(payload[1:])
-	sv := sig.DecodeSignedValue(r, nil)
+	sv := sig.DecodeSignedValue(r, links)
 	if r.Finish() != nil {
 		return sig.SignedValue{}, false
 	}
@@ -152,6 +152,7 @@ type activeNode struct {
 	cfg   protocol.NodeConfig
 	l     layout
 	inner *alg1.Core
+	links sig.Slab // what decoded chains are carved from
 
 	committed    ident.Value
 	hasCommitted bool
@@ -188,7 +189,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			if !okLoc || memberIdx != 0 {
 				continue
 			}
-			sv, ok := decodeTagged(env.Payload, tagReport)
+			sv, ok := decodeTagged(&a.links, env.Payload, tagReport)
 			if !ok {
 				continue
 			}
@@ -231,6 +232,7 @@ type rootNode struct {
 	cfg    protocol.NodeConfig
 	l      layout
 	setIdx int
+	links  sig.Slab // what decoded chains are carved from
 
 	m       sig.SignedValue // current m(j)
 	haveM   bool
@@ -258,7 +260,7 @@ func (r *rootNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			if int(env.From) >= 2*t+1 {
 				continue
 			}
-			sv, ok := decodeTagged(env.Payload, tagActiveValue)
+			sv, ok := decodeTagged(&r.links, env.Payload, tagActiveValue)
 			if !ok || len(sv.Chain) != 1 || sv.Chain[0].Signer != env.From {
 				continue
 			}
@@ -285,7 +287,7 @@ func (r *rootNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 				if env.From != expect {
 					continue
 				}
-				sv, ok := decodeTagged(env.Payload, tagChainUp)
+				sv, ok := decodeTagged(&r.links, env.Payload, tagChainUp)
 				if !ok || sv.Value != r.m.Value || len(sv.Chain) != len(r.m.Chain)+1 {
 					continue
 				}
@@ -342,7 +344,8 @@ type memberNode struct {
 	cfg       protocol.NodeConfig
 	l         layout
 	setIdx    int
-	memberIdx int // 0-based position in the set; the paper's c(j) has j = memberIdx+1
+	memberIdx int      // 0-based position in the set; the paper's c(j) has j = memberIdx+1
+	links     sig.Slab // what decoded chains are carved from
 
 	fromRoot    ident.Value
 	haveRoot    bool
@@ -369,7 +372,7 @@ func (mn *memberNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			if env.From != mn.root() {
 				continue
 			}
-			if sv, ok := decodeTagged(env.Payload, tagChainDown); ok {
+			if sv, ok := decodeTagged(&mn.links, env.Payload, tagChainDown); ok {
 				got = append(got, sv)
 			}
 		}
@@ -394,7 +397,7 @@ func (mn *memberNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			if int(env.From) >= 2*t+1 {
 				continue
 			}
-			sv, ok := decodeTagged(env.Payload, tagActiveValue)
+			sv, ok := decodeTagged(&mn.links, env.Payload, tagActiveValue)
 			if !ok || len(sv.Chain) != 1 || sv.Chain[0].Signer != env.From {
 				continue
 			}

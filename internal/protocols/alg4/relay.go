@@ -59,7 +59,8 @@ type relayNode struct {
 	cfg       protocol.NodeConfig
 	collected map[ident.ProcID]sig.SignedBytes
 	// m1 buffers phase 1 receipts for the relay's phase 2 fan-out.
-	m1 []sig.SignedBytes
+	m1    []sig.SignedBytes
+	links sig.Slab // what decoded chains are carved from
 }
 
 var _ sim.Node = (*relayNode)(nil)
@@ -116,7 +117,7 @@ func (r *relayNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 				continue
 			}
 			rd := wire.NewReader(env.Payload[1:])
-			sb := sig.DecodeSignedBytes(rd, nil)
+			sb := sig.DecodeSignedBytes(rd, &r.links)
 			if rd.Finish() != nil || !r.accept(sb) || sb.Chain[0].Signer != env.From {
 				continue
 			}
@@ -142,7 +143,7 @@ func (r *relayNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 				continue
 			}
 			for i := 0; i < cnt; i++ {
-				sb := sig.DecodeSignedBytes(rd, nil)
+				sb := sig.DecodeSignedBytes(rd, &r.links)
 				if rd.Err() != nil {
 					break
 				}

@@ -107,7 +107,7 @@ func (c Candidate) adversaryFor(n, t int, transmitter ident.ProcID) adversary.Ad
 	case StratCrash:
 		return adversary.Crash{CrashAfter: max(0, c.Param)}
 	case StratStarve:
-		return adversary.StarveB{B: starveSet(n, t, transmitter), IgnoreFirst: max(0, c.Param)}
+		return adversary.StarveB{B: adversary.StarveSet(n, t, transmitter), IgnoreFirst: max(0, c.Param)}
 	case StratGarbage:
 		return adversary.Garbage{PerPhase: 1 + abs(c.Param)%4}
 	case StratChaos:
@@ -126,23 +126,6 @@ func (c Candidate) adversaryFor(n, t int, transmitter ident.ProcID) adversary.Ad
 	default:
 		return nil
 	}
-}
-
-// starveSet is the Theorem 2 victim set: the last ⌊1+t/2⌋ processor ids,
-// skipping the transmitter — the same shape lowerbound.StarvationAudit uses.
-func starveSet(n, t int, transmitter ident.ProcID) ident.Set {
-	b := 1 + t/2
-	if b > t {
-		b = t
-	}
-	out := make(ident.Set)
-	for id := n - 1; id >= 0 && out.Len() < b; id-- {
-		if ident.ProcID(id) == transmitter {
-			continue
-		}
-		out.Add(ident.ProcID(id))
-	}
-	return out
 }
 
 // defaultParam is the canonical knob setting a strategy starts from: the

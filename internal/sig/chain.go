@@ -154,8 +154,7 @@ func (c Chain) EncodedLen() int {
 // peers of the TCP transport decode concurrently, each node into its own. A
 // block that runs out is dropped, never rewritten, so a chain stays valid for
 // as long as anything references it, unless its owner gave it back with
-// Rewind. The zero value is ready to use, and a nil *Slab makes every chain an
-// allocation of its own.
+// Rewind. The zero value is ready to use.
 type Slab struct {
 	block []Link
 	used  int // block[:used] is carved
@@ -171,9 +170,6 @@ const minLinkLen = 2
 
 // take returns n uncarved links as an empty chain with capacity n.
 func (s *Slab) take(n int) Chain {
-	if s == nil {
-		return make(Chain, 0, n)
-	}
 	if n > len(s.block)-s.used {
 		s.block = make([]Link, max(n, min(2*len(s.block), slabMax)))
 		s.used = 0
@@ -184,19 +180,14 @@ func (s *Slab) take(n int) Chain {
 }
 
 // Mark returns the slab's position, for Rewind.
-func (s *Slab) Mark() int {
-	if s == nil {
-		return 0
-	}
-	return s.used
-}
+func (s *Slab) Mark() int { return s.used }
 
 // Rewind hands back the links of every chain decoded since mark was taken, to
 // be carved again: the caller has dropped those chains. (When a new block was
 // started in between, the position counts into that block; whatever of it lies
 // past mark was still carved after mark, so this only hands back less.)
 func (s *Slab) Rewind(mark int) {
-	if s != nil && mark < s.used {
+	if mark < s.used {
 		s.used = mark
 	}
 }
@@ -302,10 +293,12 @@ func (sv SignedValue) Marshal() []byte {
 	return w.Bytes()
 }
 
-// UnmarshalSignedValue decodes a standalone encoding produced by Marshal.
+// UnmarshalSignedValue decodes a standalone encoding produced by Marshal, its
+// chain carved from a slab of its own.
 func UnmarshalSignedValue(b []byte) (SignedValue, error) {
+	var links Slab
 	r := wire.NewReader(b)
-	sv := DecodeSignedValue(r, nil)
+	sv := DecodeSignedValue(r, &links)
 	if err := r.Finish(); err != nil {
 		return SignedValue{}, err
 	}

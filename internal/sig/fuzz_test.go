@@ -12,8 +12,9 @@ import (
 // unmarshalSignedBytes decodes a standalone SignedBytes.Marshal encoding
 // through sig.DecodeSignedBytes, the decoder every protocol calls.
 func unmarshalSignedBytes(b []byte) (sig.SignedBytes, error) {
+	var links sig.Slab
 	r := wire.NewReader(b)
-	sb := sig.DecodeSignedBytes(r, nil)
+	sb := sig.DecodeSignedBytes(r, &links)
 	if err := r.Finish(); err != nil {
 		return sig.SignedBytes{}, err
 	}

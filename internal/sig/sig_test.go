@@ -213,7 +213,7 @@ func TestEncodedLenIsExact(t *testing.T) {
 // TestSlabCarvesChainsFromBlocks pins the slab's contract: chains decoded
 // through one slab come out equal to separately decoded ones and do not
 // overlap, a handful of blocks serves many chains, what is rewound is carved
-// again, a decode that fails gives its links back, and a nil slab works.
+// again, and a decode that fails gives its links back.
 func TestSlabCarvesChainsFromBlocks(t *testing.T) {
 	s := sig.NewHMAC(8, 3)
 	s0, _ := s.Signer(0)
@@ -251,8 +251,8 @@ func TestSlabCarvesChainsFromBlocks(t *testing.T) {
 		if err := got.Verify(s); err != nil {
 			t.Fatalf("chain %d: %v", i, err)
 		}
-		if want := decode(nil, encs[i%len(encs)]); len(got.Chain) != len(want.Chain) {
-			t.Fatalf("chain %d: %d links through the slab, %d without", i, len(got.Chain), len(want.Chain))
+		if want := decode(new(sig.Slab), encs[i%len(encs)]); len(got.Chain) != len(want.Chain) {
+			t.Fatalf("chain %d: %d links through the shared slab, %d through a fresh one", i, len(got.Chain), len(want.Chain))
 		}
 		for j := range got.Chain {
 			if seen[&got.Chain[j]] {

@@ -64,22 +64,26 @@ func checkFaultCounters(t *testing.T, label string, events []trace.Event, want f
 // TestScenarioMatrix is the fault-injection acceptance test: every registry
 // protocol that promises something (strawmen do not) and whose canonical
 // size has the t ≥ 2 the scenarios spend, under every fault family, with the
-// plan kept inside the fault budget (Affected ⊆ faulty, |faulty| ≤ t), must
-// still reach agreement and validity (unanimity only for the exchange
-// class); two runs of the same seed — the second under a link delay, so
-// every fault rule also meets the receivers' hold — must produce
-// identical decisions and byte-identical traces; and the fault-* counters
-// recovered from the trace must equal the plan's own accounting — on both
-// substrates, whose decisions must also agree with each other.
+// plan kept inside the fault budget (Affected ⊆ faulty, |faulty| ≤ t), and
+// under the randomized chaos and garbage adversaries, must still reach
+// agreement and validity (unanimity only for the exchange class, or when the
+// adversary corrupted the transmitter); two runs of the same seed — the
+// second under a link delay, so every fault rule also meets the receivers'
+// hold — must produce identical decisions and byte-identical traces; and the
+// fault-* counters recovered from the trace must equal the plan's own
+// accounting — on both substrates, whose decisions must also agree with each
+// other.
 func TestScenarioMatrix(t *testing.T) {
 	const seed = 42
 	scenarios := []struct {
-		name, spec string
+		name, spec, adversary string
 	}{
-		{"crash", "crash=1@2;crash=2@3"},
-		{"drop-dup", "drop=1->3@2-3;dup=1->4@1;drop=2->*@2/0.6"},
-		{"partition", "partition=1,2|3,4@2"},
-		{"delay-reorder", "delay=1->*@1-2+1;reorder=2->*@*"},
+		{"crash", "crash=1@2;crash=2@3", ""},
+		{"drop-dup", "drop=1->3@2-3;dup=1->4@1;drop=2->*@2/0.6", ""},
+		{"partition", "partition=1,2|3,4@2", ""},
+		{"delay-reorder", "delay=1->*@1-2+1;reorder=2->*@*", ""},
+		{"chaos", "", "chaos"},
+		{"garbage", "", "garbage"},
 	}
 	for _, e := range cli.Registry() {
 		if e.T < 2 || e.Class == cli.ClassStrawman {
@@ -101,14 +105,21 @@ func TestScenarioMatrix(t *testing.T) {
 				if err := plan.CheckBudget(e.N, e.T); err != nil {
 					t.Fatalf("scenario not in budget: %v", err)
 				}
+				adv, err := cli.Adversary(sc.adversary, params)
+				if err != nil {
+					t.Fatal(err)
+				}
 				cfg := core.Config{
 					Protocol: proto, N: e.N, T: e.T, Value: ident.V1, Scheme: scheme,
-					FaultyOverride: plan.Affected(e.N), Seed: seed, Faults: plan,
+					Adversary: adv, Seed: seed, Faults: plan,
+				}
+				if adv == nil {
+					cfg.FaultyOverride = plan.Affected(e.N)
 				}
 				want := plan.ExpectedCounters(e.N, phases)
 
 				res1, buf1 := runTCP(t, cfg, 0)
-				checkAgreement(t, res1, ident.V1, e.Class == cli.ClassExchange)
+				checkAgreement(t, res1, ident.V1, e.Class == cli.ClassExchange || res1.Faulty.Has(cfg.Transmitter))
 				checkFaultCounters(t, "tcp", buf1.Events(), want)
 
 				// Same seed, second run, links a millisecond long: byte-identical

@@ -1,0 +1,86 @@
+#!/usr/bin/env bash
+# Behaviour parity of this checkout against another revision:
+#
+#   bash scripts/parity.sh <rev>
+#
+# unpacks <rev> (git archive) into a directory under .bench_build/, builds
+# basim and baexp in both trees, and runs one fixed matrix through both: every
+# registry row at its canonical size (read from internal/cli/cli.go) × the
+# adversaries none, split-brain, multi-faced, silent and crash × the memory and
+# tcp transports × no fault plan and crash=1@2, plus baexp's text and CSV
+# tables. Each basim run's stdout, stderr and exit status, its -trace JSONL and
+# its -metrics JSON must be byte-identical between the trees (elapsed: lines
+# aside; runs use relative paths). Prints "k/k identical" and exits 0, or
+# prints the first command that differs and exits 1.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+	echo "usage: bash scripts/parity.sh <rev>" >&2
+	exit 2
+fi
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+sha="$(git -C "$root" rev-parse --short "$1^{commit}")"
+work="$root/.bench_build/parity"
+parent="$work/tree-$sha"
+mkdir -p "$work"
+if [ ! -d "$parent" ]; then
+	mkdir -p "$parent.tmp"
+	git -C "$root" archive "$sha" | tar -x -C "$parent.tmp"
+	mv "$parent.tmp" "$parent"
+fi
+
+# Both sides' binaries and run directories: a = <rev>, b = this checkout.
+rm -rf "$work/a" "$work/b"
+for side in a b; do
+	tree="$parent"
+	[ "$side" = b ] && tree="$root"
+	mkdir -p "$work/$side/bin" "$work/$side/run"
+	(cd "$tree" && go build -o "$work/$side/bin/" ./cmd/basim ./cmd/baexp)
+done
+
+# rows: "name n t scheme" per registry row, parsed from this checkout's table.
+rows="$(sed -nE 's/^[[:space:]]*\{"([a-z0-9-]+)", .*, ([0-9]+), ([0-9]+), "([a-z0-9]+)", Class.*/\1 \2 \3 \4/p' "$root/internal/cli/cli.go")"
+usage="$("$work/b/bin/basim" -help 2>&1 || true)" # -help exits 2
+names="$(echo "$usage" | sed -nE 's/.*protocol: ([a-z0-9|-]+) .*/\1/p' | tr '|' ' ')"
+if [ "$(echo $names)" != "$(echo "$rows" | cut -d' ' -f1 | tr '\n' ' ' | sed 's/ $//')" ]; then
+	echo "parity: rows parsed from internal/cli/cli.go ($(echo "$rows" | cut -d' ' -f1 | tr '\n' ' ')) are not basim's protocols ($names)" >&2
+	exit 2
+fi
+
+# check <tool> <args...>: run the command in both trees and compare.
+k=0
+check() {
+	local tool="$1"
+	shift
+	k=$((k + 1))
+	for side in a b; do
+		local dir="$work/$side/run"
+		rm -f "$dir"/*
+		(cd "$dir" && { "$work/$side/bin/$tool" "$@" >out 2>err && echo 0 || echo $?; } >status)
+		sed -i '/^elapsed: /d' "$dir/out"
+	done
+	local f
+	for f in out err status trace.jsonl metrics.json; do
+		if [ -e "$work/a/run/$f" ] || [ -e "$work/b/run/$f" ]; then
+			if ! cmp -s "$work/a/run/$f" "$work/b/run/$f"; then
+				echo "differs ($f): $tool $(printf '%q ' "$@")"
+				exit 1
+			fi
+		fi
+	done
+}
+
+while read -r name n t scheme; do
+	for adv in none split-brain multi-faced silent crash; do
+		for transport in memory tcp; do
+			for faults in "" "crash=1@2"; do
+				check basim -protocol "$name" -n "$n" -t "$t" -scheme "$scheme" -adversary "$adv" \
+					-transport "$transport" -faults "$faults" -trace trace.jsonl -metrics metrics.json
+			done
+		done
+	done
+done <<<"$rows"
+check baexp
+check baexp -format csv
+
+echo "$k/$k identical"
