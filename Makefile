@@ -92,13 +92,14 @@ lint:
 # The fault-injection gate: every numbered algorithm against every fault
 # family (crash/drop/dup/reorder/delay/partition) over real TCP, in-budget
 # plans must agree and replay byte-identically, over-budget plans must fail
-# typed. Also run standalone for a quick transport-layer signal. The second
+# typed, and the TCP trace must equal the in-memory one minus its verify-*
+# events. Also run standalone for a quick transport-layer signal. The second
 # line is the link-delay hold's contract (never early per link, cancellable,
 # muted senders not waited on twice) and its waker's, five times over. The
 # third is the warm run path's: a reused core.Runner, pooled RunSim and warm
 # mesh must equal fresh runs, ten times over.
 faults:
-	$(GO) test -race -count=1 ./internal/transport/ -run 'TestScenarioMatrix|TestCrashAtPhaseK|TestOverBudgetFaultsFailTyped'
+	$(GO) test -race -count=1 ./internal/transport/ -run 'TestScenarioMatrix|TestCrashAtPhaseK|TestOverBudgetFaultsFailTyped|TestEngineTCPParity'
 	$(GO) test -race -count=5 ./internal/transport/ -run 'LinkDelay|Waker'
 	$(GO) test -race -count=10 -run 'Runner|RunSim' ./internal/core/ ./internal/service/ ./internal/transport/
 

@@ -62,8 +62,8 @@ func (tp Template) Params() Params {
 // Resolve builds the core.Config template. When a fault plan is present and
 // no adversary is configured, the plan's affected processors become the
 // faulty set (FaultyOverride), matching how the scenario tests budget
-// faults; a plan that exceeds the t budget still resolves, but warn carries
-// a non-empty explanation (instances may stall rather than decide).
+// faults; a plan that exceeds the t budget still resolves, but warn says
+// what follows: refusal at setup, or instances that stall rather than decide.
 func (tp Template) Resolve() (cfg core.Config, warn string, err error) {
 	params := tp.Params()
 	n := params.N
@@ -89,7 +89,7 @@ func (tp Template) Resolve() (cfg core.Config, warn string, err error) {
 			faultyOverride = plan.Affected(n)
 		}
 		if budgetErr := plan.CheckBudget(n, tp.T); budgetErr != nil {
-			warn = budgetErr.Error() + " — expect instances to stall or crash, not decide"
+			warn = budgetErr.Error() + " — instances whose faulty set exceeds t or misses a crash victim are refused, the rest may stall rather than decide"
 		}
 	}
 	return core.Config{

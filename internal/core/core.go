@@ -226,6 +226,11 @@ func (r *Runner) Setup(cfg Config) (*Setup, error) {
 		// processor's strategy then draws from its own (Seed, id) stream.
 		faulty = cfg.Adversary.Corrupt(cfg.N, cfg.T, cfg.Transmitter, mrand.New(mrand.NewSource(cfg.Seed)))
 	}
+	// Refuse what the engine would, before a node is built or an event emitted.
+	phases := cfg.Protocol.Phases(cfg.N, cfg.T)
+	if err := (sim.Config{N: cfg.N, T: cfg.T, Transmitter: cfg.Transmitter, Phases: phases, Faulty: faulty, Faults: cfg.Faults}).Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Adversary != nil {
 		st, err := adversary.NewState(faulty, scheme, cfg.Seed)
 		if err != nil {
@@ -264,7 +269,7 @@ func (r *Runner) Setup(cfg Config) (*Setup, error) {
 			return nil, fmt.Errorf("core: building node %v: %w", id, err)
 		}
 	}
-	r.setup = Setup{Verifier: &r.verifier, Faulty: faulty, Phases: cfg.Protocol.Phases(cfg.N, cfg.T), Nodes: nodes}
+	r.setup = Setup{Verifier: &r.verifier, Faulty: faulty, Phases: phases, Nodes: nodes}
 	return &r.setup, nil
 }
 

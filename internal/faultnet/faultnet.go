@@ -33,9 +33,11 @@ import (
 )
 
 // ErrOverBudget reports a plan whose affected-sender set exceeds the fault
-// bound t — agreement is no longer guaranteed and substrates are expected
-// to fail with a typed error (transport.ErrStalled / ErrPeerCrashed)
-// rather than risk a divergent decision.
+// bound t — agreement is no longer guaranteed, and a run refuses typed
+// rather than risk a divergent decision: before the first phase where
+// validation sees it (a crash victim outside the faulty set is
+// sim.ErrCrashNotFaulty on both substrates), else over TCP with
+// transport.ErrStalled once a receiver's information gap exceeds t.
 var ErrOverBudget = errors.New("faultnet: fault plan exceeds the fault budget")
 
 // ErrBadSpec reports an invalid scenario description (parse or validation).

@@ -13,21 +13,17 @@ import (
 )
 
 // Collector accumulates counters during a run. It is not safe for concurrent
-// use by itself; the in-memory engine is single-threaded and the TCP
-// transport serializes updates through a mutex at its layer.
+// use by itself: sim.Engine serializes the sends of processors stepped
+// concurrently.
 type Collector struct {
 	faulty ident.Set
 
 	report Report
 }
 
-// NewCollector creates a collector that classifies senders against the given
-// faulty set (which may be nil or empty for fault-free runs).
-func NewCollector(faulty ident.Set) *Collector {
-	return &Collector{faulty: faulty}
-}
-
-// Reset zeroes the counters for a run against faulty, keeping PerPhase's storage.
+// Reset zeroes the counters for a run that classifies senders against faulty
+// (nil or empty for a fault-free run), keeping PerPhase's storage. The zero
+// Collector counts every sender as correct.
 func (c *Collector) Reset(faulty ident.Set) {
 	*c = Collector{faulty: faulty, report: Report{PerPhase: c.report.PerPhase[:0]}}
 }

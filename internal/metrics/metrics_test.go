@@ -9,7 +9,8 @@ import (
 )
 
 func TestCorrectFaultySplit(t *testing.T) {
-	c := metrics.NewCollector(ident.NewSet(2))
+	var c metrics.Collector
+	c.Reset(ident.NewSet(2))
 	c.OnSend(1, 0, 2, 2, 100)
 	c.OnSend(1, 2, 5, 3, 50) // faulty
 	c.OnSend(2, 1, 1, 1, 10)
@@ -38,7 +39,7 @@ func TestCorrectFaultySplit(t *testing.T) {
 }
 
 func TestPerPhaseSeries(t *testing.T) {
-	c := metrics.NewCollector(nil)
+	var c metrics.Collector
 	c.OnSend(3, 0, 1, 1, 5)
 	c.OnSend(3, 1, 0, 0, 5)
 	c.OnSend(5, 0, 2, 2, 5)
@@ -55,7 +56,7 @@ func TestPerPhaseSeries(t *testing.T) {
 }
 
 func TestReportSnapshotIsolated(t *testing.T) {
-	c := metrics.NewCollector(nil)
+	var c metrics.Collector
 	c.OnSend(1, 0, 0, 0, 1)
 	r1 := c.Report()
 	c.OnSend(2, 0, 0, 0, 1)
@@ -65,7 +66,7 @@ func TestReportSnapshotIsolated(t *testing.T) {
 }
 
 func TestRendering(t *testing.T) {
-	c := metrics.NewCollector(nil)
+	var c metrics.Collector
 	c.OnSend(1, 0, 1, 1, 42)
 	r := c.Report()
 	if s := r.String(); !strings.Contains(s, "msgs(correct)=1") || !strings.Contains(s, "signers=1") {

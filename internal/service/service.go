@@ -342,7 +342,9 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 	if cfg.Template.Protocol == nil {
 		return nil, errors.New("service: template has no protocol")
 	}
-	if err := cfg.Template.Protocol.Check(cfg.Template.N, cfg.Template.T); err != nil {
+	// Refuse here what would fail every instance: parameters the protocol
+	// rejects, a faulty set beyond t, a plan crashing a processor outside it.
+	if _, err := core.NewSetup(cfg.Template); err != nil {
 		return nil, err
 	}
 	substrate := cfg.Substrate
@@ -368,6 +370,7 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 		probe.Value = 2
 		probe.Adversary = nil
 		probe.FaultyOverride = nil
+		probe.Faults = nil
 		probe.Trace = nil
 		if _, err := core.NewSetup(probe); err != nil {
 			if errors.Is(err, protocol.ErrBadParams) {

@@ -7,10 +7,13 @@ import (
 	"testing"
 	"time"
 
+	"byzex/internal/adversary"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocols/alg1"
 	"byzex/internal/service"
+	"byzex/internal/sim"
 	"byzex/internal/trace"
 )
 
@@ -383,6 +386,26 @@ func TestBatchingRequiresMultiValuedProtocol(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("multi-valued template rejected: %v", err)
+	}
+	svc.Close()
+}
+
+// TestNewRefusesWhatEveryInstanceWould: a template whose fault plan crashes a
+// processor the adversary does not corrupt is refused at construction, with
+// the engine's own error, instead of failing every instance it serves. An
+// in-budget crash plan on a batching template still starts.
+func TestNewRefusesWhatEveryInstanceWould(t *testing.T) {
+	crash := faultnet.MustCompile(faultnet.Spec{Rules: []faultnet.Rule{{Kind: faultnet.KCrash, Proc: 1, AtPhase: 2}}}, 1)
+	tmpl := template(1)
+	tmpl.Adversary, tmpl.Faults = adversary.SplitBrain{}, crash
+	if _, err := service.New(context.Background(), service.Config{Template: tmpl}); !errors.Is(err, sim.ErrCrashNotFaulty) {
+		t.Fatalf("got %v, want sim.ErrCrashNotFaulty", err)
+	}
+	tmpl = multiTemplate(1)
+	tmpl.Faults, tmpl.FaultyOverride = crash, ident.NewSet(1)
+	svc, err := service.New(context.Background(), service.Config{Template: tmpl, BatchSize: 4})
+	if err != nil {
+		t.Fatalf("in-budget crash plan refused: %v", err)
 	}
 	svc.Close()
 }

@@ -109,6 +109,12 @@ func TestInboxesMatchPerReceiverReference(t *testing.T) {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			cfg.Faults = plan
+			// Validate refuses a crash victim outside the faulty set.
+			for id := ident.ProcID(0); int(id) < n; id++ {
+				if plan.CrashPhase(id) != 0 {
+					cfg.Faulty = cfg.Faulty.Union(ident.NewSet(id))
+				}
+			}
 		}
 		log := &sendLog{inboxes: make(map[[2]int][]sim.Envelope), peeks: make(map[[2]int]int)}
 		nodes := make([]sim.Node, n)

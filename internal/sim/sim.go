@@ -6,11 +6,13 @@
 // else"); and at the beginning of phase k the individual subhistory built
 // from the first k-1 phases is all a processor has to work with.
 //
-// The engine is single-threaded and deterministic: nodes are stepped in
-// identity order and inboxes are sorted by sender. Byzantine processors are
-// simply Node implementations supplied by the adversary; the engine treats
-// them identically and only the metrics layer distinguishes correct from
-// faulty senders.
+// The engine is deterministic: nodes are stepped in identity order and
+// inboxes are sorted by sender. Its per-processor phase step is the one both
+// substrates run — in memory by Run, over TCP by package transport's mesh,
+// one goroutine per processor (see Engine). Byzantine processors are simply
+// Node implementations supplied by the adversary; the engine treats them
+// identically and only the metrics layer distinguishes correct from faulty
+// senders.
 package sim
 
 import (
@@ -20,6 +22,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 
 	"byzex/internal/faultnet"
 	"byzex/internal/ident"
@@ -33,6 +36,10 @@ var (
 	ErrSendClosed = errors.New("sim: send after final phase")
 	// ErrBadRecipient indicates a send to an out-of-range or self identity.
 	ErrBadRecipient = errors.New("sim: bad recipient")
+	// ErrCrashNotFaulty refuses a run whose fault plan halts a processor
+	// outside the faulty set: it never decides, so judging it correct would
+	// report a violation the plan caused.
+	ErrCrashNotFaulty = errors.New("sim: fault plan crashes a processor outside the faulty set")
 )
 
 // Envelope is one message in flight. Payload is the protocol-level encoding;
@@ -104,9 +111,10 @@ type Context struct {
 	sink        trace.Sink // nil when tracing is disabled
 }
 
-// NewContext builds a context for an external transport (e.g. the TCP
-// cluster): submit receives every accepted envelope. The in-memory engine
-// builds its contexts internally; most callers never need this.
+// NewContext builds a context outside an engine run — a protocol that
+// simulates sub-instances inside its own step, an adversary's scratch run, a
+// transcript replay: submit receives every accepted envelope. Engine runs
+// build their contexts internally.
 func NewContext(id ident.ProcID, n, t int, transmitter ident.ProcID, phase, lastPhase int, submit func(Envelope)) *Context {
 	return &Context{
 		id:          id,
@@ -117,15 +125,6 @@ func NewContext(id ident.ProcID, n, t int, transmitter ident.ProcID, phase, last
 		lastPhase:   lastPhase,
 		submit:      submit,
 	}
-}
-
-// WithTrace derives a context that reports suppressed sends (see
-// WithSendFilter) to s as KindOmit events. The in-memory engine wires its
-// contexts internally; external transports chain this after NewContext.
-func (c *Context) WithTrace(s trace.Sink) *Context {
-	clone := *c
-	clone.sink = s
-	return &clone
 }
 
 // WithSendFilter derives a context whose Send silently drops messages to
@@ -277,13 +276,12 @@ type Config struct {
 	// the disabled path allocates nothing.
 	Trace trace.Sink
 	// Faults is a compiled fault-injection plan (optional), applied on the
-	// delivery path by faultnet.Deliver exactly as the TCP transport applies
-	// it: per (sending phase, sender, receiver) "frame" — the group of
+	// delivery path by faultnet.Deliver, on either backend: per (sending phase, sender, receiver) "frame" — the group of
 	// envelopes one sender submitted to one recipient in one phase — the
 	// plan may drop, delay, duplicate or reorder the group, and
 	// crash-at-phase-k halts a processor (its Step is never called from
-	// phase k on). A nil plan injects nothing and costs one nil check per
-	// phase.
+	// phase k on), which must then be in Faulty (ErrCrashNotFaulty). A nil
+	// plan injects nothing and costs one nil check per phase.
 	Faults *faultnet.Plan
 }
 
@@ -304,6 +302,12 @@ func (c Config) Validate() error {
 	for id := range c.Faulty {
 		if int(id) < 0 || int(id) >= c.N {
 			return fmt.Errorf("sim: faulty id %v out of range [0,%d)", id, c.N)
+		}
+	}
+	// Only a crash that fires within the run's Phases+1 steps halts anyone.
+	for id := ident.ProcID(0); c.Faults != nil && int(id) < c.N; id++ {
+		if at := c.Faults.CrashPhase(id); at >= 1 && at <= c.Phases+1 && !c.Faulty.Has(id) {
+			return fmt.Errorf("%w: %v halts at phase %d", ErrCrashNotFaulty, id, at)
 		}
 	}
 	return nil
@@ -328,6 +332,12 @@ type Result struct {
 
 // Engine executes one protocol instance to completion. Reset prepares it for
 // the next, so one Engine can run instance after instance on warm storage.
+//
+// A phase is one per-processor step in stages — the crash check, the plan's
+// verdict on what the processor is delivered, the node's Step and its sends —
+// on two backends: Run steps every processor itself and moves sends in
+// memory; package transport's mesh peers each drive one through Halted,
+// Deliver and Step, and Finish ends the run. Both trace through one walk.
 type Engine struct {
 	cfg       Config
 	nodes     []Node
@@ -337,14 +347,13 @@ type Engine struct {
 	// how much of it is addressed to processor to. The phase swap moves it
 	// into delivered with one stable counting pass, grouped by receiver, and
 	// inboxes[to] becomes a view of to's group — or, for a receiver a fault
-	// plan touches, of faultnet.Deliver's output in faulted. All three grow
+	// plan touches, of faultnet.Deliver's output in its proc. All three grow
 	// to the largest phase, are zeroed once their phase is over so delivered
 	// payloads can be collected, and live as long as the engine, across
-	// Resets.
+	// Resets. Run only.
 	sent      envBlocks
 	count     []int
 	delivered envBlocks
-	faulted   []Envelope
 	inboxes   [][]Envelope
 
 	signers signerArena
@@ -352,22 +361,47 @@ type Engine struct {
 	// steps counts node steps since the run last yielded the processor.
 	steps int
 
-	// ctxs[id] is processor id's reusable context, re-pointed at the
-	// current phase before each Step instead of allocated per step.
-	ctxs []Context
+	procs  []proc
+	frames [][]Envelope // per-sender view of the inbox a plan delivers (Run only)
 
-	// Fault-plan scratch, nil unless a plan is active: stash[to] holds to's
-	// plan-delayed content and frames is the per-sender view of the inbox
-	// being delivered.
-	stash  []faultnet.Stash[Envelope]
-	frames [][]Envelope
+	// peers is a concurrent backend's share of the steps, empty under Run: the
+	// first of its calls after Reset sizes it, and mu guards what they share.
+	peers     []peer
+	peersOnce sync.Once
+	mu        sync.Mutex
 }
+
+// proc is one processor's step state; under a concurrent backend only the
+// goroutine driving the processor touches it.
+type proc struct {
+	ctx   Context // re-pointed at each phase instead of allocated per step
+	stash faultnet.Stash[Envelope]
+	held  []Envelope // Deliver's output, reused from phase to phase
+}
+
+// peer is a concurrently stepped processor's: route carries its accounted
+// sends, and rec holds its events by (phase, stage) until Finish replays them.
+type peer struct {
+	route func(Envelope)
+	rec   [][numStages]trace.Buffer
+}
+
+// The stages of a phase, in trace order; under rushing the faulty processors
+// step after the correct ones.
+const (
+	stageCrash = iota
+	stageFault
+	stageStep
+	stageRush
+	numStages
+)
 
 // Reset prepares the engine to run nodes under cfg; nodes[i] is the state
 // machine for processor i and must be non-nil. A new(Engine) is ready after
-// its first Reset. The per-processor storage, the envelope blocks and the
-// signer arena are kept while cfg.N is unchanged; nothing of an earlier run
-// is delivered, counted or traced in the next.
+// its first Reset, and is then driven by Run or by Halted, Deliver, Step and
+// Finish. The per-processor storage, the envelope blocks and the signer
+// arena are kept while cfg.N is unchanged; nothing of an earlier run is
+// delivered, counted or traced in the next.
 func (e *Engine) Reset(cfg Config, nodes []Node) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -380,58 +414,69 @@ func (e *Engine) Reset(cfg Config, nodes []Node) error {
 			return fmt.Errorf("sim: nil node for processor %d", i)
 		}
 	}
-	if len(e.ctxs) != cfg.N {
+	if len(e.procs) != cfg.N {
 		size := envBlockSize(cfg.N)
 		*e = Engine{sent: envBlocks{size: size}, delivered: envBlocks{size: size},
-			count: make([]int, cfg.N), inboxes: make([][]Envelope, cfg.N), ctxs: make([]Context, cfg.N)}
+			count: make([]int, cfg.N), inboxes: make([][]Envelope, cfg.N), procs: make([]proc, cfg.N)}
 		submit := e.submit // one bound method value shared by every context
-		for i := range e.ctxs {
-			e.ctxs[i] = Context{id: ident.ProcID(i), submit: submit, signers: &e.signers}
+		for i := range e.procs {
+			e.procs[i].ctx = Context{id: ident.ProcID(i), submit: submit}
 		}
 	}
-	for i := range e.ctxs {
-		c := &e.ctxs[i]
-		c.n, c.t, c.transmitter, c.lastPhase, c.sink = cfg.N, cfg.T, cfg.Transmitter, cfg.Phases, cfg.Trace
+	for i := range e.procs {
+		p := &e.procs[i]
+		c := &p.ctx
+		c.n, c.t, c.transmitter, c.lastPhase, c.sink, c.signers = cfg.N, cfg.T, cfg.Transmitter, cfg.Phases, cfg.Trace, &e.signers
+		clear(p.held)
+		p.stash, p.held = faultnet.Stash[Envelope]{}, p.held[:0]
 	}
+	e.peers, e.peersOnce = e.peers[:0], sync.Once{}
 	e.cfg, e.nodes = cfg, nodes
 	e.collector.Reset(cfg.Faulty)
 	e.sent.reset() // a run that ended early leaves its last sends here
 	clear(e.count)
-	e.stash = nil
-	if cfg.Faults != nil {
-		e.stash = make([]faultnet.Stash[Envelope], cfg.N)
-		e.frames = make([][]Envelope, cfg.N)
-	}
 	return nil
 }
 
+// submit is every context's send path: the step traces and counts the send
+// and shows it to the observers — under mu for a concurrent backend, so an
+// observer must not call back into the engine — and the backend carries it:
+// Run in this phase's traffic, a concurrent backend through its route.
 func (e *Engine) submit(env Envelope) {
-	e.collector.OnSend(env.Phase, env.From, env.SigTotal, len(env.Signers), len(env.Payload))
-	for _, o := range e.cfg.Observers {
-		o.OnSend(env)
-	}
-	if e.cfg.Trace != nil {
-		e.cfg.Trace.Emit(trace.Event{
+	if s := e.procs[env.From].ctx.sink; s != nil {
+		s.Emit(trace.Event{
 			Kind: trace.KindSend, Phase: env.Phase, From: env.From, To: env.To,
 			Sigs: env.SigTotal, Signers: len(env.Signers), Bytes: len(env.Payload),
 			Flag: e.cfg.Faulty.Has(env.From),
 		})
 	}
+	concurrent := len(e.peers) != 0
+	if concurrent {
+		e.mu.Lock()
+	}
+	e.collector.OnSend(env.Phase, env.From, env.SigTotal, len(env.Signers), len(env.Payload))
+	for _, o := range e.cfg.Observers {
+		o.OnSend(env)
+	}
+	if concurrent {
+		e.mu.Unlock()
+		e.peers[env.From].route(env)
+		return
+	}
 	_ = append(e.sent.carve(1), env) // into the carved slot
 	e.count[env.To]++
 }
 
-// deliver is the phase swap: what was sent last phase becomes this phase's
+// swap is Run's phase swap: what was sent last phase becomes this phase's
 // inboxes. Each receiver's envelopes keep their submission order, and nodes
 // are stepped in identity order, so a group is normally sender-sorted as it
 // lands; sortInbox checks that and repairs the exceptions (rushing).
-func (e *Engine) deliver() {
+func (e *Engine) swap() {
 	e.delivered.reset()
-	clear(e.faulted)
-	e.faulted = e.faulted[:0]
 	for to, c := range e.count {
 		e.inboxes[to] = e.delivered.carve(c)
 		e.count[to] = 0
+		clear(e.procs[to].held) // what a plan delivered last phase
 	}
 	for _, blk := range e.sent.blocks {
 		for i := range blk {
@@ -493,79 +538,165 @@ func (b *envBlocks) reset() {
 // yield the mark worker finishes within a phase.
 const yieldSteps = 1024
 
-// Run executes phases 1..cfg.Phases plus the final delivery-only step and
-// returns the collected decisions and metrics. ctx cancellation aborts
-// between phases.
+// Run is the in-memory backend: it executes phases 1..cfg.Phases plus the
+// final delivery-only step and returns the collected decisions and metrics.
+// ctx cancellation aborts between phases.
 func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	for phase := 1; phase <= e.cfg.Phases+1; phase++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sim: aborted at phase %d: %w", phase, err)
 		}
-		if e.cfg.Trace != nil {
-			e.cfg.Trace.Emit(trace.Event{Kind: trace.KindPhaseStart, Phase: phase, From: ident.None, To: ident.None})
-		}
 		if e.steps += e.cfg.N; e.steps >= yieldSteps {
 			e.steps = 0
 			runtime.Gosched()
 		}
-		e.deliver()
-		if e.cfg.Faults != nil {
-			e.applyFaults(phase)
-		}
-		if !e.cfg.Rushing {
-			for id := 0; id < e.cfg.N; id++ {
-				if e.cfg.Faults.Crashed(ident.ProcID(id), phase) {
-					continue
-				}
-				if err := e.step(id, phase, nil); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			// Rushing: correct processors move first; faulty processors
-			// then peek at the current phase's correct traffic addressed
-			// to them before sending.
-			for id := 0; id < e.cfg.N; id++ {
-				if !e.cfg.Faulty.Has(ident.ProcID(id)) && !e.cfg.Faults.Crashed(ident.ProcID(id), phase) {
-					if err := e.step(id, phase, nil); err != nil {
-						return nil, err
-					}
-				}
-			}
-			for id := 0; id < e.cfg.N; id++ {
-				if e.cfg.Faults.Crashed(ident.ProcID(id), phase) {
-					continue
-				}
-				if e.cfg.Faulty.Has(ident.ProcID(id)) {
-					// Deep-clone the peeked envelopes: sent still feeds
-					// correct inboxes next phase, and a mutating adversary
-					// must not be able to corrupt them through shared
-					// Payload/Signers backing arrays.
-					peek := make([]Envelope, 0, e.count[id])
-					for _, blk := range e.sent.blocks {
-						for i := range blk {
-							if blk[i].To == ident.ProcID(id) {
-								peek = append(peek, blk[i].Clone())
-							}
-						}
-					}
-					if e.cfg.Trace != nil && len(peek) > 0 {
-						e.cfg.Trace.Emit(trace.Event{
-							Kind: trace.KindRush, Phase: phase,
-							From: ident.ProcID(id), To: ident.None, Sigs: len(peek),
-						})
-					}
-					if err := e.step(id, phase, peek); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-		if e.cfg.Trace != nil {
-			e.cfg.Trace.Emit(trace.Event{Kind: trace.KindPhaseEnd, Phase: phase, From: ident.None, To: ident.None})
+		e.swap()
+		if err := e.phase(phase, false); err != nil {
+			return nil, err
 		}
 	}
+	return e.result(), nil
+}
 
+// Halted, Deliver and Step are processor id's phase for a backend that steps
+// each processor from a goroutine of its own: the crash check, announcing a
+// crash at its phase; the plan's verdict on frames — what each sender sent id
+// in phase-1 — returning the inbox and the count of frames withheld; and the
+// node's Step, whose accounted sends go to send. Each traces into id's
+// bucket for (phase, stage), which Finish replays.
+func (e *Engine) Halted(id ident.ProcID, phase int) bool {
+	return e.halted(e.bucket(id, phase, stageCrash), id, phase)
+}
+
+// Deliver is processor id's fault stage; see Halted.
+func (e *Engine) Deliver(id ident.ProcID, phase int, frames [][]Envelope) ([]Envelope, int) {
+	return e.deliver(e.bucket(id, phase, stageFault), id, phase, frames)
+}
+
+// Step is processor id's step stage; see Halted.
+func (e *Engine) Step(id ident.ProcID, phase int, inbox []Envelope, send func(Envelope)) error {
+	p := e.bucket(id, phase, stageStep)
+	e.peers[id].route = send
+	return e.step(p, id, phase, inbox, nil)
+}
+
+// Finish ends a run driven through Halted, Deliver and Step, once every
+// goroutine driving a processor has returned: it replays the buckets in
+// Run's trace order and returns the decisions and the report.
+func (e *Engine) Finish() *Result {
+	for phase := 1; e.cfg.Trace != nil && phase <= e.cfg.Phases+1; phase++ {
+		_ = e.phase(phase, true) // a replay steps no node, so it cannot fail
+	}
+	return e.result()
+}
+
+// bucket points processor id's context at its (phase, st) bucket, off the
+// signer arena, which one goroutine owns.
+func (e *Engine) bucket(id ident.ProcID, phase, st int) *proc {
+	e.peersOnce.Do(func() {
+		e.peers = slices.Grow(e.peers, e.cfg.N)[:e.cfg.N]
+		for i := range e.peers {
+			e.peers[i] = peer{rec: e.peers[i].rec[:0]}
+		}
+	})
+	p, r := &e.procs[id], &e.peers[id]
+	p.ctx.signers = nil
+	if e.cfg.Trace != nil {
+		for len(r.rec) <= phase {
+			r.rec = append(r.rec, [numStages]trace.Buffer{})
+		}
+		p.ctx.sink = &r.rec[phase][st]
+	}
+	return p
+}
+
+// phase walks one phase in trace order, stage by stage and each stage in
+// identity order, between PhaseStart and PhaseEnd: live under Run, each
+// stage emitting as it runs; as a replay of the buckets under Finish. A
+// receiver whose phase the plan leaves untouched keeps its sorted group,
+// which is what Deliver would return.
+func (e *Engine) phase(phase int, replay bool) error {
+	cfg := &e.cfg
+	if cfg.Trace != nil {
+		cfg.Trace.Emit(trace.Event{Kind: trace.KindPhaseStart, Phase: phase, From: ident.None, To: ident.None})
+	}
+	first, last := stageCrash, numStages
+	if cfg.Faults == nil {
+		first = stageStep // nothing crashes, nothing is faulted
+	}
+	if !cfg.Rushing {
+		last = stageRush
+	}
+	for st := first; st < last; st++ {
+		for i := range e.procs {
+			if replay {
+				if i < len(e.peers) && phase < len(e.peers[i].rec) {
+					e.peers[i].rec[phase][st].DrainTo(cfg.Trace)
+				}
+				continue
+			}
+			p, id := &e.procs[i], ident.ProcID(i)
+			rush := cfg.Rushing && cfg.Faulty.Has(id)
+			var err error
+			switch {
+			case st == stageCrash:
+				e.halted(p, id, phase)
+			case cfg.Faults.Crashed(id, phase):
+			case st == stageFault && phase > 1 && cfg.Faults != nil && !faultnet.Untouched(cfg.Faults, phase-1, &p.stash):
+				e.inboxes[id], _ = e.deliver(p, id, phase, e.split(e.inboxes[id]))
+			case st == stageStep && !rush:
+				err = e.step(p, id, phase, e.inboxes[id], nil)
+			case st == stageRush && rush:
+				err = e.step(p, id, phase, e.inboxes[id], e.peek(id, phase))
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	if cfg.Trace != nil {
+		cfg.Trace.Emit(trace.Event{Kind: trace.KindPhaseEnd, Phase: phase, From: ident.None, To: ident.None})
+	}
+	return nil
+}
+
+func (e *Engine) halted(p *proc, id ident.ProcID, phase int) bool {
+	if s := p.ctx.sink; s != nil && e.cfg.Faults.CrashPhase(id) == phase {
+		s.Emit(trace.Event{Kind: trace.KindFaultCrash, Phase: phase, From: id, To: ident.None})
+	}
+	return e.cfg.Faults.Crashed(id, phase)
+}
+
+func (e *Engine) deliver(p *proc, id ident.ProcID, phase int, frames [][]Envelope) ([]Envelope, int) {
+	var withheld int
+	clear(p.held) // the last phase's, which a mesh peer does not swap out
+	p.held, withheld = faultnet.Deliver(e.cfg.Faults, p.ctx.sink, phase-1, id, frames, &p.stash, p.held[:0])
+	return p.held, withheld
+}
+
+// step emits one deliver event per envelope handed to the node, then runs its
+// Step. extra (rushing only) is appended to the inbox without disturbing it.
+func (e *Engine) step(p *proc, id ident.ProcID, phase int, inbox, extra []Envelope) error {
+	p.ctx.phase = phase
+	if s := p.ctx.sink; s != nil {
+		for i := range inbox {
+			s.Emit(trace.Event{
+				Kind: trace.KindDeliver, Phase: phase, From: inbox[i].From, To: inbox[i].To,
+				Sigs: inbox[i].SigTotal, Signers: len(inbox[i].Signers), Bytes: len(inbox[i].Payload),
+			})
+		}
+	}
+	if len(extra) > 0 {
+		inbox = append(append(make([]Envelope, 0, len(inbox)+len(extra)), inbox...), extra...)
+	}
+	if err := e.nodes[id].Step(&p.ctx, inbox); err != nil {
+		return fmt.Errorf("sim: processor %d failed at phase %d: %w", id, phase, err)
+	}
+	return nil
+}
+
+// result emits the decide events and returns the decisions and the report.
+func (e *Engine) result() *Result {
 	res := &Result{
 		Decisions: make(map[ident.ProcID]Decision, e.cfg.N),
 		Report:    e.collector.Report(),
@@ -581,68 +712,42 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 		}
 		res.Decisions[ident.ProcID(id)] = Decision{Value: v, Decided: ok}
 	}
-	return res, nil
+	return res
 }
 
-// step advances processor id through one phase. extra (rushing only) is
-// appended to the delivered inbox without disturbing it.
-func (e *Engine) step(id, phase int, extra []Envelope) error {
-	nctx := &e.ctxs[id]
-	nctx.phase = phase
-	inbox := e.inboxes[id]
-	if e.cfg.Trace != nil {
-		for i := range inbox {
-			e.cfg.Trace.Emit(trace.Event{
-				Kind: trace.KindDeliver, Phase: phase, From: inbox[i].From, To: inbox[i].To,
-				Sigs: inbox[i].SigTotal, Signers: len(inbox[i].Signers), Bytes: len(inbox[i].Payload),
-			})
+// split cuts a sender-sorted inbox into one frame per sender, as the wire
+// carries it.
+func (e *Engine) split(in []Envelope) [][]Envelope {
+	if e.frames == nil {
+		e.frames = make([][]Envelope, e.cfg.N)
+	}
+	idx := 0
+	for s := range e.frames {
+		start := idx
+		for idx < len(in) && in[idx].From == ident.ProcID(s) {
+			idx++
 		}
+		e.frames[s] = in[start:idx]
 	}
-	if len(extra) > 0 {
-		inbox = append(append(make([]Envelope, 0, len(inbox)+len(extra)), inbox...), extra...)
-	}
-	if err := e.nodes[id].Step(nctx, inbox); err != nil {
-		return fmt.Errorf("sim: processor %d failed at phase %d: %w", id, phase, err)
-	}
-	return nil
+	return e.frames
 }
 
-// applyFaults announces the processors halting at this phase (their Step is
-// skipped by the Run loop) and passes every live receiver's inbox through
-// faultnet.Deliver, once per phase before any node is stepped — unless the
-// plan leaves that receiver's phase untouched. The sorted
-// inbox is split into one "frame" per sender — the contiguous group of
-// envelopes that sender submitted to this receiver last phase — which is
-// what the TCP transport has on the wire. Deliver's outputs go end to end
-// into faulted; when that grows mid-phase the earlier receivers' views keep
-// the array they were cut from.
-func (e *Engine) applyFaults(phase int) {
-	plan := e.cfg.Faults
-	for id := 0; id < e.cfg.N; id++ {
-		if plan.CrashPhase(ident.ProcID(id)) == phase && e.cfg.Trace != nil {
-			e.cfg.Trace.Emit(trace.Event{Kind: trace.KindFaultCrash, Phase: phase, From: ident.ProcID(id), To: ident.None})
-		}
-	}
-	if phase == 1 {
-		return
-	}
-	for r, in := range e.inboxes {
-		to := ident.ProcID(r)
-		if plan.Crashed(to, phase) || faultnet.Untouched(plan, phase-1, &e.stash[r]) {
-			continue // the sorted group is what Deliver would return
-		}
-		idx := 0
-		for s := range e.frames {
-			start := idx
-			for idx < len(in) && in[idx].From == ident.ProcID(s) {
-				idx++
+// peek is this phase's correct traffic to a rushing faulty processor,
+// deep-cloned: sent still feeds correct inboxes next phase, and a mutating
+// adversary must not reach them through shared Payload/Signers arrays.
+func (e *Engine) peek(id ident.ProcID, phase int) []Envelope {
+	peek := make([]Envelope, 0, e.count[id])
+	for _, blk := range e.sent.blocks {
+		for i := range blk {
+			if blk[i].To == id {
+				peek = append(peek, blk[i].Clone())
 			}
-			e.frames[s] = in[start:idx]
 		}
-		start := len(e.faulted)
-		e.faulted, _ = faultnet.Deliver(plan, e.cfg.Trace, phase-1, to, e.frames, &e.stash[r], e.faulted)
-		e.inboxes[r] = e.faulted[start:len(e.faulted):len(e.faulted)]
 	}
+	if s := e.procs[id].ctx.sink; s != nil && len(peek) > 0 {
+		s.Emit(trace.Event{Kind: trace.KindRush, Phase: phase, From: id, To: ident.None, Sigs: len(peek)})
+	}
+	return peek
 }
 
 // sortInbox orders an inbox by sender id, preserving the submission order of

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/sim"
 )
@@ -152,16 +153,30 @@ func TestConfigValidation(t *testing.T) {
 		{N: 2, T: 0, Phases: 1, Transmitter: 5},
 		{N: 3, T: 1, Phases: 1, Faulty: ident.NewSet(0, 1)}, // more faulty than t
 		{N: 3, T: 3, Phases: 1, Faulty: ident.NewSet(7)},    // out of range
+		{N: 3, T: 1, Phases: 2, Faults: crash1(3)},          // crash victim judged correct
 	}
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
-	good := sim.Config{N: 3, T: 1, Phases: 2, Faulty: ident.NewSet(2)}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	if err := cases[len(cases)-1].Validate(); !errors.Is(err, sim.ErrCrashNotFaulty) {
+		t.Errorf("got %v, want ErrCrashNotFaulty", err)
 	}
+	for _, good := range []sim.Config{
+		{N: 3, T: 1, Phases: 2, Faulty: ident.NewSet(2)},
+		{N: 3, T: 1, Phases: 2, Faulty: ident.NewSet(1), Faults: crash1(3)},
+		{N: 3, T: 1, Phases: 2, Faults: crash1(4)}, // fires after the run's last step
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("valid config rejected: %v", err)
+		}
+	}
+}
+
+// crash1 is a plan that halts processor 1 at the start of phase at.
+func crash1(at int) *faultnet.Plan {
+	return faultnet.MustCompile(faultnet.Spec{Rules: []faultnet.Rule{{Kind: faultnet.KCrash, Proc: 1, AtPhase: at}}}, 1)
 }
 
 func TestNodeCountMismatch(t *testing.T) {
@@ -323,24 +338,35 @@ func (k *keeperNode) Decide() (ident.Value, bool) { return 0, true }
 
 // TestDeliveredEnvelopesAreReleased pins that the engine zeroes an inbox once
 // its phase is over: the recycled array must not keep delivered payloads
-// reachable until some later message happens to overwrite the slot.
+// reachable until some later message happens to overwrite the slot — also
+// when a fault plan built the inbox (a dup rule on phase 1 doubles each
+// message).
 func TestDeliveredEnvelopesAreReleased(t *testing.T) {
-	nodes := []sim.Node{&keeperNode{id: 0}, &keeperNode{id: 1}, &keeperNode{id: 2}}
-	eng := new(sim.Engine)
-	err := eng.Reset(sim.Config{N: 3, T: 0, Phases: 4}, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for _, nd := range nodes {
-		k := nd.(*keeperNode)
-		if len(k.kept) != 1 {
-			t.Fatalf("processor %d got %d messages at phase 2, want 1", k.id, len(k.kept))
+	dup := faultnet.MustCompile(faultnet.Spec{Rules: []faultnet.Rule{
+		{Kind: faultnet.KDup, From: ident.None, To: ident.None, First: 1, Last: 1, Prob: 1}}}, 1)
+	for _, tc := range []struct {
+		plan *faultnet.Plan
+		want int
+	}{{nil, 1}, {dup, 2}} {
+		nodes := []sim.Node{&keeperNode{id: 0}, &keeperNode{id: 1}, &keeperNode{id: 2}}
+		eng := new(sim.Engine)
+		err := eng.Reset(sim.Config{N: 3, T: 0, Phases: 4, Faults: tc.plan}, nodes)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if e := k.late[0]; e.Payload != nil || e.Signers != nil {
-			t.Errorf("processor %d: phase-2 inbox still holds %+v at phase 4", k.id, e)
+		if _, err := eng.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for _, nd := range nodes {
+			k := nd.(*keeperNode)
+			if len(k.kept) != tc.want {
+				t.Fatalf("plan %v: processor %d got %d messages at phase 2, want %d", tc.plan != nil, k.id, len(k.kept), tc.want)
+			}
+			for _, e := range k.late {
+				if e.Payload != nil || e.Signers != nil {
+					t.Errorf("plan %v: processor %d: phase-2 inbox still holds %+v at phase 4", tc.plan != nil, k.id, e)
+				}
+			}
 		}
 	}
 }

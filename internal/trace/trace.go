@@ -199,9 +199,9 @@ type Event struct {
 }
 
 // Sink consumes events. Emit is called from the goroutine executing the
-// traced run; a sink used by a single run needs no locking (the engine is
-// single-threaded, and the TCP transport gives each peer a private recorder
-// and merges deterministically afterwards). Emit must not retain interior
+// traced run; a sink used by a single run needs no locking (the in-memory
+// engine is single-threaded, and a TCP mesh records each peer into buckets of
+// its own that the engine replays once the peers have joined). Emit must not retain interior
 // state of the event beyond the call — trivially true since Event is flat.
 type Sink interface {
 	Emit(Event)

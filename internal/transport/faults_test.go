@@ -3,6 +3,7 @@ package transport_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"byzex/internal/core"
 	"byzex/internal/faultnet"
 	"byzex/internal/ident"
+	"byzex/internal/sim"
 	"byzex/internal/trace"
 	"byzex/internal/transport"
 )
@@ -194,42 +196,62 @@ func TestCrashAtPhaseK(t *testing.T) {
 }
 
 // TestOverBudgetFaultsFailTyped pins the safety side of the budget contract:
-// a plan the fault bound cannot absorb must surface as ErrStalled or
-// ErrPeerCrashed — a typed refusal, never a divergent decision.
+// a plan the fault bound cannot absorb must fail typed, never decide
+// divergently. What validation can see — a crash victim judged correct, a
+// faulty set beyond t — both substrates refuse up front with the same error;
+// what only the wire can see, a receiver's information gap beyond t,
+// surfaces over TCP as ErrStalled.
 func TestOverBudgetFaultsFailTyped(t *testing.T) {
 	proto, err := cli.Protocol("alg1", cli.Params{N: 5, T: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := core.Config{Protocol: proto, N: 5, T: 2, Value: ident.V1, Seed: 1}
+	ctx := context.Background()
+	netCfg := transport.Net{PhaseTimeout: 2 * time.Second}
 
 	t.Run("blanket drop stalls", func(t *testing.T) {
 		cfg := base
 		cfg.Faults = mustPlan(t, "drop=*->*@*", 1)
 		cfg.FaultyOverride = ident.NewSet(1, 2) // the most t allows; the plan veils 4
-		_, err := transport.RunCluster(context.Background(), cfg, transport.Net{PhaseTimeout: 2 * time.Second})
+		_, err := transport.RunCluster(ctx, cfg, netCfg)
 		if !errors.Is(err, transport.ErrStalled) {
 			t.Fatalf("got %v, want ErrStalled", err)
 		}
 	})
 
+	// refused runs cfg on both substrates: each must fail, with the same
+	// error, matching want when want is non-nil.
+	refused := func(t *testing.T, cfg core.Config, want error) {
+		t.Helper()
+		_, memErr := core.Run(ctx, cfg)
+		_, tcpErr := transport.RunCluster(ctx, cfg, netCfg)
+		if memErr == nil || fmt.Sprint(memErr) != fmt.Sprint(tcpErr) {
+			t.Fatalf("memory %v, tcp %v: want the same refusal", memErr, tcpErr)
+		}
+		if want != nil && (!errors.Is(memErr, want) || !errors.Is(tcpErr, want)) {
+			t.Fatalf("memory %v, tcp %v: want %v", memErr, tcpErr, want)
+		}
+	}
+
 	t.Run("unbudgeted crash surfaces", func(t *testing.T) {
 		cfg := base
 		cfg.Faults = mustPlan(t, "crash=1@2", 1)
 		cfg.FaultyOverride = make(ident.Set) // crash victim not judged faulty
-		_, err := transport.RunCluster(context.Background(), cfg, transport.Net{PhaseTimeout: 2 * time.Second})
-		if !errors.Is(err, transport.ErrPeerCrashed) {
-			t.Fatalf("got %v, want ErrPeerCrashed", err)
-		}
+		refused(t, cfg, sim.ErrCrashNotFaulty)
 	})
 
 	t.Run("crash trio beyond t", func(t *testing.T) {
 		cfg := base
 		cfg.Faults = mustPlan(t, "crash=1@2;crash=2@2;crash=3@2", 1)
 		cfg.FaultyOverride = ident.NewSet(1, 2)
-		_, err := transport.RunCluster(context.Background(), cfg, transport.Net{PhaseTimeout: 2 * time.Second})
-		if !errors.Is(err, transport.ErrStalled) && !errors.Is(err, transport.ErrPeerCrashed) {
-			t.Fatalf("got %v, want ErrStalled or ErrPeerCrashed", err)
-		}
+		refused(t, cfg, sim.ErrCrashNotFaulty)
+	})
+
+	t.Run("faulty set beyond t", func(t *testing.T) {
+		cfg := base
+		cfg.Faults = mustPlan(t, "drop=*->*@*", 1)
+		cfg.FaultyOverride = cfg.Faults.Affected(cfg.N) // all five, as the CLI resolves it
+		refused(t, cfg, nil)
 	})
 }

@@ -275,7 +275,7 @@ func TestServeConnOneReadPerFrame(t *testing.T) {
 	a, c := loopbackPair(t)
 	defer func() { _ = a.Close() }()
 	conn := &countingConn{Conn: c}
-	p := testPeer(peerConfig{id: 0, n: k + 1})
+	p := testPeer(t, peerConfig{id: 0, n: k + 1})
 	m := &Mesh{}
 	m.state.Store(&epochState{epoch: 1, peers: []*peer{p}})
 	m.wg.Add(1)

@@ -104,11 +104,25 @@ func TestWriteFrameWriterReuse(t *testing.T) {
 	}
 }
 
-// testPeer builds a bare peer for buffer-logic tests; the node and recorder
-// are never touched by noteFrame/waitPhase.
-func testPeer(cfg peerConfig) *peer {
-	return newPeer(cfg, nil, nil, nil)
+// testPeer builds a bare peer for buffer-logic tests: processor cfg.id of an
+// engine whose nodes noteFrame/waitPhase never step.
+func testPeer(t *testing.T, cfg peerConfig) *peer {
+	t.Helper()
+	nodes := make([]sim.Node, cfg.n)
+	for i := range nodes {
+		nodes[i] = idleNode{}
+	}
+	eng := new(sim.Engine)
+	if err := eng.Reset(sim.Config{N: cfg.n, T: cfg.t, Phases: 4, Faults: cfg.faults}, nodes); err != nil {
+		t.Fatal(err)
+	}
+	return newPeer(cfg, eng)
 }
+
+type idleNode struct{}
+
+func (idleNode) Step(*sim.Context, []sim.Envelope) error { return nil }
+func (idleNode) Decide() (ident.Value, bool)             { return 0, false }
 
 // TestNoteFrameLateDrop pins the guard that lets two phase slots serve a
 // whole run: a frame for a phase waitPhase has already closed out must be
@@ -116,7 +130,7 @@ func testPeer(cfg peerConfig) *peer {
 // while a frame one phase ahead of the barrier — a fast neighbour — is kept.
 func TestNoteFrameLateDrop(t *testing.T) {
 	ctx := context.Background()
-	p := testPeer(peerConfig{id: 0, n: 3, t: 2, timeout: 10 * time.Millisecond})
+	p := testPeer(t, peerConfig{id: 0, n: 3, t: 2, timeout: 10 * time.Millisecond})
 	env := func(phase int, tag string) []sim.Envelope {
 		return []sim.Envelope{{From: 2, To: 0, Phase: phase, Payload: []byte(tag)}}
 	}
@@ -163,7 +177,7 @@ func TestNoteFrameFaultTransforms(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := faultnet.MustCompile(spec, 7)
-	p := testPeer(peerConfig{id: 0, n: 4, t: 3, timeout: 10 * time.Millisecond, faults: plan})
+	p := testPeer(t, peerConfig{id: 0, n: 4, t: 3, timeout: 10 * time.Millisecond, faults: plan})
 
 	env := func(from ident.ProcID, phase int, tag string) sim.Envelope {
 		return sim.Envelope{From: from, To: 0, Phase: phase, Payload: []byte(tag)}

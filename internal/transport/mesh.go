@@ -15,9 +15,7 @@ import (
 
 	"byzex/internal/core"
 	"byzex/internal/ident"
-	"byzex/internal/metrics"
 	"byzex/internal/sim"
-	"byzex/internal/trace"
 	"byzex/internal/wire"
 )
 
@@ -58,8 +56,9 @@ type Mesh struct {
 	state   atomic.Pointer[epochState]
 	epoch   uint64 // last epoch started; only Run mutates, guarded by running
 	running atomic.Bool
-	// runner builds each epoch's Setup after the last epoch's peers returned.
+	// runner and eng set up and step each epoch once the last one's peers returned.
 	runner core.Runner
+	eng    sim.Engine
 
 	mu      sync.Mutex
 	inbound []net.Conn     // accepted connections, closed by Close
@@ -265,13 +264,18 @@ func (m *Mesh) serveConn(conn net.Conn, fr *frameReader) {
 	}
 }
 
-// Run executes one instance (one epoch) over the warm mesh. Setup, tracing
-// and result extraction are identical to RunCluster — RunCluster is now a
-// single-epoch mesh — but listeners and connections survive for the next
-// Run instead of being torn down.
+// Run executes one instance (one epoch) over the warm mesh, as RunCluster
+// does, but listeners and connections survive for the next Run. What the
+// in-memory engine refuses is refused here with the same error before any
+// frame is sent, and a rushing configuration with errors.ErrUnsupported: a
+// rushing adversary sees the phase's correct traffic before it sends, and
+// mesh peers step concurrently.
 func (m *Mesh) Run(ctx context.Context, cfg core.Config) (*Result, error) {
 	if cfg.N != m.n {
 		return nil, fmt.Errorf("transport: mesh built for n=%d, config has n=%d", m.n, cfg.N)
+	}
+	if cfg.Rushing {
+		return nil, fmt.Errorf("transport: a mesh cannot rush: %w", errors.ErrUnsupported)
 	}
 	if !m.running.CompareAndSwap(false, true) {
 		return nil, ErrMeshBusy
@@ -289,32 +293,23 @@ func (m *Mesh) Run(ctx context.Context, cfg core.Config) (*Result, error) {
 		return nil, err
 	}
 	sink := cfg.ResolveTrace(ctx)
+	if err := m.eng.Reset(sim.Config{
+		N: cfg.N, T: cfg.T, Transmitter: cfg.Transmitter, Phases: setup.Phases,
+		Faulty: setup.Faulty, Trace: sink, Faults: cfg.Faults,
+	}, setup.Nodes); err != nil {
+		return nil, err
+	}
 	core.EmitCorruptions(sink, setup.Faulty)
 
-	collector := metrics.NewCollector(setup.Faulty)
-	var collectorMu sync.Mutex
-	onSend := func(phase int, from ident.ProcID, sigTotal, signers, bytes int) {
-		collectorMu.Lock()
-		defer collectorMu.Unlock()
-		collector.OnSend(phase, from, sigTotal, signers, bytes)
-	}
-
-	wallPhases := setup.Phases + 1
 	peers := make([]*peer, m.n)
 	clock := time.Now()
-	for i, node := range setup.Nodes {
+	for i := range peers {
 		id := ident.ProcID(i)
-		var rec *phaseRecorder
-		if sink != nil {
-			rec = newPhaseRecorder(wallPhases)
-		}
 		peers[i] = newPeer(peerConfig{
-			id: id, n: cfg.N, t: cfg.T, transmitter: cfg.Transmitter,
-			phases: setup.Phases, timeout: m.netCfg.PhaseTimeout,
-			muted: m.netCfg.Mute.Has(id), faulty: setup.Faulty,
-			faults:    cfg.Faults,
+			id: id, n: cfg.N, t: cfg.T, phases: setup.Phases, timeout: m.netCfg.PhaseTimeout,
+			muted: m.netCfg.Mute.Has(id), faults: cfg.Faults,
 			linkDelay: m.netCfg.LinkDelay, waker: m.waker, peers: peers, clock: clock,
-		}, node, rec, onSend)
+		}, &m.eng)
 	}
 
 	// Install the epoch's routing state BEFORE launching any sender: every
@@ -339,38 +334,8 @@ func (m *Mesh) Run(ctx context.Context, cfg core.Config) (*Result, error) {
 			return nil, fmt.Errorf("transport: processor %d: %w", i, err)
 		}
 	}
-
-	// Merge the per-peer trace streams deterministically.
-	if sink != nil {
-		for ph := 1; ph <= wallPhases; ph++ {
-			sink.Emit(trace.Event{Kind: trace.KindPhaseStart, Phase: ph, From: ident.None, To: ident.None})
-			for _, p := range peers {
-				for _, e := range p.rec.buckets[ph] {
-					sink.Emit(e)
-				}
-			}
-			sink.Emit(trace.Event{Kind: trace.KindPhaseEnd, Phase: ph, From: ident.None, To: ident.None})
-		}
-	}
-
-	res := &Result{
-		Decisions: make(map[ident.ProcID]sim.Decision, cfg.N),
-		Faulty:    setup.Faulty.Clone(),
-	}
-	collectorMu.Lock()
-	res.Report = collector.Report()
-	collectorMu.Unlock()
-	for i, p := range peers {
-		v, ok := p.node.Decide()
-		if sink != nil {
-			sink.Emit(trace.Event{
-				Kind: trace.KindDecide, Phase: wallPhases,
-				From: ident.ProcID(i), To: ident.None, Value: v, Flag: ok,
-			})
-		}
-		res.Decisions[ident.ProcID(i)] = sim.Decision{Value: v, Decided: ok}
-	}
-	return res, nil
+	res := m.eng.Finish()
+	return &Result{Decisions: res.Decisions, Report: res.Report, Faulty: res.Faulty}, nil
 }
 
 // recycle drains every reader's spent frame buffers back to the shared

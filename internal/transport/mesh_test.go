@@ -302,6 +302,30 @@ func TestMeshBusy(t *testing.T) {
 	}
 }
 
+// TestMeshRefusesRushing: a rushing adversary sees each phase's correct
+// traffic before it sends, which concurrently stepping peers cannot give it,
+// so the mesh refuses the configuration typed instead of running a
+// non-rushing one — and stays usable.
+func TestMeshRefusesRushing(t *testing.T) {
+	ctx := context.Background()
+	m, err := NewMesh(ctx, 3, Net{PhaseTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	cfg := meshConfig(ident.V1, 1)
+	cfg.Rushing = true
+	if _, err := m.Run(ctx, cfg); !errors.Is(err, errors.ErrUnsupported) {
+		t.Fatalf("got %v, want errors.ErrUnsupported", err)
+	}
+	res, err := m.Run(ctx, meshConfig(ident.V1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meshAgreement(t, res, ident.V1)
+}
+
 // TestMeshSizeMismatch rejects configs that do not match the warm topology.
 func TestMeshSizeMismatch(t *testing.T) {
 	ctx := context.Background()

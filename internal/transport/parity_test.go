@@ -1,6 +1,8 @@
 package transport_test
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -12,78 +14,114 @@ import (
 	"byzex/internal/cli"
 	"byzex/internal/core"
 	"byzex/internal/ident"
-	"byzex/internal/protocol"
+	"byzex/internal/metrics"
 	"byzex/internal/protocols/alg1"
 	"byzex/internal/protocols/alg2"
-	"byzex/internal/protocols/alg3"
-	"byzex/internal/protocols/alg5"
 	"byzex/internal/protocols/dolevstrong"
 	"byzex/internal/sig"
 	"byzex/internal/trace"
 	"byzex/internal/transport"
 )
 
-// TestEngineTCPParity runs the same deterministic protocol instance on the
-// in-memory engine and over TCP with an identical signature scheme: the
-// substrates must produce identical decisions and identical message,
-// signature and byte totals (lock-step synchrony means goroutine
-// scheduling cannot change what is sent) — with and without a link delay,
-// which moves when a phase is stepped and nothing else.
+// TestEngineTCPParity is the cross-substrate contract. Every registry row at
+// its canonical size — plus alg1 n=7 t=3, alg3 S=3 n=14 and alg5 S=2 n=25 —
+// under the adversaries none, split-brain, silent and crash, with no fault
+// plan (for the transmitter values 0 and 1), a crash and a delivery-fault
+// plan (every rule names sender 1, so the plan stays in budget), runs in
+// memory and over TCP — every other configuration with a link delay, which
+// moves when a phase is stepped and nothing else. The TCP run must equal the
+// memory run under project: equal decisions, equal reports and
+// byte-identical JSONL traces. Where one substrate refuses a configuration,
+// both refuse it with the same error.
 func TestEngineTCPParity(t *testing.T) {
-	cases := []struct {
-		p    protocol.Protocol
-		n, t int
-	}{
-		{alg1.Protocol{}, 7, 3},
-		{alg2.Protocol{}, 5, 2},
-		{alg3.Protocol{S: 3}, 14, 2},
-		{alg5.Protocol{S: 2}, 25, 2},
-		{dolevstrong.Protocol{}, 6, 2},
+	type row struct {
+		name, scheme string
+		n, t, s      int
 	}
-	for _, tc := range cases {
-		for _, run := range []struct {
-			v         ident.Value
-			linkDelay time.Duration
-		}{{ident.V0, 0}, {ident.V1, time.Millisecond}} {
-			v := run.v
-			scheme := sig.NewHMAC(tc.n, 321)
-
-			engRes, _, err := core.RunAndCheck(context.Background(), core.Config{
-				Protocol: tc.p, N: tc.n, T: tc.t, Value: v, Scheme: scheme,
-			})
-			if err != nil {
-				t.Fatalf("%s engine: %v", tc.p.Name(), err)
-			}
-
-			tcpRes, err := transport.RunCluster(context.Background(), core.Config{
-				Protocol: tc.p, N: tc.n, T: tc.t, Value: v, Scheme: scheme,
-			}, transport.Net{PhaseTimeout: 10 * time.Second, LinkDelay: run.linkDelay})
-			if err != nil {
-				t.Fatalf("%s tcp: %v", tc.p.Name(), err)
-			}
-
-			for id, ed := range engRes.Sim.Decisions {
-				td, ok := tcpRes.Decisions[id]
-				if !ok || td != ed {
-					t.Fatalf("%s v=%v: decision of %v differs (engine %v, tcp %v)",
-						tc.p.Name(), v, id, ed, td)
-				}
-			}
-			er, tr := engRes.Sim.Report, tcpRes.Report
-			if er.MessagesCorrect != tr.MessagesCorrect {
-				t.Fatalf("%s v=%v: messages differ (engine %d, tcp %d)",
-					tc.p.Name(), v, er.MessagesCorrect, tr.MessagesCorrect)
-			}
-			if er.SignaturesCorrect != tr.SignaturesCorrect {
-				t.Fatalf("%s v=%v: signatures differ (engine %d, tcp %d)",
-					tc.p.Name(), v, er.SignaturesCorrect, tr.SignaturesCorrect)
-			}
-			if er.BytesCorrect != tr.BytesCorrect {
-				t.Fatalf("%s v=%v: bytes differ (engine %d, tcp %d)",
-					tc.p.Name(), v, er.BytesCorrect, tr.BytesCorrect)
+	var rows []row
+	for _, e := range cli.Registry() {
+		rows = append(rows, row{e.Name, e.Scheme, e.N, e.T, 0})
+	}
+	rows = append(rows, row{"alg1", "hmac", 7, 3, 0}, row{"alg3", "hmac", 14, 2, 3}, row{"alg5", "hmac", 25, 2, 2})
+	ctx := context.Background()
+	i := 0
+	for _, r := range rows {
+		for _, adv := range []string{"none", "split-brain", "silent", "crash"} {
+			for _, run := range []struct {
+				faults string
+				value  ident.Value
+			}{{"", ident.V0}, {"", ident.V1}, {"crash=1@2", ident.V1}, {"drop=1->2@2;dup=1->3@1;reorder=1->*@*", ident.V1}} {
+				tp := cli.Template{Protocol: r.name, Scheme: r.scheme, N: r.n, T: r.t, S: r.s, Adversary: adv, Faults: run.faults, Seed: 1}
+				netCfg := transport.Net{PhaseTimeout: 10 * time.Second, LinkDelay: time.Duration(i%2) * time.Millisecond}
+				i++
+				name := fmt.Sprintf("%s/n=%d/t=%d/s=%d/%s/%s/v=%d", r.name, r.n, r.t, r.s, adv, cmp.Or(run.faults, "no-plan"), run.value)
+				t.Run(name, func(t *testing.T) {
+					cfg, _, err := tp.Resolve()
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Value = run.value
+					memBuf, tcpBuf := trace.NewBuffer(), trace.NewBuffer()
+					memCfg, tcpCfg := cfg, cfg
+					memCfg.Trace, tcpCfg.Trace = memBuf, tcpBuf
+					mem, memErr := core.Run(ctx, memCfg)
+					tcp, tcpErr := transport.RunCluster(ctx, tcpCfg, netCfg)
+					if memErr != nil || tcpErr != nil {
+						if fmt.Sprint(memErr) != fmt.Sprint(tcpErr) {
+							t.Fatalf("memory error %v, tcp error %v", memErr, tcpErr)
+						}
+						return
+					}
+					if !reflect.DeepEqual(mem.Sim.Decisions, tcp.Decisions) {
+						t.Errorf("decisions differ: memory %v, tcp %v", mem.Sim.Decisions, tcp.Decisions)
+					}
+					events, report := project(memBuf.Events(), mem.Sim.Report)
+					if !reflect.DeepEqual(report, tcp.Report) {
+						t.Errorf("reports differ: projected memory %+v, tcp %+v", report, tcp.Report)
+					}
+					var memJSONL, tcpJSONL bytes.Buffer
+					if err := trace.WriteJSONL(&memJSONL, events); err != nil {
+						t.Fatal(err)
+					}
+					if err := trace.WriteJSONL(&tcpJSONL, tcpBuf.Events()); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(memJSONL.Bytes(), tcpJSONL.Bytes()) {
+						t.Errorf("traces differ: projected memory %d bytes, tcp %d bytes; first difference at line %d",
+							memJSONL.Len(), tcpJSONL.Len(), firstDiffLine(memJSONL.Bytes(), tcpJSONL.Bytes()))
+					}
+				})
 			}
 		}
 	}
+}
+
+// project is the one view under which a mesh run and an in-memory run of the
+// same configuration are equal: events and report without the signature
+// cache's — no verify-hit/verify-miss events, zero SigCacheHits and
+// SigCacheMisses. Peers verify through one shared cache concurrently, so
+// which of them pays a miss depends on goroutine interleaving; a mesh records
+// neither. events is not modified.
+func project(events []trace.Event, r metrics.Report) ([]trace.Event, metrics.Report) {
+	out := make([]trace.Event, 0, len(events))
+	for _, e := range events {
+		if e.Kind != trace.KindVerifyHit && e.Kind != trace.KindVerifyMiss {
+			out = append(out, e)
+		}
+	}
+	r.SigCacheHits, r.SigCacheMisses = 0, 0
+	return out, r
+}
+
+// firstDiffLine is the 1-based line at which two JSONL streams part.
+func firstDiffLine(a, b []byte) int {
+	line := 1
+	for i := 0; i < len(a) && i < len(b) && a[i] == b[i]; i++ {
+		if a[i] == '\n' {
+			line++
+		}
+	}
+	return line
 }
 
 // TestRunClusterSharedConfig drives the unified Run API: the SAME

@@ -6,26 +6,21 @@
 // once it holds the previous phase's frame from every peer (or the
 // per-phase timeout fires, which tolerates crashed peers).
 //
-// The same sim.Node state machines that drive the in-memory engine run
-// unmodified over TCP; only the delivery substrate changes. Runs are
-// described by the same core.Config the engine consumes — RunCluster reuses
-// core.Runner.Setup for defaulting, corruption choice and node construction, and
-// core.CheckDecisions for judging agreement, so the two substrates cannot
-// drift. The network-specific knobs (phase timeout, muted processors) live
-// in Net.
+// TCP is the second delivery backend of sim.Engine's phase step: a peer is
+// one processor's step (Engine.Halted, Deliver, Step) plus the barrier, the
+// frames and the link-delay hold. The run is set up by core.Runner.Setup and
+// validated by the same sim.Config as an in-memory run, and its trace equals
+// the in-memory one but for the signature cache's verify-hit/verify-miss
+// events, which a mesh does not record. The network-specific knobs live in
+// Net.
 //
-// Fault injection: a compiled faultnet.Plan in core.Config.Faults is applied
-// at the frame layer by faultnet.Deliver, the same function the in-memory
-// engine calls: once a phase's barrier closes, the raw frames a peer holds
-// are turned into its inbox under the plan's drop/delay/dup/reorder/partition
-// verdicts (every frame still counted as an arrival, so lock-step progress
-// never waits out a timeout for an injected fault), and crash-at-phase-k
-// halts the peer's run loop with ErrPeerCrashed before it consumes phase k.
-// The plan is a pure function of its seed, so every peer evaluates the same
-// schedule independently and fault runs replay byte-identically. A receiver
-// whose per-phase information gap (frames physically missing plus frames the
-// plan withheld) exceeds t returns ErrStalled instead of risking a divergent
-// decision.
+// Fault injection: once a phase's barrier closes, Engine.Deliver turns the
+// raw frames a peer holds into its inbox under the plan's verdicts (every
+// frame counted as an arrival, so no injected fault waits out a timeout), and
+// a crash rule halts the peer before it consumes its phase. The plan is a pure
+// function of its seed, so fault runs replay byte-identically. A receiver
+// whose information gap (frames missing plus frames withheld) exceeds t
+// returns ErrStalled instead of risking a divergent decision.
 package transport
 
 import (
@@ -45,23 +40,15 @@ import (
 	"byzex/internal/ident"
 	"byzex/internal/metrics"
 	"byzex/internal/sim"
-	"byzex/internal/trace"
 	"byzex/internal/wire"
 )
 
-// Errors.
-var (
-	// ErrStalled indicates a processor gave up on a phase: the frames it
-	// never received plus the frames the fault plan withheld exceed the
-	// fault bound t, so deciding would risk disagreement. Over-budget fault
-	// scenarios surface as this error (or ErrPeerCrashed), never as a
-	// divergent decision.
-	ErrStalled = errors.New("transport: phase stalled beyond timeout")
-	// ErrPeerCrashed reports a processor halted by a crash-at-phase-k rule
-	// of the run's fault plan (see faultnet.Rule). RunCluster tolerates it
-	// only for processors inside the faulty set.
-	ErrPeerCrashed = errors.New("transport: peer crashed by fault plan")
-)
+// ErrStalled indicates a processor gave up on a phase: the frames it never
+// received plus the frames the fault plan withheld exceed the fault bound t,
+// so deciding would risk disagreement. Over-budget fault scenarios that
+// validation lets through surface as this error, never as a divergent
+// decision.
+var ErrStalled = errors.New("transport: phase stalled beyond timeout")
 
 // maxFrame bounds a single frame on the wire (16 MiB).
 const maxFrame = 16 << 20
@@ -134,14 +121,10 @@ func (r *Result) Decision(transmitter ident.ProcID, transmitterValue ident.Value
 // instances should hold a Mesh and call Run per instance — the warm path
 // the serving layer uses (see service.NewWarmTCP).
 //
-// Tracing: the sink is resolved exactly as in core.Run (cfg.Trace, else the
-// context's). Each peer records its events privately, bucketed by wall
-// phase; after the run the per-peer streams are merged in (wall phase, peer
-// id, emission order) order, with PhaseStart/PhaseEnd markers synthesized
-// around each wall phase — so the trace is deterministic even though peers
-// execute concurrently. Signature-cache events and cache statistics are not
-// recorded here: peers share one verifier, so the hit/miss split depends on
-// goroutine interleaving.
+// Tracing: the sink is resolved as in core.Run (cfg.Trace, else the
+// context's). Each peer's step records into buckets by (phase, stage), which
+// sim.Engine.Finish replays in the in-memory order once every peer returned:
+// the trace is deterministic, and the in-memory one minus its verify-* events.
 func RunCluster(ctx context.Context, cfg core.Config, netCfg Net) (*Result, error) {
 	m, err := NewMesh(ctx, cfg.N, netCfg)
 	if err != nil {
@@ -151,34 +134,13 @@ func RunCluster(ctx context.Context, cfg core.Config, netCfg Net) (*Result, erro
 	return m.Run(ctx, cfg)
 }
 
-// phaseRecorder is a per-peer trace sink. Each peer goroutine owns exactly
-// one recorder (so emission needs no locking), bucketing events by the wall
-// phase in which they occurred; RunCluster drains the buckets after all
-// goroutines have joined.
-type phaseRecorder struct {
-	buckets [][]trace.Event // indexed by wall phase; index 0 unused
-	cur     int
-}
-
-func newPhaseRecorder(wallPhases int) *phaseRecorder {
-	return &phaseRecorder{buckets: make([][]trace.Event, wallPhases+1), cur: 1}
-}
-
-// Emit implements trace.Sink for the owning peer's goroutine.
-func (r *phaseRecorder) Emit(e trace.Event) {
-	r.buckets[r.cur] = append(r.buckets[r.cur], e)
-}
-
 // peerConfig is the per-processor slice of a cluster run's configuration.
 type peerConfig struct {
-	id          ident.ProcID
-	n, t        int
-	transmitter ident.ProcID
-	phases      int
-	timeout     time.Duration
-	muted       bool
-	faulty      ident.Set
-	faults      *faultnet.Plan // nil injects nothing (all methods nil-safe)
+	id           ident.ProcID
+	n, t, phases int
+	timeout      time.Duration
+	muted        bool
+	faults       *faultnet.Plan // nil injects nothing (all methods nil-safe)
 
 	// The link-delay hold, unused when linkDelay is zero: the mesh's waker and
 	// the epoch's peers by id, whose sent instants (past clock) a hold reads.
@@ -188,15 +150,15 @@ type peerConfig struct {
 	clock     time.Time
 }
 
-// peer is one processor's per-epoch runtime: the node state machine and the
-// inbound frame buffers. Sockets belong to the Mesh (they outlive the epoch);
-// frames reach the peer through the mesh's readers. What a phase needs —
-// barrier slots, outgoing rows, the timeout timer — is made once and reused.
+// peer is one processor's per-epoch runtime: its step in the epoch's engine
+// and the inbound frame buffers. Sockets belong to the Mesh (they outlive the
+// epoch); frames reach the peer through the mesh's readers. What a phase
+// needs — barrier slots, outgoing rows, the timeout timer — is made once and
+// reused.
 type peer struct {
-	cfg    peerConfig
-	node   sim.Node
-	rec    *phaseRecorder // nil when tracing is disabled
-	onSend func(phase int, from ident.ProcID, sigTotal, signers, bytes int)
+	cfg  peerConfig
+	eng  *sim.Engine        // the epoch's engine, whose processor cfg.id this peer drives
+	send func(sim.Envelope) // queue, bound once
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -217,13 +179,7 @@ type peer struct {
 	// sees a later instant and holds longer, never shorter.
 	sent [2]atomic.Int64
 
-	// stash, inbox and outgoing belong to the peer's own goroutine: the
-	// plan-delayed content addressed to this peer, the inbox array reused from
-	// phase to phase (the sim.Node contract forbids retaining it), and the
-	// envelopes of the current phase by recipient.
-	stash    faultnet.Stash[sim.Envelope]
-	inbox    []sim.Envelope
-	outgoing [][]sim.Envelope
+	outgoing [][]sim.Envelope // this phase's frames by recipient; the peer's goroutine only
 }
 
 // phaseBuf is one phase's side of the barrier: the raw frames by sender (the
@@ -234,9 +190,9 @@ type phaseBuf struct {
 	arrived int // senders heard from
 }
 
-func newPeer(cfg peerConfig, node sim.Node, rec *phaseRecorder,
-	onSend func(int, ident.ProcID, int, int, int)) *peer {
-	p := &peer{cfg: cfg, node: node, rec: rec, onSend: onSend, outgoing: make([][]sim.Envelope, cfg.n)}
+func newPeer(cfg peerConfig, eng *sim.Engine) *peer {
+	p := &peer{cfg: cfg, eng: eng, outgoing: make([][]sim.Envelope, cfg.n)}
+	p.send = p.queue
 	for i := range p.bufs {
 		p.bufs[i] = phaseBuf{frames: make([][]sim.Envelope, cfg.n), heard: make([]bool, cfg.n)}
 	}
@@ -289,7 +245,7 @@ func (p *peer) waitPhase(ctx context.Context, phase int) ([]sim.Envelope, error)
 
 // closePhase blocks until frames for the phase arrived from all peers that
 // can still send (plan-crashed processors are not waited for), the timeout
-// fires or ctx ends, then hands the raw frames to faultnet.Deliver, which
+// fires or ctx ends, then hands the raw frames to the step's Deliver, which
 // builds the sender-ordered inbox under the fault plan — including any
 // plan-delayed content due this phase — and records the fault-* events. It
 // fails with ctx's error when that is what ended the wait, and with
@@ -326,12 +282,7 @@ func (p *peer) closePhase(ctx context.Context, phase int) ([]sim.Envelope, time.
 			}
 		}
 	}
-	var sink trace.Sink
-	if p.rec != nil {
-		sink = p.rec
-	}
-	inbox, withheld := faultnet.Deliver(p.cfg.faults, sink, phase, p.cfg.id, buf.frames, &p.stash, p.inbox[:0])
-	p.inbox = inbox
+	inbox, withheld := p.eng.Deliver(p.cfg.id, phase+1, buf.frames)
 	for i := range buf.frames {
 		buf.frames[i] = buf.frames[i][:0] // Deliver copied what it kept
 	}
@@ -354,32 +305,15 @@ func (p *peer) closePhase(ctx context.Context, phase int) ([]sim.Envelope, time.
 // once the next instance starts).
 func (p *peer) run(ctx context.Context, ep *endpoint, epoch uint64) error {
 	defer context.AfterFunc(ctx, p.wake)() // a cancelled context ends waitPhase's wait
-	submit := func(e sim.Envelope) {
-		p.onSend(e.Phase, e.From, e.SigTotal, len(e.Signers), len(e.Payload))
-		if p.rec != nil {
-			p.rec.Emit(trace.Event{
-				Kind: trace.KindSend, Phase: e.Phase, From: e.From, To: e.To,
-				Sigs: e.SigTotal, Signers: len(e.Signers), Bytes: len(e.Payload),
-				Flag: p.cfg.faulty.Has(e.From),
-			})
-		}
-		p.outgoing[e.To] = append(p.outgoing[e.To], e)
-	}
 	for phase := 1; phase <= p.cfg.phases+1; phase++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if p.rec != nil {
-			p.rec.cur = phase
-		}
-		if p.cfg.faults.CrashPhase(p.cfg.id) == phase {
-			// Halt before consuming phase-1's frames: the crashed processor
-			// neither steps nor sends from here on. Its sockets stay open
-			// until RunCluster's teardown so live peers keep their links.
-			if p.rec != nil {
-				p.rec.Emit(trace.Event{Kind: trace.KindFaultCrash, Phase: phase, From: p.cfg.id, To: ident.None})
-			}
-			return fmt.Errorf("phase %d: %w", phase, ErrPeerCrashed)
+		if p.eng.Halted(p.cfg.id, phase) {
+			// Halted before consuming phase-1's frames: the processor neither
+			// steps nor sends from here on. Its sockets stay open until the
+			// mesh's teardown so live peers keep their links.
+			return nil
 		}
 		var inbox []sim.Envelope
 		if phase > 1 {
@@ -388,28 +322,11 @@ func (p *peer) run(ctx context.Context, ep *endpoint, epoch uint64) error {
 				return err
 			}
 		}
-		if p.rec != nil {
-			// Mirror the engine: one Deliver event per envelope handed to
-			// Step, stamped with the wall phase of the delivery.
-			for i := range inbox {
-				p.rec.Emit(trace.Event{
-					Kind: trace.KindDeliver, Phase: phase, From: inbox[i].From, To: inbox[i].To,
-					Sigs: inbox[i].SigTotal, Signers: len(inbox[i].Signers), Bytes: len(inbox[i].Payload),
-				})
-			}
-		}
-
-		// Buffer sends per recipient for this phase.
 		for i := range p.outgoing {
 			p.outgoing[i] = p.outgoing[i][:0]
 		}
-		nctx := sim.NewContext(p.cfg.id, p.cfg.n, p.cfg.t, p.cfg.transmitter, phase, p.cfg.phases, submit)
-		if p.rec != nil {
-			// Route adversary send-filter drops (KindOmit) to the recorder.
-			nctx = nctx.WithTrace(p.rec)
-		}
-		if err := p.node.Step(nctx, inbox); err != nil {
-			return fmt.Errorf("phase %d: %w", phase, err)
+		if err := p.eng.Step(p.cfg.id, phase, inbox, p.send); err != nil {
+			return err
 		}
 
 		// Flush one frame (possibly empty) to every peer, at once: the link
@@ -443,6 +360,11 @@ func (p *peer) run(ctx context.Context, ep *endpoint, epoch uint64) error {
 		}
 	}
 	return nil
+}
+
+// queue is the mesh's half of a send: the envelope joins its recipient's frame.
+func (p *peer) queue(e sim.Envelope) {
+	p.outgoing[e.To] = append(p.outgoing[e.To], e)
 }
 
 // dialPeer dials addr with capped exponential backoff and jitter, giving up

@@ -7,10 +7,12 @@
 # basim and baexp in both trees, and runs one fixed matrix through both: every
 # registry row at its canonical size (read from internal/cli/cli.go) × the
 # adversaries none, split-brain, multi-faced, silent and crash × the memory and
-# tcp transports × no fault plan and crash=1@2, plus baexp's text and CSV
-# tables. Each basim run's stdout, stderr and exit status, its -trace JSONL and
-# its -metrics JSON must be byte-identical between the trees (elapsed: lines
-# aside; runs use relative paths). Prints "k/k identical" and exits 0, or
+# tcp transports × no fault plan, crash=1@2 and the delivery-fault plan
+# drop=1->2@2;dup=1->3@1;reorder=1->*@* (every rule names sender 1, so the
+# plan stays in budget and the fault-* events are traced), plus baexp's text
+# and CSV tables. Each basim run's stdout, stderr and exit status, its -trace
+# JSONL and its -metrics JSON must be byte-identical between the trees
+# (elapsed: lines aside; runs use relative paths). Prints "k/k identical" and exits 0, or
 # prints the first command that differs and exits 1.
 set -euo pipefail
 
@@ -73,7 +75,7 @@ check() {
 while read -r name n t scheme; do
 	for adv in none split-brain multi-faced silent crash; do
 		for transport in memory tcp; do
-			for faults in "" "crash=1@2"; do
+			for faults in "" "crash=1@2" "drop=1->2@2;dup=1->3@1;reorder=1->*@*"; do
 				check basim -protocol "$name" -n "$n" -t "$t" -scheme "$scheme" -adversary "$adv" \
 					-transport "$transport" -faults "$faults" -trace trace.jsonl -metrics metrics.json
 			done
