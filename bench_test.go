@@ -14,9 +14,9 @@ import (
 	"testing"
 
 	"byzex/internal/adversary"
+	"byzex/internal/audit"
 	"byzex/internal/core"
 	"byzex/internal/ident"
-	"byzex/internal/lowerbound"
 	"byzex/internal/protocol"
 	"byzex/internal/protocols/alg1"
 	"byzex/internal/protocols/alg2"
@@ -114,14 +114,14 @@ func BenchmarkE6SigLowerBound(b *testing.B) {
 	b.Run("audit-alg1-t8", func(b *testing.B) {
 		var minAP, most int
 		for i := 0; i < b.N; i++ {
-			audit, err := lowerbound.AuditSignatures(ctx, alg1.Protocol{}, 17, 8, nil)
+			a, err := audit.AuditSignatures(ctx, alg1.Protocol{}, 17, 8, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			minAP = audit.MinAPSize
-			most = audit.HSignatures
-			if audit.GSignatures > most {
-				most = audit.GSignatures
+			minAP = a.MinAPSize
+			most = a.HSignatures
+			if a.GSignatures > most {
+				most = a.GSignatures
 			}
 		}
 		b.ReportMetric(float64(minAP), "minAP")
@@ -131,7 +131,7 @@ func BenchmarkE6SigLowerBound(b *testing.B) {
 	b.Run("replay-breaks-strawman", func(b *testing.B) {
 		broke := 0
 		for i := 0; i < b.N; i++ {
-			out, err := lowerbound.ReplayAttack(ctx, strawman.Broadcast{}, 9, 3, nil)
+			out, err := audit.ReplayAttack(ctx, strawman.Broadcast{}, 9, 3, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -163,11 +163,11 @@ func BenchmarkE8MsgLowerBound(b *testing.B) {
 		b.Run(benchName("t", cfg.t), func(b *testing.B) {
 			var minRecv, total int
 			for i := 0; i < b.N; i++ {
-				audit, err := lowerbound.StarvationAudit(ctx, alg1.Protocol{}, cfg.n, cfg.t, nil)
+				a, err := audit.StarvationAudit(ctx, alg1.Protocol{}, cfg.n, cfg.t, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				minRecv, total = audit.MinReceived, audit.TotalMessages
+				minRecv, total = a.MinReceived, a.TotalMessages
 			}
 			b.ReportMetric(float64(minRecv), "min-into-B")
 			b.ReportMetric(float64(total), "msgs")

@@ -32,9 +32,9 @@ import (
 	"os"
 	"sort"
 
+	"byzex/internal/audit"
 	"byzex/internal/cli"
 	"byzex/internal/ident"
-	"byzex/internal/lowerbound"
 	"byzex/internal/runner"
 	"byzex/internal/search"
 	"byzex/internal/trace"
@@ -109,23 +109,23 @@ func runAttack(ctx context.Context, stdout io.Writer, attack, protoName string, 
 	}
 	switch attack {
 	case "audit":
-		audit, err := lowerbound.AuditSignatures(ctx, proto, n, t, nil)
+		a, err := audit.AuditSignatures(ctx, proto, n, t, nil)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "Theorem 1 audit of %s (n=%d, t=%d)\n", proto.Name(), n, t)
-		fmt.Fprintf(stdout, "  signatures in H (v=0): %d\n", audit.HSignatures)
-		fmt.Fprintf(stdout, "  signatures in G (v=1): %d\n", audit.GSignatures)
-		fmt.Fprintf(stdout, "  lower bound n(t+1)/4:  %d\n", audit.Bound)
-		fmt.Fprintf(stdout, "  min |A(p)| = |A(%v)| = %d (need ≥ %d)\n", audit.MinAP, audit.MinAPSize, t+1)
-		if audit.Satisfied() {
+		fmt.Fprintf(stdout, "  signatures in H (v=0): %d\n", a.HSignatures)
+		fmt.Fprintf(stdout, "  signatures in G (v=1): %d\n", a.GSignatures)
+		fmt.Fprintf(stdout, "  lower bound n(t+1)/4:  %d\n", a.Bound)
+		fmt.Fprintf(stdout, "  min |A(p)| = |A(%v)| = %d (need ≥ %d)\n", a.MinAP, a.MinAPSize, t+1)
+		if a.Satisfied() {
 			fmt.Fprintln(stdout, "  verdict: bound respected")
 		} else {
 			fmt.Fprintln(stdout, "  verdict: VULNERABLE — run -attack replay")
 		}
 	case "replay":
-		out, err := lowerbound.ReplayAttack(ctx, proto, n, t, nil)
-		if errors.Is(err, lowerbound.ErrBoundRespected) {
+		out, err := audit.ReplayAttack(ctx, proto, n, t, nil)
+		if errors.Is(err, audit.ErrBoundRespected) {
 			fmt.Fprintf(stdout, "%s respects Theorem 1's bound: %v\n", proto.Name(), err)
 			return nil
 		}
@@ -136,8 +136,8 @@ func runAttack(ctx context.Context, stdout io.Writer, attack, protoName string, 
 		fmt.Fprintf(stdout, "  victim: %v, coalition A(p): %v\n", out.Victim, out.Faulty.Sorted())
 		printDecisions(stdout, out)
 	case "omission":
-		out, err := lowerbound.OmissionAttack(ctx, proto, n, t, nil)
-		if errors.Is(err, lowerbound.ErrBoundRespected) {
+		out, err := audit.OmissionAttack(ctx, proto, n, t, nil)
+		if errors.Is(err, audit.ErrBoundRespected) {
 			fmt.Fprintf(stdout, "%s respects the omission bound: %v\n", proto.Name(), err)
 			return nil
 		}
@@ -148,17 +148,17 @@ func runAttack(ctx context.Context, stdout io.Writer, attack, protoName string, 
 		fmt.Fprintf(stdout, "  victim: %v, coalition: %v\n", out.Victim, out.Faulty.Sorted())
 		printDecisions(stdout, out)
 	case "starve":
-		audit, err := lowerbound.StarvationAudit(ctx, proto, n, t, nil)
+		a, err := audit.StarvationAudit(ctx, proto, n, t, nil)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "Theorem 2 starvation audit of %s (n=%d, t=%d)\n", proto.Name(), n, t)
-		fmt.Fprintf(stdout, "  starved coalition B: %v (each ignoring first %d messages)\n", audit.B.Sorted(), audit.IgnoreFirst)
-		for _, q := range audit.B.Sorted() {
-			fmt.Fprintf(stdout, "  messages into %v from correct processors: %d (need ≥ %d)\n", q, audit.PerMember[q], audit.RequiredPerMember)
+		fmt.Fprintf(stdout, "  starved coalition B: %v (each ignoring first %d messages)\n", a.B.Sorted(), a.IgnoreFirst)
+		for _, q := range a.B.Sorted() {
+			fmt.Fprintf(stdout, "  messages into %v from correct processors: %d (need ≥ %d)\n", q, a.PerMember[q], a.RequiredPerMember)
 		}
-		fmt.Fprintf(stdout, "  total messages by correct processors: %d (Theorem 2 bound %d)\n", audit.TotalMessages, audit.Bound)
-		if audit.Satisfied() {
+		fmt.Fprintf(stdout, "  total messages by correct processors: %d (Theorem 2 bound %d)\n", a.TotalMessages, a.Bound)
+		if a.Satisfied() {
 			fmt.Fprintln(stdout, "  verdict: bound respected")
 		} else {
 			fmt.Fprintln(stdout, "  verdict: VULNERABLE")
@@ -213,7 +213,7 @@ func runSearch(ctx context.Context, stdout io.Writer, sf *cli.SearchFlags, proto
 	return search.CheckRows(rows)
 }
 
-func printDecisions(stdout io.Writer, out *lowerbound.AttackOutcome) {
+func printDecisions(stdout io.Writer, out *audit.AttackOutcome) {
 	ids := make([]int, 0, len(out.Decisions))
 	for id := range out.Decisions {
 		ids = append(ids, int(id))

@@ -20,6 +20,7 @@ import (
 	"os"
 	"time"
 
+	"byzex/internal/audit"
 	"byzex/internal/cli"
 	"byzex/internal/core"
 	"byzex/internal/ident"
@@ -87,8 +88,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var report metrics.Report
 		switch *trans {
 		case "memory":
-			cfg.Record = *dump != ""
-			res, err := core.Run(ctx, cfg)
+			var (
+				res  *core.Result
+				hist *audit.History
+				err  error
+			)
+			if *dump != "" {
+				res, hist, err = audit.Record(ctx, cfg)
+			} else {
+				res, err = core.Run(ctx, cfg)
+			}
 			if err != nil {
 				return err
 			}
@@ -102,13 +111,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 				if err != nil {
 					return err
 				}
-				if err := res.History.Export(f); err != nil {
+				if err := hist.Export(f); err != nil {
 					return err
 				}
 				if err := f.Close(); err != nil {
 					return err
 				}
-				fmt.Fprintf(stdout, "transcript: %s (%d phases)\n", *dump, res.History.NumPhases())
+				fmt.Fprintf(stdout, "transcript: %s (%d phases)\n", *dump, hist.NumPhases())
 			}
 		case "tcp":
 			res, err := transport.RunCluster(ctx, cfg, transport.Net{})

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"byzex/internal/audit"
 	"byzex/internal/cli"
 	"byzex/internal/core"
 	"byzex/internal/ident"
@@ -21,9 +22,14 @@ import (
 // TestEveryProtocolNameResolvesAndRuns is the registry's own test: the
 // table is in strict name order (so names are unique and ProtocolNames is
 // sorted), and every row's constructor accepts the row's canonical size and
-// runs fault-free, under the row's scheme, to the outcome its class promises
-// and within the row's MsgUpper and Phases promise.
+// runs fault-free at both values, under the row's scheme, to the outcome its
+// class promises and within the row's MsgUpper and Phases promise. Each run
+// is recorded and replayed: Section 2's conformance check flags no
+// processor. The lower-bound audits then sort the rows by class: agreement
+// protocols respect Theorems 1 and 2, strawmen fail both, and the exchange
+// primitives, which decide a constant, are outside the audits' premise.
 func TestEveryProtocolNameResolvesAndRuns(t *testing.T) {
+	ctx := context.Background()
 	names := cli.ProtocolNames()
 	if len(names) != len(cli.Registry()) {
 		t.Fatalf("ProtocolNames has %d names, the registry %d rows", len(names), len(cli.Registry()))
@@ -48,34 +54,60 @@ func TestEveryProtocolNameResolvesAndRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Run(context.Background(), core.Config{
-			Protocol: proto, N: e.N, T: e.T, Value: ident.V1, Scheme: scheme,
-		})
-		if err != nil {
-			t.Errorf("%s: %v", e.Name, err)
-			continue
-		}
-		// Fault-free, agreement protocols and strawmen alike decide the
-		// transmitter's value; the exchange primitives decide a constant, so
-		// they owe unanimity only.
-		decided, err := res.Decision(0, ident.V1)
-		if e.Class == cli.ClassExchange && errors.Is(err, core.ErrValidity) {
-			err = nil
-		} else if err == nil && decided != ident.V1 {
-			err = fmt.Errorf("decided %v, want %v", decided, ident.V1)
-		}
-		if err != nil {
-			t.Errorf("%s (%s): %v", e.Name, e.Class, err)
-		}
-		if e.MsgUpper != nil {
-			if got, bound := res.Sim.Report.MessagesCorrect, e.MsgUpper(params); got > bound {
-				t.Errorf("%s n=%d t=%d: %d messages from correct processors, row promises ≤ %d", e.Name, e.N, e.T, got, bound)
+		for _, v := range []ident.Value{ident.V0, ident.V1} {
+			res, h, err := audit.Record(ctx, core.Config{
+				Protocol: proto, N: e.N, T: e.T, Value: v, Scheme: scheme,
+			})
+			if err != nil {
+				t.Errorf("%s v=%v: %v", e.Name, v, err)
+				continue
+			}
+			// Fault-free, agreement protocols and strawmen alike decide the
+			// transmitter's value; the exchange primitives decide a constant,
+			// so they owe unanimity only.
+			decided, err := res.Decision(0, v)
+			if e.Class == cli.ClassExchange && errors.Is(err, core.ErrValidity) {
+				err = nil
+			} else if err == nil && decided != v {
+				err = fmt.Errorf("decided %v, want %v", decided, v)
+			}
+			if err != nil {
+				t.Errorf("%s (%s) v=%v: %v", e.Name, e.Class, v, err)
+			}
+			if e.MsgUpper != nil {
+				if got, bound := res.Sim.Report.MessagesCorrect, e.MsgUpper(params); got > bound {
+					t.Errorf("%s n=%d t=%d v=%v: %d messages from correct processors, row promises ≤ %d", e.Name, e.N, e.T, v, got, bound)
+				}
+			}
+			conf, err := audit.Conformance(h, proto, scheme, e.T)
+			if err != nil {
+				t.Fatalf("%s v=%v: %v", e.Name, v, err)
+			}
+			for p, phase := range conf {
+				if phase != 0 {
+					t.Errorf("%s v=%v: fault-free %v flagged at phase %d", e.Name, v, p, phase)
+				}
 			}
 		}
 		if e.Phases != nil {
 			if got, want := proto.Phases(e.N, e.T), e.Phases(params); got != want {
 				t.Errorf("%s n=%d t=%d: Phases = %d, row promises %d", e.Name, e.N, e.T, got, want)
 			}
+		}
+		if e.Class == cli.ClassExchange {
+			continue
+		}
+		sigs, err := audit.AuditSignatures(ctx, proto, e.N, e.T, scheme)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		msgs, err := audit.StarvationAudit(ctx, proto, e.N, e.T, scheme)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if want := e.Class == cli.ClassAgreement; sigs.Satisfied() != want || msgs.Satisfied() != want {
+			t.Errorf("%s (%s): Theorem 1 audit satisfied=%v (min|A(p)| %d, need %d), Theorem 2 audit satisfied=%v (starved member got %d, need %d)",
+				e.Name, e.Class, sigs.Satisfied(), sigs.MinAPSize, e.T+1, msgs.Satisfied(), msgs.MinReceived, msgs.RequiredPerMember)
 		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 
 	"byzex/internal/adversary"
 	"byzex/internal/faultnet"
-	"byzex/internal/history"
 	"byzex/internal/ident"
 	"byzex/internal/protocol"
 	"byzex/internal/sig"
@@ -64,8 +63,10 @@ type Config struct {
 	FaultyOverride ident.Set
 	// Seed drives all deterministic randomness in the run.
 	Seed int64
-	// Record captures the execution as a history.History.
-	Record bool
+	// Observer, when non-nil, sees every envelope the in-memory engine
+	// accepts (see sim.Config); audit.Record attaches a History this way.
+	// The TCP mesh does not call it.
+	Observer sim.Observer
 	// Rushing grants the adversary the rushing power (see sim.Config).
 	Rushing bool
 	// Trace receives structured execution events (see package trace). When
@@ -85,8 +86,6 @@ type Config struct {
 type Result struct {
 	// Sim carries decisions and metrics.
 	Sim *sim.Result
-	// History is the recorded execution (nil unless Config.Record).
-	History *history.History
 	// Faulty is the corrupted set used in the run.
 	Faulty ident.Set
 	// Phases is the protocol's scheduled phase count for (n, t).
@@ -315,13 +314,8 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Result, error) {
 		Rushing:     cfg.Rushing,
 		Trace:       sink,
 		Faults:      cfg.Faults,
+		Observer:    cfg.Observer,
 	}
-	var rec *history.Recorder
-	if cfg.Record {
-		rec = history.NewRecorder(cfg.N, cfg.Transmitter, cfg.Value, setup.Faulty)
-		simCfg.Observers = append(simCfg.Observers, rec)
-	}
-
 	if err := r.engine.Reset(simCfg, setup.Nodes); err != nil {
 		return nil, err
 	}
@@ -332,11 +326,7 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Result, error) {
 	hits, misses := setup.Verifier.Stats()
 	res.Report.SigCacheHits = int(hits)
 	res.Report.SigCacheMisses = int(misses)
-	out := &Result{Sim: res, Faulty: setup.Faulty, Phases: setup.Phases, Nodes: setup.Nodes}
-	if rec != nil {
-		out.History = rec.History()
-	}
-	return out, nil
+	return &Result{Sim: res, Faulty: setup.Faulty, Phases: setup.Phases, Nodes: setup.Nodes}, nil
 }
 
 // RunAndCheck runs the configuration and verifies both Byzantine Agreement

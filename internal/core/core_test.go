@@ -26,35 +26,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestRecordProducesHistory(t *testing.T) {
-	res, _, err := core.RunAndCheck(bg, core.Config{
-		Protocol: alg1.Protocol{}, N: 5, T: 2, Value: ident.V1, Record: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.History == nil {
-		t.Fatal("no history recorded")
-	}
-	if res.History.Messages() != res.Sim.Report.MessagesCorrect {
-		t.Fatalf("history/metrics disagree: %d vs %d",
-			res.History.Messages(), res.Sim.Report.MessagesCorrect)
-	}
-	if res.History.Value != ident.V1 {
-		t.Fatal("history value wrong")
-	}
-}
-
-func TestNoRecordByDefault(t *testing.T) {
-	res, err := core.Run(bg, core.Config{Protocol: alg1.Protocol{}, N: 5, T: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.History != nil {
-		t.Fatal("history recorded without Record")
-	}
-}
-
 // TestDecisionErrors pins the shared judge: the error kinds, that the
 // processor an error names is the lowest-id offender however the map
 // iterates or is keyed, that ErrValidity still carries the common value,

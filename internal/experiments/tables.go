@@ -5,10 +5,10 @@ import (
 	"fmt"
 
 	"byzex/internal/adversary"
+	"byzex/internal/audit"
 	"byzex/internal/cli"
 	"byzex/internal/core"
 	"byzex/internal/ident"
-	"byzex/internal/lowerbound"
 	"byzex/internal/metrics"
 	"byzex/internal/protocol"
 	"byzex/internal/protocols/alg1"
@@ -297,22 +297,22 @@ func E6Theorem1(ctx context.Context) (*Table, error) {
 		{alg5.Protocol{S: 3}, 64, 3},
 	}
 	type cell struct {
-		audit    *lowerbound.SigAudit
+		audit    *audit.SigAudit
 		most     int
 		attacked bool // replay attack succeeded against the protocol
 	}
 	cells, err := sweep(ctx, len(cases), func(ctx context.Context, i int) (cell, error) {
 		c := cases[i]
-		audit, err := lowerbound.AuditSignatures(ctx, c.p, c.n, c.t, nil)
+		a, err := audit.AuditSignatures(ctx, c.p, c.n, c.t, nil)
 		if err != nil {
 			return cell{}, err
 		}
-		most := audit.HSignatures
-		if audit.GSignatures > most {
-			most = audit.GSignatures
+		most := a.HSignatures
+		if a.GSignatures > most {
+			most = a.GSignatures
 		}
-		_, attErr := lowerbound.ReplayAttack(ctx, c.p, c.n, c.t, nil)
-		return cell{audit: audit, most: most, attacked: attErr == nil}, nil
+		_, attErr := audit.ReplayAttack(ctx, c.p, c.n, c.t, nil)
+		return cell{audit: a, most: most, attacked: attErr == nil}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -335,26 +335,26 @@ func E6Theorem1(ctx context.Context) (*Table, error) {
 	// The strawman undercuts the bound; the attack must break it.
 	strawCases := []struct{ n, t int }{{9, 3}, {16, 4}}
 	type strawCell struct {
-		audit     *lowerbound.SigAudit
+		audit     *audit.SigAudit
 		most      int
 		violation string
 		broke     bool
 	}
 	strawCells, err := sweep(ctx, len(strawCases), func(ctx context.Context, i int) (strawCell, error) {
 		c := strawCases[i]
-		out, err := lowerbound.ReplayAttack(ctx, strawman.Broadcast{}, c.n, c.t, nil)
+		out, err := audit.ReplayAttack(ctx, strawman.Broadcast{}, c.n, c.t, nil)
 		if err != nil {
 			return strawCell{}, err
 		}
-		audit, err := lowerbound.AuditSignatures(ctx, strawman.Broadcast{}, c.n, c.t, nil)
+		a, err := audit.AuditSignatures(ctx, strawman.Broadcast{}, c.n, c.t, nil)
 		if err != nil {
 			return strawCell{}, err
 		}
-		most := audit.HSignatures
-		if audit.GSignatures > most {
-			most = audit.GSignatures
+		most := a.HSignatures
+		if a.GSignatures > most {
+			most = a.GSignatures
 		}
-		return strawCell{audit: audit, most: most, violation: fmt.Sprint(out.Violation), broke: out.Broke()}, nil
+		return strawCell{audit: a, most: most, violation: fmt.Sprint(out.Violation), broke: out.Broke()}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -429,33 +429,33 @@ func E8Theorem2(ctx context.Context) (*Table, error) {
 	}
 	// The starvation audits and the omission attack are all independent
 	// runs; the attack is scheduled as one more job alongside the sweep.
-	var out *lowerbound.AttackOutcome
-	audits := make([]*lowerbound.MsgAudit, len(cases))
+	var out *audit.AttackOutcome
+	audits := make([]*audit.MsgAudit, len(cases))
 	work := make([]func(ctx context.Context) error, 0, len(cases)+1)
 	for i := range cases {
 		i := i
 		work = append(work, func(ctx context.Context) error {
-			audit, err := lowerbound.StarvationAudit(ctx, cases[i].p, cases[i].n, cases[i].t, nil)
-			audits[i] = audit
+			a, err := audit.StarvationAudit(ctx, cases[i].p, cases[i].n, cases[i].t, nil)
+			audits[i] = a
 			return err
 		})
 	}
 	work = append(work, func(ctx context.Context) error {
 		var err error
-		out, err = lowerbound.OmissionAttack(ctx, strawman.Broadcast{}, 8, 2, nil)
+		out, err = audit.OmissionAttack(ctx, strawman.Broadcast{}, 8, 2, nil)
 		return err
 	})
 	if err := jobs(ctx, work...); err != nil {
 		return nil, err
 	}
-	for i, audit := range audits {
+	for i, a := range audits {
 		c := cases[i]
-		tbl.AddRow(c.p.Name(), c.n, c.t, audit.MinReceived, audit.RequiredPerMember, audit.TotalMessages, audit.Bound)
-		if !audit.Satisfied() {
-			tbl.Violate("%s: starved member got %d < %d", c.p.Name(), audit.MinReceived, audit.RequiredPerMember)
+		tbl.AddRow(c.p.Name(), c.n, c.t, a.MinReceived, a.RequiredPerMember, a.TotalMessages, a.Bound)
+		if !a.Satisfied() {
+			tbl.Violate("%s: starved member got %d < %d", c.p.Name(), a.MinReceived, a.RequiredPerMember)
 		}
-		if audit.TotalMessages < audit.Bound {
-			tbl.Violate("%s: total %d < bound %d", c.p.Name(), audit.TotalMessages, audit.Bound)
+		if a.TotalMessages < a.Bound {
+			tbl.Violate("%s: total %d < bound %d", c.p.Name(), a.TotalMessages, a.Bound)
 		}
 	}
 	status := "survived (UNEXPECTED)"

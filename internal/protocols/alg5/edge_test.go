@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"byzex/internal/adversary"
+	"byzex/internal/audit"
 	"byzex/internal/core"
-	"byzex/internal/history"
 	"byzex/internal/ident"
 	"byzex/internal/protocols/alg2"
 	"byzex/internal/protocols/alg5"
@@ -140,15 +140,15 @@ func TestDeterministicHistories(t *testing.T) {
 	// Identical configurations produce bit-identical histories — the
 	// foundation of the replay machinery and the experiments' exact
 	// reproducibility.
-	run := func() *history.History {
-		res, err := core.Run(context.Background(), core.Config{
+	run := func() *audit.History {
+		_, h, err := audit.Record(context.Background(), core.Config{
 			Protocol: alg5.Protocol{S: 2}, N: 40, T: 2, Value: ident.V1,
-			Adversary: adversary.Chaos{}, Seed: 99, Record: true,
+			Adversary: adversary.Chaos{}, Seed: 99,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.History
+		return h
 	}
 	a, b := run(), run()
 	if a.NumPhases() != b.NumPhases() {

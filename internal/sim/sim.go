@@ -245,7 +245,7 @@ func (c *Context) InternSigners(ids []ident.ProcID) []ident.ProcID {
 }
 
 // Observer is notified of every message accepted by the engine, in
-// submission order. The history recorder implements it.
+// submission order. audit.History implements it to record a run.
 type Observer interface {
 	OnSend(e Envelope)
 }
@@ -269,8 +269,8 @@ type Config struct {
 	// phase before choosing their own. Synchronous protocols must tolerate
 	// this (the paper's model does not forbid it).
 	Rushing bool
-	// Observers receive every sent envelope (optional).
-	Observers []Observer
+	// Observer receives every sent envelope (optional).
+	Observer Observer
 	// Trace receives structured execution events (optional). A nil sink
 	// disables tracing at the cost of one nil check per potential event;
 	// the disabled path allocates nothing.
@@ -439,7 +439,7 @@ func (e *Engine) Reset(cfg Config, nodes []Node) error {
 }
 
 // submit is every context's send path: the step traces and counts the send
-// and shows it to the observers — under mu for a concurrent backend, so an
+// and shows it to the observer — under mu for a concurrent backend, so an
 // observer must not call back into the engine — and the backend carries it:
 // Run in this phase's traffic, a concurrent backend through its route.
 func (e *Engine) submit(env Envelope) {
@@ -455,8 +455,8 @@ func (e *Engine) submit(env Envelope) {
 		e.mu.Lock()
 	}
 	e.collector.OnSend(env.Phase, env.From, env.SigTotal, len(env.Signers), len(env.Payload))
-	for _, o := range e.cfg.Observers {
-		o.OnSend(env)
+	if e.cfg.Observer != nil {
+		e.cfg.Observer.OnSend(env)
 	}
 	if concurrent {
 		e.mu.Unlock()

@@ -40,7 +40,7 @@ func captureFrameBodies(tb testing.TB) [][]byte {
 	err = eng.Reset(sim.Config{
 		N: cfg.N, T: cfg.T, Transmitter: cfg.Transmitter,
 		Phases: setup.Phases, Faulty: setup.Faulty,
-		Observers: []sim.Observer{cap},
+		Observer: cap,
 	}, setup.Nodes)
 	if err != nil {
 		tb.Fatal(err)
