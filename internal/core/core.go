@@ -167,15 +167,12 @@ type Setup struct {
 }
 
 // Runner runs instances one after another, keeping what a template fixes:
-// the scheme's n signers (rebuilt when the scheme or N changes), one
-// verified-prefix cache (Reset before every instance, so no prefix crosses
+// one verified-prefix cache (Reset before every instance, so no prefix crosses
 // instances), the node slice, the Setup and the engine's arenas. The faulty
 // set, nodes, decisions and report are fresh per instance. A Runner is not
 // safe for concurrent use; its Setup and a Result's Nodes are valid only
 // until its next call.
 type Runner struct {
-	scheme   sig.Scheme // what signers were minted from
-	signers  []sig.Signer
 	verifier sig.CachedVerifier
 	setup    Setup
 	engine   sim.Engine
@@ -199,16 +196,6 @@ func (r *Runner) Setup(cfg Config) (*Setup, error) {
 	scheme := cfg.Scheme
 	if scheme == nil {
 		scheme = sig.NewHMAC(cfg.N, cfg.Seed^0x5ee_d516)
-	}
-	var err error
-	if scheme != r.scheme || len(r.signers) != cfg.N {
-		r.scheme, r.signers = nil, make([]sig.Signer, cfg.N)
-		for i := range r.signers {
-			if r.signers[i], err = scheme.Signer(ident.ProcID(i)); err != nil {
-				return nil, fmt.Errorf("core: signer for %v: %w", ident.ProcID(i), err)
-			}
-		}
-		r.scheme = scheme
 	}
 
 	// Determine the corrupted set. FaultyOverride wins even without an
@@ -248,8 +235,12 @@ func (r *Runner) Setup(cfg Config) (*Setup, error) {
 	// Build the node set: protocol nodes for correct processors, adversary
 	// nodes for corrupted ones.
 	nodes := slices.Grow(r.setup.Nodes[:0], cfg.N)[:cfg.N]
-	for i, signer := range r.signers {
+	for i := range nodes {
 		id := ident.ProcID(i)
+		signer, err := scheme.Signer(id)
+		if err != nil {
+			return nil, fmt.Errorf("core: signer for %v: %w", id, err)
+		}
 		ncfg := protocol.NodeConfig{
 			ID:          id,
 			N:           cfg.N,

@@ -18,8 +18,8 @@ import (
 // registry row at its canonical size: fault-free, split-brain, a crash=1@2
 // plan and a rushing split-brain adversary, each twice with different seeds
 // and values, plus alg1 under ed25519. Each row keys its own scheme, which
-// all its configurations share: consecutive runs of one row keep a Runner's
-// signers warm, and the five rows at n=5 change keys at the same N.
+// all its configurations share: consecutive runs of one row sign through the
+// same signers, and the five rows at n=5 change keys at the same N.
 func runnerSequence(t *testing.T) []core.Config {
 	t.Helper()
 	schemes := make(map[string]sig.Scheme)

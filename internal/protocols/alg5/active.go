@@ -1,6 +1,8 @@
 package alg5
 
 import (
+	"slices"
+
 	"byzex/internal/ident"
 	"byzex/internal/protocol"
 	"byzex/internal/protocols/alg2"
@@ -26,9 +28,11 @@ type activeNode struct {
 	// reuses the same few links.
 	links sig.Slab
 
-	b        ident.Set   // B(p, x) for the current block
-	pendingF ident.Set   // F(p, x-1) contributed to the in-flight Algorithm 4
-	g4       *alg4.Group // in-flight Algorithm 4 instance
+	// b is B(p, x) for the current block and pendingF the F(p, x-1)
+	// contributed to the in-flight Algorithm 4, each marking passive id
+	// α+i at index i (modeFull only).
+	b, pendingF []bool
+	g4          *alg4.Group // in-flight Algorithm 4 instance
 }
 
 var _ sim.Node = (*activeNode)(nil)
@@ -36,11 +40,16 @@ var _ sim.Node = (*activeNode)(nil)
 func newActiveNode(cfg protocol.NodeConfig, ly layout) (sim.Node, error) {
 	a := &activeNode{cfg: cfg, ly: ly}
 	if ly.isCoreActive(cfg.ID) {
-		c, err := alg2.NewCore(ly.coreActives, cfg.T, cfg.ID, cfg.Value, cfg.Signer, cfg.Verifier)
+		c, err := alg2.NewCore(ly.actives[:2*cfg.T+1], cfg.T, cfg.ID, cfg.Value, cfg.Signer, cfg.Verifier)
 		if err != nil {
 			return nil, err
 		}
 		a.core = c
+	}
+	if ly.mode == modeFull {
+		m := ly.n - ly.alpha
+		sets := make([]bool, 2*m)
+		a.b, a.pendingF = sets[:m:m], sets[m:]
 	}
 	return a, nil
 }
@@ -103,10 +112,8 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		// The first t+1 processors fan the valid message out: to the
 		// extended actives (modeFull) or to every passive (modeFanout).
 		if int(a.cfg.ID) <= t && a.hasValid {
-			var targets []ident.ProcID
-			if a.ly.mode == modeFull {
-				targets = a.ly.actives[2*t+1:]
-			} else {
+			targets := a.ly.actives[2*t+1:]
+			if a.ly.mode == modeFanout {
 				targets = a.ly.passives()
 			}
 			payload := encodeSV(tagFanout, a.valid)
@@ -135,8 +142,10 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		// x ≥ 1) or the final direct copies (block 0).
 		var tbl *piTable
 		if x == a.ly.lambda {
-			a.b = ident.NewSet(a.ly.passives()...)
-			tbl = &piTable{index: x, byProc: make(map[ident.ProcID]ident.Set)}
+			for i := range a.b {
+				a.b[i] = true
+			}
+			tbl = new(piTable)
 		} else {
 			if a.g4 == nil {
 				return nil
@@ -150,13 +159,9 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			// per seed).
 			tbl = a.ly.buildPiTable(a.g4.Collected(), x, a.cfg.Verifier)
 			// B(p,x) = members of our own F(p,x) with enough endorsements.
-			b := make(ident.Set)
-			for q := range a.pendingF {
-				if tbl.pi(q) >= a.ly.threshold() {
-					b.Add(q)
-				}
+			for i, in := range a.pendingF {
+				a.b[i] = in && tbl.pi(a.ly.passive(i)) >= a.ly.threshold()
 			}
-			a.b = b
 			a.g4 = nil
 		}
 		if !a.hasValid {
@@ -165,25 +170,35 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		if x == 0 {
 			// Block 0: send the valid message directly to everybody left.
 			payload := encodeSV(tagFanout, a.valid)
-			for _, q := range a.b.Sorted() {
-				if err := protocol.Send(ctx, q, payload, a.valid.Chain); err != nil {
+			for i, in := range a.b {
+				if !in {
+					continue
+				}
+				if err := protocol.Send(ctx, a.ly.passive(i), payload, a.valid.Chain); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
 		// C(p,x): subtrees with a proof of work; activate their roots. The
-		// DisablePoW ablation activates everything unconditionally.
+		// DisablePoW ablation activates everything unconditionally. A root
+		// whose proof of work is the previous root's gets the same payload:
+		// the table holds one single-link string per signer, so equal signer
+		// lists are equal strings, and in block λ every root's list is empty.
+		var payload []byte
+		var prev []sig.SignedBytes
 		var chains []sig.Chain // reused: Send does not keep it
 		for _, ref := range a.ly.forest.rootsOfDepth(x) {
 			if !a.ly.disablePoW && !a.ly.hasProofOfWork(tbl, ref, x) {
 				continue
 			}
 			strs := a.ly.powStringsFor(tbl, ref)
-			payload := encodeActivate(a.valid, strs)
-			chains = append(chains[:0], a.valid.Chain)
-			for _, s := range strs {
-				chains = append(chains, s.Chain)
+			if payload == nil || !slices.EqualFunc(strs, prev, sameSigner) {
+				payload, prev = encodeActivate(a.valid, strs), strs
+				chains = append(chains[:0], a.valid.Chain)
+				for _, s := range strs {
+					chains = append(chains, s.Chain)
+				}
 			}
 			if err := protocol.Send(ctx, a.ly.forest.at(ref), payload, chains...); err != nil {
 				return err
@@ -191,28 +206,30 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		}
 
 	case x >= 1 && rel == 2*l:
-		// Reports from this block's roots arrived: compute F(p, x-1) and
-		// kick off the next Algorithm 4 exchange.
-		covered := make(ident.Set)
+		// Reports from this block's roots arrived: F(p, x-1) is B(p, x) less
+		// the passives a report covers and this block's roots. Kick off the
+		// next Algorithm 4 exchange with it.
+		copy(a.pendingF, a.b)
 		for _, env := range inbox {
 			mark := a.links.Mark()
 			if sv, ok := decodeSV(&a.links, env.Payload, tagReport); ok && a.ly.isValid(sv, a.cfg.Verifier) {
 				for _, l := range sv.Chain {
 					if !a.ly.isActive(l.Signer) {
-						covered.Add(l.Signer)
+						a.pendingF[int(l.Signer)-a.ly.alpha] = false
 					}
 				}
 			}
 			a.links.Rewind(mark)
 		}
-		f := make(ident.Set)
-		for q := range a.b {
-			if !covered.Has(q) && !a.ly.isBlockRoot(q, x) {
-				f.Add(q)
+		var f []ident.ProcID
+		for i, in := range a.pendingF {
+			if in && a.ly.isBlockRoot(a.ly.passive(i), x) {
+				a.pendingF[i] = false
+			} else if in {
+				f = append(f, a.ly.passive(i))
 			}
 		}
-		a.pendingF = f
-		g4, err := alg4.NewGroup(a.ly.actives, a.cfg.ID, stringBody(x-1, f.Sorted()), a.cfg.Signer, a.cfg.Verifier)
+		g4, err := alg4.NewGroup(a.ly.actives, a.cfg.ID, stringBody(x-1, f), a.cfg.Signer, a.cfg.Verifier)
 		if err != nil {
 			return err
 		}
@@ -227,6 +244,9 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	}
 	return nil
 }
+
+// sameSigner reports whether two proof-of-work strings have the same signer.
+func sameSigner(a, b sig.SignedBytes) bool { return a.Chain[0].Signer == b.Chain[0].Signer }
 
 func (a *activeNode) Decide() (ident.Value, bool) {
 	if a.core != nil {

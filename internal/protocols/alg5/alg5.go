@@ -74,11 +74,9 @@ func (p Protocol) Segments(n, t int) []Segment {
 		return segs
 	}
 	for x := ly.lambda; x >= 1; x-- {
-		start := ly.blockStart[x]
-		end := start + 2*treeCap(x) + 2
-		segs = append(segs, Segment{Name: fmt.Sprintf("block %d", x), First: start, Last: end})
+		segs = append(segs, Segment{Name: fmt.Sprintf("block %d", x), First: ly.blockStart(x), Last: ly.blockStart(x-1) - 1})
 	}
-	segs = append(segs, Segment{Name: "block 0 (direct)", First: ly.blockStart[0], Last: ly.blockStart[0]})
+	segs = append(segs, Segment{Name: "block 0 (direct)", First: ly.lastPhase, Last: ly.lastPhase})
 	return segs
 }
 

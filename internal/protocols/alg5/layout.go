@@ -26,9 +26,10 @@
 // Set-up is O(t) per processor, so a run costs O(n·t) before its first
 // message and not O(n²): the passive processors are the contiguous id range
 // [α, n), which makes the forest pure index arithmetic (a forest is three
-// integers, tree.go), and a node's layout holds only the two active lists. Whoever
-// needs the passives spelled out — an active's B(p, λ), the fan-out targets
-// below α — generates the range on the spot.
+// integers, tree.go), and a node's layout allocates one list, the actives,
+// whose first 2t+1 are the core; the block schedule is closed-form. An
+// active's passive sets B(p, x) and F(p, x−1) are flags indexed by id − α,
+// walked in id order; only the fan-out below α spells the passives out.
 //
 // Everybody decides on the value of the first valid message received —
 // faulty processors cannot fabricate one for a wrong value, because any
@@ -78,17 +79,11 @@ type layout struct {
 	mode       mode
 	alpha      int
 	disablePoW bool
+	lambda     int // tree depth (used in modeFull)
 
-	lambda int // tree depth
-
-	coreActives []ident.ProcID // ids 0..2t (run Algorithm 2)
-	actives     []ident.ProcID // ids 0..α-1 (modeFull) or 0..2t otherwise
-	forest      forest         // the passives len(actives)..n-1, modeFull only
-
-	// blockStart[x] is the first phase of block x (modeFull); blocks run
-	// λ, λ-1, ..., 0. Block x>0 spans 2·treeCap(x)+3 phases; block 0 spans 1.
-	blockStart []int
-	lastPhase  int
+	actives   []ident.ProcID // ids 0..α-1 (modeFull) or 0..2t otherwise; the first 2t+1 run Algorithm 2
+	forest    forest         // the passives len(actives)..n-1, modeFull only
+	lastPhase int
 }
 
 func newLayout(n, t, s int, disablePoW bool) (layout, error) {
@@ -98,57 +93,52 @@ func newLayout(n, t, s int, disablePoW bool) (layout, error) {
 	if s < 1 {
 		return layout{}, fmt.Errorf("%w: alg5 requires s ≥ 1 (got %d)", protocol.ErrBadParams, s)
 	}
-	ly := layout{n: n, t: t, alpha: Alpha(t), coreActives: ident.Range(2*t + 1), disablePoW: disablePoW}
+	ly := layout{n: n, t: t, mode: modeFull, alpha: Alpha(t), disablePoW: disablePoW, lambda: lambdaFor(s)}
 	switch {
 	case n == 2*t+1:
-		ly.mode = modeAlg2Only
-		ly.actives = ly.coreActives
-		ly.lastPhase = 3*t + 3
-		return ly, nil
+		ly.mode, ly.lastPhase, ly.actives = modeAlg2Only, 3*t+3, ident.Range(2*t+1)
 	case n < ly.alpha:
-		ly.mode = modeFanout
-		ly.actives = ly.coreActives
-		ly.lastPhase = 3*t + 4
-		return ly, nil
+		ly.mode, ly.lastPhase, ly.actives = modeFanout, 3*t+4, ident.Range(2*t+1)
+	default:
+		ly.actives = ident.Range(ly.alpha)
+		ly.forest = forest{first: ident.ProcID(ly.alpha), count: n - ly.alpha, lambda: ly.lambda}
+		ly.lastPhase = ly.blockStart(0)
 	}
-
-	ly.mode = modeFull
-	ly.actives = ident.Range(ly.alpha)
-	ly.lambda = lambdaFor(s)
-	ly.forest = forest{first: ident.ProcID(ly.alpha), count: n - ly.alpha, lambda: ly.lambda}
-
-	ly.blockStart = make([]int, ly.lambda+1)
-	start := 3*t + 5
-	for x := ly.lambda; x >= 1; x-- {
-		ly.blockStart[x] = start
-		start += 2*treeCap(x) + 3
-	}
-	ly.blockStart[0] = start
-	ly.lastPhase = start
 	return ly, nil
+}
+
+// blockStart returns the first phase of block x (modeFull). Blocks run λ,
+// λ-1, ..., 0 from phase 3t+5, and block y ≥ 1 spans 2·treeCap(y)+3 =
+// 2^(y+1)+1 phases, so the blocks before x take 2^(λ+2) − 2^(x+2) + λ − x.
+func (ly *layout) blockStart(x int) int {
+	return 3*ly.t + 5 + 1<<uint(ly.lambda+2) - 1<<uint(x+2) + ly.lambda - x
 }
 
 // phaseToBlock maps an engine phase to (block, relative offset). ok is
 // false outside the block window.
 func (ly *layout) phaseToBlock(phase int) (x, rel int, ok bool) {
-	if ly.mode != modeFull || phase < ly.blockStart[ly.lambda] {
+	if ly.mode != modeFull || phase < ly.blockStart(ly.lambda) || phase > ly.lastPhase {
 		return 0, 0, false
 	}
-	for x = ly.lambda; x >= 1; x-- {
-		end := ly.blockStart[x] + 2*treeCap(x) + 2
-		if phase >= ly.blockStart[x] && phase <= end {
-			return x, phase - ly.blockStart[x], true
-		}
+	x = ly.lambda
+	for x > 0 && phase >= ly.blockStart(x-1) {
+		x--
 	}
-	if phase == ly.blockStart[0] {
-		return 0, 0, true
-	}
-	return 0, 0, false
+	return x, phase - ly.blockStart(x), true
 }
 
 // passives lists the passive processors, ids len(actives)..n-1, for the one
-// caller per mode that needs them spelled out.
-func (ly *layout) passives() []ident.ProcID { return ident.Range(ly.n)[len(ly.actives):] }
+// caller that needs them spelled out: modeFanout's fan-out.
+func (ly *layout) passives() []ident.ProcID {
+	out := make([]ident.ProcID, ly.n-len(ly.actives))
+	for i := range out {
+		out[i] = ly.passive(i)
+	}
+	return out
+}
+
+// passive returns the i-th passive processor, id len(actives)+i.
+func (ly *layout) passive(i int) ident.ProcID { return ident.ProcID(len(ly.actives) + i) }
 
 // isCoreActive reports whether id runs Algorithm 2.
 func (ly *layout) isCoreActive(id ident.ProcID) bool { return int(id) < 2*ly.t+1 }

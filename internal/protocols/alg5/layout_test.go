@@ -3,6 +3,7 @@ package alg5
 import (
 	"testing"
 
+	"byzex/internal/core"
 	"byzex/internal/ident"
 	"byzex/internal/sig"
 )
@@ -38,7 +39,7 @@ func TestScheduleContiguous(t *testing.T) {
 	// Every phase from the first block to lastPhase must map to exactly
 	// one (block, rel) pair, blocks in descending order, rels contiguous.
 	ly := mustLayout(t, 100, 4, 4)
-	phase := ly.blockStart[ly.lambda]
+	phase := ly.blockStart(ly.lambda)
 	for x := ly.lambda; x >= 1; x-- {
 		for rel := 0; rel <= 2*treeCap(x)+2; rel++ {
 			gx, grel, ok := ly.phaseToBlock(phase)
@@ -58,8 +59,34 @@ func TestScheduleContiguous(t *testing.T) {
 	if _, _, ok := ly.phaseToBlock(phase + 1); ok {
 		t.Fatal("phase beyond schedule mapped")
 	}
-	if _, _, ok := ly.phaseToBlock(ly.blockStart[ly.lambda] - 1); ok {
+	if _, _, ok := ly.phaseToBlock(ly.blockStart(ly.lambda) - 1); ok {
 		t.Fatal("pre-block phase mapped")
+	}
+}
+
+// TestBlockStartClosedForm checks blockStart against the loop it replaced,
+// which walked the blocks down from 3t+5 adding each one's 2·treeCap(x)+3
+// phases, and the schedule's length against core.Alg5Phases.
+func TestBlockStartClosedForm(t *testing.T) {
+	for tt := 1; tt <= 3; tt++ {
+		for lambda := 1; lambda <= 20; lambda++ {
+			ly := layout{t: tt, lambda: lambda}
+			start := 3*tt + 5
+			for x := lambda; x >= 0; x-- {
+				if got := ly.blockStart(x); got != start {
+					t.Fatalf("t=%d λ=%d: blockStart(%d) = %d, want %d", tt, lambda, x, got, start)
+				}
+				start += 2*treeCap(x) + 3
+			}
+		}
+	}
+	for s := 1; s <= 64; s++ {
+		for _, tt := range []int{1, 3} {
+			n := Alpha(tt) + 10
+			if got, want := (Protocol{S: s}).Phases(n, tt), core.Alg5Phases(tt, s); got != want {
+				t.Errorf("s=%d t=%d: Phases = %d, core.Alg5Phases = %d", s, tt, got, want)
+			}
+		}
 	}
 }
 

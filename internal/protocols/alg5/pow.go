@@ -9,7 +9,6 @@ import (
 // processor q, the set of distinct active processors whose verified string
 // with index x lists q.
 type piTable struct {
-	index   int
 	byProc  map[ident.ProcID]ident.Set
 	sources []sig.SignedBytes // the verified strings, for forwarding
 }
@@ -18,7 +17,7 @@ type piTable struct {
 // must carry exactly one signature by an active processor and decode to
 // [index, procs]; everything else is ignored.
 func (ly *layout) buildPiTable(strings []sig.SignedBytes, index int, verifier sig.Verifier) *piTable {
-	tbl := &piTable{index: index, byProc: make(map[ident.ProcID]ident.Set)}
+	tbl := &piTable{byProc: make(map[ident.ProcID]ident.Set)}
 	seen := make(ident.Set) // one string per signer
 	for _, sb := range strings {
 		if len(sb.Chain) != 1 {
@@ -29,11 +28,7 @@ func (ly *layout) buildPiTable(strings []sig.SignedBytes, index int, verifier si
 			continue
 		}
 		idx, procs, err := parseStringBody(sb.Body)
-		if err != nil || idx != index {
-			seen.Remove(signer)
-			continue
-		}
-		if sb.Verify(verifier) != nil {
+		if err != nil || idx != index || sb.Verify(verifier) != nil {
 			seen.Remove(signer)
 			continue
 		}

@@ -60,14 +60,15 @@ type Verifier interface {
 }
 
 // Scheme is a complete signature scheme for a fixed population of
-// processors: it can mint per-processor signers and verify any signature.
+// processors: it mints the n per-processor signers once, when it is built,
+// and verifies any signature.
 type Scheme interface {
 	Verifier
 	// Name identifies the scheme in reports ("hmac", "ed25519", "plain").
 	Name() string
 	// N returns the population size the scheme was instantiated for.
 	N() int
-	// Signer returns the signing handle for id.
+	// Signer returns the signing handle for id: the same one on every call.
 	Signer(id ident.ProcID) (Signer, error)
 	// SigLen returns the byte length of signatures (0 if variable).
 	SigLen() int
@@ -81,71 +82,69 @@ type Scheme interface {
 // only code holding a Signer (i.e. the processor itself, or the adversary
 // for corrupted processors) can produce valid signatures.
 type HMACScheme struct {
-	keys [][]byte
+	signers []hmacSigner // one per processor, each holding its key
 }
 
 var _ Scheme = (*HMACScheme)(nil)
 
-// NewHMAC creates an HMAC scheme for n processors. The seed makes key
-// generation deterministic for reproducible runs; distinct seeds yield
-// independent key sets.
+// NewHMAC creates an HMAC scheme for n processors and mints their signers.
+// The seed makes key generation deterministic for reproducible runs;
+// distinct seeds yield independent key sets.
 func NewHMAC(n int, seed int64) *HMACScheme {
 	rng := mrand.New(mrand.NewSource(seed))
-	keys := make([][]byte, n)
-	for i := range keys {
-		k := make([]byte, 32)
+	s := &HMACScheme{signers: make([]hmacSigner, n)}
+	for i := range s.signers {
+		s.signers[i].id = ident.ProcID(i)
 		// math/rand Read never fails.
-		_, _ = rng.Read(k)
-		keys[i] = k
+		_, _ = rng.Read(s.signers[i].key[:])
 	}
-	return &HMACScheme{keys: keys}
+	return s
 }
 
 // Name implements Scheme.
 func (s *HMACScheme) Name() string { return "hmac" }
 
 // N implements Scheme.
-func (s *HMACScheme) N() int { return len(s.keys) }
+func (s *HMACScheme) N() int { return len(s.signers) }
 
 // SigLen implements Scheme.
 func (s *HMACScheme) SigLen() int { return sha256.Size }
 
 // Signer implements Scheme.
 func (s *HMACScheme) Signer(id ident.ProcID) (Signer, error) {
-	if int(id) < 0 || int(id) >= len(s.keys) {
+	if int(id) < 0 || int(id) >= len(s.signers) {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownSigner, id)
 	}
-	return &hmacSigner{id: id, key: s.keys[id]}, nil
+	return &s.signers[id], nil
 }
 
 // Verify implements Verifier.
 func (s *HMACScheme) Verify(id ident.ProcID, msg, sigBytes []byte) bool {
-	if int(id) < 0 || int(id) >= len(s.keys) {
+	if int(id) < 0 || int(id) >= len(s.signers) {
 		return false
 	}
-	tag := hmacTag(s.keys[id], id, msg)
+	tag := hmacTag(&s.signers[id].key, id, msg)
 	return hmac.Equal(tag[:], sigBytes)
 }
 
 type hmacSigner struct {
 	id  ident.ProcID
-	key []byte
+	key [32]byte
 }
 
 func (h *hmacSigner) ID() ident.ProcID { return h.id }
 
-func (h *hmacSigner) Sign(msg []byte) []byte { tag := hmacTag(h.key, h.id, msg); return tag[:] }
+func (h *hmacSigner) Sign(msg []byte) []byte { tag := hmacTag(&h.key, h.id, msg); return tag[:] }
 
-// hmacTag is HMAC-SHA256(key, id ‖ msg) for a key of at most one hash block
-// (NewHMAC's are 32 bytes); binding the signer identity into the tag keeps two
-// processors that somehow shared a key from passing each other's signatures
-// off. It is RFC 2104 written out over one stack-held hash, byte for byte
+// hmacTag is HMAC-SHA256(key, id ‖ msg) for a 32-byte key; binding the
+// signer identity into the tag keeps two processors that somehow shared a
+// key from passing each other's signatures off. It is RFC 2104 written out over one stack-held hash, byte for byte
 // crypto/hmac's result without the two hash states and two pads hmac.New
 // allocates per call, and with no state for peer goroutines to share.
-func hmacTag(key []byte, id ident.ProcID, msg []byte) (tag [sha256.Size]byte) {
+func hmacTag(key *[32]byte, id ident.ProcID, msg []byte) (tag [sha256.Size]byte) {
 	var ipad, opad [sha256.BlockSize]byte
-	copy(ipad[:], key)
-	copy(opad[:], key)
+	copy(ipad[:], key[:])
+	copy(opad[:], key[:])
 	for i := range ipad {
 		ipad[i] ^= 0x36
 		opad[i] ^= 0x5c
@@ -166,27 +165,24 @@ func hmacTag(key []byte, id ident.ProcID, msg []byte) (tag [sha256.Size]byte) {
 // Ed25519 scheme
 
 // Ed25519Scheme signs with real public-key signatures. Private keys are held
-// by the signers; the scheme retains only public keys for verification.
+// by the signers; the scheme verifies with the public keys alone.
 type Ed25519Scheme struct {
-	pub  []ed25519.PublicKey
-	priv []ed25519.PrivateKey
+	pub     []ed25519.PublicKey
+	signers []edSigner
 }
 
 var _ Scheme = (*Ed25519Scheme)(nil)
 
-// NewEd25519 creates an Ed25519 scheme for n processors using rand as the
-// entropy source (pass nil for crypto/rand).
+// NewEd25519 creates an Ed25519 scheme for n processors and mints their
+// signers, using rand as the entropy source (pass nil for crypto/rand).
 func NewEd25519(n int, rand io.Reader) (*Ed25519Scheme, error) {
-	s := &Ed25519Scheme{
-		pub:  make([]ed25519.PublicKey, n),
-		priv: make([]ed25519.PrivateKey, n),
-	}
-	for i := 0; i < n; i++ {
+	s := &Ed25519Scheme{pub: make([]ed25519.PublicKey, n), signers: make([]edSigner, n)}
+	for i := range s.signers {
 		pub, priv, err := ed25519.GenerateKey(rand)
 		if err != nil {
 			return nil, fmt.Errorf("sig: generating ed25519 key %d: %w", i, err)
 		}
-		s.pub[i], s.priv[i] = pub, priv
+		s.pub[i], s.signers[i] = pub, edSigner{id: ident.ProcID(i), key: priv}
 	}
 	return s, nil
 }
@@ -202,10 +198,10 @@ func (s *Ed25519Scheme) SigLen() int { return ed25519.SignatureSize }
 
 // Signer implements Scheme.
 func (s *Ed25519Scheme) Signer(id ident.ProcID) (Signer, error) {
-	if int(id) < 0 || int(id) >= len(s.priv) {
+	if int(id) < 0 || int(id) >= len(s.signers) {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownSigner, id)
 	}
-	return &edSigner{id: id, key: s.priv[id]}, nil
+	return &s.signers[id], nil
 }
 
 // Verify implements Verifier.
@@ -239,35 +235,41 @@ func (e *edSigner) Sign(msg []byte) []byte { return ed25519.Sign(e.key, msg) }
 // chains must not be run under this scheme; it exists so the unauthenticated
 // baselines pay the same bookkeeping costs.
 type PlainScheme struct {
-	n int
+	signers []plainSigner
 }
 
 var _ Scheme = (*PlainScheme)(nil)
 
-// NewPlain creates a plain scheme for n processors.
-func NewPlain(n int) *PlainScheme { return &PlainScheme{n: n} }
+// NewPlain creates a plain scheme for n processors and mints their signers.
+func NewPlain(n int) *PlainScheme {
+	s := &PlainScheme{signers: make([]plainSigner, n)}
+	for i := range s.signers {
+		s.signers[i].id = ident.ProcID(i)
+	}
+	return s
+}
 
 // Name implements Scheme.
 func (s *PlainScheme) Name() string { return "plain" }
 
 // N implements Scheme.
-func (s *PlainScheme) N() int { return s.n }
+func (s *PlainScheme) N() int { return len(s.signers) }
 
 // SigLen implements Scheme.
 func (s *PlainScheme) SigLen() int { return 4 }
 
 // Signer implements Scheme.
 func (s *PlainScheme) Signer(id ident.ProcID) (Signer, error) {
-	if int(id) < 0 || int(id) >= s.n {
+	if int(id) < 0 || int(id) >= len(s.signers) {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownSigner, id)
 	}
-	return plainSigner{id: id}, nil
+	return &s.signers[id], nil
 }
 
 // Verify implements Verifier. It accepts any correctly formatted tag for id:
 // plain tags are forgeable by construction.
 func (s *PlainScheme) Verify(id ident.ProcID, _ []byte, sigBytes []byte) bool {
-	if int(id) < 0 || int(id) >= s.n {
+	if int(id) < 0 || int(id) >= len(s.signers) {
 		return false
 	}
 	return len(sigBytes) == 4 && binary.BigEndian.Uint32(sigBytes) == uint32(id)

@@ -2,6 +2,8 @@ package sig_test
 
 import (
 	"bytes"
+	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -52,18 +54,66 @@ func TestSignVerify(t *testing.T) {
 	}
 }
 
+// withPlain is schemes plus the forgeable plain scheme, for the tests that
+// hold for all three.
+func withPlain(t *testing.T, n int) map[string]sig.Scheme {
+	t.Helper()
+	all := schemes(t, n)
+	all["plain"] = sig.NewPlain(n)
+	return all
+}
+
 func TestSignerOutOfRange(t *testing.T) {
-	for name, s := range schemes(t, 3) {
+	for name, s := range withPlain(t, 3) {
 		t.Run(name, func(t *testing.T) {
-			if _, err := s.Signer(3); err == nil {
-				t.Fatal("out-of-range signer granted")
+			if _, err := s.Signer(3); !errors.Is(err, sig.ErrUnknownSigner) {
+				t.Fatalf("out-of-range signer: %v, want ErrUnknownSigner", err)
 			}
-			if _, err := s.Signer(-1); err == nil {
-				t.Fatal("negative signer granted")
+			if _, err := s.Signer(-1); !errors.Is(err, sig.ErrUnknownSigner) {
+				t.Fatalf("negative signer: %v, want ErrUnknownSigner", err)
 			}
 			if s.Verify(99, []byte("m"), []byte("sig")) {
 				t.Fatal("out-of-range verify accepted")
 			}
+		})
+	}
+}
+
+// TestSignersMintedOnce pins that every scheme builds its n signers when it
+// is constructed: Signer hands back the same one on every call without
+// allocating, and a signer is safe to sign through from concurrent
+// goroutines.
+func TestSignersMintedOnce(t *testing.T) {
+	for name, s := range withPlain(t, 3) {
+		t.Run(name, func(t *testing.T) {
+			first, err := s.Signer(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again, _ := s.Signer(2); again != first {
+				t.Fatal("Signer(2) returned a different signer on the second call")
+			}
+			if other, _ := s.Signer(1); other == first || other.ID() != 1 {
+				t.Fatalf("Signer(1) = %v, want a distinct signer for 1", other)
+			}
+			if allocs := testing.AllocsPerRun(10, func() { _, _ = s.Signer(2) }); allocs != 0 {
+				t.Fatalf("Signer allocates %v times per call, want 0", allocs)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 50; i++ {
+						msg := []byte{byte(g), byte(i)}
+						if !s.Verify(2, msg, first.Sign(msg)) {
+							t.Error("concurrent signature rejected")
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
 		})
 	}
 }
