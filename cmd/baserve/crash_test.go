@@ -92,13 +92,11 @@ func TestServeCrashRecovery(t *testing.T) {
 	}
 
 	// Each journaled recipe must re-execute deterministically outside the
-	// server: seed = template seed + id, value = PackValues(values).
+	// server, by service.InstanceConfig.
 	tmpl := core.Config{Protocol: alg1.Protocol{}, N: 7, T: 3, Seed: 21}
 	ctx := context.Background()
 	for _, a := range rec.Pending[:min(len(rec.Pending), 8)] {
-		cfg := tmpl
-		cfg.Value = service.PackValues(a.Values)
-		cfg.Seed = tmpl.Seed + int64(a.ID)
+		cfg := service.InstanceConfig(tmpl, a.ID, a.Values)
 		serial, err := core.Run(ctx, cfg)
 		if err != nil {
 			t.Fatalf("serial run of journaled admission %d: %v", a.ID, err)

@@ -75,6 +75,17 @@ func (c Class) String() string {
 	}
 }
 
+// Verdict is the class's reading of a run's judge (the error of
+// core.CheckDecisions): the exchange primitives decide a constant and owe
+// unanimity only, so a condition (ii) failure, core.ErrValidity, does not
+// count against them. Every other error stands.
+func (c Class) Verdict(err error) error {
+	if c == ClassExchange && errors.Is(err, core.ErrValidity) {
+		return nil
+	}
+	return err
+}
+
 // Entry is one registry row — everything the tools, the conformance suites
 // and the search atlas know about a protocol.
 type Entry struct {

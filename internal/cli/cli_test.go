@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -65,13 +66,7 @@ func TestEveryProtocolNameResolvesAndRuns(t *testing.T) {
 			// Fault-free, agreement protocols and strawmen alike decide the
 			// transmitter's value; the exchange primitives decide a constant,
 			// so they owe unanimity only.
-			decided, err := res.Decision(0, v)
-			if e.Class == cli.ClassExchange && errors.Is(err, core.ErrValidity) {
-				err = nil
-			} else if err == nil && decided != v {
-				err = fmt.Errorf("decided %v, want %v", decided, v)
-			}
-			if err != nil {
+			if _, err := res.Decision(0, v); e.Class.Verdict(err) != nil {
 				t.Errorf("%s (%s) v=%v: %v", e.Name, e.Class, v, err)
 			}
 			if e.MsgUpper != nil {
@@ -262,7 +257,8 @@ func TestReadmeListsEverySharedFlag(t *testing.T) {
 
 // TestDesignMapListsEveryInternalPackage is the package map's drift gate:
 // the table of DESIGN.md §6 must have one row for every package under
-// internal/ and no row for anything else.
+// internal/ and no row for anything else, and each row's arrow list must be
+// exactly the package's non-test internal/ imports.
 func TestDesignMapListsEveryInternalPackage(t *testing.T) {
 	design, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
@@ -270,30 +266,84 @@ func TestDesignMapListsEveryInternalPackage(t *testing.T) {
 	}
 	_, section, _ := strings.Cut(string(design), "\n## 6. ")
 	section, _, _ = strings.Cut(section, "\n## ")
-	listed := make(map[string]bool)
+	listed := make(map[string]string) // package → its arrow list
 	for _, line := range strings.Split(section, "\n") {
 		if name, ok := strings.CutPrefix(line, "| `internal/"); ok {
-			name, _, _ = strings.Cut(name, "`")
-			listed["internal/"+name] = true
+			name, role, _ := strings.Cut(name, "`")
+			arrows := "no deps"
+			if i := strings.LastIndex(role, "(→ "); i >= 0 {
+				arrows, _, _ = strings.Cut(role[i+len("(→ "):], ")")
+			} else if !strings.Contains(role, "(no deps)") {
+				t.Errorf("DESIGN.md §6 row internal/%s has neither (→ …) nor (no deps)", name)
+			}
+			listed["internal/"+name] = arrows
 		}
 	}
-	packages := make(map[string]bool)
+	imports := make(map[string]map[string]bool) // package → its internal/ imports
+	fset := token.NewFileSet()
 	err = filepath.WalkDir("../../internal", func(path string, d fs.DirEntry, err error) error {
-		if err == nil && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			packages[filepath.ToSlash(filepath.Dir(strings.TrimPrefix(path, "../../")))] = true
+		if err != nil || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
 		}
-		return err
+		pkg := filepath.ToSlash(filepath.Dir(strings.TrimPrefix(path, "../../")))
+		if imports[pkg] == nil {
+			imports[pkg] = make(map[string]bool)
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, spec := range f.Imports {
+			if dep, ok := strings.CutPrefix(strings.Trim(spec.Path.Value, `"`), "byzex/"); ok && strings.HasPrefix(dep, "internal/") {
+				imports[pkg][dep] = true
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pkg := range packages {
-		if !listed[pkg] {
+	// expand resolves one arrow: a package's last path element, or the
+	// shorthand protocols/* (every protocol package).
+	expand := func(arrow string) []string {
+		var out []string
+		for pkg := range imports {
+			if strings.HasSuffix(pkg, "/"+arrow) || arrow == "protocols/*" && strings.HasPrefix(pkg, "internal/protocols/") {
+				out = append(out, pkg)
+			}
+		}
+		if len(out) == 0 || len(out) > 1 && arrow != "protocols/*" {
+			t.Errorf("DESIGN.md §6 arrow %q names %d packages", arrow, len(out))
+		}
+		return out
+	}
+	for pkg, deps := range imports {
+		arrows, ok := listed[pkg]
+		if !ok {
 			t.Errorf("%s is a package but has no row in DESIGN.md §6", pkg)
+			continue
+		}
+		named := make(map[string]bool)
+		if arrows != "no deps" {
+			for _, arrow := range strings.Split(arrows, ", ") {
+				for _, dep := range expand(arrow) {
+					named[dep] = true
+				}
+			}
+		}
+		for dep := range deps {
+			if !named[dep] {
+				t.Errorf("%s imports %s, which its DESIGN.md §6 row does not list", pkg, dep)
+			}
+		}
+		for dep := range named {
+			if !deps[dep] {
+				t.Errorf("DESIGN.md §6 lists %s → %s, which it does not import", pkg, dep)
+			}
 		}
 	}
 	for pkg := range listed {
-		if !packages[pkg] {
+		if imports[pkg] == nil {
 			t.Errorf("DESIGN.md §6 lists %s, which is not a package", pkg)
 		}
 	}

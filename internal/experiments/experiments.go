@@ -5,7 +5,7 @@
 // adversaries, reports measured worst-case counts next to the paper's
 // closed-form bound, and returns an error if any bound is violated.
 //
-// The experiment IDs E1..E10 are indexed in DESIGN.md and the results are
+// The experiment IDs E1..E14 are indexed in DESIGN.md and the results are
 // recorded in EXPERIMENTS.md.
 package experiments
 
@@ -16,8 +16,10 @@ import (
 	"sync/atomic"
 
 	"byzex/internal/adversary"
+	"byzex/internal/cli"
 	"byzex/internal/core"
 	"byzex/internal/ident"
+	"byzex/internal/metrics"
 	"byzex/internal/protocol"
 	"byzex/internal/runner"
 	"byzex/internal/trace"
@@ -175,13 +177,68 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// worstCase runs the protocol under a suite of adversaries (both fault-free
+// cell is one run a table makes: a registry row at its parameters.
+type cell struct {
+	row string
+	p   cli.Params
+}
+
+// resolve builds the cell's protocol from its registry row. The cells are
+// constants, so a miss is a typo the light tests catch.
+func (c cell) resolve() protocol.Protocol {
+	p, err := cli.Protocol(c.row, c.p)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// config is the cell's run with value v at seed, default scheme, no faults.
+func (c cell) config(v ident.Value, seed int64) core.Config {
+	return core.Config{Protocol: c.resolve(), N: c.p.N, T: c.p.T, Value: v, Seed: seed}
+}
+
+// baselines are the protocols E10, E12 and E14 compare at (n, t), in this
+// order: the Dolev-Strong baseline, Algorithm 3 at s = 4t and Algorithm 5
+// at s = t.
+func baselines(n, t int) []cell {
+	return []cell{
+		{"dolev-strong", cli.Params{N: n, T: t}},
+		{"alg3", cli.Params{N: n, T: t, S: 4 * t}},
+		{"alg5", cli.Params{N: n, T: t, S: t}},
+	}
+}
+
+// counts are a cell's worst case: the maxima over the adversary suite.
+type counts struct{ msgs, sigs, phases int }
+
+// worstCases is worstCase of every cell at seed, in cell order.
+func worstCases(ctx context.Context, cells []cell, seed int64) ([]counts, error) {
+	return sweep(ctx, len(cells), func(ctx context.Context, i int) (counts, error) {
+		return worstCase(ctx, cells[i], seed)
+	})
+}
+
+// faultFree runs every cell once fault-free with value 1 at seed, checks
+// both agreement conditions, and returns the reports in cell order.
+func faultFree(ctx context.Context, cells []cell, seed int64) ([]metrics.Report, error) {
+	return sweep(ctx, len(cells), func(ctx context.Context, i int) (metrics.Report, error) {
+		res, _, err := core.RunAndCheck(ctx, cells[i].config(ident.V1, seed))
+		if err != nil {
+			return metrics.Report{}, err
+		}
+		return res.Sim.Report, nil
+	})
+}
+
+// worstCase runs the cell under a suite of adversaries (both fault-free
 // values, split-brain transmitter, silent and crashing coalitions) and
 // returns the maximum message count by correct processors, the maximum
 // signature count, and the phase schedule. Agreement is checked on every
 // run (condition (i) always; condition (ii) when the transmitter is
 // correct).
-func worstCase(ctx context.Context, p protocol.Protocol, n, t int, seed int64) (msgs, sigs, phases int, err error) {
+func worstCase(ctx context.Context, c cell, seed int64) (counts, error) {
+	n, t := c.p.N, c.p.T
 	type scenario struct {
 		name  string
 		value ident.Value
@@ -198,25 +255,22 @@ func worstCase(ctx context.Context, p protocol.Protocol, n, t int, seed int64) (
 			scenario{"crash", ident.V1, adversary.Crash{CrashAfter: 2}},
 		)
 	}
+	var w counts
 	for _, sc := range scenarios {
-		res, runErr := core.Run(ctx, core.Config{
-			Protocol: p, N: n, T: t, Value: sc.value, Adversary: sc.adv, Seed: seed,
-		})
-		if runErr != nil {
-			return 0, 0, 0, fmt.Errorf("%s under %s: %w", p.Name(), sc.name, runErr)
+		cfg := c.config(sc.value, seed)
+		cfg.Adversary = sc.adv
+		res, err := core.Run(ctx, cfg)
+		if err == nil {
+			_, err = res.Decision(0, sc.value)
 		}
-		if _, agErr := res.Decision(0, sc.value); agErr != nil {
-			return 0, 0, 0, fmt.Errorf("%s under %s: %w", p.Name(), sc.name, agErr)
+		if err != nil {
+			return counts{}, fmt.Errorf("%s under %s: %w", cfg.Protocol.Name(), sc.name, err)
 		}
-		if m := res.Sim.Report.MessagesCorrect; m > msgs {
-			msgs = m
-		}
-		if s := res.Sim.Report.SignaturesCorrect; s > sigs {
-			sigs = s
-		}
-		phases = res.Phases
+		w.msgs = max(w.msgs, res.Sim.Report.MessagesCorrect)
+		w.sigs = max(w.sigs, res.Sim.Report.SignaturesCorrect)
+		w.phases = res.Phases
 	}
-	return msgs, sigs, phases, nil
+	return w, nil
 }
 
 // all lists every experiment in order; entry i is experiment "E<i+1>".

@@ -9,17 +9,9 @@ import (
 	"byzex/internal/cli"
 	"byzex/internal/core"
 	"byzex/internal/ident"
-	"byzex/internal/metrics"
-	"byzex/internal/protocol"
-	"byzex/internal/protocols/alg1"
 	"byzex/internal/protocols/alg2"
-	"byzex/internal/protocols/alg3"
 	"byzex/internal/protocols/alg4"
 	"byzex/internal/protocols/alg5"
-	"byzex/internal/protocols/dolevstrong"
-	"byzex/internal/protocols/lsp"
-	"byzex/internal/protocols/phaseking"
-	"byzex/internal/protocols/strawman"
 	"byzex/internal/sig"
 )
 
@@ -41,29 +33,25 @@ func E1Alg1(ctx context.Context) (*Table, error) {
 // E5): each cell's worst case (see worstCase, at seed) must send at most the
 // row's MsgUpper and take exactly its Phases. A cell's row is key(cell),
 // then measured messages, MsgUpper, measured phases and Phases.
-func promised(ctx context.Context, tbl *Table, name string, seed int64, cells []cli.Params, key func(cli.Params) []any) (*Table, error) {
+func promised(ctx context.Context, tbl *Table, name string, seed int64, params []cli.Params, key func(cli.Params) []any) (*Table, error) {
 	e := row(name)
-	type cell struct{ msgs, phases int }
-	out, err := sweep(ctx, len(cells), func(ctx context.Context, i int) (cell, error) {
-		p, err := cli.Protocol(name, cells[i])
-		if err != nil {
-			return cell{}, err
-		}
-		msgs, _, phases, err := worstCase(ctx, p, cells[i].N, cells[i].T, seed)
-		return cell{msgs, phases}, err
-	})
+	cells := make([]cell, len(params))
+	for i, p := range params {
+		cells[i] = cell{name, p}
+	}
+	out, err := worstCases(ctx, cells, seed)
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range out {
-		p := cells[i]
+	for i, w := range out {
+		p := params[i]
 		bound, pb := e.MsgUpper(p), e.Phases(p)
-		tbl.AddRow(append(key(p), c.msgs, bound, c.phases, pb)...)
-		if c.msgs > bound {
-			tbl.Violate("n=%d t=%d s=%d: %d msgs > %d", p.N, p.T, p.S, c.msgs, bound)
+		tbl.AddRow(append(key(p), w.msgs, bound, w.phases, pb)...)
+		if w.msgs > bound {
+			tbl.Violate("n=%d t=%d s=%d: %d msgs > %d", p.N, p.T, p.S, w.msgs, bound)
 		}
-		if c.phases != pb {
-			tbl.Violate("n=%d t=%d s=%d: phases %d != %d", p.N, p.T, p.S, c.phases, pb)
+		if w.phases != pb {
+			tbl.Violate("n=%d t=%d s=%d: phases %d != %d", p.N, p.T, p.S, w.phases, pb)
 		}
 	}
 	return tbl, tbl.Err()
@@ -92,22 +80,22 @@ func E2Alg2(ctx context.Context) (*Table, error) {
 		Columns: []string{"t", "n", "msgs(worst)", "bound 5t²+5t", "phases", "proofs held", "proof sigs ≥"},
 	}
 	ts := []int{1, 2, 4, 8, 16}
-	type cell struct{ msgs, phases, held, minSigs int }
-	cells, err := sweep(ctx, len(ts), func(ctx context.Context, i int) (cell, error) {
-		t := ts[i]
-		n := 2*t + 1
-		msgs, _, phases, err := worstCase(ctx, alg2.Protocol{}, n, t, 2)
+	type result struct{ msgs, phases, held, minSigs int }
+	out, err := sweep(ctx, len(ts), func(ctx context.Context, i int) (result, error) {
+		c := cell{"alg2", cli.Params{N: 2*ts[i] + 1, T: ts[i]}}
+		n, t := c.p.N, c.p.T
+		w, err := worstCase(ctx, c, 2)
 		if err != nil {
-			return cell{}, err
+			return result{}, err
 		}
 
 		// Proof check on a fresh fault-free run.
+		cfg := c.config(ident.V1, 0)
 		scheme := sig.NewHMAC(n, 99)
-		res, _, err := core.RunAndCheck(ctx, core.Config{
-			Protocol: alg2.Protocol{}, N: n, T: t, Value: ident.V1, Scheme: scheme,
-		})
+		cfg.Scheme = scheme
+		res, _, err := core.RunAndCheck(ctx, cfg)
 		if err != nil {
-			return cell{}, err
+			return result{}, err
 		}
 		held, minSigs := 0, -1
 		for _, nd := range res.Nodes {
@@ -127,13 +115,13 @@ func E2Alg2(ctx context.Context) (*Table, error) {
 				minSigs = d
 			}
 		}
-		return cell{msgs, phases, held, minSigs}, nil
+		return result{w.msgs, w.phases, held, minSigs}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	alg2Row := row("alg2")
-	for i, c := range cells {
+	for i, c := range out {
 		t := ts[i]
 		n := 2*t + 1
 		p := cli.Params{N: n, T: t}
@@ -176,8 +164,8 @@ func E4Alg4(ctx context.Context) (*Table, error) {
 		Columns: []string{"m", "N", "t", "msgs", "bound 3(m-1)m²", "|P| measured", "N-2t"},
 	}
 	ms := []int{3, 4, 6, 8, 12, 16}
-	type cell struct{ msgs, p int }
-	cells, err := sweep(ctx, len(ms), func(ctx context.Context, i int) (cell, error) {
+	type result struct{ msgs, p int }
+	out, err := sweep(ctx, len(ms), func(ctx context.Context, i int) (result, error) {
 		m := ms[i]
 		n := m * m
 		t := m / 2
@@ -186,23 +174,21 @@ func E4Alg4(ctx context.Context) (*Table, error) {
 			// Spread faults across rows to exercise the row-quorum logic.
 			faulty.Add(ident.ProcID(i*m + (i % m)))
 		}
-		scheme := sig.NewHMAC(n, 4)
-		res, err := core.Run(ctx, core.Config{
-			Protocol: alg4.Protocol{}, N: n, T: t, Value: ident.V0,
-			Scheme: scheme, Adversary: adversary.Silent{}, FaultyOverride: faulty, Seed: 4,
-		})
+		cfg := cell{"alg4", cli.Params{N: n, T: t}}.config(ident.V0, 4)
+		cfg.Scheme, cfg.Adversary, cfg.FaultyOverride = sig.NewHMAC(n, 4), adversary.Silent{}, faulty
+		res, err := core.Run(ctx, cfg)
 		if err != nil {
-			return cell{}, err
+			return result{}, err
 		}
 		// Measure the mutually-exchanged set: correct processors that
 		// received the signed value of every correct processor whose row
 		// quorum held.
-		return cell{res.Sim.Report.MessagesCorrect, measureExchangeSet(res, n, m, faulty)}, nil
+		return result{res.Sim.Report.MessagesCorrect, measureExchangeSet(res, n, m, faulty)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range cells {
+	for i, c := range out {
 		m := ms[i]
 		n, t := m*m, m/2
 		bound := row("alg4").MsgUpper(cli.Params{N: n, T: t})
@@ -278,98 +264,76 @@ func E5Alg5(ctx context.Context) (*Table, error) {
 // E6Theorem1 reproduces Theorem 1: correct protocols exchange ≥ t+1
 // signatures per processor (min |A(p)|) and ≥ n(t+1)/4 signatures total in
 // a fault-free history, while the replay construction breaks a protocol
-// that undercuts the bound.
+// that undercuts the bound. The row's class says which of the two a cell
+// owes: an agreement row must leave the replay inapplicable, a strawman
+// must be broken by it.
 func E6Theorem1(ctx context.Context) (*Table, error) {
 	tbl := &Table{
 		ID:      "E6",
 		Title:   "Theorem 1 — Ω(nt) signatures: audits and the split-brain replay attack",
 		Columns: []string{"protocol", "n", "t", "min|A(p)|", "t+1", "sigs max(H,G)", "bound n(t+1)/4", "replay attack"},
 	}
-	cases := []struct {
-		p    protocol.Protocol
-		n, t int
-	}{
-		{alg1.Protocol{}, 9, 4},
-		{alg1.Protocol{}, 33, 16},
-		{alg2.Protocol{}, 9, 4},
-		{dolevstrong.Protocol{}, 16, 4},
-		{alg3.Protocol{S: 8}, 64, 4},
-		{alg5.Protocol{S: 3}, 64, 3},
+	cells := []cell{
+		{"alg1", cli.Params{N: 9, T: 4}},
+		{"alg1", cli.Params{N: 33, T: 16}},
+		{"alg2", cli.Params{N: 9, T: 4}},
+		{"dolev-strong", cli.Params{N: 16, T: 4}},
+		{"alg3", cli.Params{N: 64, T: 4, S: 8}},
+		{"alg5", cli.Params{N: 64, T: 3, S: 3}},
+		{"strawman-broadcast", cli.Params{N: 9, T: 3}},
+		{"strawman-broadcast", cli.Params{N: 16, T: 4}},
 	}
-	type cell struct {
-		audit    *audit.SigAudit
-		most     int
-		attacked bool // replay attack succeeded against the protocol
+	type result struct {
+		audit  *audit.SigAudit
+		replay *audit.AttackOutcome // nil when the audit leaves it inapplicable
 	}
-	cells, err := sweep(ctx, len(cases), func(ctx context.Context, i int) (cell, error) {
-		c := cases[i]
-		a, err := audit.AuditSignatures(ctx, c.p, c.n, c.t, nil)
-		if err != nil {
-			return cell{}, err
+	out, err := sweep(ctx, len(cells), func(ctx context.Context, i int) (result, error) {
+		p, n, t := cells[i].resolve(), cells[i].p.N, cells[i].p.T
+		a, err := audit.AuditSignatures(ctx, p, n, t, nil)
+		if err != nil || a.Satisfied() {
+			return result{audit: a}, err
 		}
-		most := a.HSignatures
-		if a.GSignatures > most {
-			most = a.GSignatures
-		}
-		_, attErr := audit.ReplayAttack(ctx, c.p, c.n, c.t, nil)
-		return cell{audit: a, most: most, attacked: attErr == nil}, nil
+		replay, err := audit.ReplayAttack(ctx, p, n, t, nil)
+		return result{a, replay}, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range cells {
-		c := cases[i]
-		status := "not applicable (bound respected)"
-		if r.attacked {
-			status = "BROKE PROTOCOL"
-			tbl.Violate("%s: replay attack applied to a correct protocol", c.p.Name())
+	for i, r := range out {
+		c, a := cells[i], r.audit
+		name, n, t := c.resolve().Name(), c.p.N, c.p.T
+		most := max(a.HSignatures, a.GSignatures)
+		tbl.AddRow(name, n, t, a.MinAPSize, t+1, most, a.Bound, verdict(r.replay))
+		broke := r.replay != nil && r.replay.Broke()
+		if row(c.row).Class == cli.ClassStrawman {
+			if !broke {
+				tbl.Violate("%s survived replay at n=%d t=%d", name, n, t)
+			}
+			continue
 		}
-		tbl.AddRow(c.p.Name(), c.n, c.t, r.audit.MinAPSize, c.t+1, r.most, r.audit.Bound, status)
-		if !r.audit.Satisfied() {
-			tbl.Violate("%s: min|A(p)| %d < %d", c.p.Name(), r.audit.MinAPSize, c.t+1)
+		if !a.Satisfied() {
+			tbl.Violate("%s: min|A(p)| %d < %d", name, a.MinAPSize, t+1)
 		}
-		if r.most < r.audit.Bound {
-			tbl.Violate("%s: %d sigs < bound %d", c.p.Name(), r.most, r.audit.Bound)
+		if most < a.Bound {
+			tbl.Violate("%s: %d sigs < bound %d", name, most, a.Bound)
 		}
-	}
-	// The strawman undercuts the bound; the attack must break it.
-	strawCases := []struct{ n, t int }{{9, 3}, {16, 4}}
-	type strawCell struct {
-		audit     *audit.SigAudit
-		most      int
-		violation string
-		broke     bool
-	}
-	strawCells, err := sweep(ctx, len(strawCases), func(ctx context.Context, i int) (strawCell, error) {
-		c := strawCases[i]
-		out, err := audit.ReplayAttack(ctx, strawman.Broadcast{}, c.n, c.t, nil)
-		if err != nil {
-			return strawCell{}, err
+		if broke {
+			tbl.Violate("%s: replay attack broke a correct protocol", name)
 		}
-		a, err := audit.AuditSignatures(ctx, strawman.Broadcast{}, c.n, c.t, nil)
-		if err != nil {
-			return strawCell{}, err
-		}
-		most := a.HSignatures
-		if a.GSignatures > most {
-			most = a.GSignatures
-		}
-		return strawCell{audit: a, most: most, violation: fmt.Sprint(out.Violation), broke: out.Broke()}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range strawCells {
-		c := strawCases[i]
-		status := "survived (UNEXPECTED)"
-		if r.broke {
-			status = "broken: " + r.violation
-		} else {
-			tbl.Violate("strawman survived replay at n=%d t=%d", c.n, c.t)
-		}
-		tbl.AddRow("strawman-broadcast", c.n, c.t, r.audit.MinAPSize, c.t+1, r.most, r.audit.Bound, status)
 	}
 	return tbl, tbl.Err()
+}
+
+// verdict is how a table prints a lower-bound construction's outcome; nil
+// is a construction the protocol's audit made inapplicable.
+func verdict(out *audit.AttackOutcome) string {
+	switch {
+	case out == nil:
+		return "not applicable (bound respected)"
+	case out.Broke():
+		return fmt.Sprint("broken: ", out.Violation)
+	}
+	return "survived"
 }
 
 // E7Unauth reproduces Corollary 1: the unauthenticated baselines' message
@@ -380,29 +344,23 @@ func E7Unauth(ctx context.Context) (*Table, error) {
 		Title:   "Corollary 1 — unauthenticated messages ≥ n(t+1)/4 (LSP and Phase King baselines)",
 		Columns: []string{"protocol", "n", "t", "msgs(worst)", "lower bound n(t+1)/4", "phases"},
 	}
-	type row struct {
-		p    protocol.Protocol
-		n, t int
+	var cells []cell
+	for _, t := range []int{1, 2, 3, 4} {
+		cells = append(cells, cell{"lsp", cli.Params{N: 3*t + 1, T: t}})
 	}
-	rows := []row{
-		{lsp.Protocol{}, 4, 1}, {lsp.Protocol{}, 7, 2}, {lsp.Protocol{}, 10, 3}, {lsp.Protocol{}, 13, 4},
-		{phaseking.Protocol{}, 5, 1}, {phaseking.Protocol{}, 9, 2}, {phaseking.Protocol{}, 13, 3}, {phaseking.Protocol{}, 21, 5},
+	for _, t := range []int{1, 2, 3, 5} {
+		cells = append(cells, cell{"phase-king", cli.Params{N: 4*t + 1, T: t}})
 	}
-	type cell struct{ msgs, phases int }
-	cells, err := sweep(ctx, len(rows), func(ctx context.Context, i int) (cell, error) {
-		c := rows[i]
-		msgs, _, phases, err := worstCase(ctx, c.p, c.n, c.t, 7)
-		return cell{msgs, phases}, err
-	})
+	out, err := worstCases(ctx, cells, 7)
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range cells {
-		c := rows[i]
-		bound := core.MsgLowerBoundUnauth(c.n, c.t)
-		tbl.AddRow(c.p.Name(), c.n, c.t, r.msgs, bound, r.phases)
+	for i, r := range out {
+		name, n, t := cells[i].resolve().Name(), cells[i].p.N, cells[i].p.T
+		bound := core.MsgLowerBoundUnauth(n, t)
+		tbl.AddRow(name, n, t, r.msgs, bound, r.phases)
 		if r.msgs < bound {
-			tbl.Violate("%s n=%d t=%d: %d msgs < lower bound %d", c.p.Name(), c.n, c.t, r.msgs, bound)
+			tbl.Violate("%s n=%d t=%d: %d msgs < lower bound %d", name, n, t, r.msgs, bound)
 		}
 	}
 	return tbl, tbl.Err()
@@ -411,60 +369,56 @@ func E7Unauth(ctx context.Context) (*Table, error) {
 // E8Theorem2 reproduces Theorem 2: under the B-set starvation adversary the
 // correct processors still push ⌈1+t/2⌉ messages into every starved member,
 // and totals stay above max{(n-1)/2, (1+t/2)²}; the omission construction
-// breaks the strawman.
+// breaks the strawman. The row's class picks the run: the starvation audit
+// for an agreement row, the omission attack for a strawman.
 func E8Theorem2(ctx context.Context) (*Table, error) {
 	tbl := &Table{
 		ID:      "E8",
 		Title:   "Theorem 2 — Ω(n+t²) messages: starvation audit and omission attack",
 		Columns: []string{"protocol", "n", "t", "min msgs into B", "need ⌈1+t/2⌉", "total msgs", "bound max{(n-1)/2,(1+t/2)²}"},
 	}
-	cases := []struct {
-		p    protocol.Protocol
-		n, t int
-	}{
-		{alg1.Protocol{}, 9, 4},
-		{alg1.Protocol{}, 17, 8},
-		{alg2.Protocol{}, 9, 4},
-		{dolevstrong.Protocol{}, 16, 4},
+	cells := []cell{
+		{"alg1", cli.Params{N: 9, T: 4}},
+		{"alg1", cli.Params{N: 17, T: 8}},
+		{"alg2", cli.Params{N: 9, T: 4}},
+		{"dolev-strong", cli.Params{N: 16, T: 4}},
+		{"strawman-broadcast", cli.Params{N: 8, T: 2}},
 	}
-	// The starvation audits and the omission attack are all independent
-	// runs; the attack is scheduled as one more job alongside the sweep.
-	var out *audit.AttackOutcome
-	audits := make([]*audit.MsgAudit, len(cases))
-	work := make([]func(ctx context.Context) error, 0, len(cases)+1)
-	for i := range cases {
-		i := i
-		work = append(work, func(ctx context.Context) error {
-			a, err := audit.StarvationAudit(ctx, cases[i].p, cases[i].n, cases[i].t, nil)
-			audits[i] = a
-			return err
-		})
+	type result struct {
+		audit    *audit.MsgAudit
+		omission *audit.AttackOutcome
 	}
-	work = append(work, func(ctx context.Context) error {
-		var err error
-		out, err = audit.OmissionAttack(ctx, strawman.Broadcast{}, 8, 2, nil)
-		return err
+	out, err := sweep(ctx, len(cells), func(ctx context.Context, i int) (result, error) {
+		p, n, t := cells[i].resolve(), cells[i].p.N, cells[i].p.T
+		if row(cells[i].row).Class == cli.ClassStrawman {
+			o, err := audit.OmissionAttack(ctx, p, n, t, nil)
+			return result{omission: o}, err
+		}
+		a, err := audit.StarvationAudit(ctx, p, n, t, nil)
+		return result{audit: a}, err
 	})
-	if err := jobs(ctx, work...); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	for i, a := range audits {
-		c := cases[i]
-		tbl.AddRow(c.p.Name(), c.n, c.t, a.MinReceived, a.RequiredPerMember, a.TotalMessages, a.Bound)
-		if !a.Satisfied() {
-			tbl.Violate("%s: starved member got %d < %d", c.p.Name(), a.MinReceived, a.RequiredPerMember)
+	for i, r := range out {
+		name, n, t := cells[i].resolve().Name(), cells[i].p.N, cells[i].p.T
+		if a := r.audit; a != nil {
+			tbl.AddRow(name, n, t, a.MinReceived, a.RequiredPerMember, a.TotalMessages, a.Bound)
+			if !a.Satisfied() {
+				tbl.Violate("%s: starved member got %d < %d", name, a.MinReceived, a.RequiredPerMember)
+			}
+			if a.TotalMessages < a.Bound {
+				tbl.Violate("%s: total %d < bound %d", name, a.TotalMessages, a.Bound)
+			}
+			continue
 		}
-		if a.TotalMessages < a.Bound {
-			tbl.Violate("%s: total %d < bound %d", c.p.Name(), a.TotalMessages, a.Bound)
+		// The construction withholds everything from its victim, which
+		// Theorem 2 says needs ⌈1+t/2⌉ (StarvationAudit's RequiredPerMember).
+		tbl.AddRow(name, n, t, 0, 1+(t+1)/2, "-", verdict(r.omission))
+		if !r.omission.Broke() {
+			tbl.Violate("%s survived omission attack at n=%d t=%d", name, n, t)
 		}
 	}
-	status := "survived (UNEXPECTED)"
-	if out.Broke() {
-		status = fmt.Sprintf("broken: %v", out.Violation)
-	} else {
-		tbl.Violate("strawman survived omission attack")
-	}
-	tbl.AddRow("strawman-broadcast", 8, 2, 0, 2, "-", status)
 	return tbl, tbl.Err()
 }
 
@@ -478,21 +432,19 @@ func E9Tradeoff(ctx context.Context) (*Table, error) {
 	}
 	n, t := 2048, 8
 	alphas := []int{1, 2, 4, 8}
-	type cell struct{ msgs, phases int }
-	cells, err := sweep(ctx, len(alphas), func(ctx context.Context, i int) (cell, error) {
-		s := (t + 2*alphas[i] - 1) / (2 * alphas[i])
-		msgs, _, phases, err := worstCase(ctx, alg3.Protocol{S: s}, n, t, 9)
-		return cell{msgs, phases}, err
-	})
+	cells := make([]cell, len(alphas))
+	for i, alpha := range alphas {
+		cells[i] = cell{"alg3", cli.Params{N: n, T: t, S: (t + 2*alpha - 1) / (2 * alpha)}}
+	}
+	out, err := worstCases(ctx, cells, 9)
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range cells {
-		alpha := alphas[i]
-		s := (t + 2*alpha - 1) / (2 * alpha)
+	for i, r := range out {
+		alpha, p := alphas[i], cells[i].p
 		ratio := float64(r.msgs) / float64(n)
-		tbl.AddRow(alpha, n, t, s, r.msgs, fmt.Sprintf("%.1f", ratio), r.phases, core.TradeoffPhases(t, alpha))
-		if r.msgs > row("alg3").MsgUpper(cli.Params{N: n, T: t, S: s}) {
+		tbl.AddRow(alpha, n, t, p.S, r.msgs, fmt.Sprintf("%.1f", ratio), r.phases, core.TradeoffPhases(t, alpha))
+		if r.msgs > row("alg3").MsgUpper(p) {
 			tbl.Violate("α=%d: %d msgs > Lemma 1 bound", alpha, r.msgs)
 		}
 	}
@@ -507,43 +459,22 @@ func E10Baselines(ctx context.Context) (*Table, error) {
 		Title:   "Baseline comparison — messages/signatures/phases across algorithms",
 		Columns: []string{"n", "t", "protocol", "msgs(worst)", "sigs(worst)", "phases"},
 	}
-	type cfg struct{ n, t int }
-	cases := []cfg{{25, 2}, {64, 3}, {256, 4}, {1024, 4}}
-	protosFor := func(c cfg) []protocol.Protocol {
-		return []protocol.Protocol{
-			dolevstrong.Protocol{},
-			alg3.Protocol{S: 4 * c.t},
-			alg5.Protocol{S: c.t},
-		}
+	var cells []cell
+	for _, p := range []cli.Params{{N: 25, T: 2}, {N: 64, T: 3}, {N: 256, T: 4}, {N: 1024, T: 4}} {
+		cells = append(cells, baselines(p.N, p.T)...)
 	}
-	// Flatten to one job per (case, protocol) cell.
-	const perCase = 3
-	type cell struct{ msgs, sigs, phases int }
-	cells, err := sweep(ctx, len(cases)*perCase, func(ctx context.Context, i int) (cell, error) {
-		c := cases[i/perCase]
-		p := protosFor(c)[i%perCase]
-		msgs, sigs, phases, err := worstCase(ctx, p, c.n, c.t, 10)
-		return cell{msgs, sigs, phases}, err
-	})
+	out, err := worstCases(ctx, cells, 10)
 	if err != nil {
 		return nil, err
 	}
-	for ci, c := range cases {
-		var dsMsgs, alg5Msgs int
-		for pi, p := range protosFor(c) {
-			r := cells[ci*perCase+pi]
-			tbl.AddRow(c.n, c.t, p.Name(), r.msgs, r.sigs, r.phases)
-			switch p.(type) {
-			case dolevstrong.Protocol:
-				dsMsgs = r.msgs
-			case alg5.Protocol:
-				alg5Msgs = r.msgs
-			}
-		}
-		// The paper's headline: for n ≫ t the optimal algorithm sends far
-		// fewer messages than the O(n²)-message baseline.
-		if c.n >= 256 && alg5Msgs >= dsMsgs {
-			tbl.Violate("n=%d t=%d: alg5 (%d) not below dolev-strong (%d)", c.n, c.t, alg5Msgs, dsMsgs)
+	for i, r := range out {
+		c := cells[i]
+		tbl.AddRow(c.p.N, c.p.T, c.resolve().Name(), r.msgs, r.sigs, r.phases)
+		// The paper's headline: for n ≫ t the optimal algorithm (the
+		// third baseline) sends far fewer messages than the O(n²)-message
+		// one (the first).
+		if ds := out[i-i%3].msgs; i%3 == 2 && c.p.N >= 256 && r.msgs >= ds {
+			tbl.Violate("n=%d t=%d: alg5 (%d) not below dolev-strong (%d)", c.p.N, c.p.T, r.msgs, ds)
 		}
 	}
 	return tbl, tbl.Err()
@@ -559,73 +490,51 @@ func E11Ablations(ctx context.Context) (*Table, error) {
 		Title:   "Ablations — proof-of-work gating; relay (Θ(Nt)) vs grid (O(N^1.5)) exchange",
 		Columns: []string{"ablation", "config", "msgs", "comparator", "msgs", "finding"},
 	}
-	// (a) Algorithm 5 with and without the PoW gate; (b) relay vs grid
-	// exchange across the crossover. Every run is independent, so the gate
-	// pair and the per-crossover-point run pairs all go on the pool at once.
-	const n, t, s = 200, 3, 3
-	var gated, ungated int
-	exchangeMsgs := func(ctx context.Context, p protocol.Protocol, nn, tt int) (int, error) {
-		res, err := core.Run(ctx, core.Config{Protocol: p, N: nn, T: tt, Value: ident.V0, Seed: 11})
-		if err != nil {
-			return 0, err
-		}
-		return res.Sim.Report.MessagesCorrect, nil
+	// (a) Algorithm 5 with and without the PoW gate.
+	p := cli.Params{N: 200, T: 3, S: 3}
+	gate, err := worstCases(ctx, []cell{{"alg5", p}, {"alg5-nopow", p}}, 11)
+	if err != nil {
+		return nil, err
 	}
+	gated, ungated := gate[0].msgs, gate[1].msgs
+	tbl.AddRow("alg5 PoW gate", fmt.Sprintf("n=%d t=%d s=%d", p.N, p.T, p.S),
+		gated, "gate disabled", ungated,
+		fmt.Sprintf("gating saves %.1fx messages", float64(ungated)/float64(gated)))
+	if ungated <= gated {
+		tbl.Violate("disabling the PoW gate did not cost messages (%d vs %d)", ungated, gated)
+	}
+	if gated > row("alg5").MsgUpper(p) {
+		tbl.Violate("gated alg5 above its bound")
+	}
+
+	// (b) Relay vs grid exchange across the crossover: one grid and one
+	// relay run per point.
 	crossover := []struct {
 		m, t     int
 		gridWins bool
 	}{
 		{8, 2, false}, {8, 16, true}, {16, 4, false}, {16, 32, true},
 	}
-	gridMsgs := make([]int, len(crossover))
-	relayMsgs := make([]int, len(crossover))
-	work := []func(ctx context.Context) error{
-		func(ctx context.Context) error {
-			var err error
-			gated, _, _, err = worstCase(ctx, alg5.Protocol{S: s}, n, t, 11)
-			return err
-		},
-		func(ctx context.Context) error {
-			var err error
-			ungated, _, _, err = worstCase(ctx, alg5.Protocol{S: s, DisablePoW: true}, n, t, 11)
-			return err
-		},
-	}
-	for i := range crossover {
-		i := i
-		work = append(work, func(ctx context.Context) error {
-			nn := crossover[i].m * crossover[i].m
-			var err error
-			if gridMsgs[i], err = exchangeMsgs(ctx, alg4.Protocol{}, nn, crossover[i].t); err != nil {
-				return err
-			}
-			relayMsgs[i], err = exchangeMsgs(ctx, alg4.RelayProtocol{}, nn, crossover[i].t)
-			return err
-		})
-	}
-	if err := jobs(ctx, work...); err != nil {
+	msgs, err := sweep(ctx, 2*len(crossover), func(ctx context.Context, i int) (int, error) {
+		x := crossover[i/2]
+		c := cell{[]string{"alg4", "alg4-relay"}[i%2], cli.Params{N: x.m * x.m, T: x.t}}
+		res, err := core.Run(ctx, c.config(ident.V0, 11))
+		if err != nil {
+			return 0, err
+		}
+		return res.Sim.Report.MessagesCorrect, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	tbl.AddRow("alg5 PoW gate", fmt.Sprintf("n=%d t=%d s=%d", n, t, s),
-		gated, "gate disabled", ungated,
-		fmt.Sprintf("gating saves %.1fx messages", float64(ungated)/float64(gated)))
-	if ungated <= gated {
-		tbl.Violate("disabling the PoW gate did not cost messages (%d vs %d)", ungated, gated)
-	}
-	if gated > row("alg5").MsgUpper(cli.Params{N: n, T: t, S: s}) {
-		tbl.Violate("gated alg5 above its bound")
-	}
-
-	// (b) Relay vs grid exchange across the crossover.
 	for i, c := range crossover {
-		nn := c.m * c.m
+		nn, grid, relay := c.m*c.m, msgs[2*i], msgs[2*i+1]
 		winner := "relay"
-		if gridMsgs[i] < relayMsgs[i] {
+		if grid < relay {
 			winner = "grid"
 		}
-		tbl.AddRow("exchange", fmt.Sprintf("N=%d t=%d", nn, c.t),
-			gridMsgs[i], "relay", relayMsgs[i], winner+" wins")
-		if (gridMsgs[i] < relayMsgs[i]) != c.gridWins {
+		tbl.AddRow("exchange", fmt.Sprintf("N=%d t=%d", nn, c.t), grid, "relay", relay, winner+" wins")
+		if (grid < relay) != c.gridWins {
 			tbl.Violate("N=%d t=%d: crossover on the wrong side", nn, c.t)
 		}
 	}
@@ -644,30 +553,17 @@ func E12MessageSize(ctx context.Context) (*Table, error) {
 		Columns: []string{"protocol", "n", "t", "msgs", "max msg bytes", "total bytes", "bytes/msg"},
 	}
 	const n, t = 256, 4
-	protos := []protocol.Protocol{
-		dolevstrong.Protocol{},
-		alg3.Protocol{S: 4 * t},
-		alg5.Protocol{S: t},
-	}
-	reports, err := sweep(ctx, len(protos), func(ctx context.Context, i int) (metrics.Report, error) {
-		res, _, err := core.RunAndCheck(ctx, core.Config{
-			Protocol: protos[i], N: n, T: t, Value: ident.V1, Seed: 12,
-		})
-		if err != nil {
-			return metrics.Report{}, err
-		}
-		return res.Sim.Report, nil
-	})
+	cells := baselines(n, t)
+	reports, err := faultFree(ctx, cells, 12)
 	if err != nil {
 		return nil, err
 	}
-	for i, p := range protos {
-		r := reports[i]
+	for i, r := range reports {
 		avg := 0
 		if r.MessagesCorrect > 0 {
 			avg = r.BytesCorrect / r.MessagesCorrect
 		}
-		tbl.AddRow(p.Name(), n, t, r.MessagesCorrect, r.MaxMessageBytes, r.BytesCorrect, avg)
+		tbl.AddRow(cells[i].resolve().Name(), n, t, r.MessagesCorrect, r.MaxMessageBytes, r.BytesCorrect, avg)
 	}
 	return tbl, tbl.Err()
 }
@@ -683,14 +579,13 @@ func E13Alg5Breakdown(ctx context.Context) (*Table, error) {
 		Title:   "Algorithm 5 message budget by stage (n=200, t=3, s=3)",
 		Columns: []string{"stage", "phases", "msgs fault-free", "msgs w/ faulty roots"},
 	}
-	const n, t, s = 200, 3, 3
-	proto := alg5.Protocol{S: s}
+	c := cell{"alg5", cli.Params{N: 200, T: 3, S: 3}}
+	segments := c.resolve().(alg5.Protocol).Segments(c.p.N, c.p.T)
 
 	perSegment := func(ctx context.Context, adv adversary.Adversary, faulty ident.Set) (map[string]int, error) {
-		res, err := core.Run(ctx, core.Config{
-			Protocol: proto, N: n, T: t, Value: ident.V1,
-			Adversary: adv, FaultyOverride: faulty, Seed: 13,
-		})
+		cfg := c.config(ident.V1, 13)
+		cfg.Adversary, cfg.FaultyOverride = adv, faulty
+		res, err := core.Run(ctx, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -698,7 +593,7 @@ func E13Alg5Breakdown(ctx context.Context) (*Table, error) {
 			return nil, agErr
 		}
 		out := make(map[string]int)
-		for _, seg := range proto.Segments(n, t) {
+		for _, seg := range segments {
 			total := 0
 			for ph := seg.First; ph <= seg.Last && ph < len(res.Sim.Report.PerPhase); ph++ {
 				total += res.Sim.Report.PerPhase[ph].MessagesCorrect
@@ -727,7 +622,7 @@ func E13Alg5Breakdown(ctx context.Context) (*Table, error) {
 			return err
 		},
 		func(ctx context.Context) error {
-			res, err := core.Run(ctx, core.Config{Protocol: proto, N: n, T: t, Value: ident.V1, Seed: 13})
+			res, err := core.Run(ctx, c.config(ident.V1, 13))
 			if err != nil {
 				return err
 			}
@@ -738,7 +633,7 @@ func E13Alg5Breakdown(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, seg := range proto.Segments(n, t) {
+	for _, seg := range segments {
 		span := fmt.Sprintf("%d..%d", seg.First, seg.Last)
 		tbl.AddRow(seg.Name, span, clean[seg.Name], dirty[seg.Name])
 	}
@@ -767,28 +662,21 @@ func E14Scaling(ctx context.Context) (*Table, error) {
 	}
 	const t = 4
 	ns := []int{64, 128, 256, 512, 1024}
-	// One sweep job per (n, protocol) point — 15 independent runs.
-	protosFor := func() []protocol.Protocol {
-		return []protocol.Protocol{dolevstrong.Protocol{}, alg3.Protocol{S: 16}, alg5.Protocol{S: 4}}
+	// One run per (n, baseline) point — 15 independent runs.
+	var cells []cell
+	for _, n := range ns {
+		cells = append(cells, baselines(n, t)...)
 	}
-	const perN = 3
-	msgs, err := sweep(ctx, len(ns)*perN, func(ctx context.Context, i int) (int, error) {
-		n, p := ns[i/perN], protosFor()[i%perN]
-		res, _, err := core.RunAndCheck(ctx, core.Config{
-			Protocol: p, N: n, T: t, Value: ident.V1, Seed: 14,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.Sim.Report.MessagesCorrect, nil
-	})
+	reports, err := faultFree(ctx, cells, 14)
 	if err != nil {
 		return nil, err
 	}
-	ratio := func(i, k int) float64 { return float64(msgs[i*perN+k]) / float64(ns[i]) }
+	const perN = 3
+	msgs := func(i, k int) int { return reports[i*perN+k].MessagesCorrect }
+	ratio := func(i, k int) float64 { return float64(msgs(i, k)) / float64(ns[i]) }
 	for i, n := range ns {
-		tbl.AddRow(n, msgs[i*perN], fmt.Sprintf("%.1f", ratio(i, 0)), msgs[i*perN+1], fmt.Sprintf("%.2f", ratio(i, 1)),
-			msgs[i*perN+2], fmt.Sprintf("%.2f", ratio(i, 2)))
+		tbl.AddRow(n, msgs(i, 0), fmt.Sprintf("%.1f", ratio(i, 0)), msgs(i, 1), fmt.Sprintf("%.2f", ratio(i, 1)),
+			msgs(i, 2), fmt.Sprintf("%.2f", ratio(i, 2)))
 	}
 	// Shape checks: the baseline's per-processor cost must grow ~linearly
 	// (≥ 8× over a 16× n range), each optimal algorithm's must stay within a
@@ -799,7 +687,7 @@ func E14Scaling(ctx context.Context) (*Table, error) {
 	}
 	for k := 1; k < perN; k++ {
 		if ratio(last, k) > 3*ratio(0, k) {
-			tbl.Violate("%s per-processor cost grew with n (%f -> %f)", protosFor()[k].Name(), ratio(0, k), ratio(last, k))
+			tbl.Violate("%s per-processor cost grew with n (%f -> %f)", cells[k].resolve().Name(), ratio(0, k), ratio(last, k))
 		}
 	}
 	return tbl, tbl.Err()

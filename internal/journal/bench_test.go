@@ -184,11 +184,8 @@ func BenchmarkJournalReplayThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < pending; i++ {
-		inst := service.Instance{ID: uint64(i), Values: []ident.Value{ident.Value(i % 2)}}
-		cfg := tmpl
-		cfg.Value = service.PackValues(inst.Values)
-		cfg.Seed = tmpl.Seed + int64(i)
-		inst.Config = cfg
+		values := []ident.Value{ident.Value(i % 2)}
+		inst := service.Instance{ID: uint64(i), Config: service.InstanceConfig(tmpl, uint64(i), values), Values: values}
 		if err := w.Admit(inst); err != nil {
 			b.Fatal(err)
 		}

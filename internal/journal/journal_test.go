@@ -25,10 +25,7 @@ func template(seed int64) core.Config {
 // would, deriving the instance exactly as the service does.
 func admit(t *testing.T, w *journal.Writer, tmpl core.Config, id uint64, values []ident.Value) {
 	t.Helper()
-	cfg := tmpl
-	cfg.Value = service.PackValues(values)
-	cfg.Seed = tmpl.Seed + int64(id)
-	inst := service.Instance{ID: id, Config: cfg, Values: values}
+	inst := service.Instance{ID: id, Config: service.InstanceConfig(tmpl, id, values), Values: values}
 	if err := w.Admit(inst); err != nil {
 		t.Fatalf("admit %d: %v", id, err)
 	}
@@ -368,9 +365,7 @@ func TestJournalServiceEndToEnd(t *testing.T) {
 		t.Fatalf("final checkpoint: %+v", rec4.Checkpoint)
 	}
 	for i, values := range lost {
-		cfg := tmpl
-		cfg.Value = service.PackValues(values)
-		cfg.Seed = tmpl.Seed + int64(n1+i)
+		cfg := service.InstanceConfig(tmpl, n1+uint64(i), values)
 		serial, err := core.Run(ctx, cfg)
 		if err != nil {
 			t.Fatalf("serial rerun of replayed instance %d: %v", n1+i, err)

@@ -14,7 +14,7 @@ import (
 var ErrShardsClosed = errors.New("runner: shards closed")
 
 // Shards executes jobs on a fixed set of identified workers. Each worker is
-// a dedicated goroutine with a stable shard id in [0, Workers()); exec runs
+// a dedicated goroutine with a stable shard id in [0, workers) (see NewShards); exec runs
 // on exactly one worker at a time per shard, so per-shard state passed to
 // exec needs no locking. Results are delivered strictly in submission order
 // through a reorder buffer: the caller observes exactly the outcomes of the
@@ -30,7 +30,6 @@ type Shards[J, R any] struct {
 	exec    func(shard int, j J) R
 	deliver func(seq uint64, r R)
 	jobs    chan shardJob[J]
-	workers int
 	wg      sync.WaitGroup
 
 	mu      sync.Mutex
@@ -59,7 +58,6 @@ func NewShards[J, R any](workers int, exec func(shard int, j J) R, deliver func(
 		exec:    exec,
 		deliver: deliver,
 		jobs:    make(chan shardJob[J], 1),
-		workers: workers,
 		pending: make(map[uint64]R),
 	}
 	s.wg.Add(workers)
@@ -68,9 +66,6 @@ func NewShards[J, R any](workers int, exec func(shard int, j J) R, deliver func(
 	}
 	return s
 }
-
-// Workers returns the number of shard workers.
-func (s *Shards[J, R]) Workers() int { return s.workers }
 
 // Submit hands j to the next free worker and returns its sequence number.
 // One job may park in the handoff channel while every worker is busy; beyond

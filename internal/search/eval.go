@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	mrand "math/rand"
 
@@ -141,13 +140,8 @@ func (ev *evaluator) evaluate(ctx context.Context, cand Candidate) (Eval, error)
 		if err != nil {
 			return out, fmt.Errorf("search: candidate %s value %v: %w", cand.Key(), v, err)
 		}
-		// The exchange class promises unanimity only, so the shared judge's
-		// condition (ii) verdict does not count against it.
 		decided, verr := res.Decision(ev.transmitter, v)
-		if cfg.Class == cli.ClassExchange && errors.Is(verr, core.ErrValidity) {
-			verr = nil
-		}
-		if verr != nil {
+		if verr = cfg.Class.Verdict(verr); verr != nil {
 			if out.Violation == nil {
 				out.Violation = verr
 			}

@@ -640,6 +640,17 @@ func (s *Service) fill(first *request, mayLinger bool) []*request {
 	return batch
 }
 
+// InstanceConfig is the run of instance id serving values: the template
+// with Value = PackValues(values), Seed = template seed + id and no trace.
+// It is the whole recipe, so a journaled (id, values) re-executes its
+// instance byte-identically.
+func InstanceConfig(tmpl core.Config, id uint64, values []ident.Value) core.Config {
+	tmpl.Value = PackValues(values)
+	tmpl.Seed += int64(id)
+	tmpl.Trace = nil
+	return tmpl
+}
+
 // dispatch assigns the next instance id, resolves the template, journals the
 // admission and hands the instance to the shard pool; Submit blocks when
 // every shard is busy, which is what lets the admission queue fill and
@@ -657,14 +668,7 @@ func (s *Service) dispatch(batch []*request, replay bool) uint64 {
 	for i, req := range batch {
 		values[i] = req.value
 	}
-	packed := PackValues(values)
-
-	cfg := s.cfg.Template
-	cfg.Value = packed
-	cfg.Seed = s.cfg.Template.Seed + int64(id)
-	cfg.Trace = nil
-
-	inst := Instance{ID: id, Config: cfg, Values: values}
+	inst := Instance{ID: id, Config: InstanceConfig(s.cfg.Template, id, values), Values: values}
 	if s.cfg.Journal != nil {
 		if err := s.cfg.Journal.Admit(inst); err != nil {
 			s.fail(batch, inst, err)

@@ -121,7 +121,9 @@ func TestScenarioMatrix(t *testing.T) {
 				want := plan.ExpectedCounters(e.N, phases)
 
 				res1, buf1 := runTCP(t, cfg, 0)
-				checkAgreement(t, res1, ident.V1, e.Class == cli.ClassExchange || res1.Faulty.Has(cfg.Transmitter))
+				if _, err := res1.Decision(cfg.Transmitter, ident.V1); e.Class.Verdict(err) != nil {
+					t.Fatalf("tcp: %v", err)
+				}
 				checkFaultCounters(t, "tcp", buf1.Events(), want)
 
 				// Same seed, second run, links a millisecond long: byte-identical
@@ -188,8 +190,8 @@ func TestCrashAtPhaseK(t *testing.T) {
 					t.Errorf("same-seed reruns diverge at %v", id)
 				}
 			}
-			if e.Class != cli.ClassStrawman {
-				checkAgreement(t, res1, ident.V1, e.Class == cli.ClassExchange)
+			if _, err := res1.Decision(0, ident.V1); e.Class != cli.ClassStrawman && e.Class.Verdict(err) != nil {
+				t.Fatal(err)
 			}
 		})
 	}
