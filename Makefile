@@ -32,8 +32,9 @@
 #   make parity REV=<rev>
 #                    - behaviour parity of this checkout against REV
 #                      (scripts/parity.sh): basim over every registry row ×
-#                      five adversaries × both transports × two fault plans,
-#                      and baexp text and CSV, compared byte for byte
+#                      all eight adversaries × both transports × three fault
+#                      plans (none, a crash, delivery faults), and baexp text
+#                      and CSV, compared byte for byte
 #   make loc         - non-test Go lines outside bench/, per package and in
 #                      total (the number CHANGES.md and the ROADMAP's
 #                      subtraction target are stated in), the _test.go

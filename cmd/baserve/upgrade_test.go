@@ -185,13 +185,8 @@ func TestServeRollingUpgrade(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s epoch: %v", step.name, err)
 		}
-		for id, d := range res.Decisions {
-			if res.Faulty.Has(id) {
-				continue
-			}
-			if !d.Decided || d.Value != ident.V1 {
-				t.Fatalf("%s: %v decided (%v,%v), want %v", step.name, id, d.Value, d.Decided, ident.V1)
-			}
+		if got, err := res.Decision(0, ident.V1); err != nil || got != ident.V1 {
+			t.Fatalf("%s: decided %v (%v), want %v", step.name, got, err, ident.V1)
 		}
 	}
 	if err := m.SetPeerWireVersion(1, wire.FrameVersion+1); err == nil {

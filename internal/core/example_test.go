@@ -47,15 +47,11 @@ func ExampleRun_splitBrain() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	values := make(map[ident.Value]int)
-	for id, d := range res.Sim.Decisions {
-		if !res.Faulty.Has(id) {
-			values[d.Value]++
-		}
-	}
-	fmt.Printf("distinct decisions among correct processors: %d\n", len(values))
+	// The transmitter is faulty, so the judge owes condition (i) only.
+	decision, err := res.Decision(0, ident.V1)
+	fmt.Printf("transmitter faulty: %v, agreement error: %v, decision: %v\n", res.Faulty.Has(0), err, decision)
 	// Output:
-	// distinct decisions among correct processors: 1
+	// transmitter faulty: true, agreement error: <nil>, decision: v=1
 }
 
 // ExampleSigLowerBound evaluates Theorem 1's closed form.

@@ -54,30 +54,10 @@ func TestSmokeFaultFree(t *testing.T) {
 }
 
 func TestSmokeSplitBrain(t *testing.T) {
-	for name, p := range protocols(2) {
-		adv := adversary.SplitBrain{LowValue: ident.V0, HighValue: ident.V1, SplitAt: 3}
-		res, err := core.Run(context.Background(), core.Config{
-			Protocol: p, N: 5, T: 2, Value: ident.V1, Adversary: adv,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	for _, p := range protocols(2) {
 		// Transmitter faulty: only condition (i) applies.
-		var first ident.Value
-		seen := false
-		for id, d := range res.Sim.Decisions {
-			if res.Faulty.Has(id) {
-				continue
-			}
-			if !d.Decided {
-				t.Fatalf("%s: %v undecided", name, id)
-			}
-			if !seen {
-				first, seen = d.Value, true
-			} else if d.Value != first {
-				t.Fatalf("%s: disagreement %v vs %v", name, d.Value, first)
-			}
-		}
+		adv := adversary.SplitBrain{LowValue: ident.V0, HighValue: ident.V1, SplitAt: 3}
+		runCheck(t, core.Config{Protocol: p, N: 5, T: 2, Value: ident.V1, Adversary: adv})
 	}
 }
 

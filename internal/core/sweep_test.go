@@ -20,91 +20,6 @@ import (
 	"byzex/internal/sig"
 )
 
-// checkAgreementConditions asserts condition (i) always, and condition (ii)
-// when the transmitter is correct.
-func checkAgreementConditions(t *testing.T, label string, res *core.Result, txValue ident.Value) {
-	t.Helper()
-	var first ident.Value
-	seen := false
-	for id, d := range res.Sim.Decisions {
-		if res.Faulty.Has(id) {
-			continue
-		}
-		if !d.Decided {
-			t.Fatalf("%s: %v undecided", label, id)
-		}
-		if !seen {
-			first, seen = d.Value, true
-		} else if d.Value != first {
-			t.Fatalf("%s: disagreement %v vs %v", label, d.Value, first)
-		}
-	}
-	if !res.Faulty.Has(0) && seen && first != txValue {
-		t.Fatalf("%s: validity violated (%v != %v)", label, first, txValue)
-	}
-}
-
-// agreementErr is checkAgreementConditions as an error for use inside
-// runner jobs (t.Fatalf must not be called off the test goroutine).
-func agreementErr(label string, res *core.Result, txValue ident.Value) error {
-	var first ident.Value
-	seen := false
-	for id, d := range res.Sim.Decisions {
-		if res.Faulty.Has(id) {
-			continue
-		}
-		if !d.Decided {
-			return fmt.Errorf("%s: %v undecided", label, id)
-		}
-		if !seen {
-			first, seen = d.Value, true
-		} else if d.Value != first {
-			return fmt.Errorf("%s: disagreement %v vs %v", label, d.Value, first)
-		}
-	}
-	if !res.Faulty.Has(0) && seen && first != txValue {
-		return fmt.Errorf("%s: validity violated (%v != %v)", label, first, txValue)
-	}
-	return nil
-}
-
-// TestExhaustiveFaultySetsAlg1 enumerates EVERY faulty subset of size ≤ t
-// for a small Algorithm 1 system under the omission-flavoured adversary
-// space (silent coalitions): 2^n subsets filtered to |S| ≤ t, both values.
-// The masks are independent runs, so the enumeration goes through the
-// worker pool.
-func TestExhaustiveFaultySetsAlg1(t *testing.T) {
-	const tt = 2
-	n := 2*tt + 1
-	_, err := runner.Map(context.Background(), runner.New(0), 1<<n, func(ctx context.Context, mask int) (struct{}, error) {
-		faulty := make(ident.Set)
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				faulty.Add(ident.ProcID(i))
-			}
-		}
-		if faulty.Len() > tt {
-			return struct{}{}, nil
-		}
-		for _, v := range []ident.Value{ident.V0, ident.V1} {
-			res, err := core.Run(ctx, core.Config{
-				Protocol: alg1.Protocol{}, N: n, T: tt, Value: v,
-				Adversary: adversary.Silent{}, FaultyOverride: faulty, Seed: int64(mask),
-			})
-			if err != nil {
-				return struct{}{}, fmt.Errorf("mask=%b v=%v: %w", mask, v, err)
-			}
-			if err := agreementErr(fmt.Sprintf("mask=%b v=%v", mask, v), res, v); err != nil {
-				return struct{}{}, err
-			}
-		}
-		return struct{}{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestExhaustiveSplitPointsAlg2 drives the split-brain transmitter through
 // every audience split for Algorithm 2.
 func TestExhaustiveSplitPointsAlg2(t *testing.T) {
@@ -112,14 +27,12 @@ func TestExhaustiveSplitPointsAlg2(t *testing.T) {
 	n := 2*tt + 1
 	for split := 0; split <= n; split++ {
 		adv := adversary.SplitBrain{LowValue: ident.V0, HighValue: ident.V1, SplitAt: ident.ProcID(split)}
-		res, err := core.Run(context.Background(), core.Config{
+		if _, _, err := core.RunAndCheck(context.Background(), core.Config{
 			Protocol: alg2.Protocol{}, N: n, T: tt, Value: ident.V1,
 			Adversary: adv, Seed: int64(split),
-		})
-		if err != nil {
-			t.Fatal(err)
+		}); err != nil {
+			t.Fatalf("split=%d: %v", split, err)
 		}
-		checkAgreementConditions(t, fmt.Sprintf("split=%d", split), res, ident.V1)
 	}
 }
 
@@ -148,15 +61,14 @@ func TestChaosSweep(t *testing.T) {
 		tc := cases[i/perCase]
 		seed := (i % perCase) / 2
 		rushing := i%2 == 1
-		res, err := core.Run(ctx, core.Config{
+		_, _, err := core.RunAndCheck(ctx, core.Config{
 			Protocol: tc.p, N: tc.n, T: tc.t, Value: ident.V1,
 			Adversary: adversary.Chaos{}, Seed: int64(seed), Rushing: rushing,
 		})
 		if err != nil {
 			return struct{}{}, fmt.Errorf("%s seed=%d rushing=%v: %w", tc.p.Name(), seed, rushing, err)
 		}
-		label := fmt.Sprintf("%s seed=%d rushing=%v", tc.p.Name(), seed, rushing)
-		return struct{}{}, agreementErr(label, res, ident.V1)
+		return struct{}{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,11 +144,9 @@ func schemeFor(p protocol.Protocol, n int) sig.Scheme {
 // default).
 func TestMultiValuedUnderSplitBrain(t *testing.T) {
 	adv := adversary.SplitBrain{LowValue: 7, HighValue: 9, SplitAt: 4}
-	res, err := core.Run(context.Background(), core.Config{
+	if _, _, err := core.RunAndCheck(context.Background(), core.Config{
 		Protocol: dolevstrong.Protocol{}, N: 8, T: 2, Value: 9, Adversary: adv,
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	checkAgreementConditions(t, "multi-split", res, 9)
 }

@@ -82,26 +82,10 @@ func TestSplitBrainAllSplits(t *testing.T) {
 	n := 2*tt + 1
 	for split := 1; split < n; split++ {
 		adv := adversary.SplitBrain{LowValue: ident.V0, HighValue: ident.V1, SplitAt: ident.ProcID(split)}
-		res, err := core.Run(context.Background(), core.Config{
+		if _, _, err := core.RunAndCheck(context.Background(), core.Config{
 			Protocol: alg1.Protocol{}, N: n, T: tt, Value: ident.V1, Adversary: adv, Seed: int64(split),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var first ident.Value
-		seen := false
-		for id, d := range res.Sim.Decisions {
-			if res.Faulty.Has(id) {
-				continue
-			}
-			if !d.Decided {
-				t.Fatalf("split=%d: %v undecided", split, id)
-			}
-			if !seen {
-				first, seen = d.Value, true
-			} else if d.Value != first {
-				t.Fatalf("split=%d: disagreement", split)
-			}
+		}); err != nil {
+			t.Fatalf("split=%d: %v", split, err)
 		}
 	}
 }
@@ -123,13 +107,8 @@ func TestForgedChainsRejected(t *testing.T) {
 	// the transmitter's signature).
 	tt := 4
 	res := run(t, tt, ident.V0, adversary.Garbage{PerPhase: 10}, nil)
-	for id, d := range res.Sim.Decisions {
-		if res.Faulty.Has(id) {
-			continue
-		}
-		if d.Value != ident.V0 {
-			t.Fatalf("%v decided %v from garbage", id, d.Value)
-		}
+	if got, _ := res.Decision(0, ident.V0); got != ident.V0 {
+		t.Fatalf("decided %v from garbage", got)
 	}
 }
 

@@ -112,26 +112,10 @@ func TestSplitBrainTransmitter(t *testing.T) {
 		{25, 2, 2}, {60, 3, 3},
 	} {
 		adv := adversary.SplitBrain{LowValue: ident.V0, HighValue: ident.V1, SplitAt: ident.ProcID(tc.n / 2)}
-		res, err := core.Run(context.Background(), core.Config{
+		if _, _, err := core.RunAndCheck(context.Background(), core.Config{
 			Protocol: alg5.Protocol{S: tc.s}, N: tc.n, T: tc.t, Value: ident.V1, Adversary: adv, Seed: 9,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var first ident.Value
-		seen := false
-		for id, d := range res.Sim.Decisions {
-			if res.Faulty.Has(id) {
-				continue
-			}
-			if !d.Decided {
-				t.Fatalf("n=%d: %v undecided", tc.n, id)
-			}
-			if !seen {
-				first, seen = d.Value, true
-			} else if d.Value != first {
-				t.Fatalf("n=%d: disagreement %v vs %v", tc.n, d.Value, first)
-			}
+		}); err != nil {
+			t.Fatalf("n=%d: %v", tc.n, err)
 		}
 	}
 }

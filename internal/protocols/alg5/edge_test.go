@@ -78,30 +78,11 @@ func TestChaosFaultyTreeNodes(t *testing.T) {
 	n, tt, s := 60, 3, 3 // α=25, trees of 3 over 35 passives
 	for seed := 0; seed < 10; seed++ {
 		faulty := ident.NewSet(25, 28, 31) // roots of the first three trees
-		res, err := core.Run(context.Background(), core.Config{
+		if _, _, err := core.RunAndCheck(context.Background(), core.Config{
 			Protocol: alg5.Protocol{S: s}, N: n, T: tt, Value: ident.V1,
 			Adversary: adversary.Chaos{}, FaultyOverride: faulty, Seed: int64(seed),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var first ident.Value
-		seen := false
-		for id, d := range res.Sim.Decisions {
-			if res.Faulty.Has(id) {
-				continue
-			}
-			if !d.Decided {
-				t.Fatalf("seed=%d: %v undecided", seed, id)
-			}
-			if !seen {
-				first, seen = d.Value, true
-			} else if d.Value != first {
-				t.Fatalf("seed=%d: disagreement", seed)
-			}
-		}
-		if first != ident.V1 {
-			t.Fatalf("seed=%d: validity violated", seed)
+		}); err != nil {
+			t.Fatalf("seed=%d: %v", seed, err)
 		}
 	}
 }

@@ -55,31 +55,16 @@ func TestByzantineMajorityOfRelays(t *testing.T) {
 func TestSplitBrainEveryPhaseBudget(t *testing.T) {
 	for _, tc := range []struct{ n, t int }{{4, 1}, {7, 2}, {9, 4}} {
 		adv := adversary.SplitBrain{LowValue: ident.V0, HighValue: ident.V1, SplitAt: ident.ProcID(tc.n / 2)}
-		res, err := core.Run(context.Background(), core.Config{
+		_, got, err := core.RunAndCheck(context.Background(), core.Config{
 			Protocol: dolevstrong.Protocol{}, N: tc.n, T: tc.t, Value: ident.V1, Adversary: adv, Seed: 5,
 		})
 		if err != nil {
-			t.Fatal(err)
-		}
-		var first ident.Value
-		seen := false
-		for id, d := range res.Sim.Decisions {
-			if res.Faulty.Has(id) {
-				continue
-			}
-			if !d.Decided {
-				t.Fatalf("n=%d: %v undecided", tc.n, id)
-			}
-			if !seen {
-				first, seen = d.Value, true
-			} else if d.Value != first {
-				t.Fatalf("n=%d: disagreement %v vs %v", tc.n, d.Value, first)
-			}
+			t.Fatalf("n=%d: %v", tc.n, err)
 		}
 		// With an equivocating transmitter every correct processor should
 		// extract both values and fall to the default.
-		if first != ident.V0 {
-			t.Fatalf("n=%d: expected default 0 decision, got %v", tc.n, first)
+		if got != ident.V0 {
+			t.Fatalf("n=%d: expected default 0 decision, got %v", tc.n, got)
 		}
 	}
 }
@@ -100,13 +85,8 @@ func TestQuadraticMessageShape(t *testing.T) {
 func TestGarbageResistance(t *testing.T) {
 	for _, v := range []ident.Value{ident.V0, ident.V1} {
 		res := run(t, 7, 2, v, adversary.Garbage{PerPhase: 6}, nil)
-		for id, d := range res.Sim.Decisions {
-			if res.Faulty.Has(id) {
-				continue
-			}
-			if d.Value != v {
-				t.Fatalf("%v decided %v, want %v", id, d.Value, v)
-			}
+		if got, _ := res.Decision(0, v); got != v {
+			t.Fatalf("decided %v, want %v", got, v)
 		}
 	}
 }

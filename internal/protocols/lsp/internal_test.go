@@ -1,6 +1,7 @@
 package lsp
 
 import (
+	"maps"
 	"testing"
 
 	"byzex/internal/ident"
@@ -88,5 +89,25 @@ func TestResolveEmptyTreeDefaults(t *testing.T) {
 	nd := &node{cfg: configFor(2, 4, 1, signer, scheme), tree: map[string]ident.Value{}}
 	if v, ok := nd.Decide(); !ok || v != ident.V0 {
 		t.Fatalf("empty tree decide = %v, %v", v, ok)
+	}
+}
+
+func TestResolveCountsOwnVoteWhenOmitted(t *testing.T) {
+	// A faulty transmitter that omits its value to p1 leaves σ=[p0] out of
+	// p1's tree. p1's own vote is then the default V0, exactly as if V0 had
+	// arrived: either way the majority is over the same n−|σ| = 4 votes.
+	scheme := sig.NewPlain(5)
+	signer, _ := scheme.Signer(1)
+	relayed := map[string]ident.Value{
+		pathKey([]ident.ProcID{0, 2}): ident.V1,
+		pathKey([]ident.ProcID{0, 3}): ident.V1,
+		pathKey([]ident.ProcID{0, 4}): ident.V0,
+	}
+	omitted := &node{cfg: configFor(1, 5, 1, signer, scheme), tree: maps.Clone(relayed)}
+	relayed[pathKey([]ident.ProcID{0})] = ident.V0
+	told := &node{cfg: configFor(1, 5, 1, signer, scheme), tree: relayed}
+	got, _ := omitted.Decide()
+	if want, _ := told.Decide(); got != want {
+		t.Fatalf("σ omitted decides %v, σ=V0 decides %v: the denominators differ", got, want)
 	}
 }

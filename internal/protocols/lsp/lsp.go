@@ -202,11 +202,8 @@ func (n *node) Decide() (ident.Value, bool) {
 // absences with the default 0.
 func (n *node) resolve(path []ident.ProcID) ident.Value {
 	key := pathKey(path)
-	stored, ok := n.tree[key]
+	stored := n.tree[key] // the default V0 when nothing arrived
 	if len(path) == n.cfg.T+1 {
-		if !ok {
-			return ident.V0
-		}
 		return stored
 	}
 	onPath := ident.NewSet(path...)
@@ -222,11 +219,11 @@ func (n *node) resolve(path []ident.ProcID) ident.Value {
 		children++
 	}
 	// Strict majority wins; otherwise default. Our own stored value for
-	// the path participates as one extra vote (we "heard" it directly).
-	if ok {
-		counts[stored]++
-		children++
-	}
+	// the path participates as one extra vote (we "heard" it directly);
+	// when nothing arrived that vote is the default, so every receiver
+	// takes its majority over the same n−|σ| votes.
+	counts[stored]++
+	children++
 	var best ident.Value
 	bestCnt := -1
 	for _, v := range sortedValues(counts) {

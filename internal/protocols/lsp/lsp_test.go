@@ -51,24 +51,8 @@ func TestSplitBrainTransmitter(t *testing.T) {
 		{4, 1}, {7, 2}, {10, 3},
 	} {
 		adv := adversary.SplitBrain{LowValue: ident.V0, HighValue: ident.V1, SplitAt: ident.ProcID(tc.n / 2)}
-		res, err := core.Run(context.Background(), cfg(tc.n, tc.t, ident.V1, adv))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var first ident.Value
-		seen := false
-		for id, d := range res.Sim.Decisions {
-			if res.Faulty.Has(id) {
-				continue
-			}
-			if !d.Decided {
-				t.Fatalf("n=%d t=%d: %v undecided", tc.n, tc.t, id)
-			}
-			if !seen {
-				first, seen = d.Value, true
-			} else if d.Value != first {
-				t.Fatalf("n=%d t=%d: disagreement %v vs %v", tc.n, tc.t, d.Value, first)
-			}
+		if _, _, err := core.RunAndCheck(context.Background(), cfg(tc.n, tc.t, ident.V1, adv)); err != nil {
+			t.Fatalf("n=%d t=%d: %v", tc.n, tc.t, err)
 		}
 	}
 }

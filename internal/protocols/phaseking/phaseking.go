@@ -157,8 +157,12 @@ func (n *node) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			return nil
 		}
 		// Resolve against the king's announcement, then vote for the next
-		// king phase (if any).
+		// king phase (if any). Broadcast skips the sender, so the king
+		// takes its own announcement from n.maj.
 		kingVal := ident.V0
+		if kingOf(k) == n.cfg.ID {
+			kingVal = n.maj
+		}
 		for _, env := range inbox {
 			if env.From != kingOf(k) {
 				continue

@@ -99,7 +99,7 @@ func TestLinkDelayNeverEarlyPerLink(t *testing.T) {
 				if err != nil {
 					t.Fatalf("epoch %d: %v", epoch, err)
 				}
-				checkAgreement(t, res, ident.V1, false)
+				checkAgreement(t, res, ident.V1)
 				if floor := time.Duration(phases) * delay; wall < floor {
 					t.Errorf("epoch %d took %v, under phases × delay = %v", epoch, wall, floor)
 				}

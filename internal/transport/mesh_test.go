@@ -20,13 +20,8 @@ func meshConfig(value ident.Value, seed int64) core.Config {
 
 func meshAgreement(t *testing.T, res *Result, want ident.Value) {
 	t.Helper()
-	for id, d := range res.Decisions {
-		if res.Faulty.Has(id) {
-			continue
-		}
-		if !d.Decided || d.Value != want {
-			t.Fatalf("%v decided (%v,%v), want %v", id, d.Value, d.Decided, want)
-		}
+	if got, err := res.Decision(0, want); err != nil || got != want {
+		t.Fatalf("decided %v (%v), want %v", got, err, want)
 	}
 }
 

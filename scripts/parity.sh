@@ -5,9 +5,11 @@
 #
 # unpacks <rev> (git archive) into a directory under .bench_build/, builds
 # basim and baexp in both trees, and runs one fixed matrix through both: every
-# registry row at its canonical size (read from internal/cli/cli.go) × the
-# adversaries none, split-brain, multi-faced, silent and crash × the memory and
-# tcp transports × no fault plan, crash=1@2 and the delivery-fault plan
+# registry row at its canonical size (read from internal/cli/cli.go) × every
+# adversary basim names (none, split-brain, multi-faced, silent, crash and the
+# randomized chaos, garbage and bit-flipper, which draw from per-processor
+# streams and so replay over TCP too) × the memory and tcp transports × no
+# fault plan, crash=1@2 and the delivery-fault plan
 # drop=1->2@2;dup=1->3@1;reorder=1->*@* (every rule names sender 1, so the
 # plan stays in budget and the fault-* events are traced), plus baexp's text
 # and CSV tables. Each basim run's stdout, stderr and exit status, its -trace
@@ -73,7 +75,7 @@ check() {
 }
 
 while read -r name n t scheme; do
-	for adv in none split-brain multi-faced silent crash; do
+	for adv in none split-brain multi-faced silent crash chaos garbage bit-flipper; do
 		for transport in memory tcp; do
 			for faults in "" "crash=1@2" "drop=1->2@2;dup=1->3@1;reorder=1->*@*"; do
 				check basim -protocol "$name" -n "$n" -t "$t" -scheme "$scheme" -adversary "$adv" \
