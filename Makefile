@@ -33,8 +33,9 @@
 #                    - behaviour parity of this checkout against REV
 #                      (scripts/parity.sh): basim over every registry row ×
 #                      all eight adversaries × both transports × three fault
-#                      plans (none, a crash, delivery faults), and baexp text
-#                      and CSV, compared byte for byte
+#                      plans (none, a crash, delivery faults), baexp text
+#                      and CSV, and baattack's atlas and scripted attacks,
+#                      compared byte for byte
 #   make loc         - non-test Go lines outside bench/, per package and in
 #                      total (the number CHANGES.md and the ROADMAP's
 #                      subtraction target are stated in), the _test.go
@@ -121,9 +122,9 @@ ab:
 	bash scripts/ab.sh $(REV) $(WORKLOAD) $(PAIRS)
 
 # The parity check every behaviour-preserving change states in CHANGES.md:
-# traces, metrics and stdout of a fixed basim/baexp matrix, this checkout
-# against REV, byte for byte. Prints k/k identical or the first command that
-# differs (exit 1).
+# traces, metrics and stdout of a fixed basim/baexp/baattack matrix, this
+# checkout against REV, byte for byte. Prints k/k identical, or every command
+# that differs and d/k differ (exit 1).
 parity:
 	bash scripts/parity.sh $(REV)
 

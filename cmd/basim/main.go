@@ -1,6 +1,11 @@
 // Command basim runs a single Byzantine Agreement instance and prints the
 // decisions and the information-exchange metrics.
 //
+// The agreement line is the verdict of core.CheckDecisions as the protocol's
+// registry class reads it (cli.Class.Verdict), on either transport. basim
+// exits 0 when the run agreed, 1 when it violated agreement — strawmen
+// included — or failed, and 2 on a usage error.
+//
 // Usage examples:
 //
 //	basim -protocol alg1 -t 4                         # n defaults to 2t+1
@@ -58,15 +63,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// The same resolution baserve and baload use: the processors a fault
-	// plan touches are judged faulty so the agreement printout discounts
-	// them, and an over-budget plan is allowed — watching a protocol stall
-	// is the point of some experiments — but flagged up front.
+	// The same resolution baserve and baload use; an over-budget plan is
+	// flagged up front, and core.Runner.Setup refuses it.
 	cfg, err := tp.ResolveWarn(stderr)
 	if err != nil {
 		return fail(err)
 	}
 	cfg.Value = ident.Value(*value)
+	entry, err := cli.Lookup(tp.Protocol)
+	if err != nil {
+		return fail(err)
+	}
 
 	traceOut, stop, err := rf.Start()
 	if err != nil {
@@ -83,6 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
+	var verdict error
 	err = func() error {
 		ctx := context.Background()
 		var report metrics.Report
@@ -102,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return err
 			}
 			report = res.Sim.Report
-			printOutcome(stdout, res.Faulty, decisions(res.Sim.Decisions), report.String(), cfg.Value)
+			verdict = printOutcome(stdout, entry.Class, cfg, res.Faulty, res.Sim.Decisions, report.String())
 			if *verbose {
 				fmt.Fprint(stdout, report.Table())
 			}
@@ -125,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return err
 			}
 			report = res.Report
-			printOutcome(stdout, res.Faulty, decisions(res.Decisions), report.String(), cfg.Value)
+			verdict = printOutcome(stdout, entry.Class, cfg, res.Faulty, res.Decisions, report.String())
 		default:
 			return fmt.Errorf("unknown transport %q", *trans)
 		}
@@ -156,6 +164,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	fmt.Fprintf(stdout, "elapsed: %v\n", time.Since(start).Round(time.Millisecond))
+	if verdict != nil {
+		return 1
+	}
 	return 0
 }
 
@@ -176,36 +187,29 @@ func writeTrace(stdout io.Writer, path string, buf *trace.Buffer, out trace.Sink
 	return nil
 }
 
-// decisions renders a run's decision table for printOutcome — the one
-// rendering both transports go through, so an undecided processor shows as
-// such (and breaks "agreement: OK") whichever substrate ran.
-func decisions(dec map[ident.ProcID]sim.Decision) map[ident.ProcID]string {
-	out := make(map[ident.ProcID]string, len(dec))
-	for id, d := range dec {
-		if d.Decided {
-			out[id] = fmt.Sprint(d.Value)
-		} else {
-			out[id] = "undecided"
-		}
-	}
-	return out
-}
-
-func printOutcome(stdout io.Writer, faulty ident.Set, dec map[ident.ProcID]string, report string, txValue ident.Value) {
+// printOutcome prints a run's faulty set, its correct processors' decisions
+// (an undecided one shows as such) and metrics, then the agreement verdict:
+// core.CheckDecisions read by the protocol's class. It returns the verdict.
+func printOutcome(stdout io.Writer, class cli.Class, cfg core.Config, faulty ident.Set, dec map[ident.ProcID]sim.Decision, report string) error {
 	counts := make(map[string]int)
-	for id, v := range dec {
-		if faulty.Has(id) {
-			continue
+	for id, d := range dec {
+		switch {
+		case faulty.Has(id):
+		case d.Decided:
+			counts[fmt.Sprint(d.Value)]++
+		default:
+			counts["undecided"]++
 		}
-		counts[v]++
 	}
 	fmt.Fprintf(stdout, "faulty: %v\n", faulty.Sorted())
-	fmt.Fprintf(stdout, "transmitter value: %v\n", txValue)
+	fmt.Fprintf(stdout, "transmitter value: %v\n", cfg.Value)
 	fmt.Fprintf(stdout, "correct decisions: %v\n", counts)
 	fmt.Fprintf(stdout, "metrics: %s\n", report)
-	if len(counts) == 1 {
-		fmt.Fprintln(stdout, "agreement: OK")
+	_, err := core.CheckDecisions(dec, faulty, cfg.Transmitter, cfg.Value)
+	if err = class.Verdict(err); err != nil {
+		fmt.Fprintf(stdout, "agreement: VIOLATED — %v\n", err)
 	} else {
-		fmt.Fprintln(stdout, "agreement: VIOLATED")
+		fmt.Fprintln(stdout, "agreement: OK")
 	}
+	return err
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"byzex/internal/cli"
+	"byzex/internal/core"
 	"byzex/internal/ident"
 	"byzex/internal/sim"
 )
@@ -22,7 +24,7 @@ func TestUndecidedIsNotAValue(t *testing.T) {
 		2: {Value: ident.V1, Decided: false}, // faulty: ignored
 	}
 	var out bytes.Buffer
-	printOutcome(&out, ident.NewSet(2), decisions(dec), "report", ident.V0)
+	printOutcome(&out, cli.ClassAgreement, core.Config{Value: ident.V0}, ident.NewSet(2), dec, "report")
 	got := out.String()
 	if !strings.Contains(got, "undecided:1") || !strings.Contains(got, "agreement: VIOLATED") {
 		t.Fatalf("undecided correct processor hidden:\n%s", got)
@@ -57,6 +59,20 @@ func TestTransportsPrintTheSameOutcome(t *testing.T) {
 	}
 	if !strings.Contains(mem, "agreement: OK") || !strings.Contains(mem, "faulty: [p0 p1]") {
 		t.Fatalf("unexpected outcome:\n%s", mem)
+	}
+}
+
+// TestViolationExitsOne: a run the judge fails exits 1 on either transport
+// and prints the judge's error on its agreement line — strawmen included,
+// whose violations are the expected find.
+func TestViolationExitsOne(t *testing.T) {
+	for _, transport := range []string{"memory", "tcp"} {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-protocol", "strawman-broadcast", "-n", "5", "-t", "1", "-adversary", "split-brain", "-transport", transport}
+		code := run(args, &stdout, &stderr)
+		if want := "agreement: VIOLATED — core: correct processors disagree: p"; code != 1 || !strings.Contains(stdout.String(), want) {
+			t.Fatalf("%s: exit %d, want 1 and %q:\n%s%s", transport, code, want, stdout.String(), stderr.String())
+		}
 	}
 }
 

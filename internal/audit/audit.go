@@ -200,7 +200,7 @@ func ReplayAttack(ctx context.Context, p protocol.Protocol, n, t int, scheme sig
 	if err != nil {
 		return nil, err
 	}
-	return outcome(res, victim, ident.V1, ident.ProcID(0)), nil
+	return attackOutcome(res, victim), nil
 }
 
 // ErrBoundRespected is returned by the attack constructors when the audited
@@ -216,41 +216,15 @@ func replayEdge(e Edge) adversary.ReplayEdge {
 	}
 }
 
-// outcome checks the two agreement conditions over a finished run.
-func outcome(res *core.Result, victim ident.ProcID, txValue ident.Value, transmitter ident.ProcID) *AttackOutcome {
-	out := &AttackOutcome{
-		Victim:    victim,
-		Faulty:    res.Faulty,
-		Decisions: make(map[ident.ProcID]ident.Value),
-	}
-	var (
-		first   ident.Value
-		haveAny bool
-	)
-	// Walk processors in id order: Decisions is a map, and the violation
-	// message names the first divergent processor, which must not depend on
-	// iteration order.
-	for i := 0; i < len(res.Sim.Decisions); i++ {
-		id := ident.ProcID(i)
-		d := res.Sim.Decisions[id]
-		if res.Faulty.Has(id) {
-			continue
+// attackOutcome reads a finished attack run, judged by core's one judge:
+// the transmitter, p0, sent V1.
+func attackOutcome(res *core.Result, victim ident.ProcID) *AttackOutcome {
+	_, err := res.Decision(0, ident.V1)
+	out := &AttackOutcome{Victim: victim, Faulty: res.Faulty, Violation: err, Decisions: make(map[ident.ProcID]ident.Value)}
+	for id, d := range res.Sim.Decisions {
+		if d.Decided && !res.Faulty.Has(id) {
+			out.Decisions[id] = d.Value
 		}
-		if !d.Decided {
-			if out.Violation == nil {
-				out.Violation = fmt.Errorf("%w: %v", core.ErrNoDecision, id)
-			}
-			continue
-		}
-		out.Decisions[id] = d.Value
-		if !haveAny {
-			first, haveAny = d.Value, true
-		} else if d.Value != first && out.Violation == nil {
-			out.Violation = fmt.Errorf("%w: %v decided %v, others %v", core.ErrDisagreement, id, d.Value, first)
-		}
-	}
-	if out.Violation == nil && haveAny && !res.Faulty.Has(transmitter) && first != txValue {
-		out.Violation = fmt.Errorf("%w: decided %v, transmitter sent %v", core.ErrValidity, first, txValue)
 	}
 	return out
 }

@@ -140,5 +140,5 @@ func OmissionAttack(ctx context.Context, p protocol.Protocol, n, t int, scheme s
 	if err != nil {
 		return nil, err
 	}
-	return outcome(res, victim, ident.V1, 0), nil
+	return attackOutcome(res, victim), nil
 }

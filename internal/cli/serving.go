@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"byzex/internal/core"
-	"byzex/internal/ident"
 )
 
 // Template is the flag-level description of a per-instance run
@@ -59,11 +58,10 @@ func (tp Template) Params() Params {
 	return Params{N: n, T: tp.T, S: tp.S, Seed: tp.Seed}
 }
 
-// Resolve builds the core.Config template. When a fault plan is present and
-// no adversary is configured, the plan's affected processors become the
-// faulty set (FaultyOverride), matching how the scenario tests budget
-// faults; a plan that exceeds the t budget still resolves, but warn says
-// what follows: refusal at setup, or instances that stall rather than decide.
+// Resolve builds the core.Config template. It leaves the faulty set to
+// core.Runner.Setup, which counts the processors a fault plan affects as
+// faulty next to the adversary's draw; a plan that exceeds the t budget
+// still resolves, but warn says what follows.
 func (tp Template) Resolve() (cfg core.Config, warn string, err error) {
 	params := tp.Params()
 	n := params.N
@@ -83,19 +81,12 @@ func (tp Template) Resolve() (cfg core.Config, warn string, err error) {
 	if err != nil {
 		return core.Config{}, "", err
 	}
-	var faultyOverride ident.Set
-	if plan != nil {
-		if adv == nil {
-			faultyOverride = plan.Affected(n)
-		}
-		if budgetErr := plan.CheckBudget(n, tp.T); budgetErr != nil {
-			warn = budgetErr.Error() + " — instances whose faulty set exceeds t or misses a crash victim are refused, the rest may stall rather than decide"
-		}
+	if budgetErr := plan.CheckBudget(n, tp.T); budgetErr != nil {
+		warn = budgetErr.Error() + " — instances whose faulty set exceeds t or misses a crash victim are refused, the rest may stall rather than decide"
 	}
 	return core.Config{
 		Protocol: proto, N: n, T: tp.T,
-		Scheme: scheme, Adversary: adv, Seed: tp.Seed,
-		Faults: plan, FaultyOverride: faultyOverride,
+		Scheme: scheme, Adversary: adv, Seed: tp.Seed, Faults: plan,
 	}, warn, nil
 }
 

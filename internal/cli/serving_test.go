@@ -1,10 +1,12 @@
 package cli_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"byzex/internal/cli"
+	"byzex/internal/core"
 	"byzex/internal/ident"
 )
 
@@ -43,9 +45,12 @@ func TestTemplateResolveFaultsCoverAffected(t *testing.T) {
 	if cfg.Faults == nil {
 		t.Fatal("fault plan not compiled")
 	}
-	want := ident.NewSet(1, 2)
-	if len(cfg.FaultyOverride) != len(want) || !cfg.FaultyOverride.Has(1) || !cfg.FaultyOverride.Has(2) {
-		t.Fatalf("FaultyOverride %v, want %v", cfg.FaultyOverride.Sorted(), want.Sorted())
+	setup, err := core.NewSetup(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := setup.Faulty.Sorted(); !slices.Equal(got, []ident.ProcID{1, 2}) {
+		t.Fatalf("faulty %v, want [p1 p2]", got)
 	}
 }
 

@@ -59,7 +59,10 @@ type Config struct {
 	Scheme sig.Scheme
 	// Adversary chooses and drives faulty processors; nil means fault-free.
 	Adversary adversary.Adversary
-	// FaultyOverride, when non-nil, replaces the adversary's Corrupt choice.
+	// FaultyOverride, when non-nil, is the faulty set as given: it replaces
+	// both the adversary's Corrupt choice and the fault plan's affected
+	// processors (see Runner.Setup). The lower-bound constructions name
+	// their coalition this way.
 	FaultyOverride ident.Set
 	// Seed drives all deterministic randomness in the run.
 	Seed int64
@@ -75,10 +78,10 @@ type Config struct {
 	Trace trace.Sink
 	// Faults is a compiled fault-injection plan (see package faultnet),
 	// honored by both substrates: the in-memory engine applies it on its
-	// delivery path, the TCP transport at the frame layer. Processors the
-	// plan affects should normally be covered by FaultyOverride (use
-	// Plan.Affected) so the agreement judge attributes the injected
-	// misbehavior to them; nil injects nothing.
+	// delivery path, the TCP transport at the frame layer. Unless
+	// FaultyOverride is set, Runner.Setup counts the processors the plan
+	// affects (Plan.Affected) as faulty, so the agreement judge attributes
+	// the injected misbehavior to them; nil injects nothing.
 	Faults *faultnet.Plan
 }
 
@@ -106,11 +109,12 @@ func (r *Result) Decision(transmitter ident.ProcID, transmitterValue ident.Value
 // CheckDecisions verifies both Byzantine Agreement conditions over a raw
 // decision map and returns the common decision. It is the single agreement
 // judge shared by both substrates, the experiment sweeps and the adversary
-// search: condition (i) is always checked; condition (ii) only when the
-// transmitter is outside the faulty set, and its ErrValidity still carries
-// the value the correct processors agreed on, for callers that judge
-// unanimity only. Processors are judged in ascending id order, so the one an
-// error names does not depend on map iteration.
+// search, the lower-bound attacks and basim's verdict: condition (i) is
+// always checked; condition (ii) only when the transmitter is outside the
+// faulty set, and its ErrValidity still carries the value the correct
+// processors agreed on, for callers that judge unanimity only. Processors are
+// judged in ascending id order and the first offender is named ("p2 decided
+// v=1, others v=0"), so the error does not depend on map iteration.
 func CheckDecisions(decisions map[ident.ProcID]sim.Decision, faulty ident.Set, transmitter ident.ProcID, transmitterValue ident.Value) (ident.Value, error) {
 	var (
 		ids     []ident.ProcID // nil, nothing allocated, while the keys are 0..len-1 as both substrates fill them
@@ -136,7 +140,7 @@ func CheckDecisions(decisions map[ident.ProcID]sim.Decision, faulty ident.Set, t
 		case !haveAny:
 			got, haveAny = d.Value, true
 		case d.Value != got:
-			return 0, fmt.Errorf("%w: %v vs %v", ErrDisagreement, d.Value, got)
+			return 0, fmt.Errorf("%w: %v decided %v, others %v", ErrDisagreement, id, d.Value, got)
 		}
 	}
 	if !haveAny {
@@ -186,6 +190,11 @@ func NewSetup(cfg Config) (*Setup, error) { return new(Runner).Setup(cfg) }
 // messages. Both Run and transport's meshes go through here, so scheme
 // defaulting, corruption choice and node construction cannot diverge
 // between the in-memory engine and the TCP cluster.
+//
+// Setup is the one place a run's faulty set is decided: FaultyOverride when
+// set, else the adversary's Corrupt draw united with the processors the
+// fault plan affects — with no adversary the affected set alone. A set
+// beyond t is refused with sim.ErrTooManyFaulty.
 func (r *Runner) Setup(cfg Config) (*Setup, error) {
 	if cfg.Protocol == nil {
 		return nil, errors.New("core: nil protocol")
@@ -198,20 +207,28 @@ func (r *Runner) Setup(cfg Config) (*Setup, error) {
 		scheme = sig.NewHMAC(cfg.N, cfg.Seed^0x5ee_d516)
 	}
 
-	// Determine the corrupted set. FaultyOverride wins even without an
-	// adversary: fault-injection runs (package faultnet) mark network-
-	// affected processors as faulty so the agreement judge discounts them,
-	// while the processors themselves keep running correct protocol code —
-	// a crash or partition victim is not Byzantine, merely unheard.
-	faulty := make(ident.Set)
-	var env *adversary.Env
-	if cfg.FaultyOverride != nil {
+	// Determine the faulty set. The processors a fault plan affects count
+	// as faulty so the agreement judge discounts them. With an adversary
+	// every faulty processor runs its strategy; without one they keep
+	// running correct protocol code — a crash or partition victim is not
+	// Byzantine, merely unheard.
+	var faulty ident.Set
+	switch {
+	case cfg.FaultyOverride != nil:
 		faulty = cfg.FaultyOverride.Clone()
-	} else if cfg.Adversary != nil {
+	case cfg.Adversary != nil:
 		// Corruption draws from a stream seeded with Seed; each faulty
 		// processor's strategy then draws from its own (Seed, id) stream.
 		faulty = cfg.Adversary.Corrupt(cfg.N, cfg.T, cfg.Transmitter, mrand.New(mrand.NewSource(cfg.Seed)))
+		if cfg.Faults != nil {
+			faulty = faulty.Union(cfg.Faults.Affected(cfg.N))
+		}
+	case cfg.Faults != nil:
+		faulty = cfg.Faults.Affected(cfg.N)
+	default:
+		faulty = make(ident.Set)
 	}
+	var env *adversary.Env
 	// Refuse what the engine would, before a node is built or an event emitted.
 	phases := cfg.Protocol.Phases(cfg.N, cfg.T)
 	if err := (sim.Config{N: cfg.N, T: cfg.T, Transmitter: cfg.Transmitter, Phases: phases, Faulty: faulty, Faults: cfg.Faults}).Validate(); err != nil {

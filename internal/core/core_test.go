@@ -28,7 +28,8 @@ func TestRunRejectsBadConfig(t *testing.T) {
 
 // TestDecisionErrors pins the shared judge: the error kinds, that the
 // processor an error names is the lowest-id offender however the map
-// iterates or is keyed, that ErrValidity still carries the common value,
+// iterates or is keyed — a later undecided processor never displaces an
+// earlier disagreement — that ErrValidity still carries the common value,
 // and that the dense keying both substrates produce is judged without
 // allocating.
 func TestDecisionErrors(t *testing.T) {
@@ -53,7 +54,9 @@ func TestDecisionErrors(t *testing.T) {
 		{"agree", dec(1, 1, 1, 1), nil, nil, "", 1},
 		{"faulty outputs ignored", dec(1, 0, -1, 1), ident.NewSet(1, 2), nil, "", 1},
 		{"lowest undecided is named", dec(1, 1, -1, 1, -1, -1), nil, core.ErrNoDecision, "p2", 0},
-		{"disagreement", dec(1, 1, 0), nil, core.ErrDisagreement, "v=0 vs v=1", 0},
+		{"disagreement", dec(1, 1, 0), nil, core.ErrDisagreement, "p2 decided v=0, others v=1", 0},
+		{"disagreement before an undecided", dec(1, 0, -1), nil, core.ErrDisagreement, "p1 decided v=0, others v=1", 0},
+		{"all undecided", dec(-1, -1), nil, core.ErrNoDecision, "p0", 0},
 		{"validity keeps the common value", dec(5, 5, 5), nil, core.ErrValidity, "decided v=5", 5},
 		{"faulty transmitter waives validity", dec(1, 0, 0), ident.NewSet(0), nil, "", 0},
 		{"nobody correct", dec(1), ident.NewSet(0), core.ErrNoDecision, "no correct", 0},

@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"byzex/internal/adversary"
 	"byzex/internal/cli"
 	"byzex/internal/core"
 	"byzex/internal/ident"
@@ -238,27 +237,27 @@ func faultFree(ctx context.Context, cells []cell, seed int64) ([]metrics.Report,
 // run (condition (i) always; condition (ii) when the transmitter is
 // correct).
 func worstCase(ctx context.Context, c cell, seed int64) (counts, error) {
-	n, t := c.p.N, c.p.T
-	type scenario struct {
-		name  string
-		value ident.Value
-		adv   adversary.Adversary
+	scenarios := []struct {
+		name, adv string // adv is a cli.Adversary name
+		value     ident.Value
+	}{
+		{"honest-0", "none", ident.V0},
+		{"honest-1", "none", ident.V1},
+		{"split-brain", "split-brain", ident.V1},
+		{"silent", "silent", ident.V1},
+		{"crash", "crash", ident.V1},
 	}
-	scenarios := []scenario{
-		{"honest-0", ident.V0, nil},
-		{"honest-1", ident.V1, nil},
-	}
-	if t >= 1 {
-		scenarios = append(scenarios,
-			scenario{"split-brain", ident.V1, adversary.SplitBrain{LowValue: ident.V0, HighValue: ident.V1, SplitAt: ident.ProcID(n / 2)}},
-			scenario{"silent", ident.V1, adversary.Silent{}},
-			scenario{"crash", ident.V1, adversary.Crash{CrashAfter: 2}},
-		)
+	if c.p.T < 1 {
+		scenarios = scenarios[:2]
 	}
 	var w counts
 	for _, sc := range scenarios {
 		cfg := c.config(sc.value, seed)
-		cfg.Adversary = sc.adv
+		adv, err := cli.Adversary(sc.adv, c.p)
+		if err != nil {
+			return counts{}, err
+		}
+		cfg.Adversary = adv
 		res, err := core.Run(ctx, cfg)
 		if err == nil {
 			_, err = res.Decision(0, sc.value)

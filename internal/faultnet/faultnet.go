@@ -34,9 +34,10 @@ import (
 
 // ErrOverBudget reports a plan whose affected-sender set exceeds the fault
 // bound t — agreement is no longer guaranteed, and a run refuses typed
-// rather than risk a divergent decision: before the first phase where
-// validation sees it (a crash victim outside the faulty set is
-// sim.ErrCrashNotFaulty on both substrates), else over TCP with
+// rather than risk a divergent decision: core.Runner.Setup counts the
+// affected set as faulty, so it is refused before the first phase
+// (sim.ErrTooManyFaulty on both substrates); under an explicit faulty set
+// that misses a victim, with sim.ErrCrashNotFaulty, or over TCP with
 // transport.ErrStalled once a receiver's information gap exceeds t.
 var ErrOverBudget = errors.New("faultnet: fault plan exceeds the fault budget")
 

@@ -29,7 +29,6 @@ import (
 	"byzex/internal/protocols/alg1"
 	"byzex/internal/sig"
 	"byzex/internal/sim"
-	"byzex/internal/wire"
 )
 
 // Message tags.
@@ -123,28 +122,6 @@ func (p Protocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
 	return &memberNode{cfg: cfg, l: l, setIdx: setIdx, memberIdx: memberIdx}, nil
 }
 
-// encodeTagged marshals a tagged SignedValue payload.
-func encodeTagged(tag byte, sv sig.SignedValue) []byte {
-	w := wire.NewWriter(1 + sv.EncodedLen())
-	w.Byte(tag)
-	sv.Encode(w)
-	return w.Bytes()
-}
-
-// decodeTagged parses a tagged SignedValue payload, its chain carved from
-// links; ok is false on any mismatch.
-func decodeTagged(links *sig.Slab, payload []byte, wantTag byte) (sig.SignedValue, bool) {
-	if len(payload) == 0 || payload[0] != wantTag {
-		return sig.SignedValue{}, false
-	}
-	r := wire.NewReader(payload[1:])
-	sv := sig.DecodeSignedValue(r, links)
-	if r.Finish() != nil {
-		return sig.SignedValue{}, false
-	}
-	return sv, true
-}
-
 // ---------------------------------------------------------------------------
 // Active node
 
@@ -173,7 +150,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		// Commit the Algorithm 1 outcome and inform every root.
 		a.committed, a.hasCommitted = a.inner.Committed(), true
 		sv := sig.NewSignedValue(a.cfg.Signer, a.committed)
-		payload := encodeTagged(tagActiveValue, sv)
+		payload := sig.EncodeTagged(tagActiveValue, sv)
 		for k := 0; k < a.l.sets(); k++ {
 			root, _ := a.l.set(k)
 			if err := protocol.Send(ctx, root, payload, sv.Chain); err != nil {
@@ -189,7 +166,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			if !okLoc || memberIdx != 0 {
 				continue
 			}
-			sv, ok := decodeTagged(&a.links, env.Payload, tagReport)
+			sv, ok := sig.DecodeTagged(&a.links, env.Payload, tagReport)
 			if !ok {
 				continue
 			}
@@ -198,7 +175,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			}
 		}
 		sv := sig.NewSignedValue(a.cfg.Signer, a.committed)
-		payload := encodeTagged(tagActiveValue, sv)
+		payload := sig.EncodeTagged(tagActiveValue, sv)
 		for setIdx := 0; setIdx < a.l.sets(); setIdx++ {
 			root, size := a.l.set(setIdx)
 			covered := make(ident.Set)
@@ -260,7 +237,7 @@ func (r *rootNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			if int(env.From) >= 2*t+1 {
 				continue
 			}
-			sv, ok := decodeTagged(&r.links, env.Payload, tagActiveValue)
+			sv, ok := sig.DecodeTagged(&r.links, env.Payload, tagActiveValue)
 			if !ok || len(sv.Chain) != 1 || sv.Chain[0].Signer != env.From {
 				continue
 			}
@@ -287,7 +264,7 @@ func (r *rootNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 				if env.From != expect {
 					continue
 				}
-				sv, ok := decodeTagged(&r.links, env.Payload, tagChainUp)
+				sv, ok := sig.DecodeTagged(&r.links, env.Payload, tagChainUp)
 				if !ok || sv.Value != r.m.Value || len(sv.Chain) != len(r.m.Chain)+1 {
 					continue
 				}
@@ -314,14 +291,14 @@ func (r *rootNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			// j = 2..s maps to member(j-1).
 			j := (phase - t) / 2
 			if target, ok := r.member(j - 1); j >= 2 && ok {
-				payload := encodeTagged(tagChainDown, r.m)
+				payload := sig.EncodeTagged(tagChainDown, r.m)
 				if err := protocol.Send(ctx, target, payload, r.m.Chain); err != nil {
 					return err
 				}
 				r.pending = j - 1
 			}
 		case phase == t+2*s+2:
-			payload := encodeTagged(tagReport, r.m)
+			payload := sig.EncodeTagged(tagReport, r.m)
 			if err := protocol.SendToAll(ctx, r.l.actives, payload, r.m.Chain); err != nil {
 				return err
 			}
@@ -372,7 +349,7 @@ func (mn *memberNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			if env.From != mn.root() {
 				continue
 			}
-			if sv, ok := decodeTagged(&mn.links, env.Payload, tagChainDown); ok {
+			if sv, ok := sig.DecodeTagged(&mn.links, env.Payload, tagChainDown); ok {
 				got = append(got, sv)
 			}
 		}
@@ -382,7 +359,7 @@ func (mn *memberNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			sv := got[0]
 			mn.fromRoot, mn.haveRoot = sv.Value, true
 			signed := sv.CoSign(mn.cfg.Signer)
-			payload := encodeTagged(tagChainUp, signed)
+			payload := sig.EncodeTagged(tagChainUp, signed)
 			if err := protocol.Send(ctx, mn.root(), payload, signed.Chain); err != nil {
 				return err
 			}
@@ -397,7 +374,7 @@ func (mn *memberNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			if int(env.From) >= 2*t+1 {
 				continue
 			}
-			sv, ok := decodeTagged(&mn.links, env.Payload, tagActiveValue)
+			sv, ok := sig.DecodeTagged(&mn.links, env.Payload, tagActiveValue)
 			if !ok || len(sv.Chain) != 1 || sv.Chain[0].Signer != env.From {
 				continue
 			}

@@ -116,7 +116,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			if a.ly.mode == modeFanout {
 				targets = a.ly.passives()
 			}
-			payload := encodeSV(tagFanout, a.valid)
+			payload := sig.EncodeTagged(tagFanout, a.valid)
 			if err := protocol.SendToAll(ctx, targets, payload, a.valid.Chain); err != nil {
 				return err
 			}
@@ -169,7 +169,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		}
 		if x == 0 {
 			// Block 0: send the valid message directly to everybody left.
-			payload := encodeSV(tagFanout, a.valid)
+			payload := sig.EncodeTagged(tagFanout, a.valid)
 			for i, in := range a.b {
 				if !in {
 					continue
@@ -212,7 +212,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		copy(a.pendingF, a.b)
 		for _, env := range inbox {
 			mark := a.links.Mark()
-			if sv, ok := decodeSV(&a.links, env.Payload, tagReport); ok && a.ly.isValid(sv, a.cfg.Verifier) {
+			if sv, ok := sig.DecodeTagged(&a.links, env.Payload, tagReport); ok && a.ly.isValid(sv, a.cfg.Verifier) {
 				for _, l := range sv.Chain {
 					if !a.ly.isActive(l.Signer) {
 						a.pendingF[int(l.Signer)-a.ly.alpha] = false

@@ -180,28 +180,6 @@ const (
 	tagReport   byte = 0x55 // root -> active final chain
 )
 
-// encodeSV marshals a tagged SignedValue payload.
-func encodeSV(tag byte, sv sig.SignedValue) []byte {
-	w := wire.NewWriter(1 + sv.EncodedLen())
-	w.Byte(tag)
-	sv.Encode(w)
-	return w.Bytes()
-}
-
-// decodeSV parses a tagged SignedValue payload, its chain carved from links.
-// A caller that does not keep the result rewinds links to where it was.
-func decodeSV(links *sig.Slab, payload []byte, wantTag byte) (sig.SignedValue, bool) {
-	if len(payload) == 0 || payload[0] != wantTag {
-		return sig.SignedValue{}, false
-	}
-	r := wire.NewReader(payload[1:])
-	sv := sig.DecodeSignedValue(r, links)
-	if r.Finish() != nil {
-		return sig.SignedValue{}, false
-	}
-	return sv, true
-}
-
 // encodeActivate marshals an activation payload: valid message plus
 // proof-of-work strings.
 func encodeActivate(sv sig.SignedValue, strings []sig.SignedBytes) []byte {
@@ -268,7 +246,7 @@ func extractValid(links *sig.Slab, payload []byte) (sig.SignedValue, bool) {
 	}
 	switch payload[0] {
 	case tagFanout, tagDown, tagUp, tagReport:
-		return decodeSV(links, payload, payload[0])
+		return sig.DecodeTagged(links, payload, payload[0])
 	case tagActivate:
 		sv, _, ok := decodeActivate(links, payload)
 		return sv, ok

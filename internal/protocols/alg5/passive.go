@@ -134,7 +134,7 @@ func (p *passiveNode) stepRoot(ctx *sim.Context, inbox []sim.Envelope, x, rel in
 				continue
 			}
 			mark := p.links.Mark()
-			sv, ok := decodeSV(&p.links, env.Payload, tagUp)
+			sv, ok := sig.DecodeTagged(&p.links, env.Payload, tagUp)
 			if ok && sv.Value == p.m.Value && len(sv.Chain) == len(p.m.Chain)+1 &&
 				sv.Chain[len(sv.Chain)-1].Signer == expect &&
 				sv.Chain.Verify(p.cfg.Verifier, sig.ValueBody(sv.Value)) == nil {
@@ -148,12 +148,12 @@ func (p *passiveNode) stepRoot(ctx *sim.Context, inbox []sim.Envelope, x, rel in
 	switch {
 	case rel == 2*l-1:
 		// Report the accumulated chain to every active processor.
-		payload := encodeSV(tagReport, p.m)
+		payload := sig.EncodeTagged(tagReport, p.m)
 		return protocol.SendToAll(ctx, p.ly.actives, payload, p.m.Chain)
 	default:
 		// rel = 2j+1 with j+1 ≤ len(queue): contact member j+1.
 		if j := (rel-1)/2 + 1; j-1 < len(p.queue) {
-			payload := encodeSV(tagDown, p.m)
+			payload := sig.EncodeTagged(tagDown, p.m)
 			return protocol.Send(ctx, p.queue[j-1], payload, p.m.Chain)
 		}
 	}
@@ -182,7 +182,7 @@ func (p *passiveNode) stepMember(ctx *sim.Context, inbox []sim.Envelope, x, rel 
 		if env.From != rootID {
 			continue
 		}
-		if sv, ok := decodeSV(&p.links, env.Payload, tagDown); ok {
+		if sv, ok := sig.DecodeTagged(&p.links, env.Payload, tagDown); ok {
 			got = append(got, sv)
 		}
 	}
@@ -195,7 +195,7 @@ func (p *passiveNode) stepMember(ctx *sim.Context, inbox []sim.Envelope, x, rel 
 	if !p.hasValid {
 		p.valid, p.hasValid = got[0], true
 	}
-	payload := encodeSV(tagUp, signed)
+	payload := sig.EncodeTagged(tagUp, signed)
 	return protocol.Send(ctx, rootID, payload, signed.Chain)
 }
 

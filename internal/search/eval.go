@@ -2,13 +2,14 @@ package search
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	mrand "math/rand"
 
 	"byzex/internal/cli"
 	"byzex/internal/core"
 	"byzex/internal/faultnet"
 	"byzex/internal/ident"
+	"byzex/internal/sim"
 	"byzex/internal/trace"
 )
 
@@ -60,11 +61,10 @@ func ParseObjective(s string) (Objective, error) {
 type Eval struct {
 	// Cand is the evaluated candidate.
 	Cand Candidate
-	// Faulty is the combined corrupted set: the strategy's Corrupt choice
-	// united with the fault plan's affected processors.
-	Faulty ident.Set
 	// Skipped marks candidates that were never run, with SkipReason one of
-	// "over-budget" (|Faulty| > t) or "bad-spec" (plan failed to compile).
+	// "over-budget" (core.Runner.Setup refused the faulty set — the
+	// strategy's Corrupt choice united with the plan's affected processors —
+	// as beyond t) or "bad-spec" (plan failed to compile).
 	Skipped    bool
 	SkipReason string
 	// Feasible marks candidates whose cost counts (see above). CostH and
@@ -94,13 +94,6 @@ func (ev *evaluator) evaluate(ctx context.Context, cand Candidate) (Eval, error)
 	out := Eval{Cand: cand}
 
 	adv := cand.adversaryFor(cfg.N, cfg.T, ev.transmitter)
-	faulty := make(ident.Set)
-	if adv != nil {
-		// Replicate NewSetup's corruption draw so the budget check sees the
-		// same set the run will use.
-		rng := mrand.New(mrand.NewSource(cand.Seed))
-		faulty = adv.Corrupt(cfg.N, cfg.T, ev.transmitter, rng)
-	}
 	var plan *faultnet.Plan
 	if len(cand.Spec.Rules) > 0 {
 		var err error
@@ -109,38 +102,31 @@ func (ev *evaluator) evaluate(ctx context.Context, cand Candidate) (Eval, error)
 			out.Skipped, out.SkipReason = true, "bad-spec"
 			return out, nil
 		}
-		faulty = faulty.Union(plan.Affected(cfg.N))
-	}
-	out.Faulty = faulty
-	if faulty.Len() > cfg.T {
-		out.Skipped, out.SkipReason = true, "over-budget"
-		return out, nil
-	}
-	var override ident.Set
-	if faulty.Len() > 0 || adv != nil {
-		override = faulty
 	}
 
 	feasible := true
 	for _, v := range []ident.Value{ident.V0, ident.V1} {
 		res, err := core.Run(ctx, core.Config{
-			Protocol:       cfg.Protocol,
-			N:              cfg.N,
-			T:              cfg.T,
-			Transmitter:    ev.transmitter,
-			Value:          v,
-			Scheme:         cfg.Scheme,
-			Adversary:      adv,
-			FaultyOverride: override,
-			Seed:           cand.Seed,
-			Rushing:        cand.Rushing,
-			Faults:         plan,
-			Trace:          trace.Nop{},
+			Protocol:    cfg.Protocol,
+			N:           cfg.N,
+			T:           cfg.T,
+			Transmitter: ev.transmitter,
+			Value:       v,
+			Scheme:      cfg.Scheme,
+			Adversary:   adv,
+			Seed:        cand.Seed,
+			Rushing:     cand.Rushing,
+			Faults:      plan,
+			Trace:       trace.Nop{},
 		})
+		if errors.Is(err, sim.ErrTooManyFaulty) {
+			out.Skipped, out.SkipReason = true, "over-budget"
+			return out, nil
+		}
 		if err != nil {
 			return out, fmt.Errorf("search: candidate %s value %v: %w", cand.Key(), v, err)
 		}
-		decided, verr := res.Decision(ev.transmitter, v)
+		_, verr := res.Decision(ev.transmitter, v)
 		if verr = cfg.Class.Verdict(verr); verr != nil {
 			if out.Violation == nil {
 				out.Violation = verr
@@ -161,7 +147,7 @@ func (ev *evaluator) evaluate(ctx context.Context, cand Candidate) (Eval, error)
 		// protocols condition (ii) delivers that exactly when the
 		// transmitter is correct; exchange protocols decide a constant, so
 		// the value requirement is waived.
-		if cfg.Class != cli.ClassExchange && (res.Faulty.Has(ev.transmitter) || (verr == nil && decided != v)) {
+		if cfg.Class != cli.ClassExchange && res.Faulty.Has(ev.transmitter) {
 			feasible = false
 		}
 	}

@@ -66,10 +66,11 @@ type Config struct {
 	// Trace receives search-progress events (search-eval, search-best,
 	// search-violation); nil discards them.
 	Trace trace.Sink
-	// MaxViolations caps the violating evaluations retained in the result
-	// (the count is always exact). Defaults to 8.
-	MaxViolations int
 }
+
+// maxViolations caps the violating evaluations a Result retains (the count
+// is always exact).
+const maxViolations = 8
 
 // BestPoint is one step of the improvement trajectory: after EvalIndex
 // evaluations the incumbent cost was Cost.
@@ -92,7 +93,7 @@ type Result struct {
 	Evals   int
 	Skipped int
 	// Violations counts candidates that broke the agreement promise;
-	// ViolationSamples retains up to MaxViolations of them in evaluation
+	// ViolationSamples retains up to maxViolations of them in evaluation
 	// order.
 	Violations       int
 	ViolationSamples []Eval
@@ -126,9 +127,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	if cfg.Budget <= 0 {
 		cfg.Budget = 200
-	}
-	if cfg.MaxViolations <= 0 {
-		cfg.MaxViolations = 8
 	}
 	if cfg.Scheme == nil {
 		cfg.Scheme = sig.NewHMAC(cfg.N, cfg.Seed^0x5ee_d516)
@@ -219,7 +217,7 @@ func (o *optimizer) observe(e Eval) {
 	o.sink.Emit(trace.Event{Kind: trace.KindSearchEval, Signers: idx, Sigs: cost, Flag: e.Feasible})
 	if e.Violation != nil {
 		o.res.Violations++
-		if len(o.res.ViolationSamples) < o.cfg.MaxViolations {
+		if len(o.res.ViolationSamples) < maxViolations {
 			o.res.ViolationSamples = append(o.res.ViolationSamples, e)
 		}
 		o.sink.Emit(trace.Event{Kind: trace.KindSearchViolation, Signers: idx})

@@ -391,18 +391,19 @@ func TestBatchingRequiresMultiValuedProtocol(t *testing.T) {
 }
 
 // TestNewRefusesWhatEveryInstanceWould: a template whose fault plan crashes a
-// processor the adversary does not corrupt is refused at construction, with
-// the engine's own error, instead of failing every instance it serves. An
-// in-budget crash plan on a batching template still starts.
+// processor beside the adversary's full coalition has a faulty set beyond t,
+// and is refused at construction, with the engine's own error, instead of
+// failing every instance it serves. An in-budget crash plan on a batching
+// template still starts.
 func TestNewRefusesWhatEveryInstanceWould(t *testing.T) {
 	crash := faultnet.MustCompile(faultnet.Spec{Rules: []faultnet.Rule{{Kind: faultnet.KCrash, Proc: 1, AtPhase: 2}}}, 1)
 	tmpl := template(1)
-	tmpl.Adversary, tmpl.Faults = adversary.SplitBrain{}, crash
-	if _, err := service.New(context.Background(), service.Config{Template: tmpl}); !errors.Is(err, sim.ErrCrashNotFaulty) {
-		t.Fatalf("got %v, want sim.ErrCrashNotFaulty", err)
+	tmpl.Adversary, tmpl.Faults = adversary.Silent{}, crash
+	if _, err := service.New(context.Background(), service.Config{Template: tmpl}); !errors.Is(err, sim.ErrTooManyFaulty) {
+		t.Fatalf("got %v, want sim.ErrTooManyFaulty", err)
 	}
 	tmpl = multiTemplate(1)
-	tmpl.Faults, tmpl.FaultyOverride = crash, ident.NewSet(1)
+	tmpl.Faults = crash
 	svc, err := service.New(context.Background(), service.Config{Template: tmpl, BatchSize: 4})
 	if err != nil {
 		t.Fatalf("in-budget crash plan refused: %v", err)

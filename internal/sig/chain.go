@@ -286,6 +286,30 @@ func DecodeSignedValue(r *wire.Reader, s *Slab) SignedValue {
 	return SignedValue{Value: v, Chain: c}
 }
 
+// EncodeTagged returns the payload tag followed by the encoding of sv — the
+// message shape of Algorithms 3 and 5.
+func EncodeTagged(tag byte, sv SignedValue) []byte {
+	w := wire.NewWriter(1 + sv.EncodedLen())
+	w.Byte(tag)
+	sv.Encode(w)
+	return w.Bytes()
+}
+
+// DecodeTagged parses an EncodeTagged payload, its chain carved from s; ok
+// is false on any mismatch, wantTag included. A caller that does not keep
+// the result rewinds s to where it was.
+func DecodeTagged(s *Slab, payload []byte, wantTag byte) (sv SignedValue, ok bool) {
+	if len(payload) == 0 || payload[0] != wantTag {
+		return SignedValue{}, false
+	}
+	r := wire.NewReader(payload[1:])
+	sv = DecodeSignedValue(r, s)
+	if r.Finish() != nil {
+		return SignedValue{}, false
+	}
+	return sv, true
+}
+
 // Marshal returns the standalone canonical encoding of sv.
 func (sv SignedValue) Marshal() []byte {
 	w := wire.NewWriter(sv.EncodedLen())

@@ -70,8 +70,6 @@ type Scheme interface {
 	N() int
 	// Signer returns the signing handle for id: the same one on every call.
 	Signer(id ident.ProcID) (Signer, error)
-	// SigLen returns the byte length of signatures (0 if variable).
-	SigLen() int
 }
 
 // ---------------------------------------------------------------------------
@@ -106,9 +104,6 @@ func (s *HMACScheme) Name() string { return "hmac" }
 
 // N implements Scheme.
 func (s *HMACScheme) N() int { return len(s.signers) }
-
-// SigLen implements Scheme.
-func (s *HMACScheme) SigLen() int { return sha256.Size }
 
 // Signer implements Scheme.
 func (s *HMACScheme) Signer(id ident.ProcID) (Signer, error) {
@@ -193,9 +188,6 @@ func (s *Ed25519Scheme) Name() string { return "ed25519" }
 // N implements Scheme.
 func (s *Ed25519Scheme) N() int { return len(s.pub) }
 
-// SigLen implements Scheme.
-func (s *Ed25519Scheme) SigLen() int { return ed25519.SignatureSize }
-
 // Signer implements Scheme.
 func (s *Ed25519Scheme) Signer(id ident.ProcID) (Signer, error) {
 	if int(id) < 0 || int(id) >= len(s.signers) {
@@ -254,9 +246,6 @@ func (s *PlainScheme) Name() string { return "plain" }
 
 // N implements Scheme.
 func (s *PlainScheme) N() int { return len(s.signers) }
-
-// SigLen implements Scheme.
-func (s *PlainScheme) SigLen() int { return 4 }
 
 // Signer implements Scheme.
 func (s *PlainScheme) Signer(id ident.ProcID) (Signer, error) {

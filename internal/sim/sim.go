@@ -40,6 +40,10 @@ var (
 	// outside the faulty set: it never decides, so judging it correct would
 	// report a violation the plan caused.
 	ErrCrashNotFaulty = errors.New("sim: fault plan crashes a processor outside the faulty set")
+	// ErrTooManyFaulty refuses a run whose faulty set exceeds the fault
+	// bound t; its text completes the count, "sim: 3 faulty processors
+	// exceed t=2".
+	ErrTooManyFaulty = errors.New("faulty processors exceed t")
 )
 
 // Envelope is one message in flight. Payload is the protocol-level encoding;
@@ -297,7 +301,7 @@ func (c Config) Validate() error {
 	case int(c.Transmitter) < 0 || int(c.Transmitter) >= c.N:
 		return fmt.Errorf("sim: transmitter %v out of range [0,%d)", c.Transmitter, c.N)
 	case c.Faulty.Len() > c.T:
-		return fmt.Errorf("sim: %d faulty processors exceed t=%d", c.Faulty.Len(), c.T)
+		return fmt.Errorf("sim: %d %w=%d", c.Faulty.Len(), ErrTooManyFaulty, c.T)
 	}
 	for id := range c.Faulty {
 		if int(id) < 0 || int(id) >= c.N {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -252,8 +253,49 @@ func TestOverBudgetFaultsFailTyped(t *testing.T) {
 
 	t.Run("faulty set beyond t", func(t *testing.T) {
 		cfg := base
-		cfg.Faults = mustPlan(t, "drop=*->*@*", 1)
-		cfg.FaultyOverride = cfg.Faults.Affected(cfg.N) // all five, as the CLI resolves it
-		refused(t, cfg, nil)
+		cfg.Faults = mustPlan(t, "drop=*->*@*", 1) // Setup counts all five faulty
+		refused(t, cfg, sim.ErrTooManyFaulty)
 	})
+
+	// silent corrupts p5 and p6; the plan tampers with p1's traffic as well.
+	t.Run("adversary and plan beyond t", func(t *testing.T) {
+		cfg, _, err := cli.Template{
+			Protocol: "lsp", N: 7, T: 2, Scheme: "plain", Adversary: "silent",
+			Faults: "drop=1->2@2;dup=1->3@1;reorder=1->*@*", Seed: 1,
+		}.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused(t, cfg, sim.ErrTooManyFaulty)
+	})
+}
+
+// TestAdversaryAndPlanShareTheBudget: a template naming both an adversary
+// and a fault plan runs with the adversary's draw united with the plan's
+// affected processors as its faulty set — split-brain's transmitter p0 and
+// the crashed p1, which fit t=2 — and agrees on both substrates.
+func TestAdversaryAndPlanShareTheBudget(t *testing.T) {
+	cfg, _, err := cli.Template{
+		Protocol: "alg1", N: 5, T: 2, Scheme: "hmac", Adversary: "split-brain", Faults: "crash=1@2", Seed: 1,
+	}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Value = ident.V1
+	mem, err := core.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp, _ := runTCP(t, cfg, 0)
+	_, memErr := mem.Decision(0, ident.V1)
+	_, tcpErr := tcp.Decision(0, ident.V1)
+	for _, r := range []struct {
+		name   string
+		faulty ident.Set
+		err    error
+	}{{"memory", mem.Faulty, memErr}, {"tcp", tcp.Faulty, tcpErr}} {
+		if got := r.faulty.Sorted(); r.err != nil || !slices.Equal(got, []ident.ProcID{0, 1}) {
+			t.Errorf("%s: faulty %v, judge %v; want [p0 p1] and agreement", r.name, got, r.err)
+		}
+	}
 }

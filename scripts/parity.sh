@@ -12,10 +12,13 @@
 # fault plan, crash=1@2 and the delivery-fault plan
 # drop=1->2@2;dup=1->3@1;reorder=1->*@* (every rule names sender 1, so the
 # plan stays in budget and the fault-* events are traced), plus baexp's text
-# and CSV tables. Each basim run's stdout, stderr and exit status, its -trace
-# JSONL and its -metrics JSON must be byte-identical between the trees
-# (elapsed: lines aside; runs use relative paths). Prints "k/k identical" and exits 0, or
-# prints the first command that differs and exits 1.
+# and CSV tables, baattack's search atlas and its four scripted attacks
+# (audit, replay, omission, starve) at t=3 against alg1, alg2, alg3, alg5,
+# dolev-strong, lsp, phase-king and both strawmen. Each command's stdout,
+# stderr and exit status, and a basim run's -trace JSONL and -metrics JSON,
+# must be byte-identical between the trees (elapsed: lines aside; runs use
+# relative paths). Prints "k/k identical" and exits 0, or prints every
+# command that differs, then "d/k differ", and exits 1.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -39,7 +42,7 @@ for side in a b; do
 	tree="$parent"
 	[ "$side" = b ] && tree="$root"
 	mkdir -p "$work/$side/bin" "$work/$side/run"
-	(cd "$tree" && go build -o "$work/$side/bin/" ./cmd/basim ./cmd/baexp)
+	(cd "$tree" && go build -o "$work/$side/bin/" ./cmd/basim ./cmd/baexp ./cmd/baattack)
 done
 
 # rows: "name n t scheme" per registry row, parsed from this checkout's table.
@@ -53,6 +56,7 @@ fi
 
 # check <tool> <args...>: run the command in both trees and compare.
 k=0
+d=0
 check() {
 	local tool="$1"
 	shift
@@ -68,7 +72,8 @@ check() {
 		if [ -e "$work/a/run/$f" ] || [ -e "$work/b/run/$f" ]; then
 			if ! cmp -s "$work/a/run/$f" "$work/b/run/$f"; then
 				echo "differs ($f): $tool $(printf '%q ' "$@")"
-				exit 1
+				d=$((d + 1))
+				return
 			fi
 		fi
 	done
@@ -86,5 +91,15 @@ while read -r name n t scheme; do
 done <<<"$rows"
 check baexp
 check baexp -format csv
+check baattack -search -protocol all -objective both -budget 48 -seed 1
+for name in alg1 alg2 alg3 alg5 dolev-strong lsp phase-king strawman-broadcast strawman-thinrelay; do
+	for attack in audit replay omission starve; do
+		check baattack -attack "$attack" -protocol "$name" -t 3
+	done
+done
 
+if [ "$d" -gt 0 ]; then
+	echo "$d/$k differ"
+	exit 1
+fi
 echo "$k/$k identical"
