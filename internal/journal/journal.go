@@ -121,8 +121,10 @@ func ParseFsync(s string) (time.Duration, error) {
 // Stats is a snapshot of the writer's counters, exported on /metrics by
 // obs.JournalCollector.
 type Stats struct {
-	// Records / Checkpoints count appended records by kind; Bytes is the
-	// total framed bytes written (headers included).
+	// Records / Checkpoints count the records written to the segment files
+	// by kind; Bytes is the total framed bytes written (headers included).
+	// Under group commit an admission counts once the flusher has written it
+	// out, so Records never runs ahead of what a crash would leave on disk.
 	Records     uint64
 	Checkpoints uint64
 	Bytes       uint64
@@ -191,6 +193,7 @@ type Writer struct {
 	seg     uint64 // current segment index
 	segSize int64  // bytes written to the current segment
 	pending []byte // buffered frames awaiting flush (group commit)
+	admits  uint64 // admission records among the pending frames
 	enc     *wire.Writer
 	stats   Stats
 	err     error // sticky: first write/sync failure poisons the writer
@@ -323,7 +326,7 @@ func (w *Writer) Admit(inst service.Instance) error {
 	if cur, ok := w.segMax[w.seg]; !ok || inst.ID > cur {
 		w.segMax[w.seg] = inst.ID
 	}
-	w.stats.Records++
+	w.admits++
 	w.sinceCkpt++
 	if w.opts.Fsync == 0 {
 		return w.flushLocked(true)
@@ -440,6 +443,8 @@ func (w *Writer) flushLocked(sync bool) error {
 			return err
 		}
 		w.pending = w.pending[:0]
+		w.stats.Records += w.admits
+		w.admits = 0
 	}
 	if sync {
 		if err := w.f.Sync(); err != nil {

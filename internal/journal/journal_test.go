@@ -243,6 +243,35 @@ func TestJournalGroupCommitFlushes(t *testing.T) {
 	}
 }
 
+// TestJournalRecordsCountWhatIsWritten: under group commit Stats.Records
+// counts an admission once it is in the segment file, never while it only
+// sits in the buffer — a caller that waits for Records to copy the directory
+// (a simulated crash) must find every counted admission on disk.
+func TestJournalRecordsCountWhatIsWritten(t *testing.T) {
+	dir := t.TempDir()
+	tmpl := template(7)
+	w, _, err := journal.Open(dir, journal.Options{Template: tmpl, Fsync: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(0); id < 10; id++ {
+		admit(t, w, tmpl, id, []ident.Value{1})
+	}
+	rec, err := journal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Stats().Records; got != uint64(len(rec.Pending)) {
+		t.Fatalf("Records = %d before the flush, %d admissions on disk", got, len(rec.Pending))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err = journal.Recover(dir); err != nil || len(rec.Pending) != 10 || w.Stats().Records != 10 {
+		t.Fatalf("after Close: Records = %d, %d on disk, err %v", w.Stats().Records, len(rec.Pending), err)
+	}
+}
+
 // TestJournalServiceEndToEnd drives the full loop: a journaled service
 // serves traffic and drains (checkpoint, nothing pending), then a simulated
 // crash (journal with admissions but no checkpoint) recovers through a new

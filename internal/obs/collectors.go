@@ -91,7 +91,7 @@ func (c *ServiceCollector) Collect(w *Writer) {
 // The journal families. All monotone except the live segment count.
 var (
 	dJournalRecords = NewDesc("byzex_journal_records_total", "counter",
-		"Admission records appended to the write-ahead journal.")
+		"Admission records written to the write-ahead journal.")
 	dJournalCheckpoints = NewDesc("byzex_journal_checkpoints_total", "counter",
 		"Checkpoint records appended to the journal.")
 	dJournalBytes = NewDesc("byzex_journal_bytes_total", "counter",
