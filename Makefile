@@ -34,8 +34,10 @@
 #                      (scripts/parity.sh): basim over every registry row ×
 #                      all eight adversaries × both transports × three fault
 #                      plans (none, a crash, delivery faults), baexp text
-#                      and CSV, and baattack's atlas and scripted attacks,
-#                      compared byte for byte
+#                      and CSV, baattack's atlas and scripted attacks, and
+#                      baload -selfhost -verify over every served row ×
+#                      memory, tcp and tcp with a 2 ms link delay, compared
+#                      byte for byte
 #   make loc         - non-test Go lines outside bench/, per package and in
 #                      total (the number CHANGES.md and the ROADMAP's
 #                      subtraction target are stated in), the _test.go
@@ -122,7 +124,7 @@ ab:
 	bash scripts/ab.sh $(REV) $(WORKLOAD) $(PAIRS)
 
 # The parity check every behaviour-preserving change states in CHANGES.md:
-# traces, metrics and stdout of a fixed basim/baexp/baattack matrix, this
+# traces, metrics and stdout of a fixed basim/baexp/baattack/baload matrix, this
 # checkout against REV, byte for byte. Prints k/k identical, or every command
 # that differs and d/k differ (exit 1).
 parity:

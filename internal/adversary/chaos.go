@@ -106,7 +106,7 @@ func (c *chaosNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			if to == ctx.ID() {
 				continue
 			}
-			payload := c.forgedPayload()
+			payload := c.forgedPayload(ctx.Slab())
 			_ = ctx.Send(to, payload, nil, 0)
 		}
 		return nil
@@ -115,8 +115,9 @@ func (c *chaosNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 
 // forgedPayload builds junk that sometimes embeds a genuine signature by a
 // colluding faulty processor over a random value — stressing validators
-// that might trust a single signature too much.
-func (c *chaosNode) forgedPayload() []byte {
+// that might trust a single signature too much. A signed payload is carved
+// from slab.
+func (c *chaosNode) forgedPayload(slab *sig.Slab) []byte {
 	if c.rng.Intn(2) == 0 || len(c.st.Signers) == 0 {
 		buf := make([]byte, 1+c.rng.Intn(48))
 		_, _ = c.rng.Read(buf)
@@ -135,8 +136,7 @@ func (c *chaosNode) forgedPayload() []byte {
 		}
 	}
 	signer := c.st.Signers[ident.ProcID(min)]
-	sv := sig.NewSignedValue(signer, ident.Value(c.rng.Int63n(4)))
-	return sv.Marshal()
+	return slab.Marshal(slab.SignValue(signer, ident.Value(c.rng.Int63n(4))))
 }
 
 func (c *chaosNode) Decide() (ident.Value, bool) { return 0, false }

@@ -8,22 +8,31 @@ import (
 	"byzex/internal/core"
 	"byzex/internal/ident"
 	"byzex/internal/protocols/alg1"
+	"byzex/internal/protocols/alg2"
+	"byzex/internal/protocols/alg3"
 	"byzex/internal/protocols/alg4"
 	"byzex/internal/protocols/alg5"
+	"byzex/internal/sig"
 )
 
 // TestRunAllocationBudgets pins what a whole in-memory run allocates, set-up
 // included, a little above what the code reaches: the engine carries a phase
-// in blocks it keeps, signer lists and decoded chains are carved from slabs,
-// the scheme mints its signers once, and a payload is encoded once per
-// distinct message at its exact size — Algorithm 5's activations of one block
-// share it across every root with the same proof of work — so a run's
-// allocations follow its phases, nodes and distinct messages, not its
-// recipients. A change that allocates per recipient again shows here at once:
-// before the arena the alg5 n=256, alg4 and alg1 runs made 20,039, 28,287 and
-// 104 allocations; with per-root activations, per-run signers and map-backed
-// passive sets they made 8,108, 2,013 and 75 (alg5 n=1024: 25,184); now they
-// make 4,704, 1,880 and 64 (alg5 n=1024: 12,156).
+// in blocks it keeps, every part of a message — chain links, signature bytes,
+// payload encodings, signer lists — is carved from the slab the engine hands
+// its nodes, the scheme mints its signers once, and a payload is encoded once
+// per distinct message — Algorithm 5's activations of one block share it
+// across every root with the same proof of work — so a run's allocations
+// follow its phases, nodes and slab blocks, not its messages or recipients. A
+// change that allocates per message or per recipient again shows here at
+// once: before the arena the alg5 n=256, alg4 and alg1 runs made 20,039,
+// 28,287 and 104 allocations; with per-root activations, per-run signers and
+// map-backed passive sets they made 8,108, 2,013 and 75 (alg5 n=1024:
+// 25,184); with signer lists and decoded chains carved they made 4,704, 1,880
+// and 64 (alg5 n=1024: 12,156; a warm alg1 instance 41, alg2 t=16 3,445,
+// alg3 s=32 3,284); with whole messages carved from one slab per stepping
+// goroutine they make 2,395, 1,010 and 44 (alg5 n=1024: 5,045; warm alg1 18,
+// alg2 t=16 343, alg3 s=32 1,147). The warm row is a served instance: one
+// core.Runner and one scheme across instances, as a shard runs them.
 func TestRunAllocationBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
@@ -31,15 +40,23 @@ func TestRunAllocationBudgets(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  core.Config
+		warm bool // one core.Runner runs every instance, as a served shard does
 		max  float64
 	}{
-		{"alg5 n=256 t=3", core.Config{Protocol: alg5.Protocol{S: 3}, N: 256, T: 3, Value: ident.V1, Seed: 1}, 4950},
-		{"alg5 n=1024 t=3", core.Config{Protocol: alg5.Protocol{S: 3}, N: 1024, T: 3, Value: ident.V1, Seed: 1}, 12800},
-		{"alg4 m=8", core.Config{Protocol: alg4.Protocol{}, N: 64, T: 4, Adversary: adversary.Silent{}, Seed: 1}, 1975},
-		{"alg1 n=5 t=2", core.Config{Protocol: alg1.Protocol{}, N: 5, T: 2, Value: ident.V1, Seed: 1}, 68},
+		{"alg5 n=256 t=3", core.Config{Protocol: alg5.Protocol{S: 3}, N: 256, T: 3, Value: ident.V1, Seed: 1}, false, 2500},
+		{"alg5 n=1024 t=3", core.Config{Protocol: alg5.Protocol{S: 3}, N: 1024, T: 3, Value: ident.V1, Seed: 1}, false, 5300},
+		{"alg4 m=8", core.Config{Protocol: alg4.Protocol{}, N: 64, T: 4, Adversary: adversary.Silent{}, Seed: 1}, false, 1060},
+		{"alg1 n=5 t=2", core.Config{Protocol: alg1.Protocol{}, N: 5, T: 2, Value: ident.V1, Seed: 1}, false, 47},
+		{"alg1 n=5 t=2 warm", core.Config{Protocol: alg1.Protocol{}, N: 5, T: 2, Value: ident.V1, Scheme: sig.NewHMAC(5, 1), Seed: 1}, true, 20},
+		{"alg2 t=16", core.Config{Protocol: alg2.Protocol{}, N: 33, T: 16, Value: ident.V1, Seed: 1}, false, 360},
+		{"alg3 s=32", core.Config{Protocol: alg3.Protocol{S: 32}, N: 256, T: 4, Value: ident.V1, Seed: 1}, false, 1200},
 	} {
+		run := core.Run
+		if tc.warm {
+			run = new(core.Runner).Run
+		}
 		n := testing.AllocsPerRun(5, func() {
-			if _, err := core.Run(context.Background(), tc.cfg); err != nil {
+			if _, err := run(context.Background(), tc.cfg); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -11,6 +11,7 @@ package ident
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 )
 
 // ProcID identifies a processor in the system. IDs are dense and start at 0.
@@ -119,11 +120,39 @@ func (s Set) Intersect(other Set) Set {
 }
 
 // Range enumerates ids [0, n) as a slice. It is a convenience for building
-// "all processors" sets and deterministic iteration orders.
+// "all processors" sets and deterministic iteration orders. The result is a
+// view of one table every caller shares, so it allocates nothing once the
+// table is n long: callers must not write to it (appending is safe — its
+// capacity ends at n, so an append copies).
 func Range(n int) []ProcID {
-	out := make([]ProcID, n)
-	for i := range out {
-		out[i] = ProcID(i)
+	if tbl := rangeTable.Load(); tbl != nil && len(*tbl) >= n {
+		return (*tbl)[:n:n]
 	}
-	return out
+	return growRange(n)
+}
+
+// rangeTable is 0, 1, 2, … as far as any Range has asked. It only grows, and
+// by replacement, so a view handed out earlier is never written: concurrent
+// callers (mesh peers, shards) share it without a lock.
+var rangeTable atomic.Pointer[[]ProcID]
+
+// growRange replaces the table with one at least n long, doubling it.
+func growRange(n int) []ProcID {
+	for {
+		old := rangeTable.Load()
+		size := max(n, 64)
+		if old != nil {
+			if len(*old) >= n {
+				return (*old)[:n:n]
+			}
+			size = max(n, 2*len(*old))
+		}
+		tbl := make([]ProcID, size)
+		for i := range tbl {
+			tbl[i] = ProcID(i)
+		}
+		if rangeTable.CompareAndSwap(old, &tbl) {
+			return tbl[:n:n]
+		}
+	}
 }

@@ -141,3 +141,26 @@ func TestQuickDiffIntersectPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRangeSharesOneTable pins that Range is a view of one shared table: a
+// second call allocates nothing, growing the table leaves earlier views as
+// they were, and appending to a view cannot reach another caller's.
+func TestRangeSharesOneTable(t *testing.T) {
+	small := ident.Range(5)
+	if allocs := testing.AllocsPerRun(10, func() { _ = ident.Range(5) }); allocs != 0 {
+		t.Errorf("a second Range(5) made %v allocations", allocs)
+	}
+	grown := ident.Range(5000)
+	for i, id := range grown {
+		if id != ident.ProcID(i) {
+			t.Fatalf("Range(5000)[%d] = %v", i, id)
+		}
+	}
+	mine := append(ident.Range(3), 99)
+	if other := ident.Range(4); other[3] != 3 || mine[3] != 99 {
+		t.Errorf("append to a view reached the table: %v, %v", other, mine)
+	}
+	if len(small) != 5 || cap(small) != 5 || small[4] != 4 {
+		t.Errorf("an earlier view changed: %v (cap %d)", small, cap(small))
+	}
+}

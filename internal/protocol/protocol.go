@@ -188,19 +188,19 @@ func SendToAll(ctx *sim.Context, to []ident.ProcID, payload []byte, chains ...si
 }
 
 // summarize returns the distinct signers of the chains in ascending order
-// and the total number of links. The list is built in ctx's scratch and kept
-// in its signer storage, so under the in-memory engine it is no allocation of
-// its own.
+// and the total number of links. The list is collected in the scratch of
+// ctx's slab and carved from it, so it is no allocation of its own.
 func summarize(ctx *sim.Context, chains []sig.Chain) ([]ident.ProcID, int) {
 	total := 0
 	for _, c := range chains {
 		total += len(c)
 	}
-	signers := ctx.SignerScratch(total)
+	slab := ctx.Slab()
+	signers := slab.SignerScratch(total)
 	for _, c := range chains {
 		for _, l := range c {
 			signers = append(signers, l.Signer)
 		}
 	}
-	return ctx.InternSigners(signers), total
+	return slab.InternSigners(signers), total
 }

@@ -105,9 +105,10 @@ func (c *Core) otherSide() []ident.ProcID {
 
 // isCorrectMessage validates a payload received at relative phase k (i.e.
 // sent during phase k) against the "correct message" predicate for this
-// receiver. Under the binary rule only a correct 1-message passes.
-func (c *Core) isCorrectMessage(payload []byte, from ident.ProcID, k int) (sig.SignedValue, bool) {
-	sv, err := sig.UnmarshalSignedValue(payload)
+// receiver, its chain carved from slab. Under the binary rule only a correct
+// 1-message passes.
+func (c *Core) isCorrectMessage(slab *sig.Slab, payload []byte, from ident.ProcID, k int) (sig.SignedValue, bool) {
+	sv, err := slab.Unmarshal(payload)
 	if err != nil || (!c.multi && sv.Value != ident.V1) || len(sv.Chain) != k {
 		return sig.SignedValue{}, false
 	}
@@ -172,12 +173,12 @@ func (c *Core) keep(sv sig.SignedValue) {
 // accordingly). Messages are sent through ctx at the current engine phase,
 // which embedders must keep aligned with the relative phase.
 func (c *Core) Step(ctx *sim.Context, inbox []sim.Envelope, phase int) error {
+	slab := ctx.Slab()
 	if c.me == 0 {
 		// Transmitter: sign and send the value to everybody at phase 1.
 		if phase == 1 {
-			sv := sig.NewSignedValue(c.signer, c.value)
-			payload := sv.Marshal()
-			if err := protocol.SendToAll(ctx, c.group.Members()[1:], payload, sv.Chain); err != nil {
+			sv := slab.SignValue(c.signer, c.value)
+			if err := protocol.SendToAll(ctx, c.group.Members()[1:], slab.Marshal(sv), sv.Chain); err != nil {
 				return err
 			}
 		}
@@ -186,14 +187,18 @@ func (c *Core) Step(ctx *sim.Context, inbox []sim.Envelope, phase int) error {
 
 	// Scan the inbox (messages sent during phase-1) for correct messages.
 	// The binary rule stops once it holds its one value; the multi-valued
-	// rule verifies every envelope, even with both slots full.
+	// rule verifies every envelope, even with both slots full. A rejected
+	// message's links are handed back.
 	if phase > 1 {
 		for _, env := range inbox {
 			if !c.multi && c.nkept == 1 {
 				break
 			}
-			if sv, ok := c.isCorrectMessage(env.Payload, env.From, phase-1); ok {
+			mark := slab.Mark()
+			if sv, ok := c.isCorrectMessage(slab, env.Payload, env.From, phase-1); ok {
 				c.keep(sv)
+			} else {
+				slab.Rewind(mark)
 			}
 		}
 	}
@@ -201,8 +206,8 @@ func (c *Core) Step(ctx *sim.Context, inbox []sim.Envelope, phase int) error {
 	// Relay each kept message once: sign it and send it to the other side,
 	// within the sending window (phases 2..t+2).
 	for ; c.relayed < c.nkept && phase >= 2 && phase <= c.t+2; c.relayed++ {
-		signed := c.kept[c.relayed].CoSign(c.signer)
-		if err := protocol.SendToAll(ctx, c.otherSide(), signed.Marshal(), signed.Chain); err != nil {
+		signed := slab.CoSign(c.signer, c.kept[c.relayed])
+		if err := protocol.SendToAll(ctx, c.otherSide(), slab.Marshal(signed), signed.Chain); err != nil {
 			return err
 		}
 	}

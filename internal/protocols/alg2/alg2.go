@@ -74,14 +74,15 @@ func (c *Core) commit() {
 }
 
 // classify inspects an inbound payload during the increasing-message
-// rounds, updating the best increasing message and the best proof.
-func (c *Core) classify(payload []byte) {
-	sv, err := sig.UnmarshalSignedValue(payload)
+// rounds, its chain carved from slab, updating the best increasing message
+// and the best proof; it reports whether it kept the message as either.
+func (c *Core) classify(slab *sig.Slab, payload []byte) bool {
+	sv, err := slab.Unmarshal(payload)
 	if err != nil || sv.Value != c.committed || len(sv.Chain) == 0 {
-		return
+		return false
 	}
 	if !sv.Chain.Distinct() {
-		return
+		return false
 	}
 	// All signers must be group members.
 	increasing := true
@@ -90,7 +91,7 @@ func (c *Core) classify(payload []byte) {
 	for _, l := range sv.Chain {
 		idx, ok := c.group.Index(l.Signer)
 		if !ok {
-			return
+			return false
 		}
 		if idx != c.me {
 			others++
@@ -101,14 +102,16 @@ func (c *Core) classify(payload []byte) {
 		prev = idx
 	}
 	if sv.Verify(c.verifier) != nil {
-		return
+		return false
 	}
+	kept := false
 	if increasing && (!c.hasBest || len(sv.Chain) > len(c.best.Chain)) {
-		c.best, c.hasBest = sv, true
+		c.best, c.hasBest, kept = sv, true, true
 	}
 	if others >= c.t && (!c.hasProof || len(sv.Chain) > len(c.proof.Chain)) {
-		c.proof, c.hasProof = sv, true
+		c.proof, c.hasProof, kept = sv, true, true
 	}
+	return kept
 }
 
 // Step advances the state machine at the given relative phase (1-based).
@@ -123,8 +126,11 @@ func (c *Core) Step(ctx *sim.Context, inbox []sim.Envelope, phase int) error {
 	}
 	c.commit()
 
+	slab := ctx.Slab()
 	for _, env := range inbox {
-		c.classify(env.Payload)
+		if mark := slab.Mark(); !c.classify(slab, env.Payload) {
+			slab.Rewind(mark)
+		}
 	}
 
 	// Phase t+2+j, with j = label = index+1: our turn to sign and forward.
@@ -135,7 +141,7 @@ func (c *Core) Step(ctx *sim.Context, inbox []sim.Envelope, phase int) error {
 			m = c.best
 		}
 		wide := len(m.Chain) >= c.t
-		signed := m.CoSign(c.signer)
+		signed := slab.CoSign(c.signer, m)
 		c.classifyOwn(signed)
 
 		var targets []ident.ProcID
@@ -147,7 +153,7 @@ func (c *Core) Step(ctx *sim.Context, inbox []sim.Envelope, phase int) error {
 				targets = append(targets, c.group.Members()[i])
 			}
 		}
-		if err := protocol.SendToAll(ctx, targets, signed.Marshal(), signed.Chain); err != nil {
+		if err := protocol.SendToAll(ctx, targets, slab.Marshal(signed), signed.Chain); err != nil {
 			return err
 		}
 	}

@@ -43,7 +43,7 @@ func TestClassifyIncreasing(t *testing.T) {
 
 	// Increasing for index 5: signers 0 < 2 < 4, all < 5.
 	inc := chainOver(t, scheme, ident.V1, 0, 2, 4)
-	c.classify(inc.Marshal())
+	c.classify(new(sig.Slab), inc.Marshal())
 	if !c.hasBest || len(c.best.Chain) != 3 {
 		t.Fatal("increasing message not adopted")
 	}
@@ -51,7 +51,7 @@ func TestClassifyIncreasing(t *testing.T) {
 	// Non-increasing order: rejected as m-candidate.
 	c2 := newTestCore(t, tt, 5, ident.V1, scheme)
 	c2.committed, c2.hasCommitted = ident.V1, true
-	c2.classify(chainOver(t, scheme, ident.V1, 2, 0).Marshal())
+	c2.classify(new(sig.Slab), chainOver(t, scheme, ident.V1, 2, 0).Marshal())
 	if c2.hasBest {
 		t.Fatal("non-increasing chain adopted")
 	}
@@ -59,7 +59,7 @@ func TestClassifyIncreasing(t *testing.T) {
 	// Signer ≥ my index: rejected.
 	c3 := newTestCore(t, tt, 5, ident.V1, scheme)
 	c3.committed, c3.hasCommitted = ident.V1, true
-	c3.classify(chainOver(t, scheme, ident.V1, 0, 6).Marshal())
+	c3.classify(new(sig.Slab), chainOver(t, scheme, ident.V1, 0, 6).Marshal())
 	if c3.hasBest {
 		t.Fatal("high-label signer accepted")
 	}
@@ -67,7 +67,7 @@ func TestClassifyIncreasing(t *testing.T) {
 	// Wrong value: rejected entirely.
 	c4 := newTestCore(t, tt, 5, ident.V1, scheme)
 	c4.committed, c4.hasCommitted = ident.V1, true
-	c4.classify(chainOver(t, scheme, ident.V0, 0, 2).Marshal())
+	c4.classify(new(sig.Slab), chainOver(t, scheme, ident.V0, 0, 2).Marshal())
 	if c4.hasBest || c4.hasProof {
 		t.Fatal("wrong-value chain accepted")
 	}
@@ -82,7 +82,7 @@ func TestClassifyProofGrade(t *testing.T) {
 	// t other-signers suffice for proof grade, even when not increasing
 	// for us (labels above ours).
 	proof := chainOver(t, scheme, ident.V1, 3, 4)
-	c.classify(proof.Marshal())
+	c.classify(new(sig.Slab), proof.Marshal())
 	if !c.hasProof {
 		t.Fatal("proof-grade message not held")
 	}
@@ -94,7 +94,7 @@ func TestClassifyProofGrade(t *testing.T) {
 	c2 := newTestCore(t, tt, 1, ident.V1, scheme)
 	c2.committed, c2.hasCommitted = ident.V1, true
 	own := chainOver(t, scheme, ident.V1, 1, 3) // one other + self
-	c2.classify(own.Marshal())
+	c2.classify(new(sig.Slab), own.Marshal())
 	if c2.hasProof {
 		t.Fatal("own signature counted toward proof threshold")
 	}
@@ -106,9 +106,9 @@ func TestClassifyBestPrefersLongerChains(t *testing.T) {
 	c := newTestCore(t, tt, 6, ident.V1, scheme)
 	c.committed, c.hasCommitted = ident.V1, true
 
-	c.classify(chainOver(t, scheme, ident.V1, 0).Marshal())
-	c.classify(chainOver(t, scheme, ident.V1, 1, 2, 3).Marshal())
-	c.classify(chainOver(t, scheme, ident.V1, 4, 5).Marshal())
+	c.classify(new(sig.Slab), chainOver(t, scheme, ident.V1, 0).Marshal())
+	c.classify(new(sig.Slab), chainOver(t, scheme, ident.V1, 1, 2, 3).Marshal())
+	c.classify(new(sig.Slab), chainOver(t, scheme, ident.V1, 4, 5).Marshal())
 	if len(c.best.Chain) != 3 {
 		t.Fatalf("best chain %d links, want 3", len(c.best.Chain))
 	}
@@ -129,7 +129,7 @@ func TestClassifyRejectsOutsiderAndDuplicates(t *testing.T) {
 
 	sv := sig.SignedValue{Value: ident.V1}
 	sv = sv.CoSign(signerOut)
-	c.classify(sv.Marshal())
+	c.classify(new(sig.Slab), sv.Marshal())
 	if c.hasBest || c.hasProof {
 		t.Fatal("outsider signature accepted")
 	}
@@ -137,7 +137,7 @@ func TestClassifyRejectsOutsiderAndDuplicates(t *testing.T) {
 	s0, _ := wide.Signer(0)
 	dup := sig.SignedValue{Value: ident.V1}
 	dup = dup.CoSign(s0).CoSign(s0)
-	c.classify(dup.Marshal())
+	c.classify(new(sig.Slab), dup.Marshal())
 	if c.hasBest {
 		t.Fatal("duplicate-signer chain accepted")
 	}

@@ -129,7 +129,6 @@ type activeNode struct {
 	cfg   protocol.NodeConfig
 	l     layout
 	inner *alg1.Core
-	links sig.Slab // what decoded chains are carved from
 
 	committed    ident.Value
 	hasCommitted bool
@@ -140,6 +139,7 @@ var _ sim.Node = (*activeNode)(nil)
 func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	t := a.cfg.T
 	phase := ctx.Phase()
+	slab := ctx.Slab()
 	if phase <= t+3 {
 		if err := a.inner.Step(ctx, inbox, phase); err != nil {
 			return err
@@ -149,8 +149,8 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	case phase == t+3:
 		// Commit the Algorithm 1 outcome and inform every root.
 		a.committed, a.hasCommitted = a.inner.Committed(), true
-		sv := sig.NewSignedValue(a.cfg.Signer, a.committed)
-		payload := sig.EncodeTagged(tagActiveValue, sv)
+		sv := slab.SignValue(a.cfg.Signer, a.committed)
+		payload := slab.EncodeTagged(tagActiveValue, sv)
 		for k := 0; k < a.l.sets(); k++ {
 			root, _ := a.l.set(k)
 			if err := protocol.Send(ctx, root, payload, sv.Chain); err != nil {
@@ -166,7 +166,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			if !okLoc || memberIdx != 0 {
 				continue
 			}
-			sv, ok := sig.DecodeTagged(&a.links, env.Payload, tagReport)
+			sv, ok := sig.DecodeTagged(slab, env.Payload, tagReport)
 			if !ok {
 				continue
 			}
@@ -174,8 +174,8 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 				reports[setIdx] = sv
 			}
 		}
-		sv := sig.NewSignedValue(a.cfg.Signer, a.committed)
-		payload := sig.EncodeTagged(tagActiveValue, sv)
+		sv := slab.SignValue(a.cfg.Signer, a.committed)
+		payload := slab.EncodeTagged(tagActiveValue, sv)
 		for setIdx := 0; setIdx < a.l.sets(); setIdx++ {
 			root, size := a.l.set(setIdx)
 			covered := make(ident.Set)
@@ -209,7 +209,6 @@ type rootNode struct {
 	cfg    protocol.NodeConfig
 	l      layout
 	setIdx int
-	links  sig.Slab // what decoded chains are carved from
 
 	m       sig.SignedValue // current m(j)
 	haveM   bool
@@ -228,16 +227,18 @@ func (r *rootNode) member(i int) (ident.ProcID, bool) {
 func (r *rootNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	t, s := r.cfg.T, r.l.s
 	phase := ctx.Phase()
+	slab := ctx.Slab()
 	switch {
 	case phase == t+4:
 		// Collect active values sent at t+3; adopt the value received from
 		// ≥ t+1 distinct active processors.
 		votes := make(map[ident.Value]ident.Set)
+		mark := slab.Mark() // a vote keeps no chain
 		for _, env := range inbox {
 			if int(env.From) >= 2*t+1 {
 				continue
 			}
-			sv, ok := sig.DecodeTagged(&r.links, env.Payload, tagActiveValue)
+			sv, ok := sig.DecodeTagged(slab, env.Payload, tagActiveValue)
 			if !ok || len(sv.Chain) != 1 || sv.Chain[0].Signer != env.From {
 				continue
 			}
@@ -249,6 +250,7 @@ func (r *rootNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			}
 			votes[sv.Value].Add(env.From)
 		}
+		slab.Rewind(mark)
 		for v, who := range votes {
 			if who.Len() >= t+1 {
 				r.m = sig.SignedValue{Value: v}
@@ -264,7 +266,7 @@ func (r *rootNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 				if env.From != expect {
 					continue
 				}
-				sv, ok := sig.DecodeTagged(&r.links, env.Payload, tagChainUp)
+				sv, ok := sig.DecodeTagged(slab, env.Payload, tagChainUp)
 				if !ok || sv.Value != r.m.Value || len(sv.Chain) != len(r.m.Chain)+1 {
 					continue
 				}
@@ -291,14 +293,14 @@ func (r *rootNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			// j = 2..s maps to member(j-1).
 			j := (phase - t) / 2
 			if target, ok := r.member(j - 1); j >= 2 && ok {
-				payload := sig.EncodeTagged(tagChainDown, r.m)
+				payload := slab.EncodeTagged(tagChainDown, r.m)
 				if err := protocol.Send(ctx, target, payload, r.m.Chain); err != nil {
 					return err
 				}
 				r.pending = j - 1
 			}
 		case phase == t+2*s+2:
-			payload := sig.EncodeTagged(tagReport, r.m)
+			payload := slab.EncodeTagged(tagReport, r.m)
 			if err := protocol.SendToAll(ctx, r.l.actives, payload, r.m.Chain); err != nil {
 				return err
 			}
@@ -321,8 +323,7 @@ type memberNode struct {
 	cfg       protocol.NodeConfig
 	l         layout
 	setIdx    int
-	memberIdx int      // 0-based position in the set; the paper's c(j) has j = memberIdx+1
-	links     sig.Slab // what decoded chains are carved from
+	memberIdx int // 0-based position in the set; the paper's c(j) has j = memberIdx+1
 
 	fromRoot    ident.Value
 	haveRoot    bool
@@ -338,6 +339,7 @@ func (mn *memberNode) root() ident.ProcID { root, _ := mn.l.set(mn.setIdx); retu
 func (mn *memberNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	t, s := mn.cfg.T, mn.l.s
 	phase := ctx.Phase()
+	slab := ctx.Slab()
 	j := mn.memberIdx + 1 // paper index: we are c(j)
 
 	// Designated chain-down phase for c(j) is t+2j; the reply goes out at
@@ -349,7 +351,7 @@ func (mn *memberNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			if env.From != mn.root() {
 				continue
 			}
-			if sv, ok := sig.DecodeTagged(&mn.links, env.Payload, tagChainDown); ok {
+			if sv, ok := sig.DecodeTagged(slab, env.Payload, tagChainDown); ok {
 				got = append(got, sv)
 			}
 		}
@@ -358,8 +360,8 @@ func (mn *memberNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		if len(got) == 1 && mn.validDown(got[0]) {
 			sv := got[0]
 			mn.fromRoot, mn.haveRoot = sv.Value, true
-			signed := sv.CoSign(mn.cfg.Signer)
-			payload := sig.EncodeTagged(tagChainUp, signed)
+			signed := slab.CoSign(mn.cfg.Signer, sv)
+			payload := slab.EncodeTagged(tagChainUp, signed)
 			if err := protocol.Send(ctx, mn.root(), payload, signed.Chain); err != nil {
 				return err
 			}
@@ -370,11 +372,12 @@ func (mn *memberNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	// arrive at the delivery-only step t+2s+4.
 	if phase == t+2*s+4 {
 		votes := make(map[ident.Value]ident.Set)
+		mark := slab.Mark() // a vote keeps no chain
 		for _, env := range inbox {
 			if int(env.From) >= 2*t+1 {
 				continue
 			}
-			sv, ok := sig.DecodeTagged(&mn.links, env.Payload, tagActiveValue)
+			sv, ok := sig.DecodeTagged(slab, env.Payload, tagActiveValue)
 			if !ok || len(sv.Chain) != 1 || sv.Chain[0].Signer != env.From {
 				continue
 			}
@@ -386,6 +389,7 @@ func (mn *memberNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			}
 			votes[sv.Value].Add(env.From)
 		}
+		slab.Rewind(mark)
 		for v, who := range votes {
 			if who.Len() >= t+1 {
 				mn.final, mn.haveFinal = v, true

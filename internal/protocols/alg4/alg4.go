@@ -47,16 +47,16 @@ type Group struct {
 	m1 []sig.SignedBytes
 	m2 []sig.SignedBytes
 
-	// links backs the chains of every entry decoded, and entries is the
-	// scratch one payload's entries are parsed into: a payload costs a block
-	// of links now and then, not an allocation per entry.
-	links   sig.Slab
+	// entries is the scratch one payload's entries are parsed into, their
+	// chains carved from the stepping context's slab: a payload costs a
+	// block of links now and then, not an allocation per entry.
 	entries []sig.SignedBytes
 }
 
 // NewGroup builds the exchange state for member me of the given group
 // (whose size must be a perfect square). value is the byte string this
-// member contributes.
+// member contributes; the group keeps it, and members, so the caller must not
+// write to either afterwards.
 func NewGroup(members []ident.ProcID, me ident.ProcID, value []byte, signer sig.Signer, verifier sig.Verifier) (*Group, error) {
 	g, err := newGrid(len(members))
 	if err != nil {
@@ -76,7 +76,7 @@ func NewGroup(members []ident.ProcID, me ident.ProcID, value []byte, signer sig.
 		me:        mi,
 		signer:    signer,
 		verifier:  verifier,
-		value:     append([]byte(nil), value...),
+		value:     value,
 		collected: make([]sig.SignedBytes, len(members)),
 		// What the three phases hold when everybody is correct: a row, a
 		// column of row reports, and one such report of reports.
@@ -115,9 +115,9 @@ func (gr *Group) acceptEntry(sb sig.SignedBytes) bool {
 
 // parse decodes a payload into its verified entries (none for foreign or
 // malformed payloads). The result is gr.entries, valid until the next call,
-// and every chain decoded on the way is carved from gr.links: a caller that
-// keeps nothing of a payload rewinds gr.links to where it was.
-func (gr *Group) parse(payload []byte) []sig.SignedBytes {
+// and every chain decoded on the way is carved from slab: a caller that keeps
+// nothing of a payload rewinds slab to where it was.
+func (gr *Group) parse(slab *sig.Slab, payload []byte) []sig.SignedBytes {
 	if len(payload) == 0 {
 		return nil
 	}
@@ -125,13 +125,13 @@ func (gr *Group) parse(payload []byte) []sig.SignedBytes {
 	out := gr.entries[:0]
 	switch payload[0] {
 	case tagValue:
-		if sb := sig.DecodeSignedBytes(r, &gr.links); r.Finish() == nil && gr.acceptEntry(sb) {
+		if sb := sig.DecodeSignedBytes(r, slab); r.Finish() == nil && gr.acceptEntry(sb) {
 			out = append(out, sb)
 		}
 	case tagList:
 		n := r.Len()
 		for i := 0; i < n && r.Err() == nil; i++ {
-			if sb := sig.DecodeSignedBytes(r, &gr.links); r.Err() == nil && gr.acceptEntry(sb) {
+			if sb := sig.DecodeSignedBytes(r, slab); r.Err() == nil && gr.acceptEntry(sb) {
 				out = append(out, sb)
 			}
 		}
@@ -143,16 +143,25 @@ func (gr *Group) parse(payload []byte) []sig.SignedBytes {
 	return out
 }
 
-func encodeList(entries []sig.SignedBytes) []byte {
+// encodeValue encodes one entry as a tagValue payload carved from slab.
+func encodeValue(slab *sig.Slab, sb sig.SignedBytes) []byte {
+	w := slab.Writer(1 + sb.EncodedLen())
+	w.Byte(tagValue)
+	sb.Encode(&w)
+	return w.Bytes()
+}
+
+// encodeList encodes entries as a tagList payload carved from slab.
+func encodeList(slab *sig.Slab, entries []sig.SignedBytes) []byte {
 	size := 1 + wire.UintLen(uint64(len(entries)))
 	for _, e := range entries {
 		size += e.EncodedLen()
 	}
-	w := wire.NewWriter(size)
+	w := slab.Writer(size)
 	w.Byte(tagList)
 	w.Uint(uint64(len(entries)))
 	for _, e := range entries {
-		e.Encode(w)
+		e.Encode(&w)
 	}
 	return w.Bytes()
 }
@@ -182,13 +191,14 @@ func (gr *Group) Step(ctx *sim.Context, inbox []sim.Envelope, rel int) error {
 	// Collect whatever this step delivered. A payload that adds nothing —
 	// at step 3 every row mate but the first repeats the same column reports
 	// — gives its chains' links back.
+	slab := ctx.Slab()
 	for _, env := range inbox {
 		idx, ok := gr.members.Index(env.From)
 		if !ok {
 			continue
 		}
-		mark := gr.links.Mark()
-		entries := gr.parse(env.Payload)
+		mark := slab.Mark()
+		entries := gr.parse(slab, env.Payload)
 		kept := false
 		switch rel {
 		case 1: // phase 1 receipts: a single value from a row mate
@@ -215,24 +225,21 @@ func (gr *Group) Step(ctx *sim.Context, inbox []sim.Envelope, rel int) error {
 			}
 		}
 		if !kept {
-			gr.links.Rewind(mark)
+			slab.Rewind(mark)
 		}
 	}
 
 	switch rel {
 	case 0:
-		own := sig.NewSignedBytes(gr.signer, gr.value)
+		own := slab.SignBytes(gr.signer, gr.value)
 		gr.record(own)
 		gr.m1 = append(gr.m1, own)
-		w := wire.NewWriter(1 + own.EncodedLen())
-		w.Byte(tagValue)
-		own.Encode(w)
-		return gr.sendTo(ctx, gr.g.rowMates(gr.me), w.Bytes(), own.Chain)
+		return gr.sendTo(ctx, gr.g.rowMates(gr.me), encodeValue(slab, own), own.Chain)
 	case 1:
-		payload := encodeList(gr.m1)
+		payload := encodeList(slab, gr.m1)
 		return gr.sendTo(ctx, gr.g.colMates(gr.me), payload, chainsOf(gr.m1)...)
 	case 2:
-		payload := encodeList(gr.m2)
+		payload := encodeList(slab, gr.m2)
 		return gr.sendTo(ctx, gr.g.rowMates(gr.me), payload, chainsOf(gr.m2)...)
 	}
 	return nil
@@ -306,7 +313,7 @@ func (Protocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
 // OwnValue is the standalone protocol's per-processor input: the canonical
 // encoding of the processor's identity.
 func OwnValue(id ident.ProcID) []byte {
-	w := wire.NewWriter(8)
+	w := wire.WriterOn(make([]byte, 0, wire.IntLen(int64(id))))
 	w.Proc(id)
 	return w.Bytes()
 }

@@ -166,7 +166,7 @@ func (c *capture) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
 
 // TestTCPPeersDecodeIntoTheirOwnSlabs runs the exchange over the TCP mesh,
 // where every peer is a goroutine decoding the chains it receives into its
-// node's slab while the others do the same. Under -race (make check runs this
+// processor's slab while the others do the same. Under -race (make check runs this
 // package with it) any link storage two peers shared would be a reported
 // race; the pointer check says the same without the detector: no link of one
 // node's collected chains is a link of another's.

@@ -59,8 +59,7 @@ type relayNode struct {
 	cfg       protocol.NodeConfig
 	collected map[ident.ProcID]sig.SignedBytes
 	// m1 buffers phase 1 receipts for the relay's phase 2 fan-out.
-	m1    []sig.SignedBytes
-	links sig.Slab // what decoded chains are carved from
+	m1 []sig.SignedBytes
 }
 
 var _ sim.Node = (*relayNode)(nil)
@@ -88,17 +87,15 @@ func (r *relayNode) record(sb sig.SignedBytes) {
 }
 
 func (r *relayNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
+	slab := ctx.Slab()
 	switch ctx.Phase() {
 	case 1:
-		own := sig.NewSignedBytes(r.cfg.Signer, OwnValue(r.cfg.ID))
+		own := slab.SignBytes(r.cfg.Signer, OwnValue(r.cfg.ID))
 		r.record(own)
 		if r.isRelay(r.cfg.ID) {
 			r.m1 = append(r.m1, own)
 		}
-		w := wire.NewWriter(1 + own.EncodedLen())
-		w.Byte(tagValue)
-		own.Encode(w)
-		payload := w.Bytes()
+		payload := encodeValue(slab, own)
 		for i := 0; i <= r.cfg.T; i++ {
 			relay := ident.ProcID(i)
 			if relay == r.cfg.ID {
@@ -117,14 +114,14 @@ func (r *relayNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 				continue
 			}
 			rd := wire.NewReader(env.Payload[1:])
-			sb := sig.DecodeSignedBytes(rd, &r.links)
+			sb := sig.DecodeSignedBytes(rd, slab)
 			if rd.Finish() != nil || !r.accept(sb) || sb.Chain[0].Signer != env.From {
 				continue
 			}
 			r.m1 = append(r.m1, sb)
 			r.record(sb)
 		}
-		payload := encodeList(r.m1)
+		payload := encodeList(slab, r.m1)
 		chains := chainsOf(r.m1)
 		for i := r.cfg.T + 1; i < r.cfg.N; i++ {
 			if err := protocol.Send(ctx, ident.ProcID(i), payload, chains...); err != nil {
@@ -143,7 +140,7 @@ func (r *relayNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 				continue
 			}
 			for i := 0; i < cnt; i++ {
-				sb := sig.DecodeSignedBytes(rd, &r.links)
+				sb := sig.DecodeSignedBytes(rd, slab)
 				if rd.Err() != nil {
 					break
 				}

@@ -23,11 +23,6 @@ type activeNode struct {
 	valid    sig.SignedValue
 	hasValid bool
 
-	// links backs the chains this node decodes; whatever is decoded and not
-	// kept is handed back (sig.Slab.Rewind), so scanning a phase's reports
-	// reuses the same few links.
-	links sig.Slab
-
 	// b is B(p, x) for the current block and pendingF the F(p, x-1)
 	// contributed to the in-flight Algorithm 4, each marking passive id
 	// α+i at index i (modeFull only).
@@ -56,29 +51,30 @@ func newActiveNode(cfg protocol.NodeConfig, ly layout) (sim.Node, error) {
 
 // adoptScan adopts the first valid message found in the inbox (valid
 // messages are self-certifying).
-func (a *activeNode) adoptScan(inbox []sim.Envelope) {
+// Whatever it decodes and does not keep is handed back to the slab.
+func (a *activeNode) adoptScan(slab *sig.Slab, inbox []sim.Envelope) {
 	if a.hasValid {
 		return
 	}
 	for _, env := range inbox {
-		mark := a.links.Mark()
-		if sv, ok := extractValid(&a.links, env.Payload); ok && a.ly.isValid(sv, a.cfg.Verifier) {
+		mark := slab.Mark()
+		if sv, ok := extractValid(slab, env.Payload); ok && a.ly.isValid(sv, a.cfg.Verifier) {
 			a.valid, a.hasValid = sv, true
 			return
 		}
-		a.links.Rewind(mark)
+		slab.Rewind(mark)
 	}
 }
 
 // ownValid turns the Algorithm 2 proof into a valid message, co-signing it
 // if our own signature is needed to reach t+1 active signatures.
-func (a *activeNode) ownValid() {
+func (a *activeNode) ownValid(slab *sig.Slab) {
 	proof, ok := a.core.Proof()
 	if !ok {
 		return
 	}
 	if !a.ly.isValid(proof, a.cfg.Verifier) {
-		proof = proof.CoSign(a.cfg.Signer)
+		proof = slab.CoSign(a.cfg.Signer, proof)
 		if !a.ly.isValid(proof, a.cfg.Verifier) {
 			return
 		}
@@ -89,6 +85,7 @@ func (a *activeNode) ownValid() {
 func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	t := a.cfg.T
 	phase := ctx.Phase()
+	slab := ctx.Slab()
 
 	// Phases 1..3t+3 (+ final classification at 3t+4): Algorithm 2 among
 	// the core actives.
@@ -105,7 +102,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		if a.core == nil {
 			return nil
 		}
-		a.ownValid()
+		a.ownValid(slab)
 		if a.ly.mode == modeAlg2Only {
 			return nil
 		}
@@ -116,7 +113,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			if a.ly.mode == modeFanout {
 				targets = a.ly.passives()
 			}
-			payload := sig.EncodeTagged(tagFanout, a.valid)
+			payload := slab.EncodeTagged(tagFanout, a.valid)
 			if err := protocol.SendToAll(ctx, targets, payload, a.valid.Chain); err != nil {
 				return err
 			}
@@ -127,7 +124,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	if a.ly.mode != modeFull {
 		return nil
 	}
-	a.adoptScan(inbox)
+	a.adoptScan(slab, inbox)
 
 	x, rel, ok := a.ly.phaseToBlock(phase)
 	if !ok {
@@ -169,7 +166,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		}
 		if x == 0 {
 			// Block 0: send the valid message directly to everybody left.
-			payload := sig.EncodeTagged(tagFanout, a.valid)
+			payload := slab.EncodeTagged(tagFanout, a.valid)
 			for i, in := range a.b {
 				if !in {
 					continue
@@ -194,7 +191,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			}
 			strs := a.ly.powStringsFor(tbl, ref)
 			if payload == nil || !slices.EqualFunc(strs, prev, sameSigner) {
-				payload, prev = encodeActivate(a.valid, strs), strs
+				payload, prev = encodeActivate(slab, a.valid, strs), strs
 				chains = append(chains[:0], a.valid.Chain)
 				for _, s := range strs {
 					chains = append(chains, s.Chain)
@@ -211,15 +208,15 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		// next Algorithm 4 exchange with it.
 		copy(a.pendingF, a.b)
 		for _, env := range inbox {
-			mark := a.links.Mark()
-			if sv, ok := sig.DecodeTagged(&a.links, env.Payload, tagReport); ok && a.ly.isValid(sv, a.cfg.Verifier) {
+			mark := slab.Mark()
+			if sv, ok := sig.DecodeTagged(slab, env.Payload, tagReport); ok && a.ly.isValid(sv, a.cfg.Verifier) {
 				for _, l := range sv.Chain {
 					if !a.ly.isActive(l.Signer) {
 						a.pendingF[int(l.Signer)-a.ly.alpha] = false
 					}
 				}
 			}
-			a.links.Rewind(mark)
+			slab.Rewind(mark)
 		}
 		var f []ident.ProcID
 		for i, in := range a.pendingF {
@@ -229,7 +226,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 				f = append(f, a.ly.passive(i))
 			}
 		}
-		g4, err := alg4.NewGroup(a.ly.actives, a.cfg.ID, stringBody(x-1, f), a.cfg.Signer, a.cfg.Verifier)
+		g4, err := alg4.NewGroup(a.ly.actives, a.cfg.ID, stringBody(slab, x-1, f), a.cfg.Signer, a.cfg.Verifier)
 		if err != nil {
 			return err
 		}

@@ -180,19 +180,19 @@ const (
 	tagReport   byte = 0x55 // root -> active final chain
 )
 
-// encodeActivate marshals an activation payload: valid message plus
-// proof-of-work strings.
-func encodeActivate(sv sig.SignedValue, strings []sig.SignedBytes) []byte {
+// encodeActivate marshals an activation payload, carved from slab: valid
+// message plus proof-of-work strings.
+func encodeActivate(slab *sig.Slab, sv sig.SignedValue, strings []sig.SignedBytes) []byte {
 	size := 1 + sv.EncodedLen() + wire.UintLen(uint64(len(strings)))
 	for _, s := range strings {
 		size += s.EncodedLen()
 	}
-	w := wire.NewWriter(size)
+	w := slab.Writer(size)
 	w.Byte(tagActivate)
-	sv.Encode(w)
+	sv.Encode(&w)
 	w.Uint(uint64(len(strings)))
 	for _, s := range strings {
-		s.Encode(w)
+		s.Encode(&w)
 	}
 	return w.Bytes()
 }
@@ -218,9 +218,14 @@ func decodeActivate(links *sig.Slab, payload []byte) (sig.SignedValue, []sig.Sig
 	return sv, strs, true
 }
 
-// stringBody encodes the Algorithm 4 exchange value [index, procs].
-func stringBody(index int, procs []ident.ProcID) []byte {
-	w := wire.NewWriter(16 + len(procs)*4)
+// stringBody encodes the Algorithm 4 exchange value [index, procs], carved
+// from slab.
+func stringBody(slab *sig.Slab, index int, procs []ident.ProcID) []byte {
+	size := wire.UintLen(uint64(index)) + wire.UintLen(uint64(len(procs)))
+	for _, p := range procs {
+		size += wire.IntLen(int64(p))
+	}
+	w := slab.Writer(size)
 	w.Uint(uint64(index))
 	w.Procs(procs)
 	return w.Bytes()

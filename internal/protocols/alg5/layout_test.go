@@ -132,7 +132,7 @@ func TestPiTableAndPoW(t *testing.T) {
 
 	mkString := func(signer int, index int, procs ...ident.ProcID) sig.SignedBytes {
 		s, _ := scheme.Signer(ident.ProcID(signer))
-		return sig.NewSignedBytes(s, stringBody(index, procs))
+		return sig.NewSignedBytes(s, stringBody(new(sig.Slab), index, procs))
 	}
 
 	root := ly.forest.at(treeRef{tree: 0, pos: 0})
@@ -210,19 +210,19 @@ func TestPiTableRejectsBadStrings(t *testing.T) {
 	q := ly.passives()[0]
 
 	s0, _ := scheme.Signer(0)
-	good := sig.NewSignedBytes(s0, stringBody(1, []ident.ProcID{q}))
+	good := sig.NewSignedBytes(s0, stringBody(new(sig.Slab), 1, []ident.ProcID{q}))
 
 	// Wrong index.
-	wrongIdx := sig.NewSignedBytes(s0, stringBody(2, []ident.ProcID{q}))
+	wrongIdx := sig.NewSignedBytes(s0, stringBody(new(sig.Slab), 2, []ident.ProcID{q}))
 	// Passive signer.
 	sp, _ := scheme.Signer(q)
-	passiveSigned := sig.NewSignedBytes(sp, stringBody(1, []ident.ProcID{q}))
+	passiveSigned := sig.NewSignedBytes(sp, stringBody(new(sig.Slab), 1, []ident.ProcID{q}))
 	// Two links.
 	s1, _ := scheme.Signer(1)
 	twoLinks := good.CoSign(s1)
 	// Tampered body.
 	tampered := good
-	tampered.Body = stringBody(1, []ident.ProcID{q, q + 1})
+	tampered.Body = stringBody(new(sig.Slab), 1, []ident.ProcID{q, q + 1})
 
 	tbl := ly.buildPiTable([]sig.SignedBytes{good, wrongIdx, passiveSigned, twoLinks, tampered}, 1, scheme)
 	if tbl.pi(q) != 1 {
@@ -237,7 +237,7 @@ func TestPiTableRejectsBadStrings(t *testing.T) {
 
 func TestStringBodyRoundTrip(t *testing.T) {
 	procs := []ident.ProcID{3, 99, 7}
-	idx, got, err := parseStringBody(stringBody(5, procs))
+	idx, got, err := parseStringBody(stringBody(new(sig.Slab), 5, procs))
 	if err != nil || idx != 5 || len(got) != 3 || got[1] != 99 {
 		t.Fatalf("round trip: %d %v %v", idx, got, err)
 	}

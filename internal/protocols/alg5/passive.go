@@ -20,10 +20,6 @@ type passiveNode struct {
 	valid    sig.SignedValue
 	hasValid bool
 
-	// links backs the chains this node decodes; what it decodes and does not
-	// keep is handed back (sig.Slab.Rewind).
-	links sig.Slab
-
 	// Root role (block λ-level).
 	activated bool
 	m         sig.SignedValue
@@ -50,23 +46,24 @@ func newPassiveNode(cfg protocol.NodeConfig, ly layout) (sim.Node, error) {
 	return p, nil
 }
 
-// adoptScan adopts the first valid message in the inbox.
-func (p *passiveNode) adoptScan(inbox []sim.Envelope) {
+// adoptScan adopts the first valid message in the inbox; whatever it decodes
+// and does not keep is handed back to the slab.
+func (p *passiveNode) adoptScan(slab *sig.Slab, inbox []sim.Envelope) {
 	if p.hasValid {
 		return
 	}
 	for _, env := range inbox {
-		mark := p.links.Mark()
-		if sv, ok := extractValid(&p.links, env.Payload); ok && p.ly.isValid(sv, p.cfg.Verifier) {
+		mark := slab.Mark()
+		if sv, ok := extractValid(slab, env.Payload); ok && p.ly.isValid(sv, p.cfg.Verifier) {
 			p.valid, p.hasValid = sv, true
 			return
 		}
-		p.links.Rewind(mark)
+		slab.Rewind(mark)
 	}
 }
 
 func (p *passiveNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
-	p.adoptScan(inbox)
+	p.adoptScan(ctx.Slab(), inbox)
 	if p.ly.mode != modeFull {
 		return nil
 	}
@@ -91,6 +88,7 @@ func (p *passiveNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 // stepRoot drives the subtree walk once an activation arrives.
 func (p *passiveNode) stepRoot(ctx *sim.Context, inbox []sim.Envelope, x, rel int) error {
 	l := treeCap(x)
+	slab := ctx.Slab()
 
 	if rel == 1 {
 		// Activation check: a valid message plus a proof of work for our
@@ -99,16 +97,16 @@ func (p *passiveNode) stepRoot(ctx *sim.Context, inbox []sim.Envelope, x, rel in
 			if !p.ly.isActive(env.From) {
 				continue
 			}
-			mark := p.links.Mark()
-			sv, strs, ok := decodeActivate(&p.links, env.Payload)
+			mark := slab.Mark()
+			sv, strs, ok := decodeActivate(slab, env.Payload)
 			if !ok || !p.ly.isValid(sv, p.cfg.Verifier) {
-				p.links.Rewind(mark)
+				slab.Rewind(mark)
 				continue
 			}
 			if !p.ly.disablePoW {
 				tbl := p.ly.buildPiTable(strs, x, p.cfg.Verifier)
 				if !p.ly.hasProofOfWork(tbl, p.ref, x) {
-					p.links.Rewind(mark)
+					slab.Rewind(mark)
 					continue
 				}
 			}
@@ -133,27 +131,27 @@ func (p *passiveNode) stepRoot(ctx *sim.Context, inbox []sim.Envelope, x, rel in
 			if env.From != expect {
 				continue
 			}
-			mark := p.links.Mark()
-			sv, ok := sig.DecodeTagged(&p.links, env.Payload, tagUp)
+			mark := slab.Mark()
+			sv, ok := sig.DecodeTagged(slab, env.Payload, tagUp)
 			if ok && sv.Value == p.m.Value && len(sv.Chain) == len(p.m.Chain)+1 &&
 				sv.Chain[len(sv.Chain)-1].Signer == expect &&
 				sv.Chain.Verify(p.cfg.Verifier, sig.ValueBody(sv.Value)) == nil {
 				p.m = sv
 				break
 			}
-			p.links.Rewind(mark)
+			slab.Rewind(mark)
 		}
 	}
 
 	switch {
 	case rel == 2*l-1:
 		// Report the accumulated chain to every active processor.
-		payload := sig.EncodeTagged(tagReport, p.m)
+		payload := slab.EncodeTagged(tagReport, p.m)
 		return protocol.SendToAll(ctx, p.ly.actives, payload, p.m.Chain)
 	default:
 		// rel = 2j+1 with j+1 ≤ len(queue): contact member j+1.
 		if j := (rel-1)/2 + 1; j-1 < len(p.queue) {
-			payload := sig.EncodeTagged(tagDown, p.m)
+			payload := slab.EncodeTagged(tagDown, p.m)
 			return protocol.Send(ctx, p.queue[j-1], payload, p.m.Chain)
 		}
 	}
@@ -176,26 +174,27 @@ func (p *passiveNode) stepMember(ctx *sim.Context, inbox []sim.Envelope, x, rel 
 	}
 
 	// "Exactly one valid message from the root of the depth-x subtree."
-	mark := p.links.Mark()
+	slab := ctx.Slab()
+	mark := slab.Mark()
 	var got []sig.SignedValue
 	for _, env := range inbox {
 		if env.From != rootID {
 			continue
 		}
-		if sv, ok := sig.DecodeTagged(&p.links, env.Payload, tagDown); ok {
+		if sv, ok := sig.DecodeTagged(slab, env.Payload, tagDown); ok {
 			got = append(got, sv)
 		}
 	}
 	if len(got) != 1 || !p.ly.isValid(got[0], p.cfg.Verifier) {
-		p.links.Rewind(mark)
+		slab.Rewind(mark)
 		return nil
 	}
 	p.signedIn |= 1 << uint(x)
-	signed := got[0].CoSign(p.cfg.Signer)
+	signed := slab.CoSign(p.cfg.Signer, got[0])
 	if !p.hasValid {
 		p.valid, p.hasValid = got[0], true
 	}
-	payload := sig.EncodeTagged(tagUp, signed)
+	payload := slab.EncodeTagged(tagUp, signed)
 	return protocol.Send(ctx, rootID, payload, signed.Chain)
 }
 

@@ -64,9 +64,10 @@ type node struct {
 var _ sim.Node = (*node)(nil)
 
 // accept validates a phase-(k-1) message: value plus a chain of exactly k-1
-// distinct signatures, the first by the transmitter, none by us.
-func (n *node) accept(payload []byte, k int) (sig.SignedValue, bool) {
-	sv, err := sig.UnmarshalSignedValue(payload)
+// distinct signatures, the first by the transmitter, none by us. Its chain is
+// carved from slab.
+func (n *node) accept(slab *sig.Slab, payload []byte, k int) (sig.SignedValue, bool) {
+	sv, err := slab.Unmarshal(payload)
 	if err != nil {
 		return sig.SignedValue{}, false
 	}
@@ -84,11 +85,12 @@ func (n *node) accept(payload []byte, k int) (sig.SignedValue, bool) {
 
 func (n *node) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	phase := ctx.Phase()
+	slab := ctx.Slab()
 
 	if n.cfg.IsTransmitter() {
 		if phase == 1 {
-			sv := sig.NewSignedValue(n.cfg.Signer, n.cfg.Value)
-			if err := protocol.Broadcast(ctx, sv.Marshal(), sv.Chain); err != nil {
+			sv := slab.SignValue(n.cfg.Signer, n.cfg.Value)
+			if err := protocol.Broadcast(ctx, slab.Marshal(sv), sv.Chain); err != nil {
 				return err
 			}
 			n.extracted[n.cfg.Value] = sv.Chain
@@ -96,19 +98,24 @@ func (n *node) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		return nil
 	}
 
-	// Extract new values from messages sent during the previous phase.
+	// Extract new values from messages sent during the previous phase; a
+	// message that extracts nothing hands its links back.
 	for _, env := range inbox {
-		sv, ok := n.accept(env.Payload, phase-1)
+		mark := slab.Mark()
+		sv, ok := n.accept(slab, env.Payload, phase-1)
 		if !ok {
+			slab.Rewind(mark)
 			continue
 		}
 		if _, seen := n.extracted[sv.Value]; seen {
+			slab.Rewind(mark)
 			continue
 		}
 		// Once two distinct values are extracted every correct processor's
 		// decision is already forced to the default; cap storage at two and
 		// relay at most two (the classical optimization).
 		if len(n.extracted) >= 2 {
+			slab.Rewind(mark)
 			continue
 		}
 		n.extracted[sv.Value] = sv.Chain
@@ -119,8 +126,8 @@ func (n *node) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	// sending window.
 	if phase <= ctx.T()+1 {
 		for _, sv := range n.relayQueue {
-			signed := sv.CoSign(n.cfg.Signer)
-			if err := protocol.Broadcast(ctx, signed.Marshal(), signed.Chain); err != nil {
+			signed := slab.CoSign(n.cfg.Signer, sv)
+			if err := protocol.Broadcast(ctx, slab.Marshal(signed), signed.Chain); err != nil {
 				return err
 			}
 		}

@@ -111,25 +111,33 @@ func globalID(local, k ident.ProcID, n int) ident.ProcID {
 }
 
 // instSigner signs under a per-instance domain tag and reports the local
-// identity to the base protocol.
+// identity to the base protocol. Like the node it belongs to, it is used by
+// one goroutine, so the tagged message is built in one reused buffer.
 type instSigner struct {
 	inner sig.Signer
 	local ident.ProcID
 	inst  int
+	buf   []byte
 }
 
 var _ sig.Signer = (*instSigner)(nil)
 
 func (s *instSigner) ID() ident.ProcID { return s.local }
 
-func (s *instSigner) Sign(msg []byte) []byte { return s.inner.Sign(domain(s.inst, msg)) }
+func (s *instSigner) Sign(msg []byte) []byte { return s.AppendSign(nil, msg) }
+
+func (s *instSigner) AppendSign(dst, msg []byte) []byte {
+	s.buf = domain(s.buf[:0], s.inst, msg)
+	return s.inner.AppendSign(dst, s.buf)
+}
 
 // instVerifier maps local signer identities back to global ones and checks
-// under the instance's domain tag.
+// under the instance's domain tag, in a reused buffer like instSigner's.
 type instVerifier struct {
 	inner sig.Verifier
 	n     int
 	inst  int
+	buf   []byte
 }
 
 var _ sig.Verifier = (*instVerifier)(nil)
@@ -139,15 +147,15 @@ func (v *instVerifier) Verify(local ident.ProcID, msg, sigBytes []byte) bool {
 		return false
 	}
 	global := globalID(local, ident.ProcID(v.inst), v.n)
-	return v.inner.Verify(global, domain(v.inst, msg), sigBytes)
+	v.buf = domain(v.buf[:0], v.inst, msg)
+	return v.inner.Verify(global, v.buf, sigBytes)
 }
 
-// domain prefixes msg with the instance index.
-func domain(inst int, msg []byte) []byte {
-	w := wire.NewWriter(len(msg) + 8)
+// domain appends to dst msg prefixed with the instance index.
+func domain(dst []byte, inst int, msg []byte) []byte {
+	w := wire.WriterOn(dst)
 	w.Uint(uint64(inst))
-	out := append(w.Bytes(), msg...)
-	return out
+	return append(w.Bytes(), msg...)
 }
 
 // node multiplexes the n inner state machines.
@@ -186,10 +194,11 @@ func (nd *node) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		// and signer lists).
 		local := localID(nd.cfg.ID, ident.ProcID(k), n)
 		ictx := sim.NewContext(local, n, nd.cfg.T, 0, ctx.Phase(), phasesOf(ctx), func(e sim.Envelope) {
-			w := wire.NewWriter(len(e.Payload) + 8)
+			slab := ctx.Slab()
+			w := slab.Writer(wire.UintLen(uint64(inst)) + len(e.Payload))
 			w.Uint(uint64(inst))
 			payload := append(w.Bytes(), e.Payload...)
-			signers := make([]ident.ProcID, len(e.Signers))
+			signers := slab.Procs(len(e.Signers))
 			for i, s := range e.Signers {
 				signers[i] = globalID(s, ident.ProcID(inst), n)
 			}

@@ -69,7 +69,8 @@ var _ sim.Node = (*node)(nil)
 
 // pathKey encodes a path of processor ids as a compact string map key.
 func pathKey(path []ident.ProcID) string {
-	w := wire.NewWriter(len(path) * 2)
+	var buf [64]byte
+	w := wire.WriterOn(buf[:0])
 	w.Procs(path)
 	return string(w.Bytes())
 }
@@ -84,9 +85,14 @@ func decodePath(key string) ([]ident.ProcID, error) {
 	return ps, nil
 }
 
-// report is one (path, value) pair on the wire.
-func encodeReports(reports []string, values map[string]ident.Value) []byte {
-	w := wire.NewWriter(16 * (len(reports) + 1))
+// encodeReports returns the (path, value) pairs of reports as one payload
+// carved from ctx's slab.
+func encodeReports(ctx *sim.Context, reports []string, values map[string]ident.Value) []byte {
+	size := wire.UintLen(uint64(len(reports)))
+	for _, key := range reports {
+		size += wire.BytesFieldLen(len(key)) + wire.IntLen(int64(values[key]))
+	}
+	w := ctx.Slab().Writer(size)
 	w.Uint(uint64(len(reports)))
 	for _, key := range reports {
 		w.BytesField([]byte(key))
@@ -101,11 +107,8 @@ func (n *node) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 
 	if n.cfg.IsTransmitter() {
 		if phase == 1 {
-			w := wire.NewWriter(8)
-			w.Uint(1)
-			w.BytesField([]byte(pathKey([]ident.ProcID{tr})))
-			w.Value(n.cfg.Value)
-			return protocol.Broadcast(ctx, w.Bytes())
+			key := pathKey([]ident.ProcID{tr})
+			return protocol.Broadcast(ctx, encodeReports(ctx, []string{key}, map[string]ident.Value{key: n.cfg.Value}))
 		}
 		return nil
 	}
@@ -154,7 +157,7 @@ func (n *node) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	// phases.
 	n.frontier = learned
 	if phase >= 2 && phase <= ctx.T()+1 && len(n.frontier) > 0 {
-		return protocol.Broadcast(ctx, encodeReports(n.frontier, n.tree))
+		return protocol.Broadcast(ctx, encodeReports(ctx, n.frontier, n.tree))
 	}
 	return nil
 }

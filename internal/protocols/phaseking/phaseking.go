@@ -68,8 +68,9 @@ const (
 	tagKing byte = 0x73 // round 2 king value
 )
 
-func encode(tag byte, v ident.Value) []byte {
-	w := wire.NewWriter(10)
+// encode returns the payload tag followed by v, carved from ctx's slab.
+func encode(ctx *sim.Context, tag byte, v ident.Value) []byte {
+	w := ctx.Slab().Writer(1 + wire.IntLen(int64(v)))
 	w.Byte(tag)
 	w.Value(v)
 	return w.Bytes()
@@ -111,7 +112,7 @@ func (n *node) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		// Phase 0: the transmitter distributes its value.
 		if n.cfg.IsTransmitter() {
 			n.current = n.cfg.Value
-			return protocol.Broadcast(ctx, encode(tagInit, n.cfg.Value))
+			return protocol.Broadcast(ctx, encode(ctx, tagInit, n.cfg.Value))
 		}
 		return nil
 
@@ -126,7 +127,7 @@ func (n *node) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 				break
 			}
 		}
-		return protocol.Broadcast(ctx, encode(tagVote, n.current))
+		return protocol.Broadcast(ctx, encode(ctx, tagVote, n.current))
 
 	case phase > 2 && phase <= 2+2*(t+1):
 		// King phase k occupies phases 2k+2 (votes out in the previous
@@ -152,7 +153,7 @@ func (n *node) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			n.maj, n.cnt = majority(counts)
 			// The king announces its majority.
 			if kingOf(k) == n.cfg.ID {
-				return protocol.Broadcast(ctx, encode(tagKing, n.maj))
+				return protocol.Broadcast(ctx, encode(ctx, tagKing, n.maj))
 			}
 			return nil
 		}
@@ -178,7 +179,7 @@ func (n *node) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			n.current = kingVal
 		}
 		if k+1 <= t { // another king phase follows
-			return protocol.Broadcast(ctx, encode(tagVote, n.current))
+			return protocol.Broadcast(ctx, encode(ctx, tagVote, n.current))
 		}
 		return nil
 	}

@@ -54,17 +54,18 @@ type bcastNode struct {
 }
 
 func (b *bcastNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
+	slab := ctx.Slab()
 	if b.cfg.IsTransmitter() {
 		if ctx.Phase() == 1 {
-			sv := sig.NewSignedValue(b.cfg.Signer, b.cfg.Value)
-			if err := protocol.Broadcast(ctx, sv.Marshal(), sv.Chain); err != nil {
+			sv := slab.SignValue(b.cfg.Signer, b.cfg.Value)
+			if err := protocol.Broadcast(ctx, slab.Marshal(sv), sv.Chain); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	for _, env := range inbox {
-		sv, err := sig.UnmarshalSignedValue(env.Payload)
+		sv, err := slab.Unmarshal(env.Payload)
 		if err != nil {
 			continue
 		}
@@ -145,21 +146,22 @@ func (r *thinNode) isCommittee() bool {
 }
 
 func (r *thinNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
+	slab := ctx.Slab()
 	switch {
 	case r.cfg.IsTransmitter():
 		if ctx.Phase() == 1 {
-			sv := sig.NewSignedValue(r.cfg.Signer, r.cfg.Value)
+			sv := slab.SignValue(r.cfg.Signer, r.cfg.Value)
 			committee := make([]ident.ProcID, r.width)
 			for i := range committee {
 				committee[i] = ident.ProcID(i + 1)
 			}
-			if err := protocol.SendToAll(ctx, committee, sv.Marshal(), sv.Chain); err != nil {
+			if err := protocol.SendToAll(ctx, committee, slab.Marshal(sv), sv.Chain); err != nil {
 				return err
 			}
 		}
 	case r.isCommittee():
 		for _, env := range inbox {
-			sv, err := sig.UnmarshalSignedValue(env.Payload)
+			sv, err := slab.Unmarshal(env.Payload)
 			if err != nil || len(sv.Chain) != 1 || sv.Chain[0].Signer != r.cfg.Transmitter {
 				continue
 			}
@@ -170,14 +172,14 @@ func (r *thinNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			r.relay = &sv
 		}
 		if ctx.Phase() == 2 && r.relay != nil {
-			if err := protocol.Broadcast(ctx, r.relay.Marshal(), r.relay.Chain); err != nil {
+			if err := protocol.Broadcast(ctx, slab.Marshal(*r.relay), r.relay.Chain); err != nil {
 				return err
 			}
 			r.relay = nil
 		}
 	default:
 		for _, env := range inbox {
-			sv, err := sig.UnmarshalSignedValue(env.Payload)
+			sv, err := slab.Unmarshal(env.Payload)
 			if err != nil || len(sv.Chain) != 1 || sv.Chain[0].Signer != r.cfg.Transmitter {
 				continue
 			}

@@ -11,10 +11,9 @@ type SignedBytes struct {
 	Chain Chain
 }
 
-// NewSignedBytes signs body as the first link of a fresh chain.
-func NewSignedBytes(s Signer, body []byte) SignedBytes {
-	return SignedBytes{Body: body, Chain: Append(s, body, nil)}
-}
+// NewSignedBytes signs body as the first link of a fresh chain, on a
+// throwaway slab (see Slab.SignBytes).
+func NewSignedBytes(s Signer, body []byte) SignedBytes { var sl Slab; return sl.SignBytes(s, body) }
 
 // CoSign returns a copy with s's signature appended.
 func (sb SignedBytes) CoSign(s Signer) SignedBytes {

@@ -3,6 +3,7 @@ package sig
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"byzex/internal/ident"
@@ -48,16 +49,9 @@ func signingInput(w *wire.Writer, body []byte, prefix Chain) []byte {
 	return w.Bytes()
 }
 
-// Append extends the chain with a signature by s over body. It returns a new
-// chain; the receiver is not modified (chains flow between goroutines in the
-// TCP transport, so we copy at the boundary per the style guide).
-func Append(s Signer, body []byte, c Chain) Chain {
-	out := make(Chain, len(c), len(c)+1)
-	copy(out, c)
-	w := inputs.Get().(*wire.Writer)
-	defer inputs.Put(w)
-	return append(out, Link{Signer: s.ID(), Sig: s.Sign(signingInput(w, body, out))})
-}
+// Append extends the chain with a signature by s over body, on a throwaway
+// slab (see Slab.Append); c is not modified.
+func Append(s Signer, body []byte, c Chain) Chain { var sl Slab; return sl.Append(s, body, c) }
 
 // Verify checks every link of the chain cryptographically. It does not
 // impose structural predicates (distinctness, ordering); protocols layer
@@ -103,24 +97,31 @@ func (c Chain) Has(id ident.ProcID) bool {
 }
 
 // Distinct reports whether all signers in the chain are distinct.
-func (c Chain) Distinct() bool {
-	seen := make(ident.Set, len(c))
-	for _, l := range c {
-		if !seen.Add(l.Signer) {
-			return false
+func (c Chain) Distinct() bool { return c.DistinctCount() == len(c) }
+
+// DistinctCount returns the number of distinct signers in the chain. A
+// correct chain is at most n links long and each link costs a signature
+// check, so up to distinctScan links a quadratic scan is small beside
+// verifying it, and allocates nothing; a longer one, which only a faulty
+// sender builds, is counted in a sorted copy so its length cannot make the
+// count quadratic.
+func (c Chain) DistinctCount() int {
+	if len(c) > distinctScan {
+		ids := c.Signers()
+		slices.Sort(ids)
+		return len(slices.Compact(ids))
+	}
+	n := 0
+	for i, l := range c {
+		if !c[:i].Has(l.Signer) {
+			n++
 		}
 	}
-	return true
+	return n
 }
 
-// DistinctCount returns the number of distinct signers in the chain.
-func (c Chain) DistinctCount() int {
-	seen := make(ident.Set, len(c))
-	for _, l := range c {
-		seen.Add(l.Signer)
-	}
-	return seen.Len()
-}
+// distinctScan is the longest chain DistinctCount scans pairwise.
+const distinctScan = 128
 
 // Clone returns a deep-enough copy of the chain (links share signature
 // bytes, which are never mutated).
@@ -146,50 +147,6 @@ func (c Chain) EncodedLen() int {
 		n += wire.IntLen(int64(l.Signer)) + wire.BytesFieldLen(len(l.Sig))
 	}
 	return n
-}
-
-// Slab is the storage the links of decoded chains are carved from, so that
-// decoding k chains is not k allocations. It belongs to whatever decodes with
-// it — a node for its lifetime, or one call — and so to one goroutine: the
-// peers of the TCP transport decode concurrently, each node into its own. A
-// block that runs out is dropped, never rewritten, so a chain stays valid for
-// as long as anything references it, unless its owner gave it back with
-// Rewind. The zero value is ready to use.
-type Slab struct {
-	block []Link
-	used  int // block[:used] is carved
-}
-
-// slabMax bounds a block, and with it what one kept chain can pin: blocks
-// start at the first chain's length and double up to this many links.
-const slabMax = 128
-
-// minLinkLen is the shortest encoding of a link: a one-byte signer and the
-// length prefix of an empty signature.
-const minLinkLen = 2
-
-// take returns n uncarved links as an empty chain with capacity n.
-func (s *Slab) take(n int) Chain {
-	if n > len(s.block)-s.used {
-		s.block = make([]Link, max(n, min(2*len(s.block), slabMax)))
-		s.used = 0
-	}
-	out := s.block[s.used : s.used : s.used+n]
-	s.used += n
-	return out
-}
-
-// Mark returns the slab's position, for Rewind.
-func (s *Slab) Mark() int { return s.used }
-
-// Rewind hands back the links of every chain decoded since mark was taken, to
-// be carved again: the caller has dropped those chains. (When a new block was
-// started in between, the position counts into that block; whatever of it lies
-// past mark was still carved after mark, so this only hands back less.)
-func (s *Slab) Rewind(mark int) {
-	if mark < s.used {
-		s.used = mark
-	}
 }
 
 // DecodeChain reads a chain previously written with Encode, its links carved
@@ -249,15 +206,13 @@ var oneByteBodies = func() []byte {
 	return w.Bytes()
 }()
 
-// NewSignedValue signs value v as the first link of a fresh chain.
-func NewSignedValue(s Signer, v ident.Value) SignedValue {
-	return SignedValue{Value: v, Chain: Append(s, ValueBody(v), nil)}
-}
+// NewSignedValue signs value v as the first link of a fresh chain, on a
+// throwaway slab (see Slab.SignValue).
+func NewSignedValue(s Signer, v ident.Value) SignedValue { var sl Slab; return sl.SignValue(s, v) }
 
-// CoSign returns a copy of sv with s's signature appended.
-func (sv SignedValue) CoSign(s Signer) SignedValue {
-	return SignedValue{Value: sv.Value, Chain: Append(s, ValueBody(sv.Value), sv.Chain)}
-}
+// CoSign returns a copy of sv with s's signature appended, on a throwaway
+// slab (see Slab.CoSign).
+func (sv SignedValue) CoSign(s Signer) SignedValue { var sl Slab; return sl.CoSign(s, sv) }
 
 // Verify checks the chain cryptographically and that it is non-empty.
 func (sv SignedValue) Verify(v Verifier) error {
@@ -286,14 +241,8 @@ func DecodeSignedValue(r *wire.Reader, s *Slab) SignedValue {
 	return SignedValue{Value: v, Chain: c}
 }
 
-// EncodeTagged returns the payload tag followed by the encoding of sv — the
-// message shape of Algorithms 3 and 5.
-func EncodeTagged(tag byte, sv SignedValue) []byte {
-	w := wire.NewWriter(1 + sv.EncodedLen())
-	w.Byte(tag)
-	sv.Encode(w)
-	return w.Bytes()
-}
+// EncodeTagged is Slab.EncodeTagged on a throwaway slab.
+func EncodeTagged(tag byte, sv SignedValue) []byte { var sl Slab; return sl.EncodeTagged(tag, sv) }
 
 // DecodeTagged parses an EncodeTagged payload, its chain carved from s; ok
 // is false on any mismatch, wantTag included. A caller that does not keep
@@ -310,21 +259,10 @@ func DecodeTagged(s *Slab, payload []byte, wantTag byte) (sv SignedValue, ok boo
 	return sv, true
 }
 
-// Marshal returns the standalone canonical encoding of sv.
-func (sv SignedValue) Marshal() []byte {
-	w := wire.NewWriter(sv.EncodedLen())
-	sv.Encode(w)
-	return w.Bytes()
-}
+// Marshal returns the standalone canonical encoding of sv, on a throwaway
+// slab (see Slab.Marshal).
+func (sv SignedValue) Marshal() []byte { var sl Slab; return sl.Marshal(sv) }
 
 // UnmarshalSignedValue decodes a standalone encoding produced by Marshal, its
-// chain carved from a slab of its own.
-func UnmarshalSignedValue(b []byte) (SignedValue, error) {
-	var links Slab
-	r := wire.NewReader(b)
-	sv := DecodeSignedValue(r, &links)
-	if err := r.Finish(); err != nil {
-		return SignedValue{}, err
-	}
-	return sv, nil
-}
+// chain carved from a throwaway slab (see Slab.Unmarshal).
+func UnmarshalSignedValue(b []byte) (SignedValue, error) { var sl Slab; return sl.Unmarshal(b) }

@@ -47,8 +47,13 @@ var (
 type Signer interface {
 	// ID returns the identity this signer signs for.
 	ID() ident.ProcID
-	// Sign returns a signature over msg. msg is the caller's to reuse once
-	// Sign returns: implementations must not keep it.
+	// AppendSign appends a signature over msg to dst and returns the
+	// extended slice, growing it only when its capacity is short. msg is the
+	// caller's to reuse once AppendSign returns: implementations must not
+	// keep it.
+	AppendSign(dst, msg []byte) []byte
+	// Sign returns a signature over msg in storage of its own:
+	// AppendSign(nil, msg).
 	Sign(msg []byte) []byte
 }
 
@@ -129,7 +134,12 @@ type hmacSigner struct {
 
 func (h *hmacSigner) ID() ident.ProcID { return h.id }
 
-func (h *hmacSigner) Sign(msg []byte) []byte { tag := hmacTag(&h.key, h.id, msg); return tag[:] }
+func (h *hmacSigner) Sign(msg []byte) []byte { return h.AppendSign(nil, msg) }
+
+func (h *hmacSigner) AppendSign(dst, msg []byte) []byte {
+	tag := hmacTag(&h.key, h.id, msg)
+	return append(dst, tag[:]...)
+}
 
 // hmacTag is HMAC-SHA256(key, id ‖ msg) for a 32-byte key; binding the
 // signer identity into the tag keeps two processors that somehow shared a
@@ -214,7 +224,13 @@ type edSigner struct {
 
 func (e *edSigner) ID() ident.ProcID { return e.id }
 
-func (e *edSigner) Sign(msg []byte) []byte { return ed25519.Sign(e.key, msg) }
+func (e *edSigner) Sign(msg []byte) []byte { return e.AppendSign(nil, msg) }
+
+// AppendSign copies the signature crypto/ed25519 returns, which has no form
+// that signs in place.
+func (e *edSigner) AppendSign(dst, msg []byte) []byte {
+	return append(dst, ed25519.Sign(e.key, msg)...)
+}
 
 // ---------------------------------------------------------------------------
 // Plain (unauthenticated) scheme
@@ -270,8 +286,8 @@ type plainSigner struct {
 
 func (p plainSigner) ID() ident.ProcID { return p.id }
 
-func (p plainSigner) Sign(_ []byte) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(p.id))
-	return b[:]
+func (p plainSigner) Sign(msg []byte) []byte { return p.AppendSign(nil, msg) }
+
+func (p plainSigner) AppendSign(dst, _ []byte) []byte {
+	return binary.BigEndian.AppendUint32(dst, uint32(p.id))
 }

@@ -293,7 +293,7 @@ func TestSlabCarvesChainsFromBlocks(t *testing.T) {
 			}
 		}
 	})
-	if allocs > 24 { // 20×7 chains, 700 links: blocks of up to 128, and kept's growth
+	if allocs > 24 { // 20×7 chains, 700 links: blocks of up to 512, and kept's growth
 		t.Errorf("decoding %d chains through a slab made %v allocations", len(kept), allocs)
 	}
 	seen := make(map[*sig.Link]bool)

@@ -27,6 +27,7 @@ import (
 	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/metrics"
+	"byzex/internal/sig"
 	"byzex/internal/trace"
 )
 
@@ -89,9 +90,13 @@ type Node interface {
 	//
 	// The inbox slice (like ctx) is only valid for the duration of the
 	// call: the engine recycles the backing array for a later phase's
-	// deliveries. Envelope payloads and signer lists are never recycled, so
-	// copying the Envelope values (or retaining their Payload and Signers
-	// slices) is safe.
+	// deliveries. Envelope payloads and signer lists are never recycled —
+	// they are carved from a sig.Slab, whose blocks are not written again
+	// once carved, across phases and across the instances a warm engine
+	// runs — so copying the Envelope values (or retaining their Payload and
+	// Signers slices, and the chains decoded from them) is safe. The one
+	// exception is the node's own: links it hands back with ctx.Slab().Rewind
+	// in this Step are carved again.
 	Step(ctx *Context, inbox []Envelope) error
 
 	// Decide returns the node's decision after the run. ok is false if the
@@ -100,9 +105,10 @@ type Node interface {
 	Decide() (ident.Value, bool)
 }
 
-// Context gives a node its identity, the system parameters, and the send
-// path for the current phase. A Context is only valid for the duration of
-// the Step call it is passed to.
+// Context gives a node its identity, the system parameters, the send path
+// for the current phase, and the slab its messages are carved from. A
+// Context is only valid for the duration of the Step call it is passed to;
+// what it carves outlives it (see Node.Step).
 type Context struct {
 	id          ident.ProcID
 	n, t        int
@@ -110,7 +116,7 @@ type Context struct {
 	phase       int
 	lastPhase   int
 	submit      func(Envelope)
-	signers     *signerArena // nil outside the in-memory engine
+	slab        *sig.Slab
 	filter      func(ident.ProcID) bool
 	sink        trace.Sink // nil when tracing is disabled
 }
@@ -128,6 +134,7 @@ func NewContext(id ident.ProcID, n, t int, transmitter ident.ProcID, phase, last
 		phase:       phase,
 		lastPhase:   lastPhase,
 		submit:      submit,
+		slab:        new(sig.Slab),
 	}
 }
 
@@ -163,6 +170,13 @@ func (c *Context) Transmitter() ident.ProcID { return c.transmitter }
 // Phase returns the current phase number (1-based).
 func (c *Context) Phase() int { return c.phase }
 
+// Slab returns the slab the node carves its messages from: links,
+// signatures, payloads and signer lists. It belongs to the goroutine stepping
+// the node — under Engine.Run the engine's one slab, shared by every node and
+// kept across Resets; on a mesh peer its own processor's; from NewContext a
+// fresh one — so a derived context (WithSendFilter) shares it.
+func (c *Context) Slab() *sig.Slab { return c.slab }
+
 // Send queues a message to `to` for delivery at the start of the next
 // phase. Signers/sigTotal describe signatures carried by payload (see
 // Envelope). Send fails after the protocol's final phase or for an invalid
@@ -194,58 +208,6 @@ func (c *Context) Send(to ident.ProcID, payload []byte, signers []ident.ProcID, 
 		SigTotal: sigTotal,
 	})
 	return nil
-}
-
-// signerArena is where one engine keeps the signer lists of the envelopes it
-// carries: lists are carved from blocks instead of allocated one per send. A
-// block is never written again once carved from, so a list stays valid for as
-// long as anything references it (a node may copy an Envelope and send it on
-// phases later); scratch is the one buffer lists are collected and sorted in.
-type signerArena struct {
-	free    []ident.ProcID // the current block's uncarved tail
-	block   int            // the current block's length
-	scratch []ident.ProcID
-}
-
-// Signer blocks double from signerBlockMin to signerBlockMax entries, so a
-// five-processor run carves from a few hundred bytes and a large one
-// allocates once per few thousand signers.
-const (
-	signerBlockMin = 64
-	signerBlockMax = 4096
-)
-
-// SignerScratch returns an empty slice with room for n identities, in which
-// the caller collects the signers of a payload before handing the slice to
-// InternSigners. Under the in-memory engine it is the engine's one scratch
-// buffer; on other substrates it is a fresh allocation.
-func (c *Context) SignerScratch(n int) []ident.ProcID {
-	if c.signers == nil || cap(c.signers.scratch) < n {
-		return make([]ident.ProcID, 0, n)
-	}
-	return c.signers.scratch[:0]
-}
-
-// InternSigners sorts ids, drops duplicates and returns the list in the form
-// Send takes it: storage nobody writes to again. ids itself is consumed — it
-// came from SignerScratch, and under the in-memory engine it goes back to
-// being the scratch.
-func (c *Context) InternSigners(ids []ident.ProcID) []ident.ProcID {
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	a := c.signers
-	if a == nil {
-		return ids
-	}
-	a.scratch = ids[:0]
-	if len(ids) > len(a.free) {
-		a.block = max(len(ids), min(2*a.block, signerBlockMax), signerBlockMin)
-		a.free = make([]ident.ProcID, a.block)
-	}
-	out := a.free[:len(ids):len(ids)]
-	a.free = a.free[len(ids):]
-	copy(out, ids)
-	return out
 }
 
 // Observer is notified of every message accepted by the engine, in
@@ -360,7 +322,9 @@ type Engine struct {
 	delivered envBlocks
 	inboxes   [][]Envelope
 
-	signers signerArena
+	// slab is what every node carves its messages from under Run; it lives
+	// as long as the engine, across Resets.
+	slab sig.Slab
 
 	// steps counts node steps since the run last yielded the processor.
 	steps int
@@ -378,7 +342,8 @@ type Engine struct {
 // proc is one processor's step state; under a concurrent backend only the
 // goroutine driving the processor touches it.
 type proc struct {
-	ctx   Context // re-pointed at each phase instead of allocated per step
+	ctx   Context  // re-pointed at each phase instead of allocated per step
+	slab  sig.Slab // the processor's own, under a concurrent backend
 	stash faultnet.Stash[Envelope]
 	held  []Envelope // Deliver's output, reused from phase to phase
 }
@@ -403,8 +368,8 @@ const (
 // Reset prepares the engine to run nodes under cfg; nodes[i] is the state
 // machine for processor i and must be non-nil. A new(Engine) is ready after
 // its first Reset, and is then driven by Run or by Halted, Deliver, Step and
-// Finish. The per-processor storage, the envelope blocks and the signer
-// arena are kept while cfg.N is unchanged; nothing of an earlier run is
+// Finish. The per-processor storage, the envelope blocks and the slab are
+// kept while cfg.N is unchanged; nothing of an earlier run is
 // delivered, counted or traced in the next.
 func (e *Engine) Reset(cfg Config, nodes []Node) error {
 	if err := cfg.Validate(); err != nil {
@@ -430,7 +395,7 @@ func (e *Engine) Reset(cfg Config, nodes []Node) error {
 	for i := range e.procs {
 		p := &e.procs[i]
 		c := &p.ctx
-		c.n, c.t, c.transmitter, c.lastPhase, c.sink, c.signers = cfg.N, cfg.T, cfg.Transmitter, cfg.Phases, cfg.Trace, &e.signers
+		c.n, c.t, c.transmitter, c.lastPhase, c.sink, c.slab = cfg.N, cfg.T, cfg.Transmitter, cfg.Phases, cfg.Trace, &e.slab
 		clear(p.held)
 		p.stash, p.held = faultnet.Stash[Envelope]{}, p.held[:0]
 	}
@@ -594,8 +559,8 @@ func (e *Engine) Finish() *Result {
 	return e.result()
 }
 
-// bucket points processor id's context at its (phase, st) bucket, off the
-// signer arena, which one goroutine owns.
+// bucket points processor id's context at its (phase, st) bucket and at the
+// processor's own slab: the engine's belongs to the goroutine running Run.
 func (e *Engine) bucket(id ident.ProcID, phase, st int) *proc {
 	e.peersOnce.Do(func() {
 		e.peers = slices.Grow(e.peers, e.cfg.N)[:e.cfg.N]
@@ -604,7 +569,7 @@ func (e *Engine) bucket(id ident.ProcID, phase, st int) *proc {
 		}
 	})
 	p, r := &e.procs[id], &e.peers[id]
-	p.ctx.signers = nil
+	p.ctx.slab = &p.slab
 	if e.cfg.Trace != nil {
 		for len(r.rec) <= phase {
 			r.rec = append(r.rec, [numStages]trace.Buffer{})

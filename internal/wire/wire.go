@@ -92,6 +92,10 @@ type Writer struct {
 // built on it) passes exactly that, and the payload is one allocation.
 func NewWriter(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
 
+// WriterOn returns a writer that appends to buf: an encoder handed storage
+// with room for its exact length writes in place.
+func WriterOn(buf []byte) Writer { return Writer{buf: buf} }
+
 // Bytes returns the encoded bytes. The slice aliases the writer's internal
 // buffer; callers that keep writing must copy it first.
 func (w *Writer) Bytes() []byte { return w.buf }

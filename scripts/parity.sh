@@ -4,7 +4,8 @@
 #   bash scripts/parity.sh <rev>
 #
 # unpacks <rev> (git archive) into a directory under .bench_build/, builds
-# basim and baexp in both trees, and runs one fixed matrix through both: every
+# basim, baexp, baattack and baload in both trees, and runs one fixed matrix
+# through both: every
 # registry row at its canonical size (read from internal/cli/cli.go) × every
 # adversary basim names (none, split-brain, multi-faced, silent, crash and the
 # randomized chaos, garbage and bit-flipper, which draw from per-processor
@@ -14,11 +15,15 @@
 # plan stays in budget and the fault-* events are traced), plus baexp's text
 # and CSV tables, baattack's search atlas and its four scripted attacks
 # (audit, replay, omission, starve) at t=3 against alg1, alg2, alg3, alg5,
-# dolev-strong, lsp, phase-king and both strawmen. Each command's stdout,
-# stderr and exit status, and a basim run's -trace JSONL and -metrics JSON,
-# must be byte-identical between the trees (elapsed: lines aside; runs use
-# relative paths). Prints "k/k identical" and exits 0, or prints every
-# command that differs, then "d/k differ", and exits 1.
+# dolev-strong, lsp, phase-king and both strawmen, plus the served path: every
+# registry row that decides a value (class agreement or strawman, read from
+# the same table) through baload -selfhost -verify -trace, over memory, a TCP
+# mesh with -link-delay 0 and one with -link-delay 2ms. Each command's stdout,
+# stderr and exit status, and a run's -trace JSONL and basim's -metrics JSON,
+# must be byte-identical between the trees (timing lines aside — basim's
+# elapsed:, baload's throughput:, latency: and the selfhost: banner with its
+# port; runs use relative paths). Prints "k/k identical" and exits 0, or
+# prints every command that differs, then "d/k differ", and exits 1.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -42,11 +47,13 @@ for side in a b; do
 	tree="$parent"
 	[ "$side" = b ] && tree="$root"
 	mkdir -p "$work/$side/bin" "$work/$side/run"
-	(cd "$tree" && go build -o "$work/$side/bin/" ./cmd/basim ./cmd/baexp ./cmd/baattack)
+	(cd "$tree" && go build -o "$work/$side/bin/" ./cmd/basim ./cmd/baexp ./cmd/baattack ./cmd/baload)
 done
 
 # rows: "name n t scheme" per registry row, parsed from this checkout's table.
 rows="$(sed -nE 's/^[[:space:]]*\{"([a-z0-9-]+)", .*, ([0-9]+), ([0-9]+), "([a-z0-9]+)", Class.*/\1 \2 \3 \4/p' "$root/internal/cli/cli.go")"
+# served: the rows a server can serve, the ones that decide a value.
+served="$(sed -nE 's/^[[:space:]]*\{"([a-z0-9-]+)", .*, ([0-9]+), ([0-9]+), "([a-z0-9]+)", Class(Agreement|Strawman),.*/\1 \2 \3 \4/p' "$root/internal/cli/cli.go")"
 usage="$("$work/b/bin/basim" -help 2>&1 || true)" # -help exits 2
 names="$(echo "$usage" | sed -nE 's/.*protocol: ([a-z0-9|-]+) .*/\1/p' | tr '|' ' ')"
 if [ "$(echo $names)" != "$(echo "$rows" | cut -d' ' -f1 | tr '\n' ' ' | sed 's/ $//')" ]; then
@@ -65,7 +72,7 @@ check() {
 		local dir="$work/$side/run"
 		rm -f "$dir"/*
 		(cd "$dir" && { "$work/$side/bin/$tool" "$@" >out 2>err && echo 0 || echo $?; } >status)
-		sed -i '/^elapsed: /d' "$dir/out"
+		sed -i '/^elapsed: /d;/^throughput: /d;/^latency: /d;/^selfhost: /d' "$dir/out"
 	done
 	local f
 	for f in out err status trace.jsonl metrics.json; do
@@ -97,6 +104,13 @@ for name in alg1 alg2 alg3 alg5 dolev-strong lsp phase-king strawman-broadcast s
 		check baattack -attack "$attack" -protocol "$name" -t 3
 	done
 done
+while read -r name n t scheme; do
+	for transport in "-transport memory" "-transport tcp -link-delay 0" "-transport tcp -link-delay 2ms"; do
+		# shellcheck disable=SC2086 # $transport is two or four words
+		check baload -selfhost -protocol "$name" -n "$n" -t "$t" -scheme "$scheme" $transport \
+			-c 1 -shards 1 -requests 4 -mod 2 -seed 5 -verify -trace trace.jsonl
+	done
+done <<<"$served"
 
 if [ "$d" -gt 0 ]; then
 	echo "$d/$k differ"
