@@ -38,6 +38,9 @@
 #                      baload -selfhost -verify over every served row ×
 #                      memory, tcp and tcp with a 2 ms link delay, compared
 #                      byte for byte
+#   make allocs      - where a cold run allocates: core.TestRunAllocationBudgets
+#                      under -memprofilerate 1, then go tool pprof's top
+#                      allocation sites by object count (not part of check)
 #   make loc         - non-test Go lines outside bench/, per package and in
 #                      total (the number CHANGES.md and the ROADMAP's
 #                      subtraction target are stated in), the _test.go
@@ -46,7 +49,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check lint test bench ab parity search baexp trace-smoke faults slo crash upgrade fuzz loc
+.PHONY: check lint test bench ab parity search baexp trace-smoke faults slo crash upgrade fuzz loc allocs
 
 check: lint faults
 	$(GO) build ./...
@@ -166,6 +169,16 @@ trace-smoke:
 	/tmp/batrace -counts -report /tmp/byzex-smoke-mem-metrics.json /tmp/byzex-smoke-mem.jsonl
 	/tmp/basim -protocol dolev-strong -n 8 -t 2 -transport tcp -adversary silent -trace /tmp/byzex-smoke-tcp.jsonl
 	/tmp/batrace /tmp/byzex-smoke-tcp.jsonl
+
+# The allocation profile behind the pins of core.TestRunAllocationBudgets:
+# every allocation of its runs is sampled (-memprofilerate 1), and pprof
+# lists the sites by allocated objects. The profile and the test binary stay
+# in .bench_build/.
+allocs:
+	mkdir -p .bench_build
+	$(GO) test ./internal/core -run '^TestRunAllocationBudgets$$' -count=1 \
+		-memprofile .bench_build/allocs.mem -memprofilerate 1 -o .bench_build/core.test
+	$(GO) tool pprof -sample_index=alloc_objects -top .bench_build/core.test .bench_build/allocs.mem
 
 # Non-test Go lines outside bench/: one row per package directory, then the
 # total — the count CHANGES.md reports — the same total over _test.go files,

@@ -85,7 +85,7 @@ func main() {
 	// A forged proof for the other value must not verify.
 	fmt.Println("\n=== a faulty coalition tries to forge a proof for the other value ===")
 	forged := sig.SignedValue{Value: 1 - *agreed}
-	for q := range res.Faulty {
+	for _, q := range res.Faulty.Sorted() {
 		signer, _ := scheme.Signer(q)
 		forged = forged.CoSign(signer)
 	}

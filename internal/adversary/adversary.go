@@ -29,12 +29,20 @@ func NewState(faulty ident.Set, scheme sig.Scheme, seed int64) (*State, error) {
 		Signers: make(map[ident.ProcID]sig.Signer, faulty.Len()),
 		seed:    seed,
 	}
-	for id := range faulty {
-		s, err := scheme.Signer(id)
+	var err error
+	faulty.Each(func(id ident.ProcID) {
 		if err != nil {
-			return nil, fmt.Errorf("adversary: collecting signer for %v: %w", id, err)
+			return
+		}
+		s, serr := scheme.Signer(id)
+		if serr != nil {
+			err = fmt.Errorf("adversary: collecting signer for %v: %w", id, serr)
+			return
 		}
 		st.Signers[id] = s
+	})
+	if err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -162,7 +170,7 @@ func (s SplitBrain) Name() string { return "split-brain" }
 // Corrupt implements Adversary: only the transmitter.
 func (SplitBrain) Corrupt(_, t int, transmitter ident.ProcID, _ *mrand.Rand) ident.Set {
 	if t < 1 {
-		return make(ident.Set)
+		return ident.Set{}
 	}
 	return ident.NewSet(transmitter)
 }
@@ -226,7 +234,7 @@ func (m MultiFaced) Name() string { return fmt.Sprintf("multi-faced(%d)", len(m.
 // Corrupt implements Adversary: only the transmitter.
 func (MultiFaced) Corrupt(_, t int, transmitter ident.ProcID, _ *mrand.Rand) ident.Set {
 	if t < 1 {
-		return make(ident.Set)
+		return ident.Set{}
 	}
 	return ident.NewSet(transmitter)
 }
@@ -473,7 +481,7 @@ func (r *replayNode) Decide() (ident.Value, bool) { return 0, false }
 // lastNonTransmitter corrupts the t highest identities, skipping the
 // transmitter.
 func lastNonTransmitter(n, t int, transmitter ident.ProcID) ident.Set {
-	out := make(ident.Set)
+	var out ident.Set
 	for id := n - 1; id >= 0 && out.Len() < t; id-- {
 		p := ident.ProcID(id)
 		if p == transmitter {

@@ -34,7 +34,7 @@ func (Chaos) Name() string { return "chaos" }
 // Corrupt implements Adversary.
 func (Chaos) Corrupt(n, t int, transmitter ident.ProcID, rng *mrand.Rand) ident.Set {
 	// Random subset of size t, possibly including the transmitter.
-	out := make(ident.Set)
+	var out ident.Set
 	perm := rng.Perm(n)
 	for _, idx := range perm {
 		if out.Len() >= t {
@@ -81,7 +81,7 @@ func (c *chaosNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	case 1: // silence
 		return nil
 	case 2: // correct logic, but only toward a random half of the system
-		keep := make(ident.Set)
+		var keep ident.Set
 		for id := 0; id < ctx.N(); id++ {
 			if c.rng.Intn(2) == 0 {
 				keep.Add(ident.ProcID(id))

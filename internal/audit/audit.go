@@ -165,7 +165,7 @@ func ReplayAttack(ctx context.Context, p protocol.Protocol, n, t int, scheme sig
 	victim := audit.MinAP
 	coalition := audit.APSet
 	schedules := make(map[ident.ProcID]*adversary.ReplaySchedule, coalition.Len())
-	for q := range coalition {
+	for _, q := range coalition.Sorted() {
 		sched := &adversary.ReplaySchedule{
 			Victim:   victim,
 			ToVictim: make(map[int][]adversary.ReplayEdge),
@@ -195,7 +195,7 @@ func ReplayAttack(ctx context.Context, p protocol.Protocol, n, t int, scheme sig
 	// coalition) live in the G-world: the transmitter's value is G's.
 	res, err := core.Run(ctx, core.Config{
 		Protocol: p, N: n, T: t, Value: ident.V1, Scheme: scheme,
-		Adversary: adv, FaultyOverride: coalition,
+		Adversary: adv, FaultyOverride: &coalition,
 	})
 	if err != nil {
 		return nil, err

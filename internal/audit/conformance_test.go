@@ -77,7 +77,7 @@ func TestConformanceDetectsSilentCoalition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p := range res.Faulty {
+	for _, p := range res.Faulty.Sorted() {
 		if conf[p] == 0 {
 			t.Errorf("silent %v not detected", p)
 		}

@@ -44,7 +44,6 @@ func New(n int, transmitter ident.ProcID, v ident.Value) *History {
 		Transmitter: transmitter,
 		Value:       v,
 		Phases:      []Phase{nil},
-		Faulty:      make(ident.Set),
 	}
 }
 
@@ -137,7 +136,7 @@ func (h *History) Signatures() int {
 // callers that follow the proof exactly can remove the transmitter
 // themselves.
 func APSet(p ident.ProcID, hists ...*History) ident.Set {
-	out := make(ident.Set)
+	var out ident.Set
 	for _, h := range hists {
 		for _, ph := range h.Phases {
 			for _, e := range ph {
@@ -174,7 +173,7 @@ func APSet(p ident.ProcID, hists ...*History) ident.Set {
 // Theorems 1 and 2 pick their victim this way.
 func MinAP(hists ...*History) (ident.ProcID, ident.Set, error) {
 	if len(hists) == 0 {
-		return ident.None, nil, fmt.Errorf("audit: no histories")
+		return ident.None, ident.Set{}, fmt.Errorf("audit: no histories")
 	}
 	n := hists[0].N
 	tr := hists[0].Transmitter

@@ -201,7 +201,7 @@ func TestQuickAPSymmetry(t *testing.T) {
 			h.Append(1, edge(from, to, from))
 		}
 		for p := ident.ProcID(0); p < 8; p++ {
-			for q := range audit.APSet(p, h) {
+			for _, q := range audit.APSet(p, h).Sorted() {
 				if !audit.APSet(q, h).Has(p) {
 					return false
 				}

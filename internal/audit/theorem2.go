@@ -55,7 +55,7 @@ func StarvationAudit(ctx context.Context, p protocol.Protocol, n, t int, scheme 
 	adv := adversary.StarveB{B: b, IgnoreFirst: ignore}
 	res, h, err := Record(ctx, core.Config{
 		Protocol: p, N: n, T: t, Value: ident.V1, Scheme: scheme,
-		Adversary: adv, FaultyOverride: b,
+		Adversary: adv, FaultyOverride: &b,
 	})
 	if err != nil {
 		return nil, err
@@ -75,7 +75,7 @@ func StarvationAudit(ctx context.Context, p protocol.Protocol, n, t int, scheme 
 		TotalMessages:     h.Messages(),
 		Bound:             core.MsgLowerBound(n, t),
 	}
-	for q := range b {
+	for _, q := range b.Sorted() {
 		count := 0
 		for _, ph := range h.Phases {
 			for _, e := range ph {
@@ -116,7 +116,7 @@ func OmissionAttack(ctx context.Context, p protocol.Protocol, n, t int, scheme s
 	var coalition ident.Set
 	for id := 1; id < n; id++ {
 		q := ident.ProcID(id)
-		senders := make(ident.Set)
+		var senders ident.Set
 		for _, ph := range g.Phases {
 			for _, e := range ph {
 				if e.To == q {
@@ -135,7 +135,7 @@ func OmissionAttack(ctx context.Context, p protocol.Protocol, n, t int, scheme s
 	adv := adversary.OmitTowards{FaultySet: coalition, Victims: ident.NewSet(victim)}
 	res, err := core.Run(ctx, core.Config{
 		Protocol: p, N: n, T: t, Value: ident.V1, Scheme: scheme,
-		Adversary: adv, FaultyOverride: coalition,
+		Adversary: adv, FaultyOverride: &coalition,
 	})
 	if err != nil {
 		return nil, err

@@ -72,7 +72,7 @@ func TestContract(t *testing.T) {
 					}
 					h := sha256.New()
 					for _, mask := range faultySets(p.N, p.T) {
-						faulty := make(ident.Set)
+						var faulty ident.Set
 						for i := range p.N {
 							if mask>>i&1 != 0 {
 								faulty.Add(ident.ProcID(i))
@@ -83,7 +83,7 @@ func TestContract(t *testing.T) {
 							buf := trace.NewBuffer()
 							res, err := core.Run(context.Background(), core.Config{
 								Protocol: proto, N: p.N, T: p.T, Value: v, Scheme: scheme,
-								Adversary: adv, FaultyOverride: faulty, Seed: int64(mask), Trace: buf,
+								Adversary: adv, FaultyOverride: &faulty, Seed: int64(mask), Trace: buf,
 							})
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)

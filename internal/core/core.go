@@ -63,7 +63,7 @@ type Config struct {
 	// both the adversary's Corrupt choice and the fault plan's affected
 	// processors (see Runner.Setup). The lower-bound constructions name
 	// their coalition this way.
-	FaultyOverride ident.Set
+	FaultyOverride *ident.Set
 	// Seed drives all deterministic randomness in the run.
 	Seed int64
 	// Observer, when non-nil, sees every envelope the in-memory engine
@@ -225,8 +225,6 @@ func (r *Runner) Setup(cfg Config) (*Setup, error) {
 		}
 	case cfg.Faults != nil:
 		faulty = cfg.Faults.Affected(cfg.N)
-	default:
-		faulty = make(ident.Set)
 	}
 	var env *adversary.Env
 	// Refuse what the engine would, before a node is built or an event emitted.
@@ -292,12 +290,12 @@ func (c Config) ResolveTrace(ctx context.Context) trace.Sink {
 // EmitCorruptions reports the faulty set to sink in ascending id order
 // (no-op for a nil sink).
 func EmitCorruptions(sink trace.Sink, faulty ident.Set) {
-	if sink == nil || faulty.Len() == 0 {
+	if sink == nil {
 		return
 	}
-	for _, id := range faulty.Sorted() {
+	faulty.Each(func(id ident.ProcID) {
 		sink.Emit(trace.Event{Kind: trace.KindCorrupt, From: id, To: ident.None})
-	}
+	})
 }
 
 // Run is new(Runner).Run: one cold instance.

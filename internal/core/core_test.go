@@ -51,16 +51,16 @@ func TestDecisionErrors(t *testing.T) {
 		wantMsg   string
 		wantValue ident.Value
 	}{
-		{"agree", dec(1, 1, 1, 1), nil, nil, "", 1},
+		{"agree", dec(1, 1, 1, 1), ident.Set{}, nil, "", 1},
 		{"faulty outputs ignored", dec(1, 0, -1, 1), ident.NewSet(1, 2), nil, "", 1},
-		{"lowest undecided is named", dec(1, 1, -1, 1, -1, -1), nil, core.ErrNoDecision, "p2", 0},
-		{"disagreement", dec(1, 1, 0), nil, core.ErrDisagreement, "p2 decided v=0, others v=1", 0},
-		{"disagreement before an undecided", dec(1, 0, -1), nil, core.ErrDisagreement, "p1 decided v=0, others v=1", 0},
-		{"all undecided", dec(-1, -1), nil, core.ErrNoDecision, "p0", 0},
-		{"validity keeps the common value", dec(5, 5, 5), nil, core.ErrValidity, "decided v=5", 5},
+		{"lowest undecided is named", dec(1, 1, -1, 1, -1, -1), ident.Set{}, core.ErrNoDecision, "p2", 0},
+		{"disagreement", dec(1, 1, 0), ident.Set{}, core.ErrDisagreement, "p2 decided v=0, others v=1", 0},
+		{"disagreement before an undecided", dec(1, 0, -1), ident.Set{}, core.ErrDisagreement, "p1 decided v=0, others v=1", 0},
+		{"all undecided", dec(-1, -1), ident.Set{}, core.ErrNoDecision, "p0", 0},
+		{"validity keeps the common value", dec(5, 5, 5), ident.Set{}, core.ErrValidity, "decided v=5", 5},
 		{"faulty transmitter waives validity", dec(1, 0, 0), ident.NewSet(0), nil, "", 0},
 		{"nobody correct", dec(1), ident.NewSet(0), core.ErrNoDecision, "no correct", 0},
-		{"sparse keys are sorted", sparse, nil, core.ErrNoDecision, "p9", 0},
+		{"sparse keys are sorted", sparse, ident.Set{}, core.ErrNoDecision, "p9", 0},
 	} {
 		for range 20 { // map iteration order varies call to call
 			got, err := core.CheckDecisions(tc.decisions, tc.faulty, 0, ident.V1)
@@ -70,7 +70,7 @@ func TestDecisionErrors(t *testing.T) {
 		}
 	}
 	dense := dec(1, 1, 1, 1, 1, 1, 1)
-	if allocs := testing.AllocsPerRun(100, func() { _, _ = core.CheckDecisions(dense, nil, 0, ident.V1) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = core.CheckDecisions(dense, ident.Set{}, 0, ident.V1) }); allocs != 0 {
 		t.Fatalf("judging a densely keyed map allocates %.0f times", allocs)
 	}
 }
@@ -79,7 +79,7 @@ func TestFaultyOverrideWins(t *testing.T) {
 	want := ident.NewSet(3)
 	res, err := core.Run(bg, core.Config{
 		Protocol: dolevstrong.Protocol{}, N: 6, T: 2, Value: ident.V1,
-		Adversary: adversary.Silent{}, FaultyOverride: want,
+		Adversary: adversary.Silent{}, FaultyOverride: &want,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -169,13 +169,13 @@ func E4Alg4(ctx context.Context) (*Table, error) {
 		m := ms[i]
 		n := m * m
 		t := m / 2
-		faulty := make(ident.Set)
+		var faulty ident.Set
 		for i := 0; i < t; i++ {
 			// Spread faults across rows to exercise the row-quorum logic.
 			faulty.Add(ident.ProcID(i*m + (i % m)))
 		}
 		cfg := cell{"alg4", cli.Params{N: n, T: t}}.config(ident.V0, 4)
-		cfg.Scheme, cfg.Adversary, cfg.FaultyOverride = sig.NewHMAC(n, 4), adversary.Silent{}, faulty
+		cfg.Scheme, cfg.Adversary, cfg.FaultyOverride = sig.NewHMAC(n, 4), adversary.Silent{}, &faulty
 		res, err := core.Run(ctx, cfg)
 		if err != nil {
 			return result{}, err
@@ -234,7 +234,7 @@ func measureExchangeSet(res *core.Result, n, m int, faulty ident.Set) int {
 		out := ex.Output()
 		all := true
 		for _, q := range candidates {
-			if _, got := out[q]; !got {
+			if len(out[q].Chain) == 0 {
 				all = false
 				break
 			}
@@ -582,7 +582,7 @@ func E13Alg5Breakdown(ctx context.Context) (*Table, error) {
 	c := cell{"alg5", cli.Params{N: 200, T: 3, S: 3}}
 	segments := c.resolve().(alg5.Protocol).Segments(c.p.N, c.p.T)
 
-	perSegment := func(ctx context.Context, adv adversary.Adversary, faulty ident.Set) (map[string]int, error) {
+	perSegment := func(ctx context.Context, adv adversary.Adversary, faulty *ident.Set) (map[string]int, error) {
 		cfg := c.config(ident.V1, 13)
 		cfg.Adversary, cfg.FaultyOverride = adv, faulty
 		res, err := core.Run(ctx, cfg)
@@ -617,8 +617,9 @@ func E13Alg5Breakdown(ctx context.Context) (*Table, error) {
 		},
 		func(ctx context.Context) error {
 			// α = 25 for t=3: passives start at 25; corrupt three tree roots.
+			roots := ident.NewSet(25, 28, 31)
 			var err error
-			dirty, err = perSegment(ctx, adversary.Silent{}, ident.NewSet(25, 28, 31))
+			dirty, err = perSegment(ctx, adversary.Silent{}, &roots)
 			return err
 		},
 		func(ctx context.Context) error {

@@ -285,7 +285,7 @@ func (p *Plan) Digest() uint64 {
 	}
 	// Crash rules land in p.crash, not p.rules; fold them in sorted order so
 	// map iteration never perturbs the digest.
-	crashed := make(ident.Set, len(p.crash))
+	var crashed ident.Set
 	for id := range p.crash {
 		crashed.Add(id)
 	}
@@ -385,7 +385,7 @@ func (p *Plan) CrashSilent(phase int, to ident.ProcID, n int) int {
 // agreement — every injected fault is then attributable to a processor the
 // protocols already tolerate misbehaving.
 func (p *Plan) Affected(n int) ident.Set {
-	out := make(ident.Set)
+	var out ident.Set
 	if p == nil {
 		return out
 	}
@@ -402,11 +402,11 @@ func (p *Plan) Affected(n int) ident.Set {
 			if r.GroupB.Len() < r.GroupA.Len() {
 				small = r.GroupB
 			}
-			for id := range small {
+			small.Each(func(id ident.ProcID) {
 				if int(id) < n {
 					out.Add(id)
 				}
-			}
+			})
 		default:
 			if r.From == ident.None {
 				for _, id := range ident.Range(n) {

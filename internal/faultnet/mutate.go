@@ -126,18 +126,14 @@ func cloneSpec(spec Spec) Spec {
 	out := Spec{Rules: make([]Rule, len(spec.Rules))}
 	copy(out.Rules, spec.Rules)
 	for i := range out.Rules {
-		if out.Rules[i].GroupA != nil {
-			out.Rules[i].GroupA = out.Rules[i].GroupA.Clone()
-		}
-		if out.Rules[i].GroupB != nil {
-			out.Rules[i].GroupB = out.Rules[i].GroupB.Clone()
-		}
+		out.Rules[i].GroupA = out.Rules[i].GroupA.Clone()
+		out.Rules[i].GroupB = out.Rules[i].GroupB.Clone()
 	}
 	return out
 }
 
 func crashedProcs(spec Spec) ident.Set {
-	out := make(ident.Set)
+	var out ident.Set
 	for i := range spec.Rules {
 		if spec.Rules[i].Kind == KCrash {
 			out.Add(spec.Rules[i].Proc)

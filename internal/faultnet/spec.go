@@ -170,11 +170,11 @@ func parseProc(s string) (ident.ProcID, error) {
 }
 
 func parseIDs(s string) (ident.Set, error) {
-	out := make(ident.Set)
+	var out ident.Set
 	for _, f := range strings.Split(s, ",") {
 		id, err := parseProc(f)
 		if err != nil || id == ident.None {
-			return nil, fmt.Errorf("%w: group member %q", ErrBadSpec, f)
+			return ident.Set{}, fmt.Errorf("%w: group member %q", ErrBadSpec, f)
 		}
 		out.Add(id)
 	}

@@ -1,6 +1,11 @@
 // Package ident defines the primitive identifiers shared by every other
-// package in the module: processor identities, agreement values, and small
-// set utilities over processor identities.
+// package in the module: processor identities, agreement values, and sets of
+// processor identities.
+//
+// Identities are dense — 0..n-1 — so a set of them is a bitset (Set) and a
+// table of them is a slice indexed by id (Range): a run's per-processor state
+// needs no map, and anything walked in id order is walked that way by
+// construction, not sorted into it.
 //
 // The paper models a system PR of n processors, one of which (the
 // transmitter) holds a private value v from a value set V. We number
@@ -10,6 +15,7 @@ package ident
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 )
@@ -44,78 +50,150 @@ const (
 // String implements fmt.Stringer.
 func (v Value) String() string { return fmt.Sprintf("v=%d", int64(v)) }
 
-// Set is a set of processor identities. The zero value is an empty, usable
-// set (operations that add allocate lazily via the methods below; callers
-// that range over a nil Set see nothing, matching Go map semantics).
-type Set map[ProcID]struct{}
+// Set is a set of processor identities, kept as a bitset: id i is bit i%64
+// of word i/64. Ids are dense, so a set of any processors of an n-processor
+// run takes n/64 words, and it iterates in id order by construction.
+//
+// The first word is held inline: the zero value is an empty, usable set, and
+// a set whose ids are all below 64 never allocates. The words past it grow on
+// demand, so memory follows the largest id added, and Add panics on a
+// negative id (Has and Remove treat one as absent). A Set is a value:
+// assignment copies the inline word but shares the words past it, so a set is
+// written through one variable and Clone makes an independent copy. high
+// never ends in a zero word, which keeps equal sets reflect.DeepEqual.
+type Set struct {
+	low  uint64   // ids 0..63
+	high []uint64 // high[i] holds ids 64(i+1) .. 64(i+1)+63
+}
 
 // NewSet builds a set from the given identities.
 func NewSet(ids ...ProcID) Set {
-	s := make(Set, len(ids))
+	var s Set
 	for _, id := range ids {
-		s[id] = struct{}{}
+		s.Add(id)
 	}
 	return s
 }
 
+// word returns the word holding id and id's bit in it; nil if id is negative
+// or past the words s has.
+func (s *Set) word(id ProcID) (*uint64, uint64) {
+	switch {
+	case id < 0:
+		return nil, 0
+	case id < 64:
+		return &s.low, 1 << uint(id)
+	case int(id/64)-1 < len(s.high):
+		return &s.high[id/64-1], 1 << uint(id%64)
+	}
+	return nil, 0
+}
+
 // Add inserts id into the set and reports whether it was newly added.
-func (s Set) Add(id ProcID) bool {
-	if _, ok := s[id]; ok {
+func (s *Set) Add(id ProcID) bool {
+	if id < 0 {
+		panic(fmt.Sprintf("ident: Set.Add(%d)", int32(id)))
+	}
+	if need := int(id / 64); need > len(s.high) {
+		s.high = append(s.high, make([]uint64, need-len(s.high))...)
+	}
+	w, bit := s.word(id)
+	if *w&bit != 0 {
 		return false
 	}
-	s[id] = struct{}{}
+	*w |= bit
 	return true
 }
 
 // Has reports whether id is in the set.
 func (s Set) Has(id ProcID) bool {
-	_, ok := s[id]
-	return ok
+	w, bit := s.word(id)
+	return w != nil && *w&bit != 0
 }
 
 // Remove deletes id from the set if present.
-func (s Set) Remove(id ProcID) { delete(s, id) }
+func (s *Set) Remove(id ProcID) {
+	if w, bit := s.word(id); w != nil {
+		*w &^= bit
+		s.trim()
+	}
+}
+
+// trim drops trailing zero words.
+func (s *Set) trim() {
+	n := len(s.high)
+	for n > 0 && s.high[n-1] == 0 {
+		n--
+	}
+	if n == 0 {
+		s.high = nil
+	} else {
+		s.high = s.high[:n]
+	}
+}
 
 // Len returns the cardinality of the set.
-func (s Set) Len() int { return len(s) }
-
-// Sorted returns the members in ascending order. The result is a fresh
-// slice; mutating it does not affect the set.
-func (s Set) Sorted() []ProcID {
-	out := make([]ProcID, 0, len(s))
-	for id := range s {
-		out = append(out, id)
+func (s Set) Len() int {
+	n := bits.OnesCount64(s.low)
+	for _, w := range s.high {
+		n += bits.OnesCount64(w)
 	}
-	slices.Sort(out)
+	return n
+}
+
+// Each calls fn with every member in ascending order. fn must not change s.
+func (s Set) Each(fn func(ProcID)) {
+	eachBit(s.low, 0, fn)
+	for i, w := range s.high {
+		eachBit(w, ProcID(64*(i+1)), fn)
+	}
+}
+
+// eachBit calls fn with base+b for every set bit b of w, lowest first.
+func eachBit(w uint64, base ProcID, fn func(ProcID)) {
+	for ; w != 0; w &= w - 1 {
+		fn(base + ProcID(bits.TrailingZeros64(w)))
+	}
+}
+
+// Sorted returns the members in ascending order, walking the words in
+// order. The result is a fresh slice, never nil; mutating it does not affect
+// the set.
+func (s Set) Sorted() []ProcID {
+	out := make([]ProcID, 0, s.Len())
+	s.Each(func(id ProcID) { out = append(out, id) })
 	return out
 }
 
 // Clone returns an independent copy of the set.
 func (s Set) Clone() Set {
-	out := make(Set, len(s))
-	for id := range s {
-		out[id] = struct{}{}
-	}
-	return out
+	return Set{low: s.low, high: slices.Clone(s.high)}
 }
 
 // Union returns a new set containing the members of both sets.
 func (s Set) Union(other Set) Set {
+	if len(other.high) > len(s.high) {
+		s, other = other, s
+	}
 	out := s.Clone()
-	for id := range other {
-		out[id] = struct{}{}
+	out.low |= other.low
+	for i, w := range other.high {
+		out.high[i] |= w
 	}
 	return out
 }
 
 // Intersect returns a new set with the members common to both sets.
 func (s Set) Intersect(other Set) Set {
-	out := make(Set)
-	for id := range s {
-		if other.Has(id) {
-			out[id] = struct{}{}
-		}
+	if len(other.high) < len(s.high) {
+		s, other = other, s
 	}
+	out := s.Clone()
+	out.low &= other.low
+	for i := range out.high {
+		out.high[i] &= other.high[i]
+	}
+	out.trim()
 	return out
 }
 

@@ -153,13 +153,13 @@ func (g Group) IndexOf(me ident.ProcID) (int, error) {
 // must pass every chain the payload carries so Theorem 1 accounting and the
 // A(p) sets remain exact.
 func Send(ctx *sim.Context, to ident.ProcID, payload []byte, chains ...sig.Chain) error {
-	signers, total := summarize(ctx, chains)
+	signers, total := Summarize(ctx, chains)
 	return ctx.Send(to, payload, signers, total)
 }
 
 // Broadcast sends payload to every processor except the sender.
 func Broadcast(ctx *sim.Context, payload []byte, chains ...sig.Chain) error {
-	signers, total := summarize(ctx, chains)
+	signers, total := Summarize(ctx, chains)
 	for id := 0; id < ctx.N(); id++ {
 		pid := ident.ProcID(id)
 		if pid == ctx.ID() {
@@ -175,7 +175,7 @@ func Broadcast(ctx *sim.Context, payload []byte, chains ...sig.Chain) error {
 // SendToAll sends payload to each listed recipient (skipping the sender if
 // present).
 func SendToAll(ctx *sim.Context, to []ident.ProcID, payload []byte, chains ...sig.Chain) error {
-	signers, total := summarize(ctx, chains)
+	signers, total := Summarize(ctx, chains)
 	for _, pid := range to {
 		if pid == ctx.ID() {
 			continue
@@ -187,10 +187,11 @@ func SendToAll(ctx *sim.Context, to []ident.ProcID, payload []byte, chains ...si
 	return nil
 }
 
-// summarize returns the distinct signers of the chains in ascending order
-// and the total number of links. The list is collected in the scratch of
+// Summarize returns the distinct signers of the chains in ascending order
+// and the total number of links: an envelope's signature accounting, for a
+// caller that sends one payload through Context.Send itself. The list is collected in the scratch of
 // ctx's slab and carved from it, so it is no allocation of its own.
-func summarize(ctx *sim.Context, chains []sig.Chain) ([]ident.ProcID, int) {
+func Summarize(ctx *sim.Context, chains []sig.Chain) ([]ident.ProcID, int) {
 	total := 0
 	for _, c := range chains {
 		total += len(c)

@@ -11,7 +11,7 @@ import (
 	"byzex/internal/sig"
 )
 
-func run(t *testing.T, tt int, v ident.Value, adv adversary.Adversary, faulty ident.Set) *core.Result {
+func run(t *testing.T, tt int, v ident.Value, adv adversary.Adversary, faulty *ident.Set) *core.Result {
 	t.Helper()
 	n := 2*tt + 1
 	res, _, err := core.RunAndCheck(context.Background(), core.Config{
@@ -97,7 +97,7 @@ func TestFaultyCoalitionOnOneSide(t *testing.T) {
 	tt := 3
 	faulty := ident.NewSet(1, 2, 3) // the entire A side
 	for _, v := range []ident.Value{ident.V0, ident.V1} {
-		run(t, tt, v, adversary.Silent{}, faulty)
+		run(t, tt, v, adversary.Silent{}, &faulty)
 	}
 }
 

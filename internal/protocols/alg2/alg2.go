@@ -200,7 +200,7 @@ func (c *Core) Proof() (sig.SignedValue, bool) {
 // such message exists for a value other than the common one.
 func VerifyProof(sv sig.SignedValue, group []ident.ProcID, t int, verifier sig.Verifier) error {
 	members := ident.NewSet(group...)
-	distinct := make(ident.Set)
+	var distinct ident.Set
 	for _, l := range sv.Chain {
 		if !members.Has(l.Signer) {
 			return fmt.Errorf("alg2: proof signer %v not a group member", l.Signer)

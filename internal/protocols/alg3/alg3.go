@@ -160,38 +160,37 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	case phase == t+2*a.l.s+3:
 		// Final phase: cover members whose signature the root's report is
 		// missing (or whose root never reported / reported a wrong value).
-		reports := make(map[int]sig.SignedValue)
+		// reports[k] is the first report root k sent, if sent[k].
+		reports := make([]sig.SignedValue, a.l.sets())
+		var sent ident.Set
 		for _, env := range inbox {
 			setIdx, memberIdx, okLoc := a.l.locate(env.From)
 			if !okLoc || memberIdx != 0 {
 				continue
 			}
 			sv, ok := sig.DecodeTagged(slab, env.Payload, tagReport)
-			if !ok {
-				continue
-			}
-			if _, dup := reports[setIdx]; !dup {
+			if ok && sent.Add(ident.ProcID(setIdx)) {
 				reports[setIdx] = sv
 			}
 		}
 		sv := slab.SignValue(a.cfg.Signer, a.committed)
 		payload := slab.EncodeTagged(tagActiveValue, sv)
-		for setIdx := 0; setIdx < a.l.sets(); setIdx++ {
+		for setIdx, rep := range reports {
 			root, size := a.l.set(setIdx)
-			covered := make(ident.Set)
-			if rep, ok := reports[setIdx]; ok && rep.Value == a.committed &&
+			var covered ident.Set // member index i for root+i
+			if sent.Has(ident.ProcID(setIdx)) && rep.Value == a.committed &&
 				rep.Chain.Verify(a.cfg.Verifier, sig.ValueBody(rep.Value)) == nil {
 				for _, l := range rep.Chain {
 					if l.Signer > root && l.Signer < root+ident.ProcID(size) {
-						covered.Add(l.Signer)
+						covered.Add(l.Signer - root)
 					}
 				}
 			}
-			for member := root + 1; member < root+ident.ProcID(size); member++ {
-				if covered.Has(member) {
+			for i := 1; i < size; i++ {
+				if covered.Has(ident.ProcID(i)) {
 					continue
 				}
-				if err := protocol.Send(ctx, member, payload, sv.Chain); err != nil {
+				if err := protocol.Send(ctx, root+ident.ProcID(i), payload, sv.Chain); err != nil {
 					return err
 				}
 			}
@@ -232,31 +231,8 @@ func (r *rootNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	case phase == t+4:
 		// Collect active values sent at t+3; adopt the value received from
 		// ≥ t+1 distinct active processors.
-		votes := make(map[ident.Value]ident.Set)
-		mark := slab.Mark() // a vote keeps no chain
-		for _, env := range inbox {
-			if int(env.From) >= 2*t+1 {
-				continue
-			}
-			sv, ok := sig.DecodeTagged(slab, env.Payload, tagActiveValue)
-			if !ok || len(sv.Chain) != 1 || sv.Chain[0].Signer != env.From {
-				continue
-			}
-			if sv.Verify(r.cfg.Verifier) != nil {
-				continue
-			}
-			if votes[sv.Value] == nil {
-				votes[sv.Value] = make(ident.Set)
-			}
-			votes[sv.Value].Add(env.From)
-		}
-		slab.Rewind(mark)
-		for v, who := range votes {
-			if who.Len() >= t+1 {
-				r.m = sig.SignedValue{Value: v}
-				r.haveM = true
-				break
-			}
+		if v, ok := tally(slab, inbox, t, r.cfg.Verifier); ok {
+			r.m, r.haveM = sig.SignedValue{Value: v}, true
 		}
 	case phase > t+4 && phase <= t+2*s+2 && (phase-t)%2 == 0:
 		// Phase t+2j+2: process c(j)'s reply (sent during t+2j+1).
@@ -346,21 +322,23 @@ func (mn *memberNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	// t+2j+1, i.e. we observe the root's message in the Step of phase
 	// t+2j+1 (it was sent during t+2j).
 	if phase == t+2*j+1 {
-		var got []sig.SignedValue
+		var first sig.SignedValue // and how many messages came
+		got := 0
 		for _, env := range inbox {
 			if env.From != mn.root() {
 				continue
 			}
 			if sv, ok := sig.DecodeTagged(slab, env.Payload, tagChainDown); ok {
-				got = append(got, sv)
+				if got++; got == 1 {
+					first = sv
+				}
 			}
 		}
 		// "Exactly one valid message from its root with possibly some
 		// signatures of c(2)..c(j-1) appended."
-		if len(got) == 1 && mn.validDown(got[0]) {
-			sv := got[0]
-			mn.fromRoot, mn.haveRoot = sv.Value, true
-			signed := slab.CoSign(mn.cfg.Signer, sv)
+		if got == 1 && mn.validDown(first) {
+			mn.fromRoot, mn.haveRoot = first.Value, true
+			signed := slab.CoSign(mn.cfg.Signer, first)
 			payload := slab.EncodeTagged(tagChainUp, signed)
 			if err := protocol.Send(ctx, mn.root(), payload, signed.Chain); err != nil {
 				return err
@@ -371,33 +349,41 @@ func (mn *memberNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	// Final catch-up: the last sending phase is t+2s+3, so its messages
 	// arrive at the delivery-only step t+2s+4.
 	if phase == t+2*s+4 {
-		votes := make(map[ident.Value]ident.Set)
-		mark := slab.Mark() // a vote keeps no chain
-		for _, env := range inbox {
-			if int(env.From) >= 2*t+1 {
-				continue
-			}
-			sv, ok := sig.DecodeTagged(slab, env.Payload, tagActiveValue)
-			if !ok || len(sv.Chain) != 1 || sv.Chain[0].Signer != env.From {
-				continue
-			}
-			if sv.Verify(mn.cfg.Verifier) != nil {
-				continue
-			}
-			if votes[sv.Value] == nil {
-				votes[sv.Value] = make(ident.Set)
-			}
-			votes[sv.Value].Add(env.From)
-		}
-		slab.Rewind(mark)
-		for v, who := range votes {
-			if who.Len() >= t+1 {
-				mn.final, mn.haveFinal = v, true
-				break
-			}
-		}
+		mn.final, mn.haveFinal = tally(slab, inbox, t, mn.cfg.Verifier)
 	}
 	return nil
+}
+
+// tally counts the active values in inbox — each a value signed by its
+// sender, an active — and returns the one at least t+1 distinct actives sent.
+// A tally is a bitset over the 2t+1 actives, one per binary value: the t+1 or
+// more correct actives all send the binary value Algorithm 1 committed them
+// to, so a non-binary value is signed only by faulty actives, of which there
+// are at most t, and can never reach t+1 votes; it is verified like any other
+// and then dropped. A vote keeps no chain.
+func tally(slab *sig.Slab, inbox []sim.Envelope, t int, verifier sig.Verifier) (ident.Value, bool) {
+	var votes [2]ident.Set // votes[v]: the actives that sent value v
+	mark := slab.Mark()
+	defer slab.Rewind(mark)
+	for _, env := range inbox {
+		if int(env.From) >= 2*t+1 {
+			continue
+		}
+		sv, ok := sig.DecodeTagged(slab, env.Payload, tagActiveValue)
+		if !ok || len(sv.Chain) != 1 || sv.Chain[0].Signer != env.From {
+			continue
+		}
+		if sv.Verify(verifier) != nil || (sv.Value != ident.V0 && sv.Value != ident.V1) {
+			continue
+		}
+		votes[sv.Value].Add(env.From)
+	}
+	for v, who := range votes {
+		if who.Len() >= t+1 {
+			return ident.Value(v), true
+		}
+	}
+	return ident.V0, false
 }
 
 // validDown checks a chain-down message: signatures only by our set's

@@ -10,7 +10,7 @@ import (
 	"byzex/internal/protocols/alg3"
 )
 
-func run(t *testing.T, n, tt, s int, v ident.Value, adv adversary.Adversary, faulty ident.Set) *core.Result {
+func run(t *testing.T, n, tt, s int, v ident.Value, adv adversary.Adversary, faulty *ident.Set) *core.Result {
 	t.Helper()
 	res, _, err := core.RunAndCheck(context.Background(), core.Config{
 		Protocol: alg3.Protocol{S: s}, N: n, T: tt, Value: v,
@@ -71,7 +71,7 @@ func TestFaultyRoots(t *testing.T) {
 	n, tt, s := 33, 3, 4
 	faulty := ident.NewSet(7, 11, 15) // roots of sets 0, 1, 2 (actives are 0..6)
 	for _, v := range []ident.Value{ident.V0, ident.V1} {
-		run(t, n, tt, s, v, adversary.Silent{}, faulty)
+		run(t, n, tt, s, v, adversary.Silent{}, &faulty)
 	}
 }
 
@@ -81,7 +81,7 @@ func TestFaultyMembers(t *testing.T) {
 	n, tt, s := 33, 3, 4
 	faulty := ident.NewSet(8, 9, 12)
 	for _, v := range []ident.Value{ident.V0, ident.V1} {
-		res := run(t, n, tt, s, v, adversary.Silent{}, faulty)
+		res := run(t, n, tt, s, v, adversary.Silent{}, &faulty)
 		if got, bound := res.Sim.Report.MessagesCorrect, core.Alg3MsgUpperBound(n, tt, s); got > bound {
 			t.Errorf("%d msgs > bound %d", got, bound)
 		}

@@ -50,7 +50,7 @@ func TestLocateCoversEveryPassive(t *testing.T) {
 		{33, 3, 4}, {100, 2, 7}, {10, 4, 1}, {9, 4, 3},
 	} {
 		l := newLayout(tc.n, tc.t, tc.s)
-		seen := make(ident.Set)
+		var seen ident.Set
 		for si := 0; si < l.sets(); si++ {
 			root, size := l.set(si)
 			for mi := 0; mi < size; mi++ {

@@ -49,14 +49,17 @@ type Group struct {
 
 	// entries is the scratch one payload's entries are parsed into, their
 	// chains carved from the stepping context's slab: a payload costs a
-	// block of links now and then, not an allocation per entry.
+	// block of links now and then, not an allocation per entry. chains is
+	// the scratch of a send's chain list.
 	entries []sig.SignedBytes
+	chains  []sig.Chain
 }
 
 // NewGroup builds the exchange state for member me of the given group
 // (whose size must be a perfect square). value is the byte string this
 // member contributes; the group keeps it, and members, so the caller must not
-// write to either afterwards.
+// write to either afterwards. Reset starts the next exchange of the same
+// group with a new value.
 func NewGroup(members []ident.ProcID, me ident.ProcID, value []byte, signer sig.Signer, verifier sig.Verifier) (*Group, error) {
 	g, err := newGrid(len(members))
 	if err != nil {
@@ -70,6 +73,16 @@ func NewGroup(members []ident.ProcID, me ident.ProcID, value []byte, signer sig.
 	if err != nil {
 		return nil, err
 	}
+	// One block holds collected and what the three phases hold when
+	// everybody is correct: a row, a column of row reports, and one such
+	// report of reports.
+	n, m := len(members), int(g)
+	block := make([]sig.SignedBytes, n+m+2*(m-1)*m)
+	carve := func(size int) []sig.SignedBytes {
+		s := block[:0:size]
+		block = block[size:]
+		return s
+	}
 	return &Group{
 		members:   group,
 		g:         g,
@@ -77,13 +90,25 @@ func NewGroup(members []ident.ProcID, me ident.ProcID, value []byte, signer sig.
 		signer:    signer,
 		verifier:  verifier,
 		value:     value,
-		collected: make([]sig.SignedBytes, len(members)),
-		// What the three phases hold when everybody is correct: a row, a
-		// column of row reports, and one such report of reports.
-		m1:      make([]sig.SignedBytes, 0, int(g)),
-		m2:      make([]sig.SignedBytes, 0, int(g-1)*int(g)),
-		entries: make([]sig.SignedBytes, 0, int(g-1)*int(g)),
+		collected: carve(n)[:n],
+		m1:        carve(m),
+		m2:        carve((m - 1) * m),
+		entries:   carve((m - 1) * m),
+		chains:    make([]sig.Chain, 0, (m-1)*m),
 	}, nil
+}
+
+// Reset makes the group ready for a new exchange in which this member
+// contributes value, on the storage of the last one. Output's slots are
+// emptied, and the phases' scratch is recycled (sig.Recycle: poisoned in
+// race builds), so a view of the last exchange kept past Reset is caught.
+func (gr *Group) Reset(value []byte) {
+	sig.Recycle(gr.m1[:cap(gr.m1)])
+	sig.Recycle(gr.m2[:cap(gr.m2)])
+	sig.Recycle(gr.entries[:cap(gr.entries)])
+	clear(gr.chains[:cap(gr.chains)])
+	clear(gr.collected)
+	gr.value, gr.m1, gr.m2, gr.chains = value, gr.m1[:0], gr.m2[:0], gr.chains[:0]
 }
 
 // Phases is the number of sending phases of one exchange (3); outputs are
@@ -166,21 +191,26 @@ func encodeList(slab *sig.Slab, entries []sig.SignedBytes) []byte {
 	return w.Bytes()
 }
 
-func chainsOf(entries []sig.SignedBytes) []sig.Chain {
-	out := make([]sig.Chain, len(entries))
-	for i, e := range entries {
-		out[i] = e.Chain
+// chainsOf appends the entries' chains to dst.
+func chainsOf(dst []sig.Chain, entries []sig.SignedBytes) []sig.Chain {
+	for _, e := range entries {
+		dst = append(dst, e.Chain)
 	}
-	return out
+	return dst
 }
 
-// sendTo sends payload to the group members at the given grid indices.
-func (gr *Group) sendTo(ctx *sim.Context, indices []int, payload []byte, chains ...sig.Chain) error {
-	ids := make([]ident.ProcID, len(indices))
-	for i, idx := range indices {
-		ids[i] = gr.members.Members()[idx]
+// sendLine sends payload to the members at grid indices first, first+step,
+// ... — a row or a column of the grid, walked in place — but this member.
+func (gr *Group) sendLine(ctx *sim.Context, first, step int, payload []byte, chains ...sig.Chain) error {
+	signers, total := protocol.Summarize(ctx, chains)
+	for k := 0; k < int(gr.g); k++ {
+		if j := first + k*step; j != gr.me {
+			if err := ctx.Send(gr.members.Members()[j], payload, signers, total); err != nil {
+				return err
+			}
+		}
 	}
-	return protocol.SendToAll(ctx, ids, payload, chains...)
+	return nil
 }
 
 // Step advances the exchange. rel is the relative step: 0, 1, 2 send the
@@ -229,45 +259,28 @@ func (gr *Group) Step(ctx *sim.Context, inbox []sim.Envelope, rel int) error {
 		}
 	}
 
+	row, col := gr.me-gr.g.col(gr.me), gr.g.col(gr.me) // the first index of each line
 	switch rel {
 	case 0:
 		own := slab.SignBytes(gr.signer, gr.value)
 		gr.record(own)
 		gr.m1 = append(gr.m1, own)
-		return gr.sendTo(ctx, gr.g.rowMates(gr.me), encodeValue(slab, own), own.Chain)
+		return gr.sendLine(ctx, row, 1, encodeValue(slab, own), own.Chain)
 	case 1:
-		payload := encodeList(slab, gr.m1)
-		return gr.sendTo(ctx, gr.g.colMates(gr.me), payload, chainsOf(gr.m1)...)
+		gr.chains = chainsOf(gr.chains[:0], gr.m1)
+		return gr.sendLine(ctx, col, int(gr.g), encodeList(slab, gr.m1), gr.chains...)
 	case 2:
-		payload := encodeList(slab, gr.m2)
-		return gr.sendTo(ctx, gr.g.rowMates(gr.me), payload, chainsOf(gr.m2)...)
+		gr.chains = chainsOf(gr.chains[:0], gr.m2)
+		return gr.sendLine(ctx, row, 1, encodeList(slab, gr.m2), gr.chains...)
 	}
 	return nil
 }
 
-// Collected returns the collected values in member order, for an embedder
-// that needs them in a deterministic order and not by identity.
-func (gr *Group) Collected() []sig.SignedBytes {
-	out := make([]sig.SignedBytes, 0, len(gr.collected))
-	for _, sb := range gr.collected {
-		if len(sb.Chain) > 0 {
-			out = append(out, sb)
-		}
-	}
-	return out
-}
-
-// Output returns the collected values: member identity -> signed value.
-// Complete after relative step 3.
-func (gr *Group) Output() map[ident.ProcID]sig.SignedBytes {
-	out := make(map[ident.ProcID]sig.SignedBytes, len(gr.collected))
-	for idx, sb := range gr.collected {
-		if len(sb.Chain) > 0 {
-			out[gr.members.Members()[idx]] = sb
-		}
-	}
-	return out
-}
+// Output returns the collected values indexed by member position, in member
+// order; a member whose value never arrived has an empty chain. Complete
+// after relative step 3; the result is the group's own storage, emptied by
+// Reset, and callers must not write to it.
+func (gr *Group) Output() []sig.SignedBytes { return gr.collected }
 
 // ---------------------------------------------------------------------------
 // Standalone protocol wrapper: every processor contributes the byte
@@ -330,12 +343,15 @@ func (n *node) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 
 func (n *node) Decide() (ident.Value, bool) { return ident.V0, true }
 
-// Output exposes the exchange result for tests and callers.
-func (n *node) Output() map[ident.ProcID]sig.SignedBytes { return n.gr.Output() }
+// Output exposes the exchange result: the group is the whole system, so
+// member position i is processor i.
+func (n *node) Output() []sig.SignedBytes { return n.gr.Output() }
 
-// Exchanger is implemented by nodes exposing an Algorithm 4 output.
+// Exchanger is implemented by nodes exposing an exchange's output: the
+// signed value collected from processor i at index i, its chain empty if
+// none arrived.
 type Exchanger interface {
-	Output() map[ident.ProcID]sig.SignedBytes
+	Output() []sig.SignedBytes
 }
 
 var _ Exchanger = (*node)(nil)

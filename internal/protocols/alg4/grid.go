@@ -28,20 +28,3 @@ func newGrid(n int) (grid, error) {
 
 func (g grid) row(i int) int { return i / int(g) }
 func (g grid) col(i int) int { return i % int(g) }
-
-// rowMates returns the indices sharing index i's row, excluding i itself.
-func (g grid) rowMates(i int) []int { return g.line(i-g.col(i), 1, i) }
-
-// colMates returns the indices sharing index i's column, excluding i itself.
-func (g grid) colMates(i int) []int { return g.line(g.col(i), int(g), i) }
-
-// line returns the m indices first, first+step, ..., without skip.
-func (g grid) line(first, step, skip int) []int {
-	out := make([]int, 0, int(g)-1)
-	for k := 0; k < int(g); k++ {
-		if j := first + k*step; j != skip {
-			out = append(out, j)
-		}
-	}
-	return out
-}

@@ -28,13 +28,29 @@ func TestCoordinates(t *testing.T) {
 	}
 }
 
+// rowMates and colMates expand the lines Group.Step sends along: index i's
+// row from i-col(i) in steps of 1 and its column from col(i) in steps of m,
+// i itself left out.
+func rowMates(g grid, i int) []int { return line(g, i-g.col(i), 1, i) }
+func colMates(g grid, i int) []int { return line(g, g.col(i), int(g), i) }
+
+func line(g grid, first, step, skip int) []int {
+	var out []int
+	for k := 0; k < int(g); k++ {
+		if j := first + k*step; j != skip {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
 func TestMates(t *testing.T) {
 	g, _ := newGrid(9)
-	row := g.rowMates(4) // center: row 1 = {3,4,5}
+	row := rowMates(g, 4) // center: row 1 = {3,4,5}
 	if len(row) != 2 || row[0] != 3 || row[1] != 5 {
 		t.Fatalf("row mates %v", row)
 	}
-	col := g.colMates(4) // column 1 = {1,4,7}
+	col := colMates(g, 4) // column 1 = {1,4,7}
 	if len(col) != 2 || col[0] != 1 || col[1] != 7 {
 		t.Fatalf("col mates %v", col)
 	}
@@ -55,13 +71,13 @@ func TestQuickRowColPartition(t *testing.T) {
 			return false
 		}
 		seen := map[int]bool{}
-		for _, j := range g.rowMates(i) {
+		for _, j := range rowMates(g, i) {
 			if g.row(j) != g.row(i) {
 				return false
 			}
 			seen[j] = true
 		}
-		for _, j := range g.colMates(i) {
+		for _, j := range colMates(g, i) {
 			if g.col(j) != g.col(i) || seen[j] {
 				return false
 			}

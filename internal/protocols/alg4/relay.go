@@ -51,13 +51,15 @@ func (RelayProtocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
 	}
 	return &relayNode{
 		cfg:       cfg,
-		collected: make(map[ident.ProcID]sig.SignedBytes),
+		collected: make([]sig.SignedBytes, cfg.N),
 	}, nil
 }
 
 type relayNode struct {
-	cfg       protocol.NodeConfig
-	collected map[ident.ProcID]sig.SignedBytes
+	cfg protocol.NodeConfig
+	// collected[i] is processor i's signed value, its chain empty until one
+	// arrives.
+	collected []sig.SignedBytes
 	// m1 buffers phase 1 receipts for the relay's phase 2 fan-out.
 	m1 []sig.SignedBytes
 }
@@ -80,9 +82,8 @@ func (r *relayNode) accept(sb sig.SignedBytes) bool {
 }
 
 func (r *relayNode) record(sb sig.SignedBytes) {
-	signer := sb.Chain[0].Signer
-	if _, ok := r.collected[signer]; !ok {
-		r.collected[signer] = sb
+	if slot := &r.collected[sb.Chain[0].Signer]; len(slot.Chain) == 0 {
+		*slot = sb
 	}
 }
 
@@ -122,7 +123,7 @@ func (r *relayNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			r.record(sb)
 		}
 		payload := encodeList(slab, r.m1)
-		chains := chainsOf(r.m1)
+		chains := chainsOf(make([]sig.Chain, 0, len(r.m1)), r.m1)
 		for i := r.cfg.T + 1; i < r.cfg.N; i++ {
 			if err := protocol.Send(ctx, ident.ProcID(i), payload, chains...); err != nil {
 				return err
@@ -155,11 +156,5 @@ func (r *relayNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 
 func (r *relayNode) Decide() (ident.Value, bool) { return ident.V0, true }
 
-// Output implements Exchanger.
-func (r *relayNode) Output() map[ident.ProcID]sig.SignedBytes {
-	out := make(map[ident.ProcID]sig.SignedBytes, len(r.collected))
-	for id, sb := range r.collected {
-		out[id] = sb
-	}
-	return out
-}
+// Output implements Exchanger; callers must not write to the result.
+func (r *relayNode) Output() []sig.SignedBytes { return r.collected }

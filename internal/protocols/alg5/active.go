@@ -27,7 +27,13 @@ type activeNode struct {
 	// contributed to the in-flight Algorithm 4, each marking passive id
 	// α+i at index i (modeFull only).
 	b, pendingF []bool
-	g4          *alg4.Group // in-flight Algorithm 4 instance
+
+	// Built once per run and refilled per block (modeFull only): the
+	// Algorithm 4 exchange among the actives, in flight while g4Live, and
+	// the π table over the passives.
+	g4     *alg4.Group
+	g4Live bool
+	pi     piTable
 }
 
 var _ sim.Node = (*activeNode)(nil)
@@ -45,6 +51,12 @@ func newActiveNode(cfg protocol.NodeConfig, ly layout) (sim.Node, error) {
 		m := ly.n - ly.alpha
 		sets := make([]bool, 2*m)
 		a.b, a.pendingF = sets[:m:m], sets[m:]
+		a.pi = newPiTable(ly.passive(0), m, ly.alpha)
+		g4, err := alg4.NewGroup(ly.actives, cfg.ID, nil, cfg.Signer, cfg.Verifier)
+		if err != nil {
+			return nil, err
+		}
+		a.g4 = g4
 	}
 	return a, nil
 }
@@ -111,7 +123,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		if int(a.cfg.ID) <= t && a.hasValid {
 			targets := a.ly.actives[2*t+1:]
 			if a.ly.mode == modeFanout {
-				targets = a.ly.passives()
+				targets = ident.Range(a.ly.n)[len(a.ly.actives):]
 			}
 			payload := slab.EncodeTagged(tagFanout, a.valid)
 			if err := protocol.SendToAll(ctx, targets, payload, a.valid.Chain); err != nil {
@@ -137,29 +149,28 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		// Start of block x: settle the previous block's Algorithm 4
 		// exchange, derive B(p,x) and C(p,x), and send activations (block
 		// x ≥ 1) or the final direct copies (block 0).
-		var tbl *piTable
+		tbl := &a.pi
 		if x == a.ly.lambda {
 			for i := range a.b {
 				a.b[i] = true
 			}
-			tbl = new(piTable)
+			tbl.build(&a.ly, nil, x, a.cfg.Verifier)
 		} else {
-			if a.g4 == nil {
+			if !a.g4Live {
 				return nil
 			}
 			if err := a.g4.Step(ctx, inbox, 3); err != nil {
 				return err
 			}
-			// The actives are listed in id order, so this is signer order: map
-			// iteration order must never reach the wire (payload bytes, and
-			// with them signatures and histories, have to be deterministic
-			// per seed).
-			tbl = a.ly.buildPiTable(a.g4.Collected(), x, a.cfg.Verifier)
+			// The actives are listed in id order, so this is signer order:
+			// what reaches the wire (payload bytes, and with them signatures
+			// and histories) is deterministic per seed by construction.
+			tbl.build(&a.ly, a.g4.Output(), x, a.cfg.Verifier) // empty slots count for nothing
 			// B(p,x) = members of our own F(p,x) with enough endorsements.
 			for i, in := range a.pendingF {
 				a.b[i] = in && tbl.pi(a.ly.passive(i)) >= a.ly.threshold()
 			}
-			a.g4 = nil
+			a.g4Live = false
 		}
 		if !a.hasValid {
 			return nil
@@ -185,9 +196,9 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		var payload []byte
 		var prev []sig.SignedBytes
 		var chains []sig.Chain // reused: Send does not keep it
-		for _, ref := range a.ly.forest.rootsOfDepth(x) {
+		return a.ly.forest.eachRoot(x, func(ref treeRef) error {
 			if !a.ly.disablePoW && !a.ly.hasProofOfWork(tbl, ref, x) {
-				continue
+				return nil
 			}
 			strs := a.ly.powStringsFor(tbl, ref)
 			if payload == nil || !slices.EqualFunc(strs, prev, sameSigner) {
@@ -197,10 +208,8 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 					chains = append(chains, s.Chain)
 				}
 			}
-			if err := protocol.Send(ctx, a.ly.forest.at(ref), payload, chains...); err != nil {
-				return err
-			}
-		}
+			return protocol.Send(ctx, a.ly.forest.at(ref), payload, chains...)
+		})
 
 	case x >= 1 && rel == 2*l:
 		// Reports from this block's roots arrived: F(p, x-1) is B(p, x) less
@@ -226,15 +235,12 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 				f = append(f, a.ly.passive(i))
 			}
 		}
-		g4, err := alg4.NewGroup(a.ly.actives, a.cfg.ID, stringBody(slab, x-1, f), a.cfg.Signer, a.cfg.Verifier)
-		if err != nil {
-			return err
-		}
-		a.g4 = g4
+		a.g4.Reset(stringBody(slab, x-1, f))
+		a.g4Live = true
 		return a.g4.Step(ctx, inbox, 0)
 
 	case x >= 1 && (rel == 2*l+1 || rel == 2*l+2):
-		if a.g4 == nil {
+		if !a.g4Live {
 			return nil
 		}
 		return a.g4.Step(ctx, inbox, rel-2*l)

@@ -10,7 +10,7 @@ import (
 	"byzex/internal/protocols/alg5"
 )
 
-func run(t *testing.T, n, tt, s int, v ident.Value, adv adversary.Adversary, faulty ident.Set) *core.Result {
+func run(t *testing.T, n, tt, s int, v ident.Value, adv adversary.Adversary, faulty *ident.Set) *core.Result {
 	t.Helper()
 	res, _, err := core.RunAndCheck(context.Background(), core.Config{
 		Protocol: alg5.Protocol{S: s}, N: n, T: tt, Value: v,
@@ -94,7 +94,7 @@ func TestFaultyPassives(t *testing.T) {
 	// first tree (25), an inner node (26) and a leaf (29).
 	faulty := ident.NewSet(25, 26, 29)
 	for _, v := range []ident.Value{ident.V0, ident.V1} {
-		run(t, n, tt, s, v, adversary.Silent{}, faulty)
+		run(t, n, tt, s, v, adversary.Silent{}, &faulty)
 	}
 }
 
@@ -103,7 +103,7 @@ func TestFaultyActivesAndPassives(t *testing.T) {
 	// One core active, one extended active, one passive root.
 	faulty := ident.NewSet(2, 23, 25)
 	for _, v := range []ident.Value{ident.V0, ident.V1} {
-		run(t, n, tt, s, v, adversary.Silent{}, faulty)
+		run(t, n, tt, s, v, adversary.Silent{}, &faulty)
 	}
 }
 

@@ -80,7 +80,7 @@ func TestChaosFaultyTreeNodes(t *testing.T) {
 		faulty := ident.NewSet(25, 28, 31) // roots of the first three trees
 		if _, _, err := core.RunAndCheck(context.Background(), core.Config{
 			Protocol: alg5.Protocol{S: s}, N: n, T: tt, Value: ident.V1,
-			Adversary: adversary.Chaos{}, FaultyOverride: faulty, Seed: int64(seed),
+			Adversary: adversary.Chaos{}, FaultyOverride: &faulty, Seed: int64(seed),
 		}); err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
 		}

@@ -31,6 +31,12 @@
 // active's passive sets B(p, x) and F(p, x−1) are flags indexed by id − α,
 // walked in id order; only the fan-out below α spells the passives out.
 //
+// The ids are dense, and the per-block state is indexed by them: π(M, q, x)
+// is a counter per passive q at q − α, over a bitset of the actives already
+// counted (pow.go), in a table each active builds once and refills per
+// block, as it Resets one Algorithm 4 group; a root walks its subtree and an
+// active the block's roots by index arithmetic, with no member or root list.
+//
 // Everybody decides on the value of the first valid message received —
 // faulty processors cannot fabricate one for a wrong value, because any
 // t+1 active signatures include a correct processor's, and correct
@@ -127,16 +133,6 @@ func (ly *layout) phaseToBlock(phase int) (x, rel int, ok bool) {
 	return x, phase - ly.blockStart(x), true
 }
 
-// passives lists the passive processors, ids len(actives)..n-1, for the one
-// caller that needs them spelled out: modeFanout's fan-out.
-func (ly *layout) passives() []ident.ProcID {
-	out := make([]ident.ProcID, ly.n-len(ly.actives))
-	for i := range out {
-		out[i] = ly.passive(i)
-	}
-	return out
-}
-
 // passive returns the i-th passive processor, id len(actives)+i.
 func (ly *layout) passive(i int) ident.ProcID { return ident.ProcID(len(ly.actives) + i) }
 
@@ -231,13 +227,13 @@ func stringBody(slab *sig.Slab, index int, procs []ident.ProcID) []byte {
 	return w.Bytes()
 }
 
-// parseStringBody decodes a [index, procs] body.
-func parseStringBody(body []byte) (int, []ident.ProcID, error) {
+// parseStringBody decodes a [index, procs] body, appending procs to dst.
+func parseStringBody(body []byte, dst []ident.ProcID) (int, []ident.ProcID, error) {
 	r := wire.NewReader(body)
 	idx := r.Uint()
-	procs := r.Procs()
+	procs := r.ProcsInto(dst)
 	if err := r.Finish(); err != nil {
-		return 0, nil, err
+		return 0, dst, err
 	}
 	return int(idx), procs, nil
 }

@@ -126,6 +126,14 @@ func TestValidMessagePredicate(t *testing.T) {
 	}
 }
 
+// buildPiTable builds an active's table, the one over every passive, from
+// strs.
+func (ly *layout) buildPiTable(strs []sig.SignedBytes, index int, verifier sig.Verifier) *piTable {
+	tbl := newPiTable(ly.passive(0), ly.n-len(ly.actives), ly.alpha)
+	tbl.build(ly, strs, index, verifier)
+	return &tbl
+}
+
 func TestPiTableAndPoW(t *testing.T) {
 	ly := mustLayout(t, 60, 3, 3) // α=25, λ=2, trees of 3 over 35 passives
 	scheme := sig.NewHMAC(60, 2)
@@ -207,7 +215,7 @@ func TestPiTableAndPoW(t *testing.T) {
 func TestPiTableRejectsBadStrings(t *testing.T) {
 	ly := mustLayout(t, 60, 3, 3)
 	scheme := sig.NewHMAC(60, 2)
-	q := ly.passives()[0]
+	q := ly.passive(0)
 
 	s0, _ := scheme.Signer(0)
 	good := sig.NewSignedBytes(s0, stringBody(new(sig.Slab), 1, []ident.ProcID{q}))
@@ -237,11 +245,11 @@ func TestPiTableRejectsBadStrings(t *testing.T) {
 
 func TestStringBodyRoundTrip(t *testing.T) {
 	procs := []ident.ProcID{3, 99, 7}
-	idx, got, err := parseStringBody(stringBody(new(sig.Slab), 5, procs))
+	idx, got, err := parseStringBody(stringBody(new(sig.Slab), 5, procs), nil)
 	if err != nil || idx != 5 || len(got) != 3 || got[1] != 99 {
 		t.Fatalf("round trip: %d %v %v", idx, got, err)
 	}
-	if _, _, err := parseStringBody([]byte{0xFF}); err == nil {
+	if _, _, err := parseStringBody([]byte{0xFF}, nil); err == nil {
 		t.Fatal("garbage body parsed")
 	}
 }

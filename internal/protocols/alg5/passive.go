@@ -20,10 +20,10 @@ type passiveNode struct {
 	valid    sig.SignedValue
 	hasValid bool
 
-	// Root role (block λ-level).
+	// Root role (block λ-level), walking the subtree by forest.member.
 	activated bool
 	m         sig.SignedValue
-	queue     []ident.ProcID // our subtree's members in BFS order, minus us
+	pi        piTable
 
 	// Member role: one signed reply per block, bit x set once block x's is out.
 	signedIn uint64
@@ -40,8 +40,6 @@ func newPassiveNode(cfg protocol.NodeConfig, ly layout) (sim.Node, error) {
 		}
 		p.ref = ref
 		p.level = level(ref.pos)
-		members := ly.forest.subtreeMembers(ref)
-		p.queue = members[1:]
 	}
 	return p, nil
 }
@@ -104,8 +102,12 @@ func (p *passiveNode) stepRoot(ctx *sim.Context, inbox []sim.Envelope, x, rel in
 				continue
 			}
 			if !p.ly.disablePoW {
-				tbl := p.ly.buildPiTable(strs, x, p.cfg.Verifier)
-				if !p.ly.hasProofOfWork(tbl, p.ref, x) {
+				// Our subtree's ids run from ours; block λ needs no strings.
+				if p.pi.counts == nil && len(strs) > 0 {
+					p.pi = newPiTable(p.cfg.ID, p.ly.forest.size(p.ref.tree)-p.ref.pos, len(strs))
+				}
+				p.pi.build(&p.ly, strs, x, p.cfg.Verifier)
+				if !p.ly.hasProofOfWork(&p.pi, p.ref, x) {
 					slab.Rewind(mark)
 					continue
 				}
@@ -125,8 +127,7 @@ func (p *passiveNode) stepRoot(ctx *sim.Context, inbox []sim.Envelope, x, rel in
 
 	// Odd rel = 2j+1 (j ≥ 1): absorb the reply of member j (sent at rel
 	// 2j). rel 1 is the activation step (j = 0), which only sends.
-	if j := (rel - 1) / 2; j >= 1 && j-1 < len(p.queue) {
-		expect := p.queue[j-1]
+	if expect, ok := p.ly.forest.member(p.ref, (rel-1)/2); ok && rel > 1 {
 		for _, env := range inbox {
 			if env.From != expect {
 				continue
@@ -149,10 +150,10 @@ func (p *passiveNode) stepRoot(ctx *sim.Context, inbox []sim.Envelope, x, rel in
 		payload := slab.EncodeTagged(tagReport, p.m)
 		return protocol.SendToAll(ctx, p.ly.actives, payload, p.m.Chain)
 	default:
-		// rel = 2j+1 with j+1 ≤ len(queue): contact member j+1.
-		if j := (rel-1)/2 + 1; j-1 < len(p.queue) {
+		// rel = 2j+1: contact member j+1, if the walk has one.
+		if next, ok := p.ly.forest.member(p.ref, (rel-1)/2+1); ok {
 			payload := slab.EncodeTagged(tagDown, p.m)
-			return protocol.Send(ctx, p.queue[j-1], payload, p.m.Chain)
+			return protocol.Send(ctx, next, payload, p.m.Chain)
 		}
 	}
 	return nil
@@ -176,23 +177,26 @@ func (p *passiveNode) stepMember(ctx *sim.Context, inbox []sim.Envelope, x, rel 
 	// "Exactly one valid message from the root of the depth-x subtree."
 	slab := ctx.Slab()
 	mark := slab.Mark()
-	var got []sig.SignedValue
+	var first sig.SignedValue // and how many messages came
+	got := 0
 	for _, env := range inbox {
 		if env.From != rootID {
 			continue
 		}
 		if sv, ok := sig.DecodeTagged(slab, env.Payload, tagDown); ok {
-			got = append(got, sv)
+			if got++; got == 1 {
+				first = sv
+			}
 		}
 	}
-	if len(got) != 1 || !p.ly.isValid(got[0], p.cfg.Verifier) {
+	if got != 1 || !p.ly.isValid(first, p.cfg.Verifier) {
 		slab.Rewind(mark)
 		return nil
 	}
 	p.signedIn |= 1 << uint(x)
-	signed := slab.CoSign(p.cfg.Signer, got[0])
+	signed := slab.CoSign(p.cfg.Signer, first)
 	if !p.hasValid {
-		p.valid, p.hasValid = got[0], true
+		p.valid, p.hasValid = first, true
 	}
 	payload := slab.EncodeTagged(tagUp, signed)
 	return protocol.Send(ctx, rootID, payload, signed.Chain)

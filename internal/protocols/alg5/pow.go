@@ -1,63 +1,87 @@
 package alg5
 
 import (
+	"slices"
+
 	"byzex/internal/ident"
 	"byzex/internal/sig"
 )
 
-// piTable aggregates the π(M, q, x) counts of the paper: for each passive
-// processor q, the set of distinct active processors whose verified string
-// with index x lists q.
+// piTable aggregates the π(M, q, x) counts of the paper over the passive ids
+// [first, first+len(counts)): for each q, the number of distinct active
+// processors whose verified string with index x lists q — a counter at
+// q − first, as ids are dense. An active keeps one over all the passives and
+// a subtree root one over its subtree, refilled by build.
 type piTable struct {
-	byProc  map[ident.ProcID]ident.Set
-	sources []sig.SignedBytes // the verified strings, for forwarding
+	first   ident.ProcID
+	counts  []piCount
+	seen    ident.Set      // the actives whose string is counted: one per signer
+	sources []piSource     // the counted strings in input order, for forwarding
+	lists   []ident.ProcID // what the sources' procs are windows of
 }
 
-// buildPiTable verifies and aggregates strings for the given index. Strings
-// must carry exactly one signature by an active processor and decode to
-// [index, procs]; everything else is ignored.
-func (ly *layout) buildPiTable(strings []sig.SignedBytes, index int, verifier sig.Verifier) *piTable {
-	tbl := &piTable{byProc: make(map[ident.ProcID]ident.Set)}
-	seen := make(ident.Set) // one string per signer
+// piCount is one passive's π and the stamp of the last string that counted
+// it, 1 + its index in sources: a string that lists q twice counts it once.
+type piCount struct{ pi, last int32 }
+
+// piSource is a counted string and the ids it lists.
+type piSource struct {
+	sb    sig.SignedBytes
+	procs []ident.ProcID
+}
+
+// newPiTable returns a table over the n passive ids from first, with room
+// for a string from each of the given number of actives.
+func newPiTable(first ident.ProcID, n, actives int) piTable {
+	return piTable{first: first, counts: make([]piCount, n), sources: make([]piSource, 0, actives)}
+}
+
+// build refills the table from strings for the given index. A string counts
+// if it carries exactly one signature, by an active processor not counted
+// yet, decodes to [index, procs] and verifies; everything else is ignored,
+// as are the listed ids outside the table.
+func (tbl *piTable) build(ly *layout, strings []sig.SignedBytes, index int, verifier sig.Verifier) {
+	clear(tbl.counts)
+	tbl.seen, tbl.sources, tbl.lists = ident.Set{}, tbl.sources[:0], tbl.lists[:0]
 	for _, sb := range strings {
 		if len(sb.Chain) != 1 {
 			continue
 		}
 		signer := sb.Chain[0].Signer
-		if !ly.isActive(signer) || !seen.Add(signer) {
+		if !ly.isActive(signer) || tbl.seen.Has(signer) {
 			continue
 		}
-		idx, procs, err := parseStringBody(sb.Body)
+		idx, lists, err := parseStringBody(sb.Body, tbl.lists)
 		if err != nil || idx != index || sb.Verify(verifier) != nil {
-			seen.Remove(signer)
 			continue
 		}
-		tbl.sources = append(tbl.sources, sb)
+		procs := lists[len(tbl.lists):]
+		tbl.seen.Add(signer)
+		tbl.sources, tbl.lists = append(tbl.sources, piSource{sb: sb, procs: procs}), lists
+		stamp := int32(len(tbl.sources))
 		for _, q := range procs {
-			if tbl.byProc[q] == nil {
-				tbl.byProc[q] = make(ident.Set)
+			if i := int(q) - int(tbl.first); i >= 0 && i < len(tbl.counts) && tbl.counts[i].last != stamp {
+				tbl.counts[i] = piCount{pi: tbl.counts[i].pi + 1, last: stamp}
 			}
-			tbl.byProc[q].Add(signer)
 		}
 	}
-	return tbl
 }
 
-// pi returns π(M, q, index): the number of distinct active endorsers of q.
-func (tbl *piTable) pi(q ident.ProcID) int { return tbl.byProc[q].Len() }
+// pi returns π(M, q, index): the number of distinct active endorsers of q (0
+// outside the window).
+func (tbl *piTable) pi(q ident.ProcID) int {
+	if i := int(q) - int(tbl.first); i >= 0 && i < len(tbl.counts) {
+		return int(tbl.counts[i].pi)
+	}
+	return 0
+}
 
 // anyInSubtree reports whether any member of the subtree rooted at ref
 // reaches the threshold.
 func (ly *layout) anyInSubtree(tbl *piTable, ref treeRef, thr int) bool {
-	for d := 0; ; d++ {
-		first, n := ly.forest.subtreeLevel(ref, d)
-		if n == 0 {
-			return false
-		}
-		for q := first; q < first+ident.ProcID(n); q++ {
-			if tbl.pi(q) >= thr {
-				return true
-			}
+	for j := 0; ; j++ {
+		if q, ok := ly.forest.member(ref, j); !ok || tbl.pi(q) >= thr {
+			return ok
 		}
 	}
 }
@@ -87,16 +111,9 @@ func (ly *layout) hasProofOfWork(tbl *piTable, ref treeRef, x int) bool {
 // active processor attaches to an activation message.
 func (ly *layout) powStringsFor(tbl *piTable, ref treeRef) []sig.SignedBytes {
 	var out []sig.SignedBytes
-	for _, sb := range tbl.sources {
-		_, procs, err := parseStringBody(sb.Body)
-		if err != nil {
-			continue
-		}
-		for _, q := range procs {
-			if ly.forest.inSubtree(ref, q) {
-				out = append(out, sb)
-				break
-			}
+	for _, src := range tbl.sources {
+		if slices.ContainsFunc(src.procs, func(q ident.ProcID) bool { return ly.forest.inSubtree(ref, q) }) {
+			out = append(out, src.sb)
 		}
 	}
 	return out

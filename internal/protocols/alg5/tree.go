@@ -77,51 +77,35 @@ func (f forest) at(r treeRef) ident.ProcID {
 	return f.first + ident.ProcID(r.tree*treeCap(f.lambda)+r.pos)
 }
 
-// rootsOfDepth returns the refs of all existing roots of depth-x subtrees,
-// i.e. the positions at level lambda-x, across all trees.
-func (f forest) rootsOfDepth(x int) []treeRef {
+// eachRoot calls fn with the ref of every existing root of a depth-x subtree,
+// i.e. every position at level lambda-x, tree by tree, and stops at the
+// first error fn returns.
+func (f forest) eachRoot(x int, fn func(treeRef) error) error {
 	if x < 1 || x > f.lambda {
 		return nil
 	}
 	lo, hi := treeCap(f.lambda-x), treeCap(f.lambda-x+1) // the positions at level lambda-x
-	trees := (f.count + treeCap(f.lambda) - 1) / treeCap(f.lambda)
-	out := make([]treeRef, 0, trees*(hi-lo))
-	for ti := 0; ti < trees; ti++ {
+	for ti := 0; f.size(ti) > 0; ti++ {
 		for pos := lo; pos < min(hi, f.size(ti)); pos++ {
-			out = append(out, treeRef{tree: ti, pos: pos})
+			if err := fn(treeRef{tree: ti, pos: pos}); err != nil {
+				return err
+			}
 		}
 	}
-	return out
+	return nil
 }
 
-// subtreeLevel returns the members of the subtree rooted at r that sit d
-// levels below r: n consecutive ids from first, n = 0 once the subtree is
-// exhausted. d = 0, 1, ... is its BFS order, walked without allocating.
-func (f forest) subtreeLevel(r treeRef, d int) (first ident.ProcID, n int) {
-	lo := (r.pos+1)<<uint(d) - 1
-	hi := min(lo+1<<uint(d), f.size(r.tree))
-	if r.pos < 0 || lo >= hi {
-		return 0, 0
+// member returns the member at index j of the BFS walk of the subtree rooted
+// at r (j = 0 is r itself; walkIndex is its inverse), and false past the
+// walk's end: the walk is complete levels, then a prefix of the last one,
+// each level a run of consecutive ids.
+func (f forest) member(r treeRef, j int) (ident.ProcID, bool) {
+	d := level(j) // the walk's level d holds indices treeCap(d) .. treeCap(d+1)-1
+	pos := (r.pos+1)<<uint(d) - 1 + j - treeCap(d)
+	if pos >= f.size(r.tree) {
+		return ident.None, false
 	}
-	return f.at(treeRef{tree: r.tree, pos: lo}), hi - lo
-}
-
-// subtreeMembers returns the processors of the subtree rooted at r, in BFS
-// order starting with the root.
-func (f forest) subtreeMembers(r treeRef) []ident.ProcID {
-	var out []ident.ProcID
-	for d := 0; ; d++ {
-		first, n := f.subtreeLevel(r, d)
-		if n == 0 {
-			return out
-		}
-		if out == nil { // every member sits at or after r.pos, within r's depth
-			out = make([]ident.ProcID, 0, min(treeCap(f.lambda-level(r.pos)), f.size(r.tree)-r.pos))
-		}
-		for i := 0; i < n; i++ {
-			out = append(out, first+ident.ProcID(i))
-		}
-	}
+	return f.at(treeRef{tree: r.tree, pos: pos}), true
 }
 
 // inSubtree reports whether q is a member of the subtree rooted at r.

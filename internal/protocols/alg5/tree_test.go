@@ -56,14 +56,34 @@ func subtree(f forest, pos int) []ident.ProcID {
 	return f.subtreeMembers(treeRef{tree: 0, pos: pos})
 }
 
+// subtreeMembers lists the subtree rooted at r in its BFS walk order, the
+// order a root contacts its members in: member(r, 0), member(r, 1), ...
+func (f forest) subtreeMembers(r treeRef) []ident.ProcID {
+	var out []ident.ProcID
+	for j := 0; ; j++ {
+		id, ok := f.member(r, j)
+		if !ok {
+			return out
+		}
+		out = append(out, id)
+	}
+}
+
+// rootsOfDepth lists what eachRoot walks.
+func (f forest) rootsOfDepth(x int) []treeRef {
+	var out []treeRef
+	_ = f.eachRoot(x, func(r treeRef) error { out = append(out, r); return nil })
+	return out
+}
+
 func TestChildrenAndSubtree(t *testing.T) {
 	f := forest{first: 0, count: 7, lambda: 3}
-	// The level below a position holds its children.
-	if first, n := f.subtreeLevel(treeRef{pos: 0}, 1); n != 2 || first != 1 {
-		t.Fatalf("children(0) = %d from %v", n, first)
+	// The walk's level below a position holds its children.
+	if a, ok1 := f.member(treeRef{pos: 0}, 1); !ok1 || a != 1 {
+		t.Fatalf("first child of 0 = %v, %v", a, ok1)
 	}
-	if _, n := f.subtreeLevel(treeRef{pos: 3}, 1); n != 0 {
-		t.Fatalf("leaf children = %d", n)
+	if _, ok := f.member(treeRef{pos: 3}, 1); ok {
+		t.Fatal("a leaf has a child")
 	}
 	sub := subtree(f, 1)
 	want := []ident.ProcID{1, 3, 4}
@@ -165,7 +185,7 @@ func TestQuickPartitionComplete(t *testing.T) {
 		n := int(nRaw)%60 + 1
 		lam := int(lamRaw)%4 + 1
 		f := forest{first: 0, count: n, lambda: lam}
-		seen := make(ident.Set)
+		var seen ident.Set
 		capacity := treeCap(lam)
 		for ti := 0; f.size(ti) > 0; ti++ {
 			if f.size(ti) > capacity {
@@ -385,17 +405,15 @@ func TestSubtreeWalkAllocations(t *testing.T) {
 	f := forest{first: 25, count: 1000, lambda: 5}
 	root := treeRef{tree: 3, pos: 1}
 	if n := testing.AllocsPerRun(100, func() {
-		for d := 0; ; d++ {
-			if _, n := f.subtreeLevel(root, d); n == 0 {
+		for j := 0; ; j++ {
+			if _, ok := f.member(root, j); !ok {
 				break
 			}
 		}
+		_ = f.eachRoot(2, func(treeRef) error { return nil })
 		f.inSubtree(root, 130)
 		f.blockRoot(130, 2)
 	}); n != 0 {
-		t.Fatalf("level walk allocates %v times", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { f.subtreeMembers(root) }); n != 1 {
-		t.Fatalf("SubtreeMembers allocates %v times, want 1 (its result)", n)
+		t.Fatalf("member and root walks allocate %v times", n)
 	}
 }

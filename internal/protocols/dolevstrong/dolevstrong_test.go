@@ -10,7 +10,7 @@ import (
 	"byzex/internal/protocols/dolevstrong"
 )
 
-func run(t *testing.T, n, tt int, v ident.Value, adv adversary.Adversary, faulty ident.Set) *core.Result {
+func run(t *testing.T, n, tt int, v ident.Value, adv adversary.Adversary, faulty *ident.Set) *core.Result {
 	t.Helper()
 	res, _, err := core.RunAndCheck(context.Background(), core.Config{
 		Protocol: dolevstrong.Protocol{}, N: n, T: tt, Value: v,
@@ -49,7 +49,8 @@ func TestByzantineMajorityOfRelays(t *testing.T) {
 	// correct... and even a faulty transmitter only forces agreement on
 	// *some* common value. Here: 5 processors, 3 faults.
 	n, tt := 5, 3
-	run(t, n, tt, ident.V1, adversary.Silent{}, ident.NewSet(2, 3, 4))
+	faulty := ident.NewSet(2, 3, 4)
+	run(t, n, tt, ident.V1, adversary.Silent{}, &faulty)
 }
 
 func TestSplitBrainEveryPhaseBudget(t *testing.T) {

@@ -31,7 +31,7 @@ func TestQuickRotationBijective(t *testing.T) {
 	f := func(nRaw, kRaw uint8) bool {
 		n := int(nRaw)%20 + 1
 		k := ident.ProcID(int(kRaw) % n)
-		seen := make(ident.Set)
+		var seen ident.Set
 		for g := 0; g < n; g++ {
 			if !seen.Add(localID(ident.ProcID(g), k, n)) {
 				return false

@@ -17,6 +17,7 @@ package lsp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"byzex/internal/ident"
@@ -179,16 +180,14 @@ func validPath(path []ident.ProcID, sentPhase int, tr, from, me ident.ProcID) bo
 	if len(path) != sentPhase-1 {
 		return false
 	}
-	seen := make(ident.Set, len(path)+2)
-	for _, p := range path {
-		if !seen.Add(p) {
+	// A path is at most t+1 long and its ids come off the wire, so a
+	// pairwise scan checks distinctness without building a set of them.
+	for i, p := range path {
+		if slices.Contains(path[:i], p) {
 			return false
 		}
 	}
-	if seen.Has(from) || seen.Has(me) || from == me {
-		return false
-	}
-	return true
+	return !slices.Contains(path, from) && !slices.Contains(path, me) && from != me
 }
 
 // Decide resolves the EIG tree by recursive majority with default 0.

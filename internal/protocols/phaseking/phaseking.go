@@ -139,7 +139,7 @@ func (n *node) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			// Count the votes sent last phase — one per sender (a faulty
 			// processor must not stuff the ballot with duplicates).
 			counts := make(map[ident.Value]int)
-			voted := make(ident.Set)
+			var voted ident.Set
 			for _, env := range inbox {
 				if voted.Has(env.From) {
 					continue

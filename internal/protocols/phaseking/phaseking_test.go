@@ -101,7 +101,7 @@ func TestFaultyKings(t *testing.T) {
 	for _, v := range []ident.Value{ident.V0, ident.V1} {
 		if _, _, err := core.RunAndCheck(context.Background(), core.Config{
 			Protocol: phaseking.Protocol{}, N: n, T: tt, Value: v,
-			Scheme: sig.NewPlain(n), Adversary: adversary.Silent{}, FaultyOverride: faulty, Seed: 2,
+			Scheme: sig.NewPlain(n), Adversary: adversary.Silent{}, FaultyOverride: &faulty, Seed: 2,
 		}); err != nil {
 			t.Fatalf("v=%v: %v", v, err)
 		}

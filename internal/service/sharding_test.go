@@ -128,7 +128,8 @@ func TestShardingFaultPlanDeterministic(t *testing.T) {
 	if err := tmpl.Faults.CheckBudget(tmpl.N, tmpl.T); err != nil {
 		t.Fatalf("fault plan out of budget: %v", err)
 	}
-	tmpl.FaultyOverride = tmpl.Faults.Affected(tmpl.N)
+	override := tmpl.Faults.Affected(tmpl.N)
+	tmpl.FaultyOverride = &override
 	base := service.Config{Template: tmpl, QueueDepth: values}
 
 	cfg1, cfg4 := base, base

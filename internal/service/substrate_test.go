@@ -103,7 +103,8 @@ func (nilOpenSubstrate) Close(int)                {}
 func TestRunSimConcurrentMatchesFreshRun(t *testing.T) {
 	ctx := context.Background()
 	silent := template(5) // one n, so runners stay warm; a silent transmitter, so phase counts differ
-	silent.Adversary, silent.FaultyOverride = adversary.Silent{}, ident.NewSet(0)
+	transmitter := ident.NewSet(0)
+	silent.Adversary, silent.FaultyOverride = adversary.Silent{}, &transmitter
 	templates := []core.Config{template(3), multiTemplate(4), silent}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -2,5 +2,5 @@
 
 package sig
 
-// poisonRewound is off outside race builds: see poison_race.go.
-const poisonRewound = false
+// Poison is off outside race builds: see poison_race.go.
+const Poison = false

@@ -2,7 +2,10 @@
 
 package sig
 
-// poisonRewound makes Slab.Rewind overwrite the links it hands back, so a
-// chain kept past its Rewind reads a link no scheme verifies (signer
-// ident.None, no signature) and the race-enabled suite fails on it.
-const poisonRewound = true
+// Poison makes race builds overwrite storage handed back for reuse the moment
+// it is handed back: Slab.Rewind's links become links no scheme verifies
+// (signer ident.None, no signature), and the engine's envelope blocks and a
+// reused Algorithm 4 group poison their slots in the same way, so a value
+// kept past its reuse reads as no processor's and the race-enabled suite
+// fails on it.
+const Poison = true

@@ -88,12 +88,29 @@ func (s *Slab) Mark() int { return s.used }
 // hands back less.)
 func (s *Slab) Rewind(mark int) {
 	if mark < s.used {
-		for i := mark; poisonRewound && i < s.used; i++ {
+		for i := mark; Poison && i < s.used; i++ {
 			s.links[i] = Link{Signer: ident.None}
 		}
 		s.used = mark
 	}
 }
+
+// Recycle readies slots that are to be reused, as Rewind does links: zeroed,
+// so what they held can be collected, or in race builds (Poison) each
+// overwritten with a value whose one link is signed by ident.None, so a value
+// kept past its reuse fails to verify.
+func Recycle(slots []SignedBytes) {
+	if !Poison {
+		clear(slots)
+		return
+	}
+	for i := range slots {
+		slots[i] = SignedBytes{Chain: poisonedChain}
+	}
+}
+
+// poisonedChain is a recycled slot's chain in race builds.
+var poisonedChain = Chain{{Signer: ident.None}}
 
 // Writer returns a writer over n carved bytes: an encoder that passes its
 // exact EncodedLen writes its payload in place. Past n the writer grows onto

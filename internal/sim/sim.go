@@ -265,10 +265,14 @@ func (c Config) Validate() error {
 	case c.Faulty.Len() > c.T:
 		return fmt.Errorf("sim: %d %w=%d", c.Faulty.Len(), ErrTooManyFaulty, c.T)
 	}
-	for id := range c.Faulty {
-		if int(id) < 0 || int(id) >= c.N {
-			return fmt.Errorf("sim: faulty id %v out of range [0,%d)", id, c.N)
+	bad := ident.None // the first faulty id past n (a set holds no negative one)
+	c.Faulty.Each(func(id ident.ProcID) {
+		if bad == ident.None && int(id) >= c.N {
+			bad = id
 		}
+	})
+	if bad != ident.None {
+		return fmt.Errorf("sim: faulty id %v out of range [0,%d)", bad, c.N)
 	}
 	// Only a crash that fires within the run's Phases+1 steps halts anyone.
 	for id := ident.ProcID(0); c.Faults != nil && int(id) < c.N; id++ {
@@ -396,7 +400,7 @@ func (e *Engine) Reset(cfg Config, nodes []Node) error {
 		p := &e.procs[i]
 		c := &p.ctx
 		c.n, c.t, c.transmitter, c.lastPhase, c.sink, c.slab = cfg.N, cfg.T, cfg.Transmitter, cfg.Phases, cfg.Trace, &e.slab
-		clear(p.held)
+		recycle(p.held)
 		p.stash, p.held = faultnet.Stash[Envelope]{}, p.held[:0]
 	}
 	e.peers, e.peersOnce = e.peers[:0], sync.Once{}
@@ -445,7 +449,7 @@ func (e *Engine) swap() {
 	for to, c := range e.count {
 		e.inboxes[to] = e.delivered.carve(c)
 		e.count[to] = 0
-		clear(e.procs[to].held) // what a plan delivered last phase
+		recycle(e.procs[to].held) // what a plan delivered last phase
 	}
 	for _, blk := range e.sent.blocks {
 		for i := range blk {
@@ -488,13 +492,27 @@ func (b *envBlocks) carve(n int) []Envelope {
 	return blk[:0:n]
 }
 
-// reset zeroes the slots in use and makes every block empty again.
+// reset recycles the slots in use and makes every block empty again.
 func (b *envBlocks) reset() {
 	for i, blk := range b.blocks {
-		clear(blk)
+		recycle(blk)
 		b.blocks[i] = blk[:0]
 	}
 	b.cur = 0
+}
+
+// recycle readies envelopes whose phase is over for reuse: zeroed, so their
+// payloads can be collected, or in race builds poisoned (see sig.Poison) —
+// from and to ident.None, no payload — so an inbox kept past its phase reads
+// as no processor's and the race-enabled suite fails on it.
+func recycle(envs []Envelope) {
+	if !sig.Poison {
+		clear(envs)
+		return
+	}
+	for i := range envs {
+		envs[i] = Envelope{From: ident.None, To: ident.None}
+	}
 }
 
 // yieldSteps is how many node steps a run takes between two yields of the
@@ -638,7 +656,7 @@ func (e *Engine) halted(p *proc, id ident.ProcID, phase int) bool {
 
 func (e *Engine) deliver(p *proc, id ident.ProcID, phase int, frames [][]Envelope) ([]Envelope, int) {
 	var withheld int
-	clear(p.held) // the last phase's, which a mesh peer does not swap out
+	recycle(p.held) // the last phase's, which a mesh peer does not swap out
 	p.held, withheld = faultnet.Deliver(e.cfg.Faults, p.ctx.sink, phase-1, id, frames, &p.stash, p.held[:0])
 	return p.held, withheld
 }

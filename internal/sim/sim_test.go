@@ -8,6 +8,7 @@ import (
 
 	"byzex/internal/faultnet"
 	"byzex/internal/ident"
+	"byzex/internal/sig"
 	"byzex/internal/sim"
 )
 
@@ -365,6 +366,36 @@ func TestDeliveredEnvelopesAreReleased(t *testing.T) {
 			for _, e := range k.late {
 				if e.Payload != nil || e.Signers != nil {
 					t.Errorf("plan %v: processor %d: phase-2 inbox still holds %+v at phase 4", tc.plan != nil, k.id, e)
+				}
+			}
+		}
+	}
+}
+
+// TestKeptInboxReadsPoisonInRaceBuilds pins the use-after-phase check on the
+// engine's envelope storage, the blocks an inbox is carved from and the one a
+// fault plan delivers into: in a race build an envelope kept past its phase
+// reads from and to ident.None, elsewhere it is zeroed.
+func TestKeptInboxReadsPoisonInRaceBuilds(t *testing.T) {
+	dup := faultnet.MustCompile(faultnet.Spec{Rules: []faultnet.Rule{
+		{Kind: faultnet.KDup, From: ident.None, To: ident.None, First: 1, Last: 1, Prob: 1}}}, 1)
+	for _, plan := range []*faultnet.Plan{nil, dup} {
+		nodes := []sim.Node{&keeperNode{id: 0}, &keeperNode{id: 1}, &keeperNode{id: 2}}
+		eng := new(sim.Engine)
+		if err := eng.Reset(sim.Config{N: 3, T: 0, Phases: 4, Faults: plan}, nodes); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for _, nd := range nodes {
+			k := nd.(*keeperNode)
+			if len(k.late) == 0 {
+				t.Fatalf("plan %v: processor %d kept nothing", plan != nil, k.id)
+			}
+			for _, e := range k.late {
+				if poisoned := e.From == ident.None && e.To == ident.None; poisoned != sig.Poison {
+					t.Errorf("plan %v, race build %v: processor %d's kept envelope reads %+v", plan != nil, sig.Poison, k.id, e)
 				}
 			}
 		}

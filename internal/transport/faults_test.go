@@ -117,7 +117,8 @@ func TestScenarioMatrix(t *testing.T) {
 					Adversary: adv, Seed: seed, Faults: plan,
 				}
 				if adv == nil {
-					cfg.FaultyOverride = plan.Affected(e.N)
+					override := plan.Affected(e.N)
+					cfg.FaultyOverride = &override
 				}
 				want := plan.ExpectedCounters(e.N, phases)
 
@@ -180,9 +181,10 @@ func TestCrashAtPhaseK(t *testing.T) {
 			plan := faultnet.MustCompile(faultnet.Spec{Rules: []faultnet.Rule{
 				{Kind: faultnet.KCrash, Proc: victim, AtPhase: 2},
 			}}, 9)
+			faulty := ident.NewSet(victim)
 			runCfg := core.Config{
 				Protocol: proto, N: e.N, T: e.T, Value: ident.V1, Scheme: scheme,
-				FaultyOverride: ident.NewSet(victim), Seed: 9, Faults: plan,
+				FaultyOverride: &faulty, Seed: 9, Faults: plan,
 			}
 			res1, _ := runTCP(t, runCfg, 0)
 			res2, _ := runTCP(t, runCfg, 0)
@@ -216,7 +218,8 @@ func TestOverBudgetFaultsFailTyped(t *testing.T) {
 	t.Run("blanket drop stalls", func(t *testing.T) {
 		cfg := base
 		cfg.Faults = mustPlan(t, "drop=*->*@*", 1)
-		cfg.FaultyOverride = ident.NewSet(1, 2) // the most t allows; the plan veils 4
+		override := ident.NewSet(1, 2) // the most t allows; the plan veils 4
+		cfg.FaultyOverride = &override
 		_, err := transport.RunCluster(ctx, cfg, netCfg)
 		if !errors.Is(err, transport.ErrStalled) {
 			t.Fatalf("got %v, want ErrStalled", err)
@@ -240,14 +243,16 @@ func TestOverBudgetFaultsFailTyped(t *testing.T) {
 	t.Run("unbudgeted crash surfaces", func(t *testing.T) {
 		cfg := base
 		cfg.Faults = mustPlan(t, "crash=1@2", 1)
-		cfg.FaultyOverride = make(ident.Set) // crash victim not judged faulty
+		override := ident.Set{} // crash victim not judged faulty
+		cfg.FaultyOverride = &override
 		refused(t, cfg, sim.ErrCrashNotFaulty)
 	})
 
 	t.Run("crash trio beyond t", func(t *testing.T) {
 		cfg := base
 		cfg.Faults = mustPlan(t, "crash=1@2;crash=2@2;crash=3@2", 1)
-		cfg.FaultyOverride = ident.NewSet(1, 2)
+		override := ident.NewSet(1, 2)
+		cfg.FaultyOverride = &override
 		refused(t, cfg, sim.ErrCrashNotFaulty)
 	})
 

@@ -88,7 +88,8 @@ func TestLinkDelayNeverEarlyPerLink(t *testing.T) {
 			cfg := core.Config{Protocol: proto, N: n, T: f, Value: ident.V1}
 			if spec != "" {
 				cfg.Faults = mustPlan(t, spec, 1)
-				cfg.FaultyOverride = cfg.Faults.Affected(n)
+				override := cfg.Faults.Affected(n)
+				cfg.FaultyOverride = &override
 			}
 			for epoch := 1; epoch <= 2; epoch++ {
 				cfg.Seed = int64(epoch)

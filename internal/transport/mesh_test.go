@@ -67,7 +67,7 @@ func TestMeshCancelWithSilentPeer(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(60*time.Millisecond, cancel) // by then the live peers sit in phase 1's barrier
 	cfg := meshConfig(ident.V1, 1)
-	cfg.FaultyOverride = mute
+	cfg.FaultyOverride = &mute
 	done := make(chan error, 1)
 	go func() {
 		_, err := m.Run(ctx, cfg)
@@ -105,7 +105,8 @@ func TestLinkDelayMutedPeer(t *testing.T) {
 			}
 			defer m.Close()
 			cfg := meshConfig(ident.V1, 1)
-			cfg.FaultyOverride = ident.NewSet(2)
+			override := ident.NewSet(2)
+			cfg.FaultyOverride = &override
 			began := time.Now()
 			res, err := m.Run(ctx, cfg)
 			wall := time.Since(began)

@@ -129,6 +129,7 @@ func firstDiffLine(a, b []byte) int {
 // shared Result.Decision methods, and the cluster's execution trace must
 // agree with its metrics report exactly as the engine's does.
 func TestRunClusterSharedConfig(t *testing.T) {
+	coalition := ident.NewSet(6, 7)
 	cases := []struct {
 		name string
 		cfg  core.Config
@@ -140,7 +141,7 @@ func TestRunClusterSharedConfig(t *testing.T) {
 		{"silent-coalition", core.Config{
 			Protocol: dolevstrong.Protocol{}, N: 8, T: 2, Value: ident.V1,
 			Scheme: sig.NewHMAC(8, 56), Seed: 56,
-			Adversary: adversary.Silent{}, FaultyOverride: ident.NewSet(6, 7),
+			Adversary: adversary.Silent{}, FaultyOverride: &coalition,
 		}},
 	}
 	for _, tc := range cases {
@@ -198,12 +199,13 @@ func TestRunClusterSharedConfig(t *testing.T) {
 // cluster runs — goroutine scheduling aside — must produce byte-identical
 // JSONL traces.
 func TestRunClusterTraceDeterministic(t *testing.T) {
+	silent := ident.NewSet(4)
 	run := func() []trace.Event {
 		buf := trace.NewBuffer()
 		_, err := transport.RunCluster(context.Background(), core.Config{
 			Protocol: alg2.Protocol{}, N: 5, T: 2, Value: ident.V1,
 			Scheme: sig.NewHMAC(5, 77), Seed: 77,
-			Adversary: adversary.Silent{}, FaultyOverride: ident.NewSet(4),
+			Adversary: adversary.Silent{}, FaultyOverride: &silent,
 			Trace: buf,
 		}, transport.Net{PhaseTimeout: 10 * time.Second})
 		if err != nil {

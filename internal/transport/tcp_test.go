@@ -41,9 +41,10 @@ func TestAlg1OverTCP(t *testing.T) {
 
 func TestDolevStrongOverTCPWithSplitBrain(t *testing.T) {
 	adv := adversary.SplitBrain{LowValue: ident.V0, HighValue: ident.V1, SplitAt: 4}
+	faulty := ident.NewSet(0)
 	res, err := transport.RunCluster(context.Background(), core.Config{
 		N: 7, T: 2, Value: ident.V1, Protocol: dolevstrong.Protocol{},
-		Adversary: adv, FaultyOverride: ident.NewSet(0),
+		Adversary: adv, FaultyOverride: &faulty,
 	}, transport.Net{PhaseTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -53,9 +54,10 @@ func TestDolevStrongOverTCPWithSplitBrain(t *testing.T) {
 
 func TestAlg3OverTCPWithCrash(t *testing.T) {
 	adv := adversary.Crash{CrashAfter: 3}
+	faulty := ident.NewSet(14, 15)
 	res, err := transport.RunCluster(context.Background(), core.Config{
 		N: 16, T: 2, Value: ident.V1, Protocol: alg3.Protocol{S: 3},
-		Adversary: adv, FaultyOverride: ident.NewSet(14, 15),
+		Adversary: adv, FaultyOverride: &faulty,
 	}, transport.Net{PhaseTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +98,7 @@ func TestMutedPeerTimeoutPath(t *testing.T) {
 	mute := ident.NewSet(3)
 	res, err := transport.RunCluster(context.Background(), core.Config{
 		N: 4, T: 1, Value: ident.V1, Protocol: dolevstrong.Protocol{},
-		Adversary: adversary.Silent{}, FaultyOverride: mute,
+		Adversary: adversary.Silent{}, FaultyOverride: &mute,
 	}, transport.Net{PhaseTimeout: 300 * time.Millisecond, Mute: mute})
 	if err != nil {
 		t.Fatal(err)
