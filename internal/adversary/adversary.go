@@ -56,12 +56,12 @@ func (s *State) rng(id ident.ProcID) *mrand.Rand {
 	return mrand.New(mrand.NewSource(int64(x)))
 }
 
-// Env gives a strategy what it needs to build Byzantine nodes: the protocol
-// under attack (so wrappers can embed correct inner nodes) and the shared
-// collusion state.
+// Env gives a strategy what it needs to build Byzantine nodes: the builder
+// of the run under attack (so wrappers can embed correct inner nodes, built
+// as the run's correct processors are) and the shared collusion state.
 type Env struct {
-	Protocol protocol.Protocol
-	State    *State
+	Run   protocol.Builder
+	State *State
 }
 
 // Adversary selects corruptions and builds Byzantine nodes.
@@ -126,7 +126,7 @@ func (Crash) Corrupt(n, t int, transmitter ident.ProcID, _ *mrand.Rand) ident.Se
 
 // NewNode implements Adversary.
 func (c Crash) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error) {
-	inner, err := env.Protocol.NewNode(cfg)
+	inner, err := env.Run.NewNode(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -180,11 +180,11 @@ func (s SplitBrain) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error)
 	lowCfg, highCfg := cfg, cfg
 	lowCfg.Value = s.LowValue
 	highCfg.Value = s.HighValue
-	low, err := env.Protocol.NewNode(lowCfg)
+	low, err := env.Run.NewNode(lowCfg)
 	if err != nil {
 		return nil, err
 	}
-	high, err := env.Protocol.NewNode(highCfg)
+	high, err := env.Run.NewNode(highCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +248,7 @@ func (m MultiFaced) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error)
 	for _, v := range m.Values {
 		pcfg := cfg
 		pcfg.Value = v
-		inner, err := env.Protocol.NewNode(pcfg)
+		inner, err := env.Run.NewNode(pcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -312,7 +312,7 @@ func (s StarveB) Corrupt(int, int, ident.ProcID, *mrand.Rand) ident.Set { return
 
 // NewNode implements Adversary.
 func (s StarveB) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error) {
-	inner, err := env.Protocol.NewNode(cfg)
+	inner, err := env.Run.NewNode(cfg)
 	if err != nil {
 		return nil, err
 	}

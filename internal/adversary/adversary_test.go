@@ -119,7 +119,7 @@ func TestStarveIgnoresFirstK(t *testing.T) {
 	inner := &captureNode{}
 	b := ident.NewSet(1, 5)
 	adv := adversary.StarveB{B: b, IgnoreFirst: 2}
-	env := &adversary.Env{Protocol: captureProtocol{inner}, State: nil}
+	env := &adversary.Env{Run: captureRun{inner}, State: nil}
 	nd, err := adv.NewNode(cfgFor(t, 1), env)
 	if err != nil {
 		t.Fatal(err)
@@ -149,17 +149,12 @@ func (c *captureNode) Step(_ *sim.Context, inbox []sim.Envelope) error {
 
 func (c *captureNode) Decide() (ident.Value, bool) { return 0, true }
 
-// captureProtocol hands out a fixed node.
-type captureProtocol struct {
+// captureRun hands out a fixed node.
+type captureRun struct {
 	node sim.Node
 }
 
-func (captureProtocol) Name() string         { return "capture" }
-func (captureProtocol) Check(int, int) error { return nil }
-func (captureProtocol) Phases(int, int) int  { return 1 }
-func (p captureProtocol) NewNode(protocol.NodeConfig) (sim.Node, error) {
-	return p.node, nil
-}
+func (r captureRun) NewNode(protocol.NodeConfig) (sim.Node, error) { return r.node, nil }
 
 func cfgFor(t *testing.T, id ident.ProcID) protocol.NodeConfig {
 	t.Helper()

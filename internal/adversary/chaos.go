@@ -47,7 +47,7 @@ func (Chaos) Corrupt(n, t int, transmitter ident.ProcID, rng *mrand.Rand) ident.
 
 // NewNode implements Adversary.
 func (c Chaos) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error) {
-	inner, err := env.Protocol.NewNode(cfg)
+	inner, err := env.Run.NewNode(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +162,7 @@ func (BitFlipper) Corrupt(n, t int, transmitter ident.ProcID, _ *mrand.Rand) ide
 
 // NewNode implements Adversary.
 func (BitFlipper) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error) {
-	inner, err := env.Protocol.NewNode(cfg)
+	inner, err := env.Run.NewNode(cfg)
 	if err != nil {
 		return nil, err
 	}

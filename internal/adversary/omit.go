@@ -34,7 +34,7 @@ func (o OmitTowards) Corrupt(int, int, ident.ProcID, *mrand.Rand) ident.Set {
 
 // NewNode implements Adversary.
 func (o OmitTowards) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error) {
-	inner, err := env.Protocol.NewNode(cfg)
+	inner, err := env.Run.NewNode(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -27,13 +27,16 @@ import (
 // split-brain run, Conformance pinpoints exactly the equivocating
 // processor.
 func Conformance(h *History, proto protocol.Protocol, scheme sig.Scheme, t int) (map[ident.ProcID]int, error) {
-	if err := proto.Check(h.N, t); err != nil {
+	// The replayed processors are one run's: one builder makes them all.
+	run, err := proto.NewRun(h.N, t)
+	if err != nil {
 		return nil, err
 	}
+	lastPhase := proto.Phases(h.N, t)
 	out := make(map[ident.ProcID]int, h.N)
 	for id := 0; id < h.N; id++ {
 		p := ident.ProcID(id)
-		deviation, err := replayOne(h, proto, scheme, t, p)
+		deviation, err := replayOne(h, run, lastPhase, scheme, t, p)
 		if err != nil {
 			return nil, fmt.Errorf("audit: replaying %v: %w", p, err)
 		}
@@ -44,12 +47,12 @@ func Conformance(h *History, proto protocol.Protocol, scheme sig.Scheme, t int) 
 
 // replayOne replays processor p and returns the first deviating phase (0
 // for full conformance).
-func replayOne(h *History, proto protocol.Protocol, scheme sig.Scheme, t int, p ident.ProcID) (int, error) {
+func replayOne(h *History, run protocol.Builder, lastPhase int, scheme sig.Scheme, t int, p ident.ProcID) (int, error) {
 	signer, err := scheme.Signer(p)
 	if err != nil {
 		return 0, err
 	}
-	node, err := proto.NewNode(protocol.NodeConfig{
+	node, err := run.NewNode(protocol.NodeConfig{
 		ID:          p,
 		N:           h.N,
 		T:           t,
@@ -64,7 +67,6 @@ func replayOne(h *History, proto protocol.Protocol, scheme sig.Scheme, t int, p 
 
 	individual := h.Individual(p, h.NumPhases())
 	sent := h.SentBy(p)
-	lastPhase := proto.Phases(h.N, t)
 
 	for phase := 1; phase <= h.NumPhases()+1; phase++ {
 		var emitted []Edge

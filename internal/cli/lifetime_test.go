@@ -9,7 +9,11 @@ import (
 	"byzex/internal/cli"
 	"byzex/internal/core"
 	"byzex/internal/ident"
+	"byzex/internal/protocols/alg2"
+	"byzex/internal/protocols/alg4"
+	"byzex/internal/sig"
 	"byzex/internal/sim"
+	"byzex/internal/wire"
 )
 
 // sendLog keeps every envelope an instance sent as the engine handed it to
@@ -76,4 +80,93 @@ func TestWarmInstancesKeepEarlierMessages(t *testing.T) {
 			}
 		})
 	}
+}
+
+// answer is what one node of a finished run answers, deep copied: its
+// decision, the proof it holds (alg2.ProofHolder) and the exchange output
+// (alg4.Exchanger), each signed value in its wire encoding.
+type answer struct {
+	value          ident.Value
+	decided, proof bool
+	held           []byte
+	output         [][]byte
+}
+
+func answers(nodes []sim.Node) []answer {
+	encode := func(n int, enc func(*wire.Writer)) []byte {
+		w := wire.WriterOn(make([]byte, 0, n))
+		enc(&w)
+		return w.Bytes()
+	}
+	out := make([]answer, len(nodes))
+	for i, nd := range nodes {
+		a := &out[i]
+		a.value, a.decided = nd.Decide()
+		if ph, ok := nd.(alg2.ProofHolder); ok {
+			var sv sig.SignedValue
+			if sv, a.proof = ph.Proof(); a.proof {
+				a.held = encode(sv.EncodedLen(), sv.Encode)
+			}
+		}
+		if ex, ok := nd.(alg4.Exchanger); ok {
+			for _, sb := range ex.Output() {
+				a.output = append(a.output, encode(sb.EncodedLen(), sb.Encode))
+			}
+		}
+	}
+	return out
+}
+
+// TestColdResultsOutliveLaterRuns pins the lifetime of the blocks a run's
+// builder carves its processors' state from: they are that run's, so a cold
+// core.Run's Result.Nodes answer the same — Decide, a held proof, an
+// exchange's output — after later cold runs of every other row, at every
+// contract size, with and without a split-brain transmitter (which builds
+// one node past its kind's first block), on the same goroutine.
+func TestColdResultsOutliveLaterRuns(t *testing.T) {
+	type kept struct {
+		name  string
+		nodes []sim.Node
+		want  []answer
+	}
+	var earlier []kept
+	for _, e := range cli.Registry() {
+		for _, p := range contractSizes(t, e) {
+			for _, advName := range []string{"none", "split-brain"} {
+				p.Seed = 1
+				proto, err := cli.Protocol(e.Name, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scheme, err := cli.Scheme(e.Scheme, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				adv, err := cli.Adversary(advName, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := core.Run(context.Background(), core.Config{Protocol: proto, N: p.N, T: p.T, Value: ident.V1, Scheme: scheme, Adversary: adv, Seed: 1})
+				if err != nil {
+					t.Fatalf("%s n=%d t=%d %s: %v", e.Name, p.N, p.T, advName, err)
+				}
+				for _, k := range earlier {
+					if got := answers(k.nodes); !slices.EqualFunc(got, k.want, sameAnswer) {
+						t.Fatalf("after %s n=%d t=%d %s, %s's nodes answer %+v, answered %+v", e.Name, p.N, p.T, advName, k.name, got, k.want)
+					}
+				}
+				if p.N == e.N && p.T == e.T && advName == "none" {
+					earlier = append(earlier, kept{e.Name, res.Nodes, answers(res.Nodes)})
+				}
+			}
+		}
+	}
+	if len(earlier) != len(cli.Registry()) {
+		t.Fatalf("kept %d runs, want one per row", len(earlier))
+	}
+}
+
+func sameAnswer(a, b answer) bool {
+	return a.value == b.value && a.decided == b.decided && a.proof == b.proof &&
+		bytes.Equal(a.held, b.held) && slices.EqualFunc(a.output, b.output, bytes.Equal)
 }

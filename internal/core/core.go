@@ -199,7 +199,11 @@ func (r *Runner) Setup(cfg Config) (*Setup, error) {
 	if cfg.Protocol == nil {
 		return nil, errors.New("core: nil protocol")
 	}
-	if err := cfg.Protocol.Check(cfg.N, cfg.T); err != nil {
+	// One builder makes every node of this run, corrupted processors' inner
+	// nodes included, and its blocks are this run's: nothing of them is kept
+	// for the next instance. NewRun refuses what Check does.
+	run, err := cfg.Protocol.NewRun(cfg.N, cfg.T)
+	if err != nil {
 		return nil, err
 	}
 	scheme := cfg.Scheme
@@ -237,7 +241,7 @@ func (r *Runner) Setup(cfg Config) (*Setup, error) {
 		if err != nil {
 			return nil, err
 		}
-		env = &adversary.Env{Protocol: cfg.Protocol, State: st}
+		env = &adversary.Env{Run: run, State: st}
 	}
 
 	// All nodes verify through one per-run verified-prefix cache: a relayed
@@ -245,7 +249,7 @@ func (r *Runner) Setup(cfg Config) (*Setup, error) {
 	// (sound because cache keys commit to the full signing input; see
 	// sig.CachedVerifier). Sharing across nodes is free — verification is
 	// objective, and the cache is safe for the TCP transport's concurrency.
-	r.verifier.Reset(scheme)
+	r.verifier.ResetFor(scheme, cfg.N)
 
 	// Build the node set: protocol nodes for correct processors, adversary
 	// nodes for corrupted ones.
@@ -268,7 +272,7 @@ func (r *Runner) Setup(cfg Config) (*Setup, error) {
 		if faulty.Has(id) && env != nil {
 			nodes[i], err = cfg.Adversary.NewNode(ncfg, env)
 		} else {
-			nodes[i], err = cfg.Protocol.NewNode(ncfg)
+			nodes[i], err = run.NewNode(ncfg)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: building node %v: %w", id, err)

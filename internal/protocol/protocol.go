@@ -2,9 +2,16 @@
 // algorithm in this module implements, plus small helpers shared by the
 // protocol implementations (signature-aware send, broadcast).
 //
-// A Protocol is a factory for per-processor state machines (sim.Node). The
-// same factories drive the in-memory engine, the TCP transport, the
-// adversary wrappers, and the history/replay machinery.
+// A Protocol is a factory for runs: NewRun returns the Builder of one (n, t)
+// run, and the Builder builds that run's per-processor state machines
+// (sim.Node). What the processors of a run share — a layout, a schedule — the
+// builder computes once, and it carves each kind of per-processor state from
+// one block sized to the run (Blocks), so building n nodes costs a few
+// allocations per kind, not n. The blocks belong to the run: only its nodes
+// point into them, so they live exactly as long as the run's nodes do. The
+// same builders drive the in-memory engine, the TCP transport, the adversary
+// wrappers (a corrupted processor's correct inner nodes come from its run's
+// builder), and the history/replay machinery.
 package protocol
 
 import (
@@ -55,6 +62,15 @@ func (c NodeConfig) Validate() error {
 	return nil
 }
 
+// ValidateRun is Validate for the builder of an (n, t) run: the
+// configuration must also be one of that run's.
+func (c NodeConfig) ValidateRun(n, t int) error {
+	if c.N != n || c.T != t {
+		return fmt.Errorf("%w: n=%d t=%d node given to an n=%d t=%d run", ErrBadParams, c.N, c.T, n, t)
+	}
+	return c.Validate()
+}
+
 // IsTransmitter reports whether this configuration belongs to the
 // transmitter.
 func (c NodeConfig) IsTransmitter() bool { return c.ID == c.Transmitter }
@@ -73,8 +89,8 @@ func (c NodeConfig) RequireBinaryValue() error {
 	return nil
 }
 
-// Protocol is a Byzantine Agreement algorithm: a factory for processor
-// state machines plus its phase schedule.
+// Protocol is a Byzantine Agreement algorithm: a factory for runs plus its
+// phase schedule.
 type Protocol interface {
 	// Name identifies the protocol in reports ("alg1", "dolev-strong", ...).
 	Name() string
@@ -83,8 +99,82 @@ type Protocol interface {
 	// Phases returns the last phase during which the protocol sends
 	// messages, for the given parameters.
 	Phases(n, t int) int
-	// NewNode builds the state machine for one processor.
+	// NewRun returns the builder of one run's state machines for n and t,
+	// or Check's error.
+	NewRun(n, t int) (Builder, error)
+}
+
+// Builder builds the state machines of one run. Every node of a run — the
+// correct processors' and the inner nodes of the corrupted ones — comes from
+// the run's one builder, which is used by one goroutine.
+type Builder interface {
+	// NewNode builds the state machine for one processor; cfg's N and T are
+	// the run's.
 	NewNode(cfg NodeConfig) (sim.Node, error)
+}
+
+// Uniform returns the builder of an (n, t) run of p whose nodes are all of
+// one kind: each is carved from one block of n, and init fills it in from
+// its configuration. It refuses what p.Check does.
+func Uniform[T any, P interface {
+	*T
+	sim.Node
+}](p Protocol, n, t int, init func(P, NodeConfig) error) (Builder, error) {
+	if err := p.Check(n, t); err != nil {
+		return nil, err
+	}
+	return &uniform[T, P]{n: n, t: t, nodes: NewBlocks[T](n), init: init}, nil
+}
+
+type uniform[T any, P interface {
+	*T
+	sim.Node
+}] struct {
+	n, t  int
+	nodes Blocks[T]
+	init  func(P, NodeConfig) error
+}
+
+func (u *uniform[T, P]) NewNode(cfg NodeConfig) (sim.Node, error) {
+	if err := cfg.ValidateRun(u.n, u.t); err != nil {
+		return nil, err
+	}
+	nd := P(u.nodes.New())
+	if err := u.init(nd, cfg); err != nil {
+		return nil, err
+	}
+	return nd, nil
+}
+
+// Blocks carves values of one kind from blocks sized to a run. The first
+// block holds exactly the number of values the run was sized for, allocated
+// when the first is carved; a run that carves more — an adversary running
+// two personalities of one processor — carves the rest from small blocks
+// started as the last runs out, as sig.Slab does. A carved value is zero.
+type Blocks[T any] struct {
+	free []T
+	size int // the next block's size
+}
+
+// NewBlocks returns blocks whose first holds size values.
+func NewBlocks[T any](size int) Blocks[T] { return Blocks[T]{size: size} }
+
+// overflowBlock is the most values a block after the first holds beyond the
+// ones it was started for.
+const overflowBlock = 8
+
+// New returns one value carved from the blocks.
+func (b *Blocks[T]) New() *T { return &b.Carve(1)[0] }
+
+// Carve returns k values carved from the blocks, with capacity k.
+func (b *Blocks[T]) Carve(k int) []T {
+	if k > len(b.free) {
+		b.free = make([]T, max(k, b.size))
+		b.size = min(b.size, overflowBlock)
+	}
+	out := b.free[:k:k]
+	b.free = b.free[k:]
+	return out
 }
 
 // Group is an ordered list of distinct processors and its inverse: the whole

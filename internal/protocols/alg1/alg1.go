@@ -49,23 +49,24 @@ type Core struct {
 	nkept, relayed int
 }
 
-// NewCore builds the Algorithm 1 state machine for group member me under the
-// binary rule. The group must have exactly 2t+1 members, and the core keeps
-// the slice: the caller must not write to it afterwards. value is used only
-// by the transmitter (group[0]).
-func NewCore(group []ident.ProcID, t int, me ident.ProcID, value ident.Value, signer sig.Signer, verifier sig.Verifier) (*Core, error) {
+// NewCore returns the Algorithm 1 state machine for group member me under
+// the binary rule, to be stored where it lives: a node, or a run's block. The
+// group must have exactly 2t+1 members, and the core keeps the slice: the
+// caller must not write to it afterwards. value is used only by the
+// transmitter (group[0]).
+func NewCore(group []ident.ProcID, t int, me ident.ProcID, value ident.Value, signer sig.Signer, verifier sig.Verifier) (Core, error) {
 	if len(group) != 2*t+1 {
-		return nil, fmt.Errorf("%w: alg1 needs |group| = 2t+1, got %d for t=%d", protocol.ErrBadParams, len(group), t)
+		return Core{}, fmt.Errorf("%w: alg1 needs |group| = 2t+1, got %d for t=%d", protocol.ErrBadParams, len(group), t)
 	}
 	g, err := protocol.NewGroup(group)
 	if err != nil {
-		return nil, err
+		return Core{}, err
 	}
 	mi, err := g.IndexOf(me)
 	if err != nil {
-		return nil, err
+		return Core{}, err
 	}
-	return &Core{
+	return Core{
 		group:    g,
 		t:        t,
 		me:       mi,
@@ -258,32 +259,30 @@ func (Protocol) Check(n, t int) error {
 // Phases implements protocol.Protocol.
 func (Protocol) Phases(_, t int) int { return LastPhase(t) }
 
-// NewNode implements protocol.Protocol.
-func (p Protocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.RequireBinaryValue(); err != nil {
-		return nil, err
-	}
-	return newNode(cfg, p.Name(), false)
-}
+// NewRun implements protocol.Protocol.
+func (p Protocol) NewRun(n, t int) (protocol.Builder, error) { return newRun(p, n, t, false) }
 
-// newNode builds a standalone node, under the multi-valued rule when multi.
-func newNode(cfg protocol.NodeConfig, name string, multi bool) (sim.Node, error) {
-	if cfg.Transmitter != 0 {
-		return nil, fmt.Errorf("%w: %s assumes transmitter 0", protocol.ErrBadParams, name)
-	}
-	core, err := NewCore(ident.Range(cfg.N), cfg.T, cfg.ID, cfg.Value, cfg.Signer, cfg.Verifier)
-	if err != nil {
-		return nil, err
-	}
-	core.multi = multi
-	return &node{core: core}, nil
+// newRun returns the builder of a run of standalone nodes, each holding its
+// core, under the multi-valued rule when multi.
+func newRun(p protocol.Protocol, n, t int, multi bool) (protocol.Builder, error) {
+	return protocol.Uniform(p, n, t, func(nd *node, cfg protocol.NodeConfig) error {
+		if !multi {
+			if err := cfg.RequireBinaryValue(); err != nil {
+				return err
+			}
+		}
+		if cfg.Transmitter != 0 {
+			return fmt.Errorf("%w: %s assumes transmitter 0", protocol.ErrBadParams, p.Name())
+		}
+		core, err := NewCore(ident.Range(cfg.N), cfg.T, cfg.ID, cfg.Value, cfg.Signer, cfg.Verifier)
+		core.multi = multi
+		nd.core = core
+		return err
+	})
 }
 
 type node struct {
-	core *Core
+	core Core
 }
 
 var _ sim.Node = (*node)(nil)

@@ -1,9 +1,6 @@
 package alg1
 
-import (
-	"byzex/internal/protocol"
-	"byzex/internal/sim"
-)
+import "byzex/internal/protocol"
 
 // MultiProtocol is the multi-valued generalization the paper alludes to
 // ("if the transmitter can send more than two values, one has to modify
@@ -37,10 +34,5 @@ func (MultiProtocol) Check(n, t int) error { return Protocol{}.Check(n, t) }
 // Phases implements protocol.Protocol.
 func (MultiProtocol) Phases(_, t int) int { return LastPhase(t) }
 
-// NewNode implements protocol.Protocol.
-func (p MultiProtocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return newNode(cfg, p.Name(), true)
-}
+// NewRun implements protocol.Protocol.
+func (p MultiProtocol) NewRun(n, t int) (protocol.Builder, error) { return newRun(p, n, t, true) }

@@ -28,7 +28,7 @@ import (
 // alg1.Core; relative phases 1..t+2 drive Algorithm 1 and phases
 // t+3..3t+3 the increasing-message rounds.
 type Core struct {
-	inner    *alg1.Core
+	inner    alg1.Core
 	group    protocol.Group
 	t        int
 	me       int
@@ -44,14 +44,15 @@ type Core struct {
 	acted        bool
 }
 
-// NewCore builds the Algorithm 2 state machine for group member me.
-func NewCore(group []ident.ProcID, t int, me ident.ProcID, value ident.Value, signer sig.Signer, verifier sig.Verifier) (*Core, error) {
+// NewCore returns the Algorithm 2 state machine for group member me, to be
+// stored where it lives (see alg1.NewCore).
+func NewCore(group []ident.ProcID, t int, me ident.ProcID, value ident.Value, signer sig.Signer, verifier sig.Verifier) (Core, error) {
 	inner, err := alg1.NewCore(group, t, me, value, signer, verifier)
 	if err != nil {
-		return nil, err
+		return Core{}, err
 	}
 	g, mi := inner.Group()
-	return &Core{
+	return Core{
 		inner:    inner,
 		group:    g,
 		t:        t,
@@ -144,14 +145,11 @@ func (c *Core) Step(ctx *sim.Context, inbox []sim.Envelope, phase int) error {
 		signed := slab.CoSign(c.signer, m)
 		c.classifyOwn(signed)
 
-		var targets []ident.ProcID
-		if wide {
-			targets = append(targets, c.group.Members()[:c.me]...)
-			targets = append(targets, c.group.Members()[c.me+1:]...)
-		} else {
-			for i := c.me + 1; i <= c.me+c.t+1 && i < c.group.Len(); i++ {
-				targets = append(targets, c.group.Members()[i])
-			}
+		// A wide message goes to the whole group (SendToAll skips us), a
+		// narrow one to the next t+1 labels: both are views of the group.
+		targets := c.group.Members()
+		if !wide {
+			targets = targets[c.me+1 : min(c.me+c.t+2, c.group.Len())]
 		}
 		if err := protocol.SendToAll(ctx, targets, slab.Marshal(signed), signed.Chain); err != nil {
 			return err
@@ -239,28 +237,25 @@ func (Protocol) Check(n, t int) error {
 // Phases implements protocol.Protocol.
 func (Protocol) Phases(_, t int) int { return LastPhase(t) }
 
-// NewNode implements protocol.Protocol.
-func (Protocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.RequireBinaryValue(); err != nil {
-		return nil, err
-	}
-	if cfg.Transmitter != 0 {
-		return nil, fmt.Errorf("%w: alg2 assumes transmitter 0", protocol.ErrBadParams)
-	}
-	core, err := NewCore(ident.Range(cfg.N), cfg.T, cfg.ID, cfg.Value, cfg.Signer, cfg.Verifier)
-	if err != nil {
-		return nil, err
-	}
-	return &node{core: core}, nil
+// NewRun implements protocol.Protocol: every node holds its core.
+func (p Protocol) NewRun(n, t int) (protocol.Builder, error) {
+	return protocol.Uniform(p, n, t, func(nd *node, cfg protocol.NodeConfig) error {
+		if err := cfg.RequireBinaryValue(); err != nil {
+			return err
+		}
+		if cfg.Transmitter != 0 {
+			return fmt.Errorf("%w: alg2 assumes transmitter 0", protocol.ErrBadParams)
+		}
+		core, err := NewCore(ident.Range(cfg.N), cfg.T, cfg.ID, cfg.Value, cfg.Signer, cfg.Verifier)
+		nd.core = core
+		return err
+	})
 }
 
 // Node is the standalone Algorithm 2 node; exported so tests and examples
 // can read the proof after a run.
 type node struct {
-	core *Core
+	core Core
 }
 
 var _ sim.Node = (*node)(nil)

@@ -18,7 +18,7 @@ func newTestCore(t *testing.T, tt int, me ident.ProcID, v ident.Value, scheme si
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return &c
 }
 
 // chainOver signs v through the given group members in order.

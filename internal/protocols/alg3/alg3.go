@@ -66,8 +66,8 @@ func (p Protocol) Phases(_, t int) int { return t + 2*p.S + 3 }
 
 // layout is the deterministic partition of the system: the actives are ids
 // 0..2t and passive set k is the id range [2t+1+k·s, 2t+1+(k+1)·s) cut off
-// at n, its first id the root. Nothing in it is proportional to n, so every
-// node builds its own.
+// at n, its first id the root. Nothing in it is proportional to n; a run's
+// builder holds the one its nodes point to.
 type layout struct {
 	n, t, s int
 	actives []ident.ProcID // ids 0..2t
@@ -78,17 +78,17 @@ func newLayout(n, t, s int) layout {
 }
 
 // sets returns the number of passive sets, ⌈(n-(2t+1))/s⌉.
-func (l layout) sets() int { return (l.n - (2*l.t + 1) + l.s - 1) / l.s }
+func (l *layout) sets() int { return (l.n - (2*l.t + 1) + l.s - 1) / l.s }
 
 // set returns passive set k as an id range: its root and its size.
-func (l layout) set(k int) (root ident.ProcID, size int) {
+func (l *layout) set(k int) (root ident.ProcID, size int) {
 	first := 2*l.t + 1 + k*l.s
 	return ident.ProcID(first), min(l.s, l.n-first)
 }
 
 // locate returns (setIdx, memberIdx) for a passive id; memberIdx 0 is the
 // root. ok is false for active ids.
-func (l layout) locate(id ident.ProcID) (int, int, bool) {
+func (l *layout) locate(id ident.ProcID) (int, int, bool) {
 	if int(id) < 2*l.t+1 {
 		return 0, 0, false
 	}
@@ -96,9 +96,33 @@ func (l layout) locate(id ident.ProcID) (int, int, bool) {
 	return off / l.s, off % l.s, true
 }
 
-// NewNode implements protocol.Protocol.
-func (p Protocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
-	if err := cfg.Validate(); err != nil {
+// NewRun implements protocol.Protocol.
+func (p Protocol) NewRun(n, t int) (protocol.Builder, error) {
+	if err := p.Check(n, t); err != nil {
+		return nil, err
+	}
+	r := &run{l: newLayout(n, t, p.S)}
+	sets := r.l.sets()
+	r.actives = protocol.NewBlocks[activeNode](2*t + 1)
+	r.reports = protocol.NewBlocks[sig.SignedValue]((2*t + 1) * sets)
+	r.roots = protocol.NewBlocks[rootNode](sets)
+	r.members = protocol.NewBlocks[memberNode](n - (2*t + 1) - sets)
+	return r, nil
+}
+
+// run builds one run's nodes: its layout, and one block per role sized to
+// the number of processors in it, and one for the actives' report slots.
+type run struct {
+	l       layout
+	actives protocol.Blocks[activeNode]
+	reports protocol.Blocks[sig.SignedValue]
+	roots   protocol.Blocks[rootNode]
+	members protocol.Blocks[memberNode]
+}
+
+// NewNode implements protocol.Builder.
+func (r *run) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
+	if err := cfg.ValidateRun(r.l.n, r.l.t); err != nil {
 		return nil, err
 	}
 	if err := cfg.RequireBinaryValue(); err != nil {
@@ -107,19 +131,24 @@ func (p Protocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
 	if cfg.Transmitter != 0 {
 		return nil, fmt.Errorf("%w: alg3 assumes transmitter 0", protocol.ErrBadParams)
 	}
-	l := newLayout(cfg.N, cfg.T, p.S)
-	if int(cfg.ID) < len(l.actives) {
-		inner, err := alg1.NewCore(l.actives, cfg.T, cfg.ID, cfg.Value, cfg.Signer, cfg.Verifier)
+	if int(cfg.ID) < len(r.l.actives) {
+		inner, err := alg1.NewCore(r.l.actives, cfg.T, cfg.ID, cfg.Value, cfg.Signer, cfg.Verifier)
 		if err != nil {
 			return nil, err
 		}
-		return &activeNode{cfg: cfg, l: l, inner: inner}, nil
+		a := r.actives.New()
+		*a = activeNode{cfg: cfg, l: &r.l, inner: inner, reports: r.reports.Carve(r.l.sets())}
+		return a, nil
 	}
-	setIdx, memberIdx, _ := l.locate(cfg.ID)
+	setIdx, memberIdx, _ := r.l.locate(cfg.ID)
 	if memberIdx == 0 {
-		return &rootNode{cfg: cfg, l: l, setIdx: setIdx}, nil
+		root := r.roots.New()
+		*root = rootNode{cfg: cfg, l: &r.l, setIdx: setIdx}
+		return root, nil
 	}
-	return &memberNode{cfg: cfg, l: l, setIdx: setIdx, memberIdx: memberIdx}, nil
+	mn := r.members.New()
+	*mn = memberNode{cfg: cfg, l: &r.l, setIdx: setIdx, memberIdx: memberIdx}
+	return mn, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -127,11 +156,13 @@ func (p Protocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
 
 type activeNode struct {
 	cfg   protocol.NodeConfig
-	l     layout
-	inner *alg1.Core
+	l     *layout
+	inner alg1.Core
 
 	committed    ident.Value
 	hasCommitted bool
+	// reports[k] is the first report root k sent, read in the last phase.
+	reports []sig.SignedValue
 }
 
 var _ sim.Node = (*activeNode)(nil)
@@ -161,7 +192,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		// Final phase: cover members whose signature the root's report is
 		// missing (or whose root never reported / reported a wrong value).
 		// reports[k] is the first report root k sent, if sent[k].
-		reports := make([]sig.SignedValue, a.l.sets())
+		reports := a.reports
 		var sent ident.Set
 		for _, env := range inbox {
 			setIdx, memberIdx, okLoc := a.l.locate(env.From)
@@ -206,7 +237,7 @@ func (a *activeNode) Decide() (ident.Value, bool) { return a.inner.Decide() }
 
 type rootNode struct {
 	cfg    protocol.NodeConfig
-	l      layout
+	l      *layout
 	setIdx int
 
 	m       sig.SignedValue // current m(j)
@@ -297,7 +328,7 @@ func (r *rootNode) Decide() (ident.Value, bool) {
 
 type memberNode struct {
 	cfg       protocol.NodeConfig
-	l         layout
+	l         *layout
 	setIdx    int
 	memberIdx int // 0-based position in the set; the paper's c(j) has j = memberIdx+1
 

@@ -55,12 +55,20 @@ type Group struct {
 	chains  []sig.Chain
 }
 
-// NewGroup builds the exchange state for member me of the given group
-// (whose size must be a perfect square). value is the byte string this
-// member contributes; the group keeps it, and members, so the caller must not
-// write to either afterwards. Reset starts the next exchange of the same
-// group with a new value.
-func NewGroup(members []ident.ProcID, me ident.ProcID, value []byte, signer sig.Signer, verifier sig.Verifier) (*Group, error) {
+// Groups builds the exchange states of one group's members in one run,
+// carving every state and its scratch from blocks sized to the group.
+type Groups struct {
+	members protocol.Group
+	g       grid
+	states  protocol.Blocks[Group]
+	slots   protocol.Blocks[sig.SignedBytes]
+	chains  protocol.Blocks[sig.Chain]
+}
+
+// NewGroups returns the builder of the given group's exchange states (its
+// size must be a perfect square). The states keep members, so the caller
+// must not write to it afterwards.
+func NewGroups(members []ident.ProcID) (*Groups, error) {
 	g, err := newGrid(len(members))
 	if err != nil {
 		return nil, err
@@ -69,23 +77,40 @@ func NewGroup(members []ident.ProcID, me ident.ProcID, value []byte, signer sig.
 	if err != nil {
 		return nil, err
 	}
-	mi, err := group.IndexOf(me)
+	n, m := len(members), int(g)
+	return &Groups{
+		members: group,
+		g:       g,
+		states:  protocol.NewBlocks[Group](n),
+		slots:   protocol.NewBlocks[sig.SignedBytes](n * slotsPerMember(n, m)),
+		chains:  protocol.NewBlocks[sig.Chain](n * (m - 1) * m),
+	}, nil
+}
+
+// slotsPerMember is what one member's state holds when everybody is correct:
+// collected, a row, a column of row reports, and one such report of reports.
+func slotsPerMember(n, m int) int { return n + m + 2*(m-1)*m }
+
+// New builds the exchange state for member me. value is the byte string
+// this member contributes; the group keeps it, so the caller must not write
+// to it afterwards. Reset starts the next exchange of the same group with a
+// new value.
+func (gs *Groups) New(me ident.ProcID, value []byte, signer sig.Signer, verifier sig.Verifier) (*Group, error) {
+	mi, err := gs.members.IndexOf(me)
 	if err != nil {
 		return nil, err
 	}
-	// One block holds collected and what the three phases hold when
-	// everybody is correct: a row, a column of row reports, and one such
-	// report of reports.
-	n, m := len(members), int(g)
-	block := make([]sig.SignedBytes, n+m+2*(m-1)*m)
+	n, m := gs.members.Len(), int(gs.g)
+	block := gs.slots.Carve(slotsPerMember(n, m))
 	carve := func(size int) []sig.SignedBytes {
 		s := block[:0:size]
 		block = block[size:]
 		return s
 	}
-	return &Group{
-		members:   group,
-		g:         g,
+	gr := gs.states.New()
+	*gr = Group{
+		members:   gs.members,
+		g:         gs.g,
 		me:        mi,
 		signer:    signer,
 		verifier:  verifier,
@@ -94,8 +119,9 @@ func NewGroup(members []ident.ProcID, me ident.ProcID, value []byte, signer sig.
 		m1:        carve(m),
 		m2:        carve((m - 1) * m),
 		entries:   carve((m - 1) * m),
-		chains:    make([]sig.Chain, 0, (m-1)*m),
-	}, nil
+		chains:    gs.chains.Carve((m - 1) * m)[:0],
+	}
+	return gr, nil
 }
 
 // Reset makes the group ready for a new exchange in which this member
@@ -310,23 +336,38 @@ func (Protocol) Check(n, t int) error {
 // Phases implements protocol.Protocol.
 func (Protocol) Phases(int, int) int { return Phases }
 
-// NewNode implements protocol.Protocol.
-func (Protocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
-	if err := cfg.Validate(); err != nil {
+// NewRun implements protocol.Protocol: the nodes' exchange states and own
+// values are carved from blocks sized to the run.
+func (p Protocol) NewRun(n, t int) (protocol.Builder, error) {
+	if err := p.Check(n, t); err != nil {
 		return nil, err
 	}
-	value := OwnValue(cfg.ID)
-	gr, err := NewGroup(ident.Range(cfg.N), cfg.ID, value, cfg.Signer, cfg.Verifier)
+	groups, err := NewGroups(ident.Range(n))
 	if err != nil {
 		return nil, err
 	}
-	return &node{gr: gr}, nil
+	size := 0
+	for id := range n {
+		size += wire.IntLen(int64(id))
+	}
+	values := protocol.NewBlocks[byte](size)
+	return protocol.Uniform(p, n, t, func(nd *node, cfg protocol.NodeConfig) error {
+		value := appendOwnValue(values.Carve(wire.IntLen(int64(cfg.ID)))[:0], cfg.ID)
+		gr, err := groups.New(cfg.ID, value, cfg.Signer, cfg.Verifier)
+		nd.gr = gr
+		return err
+	})
 }
 
 // OwnValue is the standalone protocol's per-processor input: the canonical
 // encoding of the processor's identity.
 func OwnValue(id ident.ProcID) []byte {
-	w := wire.WriterOn(make([]byte, 0, wire.IntLen(int64(id))))
+	return appendOwnValue(make([]byte, 0, wire.IntLen(int64(id))), id)
+}
+
+// appendOwnValue appends id's OwnValue to dst.
+func appendOwnValue(dst []byte, id ident.ProcID) []byte {
+	w := wire.WriterOn(dst)
 	w.Proc(id)
 	return w.Bytes()
 }

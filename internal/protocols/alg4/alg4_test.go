@@ -149,13 +149,17 @@ func TestGarbageToleration(t *testing.T) {
 func TestGroupValidation(t *testing.T) {
 	scheme := sig.NewHMAC(4, 1)
 	s0, _ := scheme.Signer(0)
-	if _, err := alg4.NewGroup(ident.Range(3), 0, nil, s0, scheme); err == nil {
+	if _, err := alg4.NewGroups(ident.Range(3)); err == nil {
 		t.Fatal("non-square group accepted")
 	}
-	if _, err := alg4.NewGroup(ident.Range(4), 9, nil, s0, scheme); err == nil {
+	gs, err := alg4.NewGroups(ident.Range(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gs.New(9, nil, s0, scheme); err == nil {
 		t.Fatal("outsider accepted")
 	}
-	if _, err := alg4.NewGroup([]ident.ProcID{0, 0, 1, 2}, 0, nil, s0, scheme); err == nil {
+	if _, err := alg4.NewGroups([]ident.ProcID{0, 0, 1, 2}); err == nil {
 		t.Fatal("duplicate accepted")
 	}
 }
@@ -168,11 +172,22 @@ type capture struct {
 	nodes []sim.Node
 }
 
-func (c *capture) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
-	nd, err := c.Protocol.NewNode(cfg)
-	c.mu.Lock()
-	c.nodes = append(c.nodes, nd)
-	c.mu.Unlock()
+func (c *capture) NewRun(n, t int) (protocol.Builder, error) {
+	run, err := c.Protocol.NewRun(n, t)
+	return captureRun{run, c}, err
+}
+
+// captureRun keeps each node its run builds.
+type captureRun struct {
+	protocol.Builder
+	c *capture
+}
+
+func (r captureRun) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
+	nd, err := r.Builder.NewNode(cfg)
+	r.c.mu.Lock()
+	r.c.nodes = append(r.c.nodes, nd)
+	r.c.mu.Unlock()
 	return nd, err
 }
 

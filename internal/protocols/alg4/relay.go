@@ -44,15 +44,14 @@ func (RelayProtocol) Phases(int, int) int { return 2 }
 // RelayMsgUpperBound is the §5 count (N−1)(t+1) + (t+1)(N−t−1).
 func RelayMsgUpperBound(n, t int) int { return (n-1)*(t+1) + (t+1)*(n-t-1) }
 
-// NewNode implements protocol.Protocol.
-func (RelayProtocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &relayNode{
-		cfg:       cfg,
-		collected: make([]sig.SignedBytes, cfg.N),
-	}, nil
+// NewRun implements protocol.Protocol: each node's collected slots are
+// carved from one block of n².
+func (p RelayProtocol) NewRun(n, t int) (protocol.Builder, error) {
+	collected := protocol.NewBlocks[sig.SignedBytes](n * n)
+	return protocol.Uniform(p, n, t, func(nd *relayNode, cfg protocol.NodeConfig) error {
+		*nd = relayNode{cfg: cfg, collected: collected.Carve(cfg.N)}
+		return nil
+	})
 }
 
 type relayNode struct {
@@ -91,7 +90,9 @@ func (r *relayNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	slab := ctx.Slab()
 	switch ctx.Phase() {
 	case 1:
-		own := slab.SignBytes(r.cfg.Signer, OwnValue(r.cfg.ID))
+		w := slab.Writer(wire.IntLen(int64(r.cfg.ID))) // OwnValue, carved
+		w.Proc(r.cfg.ID)
+		own := slab.SignBytes(r.cfg.Signer, w.Bytes())
 		r.record(own)
 		if r.isRelay(r.cfg.ID) {
 			r.m1 = append(r.m1, own)

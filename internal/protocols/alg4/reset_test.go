@@ -16,7 +16,11 @@ import (
 func TestResetPoisonsKeptValuesInRaceBuilds(t *testing.T) {
 	scheme := sig.NewHMAC(1, 3)
 	s0, _ := scheme.Signer(0)
-	gr, err := NewGroup(ident.Range(1), 0, []byte("first"), s0, scheme)
+	gs, err := NewGroups(ident.Range(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr, err := gs.New(0, []byte("first"), s0, scheme)
 	if err != nil {
 		t.Fatal(err)
 	}

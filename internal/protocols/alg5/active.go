@@ -16,7 +16,7 @@ import (
 // fan-out phase; all α of them drive the block structure.
 type activeNode struct {
 	cfg protocol.NodeConfig
-	ly  layout
+	ly  *layout
 
 	core *alg2.Core // nil for extended actives
 
@@ -38,21 +38,26 @@ type activeNode struct {
 
 var _ sim.Node = (*activeNode)(nil)
 
-func newActiveNode(cfg protocol.NodeConfig, ly layout) (sim.Node, error) {
-	a := &activeNode{cfg: cfg, ly: ly}
+// newActive builds an active processor's node, carving it and its state
+// from the run's blocks.
+func (r *run) newActive(cfg protocol.NodeConfig) (sim.Node, error) {
+	ly := &r.ly
+	a := r.actives.New()
+	*a = activeNode{cfg: cfg, ly: ly}
 	if ly.isCoreActive(cfg.ID) {
 		c, err := alg2.NewCore(ly.actives[:2*cfg.T+1], cfg.T, cfg.ID, cfg.Value, cfg.Signer, cfg.Verifier)
 		if err != nil {
 			return nil, err
 		}
-		a.core = c
+		a.core = r.cores.New()
+		*a.core = c
 	}
 	if ly.mode == modeFull {
 		m := ly.n - ly.alpha
-		sets := make([]bool, 2*m)
+		sets := r.sets.Carve(2 * m)
 		a.b, a.pendingF = sets[:m:m], sets[m:]
-		a.pi = newPiTable(ly.passive(0), m, ly.alpha)
-		g4, err := alg4.NewGroup(ly.actives, cfg.ID, nil, cfg.Signer, cfg.Verifier)
+		a.pi = piTable{first: ly.passive(0), counts: r.counts.Carve(m), sources: r.sources.Carve(ly.alpha)[:0]}
+		g4, err := r.g4.New(cfg.ID, nil, cfg.Signer, cfg.Verifier)
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +159,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			for i := range a.b {
 				a.b[i] = true
 			}
-			tbl.build(&a.ly, nil, x, a.cfg.Verifier)
+			tbl.build(a.ly, nil, x, a.cfg.Verifier)
 		} else {
 			if !a.g4Live {
 				return nil
@@ -165,7 +170,7 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			// The actives are listed in id order, so this is signer order:
 			// what reaches the wire (payload bytes, and with them signatures
 			// and histories) is deterministic per seed by construction.
-			tbl.build(&a.ly, a.g4.Output(), x, a.cfg.Verifier) // empty slots count for nothing
+			tbl.build(a.ly, a.g4.Output(), x, a.cfg.Verifier) // empty slots count for nothing
 			// B(p,x) = members of our own F(p,x) with enough endorsements.
 			for i, in := range a.pendingF {
 				a.b[i] = in && tbl.pi(a.ly.passive(i)) >= a.ly.threshold()

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"byzex/internal/protocol"
+	"byzex/internal/protocols/alg2"
+	"byzex/internal/protocols/alg4"
 	"byzex/internal/sim"
 )
 
@@ -80,9 +82,51 @@ func (p Protocol) Segments(n, t int) []Segment {
 	return segs
 }
 
-// NewNode implements protocol.Protocol.
-func (p Protocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
-	if err := cfg.Validate(); err != nil {
+// NewRun implements protocol.Protocol: the layout is computed once per run,
+// and every kind of per-processor state — active and passive nodes, the core
+// actives' Algorithm 2 state, the actives' passive sets, π tables and
+// Algorithm 4 groups — is carved from one block sized to the run.
+func (p Protocol) NewRun(n, t int) (protocol.Builder, error) {
+	ly, err := newLayout(n, t, p.S, p.DisablePoW)
+	if err != nil {
+		return nil, err
+	}
+	actives := len(ly.actives)
+	r := &run{
+		ly:       ly,
+		actives:  protocol.NewBlocks[activeNode](actives),
+		cores:    protocol.NewBlocks[alg2.Core](2*t + 1),
+		passives: protocol.NewBlocks[passiveNode](n - actives),
+	}
+	if ly.mode == modeFull {
+		m := n - actives
+		r.sets = protocol.NewBlocks[bool](actives * 2 * m)
+		r.counts = protocol.NewBlocks[piCount](actives * m)
+		r.sources = protocol.NewBlocks[piSource](actives * actives)
+		if r.g4, err = alg4.NewGroups(ly.actives); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}
+
+// run builds one run's nodes. Its layout is the one every node points to.
+type run struct {
+	ly       layout
+	actives  protocol.Blocks[activeNode]
+	cores    protocol.Blocks[alg2.Core]
+	passives protocol.Blocks[passiveNode]
+	// modeFull only: each active's B and F flags, π counts and counted
+	// strings, and Algorithm 4 state.
+	sets    protocol.Blocks[bool]
+	counts  protocol.Blocks[piCount]
+	sources protocol.Blocks[piSource]
+	g4      *alg4.Groups
+}
+
+// NewNode implements protocol.Builder.
+func (r *run) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
+	if err := cfg.ValidateRun(r.ly.n, r.ly.t); err != nil {
 		return nil, err
 	}
 	if err := cfg.RequireBinaryValue(); err != nil {
@@ -91,12 +135,8 @@ func (p Protocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
 	if cfg.Transmitter != 0 {
 		return nil, fmt.Errorf("%w: alg5 assumes transmitter 0", protocol.ErrBadParams)
 	}
-	ly, err := newLayout(cfg.N, cfg.T, p.S, p.DisablePoW)
-	if err != nil {
-		return nil, err
+	if r.ly.isActive(cfg.ID) {
+		return r.newActive(cfg)
 	}
-	if ly.isActive(cfg.ID) {
-		return newActiveNode(cfg, ly)
-	}
-	return newPassiveNode(cfg, ly)
+	return r.newPassive(cfg)
 }

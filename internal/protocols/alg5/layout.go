@@ -23,13 +23,15 @@
 //   - Block 0 is a final catch-all: actives send the valid message
 //     directly to any processor still in B(p, 0).
 //
-// Set-up is O(t) per processor, so a run costs O(n·t) before its first
-// message and not O(n²): the passive processors are the contiguous id range
-// [α, n), which makes the forest pure index arithmetic (a forest is three
-// integers, tree.go), and a node's layout allocates one list, the actives,
-// whose first 2t+1 are the core; the block schedule is closed-form. An
-// active's passive sets B(p, x) and F(p, x−1) are flags indexed by id − α,
-// walked in id order; only the fan-out below α spells the passives out.
+// Set-up costs O(n·t) before the first message and not O(n²): the passive
+// processors are the contiguous id range [α, n), which makes the forest pure
+// index arithmetic (a forest is three integers, tree.go), and the run's one
+// layout, which every node points to, holds one list, the actives, whose
+// first 2t+1 are the core; the block schedule is closed-form. An active's
+// passive sets B(p, x) and F(p, x−1) are flags indexed by id − α, walked in
+// id order; only the fan-out below α spells the passives out. The run's
+// builder (alg5.go) carves every kind of per-processor state from one block
+// sized to the run.
 //
 // The ids are dense, and the per-block state is indexed by them: π(M, q, x)
 // is a counter per passive q at q − α, over a bitset of the actives already

@@ -12,7 +12,7 @@ import (
 // member of its ancestors' subtrees; in modeFanout it only listens.
 type passiveNode struct {
 	cfg protocol.NodeConfig
-	ly  layout
+	ly  *layout
 
 	ref   treeRef
 	level int
@@ -31,10 +31,12 @@ type passiveNode struct {
 
 var _ sim.Node = (*passiveNode)(nil)
 
-func newPassiveNode(cfg protocol.NodeConfig, ly layout) (sim.Node, error) {
-	p := &passiveNode{cfg: cfg, ly: ly}
-	if ly.mode == modeFull {
-		ref, ok := ly.forest.locate(cfg.ID)
+// newPassive builds a passive processor's node, carved from the run's block.
+func (r *run) newPassive(cfg protocol.NodeConfig) (sim.Node, error) {
+	p := r.passives.New()
+	*p = passiveNode{cfg: cfg, ly: &r.ly}
+	if r.ly.mode == modeFull {
+		ref, ok := r.ly.forest.locate(cfg.ID)
 		if !ok {
 			return nil, protocol.ErrBadParams
 		}
@@ -106,7 +108,7 @@ func (p *passiveNode) stepRoot(ctx *sim.Context, inbox []sim.Envelope, x, rel in
 				if p.pi.counts == nil && len(strs) > 0 {
 					p.pi = newPiTable(p.cfg.ID, p.ly.forest.size(p.ref.tree)-p.ref.pos, len(strs))
 				}
-				p.pi.build(&p.ly, strs, x, p.cfg.Verifier)
+				p.pi.build(p.ly, strs, x, p.cfg.Verifier)
 				if !p.ly.hasProofOfWork(&p.pi, p.ref, x) {
 					slab.Rewind(mark)
 					continue

@@ -18,6 +18,7 @@ package dolevstrong
 
 import (
 	"fmt"
+	"slices"
 
 	"byzex/internal/ident"
 	"byzex/internal/protocol"
@@ -45,17 +46,20 @@ func (Protocol) Check(n, t int) error {
 // Phases implements protocol.Protocol.
 func (Protocol) Phases(_, t int) int { return t + 1 }
 
-// NewNode implements protocol.Protocol.
-func (Protocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &node{cfg: cfg, extracted: make(map[ident.Value]sig.Chain)}, nil
+// NewRun implements protocol.Protocol.
+func (p Protocol) NewRun(n, t int) (protocol.Builder, error) {
+	return protocol.Uniform(p, n, t, func(nd *node, cfg protocol.NodeConfig) error {
+		nd.cfg = cfg
+		return nil
+	})
 }
 
 type node struct {
-	cfg       protocol.NodeConfig
-	extracted map[ident.Value]sig.Chain
+	cfg protocol.NodeConfig
+	// extracted[:nextracted] are the distinct values extracted so far: at
+	// most two are kept.
+	extracted  [2]ident.Value
+	nextracted int
 	// relayQueue holds values extracted in the previous phase that still
 	// need relaying with our signature appended.
 	relayQueue []sig.SignedValue
@@ -93,7 +97,7 @@ func (n *node) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			if err := protocol.Broadcast(ctx, slab.Marshal(sv), sv.Chain); err != nil {
 				return err
 			}
-			n.extracted[n.cfg.Value] = sv.Chain
+			n.extract(n.cfg.Value)
 		}
 		return nil
 	}
@@ -107,18 +111,18 @@ func (n *node) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			slab.Rewind(mark)
 			continue
 		}
-		if _, seen := n.extracted[sv.Value]; seen {
+		if slices.Contains(n.extracted[:n.nextracted], sv.Value) {
 			slab.Rewind(mark)
 			continue
 		}
 		// Once two distinct values are extracted every correct processor's
 		// decision is already forced to the default; cap storage at two and
 		// relay at most two (the classical optimization).
-		if len(n.extracted) >= 2 {
+		if n.nextracted >= 2 {
 			slab.Rewind(mark)
 			continue
 		}
-		n.extracted[sv.Value] = sv.Chain
+		n.extract(sv.Value)
 		n.relayQueue = append(n.relayQueue, sv)
 	}
 
@@ -140,10 +144,14 @@ func (n *node) Decide() (ident.Value, bool) {
 	if n.cfg.IsTransmitter() {
 		return n.cfg.Value, true
 	}
-	if len(n.extracted) == 1 {
-		for v := range n.extracted {
-			return v, true
-		}
+	if n.nextracted == 1 {
+		return n.extracted[0], true
 	}
 	return ident.V0, true
+}
+
+// extract records a newly extracted value.
+func (n *node) extract(v ident.Value) {
+	n.extracted[n.nextracted] = v
+	n.nextracted++
 }

@@ -53,39 +53,58 @@ func (p Protocol) Check(n, t int) error {
 // Phases implements protocol.Protocol: all instances run in lock step.
 func (p Protocol) Phases(n, t int) int { return p.Base.Phases(n, t) }
 
-// NewNode implements protocol.Protocol.
-func (p Protocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
-	if err := cfg.Validate(); err != nil {
+// NewRun implements protocol.Protocol: one Base builder per instance, each
+// building its instance's n nodes, and the multiplexing nodes' instance
+// lists, signers and verifiers carved from blocks sized to the run.
+func (p Protocol) NewRun(n, t int) (protocol.Builder, error) {
+	if err := p.Check(n, t); err != nil {
 		return nil, err
 	}
-	if cfg.Transmitter != 0 {
-		return nil, fmt.Errorf("%w: ic assumes transmitter 0", protocol.ErrBadParams)
-	}
-	nd := &node{cfg: cfg, inner: make([]sim.Node, cfg.N)}
-	for k := 0; k < cfg.N; k++ {
-		local := localID(cfg.ID, ident.ProcID(k), cfg.N)
-		instCfg := protocol.NodeConfig{
-			ID:          local,
-			N:           cfg.N,
-			T:           cfg.T,
-			Transmitter: 0,
-			Signer:      &instSigner{inner: cfg.Signer, local: local, inst: k},
-			Verifier:    &instVerifier{inner: cfg.Verifier, n: cfg.N, inst: k},
-		}
-		if local == 0 {
-			// We are this instance's transmitter; our private value rides
-			// in instance k = our own id. (Every processor contributes
-			// Value; for non-transmitters of the outer run the value is
-			// derived deterministically so tests can check the vector.)
-			instCfg.Value = OwnInput(cfg.ID, cfg.Value)
-		}
-		in, err := p.Base.NewNode(instCfg)
+	bases := make([]protocol.Builder, n)
+	for k := range bases {
+		base, err := p.Base.NewRun(n, t)
 		if err != nil {
-			return nil, fmt.Errorf("ic: instance %d: %w", k, err)
+			return nil, err
 		}
-		nd.inner[k] = in
+		bases[k] = base
 	}
-	return nd, nil
+	inner := protocol.NewBlocks[sim.Node](n * n)
+	signers := protocol.NewBlocks[instSigner](n * n)
+	verifiers := protocol.NewBlocks[instVerifier](n * n)
+	return protocol.Uniform(p, n, t, func(nd *node, cfg protocol.NodeConfig) error {
+		if cfg.Transmitter != 0 {
+			return fmt.Errorf("%w: ic assumes transmitter 0", protocol.ErrBadParams)
+		}
+		*nd = node{cfg: cfg, inner: inner.Carve(cfg.N)}
+		for k, base := range bases {
+			local := localID(cfg.ID, ident.ProcID(k), cfg.N)
+			signer, verifier := signers.New(), verifiers.New()
+			*signer = instSigner{inner: cfg.Signer, local: local, inst: k}
+			*verifier = instVerifier{inner: cfg.Verifier, n: cfg.N, inst: k}
+			instCfg := protocol.NodeConfig{
+				ID:          local,
+				N:           cfg.N,
+				T:           cfg.T,
+				Transmitter: 0,
+				Signer:      signer,
+				Verifier:    verifier,
+			}
+			if local == 0 {
+				// We are this instance's transmitter; our private value
+				// rides in instance k = our own id. (Every processor
+				// contributes Value; for non-transmitters of the outer run
+				// the value is derived deterministically so tests can check
+				// the vector.)
+				instCfg.Value = OwnInput(cfg.ID, cfg.Value)
+			}
+			in, err := base.NewNode(instCfg)
+			if err != nil {
+				return fmt.Errorf("ic: instance %d: %w", k, err)
+			}
+			nd.inner[k] = in
+		}
+		return nil
+	})
 }
 
 // OwnInput derives processor id's private input for the vector: the outer

@@ -45,15 +45,12 @@ func (Protocol) Check(n, t int) error {
 // Phases implements protocol.Protocol.
 func (Protocol) Phases(_, t int) int { return t + 1 }
 
-// NewNode implements protocol.Protocol.
-func (Protocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &node{
-		cfg:  cfg,
-		tree: make(map[string]ident.Value),
-	}, nil
+// NewRun implements protocol.Protocol.
+func (p Protocol) NewRun(n, t int) (protocol.Builder, error) {
+	return protocol.Uniform(p, n, t, func(nd *node, cfg protocol.NodeConfig) error {
+		*nd = node{cfg: cfg, tree: make(map[string]ident.Value)}
+		return nil
+	})
 }
 
 type node struct {

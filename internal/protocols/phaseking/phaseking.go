@@ -53,12 +53,12 @@ func (Protocol) Phases(_, t int) int { return 1 + 2*(t+1) }
 // full exchange per king round 1 and a king broadcast per round 2.
 func MsgUpperBound(n, t int) int { return (n - 1) + (t+1)*(n*(n-1)+(n-1)) }
 
-// NewNode implements protocol.Protocol.
-func (Protocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &node{cfg: cfg, current: ident.V0}, nil
+// NewRun implements protocol.Protocol.
+func (p Protocol) NewRun(n, t int) (protocol.Builder, error) {
+	return protocol.Uniform(p, n, t, func(nd *node, cfg protocol.NodeConfig) error {
+		*nd = node{cfg: cfg, current: ident.V0}
+		return nil
+	})
 }
 
 // Message tags.

@@ -39,12 +39,12 @@ func (Broadcast) Check(n, t int) error {
 // Phases implements protocol.Protocol.
 func (Broadcast) Phases(int, int) int { return 1 }
 
-// NewNode implements protocol.Protocol.
-func (Broadcast) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &bcastNode{cfg: cfg}, nil
+// NewRun implements protocol.Protocol.
+func (b Broadcast) NewRun(n, t int) (protocol.Builder, error) {
+	return protocol.Uniform(b, n, t, func(nd *bcastNode, cfg protocol.NodeConfig) error {
+		nd.cfg = cfg
+		return nil
+	})
 }
 
 type bcastNode struct {
@@ -122,15 +122,15 @@ func (r ThinRelay) Check(n, t int) error {
 // Phases implements protocol.Protocol.
 func (ThinRelay) Phases(int, int) int { return 2 }
 
-// NewNode implements protocol.Protocol.
-func (r ThinRelay) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Transmitter != 0 {
-		return nil, fmt.Errorf("%w: thinrelay assumes transmitter 0", protocol.ErrBadParams)
-	}
-	return &thinNode{cfg: cfg, width: r.RelayWidth}, nil
+// NewRun implements protocol.Protocol.
+func (r ThinRelay) NewRun(n, t int) (protocol.Builder, error) {
+	return protocol.Uniform(r, n, t, func(nd *thinNode, cfg protocol.NodeConfig) error {
+		if cfg.Transmitter != 0 {
+			return fmt.Errorf("%w: thinrelay assumes transmitter 0", protocol.ErrBadParams)
+		}
+		*nd = thinNode{cfg: cfg, width: r.RelayWidth}
+		return nil
+	})
 }
 
 type thinNode struct {

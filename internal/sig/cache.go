@@ -69,6 +69,8 @@ type CachedVerifier struct {
 	// been carved, their capacity the chunk.
 	nodes []node
 	bytes []byte
+	// expect is the number of prefixes the run was sized for (ResetFor).
+	expect int
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -121,12 +123,20 @@ func NewCachedVerifier(v Verifier) *CachedVerifier {
 // or sink outlives it, so that run pays cryptography for every link it has
 // not verified itself. The chunks an earlier run carved are zeroed and
 // carved again. A zero CachedVerifier is ready for use after Reset.
-func (cv *CachedVerifier) Reset(v Verifier) {
+func (cv *CachedVerifier) Reset(v Verifier) { cv.ResetFor(v, 0) }
+
+// ResetFor is Reset for a run expected to verify about the given number of
+// prefixes — a run of n processors verifies about n, mostly one signature
+// each — so that a cold cache makes its index for that many at once and
+// carves its first prefixes from one chunk of that many, instead of growing
+// both by doubling.
+func (cv *CachedVerifier) ResetFor(v Verifier, prefixes int) {
 	cv.mu.Lock()
 	defer cv.mu.Unlock()
 	if cv.index == nil {
-		cv.seed, cv.index = maphash.MakeSeed(), make(map[uint64]*node)
+		cv.seed, cv.index = maphash.MakeSeed(), make(map[uint64]*node, prefixes)
 	}
+	cv.expect = prefixes
 	clear(cv.index)
 	clear(cv.nodes)
 	clear(cv.bytes)
@@ -204,8 +214,9 @@ func (cv *CachedVerifier) insert(f uint64, parent *node, l Link, body []byte) *n
 		body = nil
 	}
 	// A chunk that runs out is followed by one for as many prefixes again as
-	// the cache holds, within bounds, at 64 bytes each.
-	chunk := min(max(len(cv.index), 32), 1<<10)
+	// the cache holds, or as the run was sized for, within bounds, at 64
+	// bytes each.
+	chunk := min(max(len(cv.index), cv.expect, 32), 1<<10)
 	size := len(body) + len(l.Sig)
 	if size > cap(cv.bytes)-len(cv.bytes) {
 		cv.bytes = make([]byte, 0, max(size, 64*chunk))

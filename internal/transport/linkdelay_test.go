@@ -29,9 +29,20 @@ type timedProtocol struct {
 	arrivals   [][]arrival   // by receiver
 }
 
-func (p *timedProtocol) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
-	node, err := p.Protocol.NewNode(cfg)
-	return &timedNode{Node: node, p: p, id: cfg.ID}, err
+func (p *timedProtocol) NewRun(n, t int) (protocol.Builder, error) {
+	run, err := p.Protocol.NewRun(n, t)
+	return timedRun{run, p}, err
+}
+
+// timedRun wraps each node its run builds in a timedNode.
+type timedRun struct {
+	protocol.Builder
+	p *timedProtocol
+}
+
+func (r timedRun) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
+	node, err := r.Builder.NewNode(cfg)
+	return &timedNode{Node: node, p: r.p, id: cfg.ID}, err
 }
 
 // reset starts a fresh log for the next instance.
