@@ -38,9 +38,12 @@
 #                      baload -selfhost -verify over every served row ×
 #                      memory, tcp and tcp with a 2 ms link delay, compared
 #                      byte for byte
-#   make allocs      - where a cold run allocates: core.TestRunAllocationBudgets
-#                      under -memprofilerate 1, then go tool pprof's top
-#                      allocation sites by object count (not part of check)
+#   make allocs      - where a run allocates: core.TestRunAllocationBudgets
+#                      (cold and warm in-memory runs), then
+#                      transport.TestMeshRunAllocationBudget (warm mesh
+#                      instances), each under -memprofilerate 1, with
+#                      go tool pprof's top allocation sites by object count
+#                      (not part of check)
 #   make loc         - non-test Go lines outside bench/, per package and in
 #                      total (the number CHANGES.md and the ROADMAP's
 #                      subtraction target are stated in), the _test.go
@@ -170,15 +173,20 @@ trace-smoke:
 	/tmp/basim -protocol dolev-strong -n 8 -t 2 -transport tcp -adversary silent -trace /tmp/byzex-smoke-tcp.jsonl
 	/tmp/batrace /tmp/byzex-smoke-tcp.jsonl
 
-# The allocation profile behind the pins of core.TestRunAllocationBudgets:
-# every allocation of its runs is sampled (-memprofilerate 1), and pprof
-# lists the sites by allocated objects. The profile and the test binary stay
-# in .bench_build/.
+# The allocation profiles behind the pins of core.TestRunAllocationBudgets
+# and transport.TestMeshRunAllocationBudget: every allocation of their runs
+# is sampled (-memprofilerate 1), and pprof lists the sites by allocated
+# objects, the in-memory runs first, then the warm mesh's instances (its
+# set-up — listeners, dials, readers — included). The profiles and the test
+# binaries stay in .bench_build/.
 allocs:
 	mkdir -p .bench_build
 	$(GO) test ./internal/core -run '^TestRunAllocationBudgets$$' -count=1 \
 		-memprofile .bench_build/allocs.mem -memprofilerate 1 -o .bench_build/core.test
 	$(GO) tool pprof -sample_index=alloc_objects -top .bench_build/core.test .bench_build/allocs.mem
+	$(GO) test ./internal/transport -run '^TestMeshRunAllocationBudget$$' -count=1 \
+		-memprofile .bench_build/mesh_allocs.mem -memprofilerate 1 -o .bench_build/transport.test
+	$(GO) tool pprof -sample_index=alloc_objects -top .bench_build/transport.test .bench_build/mesh_allocs.mem
 
 # Non-test Go lines outside bench/: one row per package directory, then the
 # total — the count CHANGES.md reports — the same total over _test.go files,

@@ -188,23 +188,27 @@ func (s SplitBrain) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error)
 	if err != nil {
 		return nil, err
 	}
-	return &splitBrainNode{low: low, high: high, splitAt: s.SplitAt}, nil
+	split := s.SplitAt
+	return &splitBrainNode{
+		low: low, high: high,
+		toLow:  func(to ident.ProcID) bool { return to < split },
+		toHigh: func(to ident.ProcID) bool { return to >= split },
+	}, nil
 }
 
 type splitBrainNode struct {
-	low, high sim.Node
-	splitAt   ident.ProcID
+	low, high       sim.Node
+	toLow, toHigh   func(ident.ProcID) bool // each personality's audience, fixed for the run
+	lowCtx, highCtx sim.Context             // re-pointed each phase
 }
 
 func (s *splitBrainNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	// Run both personalities on the same inbox; filter each one's sends so
 	// that only its own audience receives them.
-	lowCtx := ctx.WithSendFilter(func(to ident.ProcID) bool { return to < s.splitAt })
-	if err := s.low.Step(lowCtx, inbox); err != nil {
+	if err := s.low.Step(ctx.WithSendFilter(&s.lowCtx, s.toLow), inbox); err != nil {
 		return fmt.Errorf("split-brain low personality: %w", err)
 	}
-	highCtx := ctx.WithSendFilter(func(to ident.ProcID) bool { return to >= s.splitAt })
-	if err := s.high.Step(highCtx, inbox); err != nil {
+	if err := s.high.Step(ctx.WithSendFilter(&s.highCtx, s.toHigh), inbox); err != nil {
 		return fmt.Errorf("split-brain high personality: %w", err)
 	}
 	return nil
@@ -244,34 +248,40 @@ func (m MultiFaced) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error)
 	if len(m.Values) == 0 {
 		return nil, fmt.Errorf("adversary: multi-faced needs at least one value")
 	}
-	node := &multiFacedNode{k: len(m.Values), n: cfg.N}
-	for _, v := range m.Values {
+	k := len(m.Values)
+	slice := (cfg.N + k - 1) / k
+	node := &multiFacedNode{faces: make([]face, k)}
+	for i, v := range m.Values {
 		pcfg := cfg
 		pcfg.Value = v
 		inner, err := env.Run.NewNode(pcfg)
 		if err != nil {
 			return nil, err
 		}
-		node.faces = append(node.faces, inner)
+		lo, hi, last := ident.ProcID(i*slice), ident.ProcID((i+1)*slice), i == k-1
+		node.faces[i] = face{node: inner, audience: func(to ident.ProcID) bool {
+			return to >= lo && (last || to < hi)
+		}}
 	}
 	return node, nil
 }
 
 type multiFacedNode struct {
-	faces []sim.Node
-	k, n  int
+	faces []face
+}
+
+// face is one personality: its node, its audience (fixed for the run) and the
+// context its sends go through, re-pointed each phase.
+type face struct {
+	node     sim.Node
+	audience func(ident.ProcID) bool
+	ctx      sim.Context
 }
 
 func (m *multiFacedNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
-	slice := (m.n + m.k - 1) / m.k
-	for i, face := range m.faces {
-		lo := ident.ProcID(i * slice)
-		hi := ident.ProcID((i + 1) * slice)
-		last := i == m.k-1
-		fctx := ctx.WithSendFilter(func(to ident.ProcID) bool {
-			return to >= lo && (last || to < hi)
-		})
-		if err := face.Step(fctx, inbox); err != nil {
+	for i := range m.faces {
+		f := &m.faces[i]
+		if err := f.node.Step(ctx.WithSendFilter(&f.ctx, f.audience), inbox); err != nil {
 			return fmt.Errorf("multi-faced personality %d: %w", i, err)
 		}
 	}
@@ -316,13 +326,19 @@ func (s StarveB) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &starveNode{inner: inner, b: s.B, remaining: s.IgnoreFirst}, nil
+	b := s.B
+	return &starveNode{
+		inner: inner, b: b, remaining: s.IgnoreFirst,
+		outsideB: func(to ident.ProcID) bool { return !b.Has(to) },
+	}, nil
 }
 
 type starveNode struct {
 	inner     sim.Node
 	b         ident.Set
 	remaining int
+	outsideB  func(ident.ProcID) bool // the send filter, fixed for the run
+	fctx      sim.Context             // re-pointed each phase
 }
 
 func (s *starveNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
@@ -341,8 +357,7 @@ func (s *starveNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		}
 		kept = append(kept, e)
 	}
-	fctx := ctx.WithSendFilter(func(to ident.ProcID) bool { return !s.b.Has(to) })
-	return s.inner.Step(fctx, kept)
+	return s.inner.Step(ctx.WithSendFilter(&s.fctx, s.outsideB), kept)
 }
 
 func (s *starveNode) Decide() (ident.Value, bool) { return s.inner.Decide() }

@@ -51,12 +51,14 @@ func (c Chaos) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &chaosNode{
+	node := &chaosNode{
 		cfg:   cfg,
 		inner: inner,
 		rng:   env.State.rng(cfg.ID),
 		st:    env.State,
-	}, nil
+	}
+	node.kept = func(to ident.ProcID) bool { return node.keep.Has(to) }
+	return node, nil
 }
 
 type chaosNode struct {
@@ -64,6 +66,13 @@ type chaosNode struct {
 	inner sim.Node
 	rng   *mrand.Rand
 	st    *State
+
+	// keep is this phase's audience when only a random subset is served;
+	// kept, the send filter reading it, is built once, and fctx is
+	// re-pointed each such phase.
+	keep ident.Set
+	kept func(ident.ProcID) bool
+	fctx sim.Context
 
 	// seen buffers genuine payloads received so far, fuel for replays.
 	seen []sim.Envelope
@@ -81,14 +90,13 @@ func (c *chaosNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	case 1: // silence
 		return nil
 	case 2: // correct logic, but only toward a random half of the system
-		var keep ident.Set
+		c.keep = ident.Set{}
 		for id := 0; id < ctx.N(); id++ {
 			if c.rng.Intn(2) == 0 {
-				keep.Add(ident.ProcID(id))
+				c.keep.Add(ident.ProcID(id))
 			}
 		}
-		fctx := ctx.WithSendFilter(func(to ident.ProcID) bool { return keep.Has(to) })
-		return c.inner.Step(fctx, inbox)
+		return c.inner.Step(ctx.WithSendFilter(&c.fctx, c.kept), inbox)
 	case 3: // replay stored genuine payloads at random recipients
 		for i := 0; i < 3 && len(c.seen) > 0; i++ {
 			e := c.seen[c.rng.Intn(len(c.seen))]

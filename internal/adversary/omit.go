@@ -38,17 +38,18 @@ func (o OmitTowards) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error
 	if err != nil {
 		return nil, err
 	}
-	return &omitNode{inner: inner, victims: o.Victims}, nil
+	victims := o.Victims
+	return &omitNode{inner: inner, spared: func(to ident.ProcID) bool { return !victims.Has(to) }}, nil
 }
 
 type omitNode struct {
-	inner   sim.Node
-	victims ident.Set
+	inner  sim.Node
+	spared func(ident.ProcID) bool // the send filter, fixed for the run
+	fctx   sim.Context             // re-pointed each phase
 }
 
 func (o *omitNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
-	fctx := ctx.WithSendFilter(func(to ident.ProcID) bool { return !o.victims.Has(to) })
-	return o.inner.Step(fctx, inbox)
+	return o.inner.Step(ctx.WithSendFilter(&o.fctx, o.spared), inbox)
 }
 
 func (o *omitNode) Decide() (ident.Value, bool) { return o.inner.Decide() }

@@ -34,6 +34,13 @@ type activeNode struct {
 	g4     *alg4.Group
 	g4Live bool
 	pi     piTable
+
+	// A block's activations, kept for the run (modeFull only): the
+	// proof-of-work strings of the root being activated and of the last one
+	// encoded, and the chains of the payload being sent (Send does not keep
+	// them).
+	strs, prevStrs []sig.SignedBytes
+	chains         []sig.Chain
 }
 
 var _ sim.Node = (*activeNode)(nil)
@@ -57,6 +64,7 @@ func (r *run) newActive(cfg protocol.NodeConfig) (sim.Node, error) {
 		sets := r.sets.Carve(2 * m)
 		a.b, a.pendingF = sets[:m:m], sets[m:]
 		a.pi = piTable{first: ly.passive(0), counts: r.counts.Carve(m), sources: r.sources.Carve(ly.alpha)[:0]}
+		a.chains = r.chains.Carve(1)[:0] // the valid message's; a root with proof-of-work strings grows it once
 		g4, err := r.g4.New(cfg.ID, nil, cfg.Signer, cfg.Verifier)
 		if err != nil {
 			return nil, err
@@ -199,21 +207,20 @@ func (a *activeNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		// the table holds one single-link string per signer, so equal signer
 		// lists are equal strings, and in block λ every root's list is empty.
 		var payload []byte
-		var prev []sig.SignedBytes
-		var chains []sig.Chain // reused: Send does not keep it
 		return a.ly.forest.eachRoot(x, func(ref treeRef) error {
 			if !a.ly.disablePoW && !a.ly.hasProofOfWork(tbl, ref, x) {
 				return nil
 			}
-			strs := a.ly.powStringsFor(tbl, ref)
-			if payload == nil || !slices.EqualFunc(strs, prev, sameSigner) {
-				payload, prev = encodeActivate(slab, a.valid, strs), strs
-				chains = append(chains[:0], a.valid.Chain)
-				for _, s := range strs {
-					chains = append(chains, s.Chain)
+			a.strs = a.ly.powStringsFor(tbl, ref, a.strs[:0])
+			if payload == nil || !slices.EqualFunc(a.strs, a.prevStrs, sameSigner) {
+				payload = encodeActivate(slab, a.valid, a.strs)
+				a.chains = append(a.chains[:0], a.valid.Chain)
+				for _, s := range a.strs {
+					a.chains = append(a.chains, s.Chain)
 				}
+				a.strs, a.prevStrs = a.prevStrs, a.strs
 			}
-			return protocol.Send(ctx, a.ly.forest.at(ref), payload, chains...)
+			return protocol.Send(ctx, a.ly.forest.at(ref), payload, a.chains...)
 		})
 
 	case x >= 1 && rel == 2*l:

@@ -6,6 +6,7 @@ import (
 	"byzex/internal/protocol"
 	"byzex/internal/protocols/alg2"
 	"byzex/internal/protocols/alg4"
+	"byzex/internal/sig"
 	"byzex/internal/sim"
 )
 
@@ -103,6 +104,7 @@ func (p Protocol) NewRun(n, t int) (protocol.Builder, error) {
 		r.sets = protocol.NewBlocks[bool](actives * 2 * m)
 		r.counts = protocol.NewBlocks[piCount](actives * m)
 		r.sources = protocol.NewBlocks[piSource](actives * actives)
+		r.chains = protocol.NewBlocks[sig.Chain](actives)
 		if r.g4, err = alg4.NewGroups(ly.actives); err != nil {
 			return nil, err
 		}
@@ -117,10 +119,12 @@ type run struct {
 	cores    protocol.Blocks[alg2.Core]
 	passives protocol.Blocks[passiveNode]
 	// modeFull only: each active's B and F flags, π counts and counted
-	// strings, and Algorithm 4 state.
+	// strings, the first chain slot of its activations, and Algorithm 4
+	// state.
 	sets    protocol.Blocks[bool]
 	counts  protocol.Blocks[piCount]
 	sources protocol.Blocks[piSource]
+	chains  protocol.Blocks[sig.Chain]
 	g4      *alg4.Groups
 }
 

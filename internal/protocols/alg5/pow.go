@@ -106,11 +106,10 @@ func (ly *layout) hasProofOfWork(tbl *piTable, ref treeRef, x int) bool {
 		ly.anyInSubtree(tbl, treeRef{tree: ref.tree, pos: 2*ref.pos + 2}, thr)
 }
 
-// powStringsFor selects, from the verified strings, those relevant to the
-// given subtree (mentioning the root or any member), which is what an
+// powStringsFor appends to out, from the verified strings, those relevant to
+// the given subtree (mentioning the root or any member), which is what an
 // active processor attaches to an activation message.
-func (ly *layout) powStringsFor(tbl *piTable, ref treeRef) []sig.SignedBytes {
-	var out []sig.SignedBytes
+func (ly *layout) powStringsFor(tbl *piTable, ref treeRef, out []sig.SignedBytes) []sig.SignedBytes {
 	for _, src := range tbl.sources {
 		if slices.ContainsFunc(src.procs, func(q ident.ProcID) bool { return ly.forest.inSubtree(ref, q) }) {
 			out = append(out, src.sb)

@@ -138,21 +138,22 @@ func NewContext(id ident.ProcID, n, t int, transmitter ident.ProcID, phase, last
 	}
 }
 
-// WithSendFilter derives a context whose Send silently drops messages to
-// recipients for which allow returns false. Adversary wrappers use this to
-// model a Byzantine processor that runs correct protocol logic but withholds
-// messages from part of the system (the proofs of Theorems 1 and 2 both
-// need exactly this power).
-func (c *Context) WithSendFilter(allow func(ident.ProcID) bool) *Context {
-	clone := *c
+// WithSendFilter points dst at a copy of c whose Send silently drops
+// messages to recipients for which allow returns false, and returns dst.
+// Adversary wrappers use this to model a Byzantine processor that runs
+// correct protocol logic but withholds messages from part of the system (the
+// proofs of Theorems 1 and 2 both need exactly this power). A wrapper keeps
+// dst and allow for its run and re-points dst each phase, as the engine
+// re-points its own contexts: deriving costs no allocation unless c is itself
+// filtered.
+func (c *Context) WithSendFilter(dst *Context, allow func(ident.ProcID) bool) *Context {
 	prev := c.filter
-	clone.filter = func(to ident.ProcID) bool {
-		if prev != nil && !prev(to) {
-			return false
-		}
-		return allow(to)
+	*dst = *c
+	dst.filter = allow
+	if prev != nil {
+		dst.filter = func(to ident.ProcID) bool { return prev(to) && allow(to) }
 	}
-	return &clone
+	return dst
 }
 
 // ID returns the identity of the node being stepped.
@@ -400,7 +401,7 @@ func (e *Engine) Reset(cfg Config, nodes []Node) error {
 		p := &e.procs[i]
 		c := &p.ctx
 		c.n, c.t, c.transmitter, c.lastPhase, c.sink, c.slab = cfg.N, cfg.T, cfg.Transmitter, cfg.Phases, cfg.Trace, &e.slab
-		recycle(p.held)
+		Recycle(p.held)
 		p.stash, p.held = faultnet.Stash[Envelope]{}, p.held[:0]
 	}
 	e.peers, e.peersOnce = e.peers[:0], sync.Once{}
@@ -449,7 +450,7 @@ func (e *Engine) swap() {
 	for to, c := range e.count {
 		e.inboxes[to] = e.delivered.carve(c)
 		e.count[to] = 0
-		recycle(e.procs[to].held) // what a plan delivered last phase
+		Recycle(e.procs[to].held) // what a plan delivered last phase
 	}
 	for _, blk := range e.sent.blocks {
 		for i := range blk {
@@ -495,17 +496,19 @@ func (b *envBlocks) carve(n int) []Envelope {
 // reset recycles the slots in use and makes every block empty again.
 func (b *envBlocks) reset() {
 	for i, blk := range b.blocks {
-		recycle(blk)
+		Recycle(blk)
 		b.blocks[i] = blk[:0]
 	}
 	b.cur = 0
 }
 
-// recycle readies envelopes whose phase is over for reuse: zeroed, so their
+// Recycle readies envelopes whose phase is over for reuse: zeroed, so their
 // payloads can be collected, or in race builds poisoned (see sig.Poison) —
 // from and to ident.None, no payload — so an inbox kept past its phase reads
-// as no processor's and the race-enabled suite fails on it.
-func recycle(envs []Envelope) {
+// as no processor's and the race-enabled suite fails on it. The engine
+// recycles its envelope blocks and delivered inboxes, a mesh peer its barrier
+// slots and outgoing rows.
+func Recycle(envs []Envelope) {
 	if !sig.Poison {
 		clear(envs)
 		return
@@ -656,7 +659,7 @@ func (e *Engine) halted(p *proc, id ident.ProcID, phase int) bool {
 
 func (e *Engine) deliver(p *proc, id ident.ProcID, phase int, frames [][]Envelope) ([]Envelope, int) {
 	var withheld int
-	recycle(p.held) // the last phase's, which a mesh peer does not swap out
+	Recycle(p.held) // the last phase's, which a mesh peer does not swap out
 	p.held, withheld = faultnet.Deliver(e.cfg.Faults, p.ctx.sink, phase-1, id, frames, &p.stash, p.held[:0])
 	return p.held, withheld
 }

@@ -276,7 +276,7 @@ func (f *filterNode) Step(ctx *sim.Context, _ []sim.Envelope) error {
 	if ctx.Phase() != 1 {
 		return nil
 	}
-	fctx := ctx.WithSendFilter(func(to ident.ProcID) bool { return to != 1 })
+	fctx := ctx.WithSendFilter(new(sim.Context), func(to ident.ProcID) bool { return to != 1 })
 	if err := fctx.Send(1, []byte("dropped"), nil, 0); err != nil {
 		return err
 	}

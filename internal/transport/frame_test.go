@@ -275,7 +275,7 @@ func TestServeConnOneReadPerFrame(t *testing.T) {
 	a, c := loopbackPair(t)
 	defer func() { _ = a.Close() }()
 	conn := &countingConn{Conn: c}
-	p := testPeer(t, peerConfig{id: 0, n: k + 1})
+	p := testPeer(t, k+1, 0, peerConfig{})
 	m := &Mesh{}
 	m.state.Store(&epochState{epoch: 1, peers: []*peer{p}})
 	m.wg.Add(1)

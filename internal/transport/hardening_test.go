@@ -104,19 +104,23 @@ func TestWriteFrameWriterReuse(t *testing.T) {
 	}
 }
 
-// testPeer builds a bare peer for buffer-logic tests: processor cfg.id of an
-// engine whose nodes noteFrame/waitPhase never step.
-func testPeer(t *testing.T, cfg peerConfig) *peer {
+// testPeer builds processor 0's peer of a bare n-processor mesh — no
+// sockets, an engine whose nodes noteFrame/waitPhase never step — reset for
+// epoch 1 under cfg.
+func testPeer(t *testing.T, n int, timeout time.Duration, cfg peerConfig) *peer {
 	t.Helper()
-	nodes := make([]sim.Node, cfg.n)
+	nodes := make([]sim.Node, n)
 	for i := range nodes {
 		nodes[i] = idleNode{}
 	}
-	eng := new(sim.Engine)
-	if err := eng.Reset(sim.Config{N: cfg.n, T: cfg.t, Phases: 4, Faults: cfg.faults}, nodes); err != nil {
+	m := &Mesh{n: n, netCfg: Net{PhaseTimeout: timeout}}
+	if err := m.eng.Reset(sim.Config{N: n, T: cfg.t, Phases: 4, Faults: cfg.faults}, nodes); err != nil {
 		t.Fatal(err)
 	}
-	return newPeer(cfg, eng)
+	p := newPeer(m, 0, 0)
+	m.peers = []*peer{p}
+	p.reset(1, cfg)
+	return p
 }
 
 type idleNode struct{}
@@ -130,20 +134,20 @@ func (idleNode) Decide() (ident.Value, bool)             { return 0, false }
 // while a frame one phase ahead of the barrier — a fast neighbour — is kept.
 func TestNoteFrameLateDrop(t *testing.T) {
 	ctx := context.Background()
-	p := testPeer(t, peerConfig{id: 0, n: 3, t: 2, timeout: 10 * time.Millisecond})
+	p := testPeer(t, 3, 10*time.Millisecond, peerConfig{t: 2})
 	env := func(phase int, tag string) []sim.Envelope {
 		return []sim.Envelope{{From: 2, To: 0, Phase: phase, Payload: []byte(tag)}}
 	}
-	p.noteFrame(1, 1, nil)
-	p.noteFrame(2, 2, env(2, "early")) // before phase 1 closes
-	p.noteFrame(1, 2, nil)
-	p.noteFrame(4, 2, env(4, "too far")) // would land in phase 2's slot
+	p.noteFrame(1, 1, 1, nil)
+	p.noteFrame(1, 2, 2, env(2, "early")) // before phase 1 closes
+	p.noteFrame(1, 1, 2, nil)
+	p.noteFrame(1, 4, 2, env(4, "too far")) // would land in phase 2's slot
 	if inbox, err := p.waitPhase(ctx, 1); err != nil || len(inbox) != 0 {
 		t.Fatalf("phase 1: inbox %v, err %v", inbox, err)
 	}
 
 	// A straggler delivers phase 1 again after the phase was closed out.
-	p.noteFrame(1, 2, env(1, "late"))
+	p.noteFrame(1, 1, 2, env(1, "late"))
 	p.mu.Lock()
 	for i, buf := range p.bufs {
 		heard := 0
@@ -158,7 +162,7 @@ func TestNoteFrameLateDrop(t *testing.T) {
 	}
 	p.mu.Unlock()
 
-	p.noteFrame(2, 1, nil)
+	p.noteFrame(1, 2, 1, nil)
 	inbox, err := p.waitPhase(ctx, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -177,16 +181,16 @@ func TestNoteFrameFaultTransforms(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := faultnet.MustCompile(spec, 7)
-	p := testPeer(t, peerConfig{id: 0, n: 4, t: 3, timeout: 10 * time.Millisecond, faults: plan})
+	p := testPeer(t, 4, 10*time.Millisecond, peerConfig{t: 3, faults: plan})
 
 	env := func(from ident.ProcID, phase int, tag string) sim.Envelope {
 		return sim.Envelope{From: from, To: 0, Phase: phase, Payload: []byte(tag)}
 	}
 
 	// Phase 1: 1->0 dropped, 2->0 delayed one phase, 3->0 untouched.
-	p.noteFrame(1, 1, []sim.Envelope{env(1, 1, "dropped")})
-	p.noteFrame(1, 2, []sim.Envelope{env(2, 1, "held")})
-	p.noteFrame(1, 3, []sim.Envelope{env(3, 1, "clean")})
+	p.noteFrame(1, 1, 1, []sim.Envelope{env(1, 1, "dropped")})
+	p.noteFrame(1, 1, 2, []sim.Envelope{env(2, 1, "held")})
+	p.noteFrame(1, 1, 3, []sim.Envelope{env(3, 1, "clean")})
 	inbox, err := p.waitPhase(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -197,9 +201,9 @@ func TestNoteFrameFaultTransforms(t *testing.T) {
 
 	// Phase 2: 1->0 duplicated, 2->0 reordered; the held phase-1 message is
 	// due now and must sort after sender 2's current traffic.
-	p.noteFrame(2, 1, []sim.Envelope{env(1, 2, "twice")})
-	p.noteFrame(2, 2, []sim.Envelope{env(2, 2, "b"), env(2, 2, "a")})
-	p.noteFrame(2, 3, nil)
+	p.noteFrame(1, 2, 1, []sim.Envelope{env(1, 2, "twice")})
+	p.noteFrame(1, 2, 2, []sim.Envelope{env(2, 2, "b"), env(2, 2, "a")})
+	p.noteFrame(1, 2, 3, nil)
 	inbox, err = p.waitPhase(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -30,13 +29,15 @@ var ErrMeshClosed = errors.New("transport: mesh closed")
 
 // Mesh is a warm, long-lived localhost TCP mesh for n processors: the n
 // listeners and the n×(n-1) outbound connections are dialed once and reused
-// by every subsequent instance. Each Run is one epoch — frames carry an
-// epoch tag, so per-instance state (phase buffers, fault plans, trace
-// recorders) is reset by simply installing the next epoch's peer set;
-// stragglers from a finished epoch are recognized by their stale tag and
-// dropped without touching the new instance. A failed write mid-epoch falls
-// back to the ctx-aware backoff dialer (reconnect-on-failure), so a
-// restarted peer process rejoins without the mesh being rebuilt.
+// by every subsequent instance, and so is everything else a processor needs
+// per instance — its peer, with the barrier slots, the outgoing rows, the
+// send instants, the timeout timer and the link-delay hold's channel. Each
+// Run is one epoch: it resets the n peers in place for it (peer.reset), and
+// frames carry the epoch's tag, so stragglers from a finished epoch are
+// recognized by their stale tag and dropped without touching the new
+// instance. A failed write mid-epoch falls back to the ctx-aware backoff
+// dialer (reconnect-on-failure), so a restarted peer process rejoins without
+// the mesh being rebuilt.
 //
 // A Mesh is safe for use from one goroutine at a time: Run rejects
 // concurrent instances with ErrMeshBusy, and Close must not race a Run.
@@ -45,20 +46,24 @@ type Mesh struct {
 	netCfg    Net
 	listeners []net.Listener
 	addrs     []string
-	eps       []*endpoint
-	waker     *waker // the link-delay holds' one clock; nil when Net.LinkDelay is zero
+	peers     []*peer // by processor id, for the mesh's life
+	waker     *waker  // the link-delay holds' one clock; nil when Net.LinkDelay is zero
 
-	// state points at the current epoch's peer set. It is installed by Run
-	// before any of the epoch's senders start, so by the time a frame
-	// tagged with the new epoch can reach a reader, the reader's load here
-	// observes the new state; frames tagged with an older epoch are
+	// state holds the current epoch's tag. It is installed by Run after the
+	// peers were reset and before any of the epoch's senders start, so by the
+	// time a frame tagged with the new epoch can reach a reader, the reader's
+	// load here observes the new tag; frames tagged with an older epoch are
 	// stragglers and are dropped.
 	state   atomic.Pointer[epochState]
 	epoch   uint64 // last epoch started; only Run mutates, guarded by running
 	running atomic.Bool
-	// runner and eng set up and step each epoch once the last one's peers returned.
-	runner core.Runner
-	eng    sim.Engine
+	// runner and eng set up and step each epoch once the last one's peers
+	// returned; errs and stepping are the peers' results and join.
+	runner   core.Runner
+	eng      sim.Engine
+	errs     []error
+	stepping sync.WaitGroup
+	wake     func() // wakePeers, bound once: what a Run's ending context calls
 
 	mu      sync.Mutex
 	inbound []net.Conn     // accepted connections, closed by Close
@@ -69,42 +74,12 @@ type Mesh struct {
 }
 
 // epochState is the per-instance routing table: inbound frames tagged with
-// this epoch are delivered to these peers.
+// this epoch are delivered to these peers (the mesh's). A reader may still
+// hold an earlier epoch's pointer when the next Run resets the peers; the
+// peers' own epoch check drops what it hands them.
 type epochState struct {
 	epoch uint64
 	peers []*peer
-}
-
-// endpoint is the per-processor half of the mesh that outlives instances:
-// the outbound connection row, a reusable frame writer, and the redial
-// jitter rng. It is touched only by the processor's peer goroutine (one per
-// epoch, epochs are sequential) and by Close.
-type endpoint struct {
-	id    ident.ProcID
-	m     *Mesh
-	w     *wire.Writer
-	ver   byte // frame version this endpoint emits
-	rng   *rand.Rand
-	conns []net.Conn // indexed by destination; nil at own index
-}
-
-// send writes one frame to `to`, redialing once on failure: a peer that
-// restarted keeps its listener address (the mesh owns the listeners), so a
-// broken outbound link is replaced in place without disturbing the rest of
-// the row.
-func (ep *endpoint) send(ctx context.Context, epoch uint64, phase int, to ident.ProcID, timeout time.Duration, msgs []sim.Envelope) error {
-	conn := ep.conns[to]
-	err := writeFrame(conn, ep.w, timeout, ep.ver, epoch, phase, ep.id, msgs)
-	if err == nil {
-		return nil
-	}
-	nc, derr := dialPeer(ctx, ep.m.addrs[to], ep.rng)
-	if derr != nil {
-		return err
-	}
-	_ = conn.Close()
-	ep.conns[to] = nc
-	return writeFrame(nc, ep.w, timeout, ep.ver, epoch, phase, ep.id, msgs)
 }
 
 // NewMesh builds the warm mesh: n listeners, the full outbound mesh dialed
@@ -122,8 +97,10 @@ func NewMesh(ctx context.Context, n int, netCfg Net) (*Mesh, error) {
 		netCfg:    netCfg,
 		listeners: make([]net.Listener, n),
 		addrs:     make([]string, n),
-		eps:       make([]*endpoint, n),
+		peers:     make([]*peer, n),
+		errs:      make([]error, n),
 	}
+	m.wake = m.wakePeers
 	if netCfg.LinkDelay > 0 {
 		var err error
 		if m.waker, err = newWaker(); err != nil {
@@ -149,13 +126,8 @@ func NewMesh(ctx context.Context, n int, netCfg Net) (*Mesh, error) {
 		m.Close()
 		return nil, fmt.Errorf("transport: mesh: %w", err)
 	}
-	for i := 0; i < n; i++ {
-		id := ident.ProcID(i)
-		m.eps[i] = &endpoint{
-			id: id, m: m, w: wire.NewWriter(256), ver: ver,
-			rng:   rand.New(rand.NewSource((int64(id) + 1) * 0x9e3779b9)),
-			conns: make([]net.Conn, n),
-		}
+	for i := range m.peers {
+		m.peers[i] = newPeer(m, ident.ProcID(i), ver)
 	}
 	// Dial every row concurrently: mesh construction races each listener
 	// against every dialer, so the jittered backoff in dialPeer does the
@@ -164,20 +136,20 @@ func NewMesh(ctx context.Context, n int, netCfg Net) (*Mesh, error) {
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(ep *endpoint) {
+		go func(p *peer) {
 			defer wg.Done()
-			for j := range ep.conns {
-				if ident.ProcID(j) == ep.id {
+			for j := range p.conns {
+				if ident.ProcID(j) == p.id {
 					continue
 				}
-				conn, err := dialPeer(ctx, m.addrs[j], ep.rng)
+				conn, err := dialPeer(ctx, m.addrs[j], p.rng)
 				if err != nil {
-					errs[ep.id] = fmt.Errorf("dial %s: %w", m.addrs[j], err)
+					errs[p.id] = fmt.Errorf("dial %s: %w", m.addrs[j], err)
 					return
 				}
-				ep.conns[j] = conn
+				p.conns[j] = conn
 			}
-		}(m.eps[i])
+		}(m.peers[i])
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -189,7 +161,7 @@ func NewMesh(ctx context.Context, n int, netCfg Net) (*Mesh, error) {
 	return m, nil
 }
 
-// SetPeerWireVersion pins the frame version one processor's endpoint emits —
+// SetPeerWireVersion pins the frame version one processor's peer emits —
 // the mixed-version drill a rolling upgrade performs: downgrade one peer's
 // emitter to wire.FrameVersionMin and the instance must still complete,
 // because every receiver accepts the whole window. The scripted fleet roll
@@ -207,7 +179,7 @@ func (m *Mesh) SetPeerWireVersion(id ident.ProcID, ver byte) error {
 	if err := wire.CheckFrameVersion(ver); err != nil {
 		return err
 	}
-	m.eps[id].ver = ver
+	m.peers[id].ver = ver
 	return nil
 }
 
@@ -257,7 +229,7 @@ func (m *Mesh) serveConn(conn net.Conn, fr *frameReader) {
 		if err != nil {
 			return
 		}
-		st.peers[fr.to].noteFrame(phase, from, msgs)
+		st.peers[fr.to].noteFrame(epoch, phase, from, msgs)
 		if len(msgs) > 0 {
 			fr.retire()
 		}
@@ -301,41 +273,42 @@ func (m *Mesh) Run(ctx context.Context, cfg core.Config) (*Result, error) {
 	}
 	core.EmitCorruptions(sink, setup.Faulty)
 
-	peers := make([]*peer, m.n)
-	clock := time.Now()
-	for i := range peers {
-		id := ident.ProcID(i)
-		peers[i] = newPeer(peerConfig{
-			id: id, n: cfg.N, t: cfg.T, phases: setup.Phases, timeout: m.netCfg.PhaseTimeout,
-			muted: m.netCfg.Mute.Has(id), faults: cfg.Faults,
-			linkDelay: m.netCfg.LinkDelay, waker: m.waker, peers: peers, clock: clock,
-		}, &m.eng)
+	m.epoch++
+	epoch := m.epoch
+	pc := peerConfig{t: cfg.T, phases: setup.Phases, faults: cfg.Faults, clock: time.Now()}
+	for _, p := range m.peers {
+		p.reset(epoch, pc)
 	}
-
 	// Install the epoch's routing state BEFORE launching any sender: every
 	// frame tagged with this epoch is written after this store, so a reader
 	// that received such a frame observes the new state when it loads.
-	m.epoch++
-	epoch := m.epoch
-	m.state.Store(&epochState{epoch: epoch, peers: peers})
+	m.state.Store(&epochState{epoch: epoch, peers: m.peers})
 
-	var wg sync.WaitGroup
-	errs := make([]error, m.n)
-	for i, p := range peers {
-		wg.Add(1)
-		go func(i int, p *peer) {
-			defer wg.Done()
-			errs[i] = p.run(ctx, m.eps[i], epoch)
-		}(i, p)
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, m.wake)() // a cancelled context ends every peer's waitPhase
 	}
-	wg.Wait()
-	for i, err := range errs {
+	for i, p := range m.peers {
+		m.stepping.Add(1)
+		go func() {
+			defer m.stepping.Done()
+			m.errs[i] = p.run(ctx, epoch)
+		}()
+	}
+	m.stepping.Wait()
+	for i, err := range m.errs {
 		if err != nil && !setup.Faulty.Has(ident.ProcID(i)) {
 			return nil, fmt.Errorf("transport: processor %d: %w", i, err)
 		}
 	}
 	res := m.eng.Finish()
 	return &Result{Decisions: res.Decisions, Report: res.Report, Faulty: res.Faulty}, nil
+}
+
+// wakePeers rouses every peer's waitPhase to look at its context again.
+func (m *Mesh) wakePeers() {
+	for _, p := range m.peers {
+		p.wake()
+	}
 }
 
 // recycle drains every reader's spent frame buffers back to the shared
@@ -367,14 +340,17 @@ func (m *Mesh) Close() {
 			_ = ln.Close()
 		}
 	}
-	for _, ep := range m.eps {
-		if ep == nil {
+	for _, p := range m.peers {
+		if p == nil {
 			continue
 		}
-		for _, c := range ep.conns {
+		for _, c := range p.conns {
 			if c != nil {
 				_ = c.Close()
 			}
+		}
+		if p.timeout != nil {
+			p.timeout.Stop()
 		}
 	}
 	for _, c := range inbound {

@@ -123,7 +123,7 @@ func TestLinkDelayMutedPeer(t *testing.T) {
 					t.Errorf("run took %v, under phases × delay = %v", wall, floor)
 				}
 			}
-			for id, p := range m.state.Load().peers {
+			for id, p := range m.peers {
 				stamped := p.sent[0].Load() != 0 || p.sent[1].Load() != 0
 				if muted := tc.mute.Has(ident.ProcID(id)); stamped == muted {
 					t.Errorf("peer %d: muted=%v, recorded a send instant=%v", id, muted, stamped)
@@ -151,10 +151,10 @@ func TestMeshReconnectKeepsLiveLinks(t *testing.T) {
 
 	// Sever 1 -> 2 behind the mesh's back, as a crashed-and-restarted peer
 	// process would, and snapshot every other socket.
-	broken := m.eps[1].conns[2]
+	broken := m.peers[1].conns[2]
 	before := make(map[[2]int]net.Conn)
-	for i, ep := range m.eps {
-		for j, c := range ep.conns {
+	for i, p := range m.peers {
+		for j, c := range p.conns {
 			if c != nil {
 				before[[2]int{i, j}] = c
 			}
@@ -168,14 +168,14 @@ func TestMeshReconnectKeepsLiveLinks(t *testing.T) {
 	}
 	meshAgreement(t, res, ident.V0)
 
-	if m.eps[1].conns[2] == broken {
+	if m.peers[1].conns[2] == broken {
 		t.Fatal("severed link was not redialed")
 	}
 	for key, old := range before {
 		if key == [2]int{1, 2} {
 			continue
 		}
-		if m.eps[key[0]].conns[key[1]] != old {
+		if m.peers[key[0]].conns[key[1]] != old {
 			t.Fatalf("live link %v was replaced during reconnect", key)
 		}
 	}

@@ -134,70 +134,113 @@ func RunCluster(ctx context.Context, cfg core.Config, netCfg Net) (*Result, erro
 	return m.Run(ctx, cfg)
 }
 
-// peerConfig is the per-processor slice of a cluster run's configuration.
+// peerConfig is what an epoch sets in each peer: the slice of its run's
+// configuration one processor needs.
 type peerConfig struct {
-	id           ident.ProcID
-	n, t, phases int
-	timeout      time.Duration
-	muted        bool
-	faults       *faultnet.Plan // nil injects nothing (all methods nil-safe)
-
-	// The link-delay hold, unused when linkDelay is zero: the mesh's waker and
-	// the epoch's peers by id, whose sent instants (past clock) a hold reads.
-	linkDelay time.Duration
-	waker     *waker
-	peers     []*peer
-	clock     time.Time
+	t, phases int
+	faults    *faultnet.Plan // nil injects nothing (all methods nil-safe)
+	clock     time.Time      // the epoch's start, which the sent instants count from
 }
 
-// peer is one processor's per-epoch runtime: its step in the epoch's engine
-// and the inbound frame buffers. Sockets belong to the Mesh (they outlive the
-// epoch); frames reach the peer through the mesh's readers. What a phase
-// needs — barrier slots, outgoing rows, the timeout timer — is made once and
-// reused.
+// peer is one processor's share of a Mesh. NewMesh builds the n peers and
+// they live as long as the mesh: the outbound connection row and frame
+// writer, the barrier the inbound frames land in, the send instants, the
+// outgoing rows, the timeout timer and the link-delay hold's channel. Run
+// resets the epoch's part in place (reset), so a warm instance makes none of
+// it. Frames reach the peer through the mesh's readers, and noteFrame takes
+// only those of the epoch the peer was last reset for.
 type peer struct {
-	cfg  peerConfig
-	eng  *sim.Engine        // the epoch's engine, whose processor cfg.id this peer drives
-	send func(sim.Envelope) // queue, bound once
+	id    ident.ProcID
+	m     *Mesh // n, the phase timeout, the link delay, the waker, the engine and the other peers
+	muted bool  // Net.Mute names this processor: its frames are never flushed
 
-	mu   sync.Mutex
-	cond *sync.Cond
+	// The outbound half, touched only by the processor's goroutine (one per
+	// epoch, epochs are sequential) and by Close: the connections by
+	// destination (nil at the own index), a reusable frame writer, the frame
+	// version it emits and the redial jitter rng.
+	conns []net.Conn
+	w     *wire.Writer
+	ver   byte
+	rng   *rand.Rand
+
+	cfg      peerConfig         // the epoch's, set by reset
+	send     func(sim.Envelope) // queue, bound once
+	timeout  *time.Timer        // wakes cond when the phase being waited on runs out of time
+	hold     chan struct{}      // releases the peer's one link-delay hold (waker.sleepUntil)
+	outgoing [][]sim.Envelope   // this phase's frames by recipient; the peer's goroutine only
+
+	mu    sync.Mutex
+	cond  sync.Cond // on mu
+	epoch uint64    // the epoch whose frames noteFrame takes
 	// bufs holds the two phases a frame can belong to, phase k in bufs[k&1]:
 	// the one the barrier is waiting on (done+1) and the next, which a fast
 	// neighbour may already have flushed. No correct sender is further ahead —
 	// closing done+2 takes this peer's done+2 frame, sent only after done+1
 	// closed here — so anything else is a straggler or a sender that already
 	// timed this peer out, and noteFrame drops it.
-	bufs    [2]phaseBuf
-	done    int         // highest phase waitPhase has closed out
-	want    int         // arrivals that complete the phase being waited on; 0 outside waitPhase
-	timeout *time.Timer // wakes cond when the phase being waited on runs out of time
+	bufs [2]phaseBuf
+	done int // highest phase waitPhase has closed out
+	want int // arrivals that complete the phase being waited on; 0 outside waitPhase
 
 	// sent[k&1] is when Step(k) returned here, in nanoseconds past cfg.clock,
 	// stored before phase k's first frame is written. The slots are reused as
 	// bufs' are: a receiver too slow to read phase k's before k+2 overwrote it
 	// sees a later instant and holds longer, never shorter.
 	sent [2]atomic.Int64
-
-	outgoing [][]sim.Envelope // this phase's frames by recipient; the peer's goroutine only
 }
 
 // phaseBuf is one phase's side of the barrier: the raw frames by sender (the
-// arrays keep their capacity across the phases sharing the slot) and who sent.
+// arrays keep their capacity across the phases and epochs sharing the slot)
+// and who sent.
 type phaseBuf struct {
 	frames  [][]sim.Envelope
 	heard   []bool
 	arrived int // senders heard from
 }
 
-func newPeer(cfg peerConfig, eng *sim.Engine) *peer {
-	p := &peer{cfg: cfg, eng: eng, outgoing: make([][]sim.Envelope, cfg.n)}
-	p.send = p.queue
-	for i := range p.bufs {
-		p.bufs[i] = phaseBuf{frames: make([][]sim.Envelope, cfg.n), heard: make([]bool, cfg.n)}
+// newPeer builds processor id's peer for m, emitting frame version ver. It
+// takes no frame until its first reset.
+func newPeer(m *Mesh, id ident.ProcID, ver byte) *peer {
+	p := &peer{
+		id: id, m: m, muted: m.netCfg.Mute.Has(id),
+		conns: make([]net.Conn, m.n), w: wire.NewWriter(256), ver: ver,
+		rng:  rand.New(rand.NewSource((int64(id) + 1) * 0x9e3779b9)),
+		hold: make(chan struct{}, 1), outgoing: make([][]sim.Envelope, m.n),
 	}
-	p.cond = sync.NewCond(&p.mu)
+	p.send = p.queue
+	p.cond.L = &p.mu
+	for i := range p.bufs {
+		p.bufs[i] = phaseBuf{frames: make([][]sim.Envelope, m.n), heard: make([]bool, m.n)}
+	}
 	return p
+}
+
+// reset readies the peer for epoch under cfg. The barrier slots and outgoing
+// rows keep their capacity and are recycled (sim.Recycle: zeroed, poisoned in
+// race builds), so no envelope of an earlier epoch stays reachable through
+// them. It holds mu: a reader that loaded an earlier epoch's state may be in
+// noteFrame, which drops that frame once the epoch has moved on.
+func (p *peer) reset(epoch uint64, cfg peerConfig) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.epoch, p.cfg, p.done, p.want = epoch, cfg, 0, 0
+	for i := range p.bufs {
+		buf := &p.bufs[i]
+		recycleRows(buf.frames)
+		clear(buf.heard)
+		buf.arrived = 0
+	}
+	recycleRows(p.outgoing)
+	p.sent[0].Store(0)
+	p.sent[1].Store(0)
+}
+
+// recycleRows empties every row, recycling all the slots its capacity holds.
+func recycleRows(rows [][]sim.Envelope) {
+	for i, row := range rows {
+		sim.Recycle(row[:cap(row)])
+		rows[i] = row[:0]
+	}
 }
 
 // wake rouses waitPhase to look at its deadline and context again.
@@ -207,16 +250,18 @@ func (p *peer) wake() {
 	p.cond.Broadcast()
 }
 
-// noteFrame stores the raw content of a frame that arrived from a peer and
-// marks the sender as arrived; the fault plan is applied later, in one place
-// (waitPhase), which is woken only by the arrival that completes its phase.
-// Frames for a phase waitPhase has already closed out are discarded — their
-// slot now belongs to a later phase — and so are frames more than two phases
-// past it (see bufs) and frames naming a sender outside the cluster.
-func (p *peer) noteFrame(phase int, from ident.ProcID, msgs []sim.Envelope) {
+// noteFrame stores the raw content of a frame of epoch that arrived from a
+// peer and marks the sender as arrived; the fault plan is applied later, in
+// one place (waitPhase), which is woken only by the arrival that completes its
+// phase. A frame of another epoch than the peer's is a straggler that a
+// reader took before the peer was reset, and is dropped. So are frames for a
+// phase waitPhase has already closed out — their slot now belongs to a later
+// phase — frames more than two phases past it (see bufs) and frames naming a
+// sender outside the cluster.
+func (p *peer) noteFrame(epoch uint64, phase int, from ident.ProcID, msgs []sim.Envelope) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if phase <= p.done || phase > p.done+2 || int(from) < 0 || int(from) >= p.cfg.n {
+	if epoch != p.epoch || phase <= p.done || phase > p.done+2 || int(from) < 0 || int(from) >= p.m.n {
 		return
 	}
 	buf := &p.bufs[phase&1]
@@ -232,15 +277,16 @@ func (p *peer) noteFrame(phase int, from ident.ProcID, msgs []sim.Envelope) {
 
 // waitPhase closes the phase out (closePhase) and then, the lock released,
 // serves the link delay: it holds until the latest sender heard from is
-// linkDelay past the end of its Step(phase) — the frames were in flight
+// the link delay past the end of its Step(phase) — the frames were in flight
 // meanwhile. A sender never heard from already cost the timeout and is not
 // waited on again. Only ctx's error or ErrMeshClosed end a hold early.
 func (p *peer) waitPhase(ctx context.Context, phase int) ([]sim.Envelope, error) {
 	inbox, sent, err := p.closePhase(ctx, phase)
-	if err != nil || p.cfg.linkDelay == 0 {
+	delay := p.m.netCfg.LinkDelay
+	if err != nil || delay == 0 {
 		return inbox, err
 	}
-	return inbox, p.cfg.waker.sleepUntil(ctx, p.cfg.clock.Add(sent+p.cfg.linkDelay))
+	return inbox, p.m.waker.sleepUntil(ctx, p.cfg.clock.Add(sent+delay), p.hold)
 }
 
 // closePhase blocks until frames for the phase arrived from all peers that
@@ -254,18 +300,19 @@ func (p *peer) waitPhase(ctx context.Context, phase int) ([]sim.Envelope, error)
 // that little information could diverge. The second result is the latest
 // sent instant among the senders heard from (zero without a link delay).
 func (p *peer) closePhase(ctx context.Context, phase int) ([]sim.Envelope, time.Duration, error) {
-	deadline := time.Now().Add(p.cfg.timeout)
+	n, timeout := p.m.n, p.m.netCfg.PhaseTimeout
+	deadline := time.Now().Add(timeout)
 	if p.timeout == nil {
-		p.timeout = time.AfterFunc(p.cfg.timeout, p.wake)
+		p.timeout = time.AfterFunc(timeout, p.wake)
 	} else {
-		p.timeout.Reset(p.cfg.timeout)
+		p.timeout.Reset(timeout)
 	}
 	defer p.timeout.Stop() // a firing that slips past Stop is one spurious wake-up of a later phase
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	buf := &p.bufs[phase&1]
-	p.want = p.cfg.n - 1 - p.cfg.faults.CrashSilent(phase, p.cfg.id, p.cfg.n)
+	p.want = n - 1 - p.cfg.faults.CrashSilent(phase, p.id, n)
 	for buf.arrived < p.want && time.Now().Before(deadline) {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
@@ -273,16 +320,16 @@ func (p *peer) closePhase(ctx context.Context, phase int) ([]sim.Envelope, time.
 		p.cond.Wait()
 	}
 	p.want = 0
-	missing := p.cfg.n - 1 - buf.arrived // crashed peers count as missing
+	missing := n - 1 - buf.arrived // crashed peers count as missing
 	var sent time.Duration
-	if p.cfg.linkDelay > 0 {
+	if p.m.netCfg.LinkDelay > 0 {
 		for from, heard := range buf.heard {
 			if heard {
-				sent = max(sent, time.Duration(p.cfg.peers[from].sent[phase&1].Load()))
+				sent = max(sent, time.Duration(p.m.peers[from].sent[phase&1].Load()))
 			}
 		}
 	}
-	inbox, withheld := p.eng.Deliver(p.cfg.id, phase+1, buf.frames)
+	inbox, withheld := p.m.eng.Deliver(p.id, phase+1, buf.frames)
 	for i := range buf.frames {
 		buf.frames[i] = buf.frames[i][:0] // Deliver copied what it kept
 	}
@@ -301,15 +348,15 @@ func (p *peer) closePhase(ctx context.Context, phase int) ([]sim.Envelope, time.
 // links the moment a peer stalls or crashes would turn its neighbors'
 // in-flight writes into broken pipes and cascade one typed failure into
 // untyped ones. Frames arriving after the peer stopped consuming are
-// discarded by noteFrame's late-phase guard (or by the mesh's epoch tag,
-// once the next instance starts).
-func (p *peer) run(ctx context.Context, ep *endpoint, epoch uint64) error {
-	defer context.AfterFunc(ctx, p.wake)() // a cancelled context ends waitPhase's wait
+// discarded by noteFrame's late-phase guard (or by its epoch check, once the
+// next instance starts). Mesh.Run wakes every peer when ctx ends.
+func (p *peer) run(ctx context.Context, epoch uint64) error {
+	n, eng, delay := p.m.n, &p.m.eng, p.m.netCfg.LinkDelay
 	for phase := 1; phase <= p.cfg.phases+1; phase++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if p.eng.Halted(p.cfg.id, phase) {
+		if eng.Halted(p.id, phase) {
 			// Halted before consuming phase-1's frames: the processor neither
 			// steps nor sends from here on. Its sockets stay open until the
 			// mesh's teardown so live peers keep their links.
@@ -325,7 +372,7 @@ func (p *peer) run(ctx context.Context, ep *endpoint, epoch uint64) error {
 		for i := range p.outgoing {
 			p.outgoing[i] = p.outgoing[i][:0]
 		}
-		if err := p.eng.Step(p.cfg.id, phase, inbox, p.send); err != nil {
+		if err := eng.Step(p.id, phase, inbox, p.send); err != nil {
 			return err
 		}
 
@@ -334,21 +381,21 @@ func (p *peer) run(ctx context.Context, ep *endpoint, epoch uint64) error {
 		// phase's peers are released together onto a few Ps, so each yields
 		// between its instant and its writes: all have stepped before any
 		// spends its n-1 syscalls, as on n machines.
-		if phase <= p.cfg.phases && !p.cfg.muted {
-			if p.cfg.linkDelay > 0 {
+		if phase <= p.cfg.phases && !p.muted {
+			if delay > 0 {
 				p.sent[phase&1].Store(int64(time.Since(p.cfg.clock)))
 				runtime.Gosched()
 			}
-			for i := 0; i < p.cfg.n; i++ {
+			for i := 0; i < n; i++ {
 				to := ident.ProcID(i)
-				if to == p.cfg.id {
+				if to == p.id {
 					continue
 				}
 				if p.cfg.faults.Crashed(to, phase+1) {
 					// The receiver halts before it would consume this frame.
 					continue
 				}
-				if err := ep.send(ctx, epoch, phase, to, p.cfg.timeout, p.outgoing[to]); err != nil {
+				if err := p.write(ctx, epoch, phase, to, p.outgoing[to]); err != nil {
 					if p.cfg.faults.CrashPhase(to) != 0 {
 						// Best-effort towards a peer that crashes later in
 						// the run: a torn-down socket is part of the scenario.
@@ -360,6 +407,26 @@ func (p *peer) run(ctx context.Context, ep *endpoint, epoch uint64) error {
 		}
 	}
 	return nil
+}
+
+// write sends one frame to `to`, redialing once on failure: a peer that
+// restarted keeps its listener address (the mesh owns the listeners), so a
+// broken outbound link is replaced in place without disturbing the rest of
+// the row.
+func (p *peer) write(ctx context.Context, epoch uint64, phase int, to ident.ProcID, msgs []sim.Envelope) error {
+	timeout := p.m.netCfg.PhaseTimeout
+	conn := p.conns[to]
+	err := writeFrame(conn, p.w, timeout, p.ver, epoch, phase, p.id, msgs)
+	if err == nil {
+		return nil
+	}
+	nc, derr := dialPeer(ctx, p.m.addrs[to], p.rng)
+	if derr != nil {
+		return err
+	}
+	_ = conn.Close()
+	p.conns[to] = nc
+	return writeFrame(nc, p.w, timeout, p.ver, epoch, phase, p.id, msgs)
 }
 
 // queue is the mesh's half of a send: the envelope joins its recipient's frame.
@@ -416,7 +483,10 @@ func dialPeer(ctx context.Context, addr string, rng *rand.Rand) (net.Conn, error
 // nothing; timeout bounds the whole frame write: a receiver that stopped
 // reading while its kernel buffers are full would otherwise block the
 // sender's phase loop forever, turning one sick peer into a cluster-wide
-// hang. A timeout ≤ 0 leaves the connection unbounded.
+// hang. A timeout ≤ 0 leaves the write unbounded. writeFrame is the only
+// writer of a mesh connection, so one deadline call per frame keeps every
+// write to its own: a timed write sets its deadline, an untimed one clears
+// whatever an earlier frame left.
 func writeFrame(conn net.Conn, w *wire.Writer, timeout time.Duration, ver byte, epoch uint64, phase int, from ident.ProcID, msgs []sim.Envelope) error {
 	if ver == 0 {
 		ver = wire.FrameVersion
@@ -441,11 +511,12 @@ func writeFrame(conn net.Conn, w *wire.Writer, timeout time.Duration, ver byte, 
 	}
 	buf := w.Bytes()
 	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
+	var deadline time.Time
 	if timeout > 0 {
-		if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
-			return err
-		}
-		defer func() { _ = conn.SetWriteDeadline(time.Time{}) }()
+		deadline = time.Now().Add(timeout)
+	}
+	if err := conn.SetWriteDeadline(deadline); err != nil {
+		return err
 	}
 	_, err := conn.Write(buf)
 	return err

@@ -20,6 +20,11 @@ import (
 // §5.2) — whereas a timerfd expiry makes a descriptor readable, which ends
 // that wait at once.
 //
+// A hold is released through a channel its caller owns and reuses: a mesh
+// peer's, one per peer for the mesh's life, capacity 1. A peer has at most
+// one hold at a time, so its channel is in the queue at most once, and a
+// release is a send that never blocks.
+//
 // Contract: sleepUntil never returns nil before its instant (the hold is a
 // lower bound on modeled latency) and returns early only with ctx's error or
 // ErrMeshClosed.
@@ -35,7 +40,7 @@ type waker struct {
 	closed bool
 }
 
-// sleeper is one queued hold; release closes ch.
+// sleeper is one queued hold; release sends one token on ch.
 type sleeper struct {
 	at time.Time
 	ch chan struct{}
@@ -76,7 +81,10 @@ func (w *waker) loop() {
 func (w *waker) release(now time.Time) {
 	due := 0
 	for due < len(w.queue) && !w.queue[due].at.After(now) {
-		close(w.queue[due].ch)
+		select {
+		case w.queue[due].ch <- struct{}{}:
+		default: // a token is already waiting: the channel was not drained
+		}
 		due++
 	}
 	w.queue = slices.Delete(w.queue, 0, due)
@@ -97,14 +105,14 @@ func (w *waker) arm(d time.Duration) {
 	}
 }
 
-// sleepUntil blocks until at. An instant that has passed costs a clock
-// reading: no channel, no queue insert, no timerfd_settime.
-func (w *waker) sleepUntil(ctx context.Context, at time.Time) error {
+// sleepUntil blocks until at, released through ch: an empty channel of
+// capacity 1 that is in no other hold. An instant that has passed costs a
+// clock reading: no queue insert, no timerfd_settime.
+func (w *waker) sleepUntil(ctx context.Context, at time.Time, ch chan struct{}) error {
 	if !at.After(time.Now()) {
 		return ctx.Err()
 	}
-	ch, err := w.enqueue(at)
-	if err != nil {
+	if err := w.enqueue(at, ch); err != nil {
 		return err
 	}
 	return w.wait(ctx, ch)
@@ -112,13 +120,12 @@ func (w *waker) sleepUntil(ctx context.Context, at time.Time) error {
 
 // enqueue registers a hold until at, re-arming the descriptor only when the
 // new hold is the earliest.
-func (w *waker) enqueue(at time.Time) (chan struct{}, error) {
+func (w *waker) enqueue(at time.Time, ch chan struct{}) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return nil, ErrMeshClosed
+		return ErrMeshClosed
 	}
-	ch := make(chan struct{})
 	i := len(w.queue)
 	for i > 0 && w.queue[i-1].at.After(at) {
 		i--
@@ -127,11 +134,13 @@ func (w *waker) enqueue(at time.Time) (chan struct{}, error) {
 	if i == 0 {
 		w.arm(time.Until(at))
 	}
-	return ch, nil
+	return nil
 }
 
-// wait blocks until ch's hold is released, ctx ends or the waker closes; a
-// hold abandoned early leaves the queue.
+// wait blocks until ch's hold is released, ctx ends or the waker closes. A
+// hold abandoned early leaves the queue, or, when its release raced in
+// (release sends under mu), has its token drained: ch is empty again either
+// way, so its next hold cannot return on this one's release.
 func (w *waker) wait(ctx context.Context, ch chan struct{}) error {
 	var err error
 	select {
@@ -146,6 +155,11 @@ func (w *waker) wait(ctx context.Context, ch chan struct{}) error {
 	defer w.mu.Unlock()
 	if i := slices.IndexFunc(w.queue, func(s sleeper) bool { return s.ch == ch }); i >= 0 {
 		w.queue = slices.Delete(w.queue, i, i+1)
+	} else {
+		select {
+		case <-ch:
+		default:
+		}
 	}
 	return err
 }

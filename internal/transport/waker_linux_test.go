@@ -37,7 +37,13 @@ func waitQueued(w *waker, n int) {
 // TestWakerNeverEarly is the contract the fault matrix and the modeled
 // latency rest on: whatever mix of instants is held for, from however many
 // goroutines — a fifth of them already past when asked — none returns before
-// its own.
+// its own. Each goroutine is a peer, with one hold channel for all its holds,
+// and every fourth hold is abandoned by a context that ends at the hold's own
+// instant, so its release and its abandonment race; the next hold on the
+// channel must still wait for its own instant. The race is then forced: a
+// release lands in the channel while the hold's context is already done, so
+// wait's select may take either, and the hold after it must not return on
+// that token.
 func TestWakerNeverEarly(t *testing.T) {
 	w := testWaker(t)
 	ctx := context.Background()
@@ -47,9 +53,20 @@ func TestWakerNeverEarly(t *testing.T) {
 		wg.Add(1)
 		go func(rng *rand.Rand) {
 			defer wg.Done()
+			hold := make(chan struct{}, 1)
 			for i := 0; i < draws; i++ {
 				at := time.Now().Add(time.Duration(rng.Intn(3750)-750) * time.Microsecond)
-				if err := w.sleepUntil(ctx, at); err != nil {
+				if i%4 == 3 {
+					abandon, cancel := context.WithDeadline(ctx, at)
+					err := w.sleepUntil(abandon, at, hold)
+					cancel()
+					if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+						t.Errorf("abandoned sleepUntil(%v): %v", at, err)
+						return
+					}
+					continue
+				}
+				if err := w.sleepUntil(ctx, at, hold); err != nil {
 					t.Errorf("sleepUntil(%v): %v", at, err)
 					return
 				}
@@ -63,6 +80,28 @@ func TestWakerNeverEarly(t *testing.T) {
 	if w.wakes.Load() == 0 {
 		t.Error("1000 holds ended without one timerfd expiry")
 	}
+
+	hold := make(chan struct{}, 1)
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	for i := 0; i < 64; i++ {
+		if err := w.enqueue(time.Now().Add(time.Hour), hold); err != nil {
+			t.Fatal(err)
+		}
+		w.mu.Lock()
+		w.release(time.Now().Add(2 * time.Hour))
+		w.mu.Unlock()
+		if err := w.wait(done, hold); err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("raced hold: %v", err)
+		}
+		at := time.Now().Add(300 * time.Microsecond)
+		if err := w.sleepUntil(ctx, at, hold); err != nil {
+			t.Fatal(err)
+		}
+		if early := time.Until(at); early > 0 {
+			t.Fatalf("the hold after a raced abandonment returned %v before its instant", early)
+		}
+	}
 }
 
 // TestWakerPastInstantFree: a hold whose instant has passed — a peer whose
@@ -72,9 +111,9 @@ func TestWakerNeverEarly(t *testing.T) {
 func TestWakerPastInstantFree(t *testing.T) {
 	w := testWaker(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	past := time.Now()
+	past, hold := time.Now(), make(chan struct{}, 1)
 	if n := testing.AllocsPerRun(100, func() {
-		if err := w.sleepUntil(ctx, past); err != nil {
+		if err := w.sleepUntil(ctx, past, hold); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -87,13 +126,17 @@ func TestWakerPastInstantFree(t *testing.T) {
 		t.Errorf("past instants left %d holds queued and armed %d expiries", queued, wakes)
 	}
 	cancel()
-	if err := w.sleepUntil(ctx, past); !errors.Is(err, context.Canceled) {
+	if err := w.sleepUntil(ctx, past, hold); !errors.Is(err, context.Canceled) {
 		t.Errorf("past instant under a cancelled context: %v", err)
 	}
 }
 
-// released reports whether ch's hold was let go.
+// released reports whether a hold was let go: its channel holds the token,
+// or, for a goroutine's done channel, is closed.
 func released(ch chan struct{}) bool {
+	if cap(ch) > 0 {
+		return len(ch) == 1
+	}
 	select {
 	case <-ch:
 		return true
@@ -112,8 +155,8 @@ func TestWakerDeadlineOrder(t *testing.T) {
 	at := []time.Duration{3 * time.Hour, 1 * time.Hour, 2 * time.Hour, 1 * time.Hour}
 	chs := make([]chan struct{}, len(at)+1)
 	for i, d := range at {
-		var err error
-		if chs[i], err = w.enqueue(base.Add(d)); err != nil {
+		chs[i] = make(chan struct{}, 1)
+		if err := w.enqueue(base.Add(d), chs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,7 +164,7 @@ func TestWakerDeadlineOrder(t *testing.T) {
 	chs[len(at)] = slept
 	go func() {
 		defer close(slept)
-		if err := w.sleepUntil(context.Background(), base.Add(90*time.Minute)); err != nil {
+		if err := w.sleepUntil(context.Background(), base.Add(90*time.Minute), make(chan struct{}, 1)); err != nil {
 			t.Errorf("sleepUntil: %v", err)
 		}
 	}()
@@ -164,8 +207,8 @@ func TestWakerCancelAndClose(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errs := make([]chan error, 3)
 	for i := range errs {
-		ch, err := w.enqueue(time.Now().Add(time.Hour))
-		if err != nil {
+		ch := make(chan struct{}, 1)
+		if err := w.enqueue(time.Now().Add(time.Hour), ch); err != nil {
 			t.Fatal(err)
 		}
 		c := context.Background()
@@ -191,7 +234,7 @@ func TestWakerCancelAndClose(t *testing.T) {
 			t.Fatalf("sleeper %d got %v, want ErrMeshClosed", i, err)
 		}
 	}
-	if err := w.sleepUntil(context.Background(), time.Now().Add(time.Hour)); !errors.Is(err, ErrMeshClosed) {
+	if err := w.sleepUntil(context.Background(), time.Now().Add(time.Hour), make(chan struct{}, 1)); !errors.Is(err, ErrMeshClosed) {
 		t.Fatalf("sleepUntil on a closed waker: %v", err)
 	}
 }
