@@ -3,6 +3,7 @@ package adversary
 import (
 	"fmt"
 	mrand "math/rand"
+	"slices"
 
 	"byzex/internal/faultnet"
 	"byzex/internal/ident"
@@ -339,14 +340,17 @@ type starveNode struct {
 	remaining int
 	outsideB  func(ident.ProcID) bool // the send filter, fixed for the run
 	fctx      sim.Context             // re-pointed each phase
+	kept      []sim.Envelope          // the inbox the inner node is handed, reused each phase
 }
 
 func (s *starveNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	// Discard the first `remaining` messages from outside B; also discard
 	// everything from inside B (B members send nothing to each other in the
 	// construction, but a defensive filter keeps the behaviour exact even
-	// if another strategy shares the run).
-	kept := inbox[:0:0]
+	// if another strategy shares the run). The last phase's inbox is
+	// recycled: the inner node was handed it for that Step only.
+	sig.Recycle(s.kept, sim.Poisoned)
+	kept := slices.Grow(s.kept[:0], len(inbox))
 	for _, e := range inbox {
 		if s.b.Has(e.From) {
 			continue
@@ -357,6 +361,7 @@ func (s *starveNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 		}
 		kept = append(kept, e)
 	}
+	s.kept = kept
 	return s.inner.Step(ctx.WithSendFilter(&s.fctx, s.outsideB), kept)
 }
 

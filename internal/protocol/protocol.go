@@ -6,7 +6,7 @@
 // run, and the Builder builds that run's per-processor state machines
 // (sim.Node). What the processors of a run share — a layout, a schedule — the
 // builder computes once, and it carves each kind of per-processor state from
-// one block sized to the run (Blocks), so building n nodes costs a few
+// one block sized to the run (sig.Blocks), so building n nodes costs a few
 // allocations per kind, not n. The blocks belong to the run: only its nodes
 // point into them, so they live exactly as long as the run's nodes do. The
 // same builders drive the in-memory engine, the TCP transport, the adversary
@@ -123,7 +123,7 @@ func Uniform[T any, P interface {
 	if err := p.Check(n, t); err != nil {
 		return nil, err
 	}
-	return &uniform[T, P]{n: n, t: t, nodes: NewBlocks[T](n), init: init}, nil
+	return &uniform[T, P]{n: n, t: t, nodes: sig.NewBlocks[T](n, Overflow), init: init}, nil
 }
 
 type uniform[T any, P interface {
@@ -131,7 +131,7 @@ type uniform[T any, P interface {
 	sim.Node
 }] struct {
 	n, t  int
-	nodes Blocks[T]
+	nodes sig.Blocks[T]
 	init  func(P, NodeConfig) error
 }
 
@@ -139,43 +139,18 @@ func (u *uniform[T, P]) NewNode(cfg NodeConfig) (sim.Node, error) {
 	if err := cfg.ValidateRun(u.n, u.t); err != nil {
 		return nil, err
 	}
-	nd := P(u.nodes.New())
+	nd := P(&u.nodes.Carve(1)[0])
 	if err := u.init(nd, cfg); err != nil {
 		return nil, err
 	}
 	return nd, nil
 }
 
-// Blocks carves values of one kind from blocks sized to a run. The first
-// block holds exactly the number of values the run was sized for, allocated
-// when the first is carved; a run that carves more — an adversary running
-// two personalities of one processor — carves the rest from small blocks
-// started as the last runs out, as sig.Slab does. A carved value is zero.
-type Blocks[T any] struct {
-	free []T
-	size int // the next block's size
-}
-
-// NewBlocks returns blocks whose first holds size values.
-func NewBlocks[T any](size int) Blocks[T] { return Blocks[T]{size: size} }
-
-// overflowBlock is the most values a block after the first holds beyond the
-// ones it was started for.
-const overflowBlock = 8
-
-// New returns one value carved from the blocks.
-func (b *Blocks[T]) New() *T { return &b.Carve(1)[0] }
-
-// Carve returns k values carved from the blocks, with capacity k.
-func (b *Blocks[T]) Carve(k int) []T {
-	if k > len(b.free) {
-		b.free = make([]T, max(k, b.size))
-		b.size = min(b.size, overflowBlock)
-	}
-	out := b.free[:k:k]
-	b.free = b.free[k:]
-	return out
-}
+// Overflow is the cap of a run's blocks (sig.NewBlocks) after the first,
+// which holds exactly what the run was sized for: a run that carves more —
+// an adversary running two personalities of one processor — carves the rest
+// from blocks this small.
+const Overflow = 8
 
 // Group is an ordered list of distinct processors and its inverse: the whole
 // system when a protocol runs standalone, a subgroup when one algorithm runs

@@ -258,34 +258,3 @@ func TestGroupIndexesByArithmeticOrMap(t *testing.T) {
 		t.Errorf("indexing a contiguous group allocates %v times beyond the list itself", n-1)
 	}
 }
-
-// TestBlocksCarveFromRunSizedBlocks pins how a run's builder carves: the
-// first block holds exactly what the run was sized for, allocated once, each
-// carved slice is capped so appending to it never reaches a neighbour, and a
-// run that carves more starts a small block rather than a second full one.
-func TestBlocksCarveFromRunSizedBlocks(t *testing.T) {
-	b := protocol.NewBlocks[int](6)
-	var first, second []int
-	if n := testing.AllocsPerRun(1, func() {
-		b = protocol.NewBlocks[int](6)
-		first, second = b.Carve(2), b.Carve(3)
-		*b.New() = 7
-	}); n != 1 {
-		t.Fatalf("carving a run's six values allocated %v times, want once", n)
-	}
-	if len(first) != 2 || cap(first) != 2 || len(second) != 3 || cap(second) != 3 {
-		t.Fatalf("carved len/cap %d/%d and %d/%d, want 2/2 and 3/3", len(first), cap(first), len(second), cap(second))
-	}
-	_ = append(first, 9)
-	if second[0] != 0 {
-		t.Fatal("appending to a carved slice wrote its neighbour")
-	}
-	more := b.New()
-	next := b.New()
-	if *more != 0 || *next != 0 || more == next {
-		t.Fatal("values past the first block are not fresh")
-	}
-	if big := b.Carve(20); len(big) != 20 || cap(big) != 20 {
-		t.Fatalf("a carve larger than the overflow block got len/cap %d/%d", len(big), cap(big))
-	}
-}

@@ -103,10 +103,10 @@ func (p Protocol) NewRun(n, t int) (protocol.Builder, error) {
 	}
 	r := &run{l: newLayout(n, t, p.S)}
 	sets := r.l.sets()
-	r.actives = protocol.NewBlocks[activeNode](2*t + 1)
-	r.reports = protocol.NewBlocks[sig.SignedValue]((2*t + 1) * sets)
-	r.roots = protocol.NewBlocks[rootNode](sets)
-	r.members = protocol.NewBlocks[memberNode](n - (2*t + 1) - sets)
+	r.actives = sig.NewBlocks[activeNode](2*t+1, protocol.Overflow)
+	r.reports = sig.NewBlocks[sig.SignedValue]((2*t+1)*sets, protocol.Overflow)
+	r.roots = sig.NewBlocks[rootNode](sets, protocol.Overflow)
+	r.members = sig.NewBlocks[memberNode](n-(2*t+1)-sets, protocol.Overflow)
 	return r, nil
 }
 
@@ -114,10 +114,10 @@ func (p Protocol) NewRun(n, t int) (protocol.Builder, error) {
 // the number of processors in it, and one for the actives' report slots.
 type run struct {
 	l       layout
-	actives protocol.Blocks[activeNode]
-	reports protocol.Blocks[sig.SignedValue]
-	roots   protocol.Blocks[rootNode]
-	members protocol.Blocks[memberNode]
+	actives sig.Blocks[activeNode]
+	reports sig.Blocks[sig.SignedValue]
+	roots   sig.Blocks[rootNode]
+	members sig.Blocks[memberNode]
 }
 
 // NewNode implements protocol.Builder.
@@ -136,17 +136,17 @@ func (r *run) NewNode(cfg protocol.NodeConfig) (sim.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		a := r.actives.New()
+		a := &r.actives.Carve(1)[0]
 		*a = activeNode{cfg: cfg, l: &r.l, inner: inner, reports: r.reports.Carve(r.l.sets())}
 		return a, nil
 	}
 	setIdx, memberIdx, _ := r.l.locate(cfg.ID)
 	if memberIdx == 0 {
-		root := r.roots.New()
+		root := &r.roots.Carve(1)[0]
 		*root = rootNode{cfg: cfg, l: &r.l, setIdx: setIdx}
 		return root, nil
 	}
-	mn := r.members.New()
+	mn := &r.members.Carve(1)[0]
 	*mn = memberNode{cfg: cfg, l: &r.l, setIdx: setIdx, memberIdx: memberIdx}
 	return mn, nil
 }

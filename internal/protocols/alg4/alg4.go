@@ -60,9 +60,9 @@ type Group struct {
 type Groups struct {
 	members protocol.Group
 	g       grid
-	states  protocol.Blocks[Group]
-	slots   protocol.Blocks[sig.SignedBytes]
-	chains  protocol.Blocks[sig.Chain]
+	states  sig.Blocks[Group]
+	slots   sig.Blocks[sig.SignedBytes]
+	chains  sig.Blocks[sig.Chain]
 }
 
 // NewGroups returns the builder of the given group's exchange states (its
@@ -81,9 +81,9 @@ func NewGroups(members []ident.ProcID) (*Groups, error) {
 	return &Groups{
 		members: group,
 		g:       g,
-		states:  protocol.NewBlocks[Group](n),
-		slots:   protocol.NewBlocks[sig.SignedBytes](n * slotsPerMember(n, m)),
-		chains:  protocol.NewBlocks[sig.Chain](n * (m - 1) * m),
+		states:  sig.NewBlocks[Group](n, protocol.Overflow),
+		slots:   sig.NewBlocks[sig.SignedBytes](n*slotsPerMember(n, m), protocol.Overflow),
+		chains:  sig.NewBlocks[sig.Chain](n*(m-1)*m, protocol.Overflow),
 	}, nil
 }
 
@@ -107,7 +107,7 @@ func (gs *Groups) New(me ident.ProcID, value []byte, signer sig.Signer, verifier
 		block = block[size:]
 		return s
 	}
-	gr := gs.states.New()
+	gr := &gs.states.Carve(1)[0]
 	*gr = Group{
 		members:   gs.members,
 		g:         gs.g,
@@ -129,9 +129,9 @@ func (gs *Groups) New(me ident.ProcID, value []byte, signer sig.Signer, verifier
 // emptied, and the phases' scratch is recycled (sig.Recycle: poisoned in
 // race builds), so a view of the last exchange kept past Reset is caught.
 func (gr *Group) Reset(value []byte) {
-	sig.Recycle(gr.m1[:cap(gr.m1)])
-	sig.Recycle(gr.m2[:cap(gr.m2)])
-	sig.Recycle(gr.entries[:cap(gr.entries)])
+	sig.Recycle(gr.m1[:cap(gr.m1)], sig.Poisoned)
+	sig.Recycle(gr.m2[:cap(gr.m2)], sig.Poisoned)
+	sig.Recycle(gr.entries[:cap(gr.entries)], sig.Poisoned)
 	clear(gr.chains[:cap(gr.chains)])
 	clear(gr.collected)
 	gr.value, gr.m1, gr.m2, gr.chains = value, gr.m1[:0], gr.m2[:0], gr.chains[:0]
@@ -350,7 +350,7 @@ func (p Protocol) NewRun(n, t int) (protocol.Builder, error) {
 	for id := range n {
 		size += wire.IntLen(int64(id))
 	}
-	values := protocol.NewBlocks[byte](size)
+	values := sig.NewBlocks[byte](size, protocol.Overflow)
 	return protocol.Uniform(p, n, t, func(nd *node, cfg protocol.NodeConfig) error {
 		value := appendOwnValue(values.Carve(wire.IntLen(int64(cfg.ID)))[:0], cfg.ID)
 		gr, err := groups.New(cfg.ID, value, cfg.Signer, cfg.Verifier)

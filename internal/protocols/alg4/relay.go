@@ -47,7 +47,7 @@ func RelayMsgUpperBound(n, t int) int { return (n-1)*(t+1) + (t+1)*(n-t-1) }
 // NewRun implements protocol.Protocol: each node's collected slots are
 // carved from one block of n².
 func (p RelayProtocol) NewRun(n, t int) (protocol.Builder, error) {
-	collected := protocol.NewBlocks[sig.SignedBytes](n * n)
+	collected := sig.NewBlocks[sig.SignedBytes](n*n, protocol.Overflow)
 	return protocol.Uniform(p, n, t, func(nd *relayNode, cfg protocol.NodeConfig) error {
 		*nd = relayNode{cfg: cfg, collected: collected.Carve(cfg.N)}
 		return nil

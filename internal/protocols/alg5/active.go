@@ -49,14 +49,14 @@ var _ sim.Node = (*activeNode)(nil)
 // from the run's blocks.
 func (r *run) newActive(cfg protocol.NodeConfig) (sim.Node, error) {
 	ly := &r.ly
-	a := r.actives.New()
+	a := &r.actives.Carve(1)[0]
 	*a = activeNode{cfg: cfg, ly: ly}
 	if ly.isCoreActive(cfg.ID) {
 		c, err := alg2.NewCore(ly.actives[:2*cfg.T+1], cfg.T, cfg.ID, cfg.Value, cfg.Signer, cfg.Verifier)
 		if err != nil {
 			return nil, err
 		}
-		a.core = r.cores.New()
+		a.core = &r.cores.Carve(1)[0]
 		*a.core = c
 	}
 	if ly.mode == modeFull {

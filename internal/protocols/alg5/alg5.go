@@ -95,16 +95,16 @@ func (p Protocol) NewRun(n, t int) (protocol.Builder, error) {
 	actives := len(ly.actives)
 	r := &run{
 		ly:       ly,
-		actives:  protocol.NewBlocks[activeNode](actives),
-		cores:    protocol.NewBlocks[alg2.Core](2*t + 1),
-		passives: protocol.NewBlocks[passiveNode](n - actives),
+		actives:  sig.NewBlocks[activeNode](actives, protocol.Overflow),
+		cores:    sig.NewBlocks[alg2.Core](2*t+1, protocol.Overflow),
+		passives: sig.NewBlocks[passiveNode](n-actives, protocol.Overflow),
 	}
 	if ly.mode == modeFull {
 		m := n - actives
-		r.sets = protocol.NewBlocks[bool](actives * 2 * m)
-		r.counts = protocol.NewBlocks[piCount](actives * m)
-		r.sources = protocol.NewBlocks[piSource](actives * actives)
-		r.chains = protocol.NewBlocks[sig.Chain](actives)
+		r.sets = sig.NewBlocks[bool](actives*2*m, protocol.Overflow)
+		r.counts = sig.NewBlocks[piCount](actives*m, protocol.Overflow)
+		r.sources = sig.NewBlocks[piSource](actives*actives, protocol.Overflow)
+		r.chains = sig.NewBlocks[sig.Chain](actives, protocol.Overflow)
 		if r.g4, err = alg4.NewGroups(ly.actives); err != nil {
 			return nil, err
 		}
@@ -115,16 +115,16 @@ func (p Protocol) NewRun(n, t int) (protocol.Builder, error) {
 // run builds one run's nodes. Its layout is the one every node points to.
 type run struct {
 	ly       layout
-	actives  protocol.Blocks[activeNode]
-	cores    protocol.Blocks[alg2.Core]
-	passives protocol.Blocks[passiveNode]
+	actives  sig.Blocks[activeNode]
+	cores    sig.Blocks[alg2.Core]
+	passives sig.Blocks[passiveNode]
 	// modeFull only: each active's B and F flags, π counts and counted
 	// strings, the first chain slot of its activations, and Algorithm 4
 	// state.
-	sets    protocol.Blocks[bool]
-	counts  protocol.Blocks[piCount]
-	sources protocol.Blocks[piSource]
-	chains  protocol.Blocks[sig.Chain]
+	sets    sig.Blocks[bool]
+	counts  sig.Blocks[piCount]
+	sources sig.Blocks[piSource]
+	chains  sig.Blocks[sig.Chain]
 	g4      *alg4.Groups
 }
 

@@ -33,7 +33,7 @@ var _ sim.Node = (*passiveNode)(nil)
 
 // newPassive builds a passive processor's node, carved from the run's block.
 func (r *run) newPassive(cfg protocol.NodeConfig) (sim.Node, error) {
-	p := r.passives.New()
+	p := &r.passives.Carve(1)[0]
 	*p = passiveNode{cfg: cfg, ly: &r.ly}
 	if r.ly.mode == modeFull {
 		ref, ok := r.ly.forest.locate(cfg.ID)

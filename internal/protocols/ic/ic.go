@@ -68,9 +68,9 @@ func (p Protocol) NewRun(n, t int) (protocol.Builder, error) {
 		}
 		bases[k] = base
 	}
-	inner := protocol.NewBlocks[sim.Node](n * n)
-	signers := protocol.NewBlocks[instSigner](n * n)
-	verifiers := protocol.NewBlocks[instVerifier](n * n)
+	inner := sig.NewBlocks[sim.Node](n*n, protocol.Overflow)
+	signers := sig.NewBlocks[instSigner](n*n, protocol.Overflow)
+	verifiers := sig.NewBlocks[instVerifier](n*n, protocol.Overflow)
 	return protocol.Uniform(p, n, t, func(nd *node, cfg protocol.NodeConfig) error {
 		if cfg.Transmitter != 0 {
 			return fmt.Errorf("%w: ic assumes transmitter 0", protocol.ErrBadParams)
@@ -78,7 +78,7 @@ func (p Protocol) NewRun(n, t int) (protocol.Builder, error) {
 		*nd = node{cfg: cfg, inner: inner.Carve(cfg.N)}
 		for k, base := range bases {
 			local := localID(cfg.ID, ident.ProcID(k), cfg.N)
-			signer, verifier := signers.New(), verifiers.New()
+			signer, verifier := &signers.Carve(1)[0], &verifiers.Carve(1)[0]
 			*signer = instSigner{inner: cfg.Signer, local: local, inst: k}
 			*verifier = instVerifier{inner: cfg.Verifier, n: cfg.N, inst: k}
 			instCfg := protocol.NodeConfig{

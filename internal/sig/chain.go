@@ -151,17 +151,17 @@ func (c Chain) EncodedLen() int {
 
 // DecodeChain reads a chain previously written with Encode, its links carved
 // from s. Sig slices alias the reader's buffer rather than copying: every
-// transport honours the sim.Node lifetime contract — the in-memory engine
-// never recycles payload bytes, and the TCP mesh retires delivered frame
-// buffers until the epoch's nodes are unreachable — so the alias outlives
-// every use of the chain.
+// transport honours the sim.Node lifetime contract — a delivered payload is
+// carved from blocks never written again, the in-memory engine's slab or a
+// mesh peer's inbound blocks — so the alias outlives every use of the chain.
 func DecodeChain(r *wire.Reader, s *Slab) Chain {
 	n := r.Count(minLinkLen)
 	if r.Err() != nil {
 		return nil
 	}
+	s.ready()
 	mark := s.Mark()
-	out := s.take(n)
+	out := s.links.Carve(n)[:0]
 	for i := 0; i < n; i++ {
 		signer := r.Proc()
 		sigBytes := r.BytesField()

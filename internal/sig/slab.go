@@ -21,25 +21,42 @@ import (
 // decoded them. Race builds overwrite handed-back links, so a chain kept past
 // its Rewind fails there. The zero value is ready to use.
 type Slab struct {
-	links []Link // the current link block; links[:used] is carved
-	used  int
-
-	bytes      []byte         // the current byte block's uncarved tail
-	procs      []ident.ProcID // the current identity block's uncarved tail
-	byteBlock  int            // the current byte block's size
-	procBlock  int            // the current identity block's size
+	links      Blocks[Link]
+	bytes      Blocks[byte]
+	procs      Blocks[ident.ProcID]
 	signerScan []ident.ProcID // SignerScratch's one buffer
 }
 
-// Blocks double from their minimum to their maximum: a five-processor run
-// carves from a few hundred bytes of each kind, a large one allocates once
-// per thousands of links, bytes or identities, and what one kept chain pins
-// stays bounded.
+// A slab's blocks double from their first size to their cap: a
+// five-processor run carves from a few hundred bytes of each kind, a large
+// one allocates once per thousands of links, bytes or identities, and what
+// one kept chain pins stays bounded.
 const (
 	linkBlockMin, linkBlockMax = 8, 512
 	byteBlockMin, byteBlockMax = 128, 16 << 10
 	procBlockMin, procBlockMax = 32, 4096
 )
+
+// NewSlab returns a slab whose first blocks are sized for a run of n
+// processors — n links, n identities and 32 bytes a processor, at least the
+// sizes a zero slab starts with — so that a cold run of a few hundred
+// processors starts one block of each kind instead of doubling up to the
+// caps. The zero Slab carves like NewSlab(0).
+func NewSlab(n int) Slab {
+	return Slab{
+		links: NewBlocks[Link](max(linkBlockMin, n), linkBlockMax),
+		bytes: NewBlocks[byte](max(byteBlockMin, 32*n), byteBlockMax),
+		procs: NewBlocks[ident.ProcID](max(procBlockMin, n), procBlockMax),
+	}
+}
+
+// ready gives a zero slab its blocks, so the zero Slab is ready to use.
+func (s *Slab) ready() {
+	if s.links.max == 0 {
+		z := NewSlab(0)
+		s.links, s.bytes, s.procs = z.links, z.bytes, z.procs
+	}
+}
 
 // minLinkLen is the shortest encoding of a link: a one-byte signer and the
 // length prefix of an empty signature.
@@ -49,91 +66,44 @@ const minLinkLen = 2
 // scheme here produces (Ed25519's 64 bytes).
 const sigRoom = 64
 
-// grow makes *free, the uncarved tail of a block of *block elements, at
-// least n long, starting a block of the next size when it is short.
-func grow[T any](free *[]T, block *int, n, lo, hi int) {
-	if n > len(*free) {
-		*block = max(n, min(2**block, hi), lo)
-		*free = make([]T, *block)
-	}
-}
-
-// carve returns n elements cut from the front of *free (see grow).
-func carve[T any](free *[]T, block *int, n, lo, hi int) []T {
-	grow(free, block, n, lo, hi)
-	out := (*free)[:n:n]
-	*free = (*free)[n:]
-	return out
-}
-
-// take returns n uncarved links as an empty chain with capacity n.
-func (s *Slab) take(n int) Chain {
-	if n > len(s.links)-s.used {
-		s.links = make([]Link, max(n, min(2*len(s.links), linkBlockMax), linkBlockMin))
-		s.used = 0
-	}
-	out := s.links[s.used : s.used : s.used+n]
-	s.used += n
-	return out
-}
+// poisonedLink is what a link handed back by Rewind reads in race builds: no
+// scheme verifies it.
+var poisonedLink = Link{Signer: ident.None}
 
 // Mark returns the link position, for Rewind.
-func (s *Slab) Mark() int { return s.used }
+func (s *Slab) Mark() int { return s.links.Mark() }
 
 // Rewind hands back the links of every chain decoded since mark was taken, to
 // be carved again: the caller has dropped those chains, and does so in the
-// Step that decoded them, before anything else carves from the slab. (When a
-// new block was started in between, the position counts into that block;
-// whatever of it lies past mark was still carved after mark, so this only
-// hands back less.)
-func (s *Slab) Rewind(mark int) {
-	if mark < s.used {
-		for i := mark; Poison && i < s.used; i++ {
-			s.links[i] = Link{Signer: ident.None}
-		}
-		s.used = mark
-	}
-}
-
-// Recycle readies slots that are to be reused, as Rewind does links: zeroed,
-// so what they held can be collected, or in race builds (Poison) each
-// overwritten with a value whose one link is signed by ident.None, so a value
-// kept past its reuse fails to verify.
-func Recycle(slots []SignedBytes) {
-	if !Poison {
-		clear(slots)
-		return
-	}
-	for i := range slots {
-		slots[i] = SignedBytes{Chain: poisonedChain}
-	}
-}
-
-// poisonedChain is a recycled slot's chain in race builds.
-var poisonedChain = Chain{{Signer: ident.None}}
+// Step that decoded them, before anything else carves from the slab (see
+// Blocks.Rewind).
+func (s *Slab) Rewind(mark int) { s.links.Rewind(mark, poisonedLink) }
 
 // Writer returns a writer over n carved bytes: an encoder that passes its
 // exact EncodedLen writes its payload in place. Past n the writer grows onto
 // the heap, which costs an allocation and nothing else.
 func (s *Slab) Writer(n int) wire.Writer {
-	return wire.WriterOn(carve(&s.bytes, &s.byteBlock, n, byteBlockMin, byteBlockMax)[:0])
+	s.ready()
+	return wire.WriterOn(s.bytes.Carve(n)[:0])
 }
 
-// sign returns signer's signature over msg in carved bytes.
+// sign returns signer's signature over msg in carved bytes: it is appended
+// into sigRoom of them, and what it leaves unused is handed back.
 func (s *Slab) sign(signer Signer, msg []byte) []byte {
-	grow(&s.bytes, &s.byteBlock, sigRoom, byteBlockMin, byteBlockMax)
-	out := signer.AppendSign(s.bytes[:0], msg)
-	if len(out) > len(s.bytes) {
-		return out // the signer outgrew the room: its own allocation
+	out := signer.AppendSign(s.bytes.Carve(sigRoom)[:0], msg)
+	used := len(out)
+	if used > sigRoom {
+		used = 0 // the signer outgrew the room: out is its own allocation
 	}
-	s.bytes = s.bytes[len(out):]
+	s.bytes.Rewind(s.bytes.Mark()-sigRoom+used, 0)
 	return out[:len(out):len(out)]
 }
 
 // Append extends the chain with a signature by signer over body: the
 // returned chain's links and signature are carved, and c is not modified.
 func (s *Slab) Append(signer Signer, body []byte, c Chain) Chain {
-	out := append(s.take(len(c)+1), c...)
+	s.ready()
+	out := append(s.links.Carve(len(c) + 1)[:0], c...)
 	w := inputs.Get().(*wire.Writer)
 	defer inputs.Put(w)
 	return append(out, Link{Signer: signer.ID(), Sig: s.sign(signer, signingInput(w, body, out))})
@@ -206,5 +176,6 @@ func (s *Slab) InternSigners(ids []ident.ProcID) []ident.ProcID {
 
 // Procs returns n carved identities for the caller to fill in.
 func (s *Slab) Procs(n int) []ident.ProcID {
-	return carve(&s.procs, &s.procBlock, n, procBlockMin, procBlockMax)
+	s.ready()
+	return s.procs.Carve(n)
 }

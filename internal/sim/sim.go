@@ -90,13 +90,14 @@ type Node interface {
 	//
 	// The inbox slice (like ctx) is only valid for the duration of the
 	// call: the engine recycles the backing array for a later phase's
-	// deliveries. Envelope payloads and signer lists are never recycled —
-	// they are carved from a sig.Slab, whose blocks are not written again
-	// once carved, across phases and across the instances a warm engine
-	// runs — so copying the Envelope values (or retaining their Payload and
-	// Signers slices, and the chains decoded from them) is safe. The one
-	// exception is the node's own: links it hands back with ctx.Slab().Rewind
-	// in this Step are carved again.
+	// deliveries. Envelope payloads and signer lists are never rewritten —
+	// they are carved from sig.Blocks, which are not written again once
+	// carved: the sender's slab in memory, the receiving peer's inbound
+	// blocks on a mesh, across phases and across the instances a warm engine
+	// or mesh runs — so copying the Envelope values (or retaining their
+	// Payload and Signers slices, and the chains decoded from them) is safe.
+	// The one exception is the node's own: links it hands back with
+	// ctx.Slab().Rewind in this Step are carved again.
 	Step(ctx *Context, inbox []Envelope) error
 
 	// Decide returns the node's decision after the run. ok is false if the
@@ -328,7 +329,7 @@ type Engine struct {
 	inboxes   [][]Envelope
 
 	// slab is what every node carves its messages from under Run; it lives
-	// as long as the engine, across Resets.
+	// as long as the engine, across Resets, its first blocks sized to n.
 	slab sig.Slab
 
 	// steps counts node steps since the run last yielded the processor.
@@ -391,7 +392,7 @@ func (e *Engine) Reset(cfg Config, nodes []Node) error {
 	if len(e.procs) != cfg.N {
 		size := envBlockSize(cfg.N)
 		*e = Engine{sent: envBlocks{size: size}, delivered: envBlocks{size: size},
-			count: make([]int, cfg.N), inboxes: make([][]Envelope, cfg.N), procs: make([]proc, cfg.N)}
+			count: make([]int, cfg.N), inboxes: make([][]Envelope, cfg.N), procs: make([]proc, cfg.N), slab: sig.NewSlab(cfg.N)}
 		submit := e.submit // one bound method value shared by every context
 		for i := range e.procs {
 			e.procs[i].ctx = Context{id: ident.ProcID(i), submit: submit}
@@ -401,7 +402,7 @@ func (e *Engine) Reset(cfg Config, nodes []Node) error {
 		p := &e.procs[i]
 		c := &p.ctx
 		c.n, c.t, c.transmitter, c.lastPhase, c.sink, c.slab = cfg.N, cfg.T, cfg.Transmitter, cfg.Phases, cfg.Trace, &e.slab
-		Recycle(p.held)
+		sig.Recycle(p.held, Poisoned)
 		p.stash, p.held = faultnet.Stash[Envelope]{}, p.held[:0]
 	}
 	e.peers, e.peersOnce = e.peers[:0], sync.Once{}
@@ -450,7 +451,7 @@ func (e *Engine) swap() {
 	for to, c := range e.count {
 		e.inboxes[to] = e.delivered.carve(c)
 		e.count[to] = 0
-		Recycle(e.procs[to].held) // what a plan delivered last phase
+		sig.Recycle(e.procs[to].held, Poisoned) // what a plan delivered last phase
 	}
 	for _, blk := range e.sent.blocks {
 		for i := range blk {
@@ -496,27 +497,17 @@ func (b *envBlocks) carve(n int) []Envelope {
 // reset recycles the slots in use and makes every block empty again.
 func (b *envBlocks) reset() {
 	for i, blk := range b.blocks {
-		Recycle(blk)
+		sig.Recycle(blk, Poisoned)
 		b.blocks[i] = blk[:0]
 	}
 	b.cur = 0
 }
 
-// Recycle readies envelopes whose phase is over for reuse: zeroed, so their
-// payloads can be collected, or in race builds poisoned (see sig.Poison) —
-// from and to ident.None, no payload — so an inbox kept past its phase reads
-// as no processor's and the race-enabled suite fails on it. The engine
-// recycles its envelope blocks and delivered inboxes, a mesh peer its barrier
-// slots and outgoing rows.
-func Recycle(envs []Envelope) {
-	if !sig.Poison {
-		clear(envs)
-		return
-	}
-	for i := range envs {
-		envs[i] = Envelope{From: ident.None, To: ident.None}
-	}
-}
+// Poisoned is what a recycled envelope reads in race builds (sig.Recycle):
+// from and to ident.None, no payload, so an inbox kept past its phase reads
+// as no processor's. The engine recycles its envelope blocks and delivered
+// inboxes, a mesh peer its barrier slots and outgoing rows.
+var Poisoned = Envelope{From: ident.None, To: ident.None}
 
 // yieldSteps is how many node steps a run takes between two yields of the
 // processor: every phase at n = 1024, never in a serving-sized instance. A
@@ -659,7 +650,7 @@ func (e *Engine) halted(p *proc, id ident.ProcID, phase int) bool {
 
 func (e *Engine) deliver(p *proc, id ident.ProcID, phase int, frames [][]Envelope) ([]Envelope, int) {
 	var withheld int
-	Recycle(p.held) // the last phase's, which a mesh peer does not swap out
+	sig.Recycle(p.held, Poisoned) // the last phase's, which a mesh peer does not swap out
 	p.held, withheld = faultnet.Deliver(e.cfg.Faults, p.ctx.sink, phase-1, id, frames, &p.stash, p.held[:0])
 	return p.held, withheld
 }

@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"net"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -76,54 +78,56 @@ func TestFrameEmpty(t *testing.T) {
 	}
 }
 
-// TestFrameReaderReuse pins the scratch-reuse contract: a reader decoding
-// many frames back to back must hand out envelopes that are valid until the
-// next read, with each retired body preserved while its payload is aliased.
+// TestFrameReaderReuse pins the reader's scratch contract: it keeps a body
+// that only grows and one signer list, so a frame's envelopes are decoded
+// correctly but live only until the next read — the next frame of the same
+// shape rewrites them in place, which is why noteFrame copies what it keeps —
+// and a large frame's body is kept for the smaller ones after it.
 func TestFrameReaderReuse(t *testing.T) {
 	a, b := net.Pipe()
 	defer func() { _ = a.Close() }()
 	defer func() { _ = b.Close() }()
 
-	const frames = 50
+	const frames, large = 50, 10
+	frame := func(i int) []sim.Envelope {
+		payload := []byte{byte(i), byte(i + 1)}
+		if i == large {
+			payload = make([]byte, 4096)
+		}
+		return []sim.Envelope{{
+			From: 1, To: 2, Phase: i,
+			Payload: payload, Signers: []ident.ProcID{ident.ProcID(i % 7), 7}, SigTotal: i,
+		}}
+	}
 	go func() {
 		w := wire.NewWriter(64)
 		for i := 0; i < frames; i++ {
-			msgs := []sim.Envelope{{
-				From: 1, To: 2, Phase: i,
-				Payload: []byte{byte(i), byte(i + 1)}, Signers: []ident.ProcID{ident.ProcID(i % 7)}, SigTotal: i,
-			}}
-			if err := writeFrame(a, w, 0, 0, 3, i, 1, msgs); err != nil {
+			if err := writeFrame(a, w, 0, 0, 3, i, 1, frame(i)); err != nil {
 				return
 			}
 		}
 	}()
 
 	fr := &frameReader{to: 2}
-	type kept struct {
-		payload []byte
-		signer  ident.ProcID
-	}
-	var retained []kept
+	var prev []sim.Envelope
+	var body *byte
 	for i := 0; i < frames; i++ {
 		epoch, phase, from, msgs := readOneFrame(t, fr, b)
 		if epoch != 3 || phase != i || from != 1 || len(msgs) != 1 {
 			t.Fatalf("frame %d header: epoch=%d phase=%d from=%v msgs=%d", i, epoch, phase, from, len(msgs))
 		}
-		// Retain the aliased slices, as a peer's inbound buffer does, and
-		// retire the body, as serveConn does for delivered frames.
-		retained = append(retained, kept{payload: msgs[0].Payload, signer: msgs[0].Signers[0]})
-		fr.retire()
-	}
-	for i, k := range retained {
-		if len(k.payload) != 2 || k.payload[0] != byte(i) || k.payload[1] != byte(i+1) {
-			t.Fatalf("frame %d payload corrupted after later reads: %v", i, k.payload)
+		want := frame(i)[0]
+		if got := msgs[0]; !bytes.Equal(got.Payload, want.Payload) || !slices.Equal(got.Signers, want.Signers) || got.SigTotal != i {
+			t.Fatalf("frame %d decoded %+v", i, got)
 		}
-		if k.signer != ident.ProcID(i%7) {
-			t.Fatalf("frame %d signer corrupted: %v", i, k.signer)
+		if i > large && &fr.body[0] != body {
+			t.Fatalf("frame %d was read into a new body after the large one", i)
 		}
+		if i > 0 && i != large && i != large+1 && (!bytes.Equal(prev[0].Payload, want.Payload) || !slices.Equal(prev[0].Signers, want.Signers)) {
+			t.Fatalf("frame %d did not reuse the scratch frame %d was decoded into", i, i-1)
+		}
+		prev, body = msgs, &fr.body[0]
 	}
-	// Recycling the spent bodies must be possible exactly once per retire.
-	fr.recycleSpent()
 }
 
 func TestFrameOversizeRejected(t *testing.T) {

@@ -66,8 +66,7 @@ type Mesh struct {
 	wake     func() // wakePeers, bound once: what a Run's ending context calls
 
 	mu      sync.Mutex
-	inbound []net.Conn     // accepted connections, closed by Close
-	readers []*frameReader // every reader ever attached, drained each epoch
+	inbound []net.Conn // accepted connections, closed by Close
 	closed  bool
 
 	wg sync.WaitGroup // accept loops and per-connection readers
@@ -191,7 +190,6 @@ func (m *Mesh) acceptLoop(to ident.ProcID, ln net.Listener) {
 		if err != nil {
 			return
 		}
-		fr := &frameReader{to: to}
 		m.mu.Lock()
 		if m.closed {
 			m.mu.Unlock()
@@ -199,19 +197,17 @@ func (m *Mesh) acceptLoop(to ident.ProcID, ln net.Listener) {
 			return
 		}
 		m.inbound = append(m.inbound, conn)
-		m.readers = append(m.readers, fr)
 		m.wg.Add(1)
 		m.mu.Unlock()
-		go m.serveConn(conn, fr)
+		go m.serveConn(conn, &frameReader{to: to})
 	}
 }
 
 // serveConn pumps frames off one accepted connection into the current
-// epoch's peer. Frames tagged with a stale epoch are dropped before their
-// message section is decoded, so their buffer is reused immediately; frames
-// that delivered payload bytes have their buffer retired until the epoch's
-// nodes are gone (see frameReader). The socket is read through one 4 KiB
-// buffer: a frame costs one read, not one each for header and body.
+// epoch's peer, which copies what it keeps (noteFrame). Frames tagged with a
+// stale epoch are dropped before their message section is decoded. The
+// socket is read through one 4 KiB buffer: a frame costs one read, not one
+// each for header and body.
 func (m *Mesh) serveConn(conn net.Conn, fr *frameReader) {
 	defer m.wg.Done()
 	defer func() { _ = conn.Close() }()
@@ -223,16 +219,13 @@ func (m *Mesh) serveConn(conn net.Conn, fr *frameReader) {
 		}
 		st := m.state.Load()
 		if st == nil || epoch != st.epoch {
-			continue // straggler from a finished epoch: drop, reuse the buffer
+			continue // straggler from a finished epoch
 		}
 		phase, from, msgs, err := fr.decode()
 		if err != nil {
 			return
 		}
 		st.peers[fr.to].noteFrame(epoch, phase, from, msgs)
-		if len(msgs) > 0 {
-			fr.retire()
-		}
 	}
 }
 
@@ -253,12 +246,6 @@ func (m *Mesh) Run(ctx context.Context, cfg core.Config) (*Result, error) {
 		return nil, ErrMeshBusy
 	}
 	defer m.running.Store(false)
-
-	// Recycle the previous epoch's frame buffers. This is the earliest safe
-	// point: envelope payloads and signer lists alias those buffers, and the
-	// last epoch's nodes (which may retain payload slices per the sim.Node
-	// contract) are never stepped again once its Run returned.
-	m.recycle()
 
 	setup, err := m.runner.Setup(cfg)
 	if err != nil {
@@ -311,18 +298,6 @@ func (m *Mesh) wakePeers() {
 	}
 }
 
-// recycle drains every reader's spent frame buffers back to the shared
-// pools. Called at the start of a Run, when all references into those
-// buffers (node-retained payloads, dead peers' inboxes) are unreachable.
-func (m *Mesh) recycle() {
-	m.mu.Lock()
-	readers := m.readers
-	m.mu.Unlock()
-	for _, fr := range readers {
-		fr.recycleSpent()
-	}
-}
-
 // Close tears the mesh down: listeners, outbound and inbound connections and
 // the link-delay waker. It must not race a Run; stragglers in per-connection
 // readers exit on their connection's close. Idempotent.
@@ -362,49 +337,19 @@ func (m *Mesh) Close() {
 	m.wg.Wait()
 }
 
-// Frame-buffer pools, shared by every mesh in the process. Buffers are
-// pooled as pointers so Get/Put stay allocation-free on the steady state.
-var (
-	bodyPool = sync.Pool{New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	}}
-	procPool = sync.Pool{New: func() any {
-		p := make([]ident.ProcID, 0, arenaChunk)
-		return &p
-	}}
-)
-
-const (
-	// arenaChunk is the signer-arena chunk size (ProcIDs per chunk).
-	arenaChunk = 1024
-	// arenaMin retires a chunk once its free space drops below this many
-	// entries, bounding the per-message spill probability.
-	arenaMin = 64
-)
-
-// frameReader decodes inbound frames with reusable state: a pooled body
-// buffer, a reusable wire.Reader, an envelope scratch (safe to reuse per
-// frame because noteFrame copies envelope structs out), and a signer arena
-// that ProcsInto appends into. Payload and signer slices alias the body and
-// arena, so buffers that delivered content are retired to a spent list and
-// recycled only between mesh epochs, when nothing can reference them; the
-// sim.Node contract ("envelope payloads are never recycled") holds because
-// a node never outlives its epoch.
+// frameReader decodes one connection's inbound frames into scratch it
+// keeps: a body that grows to the largest frame read, a reusable
+// wire.Reader, and the envelope and signer lists of the frame last decoded.
+// What decode returns aliases that scratch and is valid until the next
+// readFrame: noteFrame copies what the peer keeps.
 type frameReader struct {
-	to   ident.ProcID
-	hdr  [4]byte
-	body *[]byte // in-hand pooled buffer; nil after retire
-	rd   wire.Reader
-	ver  byte // version byte of the frame last read
-	envs []sim.Envelope
-
-	arena    []ident.ProcID  // len = used, cap = chunk size
-	arenaPtr *[]ident.ProcID // pool token for the current chunk
-
-	mu          sync.Mutex // guards the spent lists against epoch recycling
-	spentBodies []*[]byte
-	spentArenas []*[]ident.ProcID
+	to      ident.ProcID
+	hdr     [4]byte
+	body    []byte
+	rd      wire.Reader
+	ver     byte // version byte of the frame last read
+	envs    []sim.Envelope
+	signers []ident.ProcID // every signer list of the frame last decoded, end to end
 }
 
 // readFrame reads one length-prefixed frame into the reader's buffer and
@@ -421,20 +366,14 @@ func (fr *frameReader) readFrame(conn io.Reader) (uint64, error) {
 	if n > maxFrame {
 		return 0, fmt.Errorf("%w: %d bytes > %d", ErrFrameTooLarge, n, maxFrame)
 	}
-	if fr.body == nil {
-		fr.body = bodyPool.Get().(*[]byte)
+	if cap(fr.body) < int(n) {
+		fr.body = make([]byte, n)
 	}
-	buf := *fr.body
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	} else {
-		buf = buf[:n]
-	}
-	*fr.body = buf
-	if _, err := io.ReadFull(conn, buf); err != nil {
+	fr.body = fr.body[:n]
+	if _, err := io.ReadFull(conn, fr.body); err != nil {
 		return 0, err
 	}
-	fr.rd.Reset(buf)
+	fr.rd.Reset(fr.body)
 	fr.ver = fr.rd.Byte()
 	if err := fr.rd.Err(); err != nil {
 		return 0, err
@@ -447,8 +386,7 @@ func (fr *frameReader) readFrame(conn io.Reader) (uint64, error) {
 }
 
 // decode parses the message section of the frame last read. The returned
-// envelopes live in the reader's scratch: they are valid until the next
-// readFrame, long enough for noteFrame to copy them out.
+// envelopes, their payloads and signer lists live in the reader's scratch.
 func (fr *frameReader) decode() (int, ident.ProcID, []sim.Envelope, error) {
 	r := &fr.rd
 	phase := int(r.Uint())
@@ -465,9 +403,12 @@ func (fr *frameReader) decode() (int, ident.ProcID, []sim.Envelope, error) {
 		return 0, 0, nil, err
 	}
 	envs := fr.envs[:0]
+	fr.signers = fr.signers[:0]
 	for i := 0; i < cnt; i++ {
 		payload := r.BytesField()
-		signers := fr.procs(r)
+		start := len(fr.signers)
+		fr.signers = r.ProcsInto(fr.signers)
+		signers := fr.signers[start:len(fr.signers):len(fr.signers)]
 		sigTotal := int(r.Uint())
 		if err := r.Err(); err != nil {
 			return 0, 0, nil, err
@@ -482,61 +423,4 @@ func (fr *frameReader) decode() (int, ident.ProcID, []sim.Envelope, error) {
 	}
 	fr.envs = envs
 	return phase, from, envs, nil
-}
-
-// procs reads a signer list into the arena: ProcsInto appends into a
-// zero-length sub-slice of the chunk's free space, so a list that fits
-// costs no allocation; a list that spills lands on its own heap array and
-// needs no tracking (the GC reclaims it with the epoch's nodes).
-func (fr *frameReader) procs(r *wire.Reader) []ident.ProcID {
-	if fr.arenaPtr == nil || cap(fr.arena)-len(fr.arena) < arenaMin {
-		fr.retireArena()
-	}
-	free := fr.arena[len(fr.arena):]
-	out := r.ProcsInto(free)
-	if n := len(out); n <= cap(free) {
-		fr.arena = fr.arena[: len(fr.arena)+n : cap(fr.arena)]
-	}
-	return out
-}
-
-// retire moves the in-hand body to the spent list: its bytes are aliased by
-// delivered envelopes and must survive until the epoch tears down.
-func (fr *frameReader) retire() {
-	fr.mu.Lock()
-	fr.spentBodies = append(fr.spentBodies, fr.body)
-	fr.mu.Unlock()
-	fr.body = nil
-}
-
-// retireArena swaps in a fresh signer chunk, keeping the exhausted one
-// alive on the spent list for the rest of the epoch.
-func (fr *frameReader) retireArena() {
-	if fr.arenaPtr != nil {
-		*fr.arenaPtr = fr.arena
-		fr.mu.Lock()
-		fr.spentArenas = append(fr.spentArenas, fr.arenaPtr)
-		fr.mu.Unlock()
-	}
-	fr.arenaPtr = procPool.Get().(*[]ident.ProcID)
-	fr.arena = (*fr.arenaPtr)[:0]
-}
-
-// recycleSpent returns the spent buffers to the pools. Runs between epochs
-// (or on an idle mesh), when no live envelope aliases them; a straggler
-// frame decoded concurrently only ever touches the reader's in-hand
-// buffers, which are not on the spent lists.
-func (fr *frameReader) recycleSpent() {
-	fr.mu.Lock()
-	for i, b := range fr.spentBodies {
-		bodyPool.Put(b)
-		fr.spentBodies[i] = nil
-	}
-	fr.spentBodies = fr.spentBodies[:0]
-	for i, a := range fr.spentArenas {
-		procPool.Put(a)
-		fr.spentArenas[i] = nil
-	}
-	fr.spentArenas = fr.spentArenas[:0]
-	fr.mu.Unlock()
 }

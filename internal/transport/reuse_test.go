@@ -1,10 +1,13 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -55,18 +58,25 @@ func (n hookNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 // peers outlive epochs. noteFrame drops it by its epoch: on a bare peer the
 // slot stays untouched, and on a mesh, a frame of the epoch before given to a
 // peer in the middle of the next leaves that epoch's trace, decisions and
-// report equal to a fresh mesh's.
+// report equal to a fresh mesh's. A dropped frame carves nothing.
 func TestReusedPeerDropsStaleEpoch(t *testing.T) {
 	p := testPeer(t, 3, time.Second, peerConfig{t: 1})
 	p.reset(2, peerConfig{t: 1})
-	env := []sim.Envelope{{From: 1, To: 0, Phase: 1, Payload: []byte("stale")}}
-	p.noteFrame(1, 1, 1, env)
+	env := []sim.Envelope{{From: 1, To: 0, Phase: 1, Payload: []byte("stale"), Signers: []ident.ProcID{1}}}
+	carved := func() [2]int { return [2]int{p.payloads.Mark(), p.signers.Mark()} }
+	before := carved()
+	if allocs := testing.AllocsPerRun(10, func() { p.noteFrame(1, 1, 1, env) }); allocs != 0 || carved() != before {
+		t.Fatalf("a frame of epoch 1 carved on a peer of epoch 2: %v allocations, blocks at %v, were at %v", allocs, carved(), before)
+	}
 	if buf := &p.bufs[1]; buf.arrived != 0 || buf.heard[1] || len(buf.frames[1]) != 0 {
 		t.Fatalf("a frame of epoch 1 reached a peer of epoch 2: arrived=%d heard=%v frames=%v", buf.arrived, buf.heard, buf.frames[1])
 	}
 	p.noteFrame(2, 1, 1, env)
 	if buf := &p.bufs[1]; buf.arrived != 1 || !buf.heard[1] || len(buf.frames[1]) != 1 {
 		t.Fatalf("a frame of the peer's own epoch was not kept: arrived=%d", buf.arrived)
+	}
+	if carved() == before {
+		t.Fatal("a frame of the peer's own epoch carved nothing")
 	}
 
 	ctx := context.Background()
@@ -109,6 +119,55 @@ func TestReusedPeerDropsStaleEpoch(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotEvents, wantEvents) {
 		t.Errorf("epoch 2 with a stale frame traced %d events, a fresh mesh %d, or in another order", len(gotEvents), len(wantEvents))
+	}
+}
+
+// TestKeptPayloadsOutliveEpochs: the sim.Node rule that delivered payloads
+// and signer lists are never rewritten holds on a warm mesh across epochs.
+// Every node keeps what it is handed in epoch 1, and after each later epoch —
+// other values, other seeds, the same readers and peers — those bytes are
+// unchanged.
+func TestKeptPayloadsOutliveEpochs(t *testing.T) {
+	ctx := context.Background()
+	m, err := NewMesh(ctx, 5, Net{PhaseTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	type kept struct {
+		env     sim.Envelope // aliases what the node was handed
+		payload []byte       // a copy taken in epoch 1
+		signers []ident.ProcID
+	}
+	var mu sync.Mutex
+	var all []kept
+	epoch := 1
+	proto := hookProtocol{hook: func(_ ident.ProcID, _ int, inbox []sim.Envelope) {
+		if epoch != 1 {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, e := range inbox {
+			all = append(all, kept{e, bytes.Clone(e.Payload), slices.Clone(e.Signers)})
+		}
+	}}
+	for ; epoch <= 3; epoch++ {
+		value := ident.Value(epoch % 2)
+		res, err := m.Run(ctx, core.Config{Protocol: proto, N: 5, T: 2, Value: value, Seed: int64(epoch)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		meshAgreement(t, res, value)
+		if len(all) == 0 {
+			t.Fatal("no node was handed anything in epoch 1")
+		}
+		for i, k := range all {
+			if !bytes.Equal(k.env.Payload, k.payload) || !slices.Equal(k.env.Signers, k.signers) {
+				t.Fatalf("after epoch %d, message %d kept from epoch 1 reads %x %v, was %x %v",
+					epoch, i, k.env.Payload, k.env.Signers, k.payload, k.signers)
+			}
+		}
 	}
 }
 

@@ -39,6 +39,7 @@ import (
 	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/metrics"
+	"byzex/internal/sig"
 	"byzex/internal/sim"
 	"byzex/internal/wire"
 )
@@ -144,11 +145,12 @@ type peerConfig struct {
 
 // peer is one processor's share of a Mesh. NewMesh builds the n peers and
 // they live as long as the mesh: the outbound connection row and frame
-// writer, the barrier the inbound frames land in, the send instants, the
-// outgoing rows, the timeout timer and the link-delay hold's channel. Run
-// resets the epoch's part in place (reset), so a warm instance makes none of
-// it. Frames reach the peer through the mesh's readers, and noteFrame takes
-// only those of the epoch the peer was last reset for.
+// writer, the barrier the inbound frames land in and the blocks their
+// payloads and signer lists are copied into, the send instants, the outgoing
+// rows, the timeout timer and the link-delay hold's channel. Run resets the
+// epoch's part in place (reset), so a warm instance makes none of it. Frames
+// reach the peer through the mesh's readers, and noteFrame takes only those
+// of the epoch the peer was last reset for.
 type peer struct {
 	id    ident.ProcID
 	m     *Mesh // n, the phase timeout, the link delay, the waker, the engine and the other peers
@@ -179,8 +181,13 @@ type peer struct {
 	// closed here — so anything else is a straggler or a sender that already
 	// timed this peer out, and noteFrame drops it.
 	bufs [2]phaseBuf
-	done int // highest phase waitPhase has closed out
-	want int // arrivals that complete the phase being waited on; 0 outside waitPhase
+	// payloads and signers hold what noteFrame keeps of a frame. Their
+	// blocks are never written again once carved, across epochs too, so a
+	// node may keep what it is delivered (sim.Node).
+	payloads sig.Blocks[byte]
+	signers  sig.Blocks[ident.ProcID]
+	done     int // highest phase waitPhase has closed out
+	want     int // arrivals that complete the phase being waited on; 0 outside waitPhase
 
 	// sent[k&1] is when Step(k) returned here, in nanoseconds past cfg.clock,
 	// stored before phase k's first frame is written. The slots are reused as
@@ -206,6 +213,8 @@ func newPeer(m *Mesh, id ident.ProcID, ver byte) *peer {
 		conns: make([]net.Conn, m.n), w: wire.NewWriter(256), ver: ver,
 		rng:  rand.New(rand.NewSource((int64(id) + 1) * 0x9e3779b9)),
 		hold: make(chan struct{}, 1), outgoing: make([][]sim.Envelope, m.n),
+		payloads: sig.NewBlocks[byte](inboundBytesMin, inboundBytesMax),
+		signers:  sig.NewBlocks[ident.ProcID](inboundProcsMin, inboundProcsMax),
 	}
 	p.send = p.queue
 	p.cond.L = &p.mu
@@ -215,8 +224,15 @@ func newPeer(m *Mesh, id ident.ProcID, ver byte) *peer {
 	return p
 }
 
+// A peer's inbound blocks start at a few frames' worth and double to the
+// caps a sig.Slab's bytes and identities have.
+const (
+	inboundBytesMin, inboundBytesMax = 512, 16 << 10
+	inboundProcsMin, inboundProcsMax = 128, 4096
+)
+
 // reset readies the peer for epoch under cfg. The barrier slots and outgoing
-// rows keep their capacity and are recycled (sim.Recycle: zeroed, poisoned in
+// rows keep their capacity and are recycled (sig.Recycle: zeroed, poisoned in
 // race builds), so no envelope of an earlier epoch stays reachable through
 // them. It holds mu: a reader that loaded an earlier epoch's state may be in
 // noteFrame, which drops that frame once the epoch has moved on.
@@ -238,7 +254,7 @@ func (p *peer) reset(epoch uint64, cfg peerConfig) {
 // recycleRows empties every row, recycling all the slots its capacity holds.
 func recycleRows(rows [][]sim.Envelope) {
 	for i, row := range rows {
-		sim.Recycle(row[:cap(row)])
+		sig.Recycle(row[:cap(row)], sim.Poisoned)
 		rows[i] = row[:0]
 	}
 }
@@ -253,11 +269,13 @@ func (p *peer) wake() {
 // noteFrame stores the raw content of a frame of epoch that arrived from a
 // peer and marks the sender as arrived; the fault plan is applied later, in
 // one place (waitPhase), which is woken only by the arrival that completes its
-// phase. A frame of another epoch than the peer's is a straggler that a
-// reader took before the peer was reset, and is dropped. So are frames for a
-// phase waitPhase has already closed out — their slot now belongs to a later
+// phase. The envelopes are copied into the barrier slot, and their payloads
+// and signer lists into the peer's blocks: msgs is the reader's scratch. A
+// frame of another epoch than the peer's is a straggler that a reader took
+// before the peer was reset, and is dropped. So are frames for a phase
+// waitPhase has already closed out — their slot now belongs to a later
 // phase — frames more than two phases past it (see bufs) and frames naming a
-// sender outside the cluster.
+// sender outside the cluster; a dropped frame carves nothing.
 func (p *peer) noteFrame(epoch uint64, phase int, from ident.ProcID, msgs []sim.Envelope) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -265,7 +283,11 @@ func (p *peer) noteFrame(epoch uint64, phase int, from ident.ProcID, msgs []sim.
 		return
 	}
 	buf := &p.bufs[phase&1]
-	buf.frames[from] = append(buf.frames[from], msgs...)
+	for _, e := range msgs {
+		e.Payload = append(p.payloads.Carve(len(e.Payload))[:0], e.Payload...)
+		e.Signers = append(p.signers.Carve(len(e.Signers))[:0], e.Signers...)
+		buf.frames[from] = append(buf.frames[from], e)
+	}
 	if !buf.heard[from] {
 		buf.heard[from] = true
 		buf.arrived++
