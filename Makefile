@@ -105,14 +105,17 @@ lint:
 # typed, and the TCP trace must equal the in-memory one minus its verify-*
 # events. Also run standalone for a quick transport-layer signal. The second
 # line is the link-delay hold's contract (never early per link, cancellable,
-# muted senders not waited on twice) and its waker's, and a warm mesh's
+# muted senders not waited on twice) and its waker's, a warm mesh's
 # message lifetime (payloads kept from one epoch unchanged by the next, a
-# stale epoch's frame dropped before it carves), five times over. The
-# third is the warm run path's: a reused core.Runner, pooled RunSim and warm
-# mesh must equal fresh runs, ten times over.
+# stale epoch's frame dropped before it carves), and early stopping's (a
+# run ends at the phase its correct processors halted by, a halted sender
+# stalls no receiver, a peer pinned to an older frame version changes
+# nothing), five times over. The third is the warm run path's: a reused
+# core.Runner, pooled RunSim and warm mesh must equal fresh runs, ten times
+# over.
 faults:
 	$(GO) test -race -count=1 ./internal/transport/ -run 'TestScenarioMatrix|TestCrashAtPhaseK|TestOverBudgetFaultsFailTyped|TestEngineTCPParity'
-	$(GO) test -race -count=5 ./internal/transport/ -run 'LinkDelay|Waker|KeptPayloadsOutliveEpochs|ReusedPeerDropsStaleEpoch'
+	$(GO) test -race -count=5 ./internal/transport/ -run 'LinkDelay|Waker|KeptPayloadsOutliveEpochs|ReusedPeerDropsStaleEpoch|Halt|MixedVersions'
 	$(GO) test -race -count=10 -run 'Runner|RunSim' ./internal/core/ ./internal/service/ ./internal/transport/
 
 test:

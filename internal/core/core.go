@@ -91,7 +91,9 @@ type Result struct {
 	Sim *sim.Result
 	// Faulty is the corrupted set used in the run.
 	Faulty ident.Set
-	// Phases is the protocol's scheduled phase count for (n, t).
+	// Phases is the protocol's scheduled phase count for (n, t): an upper
+	// bound, since a run ends once every correct processor has halted
+	// (Sim.EndPhase is the phase it ended at).
 	Phases int
 	// Nodes are the state machines after the run, indexed by processor id.
 	// Callers can type-assert protocol-specific interfaces (e.g.

@@ -7,6 +7,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"byzex/internal/ident"
@@ -21,11 +22,12 @@ type Collector struct {
 	report Report
 }
 
-// Reset zeroes the counters for a run that classifies senders against faulty
-// (nil or empty for a fault-free run), keeping PerPhase's storage. The zero
+// Reset zeroes the counters for a run of the given number of sending phases
+// that classifies senders against faulty (nil or empty for a fault-free run),
+// keeping PerPhase's storage and reserving room for every phase. The zero
 // Collector counts every sender as correct.
-func (c *Collector) Reset(faulty ident.Set) {
-	*c = Collector{faulty: faulty, report: Report{PerPhase: c.report.PerPhase[:0]}}
+func (c *Collector) Reset(faulty ident.Set, phases int) {
+	*c = Collector{faulty: faulty, report: Report{PerPhase: slices.Grow(c.report.PerPhase[:0], phases+1)}}
 }
 
 // OnSend records one message from `from` carrying sigTotal signatures (chain

@@ -10,7 +10,7 @@ import (
 
 func TestCorrectFaultySplit(t *testing.T) {
 	var c metrics.Collector
-	c.Reset(ident.NewSet(2))
+	c.Reset(ident.NewSet(2), 2)
 	c.OnSend(1, 0, 2, 2, 100)
 	c.OnSend(1, 2, 5, 3, 50) // faulty
 	c.OnSend(2, 1, 1, 1, 10)
@@ -52,6 +52,29 @@ func TestPerPhaseSeries(t *testing.T) {
 	}
 	if r.PerPhase[4].MessagesCorrect != 0 {
 		t.Fatal("phantom phase counts")
+	}
+}
+
+// TestResetReservesPhases pins that a collector reset for a run's phases
+// counts every phase's sends without growing PerPhase, whose length still
+// ends at the highest phase with a send.
+func TestResetReservesPhases(t *testing.T) {
+	var c metrics.Collector
+	allocs := testing.AllocsPerRun(10, func() {
+		c.Reset(ident.Set{}, 6)
+		for phase := 1; phase <= 6; phase++ {
+			if phase != 4 {
+				c.OnSend(phase, 0, 1, 1, 5)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per reset run, want 0 after the first", allocs)
+	}
+	c.Reset(ident.Set{}, 6)
+	c.OnSend(2, 0, 1, 1, 5)
+	if r := c.Report(); len(r.PerPhase) != 3 || r.PerPhase[2].MessagesCorrect != 1 {
+		t.Fatalf("per-phase %+v, want length 3 with one send at phase 2", r.PerPhase)
 	}
 }
 

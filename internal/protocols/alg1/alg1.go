@@ -1,6 +1,6 @@
 // Package alg1 implements Algorithm 1 of the paper (Theorem 3): an
 // authenticated Byzantine Agreement protocol for n = 2t+1 processors that
-// finishes in t+2 phases and sends at most 2t² + 2t messages.
+// finishes in at most t+2 phases and sends at most 2t² + 2t messages.
 //
 // The 2t non-transmitter processors are split into sets A and B of size t.
 // Communication follows the graph G formed by the complete bipartite graph
@@ -14,9 +14,17 @@
 //	                signs it and sends it to everybody on the other side.
 //	Decision:       1 if a correct 1-message arrived by phase t+2, else 0.
 //
+// Theorem 3's t+2 phases are the worst case. Under the binary rule a
+// processor is done early — it sends nothing more and its decision is fixed —
+// the transmitter once its phase-1 broadcast is out, any other processor once
+// it has kept and relayed its 1-message; the standalone node then halts
+// (sim.Context.Halt), and a run in which every correct processor halted ends
+// there: with a correct transmitter sending 1, at phase 2.
+//
 // One state machine, Core, runs both this binary rule and the multi-valued
-// rule of MultiProtocol. The Core type is embeddable so Algorithms 2, 3 and
-// 5 can run it among a subgroup of a larger system.
+// rule of MultiProtocol, under which nothing halts. The Core type is
+// embeddable so Algorithms 2, 3 and 5 can run it among a subgroup of a larger
+// system; it never halts itself, since they go on after it.
 package alg1
 
 import (
@@ -215,6 +223,14 @@ func (c *Core) Step(ctx *sim.Context, inbox []sim.Envelope, phase int) error {
 	return nil
 }
 
+// done reports whether this member is done under the binary rule after a
+// step: it sends nothing more and its decision is fixed — the transmitter
+// once its phase-1 broadcast is out, any other member once it has relayed its
+// 1-message. Under the multi-valued rule no member is ever done.
+func (c *Core) done() bool {
+	return !c.multi && (c.me == 0 || c.relayed == 1)
+}
+
 // Decide implements the decision function: the transmitter keeps its own
 // value; everybody else decides the one value a correct message arrived for
 // by phase t+2, and the default 0 when there is none (or, under the
@@ -288,7 +304,13 @@ type node struct {
 var _ sim.Node = (*node)(nil)
 
 func (n *node) Step(ctx *sim.Context, inbox []sim.Envelope) error {
-	return n.core.Step(ctx, inbox, ctx.Phase())
+	if err := n.core.Step(ctx, inbox, ctx.Phase()); err != nil {
+		return err
+	}
+	if n.core.done() {
+		ctx.Halt()
+	}
+	return nil
 }
 
 func (n *node) Decide() (ident.Value, bool) { return n.core.Decide() }

@@ -9,6 +9,7 @@ import (
 	"byzex/internal/ident"
 	"byzex/internal/protocols/alg1"
 	"byzex/internal/sig"
+	"byzex/internal/trace"
 )
 
 func run(t *testing.T, tt int, v ident.Value, adv adversary.Adversary, faulty *ident.Set) *core.Result {
@@ -132,5 +133,59 @@ func TestPhaseSchedule(t *testing.T) {
 		if got := p.Phases(2*tt+1, tt); got != tt+2 {
 			t.Errorf("Phases(t=%d) = %d", tt, got)
 		}
+	}
+}
+
+// TestRunEndsWhenCorrectProcessorsHalt pins early stopping: with a correct
+// transmitter sending 1, every processor is done by phase 2 — the
+// transmitter after its broadcast, the others once they relayed — so the run
+// ends there: no phase 3 is traced and Result.Sim.EndPhase reads 2. Sending 0,
+// no processor but the transmitter halts and all t+3 steps run. Either way
+// the counts are those of the whole schedule, since a processor halts only
+// once it would send nothing more.
+func TestRunEndsWhenCorrectProcessorsHalt(t *testing.T) {
+	for _, tc := range []struct {
+		t          int
+		v          ident.Value
+		end        int
+		msgs, sigs int
+	}{
+		{3, ident.V1, 2, 24, 42},
+		{3, ident.V0, 6, 6, 6},
+		{16, ident.V1, 2, 544, 1056}, // sweep-large's alg1-t16 cell
+	} {
+		buf := trace.NewBuffer()
+		res, _, err := core.RunAndCheck(context.Background(), core.Config{
+			Protocol: alg1.Protocol{}, N: 2*tc.t + 1, T: tc.t, Value: tc.v, Seed: 21, Trace: buf,
+		})
+		if err != nil {
+			t.Fatalf("t=%d v=%v: %v", tc.t, tc.v, err)
+		}
+		last := 0
+		for _, e := range buf.Events() {
+			if e.Kind == trace.KindPhaseStart {
+				last = e.Phase
+			}
+		}
+		rep := res.Sim.Report
+		if res.Sim.EndPhase != tc.end || last != tc.end || res.Phases != alg1.LastPhase(tc.t) {
+			t.Errorf("t=%d v=%v: ended at phase %d, traced up to %d, scheduled %d; want %d, %d, %d",
+				tc.t, tc.v, res.Sim.EndPhase, last, res.Phases, tc.end, tc.end, alg1.LastPhase(tc.t))
+		}
+		if rep.MessagesCorrect != tc.msgs || rep.SignaturesCorrect != tc.sigs {
+			t.Errorf("t=%d v=%v: %d msgs, %d sigs; want %d, %d", tc.t, tc.v, rep.MessagesCorrect, rep.SignaturesCorrect, tc.msgs, tc.sigs)
+		}
+	}
+}
+
+// TestMultiNeverHalts: under the multi-valued rule a second value can still
+// arrive, so an alg1-multi run steps its whole schedule.
+func TestMultiNeverHalts(t *testing.T) {
+	res, err := core.Run(context.Background(), core.Config{Protocol: alg1.MultiProtocol{}, N: 7, T: 3, Value: 5, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := alg1.LastPhase(3) + 1; res.Sim.EndPhase != want {
+		t.Fatalf("alg1-multi ended at phase %d, want the whole schedule's %d", res.Sim.EndPhase, want)
 	}
 }

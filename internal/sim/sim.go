@@ -23,6 +23,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"byzex/internal/faultnet"
 	"byzex/internal/ident"
@@ -82,11 +83,12 @@ func (e Envelope) Clone() Envelope {
 // protocol factories (package protocol) or by adversaries (package
 // adversary).
 type Node interface {
-	// Step is invoked once per phase in increasing order. inbox contains
-	// the messages sent to this node during the previous phase, sorted by
-	// sender. Outgoing messages are submitted through ctx.Send; they will
-	// be delivered at the start of the next phase. The final invocation
-	// (one past the protocol's last phase) is delivery-only: Send fails.
+	// Step is invoked once per phase in increasing order, until the node
+	// halts (Context.Halt) or the run ends. inbox contains the messages sent
+	// to this node during the previous phase, sorted by sender. Outgoing
+	// messages are submitted through ctx.Send; they will be delivered at the
+	// start of the next phase. An invocation one past the protocol's last
+	// phase is delivery-only: Send fails.
 	//
 	// The inbox slice (like ctx) is only valid for the duration of the
 	// call: the engine recycles the backing array for a later phase's
@@ -120,6 +122,7 @@ type Context struct {
 	slab        *sig.Slab
 	filter      func(ident.ProcID) bool
 	sink        trace.Sink // nil when tracing is disabled
+	halt        *bool      // what Halt sets: the stepped processor's proc.stopped; nil outside an engine run
 }
 
 // NewContext builds a context outside an engine run — a protocol that
@@ -178,6 +181,19 @@ func (c *Context) Phase() int { return c.phase }
 // kept across Resets; on a mesh peer its own processor's; from NewContext a
 // fresh one — so a derived context (WithSendFilter) shares it.
 func (c *Context) Slab() *sig.Slab { return c.slab }
+
+// Halt declares, from inside Step, that the node is done: after this step it
+// sends nothing more and its decision is fixed. The engine steps it no more —
+// it is still delivered to, so the trace reads as before — and a run ends at
+// the first phase boundary after which every correct processor has halted,
+// so the protocol's Phases is an upper bound. A faulty processor's Halt binds
+// nothing: the adversary keeps its processor until the run ends. Outside an
+// engine run (NewContext) Halt does nothing.
+func (c *Context) Halt() {
+	if c.halt != nil {
+		*c.halt = true
+	}
+}
 
 // Send queues a message to `to` for delivery at the start of the next
 // phase. Signers/sigTotal describe signatures carried by payload (see
@@ -300,6 +316,10 @@ type Result struct {
 	Report metrics.Report
 	// Faulty is the faulty set the run was executed with.
 	Faulty ident.Set
+	// EndPhase is the last phase the run stepped: the first phase after
+	// which every correct processor had halted (Context.Halt), or Phases+1,
+	// the delivery-only step, when one of them never did.
+	EndPhase int
 }
 
 // Engine executes one protocol instance to completion. Reset prepares it for
@@ -335,6 +355,11 @@ type Engine struct {
 	// steps counts node steps since the run last yielded the processor.
 	steps int
 
+	// live counts the correct processors that have not halted, and end is the
+	// phase the last of them halted in (0 while one is live): the run's last.
+	// Under a concurrent backend they are written from the peers' steps.
+	live, end atomic.Int32
+
 	procs  []proc
 	frames [][]Envelope // per-sender view of the inbox a plan delivers (Run only)
 
@@ -348,10 +373,15 @@ type Engine struct {
 // proc is one processor's step state; under a concurrent backend only the
 // goroutine driving the processor touches it.
 type proc struct {
-	ctx   Context  // re-pointed at each phase instead of allocated per step
-	slab  sig.Slab // the processor's own, under a concurrent backend
-	stash faultnet.Stash[Envelope]
-	held  []Envelope // Deliver's output, reused from phase to phase
+	ctx     Context  // re-pointed at each phase instead of allocated per step
+	slab    sig.Slab // the processor's own, under a concurrent backend
+	stash   faultnet.Stash[Envelope]
+	held    []Envelope // Deliver's output, reused from phase to phase
+	stopped bool       // the node called Context.Halt and is correct: it is stepped no more
+	// haltedIn is the phase whose step a correct node halted in, 0 while it
+	// is stepped: under a concurrent backend the other processors' Deliver
+	// reads it.
+	haltedIn atomic.Int32
 }
 
 // peer is a concurrently stepped processor's: route carries its accounted
@@ -395,7 +425,7 @@ func (e *Engine) Reset(cfg Config, nodes []Node) error {
 			count: make([]int, cfg.N), inboxes: make([][]Envelope, cfg.N), procs: make([]proc, cfg.N), slab: sig.NewSlab(cfg.N)}
 		submit := e.submit // one bound method value shared by every context
 		for i := range e.procs {
-			e.procs[i].ctx = Context{id: ident.ProcID(i), submit: submit}
+			e.procs[i].ctx = Context{id: ident.ProcID(i), submit: submit, halt: &e.procs[i].stopped}
 		}
 	}
 	for i := range e.procs {
@@ -403,11 +433,16 @@ func (e *Engine) Reset(cfg Config, nodes []Node) error {
 		c := &p.ctx
 		c.n, c.t, c.transmitter, c.lastPhase, c.sink, c.slab = cfg.N, cfg.T, cfg.Transmitter, cfg.Phases, cfg.Trace, &e.slab
 		sig.Recycle(p.held, Poisoned)
-		p.stash, p.held = faultnet.Stash[Envelope]{}, p.held[:0]
+		p.stash, p.held, p.stopped = faultnet.Stash[Envelope]{}, p.held[:0], false
+		if p.haltedIn.Load() != 0 { // only a run with halts pays the store
+			p.haltedIn.Store(0)
+		}
 	}
 	e.peers, e.peersOnce = e.peers[:0], sync.Once{}
 	e.cfg, e.nodes = cfg, nodes
-	e.collector.Reset(cfg.Faulty)
+	e.live.Store(int32(cfg.N - cfg.Faulty.Len()))
+	e.end.Store(0)
+	e.collector.Reset(cfg.Faulty, cfg.Phases)
 	e.sent.reset() // a run that ended early leaves its last sends here
 	clear(e.count)
 	return nil
@@ -520,10 +555,11 @@ var Poisoned = Envelope{From: ident.None, To: ident.None}
 const yieldSteps = 1024
 
 // Run is the in-memory backend: it executes phases 1..cfg.Phases plus the
-// final delivery-only step and returns the collected decisions and metrics.
+// final delivery-only step — or up to the phase after which every correct
+// processor has halted — and returns the collected decisions and metrics.
 // ctx cancellation aborts between phases.
 func (e *Engine) Run(ctx context.Context) (*Result, error) {
-	for phase := 1; phase <= e.cfg.Phases+1; phase++ {
+	for phase := 1; phase <= e.cfg.Phases+1 && e.end.Load() == 0; phase++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sim: aborted at phase %d: %w", phase, err)
 		}
@@ -543,15 +579,27 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 // each processor from a goroutine of its own: the crash check, announcing a
 // crash at its phase; the plan's verdict on frames — what each sender sent id
 // in phase-1 — returning the inbox and the count of frames withheld; and the
-// node's Step, whose accounted sends go to send. Each traces into id's
-// bucket for (phase, stage), which Finish replays.
+// node's Step, whose accounted sends go to send; a node that halted
+// (Context.Halt) is delivered to but not stepped, and sends nothing more.
+// Each traces into id's bucket for (phase, stage), which Finish replays. Once
+// the phase a backend closed is Ended, nothing is stepped after it.
 func (e *Engine) Halted(id ident.ProcID, phase int) bool {
 	return e.halted(e.bucket(id, phase, stageCrash), id, phase)
 }
 
-// Deliver is processor id's fault stage; see Halted.
+// Deliver is processor id's fault stage; see Halted. Its count of withheld
+// frames leaves out a sender that halted before phase-1: that frame held
+// nothing, so withholding it takes no information from id.
 func (e *Engine) Deliver(id ident.ProcID, phase int, frames [][]Envelope) ([]Envelope, int) {
-	return e.deliver(e.bucket(id, phase, stageFault), id, phase, frames)
+	inbox, withheld := e.deliver(e.bucket(id, phase, stageFault), id, phase, frames)
+	for s := 0; withheld > 0 && s < len(e.procs); s++ {
+		if h := int(e.procs[s].haltedIn.Load()); h != 0 && h < phase-1 && s != int(id) {
+			if k := e.cfg.Faults.FrameAction(phase-1, ident.ProcID(s), id).Kind; k == faultnet.ActDrop || k == faultnet.ActDelay {
+				withheld--
+			}
+		}
+	}
+	return inbox, withheld
 }
 
 // Step is processor id's step stage; see Halted.
@@ -561,11 +609,19 @@ func (e *Engine) Step(id ident.ProcID, phase int, inbox []Envelope, send func(En
 	return e.step(p, id, phase, inbox, nil)
 }
 
+// Ended reports whether the run ended at or before phase: every correct
+// processor had halted once its step of that phase returned. A backend asks
+// once the phase is closed — every live processor's step of it returned.
+func (e *Engine) Ended(phase int) bool {
+	end := int(e.end.Load())
+	return end != 0 && end <= phase
+}
+
 // Finish ends a run driven through Halted, Deliver and Step, once every
 // goroutine driving a processor has returned: it replays the buckets in
 // Run's trace order and returns the decisions and the report.
 func (e *Engine) Finish() *Result {
-	for phase := 1; e.cfg.Trace != nil && phase <= e.cfg.Phases+1; phase++ {
+	for phase := 1; e.cfg.Trace != nil && phase <= e.lastPhase(); phase++ {
 		_ = e.phase(phase, true) // a replay steps no node, so it cannot fail
 	}
 	return e.result()
@@ -667,13 +723,42 @@ func (e *Engine) step(p *proc, id ident.ProcID, phase int, inbox, extra []Envelo
 			})
 		}
 	}
+	if p.stopped {
+		return nil
+	}
 	if len(extra) > 0 {
 		inbox = append(append(make([]Envelope, 0, len(inbox)+len(extra)), inbox...), extra...)
 	}
 	if err := e.nodes[id].Step(&p.ctx, inbox); err != nil {
 		return fmt.Errorf("sim: processor %d failed at phase %d: %w", id, phase, err)
 	}
+	if p.stopped {
+		e.halt(p, id, phase)
+	}
 	return nil
+}
+
+// halt accounts for a node that halted in its step of phase: a correct one
+// is stepped no more, and the last live one ends the run with the phase; a
+// faulty one's halt is dropped.
+func (e *Engine) halt(p *proc, id ident.ProcID, phase int) {
+	if e.cfg.Faulty.Has(id) {
+		p.stopped = false
+		return
+	}
+	p.haltedIn.Store(int32(phase))
+	if e.live.Add(-1) == 0 {
+		e.end.Store(int32(phase))
+	}
+}
+
+// lastPhase is the last phase the run steps: the one after which every
+// correct processor had halted, else the delivery-only step.
+func (e *Engine) lastPhase() int {
+	if end := int(e.end.Load()); end != 0 {
+		return end
+	}
+	return e.cfg.Phases + 1
 }
 
 // result emits the decide events and returns the decisions and the report.
@@ -682,6 +767,7 @@ func (e *Engine) result() *Result {
 		Decisions: make(map[ident.ProcID]Decision, e.cfg.N),
 		Report:    e.collector.Report(),
 		Faulty:    e.cfg.Faulty.Clone(),
+		EndPhase:  e.lastPhase(),
 	}
 	for id, nd := range e.nodes {
 		v, ok := nd.Decide()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -68,60 +69,74 @@ func delayConfig(seed int64) core.Config {
 
 // BenchmarkMeshLinkDelay is the number next to the hold: warm alg1 n=7 t=3
 // instances under a 2 ms link delay, on one mesh and on two running side by
-// side (the ledger's two shards; run with -cpu 2). remainder_ms/op is what an
-// instance costs beyond phases x delay, wakes/op how many timer expiries paid
-// for its 35 holds, and cpu_ms/op the user+system time one instance burns —
-// mostly the 42 writes and 84 reads of each phase, which run inside the
-// delay, so saving them shows here and no longer in the wall clock. A phase is
-// barrier (frames land about 0.35 ms after their senders' instants) → hold →
-// wake (timerfd to the first peer about 0.09 ms, the last of seven stepped
-// about 0.12 ms later) → step → instant → writes; only the wake and the steps
-// are left in the remainder, about 0.2 ms per phase.
+// side (the ledger's two shards; run with -cpu 2), at value 1 — every correct
+// processor has halted by phase 2, so an instance holds once — and at value
+// 0, which runs the whole schedule. remainder_ms/op is what an instance costs
+// beyond a delay per phase boundary it stepped past (holds/op, read from each
+// run's EndPhase), wakes/op how many timer expiries paid for its holds, and
+// cpu_ms/op the user+system time one instance burns — mostly the 42 writes
+// and 84 reads of each phase, which run inside the delay, so saving them
+// shows here and no longer in the wall clock. A phase is barrier (frames land
+// about 0.35 ms after their senders' instants) → hold → wake (timerfd to the
+// first peer about 0.09 ms, the last of seven stepped about 0.12 ms later) →
+// step → instant → writes; only the wake and the steps are left in the
+// remainder, about 0.4 ms an instance at either value on 2 CPUs.
 func BenchmarkMeshLinkDelay(b *testing.B) {
 	const delay = 2 * time.Millisecond
 	ctx := context.Background()
-	phases := alg1.Protocol{}.Phases(7, 3)
-	for _, meshes := range []int{1, 2} {
-		b.Run(fmt.Sprintf("meshes=%d", meshes), func(b *testing.B) {
-			ms := make([]*Mesh, meshes)
-			for i := range ms {
-				m, err := NewMesh(ctx, 7, Net{PhaseTimeout: 10 * time.Second, LinkDelay: delay})
-				if err != nil {
-					b.Fatal(err)
+	for _, v := range []ident.Value{ident.V1, ident.V0} {
+		for _, meshes := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%v/meshes=%d", v, meshes), func(b *testing.B) {
+				config := func(seed int64) core.Config {
+					cfg := delayConfig(seed)
+					cfg.Value = v
+					return cfg
 				}
-				defer m.Close()
-				if _, err := m.Run(ctx, delayConfig(0)); err != nil {
-					b.Fatal(err)
-				}
-				ms[i] = m
-			}
-			wakes := func() (n uint64) {
-				for _, m := range ms {
-					n += m.waker.wakes.Load()
-				}
-				return n
-			}
-			wakes0, cpu0 := wakes(), cpuTime(b)
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for _, m := range ms {
-				wg.Add(1)
-				go func(m *Mesh) {
-					defer wg.Done()
-					for i := 0; i < b.N; i++ {
-						if _, err := m.Run(ctx, delayConfig(int64(i))); err != nil {
-							b.Error(err)
-							return
-						}
+				ms := make([]*Mesh, meshes)
+				for i := range ms {
+					m, err := NewMesh(ctx, 7, Net{PhaseTimeout: 10 * time.Second, LinkDelay: delay})
+					if err != nil {
+						b.Fatal(err)
 					}
-				}(m)
-			}
-			wg.Wait()
-			perOp := b.Elapsed().Seconds() / float64(b.N)
-			b.ReportMetric(1e3*(perOp-float64(phases)*delay.Seconds()), "remainder_ms/op")
-			b.ReportMetric(float64(wakes()-wakes0)/float64(meshes*b.N), "wakes/op")
-			b.ReportMetric(1e3*(cpuTime(b)-cpu0).Seconds()/float64(meshes*b.N), "cpu_ms/op")
-		})
+					defer m.Close()
+					if _, err := m.Run(ctx, config(0)); err != nil {
+						b.Fatal(err)
+					}
+					ms[i] = m
+				}
+				wakes := func() (n uint64) {
+					for _, m := range ms {
+						n += m.waker.wakes.Load()
+					}
+					return n
+				}
+				wakes0, cpu0 := wakes(), cpuTime(b)
+				var holds atomic.Int64 // phase boundaries the instances stepped past
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for _, m := range ms {
+					wg.Add(1)
+					go func(m *Mesh) {
+						defer wg.Done()
+						for i := 0; i < b.N; i++ {
+							res, err := m.Run(ctx, config(int64(i)))
+							if err != nil {
+								b.Error(err)
+								return
+							}
+							holds.Add(int64(res.EndPhase - 1))
+						}
+					}(m)
+				}
+				wg.Wait()
+				ops := float64(meshes * b.N)
+				perOp, holdsPerOp := b.Elapsed().Seconds()/float64(b.N), float64(holds.Load())/ops
+				b.ReportMetric(1e3*(perOp-holdsPerOp*delay.Seconds()), "remainder_ms/op")
+				b.ReportMetric(holdsPerOp, "holds/op")
+				b.ReportMetric(float64(wakes()-wakes0)/ops, "wakes/op")
+				b.ReportMetric(1e3*(cpuTime(b)-cpu0).Seconds()/ops, "cpu_ms/op")
+			})
+		}
 	}
 }
 

@@ -75,19 +75,26 @@ func (n *timedNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 // TestLinkDelayNeverEarlyPerLink is Net.LinkDelay's contract where it lives
 // now, on the link: no envelope is handed to its receiver's Step earlier than
 // the delay after the Step that sent it returned — frames go out at once and
-// the receivers serve the delay — and an instance still takes phases × delay.
-// Two epochs per warm mesh, fault-free and under a crash and a delay rule.
+// the receivers serve the delay — and an instance takes the delay for each
+// phase boundary it steps past. Per warm mesh, fault-free and under a crash
+// and a delay rule: two epochs of alg1-multi, which never halts, so the whole
+// schedule runs and the phase-2 relays (processor 2's delayed a phase by the
+// delay rule) are checked link by link; then one of alg1, which ends at
+// phase 2 once every correct processor has halted.
 func TestLinkDelayNeverEarlyPerLink(t *testing.T) {
 	const (
 		n, f  = 7, 3
 		delay = 3 * time.Millisecond
 	)
-	inner, err := cli.Protocol("alg1", cli.Params{N: n, T: f, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	timed := func(name string) *timedProtocol {
+		inner, err := cli.Protocol(name, cli.Params{N: n, T: f, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &timedProtocol{Protocol: inner}
 	}
-	proto := &timedProtocol{Protocol: inner}
-	phases := proto.Phases(n, f)
+	multi, halting := timed("alg1-multi"), timed("alg1")
+	phases := multi.Phases(n, f)
 	ctx := context.Background()
 	for _, spec := range []string{"", "crash=1@2", "delay=2->*@1-2+1"} {
 		t.Run("faults="+spec, func(t *testing.T) {
@@ -96,14 +103,27 @@ func TestLinkDelayNeverEarlyPerLink(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer m.Close()
-			cfg := core.Config{Protocol: proto, N: n, T: f, Value: ident.V1}
+			cfg := core.Config{N: n, T: f, Value: ident.V1}
+			crashed := 0 // receivers crashed before phase 2's step
+			if spec == "crash=1@2" {
+				crashed = 1
+			}
 			if spec != "" {
 				cfg.Faults = mustPlan(t, spec, 1)
 				override := cfg.Faults.Affected(n)
 				cfg.FaultyOverride = &override
 			}
-			for epoch := 1; epoch <= 2; epoch++ {
-				cfg.Seed = int64(epoch)
+			for epoch, run := range []struct {
+				proto         *timedProtocol
+				end, minLinks int
+			}{
+				{multi, phases + 1, n - 1},
+				{multi, phases + 1, n - 1},
+				{halting, 2, n - 1 - crashed}, // the transmitter's broadcast, to every live receiver
+			} {
+				epoch++
+				proto := run.proto
+				cfg.Protocol, cfg.Seed = proto, int64(epoch)
 				proto.reset(n, f)
 				began := time.Now()
 				res, err := m.Run(ctx, cfg)
@@ -112,13 +132,19 @@ func TestLinkDelayNeverEarlyPerLink(t *testing.T) {
 					t.Fatalf("epoch %d: %v", epoch, err)
 				}
 				checkAgreement(t, res, ident.V1)
-				if floor := time.Duration(phases) * delay; wall < floor {
-					t.Errorf("epoch %d took %v, under phases × delay = %v", epoch, wall, floor)
+				if res.EndPhase != run.end {
+					t.Errorf("epoch %d ended at phase %d, want %d", epoch, res.EndPhase, run.end)
 				}
-				links := 0
+				if floor := time.Duration(res.EndPhase-1) * delay; wall < floor {
+					t.Errorf("epoch %d took %v, under (end phase - 1) × delay = %v", epoch, wall, floor)
+				}
+				links, late := 0, 0
 				for to, inbox := range proto.arrivals {
 					for _, a := range inbox {
 						links++
+						if a.from == 2 && a.steppedIn > a.sentIn+1 {
+							late++
+						}
 						sent, stepped := proto.end[a.from][a.sentIn], proto.start[to][a.steppedIn]
 						if sent.IsZero() {
 							t.Fatalf("epoch %d: %d got an envelope of phase %d from %d, which never finished that step", epoch, to, a.sentIn, a.from)
@@ -129,8 +155,11 @@ func TestLinkDelayNeverEarlyPerLink(t *testing.T) {
 						}
 					}
 				}
-				if links < n-1 {
+				if links < run.minLinks {
 					t.Fatalf("epoch %d: only %d envelopes delivered", epoch, links)
+				}
+				if spec == "delay=2->*@1-2+1" && proto == multi && late == 0 {
+					t.Errorf("epoch %d: none of processor 2's delayed envelopes was delivered", epoch)
 				}
 			}
 		})

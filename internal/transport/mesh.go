@@ -288,7 +288,7 @@ func (m *Mesh) Run(ctx context.Context, cfg core.Config) (*Result, error) {
 		}
 	}
 	res := m.eng.Finish()
-	return &Result{Decisions: res.Decisions, Report: res.Report, Faulty: res.Faulty}, nil
+	return &Result{Decisions: res.Decisions, Report: res.Report, Faulty: res.Faulty, EndPhase: res.EndPhase}, nil
 }
 
 // wakePeers rouses every peer's waitPhase to look at its context again.

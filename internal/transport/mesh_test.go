@@ -119,8 +119,8 @@ func TestLinkDelayMutedPeer(t *testing.T) {
 					t.Fatal(err)
 				}
 				meshAgreement(t, res, ident.V1)
-				if floor := time.Duration(cfg.Protocol.Phases(3, 1)) * delay; wall < floor {
-					t.Errorf("run took %v, under phases × delay = %v", wall, floor)
+				if floor := time.Duration(res.EndPhase-1) * delay; wall < floor {
+					t.Errorf("run took %v, under (end phase - 1) × delay = %v", wall, floor)
 				}
 			}
 			for id, p := range m.peers {

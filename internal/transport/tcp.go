@@ -2,9 +2,12 @@
 // every processor is a goroutine with a TCP listener on localhost, the full
 // mesh is wired with length-prefixed frames, and lock-step synchrony is
 // enforced by the classical α-synchronizer pattern — each processor sends
-// exactly one frame (possibly empty) to every peer per phase and advances
-// once it holds the previous phase's frame from every peer (or the
-// per-phase timeout fires, which tolerates crashed peers).
+// exactly one frame (possibly empty) to every peer per phase until the run
+// ends and advances once it holds the previous phase's frame from every peer
+// (or the per-phase timeout fires, which tolerates crashed peers). A halted
+// processor's frames are empty; every peer stops once the phase it closed is
+// the run's last (sim.Engine.Ended), so the mesh ends at the phase the
+// in-memory run does.
 //
 // TCP is the second delivery backend of sim.Engine's phase step: a peer is
 // one processor's step (Engine.Halted, Deliver, Step) plus the barrier, the
@@ -20,7 +23,8 @@
 // a crash rule halts the peer before it consumes its phase. The plan is a pure
 // function of its seed, so fault runs replay byte-identically. A receiver
 // whose information gap (frames missing plus frames withheld) exceeds t
-// returns ErrStalled instead of risking a divergent decision.
+// returns ErrStalled instead of risking a divergent decision; a halted
+// sender is neither missing nor withheld.
 package transport
 
 import (
@@ -79,8 +83,9 @@ type Net struct {
 	// Step(k) returned. Senders flush at once; a receiver whose barrier has
 	// closed holds its step until the latest sender it heard from is
 	// LinkDelay old, so the frames travel while the delay is served and an
-	// instance takes ≈ phases × LinkDelay plus waking up and the steps, its
-	// CPU otherwise idle — the regime a real deployment is in, where loopback
+	// instance takes ≈ LinkDelay for each phase boundary it steps past —
+	// EndPhase-1 of them — plus waking up and the steps, its CPU otherwise
+	// idle — the regime a real deployment is in, where loopback
 	// is unrealistically fast. One hold per peer per phase on the mesh's one
 	// deadline waker (waker_linux.go; a runtime timer would be
 	// millisecond-grained), never cut short, never affecting determinism;
@@ -103,6 +108,7 @@ type Result struct {
 	Decisions map[ident.ProcID]sim.Decision
 	Report    metrics.Report
 	Faulty    ident.Set
+	EndPhase  int
 }
 
 // Decision returns the common decision of the correct processors, or an
@@ -301,7 +307,8 @@ func (p *peer) noteFrame(epoch uint64, phase int, from ident.ProcID, msgs []sim.
 // serves the link delay: it holds until the latest sender heard from is
 // the link delay past the end of its Step(phase) — the frames were in flight
 // meanwhile. A sender never heard from already cost the timeout and is not
-// waited on again. Only ctx's error or ErrMeshClosed end a hold early.
+// waited on again. Only ctx's error or ErrMeshClosed end a hold early; a
+// phase that ended the run (errEnded) is not held.
 func (p *peer) waitPhase(ctx context.Context, phase int) ([]sim.Envelope, error) {
 	inbox, sent, err := p.closePhase(ctx, phase)
 	delay := p.m.netCfg.LinkDelay
@@ -313,14 +320,16 @@ func (p *peer) waitPhase(ctx context.Context, phase int) ([]sim.Envelope, error)
 
 // closePhase blocks until frames for the phase arrived from all peers that
 // can still send (plan-crashed processors are not waited for), the timeout
-// fires or ctx ends, then hands the raw frames to the step's Deliver, which
-// builds the sender-ordered inbox under the fault plan — including any
-// plan-delayed content due this phase — and records the fault-* events. It
-// fails with ctx's error when that is what ended the wait, and with
-// ErrStalled when the receiver's information gap — frames physically missing
-// plus live frames the plan withheld — exceeds the fault bound t: deciding on
-// that little information could diverge. The second result is the latest
-// sent instant among the senders heard from (zero without a link delay).
+// fires or ctx ends. If the phase was the run's last it returns errEnded;
+// otherwise it hands the raw frames to the step's Deliver, which builds the
+// sender-ordered inbox under the fault plan — including any plan-delayed
+// content due this phase — and records the fault-* events. It fails with
+// ctx's error when that is what ended the wait, and with ErrStalled when the
+// receiver's information gap — frames physically missing plus live frames
+// the plan withheld, a halted sender's not among them (Engine.Deliver) —
+// exceeds the fault bound t: deciding on that little information could
+// diverge. The second result is the latest sent instant among the senders
+// heard from (zero without a link delay).
 func (p *peer) closePhase(ctx context.Context, phase int) ([]sim.Envelope, time.Duration, error) {
 	n, timeout := p.m.n, p.m.netCfg.PhaseTimeout
 	deadline := time.Now().Add(timeout)
@@ -342,6 +351,9 @@ func (p *peer) closePhase(ctx context.Context, phase int) ([]sim.Envelope, time.
 		p.cond.Wait()
 	}
 	p.want = 0
+	if p.m.eng.Ended(phase) {
+		return nil, 0, errEnded
+	}
 	missing := n - 1 - buf.arrived // crashed peers count as missing
 	var sent time.Duration
 	if p.m.netCfg.LinkDelay > 0 {
@@ -365,6 +377,11 @@ func (p *peer) closePhase(ctx context.Context, phase int) ([]sim.Envelope, time.
 	return inbox, sent, nil
 }
 
+// errEnded is how closePhase reports that the phase it closed was the run's
+// last: every correct processor had halted. The peer's loop ends without
+// error, and nothing is stepped after that phase.
+var errEnded = errors.New("transport: run ended")
+
 // run executes the peer's phase loop for one mesh epoch. The mesh's
 // inbound readers outlive an early peer exit on purpose: closing inbound
 // links the moment a peer stalls or crashes would turn its neighbors'
@@ -387,7 +404,11 @@ func (p *peer) run(ctx context.Context, epoch uint64) error {
 		var inbox []sim.Envelope
 		if phase > 1 {
 			var err error
-			if inbox, err = p.waitPhase(ctx, phase-1); err != nil {
+			inbox, err = p.waitPhase(ctx, phase-1)
+			if err == errEnded {
+				return nil // every correct processor halted by phase-1: nothing is stepped after it
+			}
+			if err != nil {
 				return err
 			}
 		}
