@@ -103,7 +103,9 @@ lint:
 # family (crash/drop/dup/reorder/delay/partition) over real TCP, in-budget
 # plans must agree and replay byte-identically, over-budget plans must fail
 # typed, and the TCP trace must equal the in-memory one minus its verify-*
-# events. Also run standalone for a quick transport-layer signal. The second
+# events; the omission faults' crash rules (silent, crash) must leave every
+# correct processor as the node wrappers they replaced did. Also run
+# standalone for a quick transport-layer signal. The second
 # line is the link-delay hold's contract (never early per link, cancellable,
 # muted senders not waited on twice) and its waker's, a warm mesh's
 # message lifetime (payloads kept from one epoch unchanged by the next, a
@@ -114,7 +116,7 @@ lint:
 # core.Runner, pooled RunSim and warm mesh must equal fresh runs, ten times
 # over.
 faults:
-	$(GO) test -race -count=1 ./internal/transport/ -run 'TestScenarioMatrix|TestCrashAtPhaseK|TestOverBudgetFaultsFailTyped|TestEngineTCPParity'
+	$(GO) test -race -count=1 ./internal/transport/ ./internal/cli/ -run 'TestScenarioMatrix|TestCrashAtPhaseK|TestOverBudgetFaultsFailTyped|TestEngineTCPParity|TestOmissionPlansMatchWrappers'
 	$(GO) test -race -count=5 ./internal/transport/ -run 'LinkDelay|Waker|KeptPayloadsOutliveEpochs|ReusedPeerDropsStaleEpoch|Halt|MixedVersions'
 	$(GO) test -race -count=10 -run 'Runner|RunSim' ./internal/core/ ./internal/service/ ./internal/transport/
 

@@ -12,7 +12,9 @@ import (
 	"log"
 
 	"byzex/internal/adversary"
+	"byzex/internal/cli"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocols/alg5"
 )
@@ -24,15 +26,18 @@ func main() {
 	)
 
 	// The transmitter (processor 0) wants everybody to agree on value 1,
-	// while two Byzantine processors try to interfere (here: a silent
-	// coalition; try adversary.SplitBrain or adversary.Garbage too).
+	// while two faulty processors try to interfere. Here they never send:
+	// the "silent" omission fault, a fault-plan crash of the last t
+	// processors at phase 1. For Byzantine ones, set Adversary to
+	// adversary.SplitBrain or adversary.Garbage instead.
+	silent, _ := cli.Omission("silent", adversary.LastNonTransmitter(n, t, 0), faultnet.Spec{})
 	res, decision, err := core.RunAndCheck(context.Background(), core.Config{
-		Protocol:  alg5.Protocol{S: t},
-		N:         n,
-		T:         t,
-		Value:     ident.V1,
-		Adversary: adversary.Silent{},
-		Seed:      42,
+		Protocol: alg5.Protocol{S: t},
+		N:        n,
+		T:        t,
+		Value:    ident.V1,
+		Faults:   faultnet.MustCompile(silent, 42),
+		Seed:     42,
 	})
 	if err != nil {
 		log.Fatalf("agreement failed: %v", err)

@@ -14,10 +14,9 @@ import (
 
 // State is the shared collusion state for one run's faulty coalition.
 type State struct {
-	// Faulty is the corrupted set.
-	Faulty ident.Set
-	// Signers holds the signing handles of every corrupted processor.
-	Signers map[ident.ProcID]sig.Signer
+	// Signers holds the signing handle of every corrupted processor, indexed
+	// by id; a correct processor's slot is nil.
+	Signers []sig.Signer
 	// seed is the run's seed, from which each processor's stream derives.
 	seed int64
 }
@@ -25,25 +24,17 @@ type State struct {
 // NewState builds collusion state for the given faulty set, collecting the
 // corrupted processors' signers from the scheme.
 func NewState(faulty ident.Set, scheme sig.Scheme, seed int64) (*State, error) {
-	st := &State{
-		Faulty:  faulty.Clone(),
-		Signers: make(map[ident.ProcID]sig.Signer, faulty.Len()),
-		seed:    seed,
+	st := &State{seed: seed}
+	ids := faulty.Sorted()
+	if len(ids) > 0 {
+		st.Signers = make([]sig.Signer, ids[len(ids)-1]+1)
 	}
-	var err error
-	faulty.Each(func(id ident.ProcID) {
+	for _, id := range ids {
+		s, err := scheme.Signer(id)
 		if err != nil {
-			return
-		}
-		s, serr := scheme.Signer(id)
-		if serr != nil {
-			err = fmt.Errorf("adversary: collecting signer for %v: %w", id, serr)
-			return
+			return nil, fmt.Errorf("adversary: collecting signer for %v: %w", id, err)
 		}
 		st.Signers[id] = s
-	})
-	if err != nil {
-		return nil, err
 	}
 	return st, nil
 }
@@ -81,18 +72,15 @@ type Adversary interface {
 // Silent: corrupted processors never send anything (crash-from-start).
 
 // Silent corrupts up to t non-transmitter processors that then never send.
-type Silent struct{}
+// The tools' "silent" is its fault-plan form (cli.Omission). Silent stays only
+// because bench/sweep_large.go builds it, until the ledger's re-baseline; it
+// is also the reference cli.TestOmissionPlansMatchWrappers checks against.
+type Silent struct{ lastT }
 
 var _ Adversary = Silent{}
 
 // Name implements Adversary.
 func (Silent) Name() string { return "silent" }
-
-// Corrupt implements Adversary: the last t processors (never the
-// transmitter) go silent.
-func (Silent) Corrupt(n, t int, transmitter ident.ProcID, _ *mrand.Rand) ident.Set {
-	return lastNonTransmitter(n, t, transmitter)
-}
 
 // NewNode implements Adversary.
 func (Silent) NewNode(protocol.NodeConfig, *Env) (sim.Node, error) {
@@ -106,49 +94,6 @@ func (*silentNode) Step(*sim.Context, []sim.Envelope) error { return nil }
 func (*silentNode) Decide() (ident.Value, bool) { return 0, false }
 
 // ---------------------------------------------------------------------------
-// Crash: behave correctly, then stop forever after a given phase.
-
-// Crash runs the real protocol until CrashAfter, then goes silent. With
-// CrashAfter=0 the victims are silent from the start but still *receive*.
-type Crash struct {
-	// CrashAfter is the last phase during which victims behave correctly.
-	CrashAfter int
-}
-
-var _ Adversary = Crash{}
-
-// Name implements Adversary.
-func (c Crash) Name() string { return fmt.Sprintf("crash@%d", c.CrashAfter) }
-
-// Corrupt implements Adversary.
-func (Crash) Corrupt(n, t int, transmitter ident.ProcID, _ *mrand.Rand) ident.Set {
-	return lastNonTransmitter(n, t, transmitter)
-}
-
-// NewNode implements Adversary.
-func (c Crash) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error) {
-	inner, err := env.Run.NewNode(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &crashNode{inner: inner, after: c.CrashAfter}, nil
-}
-
-type crashNode struct {
-	inner sim.Node
-	after int
-}
-
-func (c *crashNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
-	if ctx.Phase() > c.after {
-		return nil
-	}
-	return c.inner.Step(ctx, inbox)
-}
-
-func (c *crashNode) Decide() (ident.Value, bool) { return 0, false }
-
-// ---------------------------------------------------------------------------
 // SplitBrain: the corrupted transmitter (and optionally co-conspirators)
 // runs two correct inner nodes, one initialized with value 0 and one with
 // value 1, and routes their traffic so processors below the split point see
@@ -157,6 +102,7 @@ func (c *crashNode) Decide() (ident.Value, bool) { return 0, false }
 
 // SplitBrain corrupts the transmitter only.
 type SplitBrain struct {
+	transmitterOnly
 	// LowValue/HighValue are the two personalities' initial values.
 	LowValue, HighValue ident.Value
 	// SplitAt: processors with id < SplitAt see the LowValue personality.
@@ -168,54 +114,11 @@ var _ Adversary = SplitBrain{}
 // Name implements Adversary.
 func (s SplitBrain) Name() string { return "split-brain" }
 
-// Corrupt implements Adversary: only the transmitter.
-func (SplitBrain) Corrupt(_, t int, transmitter ident.ProcID, _ *mrand.Rand) ident.Set {
-	if t < 1 {
-		return ident.Set{}
-	}
-	return ident.NewSet(transmitter)
-}
-
-// NewNode implements Adversary.
+// NewNode implements Adversary: multi-faced's node with two faces, the
+// LowValue one shown to [0, SplitAt) and the HighValue one to [SplitAt, n).
 func (s SplitBrain) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error) {
-	lowCfg, highCfg := cfg, cfg
-	lowCfg.Value = s.LowValue
-	highCfg.Value = s.HighValue
-	low, err := env.Run.NewNode(lowCfg)
-	if err != nil {
-		return nil, err
-	}
-	high, err := env.Run.NewNode(highCfg)
-	if err != nil {
-		return nil, err
-	}
-	split := s.SplitAt
-	return &splitBrainNode{
-		low: low, high: high,
-		toLow:  func(to ident.ProcID) bool { return to < split },
-		toHigh: func(to ident.ProcID) bool { return to >= split },
-	}, nil
+	return newFaces(cfg, env, []ident.Value{s.LowValue, s.HighValue}, []ident.ProcID{0, s.SplitAt})
 }
-
-type splitBrainNode struct {
-	low, high       sim.Node
-	toLow, toHigh   func(ident.ProcID) bool // each personality's audience, fixed for the run
-	lowCtx, highCtx sim.Context             // re-pointed each phase
-}
-
-func (s *splitBrainNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
-	// Run both personalities on the same inbox; filter each one's sends so
-	// that only its own audience receives them.
-	if err := s.low.Step(ctx.WithSendFilter(&s.lowCtx, s.toLow), inbox); err != nil {
-		return fmt.Errorf("split-brain low personality: %w", err)
-	}
-	if err := s.high.Step(ctx.WithSendFilter(&s.highCtx, s.toHigh), inbox); err != nil {
-		return fmt.Errorf("split-brain high personality: %w", err)
-	}
-	return nil
-}
-
-func (s *splitBrainNode) Decide() (ident.Value, bool) { return 0, false }
 
 // ---------------------------------------------------------------------------
 // MultiFaced: the k-way generalization of SplitBrain for multi-valued
@@ -225,6 +128,7 @@ func (s *splitBrainNode) Decide() (ident.Value, bool) { return 0, false }
 // MultiFaced corrupts the transmitter and equivocates between len(Values)
 // personalities.
 type MultiFaced struct {
+	transmitterOnly
 	// Values are the personalities' initial values; audience slice i (of
 	// n/len(Values) processors, the last slice taking the remainder) sees
 	// personality i.
@@ -236,33 +140,36 @@ var _ Adversary = MultiFaced{}
 // Name implements Adversary.
 func (m MultiFaced) Name() string { return fmt.Sprintf("multi-faced(%d)", len(m.Values)) }
 
-// Corrupt implements Adversary: only the transmitter.
-func (MultiFaced) Corrupt(_, t int, transmitter ident.ProcID, _ *mrand.Rand) ident.Set {
-	if t < 1 {
-		return ident.Set{}
-	}
-	return ident.NewSet(transmitter)
-}
-
 // NewNode implements Adversary.
 func (m MultiFaced) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error) {
 	if len(m.Values) == 0 {
 		return nil, fmt.Errorf("adversary: multi-faced needs at least one value")
 	}
-	k := len(m.Values)
-	slice := (cfg.N + k - 1) / k
-	node := &multiFacedNode{faces: make([]face, k)}
-	for i, v := range m.Values {
+	slice := (cfg.N + len(m.Values) - 1) / len(m.Values)
+	starts := make([]ident.ProcID, len(m.Values))
+	for i := range starts {
+		starts[i] = ident.ProcID(i * slice)
+	}
+	return newFaces(cfg, env, m.Values, starts)
+}
+
+// newFaces builds the equivocating node: face i runs a correct inner node
+// with input values[i] and is shown to the processors from starts[i] up to
+// the next face's start, the last face's up to n.
+func newFaces(cfg protocol.NodeConfig, env *Env, values []ident.Value, starts []ident.ProcID) (sim.Node, error) {
+	node := &multiFacedNode{faces: make([]face, len(values))}
+	for i, v := range values {
 		pcfg := cfg
 		pcfg.Value = v
 		inner, err := env.Run.NewNode(pcfg)
 		if err != nil {
 			return nil, err
 		}
-		lo, hi, last := ident.ProcID(i*slice), ident.ProcID((i+1)*slice), i == k-1
-		node.faces[i] = face{node: inner, audience: func(to ident.ProcID) bool {
-			return to >= lo && (last || to < hi)
-		}}
+		lo, hi := starts[i], ident.ProcID(cfg.N)
+		if i+1 < len(starts) {
+			hi = starts[i+1]
+		}
+		node.faces[i] = face{node: inner, audience: func(to ident.ProcID) bool { return to >= lo && to < hi }}
 	}
 	return node, nil
 }
@@ -283,7 +190,7 @@ func (m *multiFacedNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	for i := range m.faces {
 		f := &m.faces[i]
 		if err := f.node.Step(ctx.WithSendFilter(&f.ctx, f.audience), inbox); err != nil {
-			return fmt.Errorf("multi-faced personality %d: %w", i, err)
+			return fmt.Errorf("personality %d: %w", i, err)
 		}
 	}
 	return nil
@@ -312,7 +219,7 @@ var _ Adversary = StarveB{}
 // identities other than the transmitter, capped at the fault budget t (at
 // t = 0 the one member would be over it).
 func StarveSet(n, t int, transmitter ident.ProcID) ident.Set {
-	return lastNonTransmitter(n, min(1+t/2, t), transmitter)
+	return LastNonTransmitter(n, min(1+t/2, t), transmitter)
 }
 
 // Name implements Adversary.
@@ -374,6 +281,7 @@ func (s *starveNode) Decide() (ident.Value, bool) { return s.inner.Decide() }
 
 // Garbage corrupts up to t processors (never the transmitter).
 type Garbage struct {
+	lastT
 	// PerPhase is how many junk messages each corrupted node sends per
 	// phase (default 3 when zero).
 	PerPhase int
@@ -383,11 +291,6 @@ var _ Adversary = Garbage{}
 
 // Name implements Adversary.
 func (Garbage) Name() string { return "garbage" }
-
-// Corrupt implements Adversary.
-func (Garbage) Corrupt(n, t int, transmitter ident.ProcID, _ *mrand.Rand) ident.Set {
-	return lastNonTransmitter(n, t, transmitter)
-}
 
 // NewNode implements Adversary.
 func (g Garbage) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error) {
@@ -429,7 +332,7 @@ func (g *garbageNode) Decide() (ident.Value, bool) { return 0, false }
 // recorded history G.
 
 // ReplaySchedule is the per-sender script extracted from two recorded
-// histories. Build it with lowerbound.BuildReplay.
+// histories; audit.ReplayAttack builds them.
 type ReplaySchedule struct {
 	// Victim is the processor that must see history H.
 	Victim ident.ProcID
@@ -498,9 +401,10 @@ func (r *replayNode) Decide() (ident.Value, bool) { return 0, false }
 // ---------------------------------------------------------------------------
 // helpers
 
-// lastNonTransmitter corrupts the t highest identities, skipping the
-// transmitter.
-func lastNonTransmitter(n, t int, transmitter ident.ProcID) ident.Set {
+// LastNonTransmitter is the t highest identities, skipping the transmitter:
+// the set the lastT strategies corrupt, and the victims of the tools'
+// omission faults.
+func LastNonTransmitter(n, t int, transmitter ident.ProcID) ident.Set {
 	var out ident.Set
 	for id := n - 1; id >= 0 && out.Len() < t; id-- {
 		p := ident.ProcID(id)
@@ -510,4 +414,23 @@ func lastNonTransmitter(n, t int, transmitter ident.ProcID) ident.Set {
 		out.Add(p)
 	}
 	return out
+}
+
+// lastT is the corruption choice of silent, garbage and bit-flipper.
+type lastT struct{}
+
+// Corrupt implements Adversary: the last t processors, never the transmitter.
+func (lastT) Corrupt(n, t int, transmitter ident.ProcID, _ *mrand.Rand) ident.Set {
+	return LastNonTransmitter(n, t, transmitter)
+}
+
+// transmitterOnly is the corruption choice of split-brain and multi-faced.
+type transmitterOnly struct{}
+
+// Corrupt implements Adversary: only the transmitter, and nobody at t = 0.
+func (transmitterOnly) Corrupt(_, t int, transmitter ident.ProcID, _ *mrand.Rand) ident.Set {
+	if t < 1 {
+		return ident.Set{}
+	}
+	return ident.NewSet(transmitter)
 }

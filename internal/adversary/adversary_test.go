@@ -21,8 +21,8 @@ func TestCorruptSelections(t *testing.T) {
 		t.Fatal("t=0 corrupted someone")
 	}
 	// The transmitter is skipped even when it would be in the tail.
-	if got := (adversary.Crash{}).Corrupt(4, 3, 3, nil); got.Has(3) || got.Len() != 3 {
-		t.Fatalf("crash corrupt %v", got.Sorted())
+	if got := adversary.LastNonTransmitter(4, 3, 3); got.Has(3) || got.Len() != 3 {
+		t.Fatalf("last non-transmitters %v", got.Sorted())
 	}
 	if got := (adversary.SplitBrain{}).Corrupt(9, 2, 5, nil); got.Len() != 1 || !got.Has(5) {
 		t.Fatalf("split-brain corrupt %v", got.Sorted())
@@ -42,8 +42,8 @@ func TestNewStateCollectsSigners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Signers) != 2 {
-		t.Fatalf("signers %d", len(st.Signers))
+	if len(st.Signers) != 4 || st.Signers[0] != nil || st.Signers[2] != nil {
+		t.Fatalf("signers %v: want slots 1 and 3 of 4 filled", st.Signers)
 	}
 	if st.Signers[1].ID() != 1 || st.Signers[3].ID() != 3 {
 		t.Fatal("wrong signers")

@@ -51,21 +51,23 @@ func (c Chaos) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	node := &chaosNode{
-		cfg:   cfg,
-		inner: inner,
-		rng:   env.State.rng(cfg.ID),
-		st:    env.State,
+	node := &chaosNode{inner: inner, rng: env.State.rng(cfg.ID)}
+	// Forged payloads are signed by the lowest colluding id.
+	for _, s := range env.State.Signers {
+		if s != nil {
+			node.forger = s
+			break
+		}
 	}
 	node.kept = func(to ident.ProcID) bool { return node.keep.Has(to) }
 	return node, nil
 }
 
 type chaosNode struct {
-	cfg   protocol.NodeConfig
 	inner sim.Node
 	rng   *mrand.Rand
-	st    *State
+	// forger signs the forged payloads; nil when no colluder can sign.
+	forger sig.Signer
 
 	// keep is this phase's audience when only a random subset is served;
 	// kept, the send filter reading it, is built once, and fctx is
@@ -126,25 +128,12 @@ func (c *chaosNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 // that might trust a single signature too much. A signed payload is carved
 // from slab.
 func (c *chaosNode) forgedPayload(slab *sig.Slab) []byte {
-	if c.rng.Intn(2) == 0 || len(c.st.Signers) == 0 {
+	if c.rng.Intn(2) == 0 || c.forger == nil {
 		buf := make([]byte, 1+c.rng.Intn(48))
 		_, _ = c.rng.Read(buf)
 		return buf
 	}
-	// Pick an arbitrary colluding signer deterministically.
-	ids := make([]int, 0, len(c.st.Signers))
-	for id := range c.st.Signers {
-		ids = append(ids, int(id))
-	}
-	// Sort-free deterministic pick: min id (map order is random).
-	min := ids[0]
-	for _, id := range ids[1:] {
-		if id < min {
-			min = id
-		}
-	}
-	signer := c.st.Signers[ident.ProcID(min)]
-	return slab.Marshal(slab.SignValue(signer, ident.Value(c.rng.Int63n(4))))
+	return slab.Marshal(slab.SignValue(c.forger, ident.Value(c.rng.Int63n(4))))
 }
 
 func (c *chaosNode) Decide() (ident.Value, bool) { return 0, false }
@@ -156,17 +145,12 @@ func (c *chaosNode) Decide() (ident.Value, bool) { return 0, false }
 // a mutation-robustness check on every protocol's validation path.
 
 // BitFlipper corrupts up to t non-transmitter processors.
-type BitFlipper struct{}
+type BitFlipper struct{ lastT }
 
 var _ Adversary = BitFlipper{}
 
 // Name implements Adversary.
 func (BitFlipper) Name() string { return "bit-flipper" }
-
-// Corrupt implements Adversary.
-func (BitFlipper) Corrupt(n, t int, transmitter ident.ProcID, _ *mrand.Rand) ident.Set {
-	return lastNonTransmitter(n, t, transmitter)
-}
 
 // NewNode implements Adversary.
 func (BitFlipper) NewNode(cfg protocol.NodeConfig, env *Env) (sim.Node, error) {

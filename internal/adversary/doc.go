@@ -9,15 +9,18 @@
 // # The strategy registry
 //
 // The strategies include the constructions used by the paper's lower-bound
-// proofs — the split-brain transmitter (SplitBrain, and its k-way
-// generalization MultiFaced) and history-replay adversary (Replay) of
-// Theorem 1, and the ignore-first-⌈t/2⌉ starvation behaviour of Theorem 2
-// (StarveB) — plus generic stressors: Silent (crash-from-start), Crash
-// (correct until phase k, then silent), Garbage (malformed payloads and
-// forged signature material), and BitFlipper (replayed traffic with flipped
-// value bits). Every strategy is registered by name in internal/cli
-// (cli.Adversary), so basim, baserve and the experiment sweeps can select
-// any of them from a flag.
+// proofs — the split-brain transmitter (SplitBrain, the two-face case of
+// MultiFaced) and history-replay adversary (Replay) of Theorem 1, and the
+// ignore-first-⌈t/2⌉ starvation behaviour of Theorem 2 (StarveB) — plus
+// generic stressors: Garbage (malformed payloads and forged signature
+// material) and BitFlipper (replayed traffic with flipped value bits). Each
+// sends something a correct processor would not. The omission faults —
+// sending nothing from some phase on, or nothing to some receivers — are
+// fault-plan crash and drop rules (faultnet.Spec.WithCrash, WithOmission;
+// the tools' "silent" and "crash" through cli.Omission); Silent remains only
+// for the benchmark ledger. Every strategy is registered by name in
+// internal/cli (cli.Adversary), so basim, baserve and the experiment sweeps
+// can select any of them from a flag.
 //
 // # Chaos and the searched strategies
 //
@@ -36,5 +39,5 @@
 // undercut the proved bound?". Replay is the one strategy the search does
 // not mutate over: its per-processor schedules are bound to one recorded
 // history, so it cannot be instantiated for an arbitrary searched faulty
-// set — lowerbound.ReplayAttack remains its scripted home.
+// set — audit.ReplayAttack remains its scripted home.
 package adversary

@@ -6,6 +6,7 @@ import (
 
 	"byzex/internal/adversary"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocol"
 	"byzex/internal/sig"
@@ -98,7 +99,8 @@ func StarvationAudit(ctx context.Context, p protocol.Protocol, n, t int, scheme 
 // OmissionAttack mounts the companion "H”" construction: take the
 // processors that send to a chosen victim in the fault-free value-1 run; if
 // there are at most t of them, corrupt exactly that coalition and have it
-// run the protocol correctly while withholding everything from the victim.
+// run the protocol correctly while withholding everything from the victim
+// (the fault plan's drop rules, faultnet.Spec.WithOmission).
 // The correct victim then sees an empty history and falls to the default
 // decision while everybody else decides 1.
 //
@@ -132,10 +134,9 @@ func OmissionAttack(ctx context.Context, p protocol.Protocol, n, t int, scheme s
 		return nil, fmt.Errorf("%w: every processor hears from > t senders (min %d)", ErrBoundRespected, coalition.Len())
 	}
 
-	adv := adversary.OmitTowards{FaultySet: coalition, Victims: ident.NewSet(victim)}
 	res, err := core.Run(ctx, core.Config{
-		Protocol: p, N: n, T: t, Value: ident.V1, Scheme: scheme,
-		Adversary: adv, FaultyOverride: &coalition,
+		Protocol: p, N: n, T: t, Value: ident.V1, Scheme: scheme, FaultyOverride: &coalition,
+		Faults: faultnet.MustCompile(faultnet.Spec{}.WithOmission(coalition, ident.NewSet(victim)), 0),
 	})
 	if err != nil {
 		return nil, err

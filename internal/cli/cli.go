@@ -178,27 +178,44 @@ func ProtocolNames() []string {
 	return names
 }
 
-// Adversary resolves an adversary name ("none" and "" yield nil).
-func Adversary(name string, p Params) (adversary.Adversary, error) {
+// omissions maps the adversary names that are omission faults, not
+// strategies, to the phase at whose start their victims crash: silent ones
+// never send, crash ones run the protocol for two phases first.
+var omissions = map[string]int{"silent": 1, "crash": 3}
+
+// Omission returns spec with name's omission fault, its crash rules, applied
+// to faulty; for any other name, spec as given and false.
+func Omission(name string, faulty ident.Set, spec faultnet.Spec) (faultnet.Spec, bool) {
+	phase, ok := omissions[name]
+	if !ok {
+		return spec, false
+	}
+	return spec.WithCrash(faulty, phase), true
+}
+
+// Adversary resolves an adversary name for a run whose fault spec is spec. A
+// strategy name yields the strategy and spec as given; an omission name
+// yields no strategy and spec with the omission applied to the last t
+// processors other than the transmitter p0; "none" and "" yield neither.
+func Adversary(name string, p Params, spec faultnet.Spec) (adversary.Adversary, faultnet.Spec, error) {
+	if spec, ok := Omission(name, adversary.LastNonTransmitter(p.N, p.T, 0), spec); ok {
+		return nil, spec, nil
+	}
 	switch name {
 	case "", "none":
-		return nil, nil
-	case "silent":
-		return adversary.Silent{}, nil
-	case "crash":
-		return adversary.Crash{CrashAfter: 2}, nil
+		return nil, spec, nil
 	case "split-brain":
-		return adversary.SplitBrain{LowValue: ident.V0, HighValue: ident.V1, SplitAt: ident.ProcID(p.N / 2)}, nil
+		return adversary.SplitBrain{LowValue: ident.V0, HighValue: ident.V1, SplitAt: ident.ProcID(p.N / 2)}, spec, nil
 	case "multi-faced":
-		return adversary.MultiFaced{Values: []ident.Value{0, 1, 2}}, nil
+		return adversary.MultiFaced{Values: []ident.Value{0, 1, 2}}, spec, nil
 	case "garbage":
-		return adversary.Garbage{}, nil
+		return adversary.Garbage{}, spec, nil
 	case "chaos":
-		return adversary.Chaos{}, nil
+		return adversary.Chaos{}, spec, nil
 	case "bit-flipper":
-		return adversary.BitFlipper{}, nil
+		return adversary.BitFlipper{}, spec, nil
 	default:
-		return nil, fmt.Errorf("cli: unknown adversary %q (known: %v)", name, AdversaryNames())
+		return nil, spec, fmt.Errorf("cli: unknown adversary %q (known: %v)", name, AdversaryNames())
 	}
 }
 
@@ -215,9 +232,6 @@ func AdversaryNames() []string {
 // faultnet method treats as inert — callers can pass the result straight into
 // core.Config.Faults without a nil check of their own.
 func FaultPlan(spec string, seed int64) (*faultnet.Plan, error) {
-	if spec == "" {
-		return nil, nil
-	}
 	parsed, err := faultnet.ParseSpec(spec)
 	if err != nil {
 		return nil, fmt.Errorf("cli: fault spec: %w", err)

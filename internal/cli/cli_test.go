@@ -15,6 +15,7 @@ import (
 	"byzex/internal/audit"
 	"byzex/internal/cli"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocols/alg3"
 	"byzex/internal/protocols/alg5"
@@ -147,20 +148,28 @@ func TestSParameterDefaulting(t *testing.T) {
 	}
 }
 
+// TestEveryAdversaryNameResolves: a name is a strategy, an omission fault's
+// crash rules over the last t non-transmitters, or (none) neither.
 func TestEveryAdversaryNameResolves(t *testing.T) {
+	omissions := map[string]string{"silent": "crash=7@1;crash=8@1", "crash": "crash=7@3;crash=8@3"}
 	for _, name := range cli.AdversaryNames() {
-		adv, err := cli.Adversary(name, cli.Params{N: 9, T: 2})
+		adv, spec, err := cli.Adversary(name, cli.Params{N: 9, T: 2}, faultnet.Spec{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if name == "none" && adv != nil {
-			t.Fatal("none resolved to a real adversary")
-		}
-		if name != "none" && adv == nil {
-			t.Fatalf("%s resolved to nil", name)
+		got := faultnet.FormatSpec(spec)
+		switch want, omission := omissions[name]; {
+		case omission && (adv != nil || got != want):
+			t.Errorf("%s resolved to %v and plan %q, want no strategy and plan %q", name, adv, got, want)
+		case !omission && got != "":
+			t.Errorf("%s added plan rules %q", name, got)
+		case name == "none" && adv != nil:
+			t.Error("none resolved to a real adversary")
+		case !omission && name != "none" && adv == nil:
+			t.Errorf("%s resolved to nil", name)
 		}
 	}
-	if _, err := cli.Adversary("bogus", cli.Params{}); err == nil {
+	if _, _, err := cli.Adversary("bogus", cli.Params{}, faultnet.Spec{}); err == nil {
 		t.Fatal("bogus adversary accepted")
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"byzex/internal/cli"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/trace"
 )
@@ -27,9 +28,10 @@ var folded = map[string][]cli.Params{
 // smallest n its Check accepts at t=1 and at its folded sizes; at each size
 // against the faulty sets of faultySets (FaultyOverride, Seed = the set's
 // bitmask), every named adversary but "none" — "multi-faced" only where the
-// protocol takes a non-binary value — and both values. Every run is judged
-// by the row's class reading of the one judge, Class.Verdict of
-// Result.Decision; a strawman row must break at least once.
+// protocol takes a non-binary value, an omission fault as F's crash rules
+// (cli.Omission) — and both values. Every run is judged by the row's class
+// reading of the one judge, Class.Verdict of Result.Decision; a strawman row
+// must break at least once.
 //
 // Each (row, size, adversary) pins one SHA-256 over its runs' concatenated
 // JSONL traces: testdata/contract_digests.txt holds one line each, in
@@ -66,7 +68,7 @@ func TestContract(t *testing.T) {
 					if name == "none" || name == "multi-faced" && !multiValued {
 						continue
 					}
-					adv, err := cli.Adversary(name, p)
+					adv, _, err := cli.Adversary(name, p, faultnet.Spec{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -78,12 +80,18 @@ func TestContract(t *testing.T) {
 								faulty.Add(ident.ProcID(i))
 							}
 						}
+						// An omission fault is F's crash rules.
+						spec, _ := cli.Omission(name, faulty, faultnet.Spec{})
+						plan, err := faultnet.Compile(spec, int64(mask))
+						if err != nil {
+							t.Fatal(err)
+						}
 						for _, v := range []ident.Value{ident.V0, ident.V1} {
 							label := fmt.Sprintf("%s n=%d t=%d %s F=%v %v", e.Name, p.N, p.T, name, faulty.Sorted(), v)
 							buf := trace.NewBuffer()
 							res, err := core.Run(context.Background(), core.Config{
 								Protocol: proto, N: p.N, T: p.T, Value: v, Scheme: scheme,
-								Adversary: adv, FaultyOverride: &faulty, Seed: int64(mask), Trace: buf,
+								Adversary: adv, FaultyOverride: &faulty, Faults: plan, Seed: int64(mask), Trace: buf,
 							})
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)

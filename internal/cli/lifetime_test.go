@@ -8,6 +8,7 @@ import (
 
 	"byzex/internal/cli"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocols/alg2"
 	"byzex/internal/protocols/alg4"
@@ -50,7 +51,7 @@ func TestWarmInstancesKeepEarlierMessages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			chaos, err := cli.Adversary("chaos", p)
+			chaos, _, err := cli.Adversary("chaos", p, faultnet.Spec{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +143,7 @@ func TestColdResultsOutliveLaterRuns(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				adv, err := cli.Adversary(advName, p)
+				adv, _, err := cli.Adversary(advName, p, faultnet.Spec{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 )
 
 // Template is the flag-level description of a per-instance run
@@ -58,10 +59,11 @@ func (tp Template) Params() Params {
 	return Params{N: n, T: tp.T, S: tp.S, Seed: tp.Seed}
 }
 
-// Resolve builds the core.Config template. It leaves the faulty set to
-// core.Runner.Setup, which counts the processors a fault plan affects as
-// faulty next to the adversary's draw; a plan that exceeds the t budget
-// still resolves, but warn says what follows.
+// Resolve builds the core.Config template. An omission adversary name
+// (silent, crash) becomes crash rules merged into the fault plan (see
+// Adversary). It leaves the faulty set to core.Runner.Setup, which counts the
+// processors a fault plan affects as faulty next to the adversary's draw; a
+// plan that exceeds the t budget still resolves, but warn says what follows.
 func (tp Template) Resolve() (cfg core.Config, warn string, err error) {
 	params := tp.Params()
 	n := params.N
@@ -69,7 +71,11 @@ func (tp Template) Resolve() (cfg core.Config, warn string, err error) {
 	if err != nil {
 		return core.Config{}, "", err
 	}
-	adv, err := Adversary(tp.Adversary, params)
+	spec, err := faultnet.ParseSpec(tp.Faults)
+	if err != nil {
+		return core.Config{}, "", fmt.Errorf("cli: fault spec: %w", err)
+	}
+	adv, spec, err := Adversary(tp.Adversary, params, spec)
 	if err != nil {
 		return core.Config{}, "", err
 	}
@@ -77,9 +83,9 @@ func (tp Template) Resolve() (cfg core.Config, warn string, err error) {
 	if err != nil {
 		return core.Config{}, "", err
 	}
-	plan, err := FaultPlan(tp.Faults, tp.Seed)
+	plan, err := faultnet.Compile(spec, tp.Seed)
 	if err != nil {
-		return core.Config{}, "", err
+		return core.Config{}, "", fmt.Errorf("cli: fault spec: %w", err)
 	}
 	if budgetErr := plan.CheckBudget(n, tp.T); budgetErr != nil {
 		warn = budgetErr.Error() + " — instances whose faulty set exceeds t or misses a crash victim are refused, the rest may stall rather than decide"

@@ -17,6 +17,7 @@ import (
 
 	"byzex/internal/cli"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/metrics"
 	"byzex/internal/protocol"
@@ -253,8 +254,11 @@ func worstCase(ctx context.Context, c cell, seed int64) (counts, error) {
 	var w counts
 	for _, sc := range scenarios {
 		cfg := c.config(sc.value, seed)
-		adv, err := cli.Adversary(sc.adv, c.p)
+		adv, spec, err := cli.Adversary(sc.adv, c.p, faultnet.Spec{})
 		if err != nil {
+			return counts{}, err
+		}
+		if cfg.Faults, err = faultnet.Compile(spec, seed); err != nil {
 			return counts{}, err
 		}
 		cfg.Adversary = adv

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 
-	"byzex/internal/adversary"
 	"byzex/internal/audit"
 	"byzex/internal/cli"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocols/alg2"
 	"byzex/internal/protocols/alg4"
@@ -68,6 +68,13 @@ func row(name string) cli.Entry {
 		panic(err)
 	}
 	return e
+}
+
+// silent is the plan under which the processors of faulty never send: the
+// "silent" omission fault applied to them.
+func silent(faulty ident.Set) *faultnet.Plan {
+	spec, _ := cli.Omission("silent", faulty, faultnet.Spec{})
+	return faultnet.MustCompile(spec, 0)
 }
 
 // E2Alg2 reproduces Theorem 4: Algorithm 2 uses 3t+3 phases, ≤ 5t²+5t
@@ -175,7 +182,7 @@ func E4Alg4(ctx context.Context) (*Table, error) {
 			faulty.Add(ident.ProcID(i*m + (i % m)))
 		}
 		cfg := cell{"alg4", cli.Params{N: n, T: t}}.config(ident.V0, 4)
-		cfg.Scheme, cfg.Adversary, cfg.FaultyOverride = sig.NewHMAC(n, 4), adversary.Silent{}, &faulty
+		cfg.Scheme, cfg.Faults = sig.NewHMAC(n, 4), silent(faulty)
 		res, err := core.Run(ctx, cfg)
 		if err != nil {
 			return result{}, err
@@ -582,9 +589,9 @@ func E13Alg5Breakdown(ctx context.Context) (*Table, error) {
 	c := cell{"alg5", cli.Params{N: 200, T: 3, S: 3}}
 	segments := c.resolve().(alg5.Protocol).Segments(c.p.N, c.p.T)
 
-	perSegment := func(ctx context.Context, adv adversary.Adversary, faulty *ident.Set) (map[string]int, error) {
+	perSegment := func(ctx context.Context, faults *faultnet.Plan) (map[string]int, error) {
 		cfg := c.config(ident.V1, 13)
-		cfg.Adversary, cfg.FaultyOverride = adv, faulty
+		cfg.Faults = faults
 		res, err := core.Run(ctx, cfg)
 		if err != nil {
 			return nil, err
@@ -612,14 +619,13 @@ func E13Alg5Breakdown(ctx context.Context) (*Table, error) {
 	err := jobs(ctx,
 		func(ctx context.Context) error {
 			var err error
-			clean, err = perSegment(ctx, nil, nil)
+			clean, err = perSegment(ctx, nil)
 			return err
 		},
 		func(ctx context.Context) error {
 			// α = 25 for t=3: passives start at 25; corrupt three tree roots.
-			roots := ident.NewSet(25, 28, 31)
 			var err error
-			dirty, err = perSegment(ctx, adversary.Silent{}, &roots)
+			dirty, err = perSegment(ctx, silent(ident.NewSet(25, 28, 31)))
 			return err
 		},
 		func(ctx context.Context) error {

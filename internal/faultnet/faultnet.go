@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"byzex/internal/ident"
 )
@@ -141,6 +142,43 @@ type Spec struct {
 	Rules []Rule
 }
 
+// WithCrash and WithOmission are the one expansion of the omission faults, a
+// processor that sends nothing from some phase on or nothing to some
+// receivers: plan rules, not node wrappers. Neither modifies s.
+
+// WithCrash returns s with every processor of ids crashed at the start of
+// phase. One s already crashes keeps the earlier of its two phases, since
+// Compile refuses a processor that crashes twice.
+func (s Spec) WithCrash(ids ident.Set, phase int) Spec {
+	out, fresh := Spec{Rules: slices.Clone(s.Rules)}, ids.Clone()
+	for i := range out.Rules {
+		if r := &out.Rules[i]; r.Kind == KCrash && ids.Has(r.Proc) {
+			r.AtPhase = min(r.AtPhase, phase)
+			fresh.Remove(r.Proc)
+		}
+	}
+	fresh.Each(func(id ident.ProcID) {
+		out.Rules = append(out.Rules, Rule{Kind: KCrash, Proc: id, AtPhase: phase})
+	})
+	return out
+}
+
+// WithOmission returns s with every processor of from withholding, in every
+// phase, all it sends to the processors of to: drop rules ahead of s's own,
+// so no rule of s touches those links.
+func (s Spec) WithOmission(from, to ident.Set) Spec {
+	var out Spec
+	from.Each(func(f ident.ProcID) {
+		to.Each(func(v ident.ProcID) {
+			if v != f {
+				out.Rules = append(out.Rules, Rule{Kind: KDrop, From: f, To: v, First: 1, Last: maxPhase, Prob: 1})
+			}
+		})
+	})
+	out.Rules = append(out.Rules, s.Rules...)
+	return out
+}
+
 // ActionKind classifies the resolved per-frame action.
 type ActionKind uint8
 
@@ -176,8 +214,12 @@ type Plan struct {
 	crash map[ident.ProcID]int // processor -> crash phase
 }
 
-// Compile validates spec and binds it to seed.
+// Compile validates spec and binds it to seed. A spec without rules compiles
+// to the nil plan, which injects nothing.
 func Compile(spec Spec, seed int64) (*Plan, error) {
+	if len(spec.Rules) == 0 {
+		return nil, nil
+	}
 	p := &Plan{seed: seed, crash: make(map[ident.ProcID]int)}
 	for i, r := range spec.Rules {
 		switch r.Kind {

@@ -6,18 +6,19 @@ import (
 
 	"byzex/internal/adversary"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocols/alg1"
 	"byzex/internal/sig"
 	"byzex/internal/trace"
 )
 
-func run(t *testing.T, tt int, v ident.Value, adv adversary.Adversary, faulty *ident.Set) *core.Result {
+func run(t *testing.T, tt int, v ident.Value, adv adversary.Adversary, faulty *ident.Set, faults *faultnet.Plan) *core.Result {
 	t.Helper()
 	n := 2*tt + 1
 	res, _, err := core.RunAndCheck(context.Background(), core.Config{
 		Protocol: alg1.Protocol{}, N: n, T: tt, Value: v,
-		Adversary: adv, FaultyOverride: faulty, Seed: 21,
+		Adversary: adv, FaultyOverride: faulty, Faults: faults, Seed: 21,
 	})
 	if err != nil {
 		t.Fatalf("t=%d v=%v: %v", tt, v, err)
@@ -41,7 +42,7 @@ func TestWorstCaseIsExactBound(t *testing.T) {
 	// The fault-free value-1 run realizes exactly 2t²+2t messages: the
 	// transmitter sends 2t and each of the 2t others relays to t.
 	for tt := 1; tt <= 10; tt++ {
-		res := run(t, tt, ident.V1, nil, nil)
+		res := run(t, tt, ident.V1, nil, nil, nil)
 		if got, want := res.Sim.Report.MessagesCorrect, core.Alg1MsgUpperBound(tt); got != want {
 			t.Errorf("t=%d: %d msgs, want exactly %d", tt, got, want)
 		}
@@ -51,7 +52,7 @@ func TestWorstCaseIsExactBound(t *testing.T) {
 func TestValueZeroIsCheap(t *testing.T) {
 	// With value 0 only the transmitter speaks: 2t messages.
 	for tt := 1; tt <= 8; tt++ {
-		res := run(t, tt, ident.V0, nil, nil)
+		res := run(t, tt, ident.V0, nil, nil, nil)
 		if got := res.Sim.Report.MessagesCorrect; got != 2*tt {
 			t.Errorf("t=%d: %d msgs, want %d", tt, got, 2*tt)
 		}
@@ -59,17 +60,18 @@ func TestValueZeroIsCheap(t *testing.T) {
 }
 
 func TestAdversarySuite(t *testing.T) {
-	advs := []adversary.Adversary{
-		adversary.Silent{},
-		adversary.Crash{CrashAfter: 2},
-		adversary.Garbage{PerPhase: 5},
-	}
-	for _, adv := range advs {
-		for tt := 1; tt <= 5; tt++ {
+	for tt := 1; tt <= 5; tt++ {
+		// Crashing relays are a fault-plan rule: the last t stop after phase 2.
+		crash := faultnet.MustCompile(faultnet.Spec{}.WithCrash(adversary.LastNonTransmitter(2*tt+1, tt, 0), 3), 21)
+		for _, f := range []struct {
+			name   string
+			adv    adversary.Adversary
+			faults *faultnet.Plan
+		}{{"silent", adversary.Silent{}, nil}, {"crash", nil, crash}, {"garbage", adversary.Garbage{PerPhase: 5}, nil}} {
 			for _, v := range []ident.Value{ident.V0, ident.V1} {
-				res := run(t, tt, v, adv, nil)
+				res := run(t, tt, v, f.adv, nil, f.faults)
 				if got, bound := res.Sim.Report.MessagesCorrect, core.Alg1MsgUpperBound(tt); got > bound {
-					t.Errorf("%s t=%d: %d > %d", adv.Name(), tt, got, bound)
+					t.Errorf("%s t=%d: %d > %d", f.name, tt, got, bound)
 				}
 			}
 		}
@@ -98,7 +100,7 @@ func TestFaultyCoalitionOnOneSide(t *testing.T) {
 	tt := 3
 	faulty := ident.NewSet(1, 2, 3) // the entire A side
 	for _, v := range []ident.Value{ident.V0, ident.V1} {
-		run(t, tt, v, adversary.Silent{}, &faulty)
+		run(t, tt, v, adversary.Silent{}, &faulty, nil)
 	}
 }
 
@@ -107,7 +109,7 @@ func TestForgedChainsRejected(t *testing.T) {
 	// 1-decision in a value-0 run (forging a correct 1-message requires
 	// the transmitter's signature).
 	tt := 4
-	res := run(t, tt, ident.V0, adversary.Garbage{PerPhase: 10}, nil)
+	res := run(t, tt, ident.V0, adversary.Garbage{PerPhase: 10}, nil, nil)
 	if got, _ := res.Decision(0, ident.V0); got != ident.V0 {
 		t.Fatalf("decided %v from garbage", got)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"byzex/internal/adversary"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocol"
 	"byzex/internal/protocols/alg1"
@@ -38,21 +39,24 @@ func TestTraceDigests(t *testing.T) {
 	for _, row := range rows {
 		for tt := 1; tt <= 3; tt++ {
 			n := 2*tt + 1
+			// Crashing relays are a fault-plan rule: the last t stop after phase 2.
+			crash := faultnet.MustCompile(faultnet.Spec{}.WithCrash(adversary.LastNonTransmitter(n, tt, 0), 3), 7)
 			advs := []struct {
-				name string
-				adv  adversary.Adversary
+				name   string
+				adv    adversary.Adversary
+				faults *faultnet.Plan
 			}{
-				{"none", nil},
-				{"split-brain", adversary.SplitBrain{LowValue: ident.V0, HighValue: ident.V1, SplitAt: ident.ProcID(n / 2)}},
-				{"multi-faced", adversary.MultiFaced{Values: row.values}},
-				{"silent", adversary.Silent{}},
-				{"crash", adversary.Crash{CrashAfter: 2}},
+				{"none", nil, nil},
+				{"split-brain", adversary.SplitBrain{LowValue: ident.V0, HighValue: ident.V1, SplitAt: ident.ProcID(n / 2)}, nil},
+				{"multi-faced", adversary.MultiFaced{Values: row.values}, nil},
+				{"silent", adversary.Silent{}, nil},
+				{"crash", nil, crash},
 			}
 			for _, a := range advs {
 				for _, v := range row.values {
 					buf := trace.NewBuffer()
 					_, err := core.Run(context.Background(), core.Config{
-						Protocol: row.p, N: n, T: tt, Value: v, Adversary: a.adv, Seed: 7, Trace: buf,
+						Protocol: row.p, N: n, T: tt, Value: v, Adversary: a.adv, Faults: a.faults, Seed: 7, Trace: buf,
 					})
 					if err != nil {
 						t.Fatalf("%s %s t=%d v=%v: %v", row.p.Name(), a.name, tt, v, err)

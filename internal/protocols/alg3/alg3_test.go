@@ -6,15 +6,16 @@ import (
 
 	"byzex/internal/adversary"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocols/alg3"
 )
 
-func run(t *testing.T, n, tt, s int, v ident.Value, adv adversary.Adversary, faulty *ident.Set) *core.Result {
+func run(t *testing.T, n, tt, s int, v ident.Value, adv adversary.Adversary, faulty *ident.Set, faults *faultnet.Plan) *core.Result {
 	t.Helper()
 	res, _, err := core.RunAndCheck(context.Background(), core.Config{
 		Protocol: alg3.Protocol{S: s}, N: n, T: tt, Value: v,
-		Adversary: adv, FaultyOverride: faulty, Seed: 11,
+		Adversary: adv, FaultyOverride: faulty, Faults: faults, Seed: 11,
 	})
 	if err != nil {
 		t.Fatalf("n=%d t=%d s=%d v=%v adv=%v: %v", n, tt, s, v, advName(adv), err)
@@ -34,7 +35,7 @@ func TestFaultFree(t *testing.T) {
 		{7, 2, 1}, {9, 2, 2}, {16, 2, 3}, {33, 3, 4}, {64, 4, 8}, {64, 4, 16}, {100, 3, 12},
 	} {
 		for _, v := range []ident.Value{ident.V0, ident.V1} {
-			res := run(t, tc.n, tc.t, tc.s, v, nil, nil)
+			res := run(t, tc.n, tc.t, tc.s, v, nil, nil, nil)
 			if got, bound := res.Sim.Report.MessagesCorrect, core.Alg3MsgUpperBound(tc.n, tc.t, tc.s); got > bound {
 				t.Errorf("n=%d t=%d s=%d: %d msgs > bound %d", tc.n, tc.t, tc.s, got, bound)
 			}
@@ -46,19 +47,20 @@ func TestFaultFree(t *testing.T) {
 }
 
 func TestUnderAdversaries(t *testing.T) {
-	advs := []adversary.Adversary{
-		adversary.Silent{},
-		adversary.Crash{CrashAfter: 4},
-		adversary.Garbage{},
-	}
-	for _, adv := range advs {
-		for _, tc := range []struct{ n, t, s int }{
-			{9, 2, 2}, {33, 3, 4}, {50, 4, 6},
-		} {
+	for _, tc := range []struct{ n, t, s int }{
+		{9, 2, 2}, {33, 3, 4}, {50, 4, 6},
+	} {
+		// Crashing processors are a fault-plan rule: the last t stop after phase 4.
+		crash := faultnet.MustCompile(faultnet.Spec{}.WithCrash(adversary.LastNonTransmitter(tc.n, tc.t, 0), 5), 11)
+		for _, f := range []struct {
+			name   string
+			adv    adversary.Adversary
+			faults *faultnet.Plan
+		}{{"silent", adversary.Silent{}, nil}, {"crash", nil, crash}, {"garbage", adversary.Garbage{}, nil}} {
 			for _, v := range []ident.Value{ident.V0, ident.V1} {
-				res := run(t, tc.n, tc.t, tc.s, v, adv, nil)
+				res := run(t, tc.n, tc.t, tc.s, v, f.adv, nil, f.faults)
 				if got, bound := res.Sim.Report.MessagesCorrect, core.Alg3MsgUpperBound(tc.n, tc.t, tc.s); got > bound {
-					t.Errorf("%s n=%d t=%d s=%d: %d msgs > bound %d", adv.Name(), tc.n, tc.t, tc.s, got, bound)
+					t.Errorf("%s n=%d t=%d s=%d: %d msgs > bound %d", f.name, tc.n, tc.t, tc.s, got, bound)
 				}
 			}
 		}
@@ -71,7 +73,7 @@ func TestFaultyRoots(t *testing.T) {
 	n, tt, s := 33, 3, 4
 	faulty := ident.NewSet(7, 11, 15) // roots of sets 0, 1, 2 (actives are 0..6)
 	for _, v := range []ident.Value{ident.V0, ident.V1} {
-		run(t, n, tt, s, v, adversary.Silent{}, &faulty)
+		run(t, n, tt, s, v, adversary.Silent{}, &faulty, nil)
 	}
 }
 
@@ -81,7 +83,7 @@ func TestFaultyMembers(t *testing.T) {
 	n, tt, s := 33, 3, 4
 	faulty := ident.NewSet(8, 9, 12)
 	for _, v := range []ident.Value{ident.V0, ident.V1} {
-		res := run(t, n, tt, s, v, adversary.Silent{}, &faulty)
+		res := run(t, n, tt, s, v, adversary.Silent{}, &faulty, nil)
 		if got, bound := res.Sim.Report.MessagesCorrect, core.Alg3MsgUpperBound(n, tt, s); got > bound {
 			t.Errorf("%d msgs > bound %d", got, bound)
 		}

@@ -6,15 +6,16 @@ import (
 
 	"byzex/internal/adversary"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocols/alg5"
 )
 
-func run(t *testing.T, n, tt, s int, v ident.Value, adv adversary.Adversary, faulty *ident.Set) *core.Result {
+func run(t *testing.T, n, tt, s int, v ident.Value, adv adversary.Adversary, faulty *ident.Set, faults *faultnet.Plan) *core.Result {
 	t.Helper()
 	res, _, err := core.RunAndCheck(context.Background(), core.Config{
 		Protocol: alg5.Protocol{S: s}, N: n, T: tt, Value: v,
-		Adversary: adv, FaultyOverride: faulty, Seed: 5,
+		Adversary: adv, FaultyOverride: faulty, Faults: faults, Seed: 5,
 	})
 	if err != nil {
 		t.Fatalf("n=%d t=%d s=%d v=%v: %v", n, tt, s, v, err)
@@ -35,7 +36,7 @@ func TestAlphaValues(t *testing.T) {
 func TestModeAlg2Only(t *testing.T) {
 	// n = 2t+1 degenerates to Algorithm 2.
 	for _, v := range []ident.Value{ident.V0, ident.V1} {
-		run(t, 7, 3, 3, v, nil, nil)
+		run(t, 7, 3, 3, v, nil, nil, nil)
 	}
 }
 
@@ -45,7 +46,7 @@ func TestModeFanout(t *testing.T) {
 		{8, 3}, {20, 3}, {24, 4},
 	} {
 		for _, v := range []ident.Value{ident.V0, ident.V1} {
-			run(t, tc.n, tc.t, 3, v, nil, nil)
+			run(t, tc.n, tc.t, 3, v, nil, nil, nil)
 		}
 	}
 }
@@ -55,7 +56,7 @@ func TestModeFullFaultFree(t *testing.T) {
 		{16, 2, 1}, {25, 2, 2}, {40, 3, 3}, {64, 3, 3}, {100, 4, 4}, {200, 3, 7}, {60, 2, 2},
 	} {
 		for _, v := range []ident.Value{ident.V0, ident.V1} {
-			res := run(t, tc.n, tc.t, tc.s, v, nil, nil)
+			res := run(t, tc.n, tc.t, tc.s, v, nil, nil, nil)
 			if got, bound := res.Sim.Report.MessagesCorrect, core.Alg5MsgUpperBound(tc.n, tc.t, tc.s); got > bound {
 				t.Errorf("n=%d t=%d s=%d: %d msgs > bound %d", tc.n, tc.t, tc.s, got, bound)
 			}
@@ -67,19 +68,20 @@ func TestModeFullFaultFree(t *testing.T) {
 }
 
 func TestModeFullAdversaries(t *testing.T) {
-	advs := []adversary.Adversary{
-		adversary.Silent{},
-		adversary.Crash{CrashAfter: 6},
-		adversary.Garbage{},
-	}
-	for _, adv := range advs {
-		for _, tc := range []struct{ n, t, s int }{
-			{25, 2, 2}, {40, 3, 3}, {100, 4, 4},
-		} {
+	for _, tc := range []struct{ n, t, s int }{
+		{25, 2, 2}, {40, 3, 3}, {100, 4, 4},
+	} {
+		// Crashing processors are a fault-plan rule: the last t stop after phase 6.
+		crash := faultnet.MustCompile(faultnet.Spec{}.WithCrash(adversary.LastNonTransmitter(tc.n, tc.t, 0), 7), 5)
+		for _, f := range []struct {
+			name   string
+			adv    adversary.Adversary
+			faults *faultnet.Plan
+		}{{"silent", adversary.Silent{}, nil}, {"crash", nil, crash}, {"garbage", adversary.Garbage{}, nil}} {
 			for _, v := range []ident.Value{ident.V0, ident.V1} {
-				res := run(t, tc.n, tc.t, tc.s, v, adv, nil)
+				res := run(t, tc.n, tc.t, tc.s, v, f.adv, nil, f.faults)
 				if got, bound := res.Sim.Report.MessagesCorrect, core.Alg5MsgUpperBound(tc.n, tc.t, tc.s); got > bound {
-					t.Errorf("%s n=%d t=%d s=%d: %d msgs > bound %d", adv.Name(), tc.n, tc.t, tc.s, got, bound)
+					t.Errorf("%s n=%d t=%d s=%d: %d msgs > bound %d", f.name, tc.n, tc.t, tc.s, got, bound)
 				}
 			}
 		}
@@ -94,7 +96,7 @@ func TestFaultyPassives(t *testing.T) {
 	// first tree (25), an inner node (26) and a leaf (29).
 	faulty := ident.NewSet(25, 26, 29)
 	for _, v := range []ident.Value{ident.V0, ident.V1} {
-		run(t, n, tt, s, v, adversary.Silent{}, &faulty)
+		run(t, n, tt, s, v, adversary.Silent{}, &faulty, nil)
 	}
 }
 
@@ -103,7 +105,7 @@ func TestFaultyActivesAndPassives(t *testing.T) {
 	// One core active, one extended active, one passive root.
 	faulty := ident.NewSet(2, 23, 25)
 	for _, v := range []ident.Value{ident.V0, ident.V1} {
-		run(t, n, tt, s, v, adversary.Silent{}, &faulty)
+		run(t, n, tt, s, v, adversary.Silent{}, &faulty, nil)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"byzex/internal/adversary"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocol"
 	"byzex/internal/protocols/alg5"
@@ -29,29 +30,32 @@ func TestTraceDigests(t *testing.T) {
 	for _, size := range []struct{ t, s, full int }{{2, 2, 40}, {3, 3, 64}} {
 		alpha := alg5.Alpha(size.t)
 		for _, n := range []int{2*size.t + 1, (2*size.t + 1 + alpha) / 2, size.full} {
-			// The crash victims are the last t ids: core actives mid
-			// Algorithm 2 in the small modes, passives between their first
-			// and second replies of block λ in the full one.
+			// The crash victims are the last t ids, crashed by a fault-plan
+			// rule after phase crashAt: core actives mid Algorithm 2 in the
+			// small modes, passives between their first and second replies of
+			// block λ in the full one.
 			crashAt := size.t + 2
 			if n >= alpha {
 				crashAt = 3*size.t + 8
 			}
+			crash := faultnet.MustCompile(faultnet.Spec{}.WithCrash(adversary.LastNonTransmitter(n, size.t, 0), crashAt+1), 7)
 			advs := []struct {
-				name string
-				adv  adversary.Adversary
+				name   string
+				adv    adversary.Adversary
+				faults *faultnet.Plan
 			}{
-				{"none", nil},
-				{"silent", adversary.Silent{}},
-				{"crash", adversary.Crash{CrashAfter: crashAt}},
-				{"split-brain", adversary.SplitBrain{LowValue: ident.V0, HighValue: ident.V1, SplitAt: ident.ProcID(n / 2)}},
-				{"chaos", adversary.Chaos{}},
+				{"none", nil, nil},
+				{"silent", adversary.Silent{}, nil},
+				{"crash", nil, crash},
+				{"split-brain", adversary.SplitBrain{LowValue: ident.V0, HighValue: ident.V1, SplitAt: ident.ProcID(n / 2)}, nil},
+				{"chaos", adversary.Chaos{}, nil},
 			}
 			for _, p := range []protocol.Protocol{alg5.Protocol{S: size.s}, alg5.Protocol{S: size.s, DisablePoW: true}} {
 				for _, a := range advs {
 					for _, v := range []ident.Value{ident.V0, ident.V1} {
 						buf := trace.NewBuffer()
 						_, err := core.Run(context.Background(), core.Config{
-							Protocol: p, N: n, T: size.t, Value: v, Adversary: a.adv, Seed: 7, Trace: buf,
+							Protocol: p, N: n, T: size.t, Value: v, Adversary: a.adv, Faults: a.faults, Seed: 7, Trace: buf,
 						})
 						if err != nil {
 							t.Fatalf("%s %s n=%d t=%d v=%v: %v", p.Name(), a.name, n, size.t, v, err)

@@ -6,15 +6,16 @@ import (
 
 	"byzex/internal/adversary"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocols/dolevstrong"
 )
 
-func run(t *testing.T, n, tt int, v ident.Value, adv adversary.Adversary, faulty *ident.Set) *core.Result {
+func run(t *testing.T, n, tt int, v ident.Value, adv adversary.Adversary, faulty *ident.Set, faults *faultnet.Plan) *core.Result {
 	t.Helper()
 	res, _, err := core.RunAndCheck(context.Background(), core.Config{
 		Protocol: dolevstrong.Protocol{}, N: n, T: tt, Value: v,
-		Adversary: adv, FaultyOverride: faulty, Seed: 31,
+		Adversary: adv, FaultyOverride: faulty, Faults: faults, Seed: 31,
 	})
 	if err != nil {
 		t.Fatalf("n=%d t=%d v=%v: %v", n, tt, v, err)
@@ -39,7 +40,7 @@ func TestCheck(t *testing.T) {
 func TestFaultFree(t *testing.T) {
 	for _, tc := range []struct{ n, t int }{{2, 0}, {4, 1}, {7, 3}, {12, 5}} {
 		for _, v := range []ident.Value{ident.V0, ident.V1} {
-			run(t, tc.n, tc.t, v, nil, nil)
+			run(t, tc.n, tc.t, v, nil, nil, nil)
 		}
 	}
 }
@@ -50,7 +51,7 @@ func TestByzantineMajorityOfRelays(t *testing.T) {
 	// *some* common value. Here: 5 processors, 3 faults.
 	n, tt := 5, 3
 	faulty := ident.NewSet(2, 3, 4)
-	run(t, n, tt, ident.V1, adversary.Silent{}, &faulty)
+	run(t, n, tt, ident.V1, adversary.Silent{}, &faulty, nil)
 }
 
 func TestSplitBrainEveryPhaseBudget(t *testing.T) {
@@ -75,7 +76,7 @@ func TestQuadraticMessageShape(t *testing.T) {
 	// processor relays the single value once to all n-1 peers — total
 	// n(n-1).
 	for _, n := range []int{4, 8, 12} {
-		res := run(t, n, 2, ident.V1, nil, nil)
+		res := run(t, n, 2, ident.V1, nil, nil, nil)
 		want := n * (n - 1)
 		if got := res.Sim.Report.MessagesCorrect; got != want {
 			t.Fatalf("n=%d: %d msgs, want %d", n, got, want)
@@ -85,7 +86,7 @@ func TestQuadraticMessageShape(t *testing.T) {
 
 func TestGarbageResistance(t *testing.T) {
 	for _, v := range []ident.Value{ident.V0, ident.V1} {
-		res := run(t, 7, 2, v, adversary.Garbage{PerPhase: 6}, nil)
+		res := run(t, 7, 2, v, adversary.Garbage{PerPhase: 6}, nil, nil)
 		if got, _ := res.Decision(0, v); got != v {
 			t.Fatalf("decided %v, want %v", got, v)
 		}
@@ -96,9 +97,10 @@ func TestCrashAtEveryPhase(t *testing.T) {
 	// Crashing at each phase boundary must never break agreement.
 	n, tt := 7, 3
 	for crashAt := 0; crashAt <= tt+1; crashAt++ {
-		adv := adversary.Crash{CrashAfter: crashAt}
+		// The last t processors stop after phase crashAt: a fault-plan rule.
+		crash := faultnet.MustCompile(faultnet.Spec{}.WithCrash(adversary.LastNonTransmitter(n, tt, 0), crashAt+1), 31)
 		for _, v := range []ident.Value{ident.V0, ident.V1} {
-			run(t, n, tt, v, adv, nil)
+			run(t, n, tt, v, nil, nil, crash)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"byzex/internal/adversary"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocol"
 	"byzex/internal/protocols/alg1"
@@ -15,11 +16,11 @@ import (
 	"byzex/internal/protocols/ic"
 )
 
-func runIC(t *testing.T, base protocol.Protocol, n, tt int, v ident.Value, adv adversary.Adversary) *core.Result {
+func runIC(t *testing.T, base protocol.Protocol, n, tt int, v ident.Value, adv adversary.Adversary, faults *faultnet.Plan) *core.Result {
 	t.Helper()
 	res, err := core.Run(context.Background(), core.Config{
 		Protocol: ic.Protocol{Base: base}, N: n, T: tt, Value: v,
-		Adversary: adv, Seed: 77,
+		Adversary: adv, Faults: faults, Seed: 77,
 	})
 	if err != nil {
 		t.Fatalf("ic(%s) n=%d t=%d: %v", base.Name(), n, tt, err)
@@ -81,19 +82,20 @@ func TestVectorFaultFree(t *testing.T) {
 			n, tt = 5, 2 // alg1/alg2 need n = 2t+1
 		}
 		for _, v := range []ident.Value{ident.V0, ident.V1} {
-			res := runIC(t, base, n, tt, v, nil)
+			res := runIC(t, base, n, tt, v, nil, nil)
 			checkVectors(t, res, n, v)
 		}
 	}
 }
 
 func TestVectorUnderFaults(t *testing.T) {
-	for _, adv := range []adversary.Adversary{
-		adversary.Silent{},
-		adversary.Crash{CrashAfter: 1},
-		adversary.Garbage{},
-	} {
-		res := runIC(t, dolevstrong.Protocol{}, 7, 2, ident.V1, adv)
+	// Crashing processors are a fault-plan rule: the last t stop after phase 1.
+	crash := faultnet.MustCompile(faultnet.Spec{}.WithCrash(adversary.LastNonTransmitter(7, 2, 0), 2), 77)
+	for _, f := range []struct {
+		adv    adversary.Adversary
+		faults *faultnet.Plan
+	}{{adversary.Silent{}, nil}, {nil, crash}, {adversary.Garbage{}, nil}} {
+		res := runIC(t, dolevstrong.Protocol{}, 7, 2, ident.V1, f.adv, f.faults)
 		checkVectors(t, res, 7, ident.V1)
 	}
 }
@@ -103,7 +105,7 @@ func TestVectorSplitBrain(t *testing.T) {
 	// but all correct processors must hold identical vectors and the
 	// correct slots must be right.
 	adv := adversary.SplitBrain{LowValue: ident.V0, HighValue: ident.V1, SplitAt: 3}
-	res := runIC(t, dolevstrong.Protocol{}, 7, 2, ident.V1, adv)
+	res := runIC(t, dolevstrong.Protocol{}, 7, 2, ident.V1, adv, nil)
 	checkVectors(t, res, 7, ident.V1)
 }
 
@@ -111,7 +113,7 @@ func TestCrossInstanceReplayImpossible(t *testing.T) {
 	// The domain separation makes instance signatures incompatible: a
 	// garbage adversary that replays raw bytes across instances (its
 	// payloads land in random instances) must never corrupt any slot.
-	res := runIC(t, dolevstrong.Protocol{}, 7, 2, ident.V1, adversary.Garbage{PerPhase: 8})
+	res := runIC(t, dolevstrong.Protocol{}, 7, 2, ident.V1, adversary.Garbage{PerPhase: 8}, nil)
 	checkVectors(t, res, 7, ident.V1)
 }
 
@@ -123,7 +125,7 @@ func TestMessageCostIsNTimesBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	icRes := runIC(t, dolevstrong.Protocol{}, n, tt, ident.V1, nil)
+	icRes := runIC(t, dolevstrong.Protocol{}, n, tt, ident.V1, nil, nil)
 	base := baseRes.Sim.Report.MessagesCorrect
 	got := icRes.Sim.Report.MessagesCorrect
 	// Each instance is a value-0 or value-1 fault-free run; both cost the
@@ -137,7 +139,7 @@ func TestVectorOverAlg5(t *testing.T) {
 	// Interactive consistency composes with the message-optimal algorithm
 	// too: n parallel Algorithm 5 instances.
 	n, tt := 25, 2
-	res := runIC(t, alg5.Protocol{S: tt}, n, tt, ident.V1, nil)
+	res := runIC(t, alg5.Protocol{S: tt}, n, tt, ident.V1, nil, nil)
 	checkVectors(t, res, n, ident.V1)
 }
 

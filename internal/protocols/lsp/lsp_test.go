@@ -6,6 +6,7 @@ import (
 
 	"byzex/internal/adversary"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocols/lsp"
 	"byzex/internal/sig"
@@ -31,13 +32,21 @@ func TestFaultFree(t *testing.T) {
 }
 
 func TestSilentAndCrashFaults(t *testing.T) {
-	for _, adv := range []adversary.Adversary{adversary.Silent{}, adversary.Crash{CrashAfter: 1}} {
-		for _, tc := range []struct{ n, t int }{
-			{4, 1}, {7, 2}, {10, 3},
-		} {
+	for _, tc := range []struct{ n, t int }{
+		{4, 1}, {7, 2}, {10, 3},
+	} {
+		// Crashing processors are a fault-plan rule: the last t stop after phase 1.
+		crash := faultnet.MustCompile(faultnet.Spec{}.WithCrash(adversary.LastNonTransmitter(tc.n, tc.t, 0), 2), 13)
+		for _, f := range []struct {
+			name   string
+			adv    adversary.Adversary
+			faults *faultnet.Plan
+		}{{"silent", adversary.Silent{}, nil}, {"crash", nil, crash}} {
 			for _, v := range []ident.Value{ident.V0, ident.V1} {
-				if _, _, err := core.RunAndCheck(context.Background(), cfg(tc.n, tc.t, v, adv)); err != nil {
-					t.Errorf("%s n=%d t=%d v=%v: %v", adv.Name(), tc.n, tc.t, v, err)
+				c := cfg(tc.n, tc.t, v, f.adv)
+				c.Faults = f.faults
+				if _, _, err := core.RunAndCheck(context.Background(), c); err != nil {
+					t.Errorf("%s n=%d t=%d v=%v: %v", f.name, tc.n, tc.t, v, err)
 				}
 			}
 		}

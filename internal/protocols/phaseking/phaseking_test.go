@@ -6,6 +6,7 @@ import (
 
 	"byzex/internal/adversary"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocols/phaseking"
 	"byzex/internal/sig"
@@ -63,16 +64,19 @@ func TestMultiValued(t *testing.T) {
 }
 
 func TestAdversarySuite(t *testing.T) {
-	advs := []adversary.Adversary{
-		adversary.Silent{},
-		adversary.Crash{CrashAfter: 3},
-		adversary.Garbage{PerPhase: 5},
-	}
-	for _, adv := range advs {
-		for _, tc := range []struct{ n, t int }{{9, 2}, {13, 3}} {
+	for _, tc := range []struct{ n, t int }{{9, 2}, {13, 3}} {
+		// Crashing processors are a fault-plan rule: the last t stop after phase 3.
+		crash := faultnet.MustCompile(faultnet.Spec{}.WithCrash(adversary.LastNonTransmitter(tc.n, tc.t, 0), 4), 19)
+		for _, f := range []struct {
+			name   string
+			adv    adversary.Adversary
+			faults *faultnet.Plan
+		}{{"silent", adversary.Silent{}, nil}, {"crash", nil, crash}, {"garbage", adversary.Garbage{PerPhase: 5}, nil}} {
 			for _, v := range []ident.Value{ident.V0, ident.V1} {
-				if _, _, err := core.RunAndCheck(context.Background(), cfg(tc.n, tc.t, v, adv)); err != nil {
-					t.Fatalf("%s n=%d t=%d v=%v: %v", adv.Name(), tc.n, tc.t, v, err)
+				c := cfg(tc.n, tc.t, v, f.adv)
+				c.Faults = f.faults
+				if _, _, err := core.RunAndCheck(context.Background(), c); err != nil {
+					t.Fatalf("%s n=%d t=%d v=%v: %v", f.name, tc.n, tc.t, v, err)
 				}
 			}
 		}

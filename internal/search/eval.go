@@ -94,14 +94,10 @@ func (ev *evaluator) evaluate(ctx context.Context, cand Candidate) (Eval, error)
 	out := Eval{Cand: cand}
 
 	adv := cand.adversaryFor(cfg.N, cfg.T, ev.transmitter)
-	var plan *faultnet.Plan
-	if len(cand.Spec.Rules) > 0 {
-		var err error
-		plan, err = faultnet.Compile(cand.Spec, cand.Seed)
-		if err != nil {
-			out.Skipped, out.SkipReason = true, "bad-spec"
-			return out, nil
-		}
+	plan, err := faultnet.Compile(cand.faultSpec(cfg.N, cfg.T, ev.transmitter), cand.Seed)
+	if err != nil {
+		out.Skipped, out.SkipReason = true, "bad-spec"
+		return out, nil
 	}
 
 	feasible := true

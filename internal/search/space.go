@@ -12,10 +12,11 @@ import (
 )
 
 // StrategyID names one point on the adversary-strategy axis of the search
-// space. The set mirrors the registry in package adversary, minus Replay
-// (whose schedules are bound to one specific recorded history, so it cannot
-// be instantiated for an arbitrary searched faulty set) and MultiFaced
-// (subsumed by SplitBrain on the binary domain the bounds are stated over).
+// space: the tools' adversary names (cli.AdversaryNames) with starve-b added
+// and multi-faced left out (subsumed by split-brain on the binary domain the
+// bounds are stated over), and not Replay, whose schedules are bound to one
+// recorded history. StratSilent and StratCrash are omission faults: crash
+// rules merged into the candidate's plan (faultSpec), not strategies.
 type StrategyID uint8
 
 // The searchable strategies.
@@ -98,14 +99,10 @@ func (c Candidate) Provenance() string {
 }
 
 // adversaryFor materializes the candidate's adversary strategy for a system
-// of n processors with fault bound t. StratNone returns nil (fault-plan
-// faults only).
+// of n processors with fault bound t: nil for StratNone and the omission
+// faults (see faultSpec).
 func (c Candidate) adversaryFor(n, t int, transmitter ident.ProcID) adversary.Adversary {
 	switch c.Strategy {
-	case StratSilent:
-		return adversary.Silent{}
-	case StratCrash:
-		return adversary.Crash{CrashAfter: max(0, c.Param)}
 	case StratStarve:
 		return adversary.StarveB{B: adversary.StarveSet(n, t, transmitter), IgnoreFirst: max(0, c.Param)}
 	case StratGarbage:
@@ -126,6 +123,19 @@ func (c Candidate) adversaryFor(n, t int, transmitter ident.ProcID) adversary.Ad
 	default:
 		return nil
 	}
+}
+
+// faultSpec is the candidate's fault plan with its omission fault, if any,
+// applied to the last t processors other than the transmitter: StratSilent
+// crashes them at phase 1, StratCrash after phase Param.
+func (c Candidate) faultSpec(n, t int, transmitter ident.ProcID) faultnet.Spec {
+	switch victims := adversary.LastNonTransmitter(n, t, transmitter); c.Strategy {
+	case StratSilent:
+		return c.Spec.WithCrash(victims, 1)
+	case StratCrash:
+		return c.Spec.WithCrash(victims, max(0, c.Param)+1)
+	}
+	return c.Spec
 }
 
 // defaultParam is the canonical knob setting a strategy starts from: the

@@ -6,6 +6,7 @@ import (
 
 	"byzex/internal/cli"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/trace"
 )
@@ -39,14 +40,18 @@ func TestTraceMatchesReportEveryProtocol(t *testing.T) {
 			{"split-brain-rushing", "split-brain", true},
 		}
 		for _, sc := range scenarios {
-			adv, err := cli.Adversary(sc.advName, params)
+			adv, spec, err := cli.Adversary(sc.advName, params, faultnet.Spec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := faultnet.Compile(spec, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
 			buf := trace.NewBuffer()
 			res, err := core.Run(context.Background(), core.Config{
 				Protocol: proto, N: e.N, T: e.T, Value: ident.V1,
-				Scheme: scheme, Adversary: adv, Seed: 7,
+				Scheme: scheme, Adversary: adv, Seed: 7, Faults: plan,
 				Rushing: sc.rushing, Trace: buf,
 			})
 			if err != nil {

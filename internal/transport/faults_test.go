@@ -107,7 +107,7 @@ func TestScenarioMatrix(t *testing.T) {
 				if err := plan.CheckBudget(e.N, e.T); err != nil {
 					t.Fatalf("scenario not in budget: %v", err)
 				}
-				adv, err := cli.Adversary(sc.adversary, params)
+				adv, _, err := cli.Adversary(sc.adversary, params, faultnet.Spec{})
 				if err != nil {
 					t.Fatal(err)
 				}

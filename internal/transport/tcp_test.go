@@ -7,6 +7,7 @@ import (
 
 	"byzex/internal/adversary"
 	"byzex/internal/core"
+	"byzex/internal/faultnet"
 	"byzex/internal/ident"
 	"byzex/internal/protocols/alg1"
 	"byzex/internal/protocols/alg2"
@@ -53,11 +54,9 @@ func TestDolevStrongOverTCPWithSplitBrain(t *testing.T) {
 }
 
 func TestAlg3OverTCPWithCrash(t *testing.T) {
-	adv := adversary.Crash{CrashAfter: 3}
-	faulty := ident.NewSet(14, 15)
+	crash := faultnet.MustCompile(faultnet.Spec{}.WithCrash(ident.NewSet(14, 15), 4), 1)
 	res, err := transport.RunCluster(context.Background(), core.Config{
-		N: 16, T: 2, Value: ident.V1, Protocol: alg3.Protocol{S: 3},
-		Adversary: adv, FaultyOverride: &faulty,
+		N: 16, T: 2, Value: ident.V1, Protocol: alg3.Protocol{S: 3}, Faults: crash,
 	}, transport.Net{PhaseTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,11 @@
 # registry row at its canonical size (read from internal/cli/cli.go) × every
 # adversary basim names (none, split-brain, multi-faced, silent, crash and the
 # randomized chaos, garbage and bit-flipper, which draw from per-processor
-# streams and so replay over TCP too) × the memory and tcp transports × no
+# streams and so replay over TCP too; silent and crash are not strategies but
+# fault-plan expansions, crash rules for the last t processors merged into
+# the run's plan, so against a revision where they were node wrappers their
+# traces add fault-crash events and drop the deliveries to, and the decide
+# lines of, the crashed processors) × the memory and tcp transports × no
 # fault plan, crash=1@2 and the delivery-fault plan
 # drop=1->2@2;dup=1->3@1;reorder=1->*@* (every rule names sender 1, so the
 # plan stays in budget and the fault-* events are traced), plus baexp's text
